@@ -31,8 +31,10 @@ from .labels import (
     lsro_label,
     mprl_alpha,
     mprl_label,
+    mprl_rows,
     one_hot_pseudo_label,
     rank_weight_normalizer,
+    row_ranks,
     softmax,
 )
 from .losses import (
@@ -44,6 +46,7 @@ from .losses import (
     lsro_loss,
     mprl_generated_loss,
     real_ce_loss,
+    weighted_ce,
 )
 from .net import (
     Activation,

@@ -9,7 +9,8 @@ forward value.  The error metric per trial is
 i.e. the worst coordinate disagreement relative to the gradient's own
 largest component.  The diagonal gradient mode is measured against the
 analytic one and reported as a divergence, never as a failure: it is a
-different formula, not a broken implementation.
+different formula, not a broken implementation.  The 2K perturbed points
+of one central difference are evaluated as batches of kernel rows.
 """
 
 from __future__ import annotations
@@ -19,28 +20,57 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .labels import TiePolicy, mprl_alpha, softmax
-from .losses import GradientMode, LossConfig, lsro_loss, mprl_generated_loss, real_ce_loss
+from .labels import TiePolicy, mprl_alpha, mprl_rows, softmax
+from .losses import (
+    GradientMode,
+    LossConfig,
+    lsro_loss,
+    mprl_generated_loss,
+    real_ce_loss,
+    weighted_ce,
+)
 
 DEFAULT_K_VALUES = (2, 5, 10, 751)
 DEFAULT_STEP = 1e-6
 DEFAULT_TOLERANCE = 1e-6
 LOGIT_SIGMA = 3.0
+# coordinates perturbed per kernel call; larger blocks run no faster at
+# K=751 and hold (2 * FD_BLOCK, K) temporaries, which show in peak memory
+FD_BLOCK = 8
 
 
 def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.array(x, dtype=np.float64)  # private buffer, perturbed in place
+    """Central-difference gradient of a scalar function of a vector.
+
+    ``fn`` maps an (n, K) batch of points to their n values.  The 2K
+    perturbed points x +- step * e_j go through it in batches of
+    ``2 * FD_BLOCK`` rows.
+    """
+    x = np.array(x, dtype=np.float64)
     grad = np.empty_like(x)
-    for j in range(x.size):
-        orig = x[j]
-        x[j] = orig + step
-        f_plus = fn(x)
-        x[j] = orig - step
-        f_minus = fn(x)
-        x[j] = orig
-        grad[j] = (f_plus - f_minus) / (2.0 * step)
+    for start in range(0, x.size, FD_BLOCK):
+        cols = np.arange(start, min(start + FD_BLOCK, x.size))
+        rows = np.arange(cols.size)
+        points = np.tile(x, (2 * cols.size, 1))
+        points[rows, cols] = x[cols] + step
+        points[rows + cols.size, cols] = x[cols] - step
+        values = fn(points)
+        grad[cols] = (values[:cols.size] - values[cols.size:]) / (2.0 * step)
     return grad
+
+
+def _batch_values(weights, one_hot: bool = False, scale: float = 1.0):
+    """The forward value of one weight row's loss, at every point of a batch.
+
+    These are the kernel rows the per-vector losses evaluate:
+    ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the uniform row and
+    ``mprl_generated_loss`` the normalized rank row scaled by gen_weight.
+    """
+    def values(points):
+        out, _ = weighted_ce(points, np.broadcast_to(weights, points.shape),
+                             one_hot=np.full(points.shape[0], one_hot))
+        return scale * out
+    return values
 
 
 def relative_gradient_error(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -109,17 +139,18 @@ def run_gradcheck(
             alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
 
             out = real_ce_loss(x, c)
-            fd = finite_difference_gradient(lambda z: real_ce_loss(z, c).value, x, step)
+            hot = np.zeros(k)
+            hot[c] = 1.0
+            fd = finite_difference_gradient(_batch_values(hot, one_hot=True), x, step)
             worst["real_ce"] = max(worst["real_ce"], relative_gradient_error(out.grad_logits, fd))
 
             out = lsro_loss(x)
-            fd = finite_difference_gradient(lambda z: lsro_loss(z).value, x, step)
+            fd = finite_difference_gradient(_batch_values(np.full(k, 1.0 / k)), x, step)
             worst["lsro"] = max(worst["lsro"], relative_gradient_error(out.grad_logits, fd))
 
             out = mprl_generated_loss(x, alpha, cfg)
             fd = finite_difference_gradient(
-                lambda z: mprl_generated_loss(z, alpha, cfg).value, x, step
-            )
+                _batch_values(mprl_rows(alpha.ranks), scale=cfg.gen_weight), x, step)
             worst["mprl_analytic"] = max(
                 worst["mprl_analytic"], relative_gradient_error(out.grad_logits, fd)
             )

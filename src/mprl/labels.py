@@ -14,6 +14,17 @@ ways to label a sample that has no ground-truth class:
   a nonzero weight, and with distinct probabilities the gap between
   consecutive sorted weights is exactly 1/K.
 
+Training works on whole mini-batches: every label is a row of a
+(B, width) weight matrix, and the rank-weighted rows of a batch come
+from its logits in one row-wise sort (:func:`row_ranks`, then
+:func:`mprl_rows`).  Softmax preserves order, so ranking logits gives
+the same ranks as ranking probabilities, except that logits keep apart
+values which softmax rounds to one probability (``[0, 1e-17, 5]`` ranks
+``[1, 2, 3]`` as logits and ``[1.5, 1.5, 3]`` as probabilities), and
+logits never underflow to a zero probability.  The per-vector builders
+``one_hot_pseudo_label`` and ``mprl_alpha`` keep their probability
+contract; the trainer ranks and argmaxes logits instead.
+
 Class identities are 1-based throughout this package: class ``c`` lives
 at vector position ``c - 1``.  Weight vectors are plain float arrays.
 """
@@ -177,6 +188,34 @@ def one_hot_pseudo_label(probs) -> VirtualLabel:
     return VirtualLabel(LabelScheme.ONE_HOT_PSEUDO, weights, source_class=idx + 1)
 
 
+def row_ranks(scores, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndarray:
+    """Ascending 1-based rank of every entry within its row of a (B, K) matrix.
+
+    The smallest entry of a row ranks 1 and the largest ranks K.  Ties
+    (exact float equality within a row) are resolved by ``tie_policy``;
+    see :class:`TiePolicy`.  One stable sort covers the whole matrix.
+    """
+    x = np.asarray(scores, dtype=np.float64)
+    n, k = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    if tie_policy is TiePolicy.AVERAGE_RANK:
+        ordered = np.take_along_axis(x, order, axis=1)
+        pos = np.arange(k)
+        differs = ordered[:, 1:] != ordered[:, :-1]
+        edge = np.ones((n, 1), dtype=bool)
+        # first and last sorted position of the run of equal values holding
+        # each position; the run occupies 1-based positions first+1 .. last+1
+        first = np.maximum.accumulate(np.where(np.hstack([edge, differs]), pos, 0), axis=1)
+        last = np.minimum.accumulate(
+            np.where(np.hstack([differs, edge]), pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
+        sorted_ranks = (first + last + 2) / 2.0
+    else:
+        sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
+    ranks = np.empty((n, k))
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
+
+
 def mprl_alpha(probs, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> RankWeights:
     """Rank each class's predicted probability, ascending.
 
@@ -184,19 +223,7 @@ def mprl_alpha(probs, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> RankWei
     float equality) are resolved by ``tie_policy``; see :class:`TiePolicy`.
     """
     p = check_prob_vector(probs)
-    k = p.size
-    order = np.argsort(p, kind="stable")
-    ranks = np.empty(k, dtype=np.float64)
-    ranks[order] = np.arange(1, k + 1, dtype=np.float64)
-    if tie_policy is TiePolicy.AVERAGE_RANK:
-        sorted_p = p[order]
-        # run boundaries of exactly-equal values in sorted order
-        bounds = np.flatnonzero(np.r_[True, sorted_p[1:] != sorted_p[:-1], True])
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            if end - start > 1:
-                # mean of the occupied 1-based positions start+1 .. end
-                ranks[order[start:end]] = (start + 1 + end) / 2.0
-    return RankWeights(ranks, tie_policy)
+    return RankWeights(row_ranks(p[None, :], tie_policy)[0], tie_policy)
 
 
 def mprl_label(alpha: RankWeights, n_classes: int) -> VirtualLabel:
@@ -211,3 +238,15 @@ def mprl_label(alpha: RankWeights, n_classes: int) -> VirtualLabel:
             f"rank vector has {alpha.n_classes} entries, expected {n_classes}"
         )
     return VirtualLabel(LabelScheme.MPRL, alpha.ranks / n_classes)
+
+
+def mprl_rows(ranks) -> np.ndarray:
+    """Normalized multi-pseudo weights ``rank / K * 2/(1+K)``.
+
+    ``ranks`` holds 1..K ranks along its last axis (one row per sample, as
+    :func:`row_ranks` returns them), so every row's mass is 1 and the loss
+    needs no further normalizer.
+    """
+    r = np.asarray(ranks, dtype=np.float64)
+    k = r.shape[-1]
+    return rank_weight_normalizer(k) * (r / k)

@@ -1,9 +1,15 @@
 """Forward losses and backward gradients for real and generated samples.
 
-Real samples use plain softmax cross-entropy.  Generated samples use a
-weighted cross-entropy against their virtual label; for multi-pseudo
-(rank-weighted) labels the weight mass is normalized by 2/(1+K) and
-scaled by a trade-off factor between generated- and real-sample loss.
+Every label in play is a weight vector over the classifier head, so one
+operation covers them all: the cross-entropy of a logit row against a
+weight row, -sum_k w_k log softmax(x)_k.  :func:`weighted_ce` evaluates it
+for a whole (B, width) batch at once; :func:`combined_loss` reduces a
+mini-batch with it, and the per-vector losses (``real_ce_loss``,
+``lsro_loss``, ``mprl_generated_loss``) are one-row calls into it.  Real
+samples carry one-hot weights; generated samples carry their virtual
+label, whose weights for multi-pseudo (rank-weighted) labels are
+normalized by 2/(1+K); the generated-sample loss is scaled by a
+trade-off factor against the real-sample loss.
 
 Two gradient modes exist for the rank-weighted generated loss:
 
@@ -21,19 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidClass, InvalidConfig, InvalidDimension
-from .labels import (
-    LabelScheme,
-    RankWeights,
-    VirtualLabel,
-    check_logits,
-    rank_weight_normalizer,
-    softmax,
-)
+from .labels import RankWeights, check_logits, mprl_rows, rank_weight_normalizer
 
 
 class GradientMode(str, Enum):
@@ -78,11 +76,42 @@ def log_sum_exp(logits: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(logits - m))))
 
 
-def _neg_log_probs(x: np.ndarray) -> np.ndarray:
-    """-log softmax(x), computed shift-first so every intermediate is
-    O(spread + log K) rather than O(|x|)."""
-    z = x - np.max(x)
-    return float(np.log(np.sum(np.exp(z)))) - z
+def weighted_ce(logits, weights, one_hot=None, diagonal=None) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of every logit row against its weight row.
+
+    ``logits`` and ``weights`` are (B, width).  Row i's value is
+    -sum_k W_ik log softmax(X_i)_k and its gradient is sum(W_i) p_i - W_i,
+    the derivative of that value with the weights held fixed.  Rows
+    flagged in the boolean mask ``diagonal`` get the diagonal gradient
+    -W_i (1 - p_i) instead.  Rows flagged in ``one_hot`` must carry one-hot
+    weights; where their class holds the top logit the value is
+    log1p(sum of the other classes' exp(x_j - x_c)), which stays accurate,
+    and strictly positive, at margins where the log-sum-exp form cancels
+    to zero.  Returns the values (B,) and the gradients (B, width).
+    """
+    z = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = np.sum(e, axis=1, keepdims=True)
+    p = e / total
+    values = np.sum(weights * (np.log(total) - z), axis=1)
+    grads = np.sum(weights, axis=1, keepdims=True) * p - weights
+    if diagonal is not None and diagonal.any():
+        grads[diagonal] = -weights[diagonal] * (1.0 - p[diagonal])
+    if one_hot is not None and one_hot.any():
+        rows = np.flatnonzero(one_hot)
+        cls = np.argmax(weights[rows], axis=1)
+        top = z[rows, cls] == 0.0
+        rows, cls = rows[top], cls[top]
+        width = z.shape[1]
+        others = np.arange(width - 1) + (np.arange(width - 1) >= cls[:, None])
+        values[rows] = np.log1p(np.sum(np.take_along_axis(e[rows], others, axis=1), axis=1))
+    return values, grads
+
+
+def _one_row(x: np.ndarray, w: np.ndarray, one_hot=False, diagonal=False) -> LossOutput:
+    values, grads = weighted_ce(x[None, :], w[None, :], np.array([one_hot]),
+                                np.array([diagonal]))
+    return LossOutput(float(values[0]), grads[0])
 
 
 def real_ce_loss(logits, class_index: int) -> LossOutput:
@@ -97,16 +126,9 @@ def real_ce_loss(logits, class_index: int) -> LossOutput:
     x = check_logits(logits)
     if not 0 <= class_index < x.size:
         raise InvalidClass(f"class index {class_index} outside 0..{x.size - 1}")
-    z = x - x[class_index]
-    m = float(np.max(z))
-    if m == 0.0:
-        others = np.exp(np.delete(z, class_index))
-        value = float(np.log1p(np.sum(others)))
-    else:
-        value = m + float(np.log(np.sum(np.exp(z - m))))
-    grad = softmax(x)
-    grad[class_index] -= 1.0
-    return LossOutput(value, grad)
+    w = np.zeros(x.size)
+    w[class_index] = 1.0
+    return _one_row(x, w, one_hot=True)
 
 
 def lsro_loss(logits) -> LossOutput:
@@ -115,10 +137,7 @@ def lsro_loss(logits) -> LossOutput:
     Value: -(1/K) sum_k log p_k; gradient: p - 1/K, which sums to zero.
     """
     x = check_logits(logits)
-    k = x.size
-    value = float(np.sum(_neg_log_probs(x))) / k
-    grad = softmax(x) - 1.0 / k
-    return LossOutput(value, grad)
+    return _one_row(x, np.full(x.size, 1.0 / x.size))
 
 
 def mprl_generated_loss(logits, alpha: RankWeights, cfg: LossConfig) -> LossOutput:
@@ -134,15 +153,9 @@ def mprl_generated_loss(logits, alpha: RankWeights, cfg: LossConfig) -> LossOutp
             f"logits ({x.size}), ranks ({alpha.n_classes}) and config "
             f"({cfg.n_classes}) disagree on the class count"
         )
-    w = alpha.ranks / cfg.n_classes
-    scale = cfg.gen_weight * cfg.rank_norm
-    value = scale * float(np.sum(w * _neg_log_probs(x)))
-    p = softmax(x)
-    if cfg.gradient_mode is GradientMode.ANALYTIC:
-        grad = scale * (float(np.sum(w)) * p - w)
-    else:
-        grad = -scale * w * (1.0 - p)
-    return LossOutput(value, grad)
+    w = mprl_rows(alpha.ranks)
+    out = _one_row(x, w, diagonal=cfg.gradient_mode is GradientMode.DIAGONAL)
+    return LossOutput(cfg.gen_weight * out.value, cfg.gen_weight * out.grad_logits)
 
 
 @dataclass(frozen=True)
@@ -165,77 +178,52 @@ class CombinedLoss:
     grad_logits: np.ndarray
 
 
-def _generated_item_loss(x: np.ndarray, label: VirtualLabel, cfg: LossConfig) -> LossOutput:
-    """Virtual-label loss for one generated item, before the gen_weight factor.
+def combined_loss(logits, weights, generated, cfg: LossConfig,
+                  gate_active: bool = True) -> CombinedLoss:
+    """Mini-batch loss of a (B, width) logit matrix against (B, width) weight rows.
 
-    Rank-weighted (MPRL) labels get the 2/(1+K) normalizer here; every
-    other scheme's weights already sum to 1.  The diagonal gradient mode
-    applies only to rank-weighted labels.
-    """
-    w = label.weights
-    diagonal = False
-    if label.scheme is LabelScheme.MPRL:
-        if w.size != cfg.n_classes:
-            raise InvalidDimension(
-                f"rank-weighted label has {w.size} classes, config says {cfg.n_classes}"
-            )
-        w = cfg.rank_norm * w
-        diagonal = cfg.gradient_mode is GradientMode.DIAGONAL
-    value = float(np.sum(w * _neg_log_probs(x)))
-    p = softmax(x)
-    if diagonal:
-        grad = -w * (1.0 - p)
-    else:
-        grad = float(np.sum(w)) * p - w
-    return LossOutput(value, grad)
-
-
-def combined_loss(
-    items: Sequence[tuple[np.ndarray, VirtualLabel, bool]],
-    cfg: LossConfig,
-    gate_active: bool = True,
-) -> CombinedLoss:
-    """Mini-batch loss over (logits, label, is_generated) triples.
-
-    Real items must carry GROUND_TRUTH labels and generated items a
-    virtual-label scheme.  Reduction is per-origin mean, then
+    ``generated`` is a boolean mask of length B.  Real rows must carry
+    one-hot weights at their class.  Generated rows carry their virtual
+    label's weights, normalized: multi-pseudo rows already include the
+    2/(1+K) factor (see :func:`mprl.labels.mprl_rows`).  When
+    ``cfg.gradient_mode`` is DIAGONAL every generated row gets the
+    diagonal gradient.  Reduction is per-origin mean, then
     value = mean(real) + gen_weight * mean(generated), so the trade-off
     factor keeps its meaning regardless of batch composition.  When
     ``gate_active`` is False, generated items contribute exactly zero
     loss and gradient (gradient rows are hard zeros).
     """
-    if len(items) == 0:
+    x = np.asarray(logits, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    gen = np.asarray(generated, dtype=bool)
+    if x.ndim != 2 or x.size == 0:
         raise InvalidDimension("batch must contain at least one item")
-    width = check_logits(items[0][0]).size
-    n_real = sum(1 for _, _, gen in items if not gen)
-    n_generated = len(items) - n_real
+    if w.shape != x.shape or gen.shape != x.shape[:1]:
+        raise InvalidDimension(
+            f"logits {x.shape}, weights {w.shape} and generated mask {gen.shape} "
+            "disagree on the batch shape"
+        )
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise InvalidDimension("logits and weights must be finite")
+    real = ~gen
+    hot = w[real]
+    not_one_hot = (np.count_nonzero(hot, axis=1) != 1) | (np.count_nonzero(hot == 1.0, axis=1) != 1)
+    if np.any(not_one_hot):
+        row = int(np.flatnonzero(real)[np.argmax(not_one_hot)])
+        raise InvalidClass(f"row {row}: real row must carry one-hot weights")
+    n_real = int(np.count_nonzero(real))
+    n_generated = x.shape[0] - n_real
 
-    grad_rows = np.zeros((len(items), width))
-    real_sum = 0.0
-    gen_sum = 0.0
-    for i, (logits, label, is_generated) in enumerate(items):
-        x = check_logits(logits)
-        if x.size != width or label.weights.size != width:
-            raise InvalidDimension(
-                f"item {i}: logits ({x.size}) or label ({label.weights.size}) "
-                f"width differs from the batch width {width}"
-            )
-        if is_generated:
-            if label.scheme is LabelScheme.GROUND_TRUTH:
-                raise InvalidClass(f"item {i}: generated item carries a ground-truth label")
-            if not gate_active:
-                continue
-            out = _generated_item_loss(x, label, cfg)
-            gen_sum += out.value
-            grad_rows[i] = (cfg.gen_weight / n_generated) * out.grad_logits
-        else:
-            if label.scheme is not LabelScheme.GROUND_TRUTH or label.source_class is None:
-                raise InvalidClass(f"item {i}: real item must carry a ground-truth label")
-            out = real_ce_loss(x, label.source_class - 1)
-            real_sum += out.value
-            grad_rows[i] = out.grad_logits / n_real
+    diagonal = gen if cfg.gradient_mode is GradientMode.DIAGONAL else None
+    values, grads = weighted_ce(x, w, one_hot=real, diagonal=diagonal)
+    if n_real:
+        grads[real] /= n_real
+    if gate_active and n_generated:
+        grads[gen] *= cfg.gen_weight / n_generated
+    else:
+        grads[gen] = 0.0
 
-    real_loss = real_sum / n_real if n_real else 0.0
-    gen_loss = gen_sum / n_generated if (n_generated and gate_active) else 0.0
+    real_loss = float(np.sum(values[real])) / n_real if n_real else 0.0
+    gen_loss = float(np.sum(values[gen])) / n_generated if (n_generated and gate_active) else 0.0
     value = real_loss + cfg.gen_weight * gen_loss
-    return CombinedLoss(value, real_loss, gen_loss, n_real, n_generated, grad_rows)
+    return CombinedLoss(value, real_loss, gen_loss, n_real, n_generated, grads)

@@ -52,11 +52,17 @@ class EvalReport:
 
     def __post_init__(self):
         self.cmc_curve = np.asarray(self.cmc_curve, dtype=np.float64)
-        assert self.cmc_curve.ndim == 1 and self.cmc_curve.size >= 1
-        assert self.cmc_curve[0] == self.rank1
-        assert np.all(np.diff(self.cmc_curve) >= 0.0), "CMC must be nondecreasing"
-        assert 0.0 <= self.rank1 <= 1.0 and 0.0 <= self.mean_ap <= 1.0
-        assert self.cmc_curve[-1] <= 1.0 + 1e-12
+        cmc = self.cmc_curve
+        if cmc.ndim != 1 or cmc.size < 1:
+            raise InvalidDimension("CMC curve must be a non-empty 1-d vector")
+        if cmc[0] != self.rank1:
+            raise ProtocolViolation(f"rank-1 {self.rank1!r} differs from CMC[0] {cmc[0]!r}")
+        if not np.all(np.diff(cmc) >= 0.0):
+            raise ProtocolViolation("CMC must be nondecreasing")
+        if not (0.0 <= self.rank1 <= 1.0 and 0.0 <= self.mean_ap <= 1.0):
+            raise ProtocolViolation("rank-1 and mAP must lie in [0, 1]")
+        if not cmc[-1] <= 1.0 + 1e-12:
+            raise ProtocolViolation("CMC must not exceed 1")
 
 
 def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarray:
@@ -124,23 +130,34 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    rows = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    """Read an embedding file; a malformed header or row raises InvalidState
+    naming ``path:line``."""
+    rows = [(no, line) for no, line in enumerate(Path(path).read_text().splitlines(), start=1)
+            if line.strip()]
     if not rows:
         raise InvalidState(f"{path}: empty embedding file")
-    header = rows[0].split()
-    if len(header) != 2:
-        raise InvalidState(f"{path}: header must be 'n dim'")
-    n, dim = int(header[0]), int(header[1])
+    header_no, header = rows[0]
+    try:
+        n, dim = (int(v) for v in header.split())
+    except ValueError:
+        raise InvalidState(f"{path}:{header_no}: header must be 'n dim', "
+                           f"got {header.strip()!r}") from None
+    if dim < 1:
+        raise InvalidState(f"{path}:{header_no}: embedding dim must be >= 1, got {dim}")
     if len(rows) - 1 != n:
         raise InvalidState(f"{path}: header says {n} rows, file has {len(rows) - 1}")
     ids = np.empty(n, dtype=np.int64)
     labels = np.empty(n, dtype=np.int64)
     vectors = np.empty((n, dim))
-    for i, row in enumerate(rows[1:]):
+    for i, (line_no, row) in enumerate(rows[1:]):
         parts = row.split()
         if len(parts) != 2 + dim:
-            raise InvalidState(f"{path}: row {i + 2} has {len(parts)} fields, expected {2 + dim}")
-        ids[i] = int(parts[0])
-        labels[i] = int(parts[1])
-        vectors[i] = [float(v) for v in parts[2:]]
+            raise InvalidState(
+                f"{path}:{line_no}: {len(parts)} fields, expected {2 + dim}")
+        try:
+            ids[i] = int(parts[0])
+            labels[i] = int(parts[1])
+            vectors[i] = [float(v) for v in parts[2:]]
+        except ValueError as exc:
+            raise InvalidState(f"{path}:{line_no}: {exc}") from None
     return EmbeddingSet(ids, labels, vectors)

@@ -245,25 +245,34 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file back; feature values round-trip bit-exactly."""
+    """Read a dataset file back; feature values round-trip bit-exactly.
+
+    A malformed header or row raises InvalidState naming ``path:line``.
+    """
     text = Path(path).read_text()
-    rows = [line for line in text.splitlines() if line.strip()]
+    rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not rows:
         raise InvalidState(f"{path}: empty dataset file")
-    header = rows[0].split()
-    if len(header) != 3:
-        raise InvalidState(f"{path}: header must be 'K dim n_samples'")
-    n_classes, dim, count = (int(v) for v in header)
+    header_no, header = rows[0]
+    try:
+        n_classes, dim, count = (int(v) for v in header.split())
+    except ValueError:
+        raise InvalidState(f"{path}:{header_no}: header must be 'K dim n_samples', "
+                           f"got {header.strip()!r}") from None
     if len(rows) - 1 != count:
         raise InvalidState(f"{path}: header says {count} samples, file has {len(rows) - 1}")
     samples = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         parts = row.split()
         if len(parts) != 4 + dim:
             raise InvalidState(f"{path}:{line_no}: expected {4 + dim} fields, got {len(parts)}")
-        sid, split_tag, origin, label = parts[0], parts[1], parts[2], int(parts[3])
+        split_tag, origin = parts[1], parts[2]
         if split_tag not in SPLIT_TAGS:
             raise InvalidState(f"{path}:{line_no}: unknown split tag {split_tag!r}")
-        feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
-        samples.append(Sample(int(sid), feats, origin, None if label == -1 else label, split_tag))
+        try:
+            sid, label = int(parts[0]), int(parts[3])
+            feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+        except ValueError as exc:
+            raise InvalidState(f"{path}:{line_no}: {exc}") from None
+        samples.append(Sample(sid, feats, origin, None if label == -1 else label, split_tag))
     return Dataset(samples, n_classes, dim)

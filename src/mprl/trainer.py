@@ -12,10 +12,16 @@ three rank-weighted multi-pseudo variants:
   until a warm-up epoch is reached, and the generated-side loss weight
   defaults to 0.1.
 
-Each epoch shuffles the merged sample list with an epoch-seeded RNG, so
-identical configs reproduce identical parameter trajectories bit for
-bit.  Epoch indices are 1-based; the warm-up gate opens at
-``epoch >= warmup_epoch``.
+Training is batch-first.  Each epoch shuffles the merged real +
+generated feature matrix with an epoch-seeded RNG, so identical configs
+reproduce identical parameter trajectories bit for bit.  Per mini-batch
+the strategy maps the batch's logits to a (B, width) weight matrix (real
+rows one-hot at their class, generated rows the strategy's virtual
+label), and one :func:`combined_loss` call scores the whole batch.
+Rank-weighted and one-hot pseudo labels are read off the logits directly
+(see :mod:`mprl.labels`), so an arbitrarily confident model never
+produces an invalid label.  Epoch indices are 1-based; the warm-up gate
+opens at ``epoch >= warmup_epoch``.
 """
 
 from __future__ import annotations
@@ -29,12 +35,18 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidDimension, NotRecorded
 from .labels import (
-    RankWeights,
+    LabelScheme,
     TiePolicy,
     VirtualLabel,
     all_in_one_label,
-    ground_truth_label,
     lsro_label,
+    mprl_rows,
+    rank_weight_normalizer,
+    row_ranks,
+)
+# not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
+from .labels import (  # noqa: F401
+    ground_truth_label,
     mprl_alpha,
     mprl_label,
     one_hot_pseudo_label,
@@ -51,7 +63,7 @@ from .net import (
     sgd_step,
 )
 from .retrieval import EmbeddingSet
-from .synthgen import Dataset, Sample
+from .synthgen import Dataset
 
 
 class Strategy(str, Enum):
@@ -185,9 +197,25 @@ def _check_datasets(real: Dataset, generated: Dataset | None) -> None:
             raise InvalidConfig("generated dataset contains non-generated samples")
 
 
-def _random_rank_label(n_classes: int, tie_policy: TiePolicy, rng) -> VirtualLabel:
-    ranks = rng.permutation(n_classes).astype(np.float64) + 1.0
-    return mprl_label(RankWeights(ranks, tie_policy), n_classes)
+def _generated_rule(cfg: TrainConfig, n_classes: int, static_weights):
+    """The strategy's map from a batch's generated rows to their weight rows.
+
+    The returned function takes the generated rows' logits and their
+    positions in the generated set, and returns one weight row (mass 1)
+    per generated row.
+    """
+    if cfg.strategy is Strategy.ALL_IN_ONE:
+        row = all_in_one_label(n_classes).weights
+        return lambda logits, positions: np.broadcast_to(row, logits.shape)
+    if cfg.strategy is Strategy.LSRO:
+        row = lsro_label(n_classes).weights
+        return lambda logits, positions: np.broadcast_to(row, logits.shape)
+    if cfg.strategy is Strategy.ONE_HOT_PSEUDO:
+        eye = np.eye(n_classes)
+        return lambda logits, positions: eye[np.argmax(logits, axis=1)]
+    if cfg.strategy is Strategy.SMPRL:
+        return lambda logits, positions: static_weights[positions]
+    return lambda logits, positions: mprl_rows(row_ranks(logits, cfg.tie_policy))
 
 
 def train(
@@ -214,12 +242,17 @@ def train(
     gen_train = list(generated.samples) if (
         generated is not None and cfg.strategy is not Strategy.BASELINE
     ) else []
+    static_weights = None
     if cfg.strategy is Strategy.SMPRL:
         if static_labels is None:
             raise InvalidConfig("smprl needs static_labels from assign_static_labels")
         missing = [s.id for s in gen_train if s.id not in static_labels]
         if missing:
             raise InvalidConfig(f"static_labels missing for generated ids {missing[:5]}...")
+        rows = [static_labels[s.id].weights for s in gen_train]
+        if any(row.size != n_classes for row in rows):
+            raise InvalidDimension(f"static labels must have {n_classes} classes")
+        static_weights = rank_weight_normalizer(n_classes) * np.array(rows).reshape(-1, n_classes)
 
     layer_sizes = (real.feature_dim, *cfg.hidden_sizes, head_width)
     params = initial_params if initial_params is not None else init_params(
@@ -231,7 +264,10 @@ def train(
             f"initial params have layer sizes {params.layer_sizes}, expected {layer_sizes}"
         )
     opt = init_optimizer(params, cfg.lr_initial, cfg.momentum)
-    loss_cfg = LossConfig(n_classes, cfg.resolved_gen_weight(), cfg.gradient_mode)
+    # the diagonal gradient mode belongs to rank-weighted labels only
+    rank_weighted = cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2)
+    loss_cfg = LossConfig(n_classes, cfg.resolved_gen_weight(),
+                          cfg.gradient_mode if rank_weighted else GradientMode.ANALYTIC)
 
     # tracked trajectory samples: lowest generated ids first, clipped
     all_generated = list(generated.samples) if generated is not None else []
@@ -243,60 +279,47 @@ def train(
         trajectory_enabled=cfg.track_trajectories > 0,
     )
 
-    merged: list[Sample] = list(real_train) + gen_train
-    constant_label = None
-    if cfg.strategy is Strategy.ALL_IN_ONE:
-        constant_label = all_in_one_label(n_classes)
-    elif cfg.strategy is Strategy.LSRO:
-        constant_label = lsro_label(n_classes)
-
+    # the merged pool: real train rows first, then the generated rows
+    n_real = len(real_train)
     real_train_feats = real.feature_matrix(real_train)
     real_train_classes = np.array([s.class_label for s in real_train])
+    gen_feats = generated.feature_matrix(gen_train) if gen_train else np.empty((0, real.feature_dim))
+    pool_feats = np.concatenate([real_train_feats, gen_feats])
+    pool_generated = np.arange(len(pool_feats)) >= n_real
+    pool_class = np.concatenate([real_train_classes - 1, np.zeros(len(gen_train), dtype=int)])
+    generated_rule = _generated_rule(cfg, n_classes, static_weights)
     first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
 
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr_initial if epoch <= cfg.decay_epoch else cfg.lr_after_decay
         opt.learning_rate = lr
         gate = epoch >= cfg.warmup_epoch if cfg.strategy is Strategy.DMPRL2 else True
-        order = epoch_shuffle_order(cfg.seed, epoch, len(merged))
+        order = epoch_shuffle_order(cfg.seed, epoch, len(pool_feats))
 
         real_sum = real_count = 0.0
         gen_sum = gen_count = 0.0
         gen_grad_norm = 0.0
         n_batches = math.ceil(len(order) / cfg.batch_size)
         for batch_idx in range(n_batches):
-            batch = [merged[j] for j in
-                     order[batch_idx * cfg.batch_size:(batch_idx + 1) * cfg.batch_size]]
-            feats = np.stack([s.features for s in batch])
+            batch = order[batch_idx * cfg.batch_size:(batch_idx + 1) * cfg.batch_size]
             logits, cache, _ = forward(
-                params, feats, cfg.dropout_rate,
+                params, pool_feats[batch], cfg.dropout_rate,
                 dropout_seed=(cfg.seed, _SEED_DROPOUT, epoch, batch_idx),
                 train_mode=True,
             )
-            first_iteration = epoch == 1 and batch_idx == 0
-            items = []
-            for row, sample in enumerate(batch):
-                if sample.origin == "real":
-                    label = ground_truth_label(sample.class_label, head_width)
-                    items.append((logits[row], label, False))
-                    continue
-                if not gate:
-                    # placeholder; zeroed out by the gate inside combined_loss
-                    label = lsro_label(n_classes)
-                elif constant_label is not None:
-                    label = constant_label
-                elif cfg.strategy is Strategy.ONE_HOT_PSEUDO:
-                    label = one_hot_pseudo_label(softmax(logits[row]))
-                elif cfg.strategy is Strategy.SMPRL:
-                    label = static_labels[sample.id]
-                elif first_iteration and cfg.strategy is Strategy.DMPRL1:
-                    label = _random_rank_label(n_classes, cfg.tie_policy, first_iter_rng)
-                else:  # dmprl1 after the first iteration, dmprl2 past warm-up
-                    alpha = mprl_alpha(softmax(logits[row]), cfg.tie_policy)
-                    label = mprl_label(alpha, n_classes)
-                items.append((logits[row], label, True))
+            gen = pool_generated[batch]
+            weights = np.zeros(logits.shape)
+            real_rows = np.flatnonzero(~gen)
+            weights[real_rows, pool_class[batch[real_rows]]] = 1.0
+            if gate and gen.any():
+                if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
+                    # the untrained model offers no ranking signal yet
+                    ranks = [first_iter_rng.permutation(n_classes) for _ in range(gen.sum())]
+                    weights[gen] = mprl_rows(np.stack(ranks) + 1.0)
+                else:
+                    weights[gen] = generated_rule(logits[gen], batch[gen] - n_real)
 
-            out: CombinedLoss = combined_loss(items, loss_cfg, gate_active=gate)
+            out: CombinedLoss = combined_loss(logits, weights, gen, loss_cfg, gate_active=gate)
             grads = backward(params, cache, out.grad_logits)
             params = sgd_step(params, grads, opt)
 
@@ -304,9 +327,8 @@ def train(
             real_count += out.n_real
             gen_sum += out.gen_loss * out.n_generated
             gen_count += out.n_generated
-            gen_rows = [i for i, (_, _, g) in enumerate(items) if g]
-            if gen_rows:
-                gen_grad_norm += float(np.linalg.norm(out.grad_logits[gen_rows]))
+            if out.n_generated:
+                gen_grad_norm += float(np.linalg.norm(out.grad_logits[gen]))
 
         l1 = real_sum / real_count if real_count else 0.0
         l2 = gen_sum / gen_count if gen_count else 0.0
@@ -342,19 +364,16 @@ def assign_static_labels(
     """One frozen rank-weighted label per generated sample.
 
     The pretrained model (typically a baseline run over the real data)
-    scores each generated sample once; the resulting labels never change
-    afterwards.
+    scores each generated sample once; the resulting labels (weights
+    rank/K, ranks taken on the logits) never change afterwards.
     """
     if not generated.samples:
         return {}
     feats = generated.feature_matrix()
     logits, _, _ = forward(pretrained, feats, train_mode=False)
-    n_classes = logits.shape[1]
-    out: dict[int, VirtualLabel] = {}
-    for sample, row in zip(generated.samples, logits):
-        alpha = mprl_alpha(softmax(row), tie_policy)
-        out[sample.id] = mprl_label(alpha, n_classes)
-    return out
+    weights = row_ranks(logits, tie_policy) / logits.shape[1]
+    return {sample.id: VirtualLabel(LabelScheme.MPRL, row)
+            for sample, row in zip(generated.samples, weights)}
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:

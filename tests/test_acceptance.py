@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  The full-benchmark criterion trains 7 strategies x
-10 seeds and takes a couple of minutes; everything else is fast.
+10 seeds and is the slowest; everything else is fast.
 """
 
 import math

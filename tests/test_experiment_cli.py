@@ -247,6 +247,37 @@ class TestCli:
         text = report_path.read_text()
         assert '"rank1":' in text and '"mAP":' in text
 
+    @pytest.mark.parametrize("text, line", [
+        ("2 three\n1 1 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 1),  # bad header field
+        ("2 3\n1 1 0.5 0.5 0.5\n\n2 1 0.5 oops 0.5\n", 4),  # bad feature field
+        ("2 3\n1 x 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 2),  # bad label field
+        ("1 -1\n7 1\n", 1),  # impossible dimension
+        ("1 3 9\n7 1 0.5 0.5 0.5\n", 1),  # extra header field
+    ])
+    def test_malformed_embedding_file_exits_two(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        good = tmp_path / "good.txt"
+        good.write_text("1 3\n7 1 0.0 0.0 0.0\n")
+        assert main(["eval", "--query", str(bad), "--gallery", str(good)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{bad}:{line}:" in err[0]
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 2 x\n", 1),  # bad header field
+        ("3 2 1\n0 train real one 0.5 0.5\n", 2),  # bad class field
+        ("3 2 1\n0 train real 1 0.5 nan?\n", 2),  # bad feature field
+    ])
+    def test_malformed_dataset_file_names_line(self, tmp_path, text, line):
+        from mprl.errors import InvalidState
+        from mprl.synthgen import load_dataset
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(InvalidState, match=f"{bad}:{line}:"):
+            load_dataset(bad)
+
     def test_console_entry_point(self, tmp_path):
         # the module runs standalone as well
         result = subprocess.run(

@@ -17,8 +17,10 @@ from mprl.labels import (
     lsro_label,
     mprl_alpha,
     mprl_label,
+    mprl_rows,
     one_hot_pseudo_label,
     rank_weight_normalizer,
+    row_ranks,
     softmax,
 )
 
@@ -160,6 +162,48 @@ class TestMprlAlpha:
         p = softmax(rng.normal(0, 3, size=k))
         ranks = mprl_alpha(p, TiePolicy.COMPETITION_ORDER).ranks
         assert sorted(ranks.tolist()) == list(range(1, k + 1))
+
+
+class TestRowRanks:
+    def test_logit_ranks_keep_ties_softmax_rounds_away(self):
+        # softmax rounds 0 and 1e-17 to one probability; the logits differ
+        np.testing.assert_array_equal(row_ranks(np.array([[0.0, 1e-17, 5.0]])), [[1, 2, 3]])
+        np.testing.assert_array_equal(
+            mprl_alpha(softmax([0.0, 1e-17, 5.0])).ranks, [1.5, 1.5, 3.0])
+
+    def test_extreme_logits_rank_where_softmax_underflows(self):
+        # softmax([0, -800, -801]) has zero entries, which mprl_alpha rejects
+        with pytest.raises(InvalidDimension):
+            mprl_alpha(softmax([0.0, -800.0, -801.0]))
+        np.testing.assert_array_equal(row_ranks(np.array([[0.0, -800.0, -801.0]])), [[3, 2, 1]])
+
+    def test_mprl_rows_are_normalized_rank_weights(self):
+        rows = mprl_rows(row_ranks(np.array([[0.2, 0.5, 0.3], [1.0, 1.0, 1.0]])))
+        np.testing.assert_allclose(rows[0], 0.5 * np.array([1, 3, 2]) / 3, atol=1e-15)
+        np.testing.assert_allclose(rows[1], [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-15)
+
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(TiePolicy)))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_mprl_alpha_wherever_softmax_adds_no_tie(self, k, n, seed, policy):
+        rng = np.random.default_rng(seed)
+        # quarter-steps in a small range: exact ties occur often
+        x = rng.integers(-12, 12, size=(n, k)) / 4.0
+        ranks = row_ranks(x, policy)
+        for row, got in zip(x, ranks):
+            p = softmax(row)
+            if np.unique(p).size == np.unique(row).size:
+                np.testing.assert_array_equal(got, mprl_alpha(p, policy).ranks)
+
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(TiePolicy)))
+    @settings(max_examples=80, deadline=None)
+    def test_invariant_under_per_row_logit_shifts(self, k, n, seed, policy):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-12, 12, size=(n, k)) / 4.0
+        shifts = rng.integers(-1000, 1000, size=(n, 1)).astype(float)  # exact in float64
+        np.testing.assert_array_equal(row_ranks(x + shifts, policy), row_ranks(x, policy))
 
 
 class TestMprlLabel:

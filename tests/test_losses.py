@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mprl.errors import InvalidClass, InvalidDimension
+from mprl.gradcheck import _batch_values, finite_difference_gradient
 from mprl.labels import TiePolicy, ground_truth_label, lsro_label, mprl_alpha, mprl_label, softmax
 from mprl.losses import (
     GradientMode,
@@ -15,6 +18,7 @@ from mprl.losses import (
     lsro_loss,
     mprl_generated_loss,
     real_ce_loss,
+    weighted_ce,
 )
 
 LN2 = math.log(2.0)
@@ -176,6 +180,110 @@ class TestFiniteDifferences:
                     assert np.abs(analytic - fd).max() / scale < 1e-6
 
 
+def batch(items):
+    """(logits, weights, is_generated) triples as combined_loss's matrix form."""
+    logits, weights, generated = zip(*items)
+    return np.array(logits), np.array(weights), np.array(generated)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 70, 130])
+    def test_batched_central_differences_equal_the_scalar_loop(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.normal(0, 3, size=k)
+        c = int(rng.integers(k))
+        alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+        cfg = LossConfig(n_classes=k, gen_weight=0.7)
+        hot = np.zeros(k)
+        hot[c] = 1.0
+        cases = [
+            (lambda z: real_ce_loss(z, c).value, _batch_values(hot, one_hot=True)),
+            (lambda z: lsro_loss(z).value, _batch_values(np.full(k, 1.0 / k))),
+            (lambda z: mprl_generated_loss(z, alpha, cfg).value,
+             _batch_values(cfg.rank_norm * (alpha.ranks / k), scale=cfg.gen_weight)),
+        ]
+        for scalar_fn, batch_fn in cases:
+            scalar = fd_gradient(scalar_fn, x)
+            batched = finite_difference_gradient(batch_fn, x)
+            assert np.max(np.abs(batched - scalar)) <= 1e-9 * np.max(np.abs(scalar))
+
+
+def kernel_case(k, seed, diagonal):
+    """A mixed batch: real rows (one at a huge top margin), an LSRO row and
+    a rank-weighted row, with the per-vector loss each row must equal."""
+    rng = np.random.default_rng(seed)
+    cfg = LossConfig(n_classes=k, gen_weight=1.0,
+                     gradient_mode=GradientMode.DIAGONAL if diagonal else GradientMode.ANALYTIC)
+    x = rng.normal(0, 4, size=(4, k))
+    c = int(rng.integers(k))
+    x[3, c] = x[3].max() + 60.0
+    alpha = mprl_alpha(softmax(x[2]), TiePolicy.AVERAGE_RANK)
+    hot = np.zeros(k)
+    hot[c] = 1.0
+    weights = np.array([hot, np.full(k, 1.0 / k), cfg.rank_norm * (alpha.ranks / k), hot])
+    expected = [real_ce_loss(x[0], c), lsro_loss(x[1]),
+                mprl_generated_loss(x[2], alpha, cfg), real_ce_loss(x[3], c)]
+    return x, weights, expected
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestWeightedCeKernel:
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_the_per_vector_losses(self, k, seed, diagonal):
+        x, weights, expected = kernel_case(k, seed, diagonal)
+        values, grads = weighted_ce(x, weights, one_hot=np.array([True, False, False, True]),
+                                    diagonal=np.array([False, False, diagonal, False]))
+        for value, grad, want in zip(values, grads, expected):
+            assert_close(value, want.value)
+            np.testing.assert_allclose(grad, want.grad_logits, rtol=0, atol=1e-12)
+        # log1p keeps a huge-margin real row positive (K=1 has no margin)
+        assert values[3] > 0.0 or k == 1
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_all_in_one_rows_at_width_k_plus_one(self, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 3, size=(3, k + 1))
+        c = int(rng.integers(k))
+        weights = np.zeros((3, k + 1))
+        weights[0, c] = 1.0  # real row
+        weights[1:, k] = 1.0  # generated rows at the extra class
+        values, grads = weighted_ce(x, weights, one_hot=np.array([True, False, False]))
+        for row, cls in ((0, c), (1, k), (2, k)):
+            want = real_ce_loss(x[row], cls)
+            assert_close(values[row], want.value)
+            np.testing.assert_allclose(grads[row], want.grad_logits, rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(),
+           st.floats(0.05, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_combined_rows_scale_the_kernel_rows_and_a_closed_gate_zeroes(
+            self, k, seed, diagonal, gen_weight):
+        x, weights, expected = kernel_case(k, seed, diagonal)
+        generated = np.array([False, True, True, False])
+        cfg = LossConfig(n_classes=k, gen_weight=gen_weight, gradient_mode=GradientMode.DIAGONAL
+                         if diagonal else GradientMode.ANALYTIC)
+        out = combined_loss(x, weights, generated, cfg)
+        lsro_row = lsro_loss(x[1]).grad_logits
+        if diagonal:  # the diagonal mode covers every generated row
+            lsro_row = -weights[1] * (1.0 - softmax(x[1]))
+        scale = gen_weight / 2
+        np.testing.assert_allclose(out.grad_logits[0], expected[0].grad_logits / 2, atol=1e-12)
+        np.testing.assert_allclose(out.grad_logits[1], scale * lsro_row, atol=1e-12)
+        np.testing.assert_allclose(out.grad_logits[2], scale * expected[2].grad_logits, atol=1e-12)
+        assert_close(out.real_loss, (expected[0].value + expected[3].value) / 2)
+        assert_close(out.gen_loss, (expected[1].value + expected[2].value) / 2)
+
+        gated = combined_loss(x, weights, generated, cfg, gate_active=False)
+        np.testing.assert_array_equal(gated.grad_logits[generated], 0.0)
+        np.testing.assert_array_equal(gated.grad_logits[~generated],
+                                      out.grad_logits[~generated])
+        assert gated.gen_loss == 0.0 and gated.value == gated.real_loss == out.real_loss
+
+
 class TestCombinedLoss:
     def test_real_only_batch_equals_mean_ce(self):
         cfg = LossConfig(n_classes=3)
@@ -185,19 +293,19 @@ class TestCombinedLoss:
         for _ in range(5):
             x = rng.normal(0, 2, size=3)
             c = int(rng.integers(3)) + 1
-            items.append((x, ground_truth_label(c, 3), False))
+            items.append((x, ground_truth_label(c, 3).weights, False))
             expected.append(real_ce_loss(x, c - 1).value)
-        out = combined_loss(items, cfg)
+        out = combined_loss(*batch(items), cfg)
         assert abs(out.value - np.mean(expected)) < 1e-12
         assert out.n_generated == 0 and out.gen_loss == 0.0
 
     def test_gate_inactive_zeroes_generated_contribution(self):
         cfg = LossConfig(n_classes=2, gen_weight=0.1)
         items = [
-            (np.array([0.3, -0.2]), ground_truth_label(1, 2), False),
-            (np.array([1.0, 2.0]), lsro_label(2), True),
+            (np.array([0.3, -0.2]), ground_truth_label(1, 2).weights, False),
+            (np.array([1.0, 2.0]), lsro_label(2).weights, True),
         ]
-        gated = combined_loss(items, cfg, gate_active=False)
+        gated = combined_loss(*batch(items), cfg, gate_active=False)
         assert gated.gen_loss == 0.0
         assert gated.value == gated.real_loss
         np.testing.assert_array_equal(gated.grad_logits[1], np.zeros(2))
@@ -208,10 +316,10 @@ class TestCombinedLoss:
         cfg = LossConfig(n_classes=2, gen_weight=0.1)
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
         items = [
-            (np.array([0.0, 0.0]), ground_truth_label(2, 2), False),
-            (np.array([0.0, 0.0]), mprl_label(alpha, 2), True),
+            (np.array([0.0, 0.0]), ground_truth_label(2, 2).weights, False),
+            (np.array([0.0, 0.0]), cfg.rank_norm * mprl_label(alpha, 2).weights, True),
         ]
-        out = combined_loss(items, cfg, gate_active=True)
+        out = combined_loss(*batch(items), cfg, gate_active=True)
         assert abs(out.value - (LN2 + 0.1 * LN2)) < 1e-12
         assert abs(out.real_loss - LN2) < 1e-15
         assert abs(out.gen_loss - LN2) < 1e-12
@@ -222,10 +330,10 @@ class TestCombinedLoss:
         x_gen = np.array([0.2, 0.9])
         alpha = mprl_alpha(softmax(x_gen), TiePolicy.AVERAGE_RANK)
         items = [
-            (x_real, ground_truth_label(1, 2), False),
-            (x_gen, mprl_label(alpha, 2), True),
+            (x_real, ground_truth_label(1, 2).weights, False),
+            (x_gen, cfg.rank_norm * mprl_label(alpha, 2).weights, True),
         ]
-        out = combined_loss(items, cfg)
+        out = combined_loss(*batch(items), cfg)
         np.testing.assert_allclose(
             out.grad_logits[0], real_ce_loss(x_real, 0).grad_logits, atol=1e-15
         )
@@ -235,27 +343,21 @@ class TestCombinedLoss:
     def test_mean_reduction_keeps_gen_weight_meaning(self):
         # duplicating the generated side must not change the aggregate
         cfg = LossConfig(n_classes=2, gen_weight=0.1)
-        real = (np.array([0.0, 0.0]), ground_truth_label(1, 2), False)
-        gen = (np.array([0.3, 0.8]), lsro_label(2), True)
-        single = combined_loss([real, gen], cfg)
-        doubled = combined_loss([real, gen, gen], cfg)
+        real = (np.array([0.0, 0.0]), ground_truth_label(1, 2).weights, False)
+        gen = (np.array([0.3, 0.8]), lsro_label(2).weights, True)
+        single = combined_loss(*batch([real, gen]), cfg)
+        doubled = combined_loss(*batch([real, gen, gen]), cfg)
         assert abs(single.value - doubled.value) < 1e-15
 
     def test_mixed_width_rejected(self):
         cfg = LossConfig(n_classes=3)
-        items = [
-            (np.zeros(3), ground_truth_label(1, 3), False),
-            (np.zeros(4), lsro_label(4), True),
-        ]
         with pytest.raises(InvalidDimension):
-            combined_loss(items, cfg)
+            combined_loss(np.zeros((2, 3)), np.zeros((2, 4)), [False, True], cfg)
 
     def test_real_item_requires_ground_truth_label(self):
         cfg = LossConfig(n_classes=2)
         with pytest.raises(InvalidClass):
-            combined_loss([(np.zeros(2), lsro_label(2), False)], cfg)
-        with pytest.raises(InvalidClass):
-            combined_loss([(np.zeros(2), ground_truth_label(1, 2), True)], cfg)
+            combined_loss(*batch([(np.zeros(2), lsro_label(2).weights, False)]), cfg)
 
 
 class TestLogSumExp:

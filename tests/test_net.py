@@ -256,15 +256,17 @@ class TestEndToEndLossGradients:
             "all_in_one": (all_in_one_label(k), True),
         }
         label, is_gen = labels[scheme]
+        # matrix form: rank-weighted rows carry the 2/(1+K) normalizer
+        row = cfg.rank_norm * label.weights if scheme == "mprl" else label.weights
+        weights = np.tile(row, (x.shape[0], 1))
+        generated = np.full(x.shape[0], is_gen)
 
         def loss_of(p):
             out, _, _ = forward(p, x)
-            items = [(out[i], label, is_gen) for i in range(out.shape[0])]
-            return combined_loss(items, cfg).value
+            return combined_loss(out, weights, generated, cfg).value
 
         logits, cache, _ = forward(params, x)
-        items = [(logits[i], label, is_gen) for i in range(logits.shape[0])]
-        grad_rows = combined_loss(items, cfg).grad_logits
+        grad_rows = combined_loss(logits, weights, generated, cfg).grad_logits
         grads = backward(params, cache, grad_rows)
 
         step = 1e-6

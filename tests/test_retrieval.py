@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from mprl.errors import InvalidDimension, ProtocolViolation
+from mprl.errors import InvalidDimension, MprlError, ProtocolViolation
 from mprl.retrieval import (
     EmbeddingSet,
+    EvalReport,
     evaluate,
     load_embeddings,
     pairwise_sq_euclidean,
@@ -142,6 +143,18 @@ class TestEvaluate:
             assert 0.0 <= report.mean_ap <= 1.0
             assert np.all(np.diff(report.cmc_curve) >= 0)
             assert report.cmc_curve[0] == report.rank1
+
+    @pytest.mark.parametrize("rank1, mean_ap, cmc", [
+        (0.5, 0.5, [0.4, 1.0]),  # rank-1 disagrees with CMC[0]
+        (0.5, 0.5, [0.5, 0.25]),  # CMC decreases
+        (0.5, 1.5, [0.5, 1.0]),  # mAP above 1
+        (1.0, 0.5, [1.0, 1.5]),  # CMC above 1
+        (0.5, 0.5, []),  # empty curve
+    ])
+    def test_invalid_report_raises_explicitly(self, rank1, mean_ap, cmc):
+        # explicit checks, not asserts, so they hold under python -O
+        with pytest.raises(MprlError):
+            EvalReport(rank1, mean_ap, cmc)
 
     def test_missing_query_class_rejected(self):
         with pytest.raises(ProtocolViolation):
