@@ -9,8 +9,17 @@ Subcommands:
 * ``gen-data``  -- emit the synthetic dataset files a spec describes.
 * ``eval``      -- score saved query/gallery embedding files.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure,
-3 check failure.  ``MPRL_VERBOSE=0`` silences per-cell progress lines.
+Exit codes (every failure prints one ``error:`` line to stderr):
+
+* 0 -- success.
+* 1 -- a spec, configuration or argument rejected before any work
+  starts, or a missing file.
+* 2 -- an input file whose content is rejected (malformed line,
+  non-finite value, duplicate id, dimension mismatch, query class absent
+  from the gallery), or a failure during a run.
+* 3 -- ``gradcheck`` ran and a gradient missed its tolerance.
+
+``MPRL_VERBOSE=0`` silences per-cell progress lines.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import InvalidConfig, MprlError, SpecError
+from .errors import InvalidConfig, InvalidDimension, MprlError, ProtocolViolation, SpecError
 from .experiment import (
     build_datasets,
     parse_spec,
@@ -61,8 +70,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _parse_k_values(text: str) -> tuple[int, ...]:
+    k_values = []
+    for item in text.split(","):
+        try:
+            k_values.append(int(item))
+        except ValueError:
+            raise InvalidConfig(f"--k: {item.strip()!r} is not an integer") from None
+    return tuple(k_values)
+
+
 def cmd_gradcheck(args) -> int:
-    k_values = tuple(int(v) for v in args.k.split(","))
+    k_values = _parse_k_values(args.k)
     report = run_gradcheck(
         k_values=k_values, trials=args.trials, tolerance=args.tolerance, seed=args.seed,
     )
@@ -109,7 +128,11 @@ def cmd_gen_data(args) -> int:
 def cmd_eval(args) -> int:
     queries = load_embeddings(args.query)
     gallery = load_embeddings(args.gallery)
-    report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
+    try:
+        report = evaluate(pairwise_sq_euclidean(queries, gallery),
+                          queries.labels, gallery.labels)
+    except (InvalidDimension, ProtocolViolation) as exc:
+        raise type(exc)(f"{args.query} against {args.gallery}: {exc}") from None
     text = report_to_json(report)
     if args.out:
         Path(args.out).write_text(text)

@@ -28,6 +28,7 @@ is the only timing (hence non-reproducible) field anywhere.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -94,6 +95,8 @@ class ExperimentSpec:
             raise SpecError("generated-data counts must be >= 0")
         if not self.counts:
             raise SpecError("counts list must not be empty")
+        if not self.noise >= 0:
+            raise SpecError(f"noise must be >= 0, got {self.noise!r}")
 
     def train_config(self, strategy: Strategy, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -123,7 +126,10 @@ def _parse_scalar(key: str, raw: str, target_type, line_no: int):
         if target_type is int:
             return int(raw)
         if target_type is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise SpecError(f"line {line_no}: {key} must be finite, got {raw!r}")
+            return value
         if target_type is str:
             return raw
         if target_type is Strategy:

@@ -1,9 +1,21 @@
 """Retrieval evaluation: squared-Euclidean ranking, CMC and mAP.
 
-Per query, gallery items are sorted by ascending distance with ties
-broken by gallery index.  AP averages precision at each relevant rank
-(no interpolation); CMC[k] is the fraction of queries with a relevant
-item somewhere in the top k+1.
+Distances are exact brute force, computed over blocks of query rows
+(the blocked exact search of Johnson, Douze and Jegou, arXiv 1702.08734):
+each block's (rows, n_g, d) difference tensor holds at most
+``BLOCK_BYTES`` (one query row when a row alone is larger), so memory
+beyond the (n_q, n_g) result is bounded whatever the number of queries,
+and every distance is the same ``sum(diff * diff)`` the one-shot
+broadcast gives, bit for bit.
+
+Per query, gallery items rank by ascending distance with ties broken by
+gallery index.  The ranking is counted, not sorted out: a relevant
+item's 1-based position is the number of items strictly closer, plus
+the number of items at the same distance with a lower gallery index,
+plus one.  The first count is a binary search in the sorted distance
+row; the second orders only the items at a tied distance.  AP averages
+precision at each relevant rank (no interpolation); CMC[k] is the
+fraction of queries with a relevant item somewhere in the top k+1.
 
 Embedding file format (plain text): header ``n dim``, then one row per
 item: ``id label v1 ... vdim`` with 17-significant-digit floats.
@@ -17,6 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidDimension, InvalidState, ProtocolViolation
+
+# byte budget of one query block's difference tensor (at least one row)
+BLOCK_BYTES = 2 * 1024 * 1024
 
 
 @dataclass
@@ -65,22 +80,65 @@ class EvalReport:
             raise ProtocolViolation("CMC must not exceed 1")
 
 
+def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D[i][j] = squared Euclidean distance between rows a[i] and b[j].
+
+    Exact and bit-equal to ``np.sum(diff * diff, axis=-1)`` over the full
+    (n_a, n_b, d) broadcast, which is never built: rows of ``a`` go
+    through one reused block buffer of at most ``BLOCK_BYTES``, or of
+    one row when a row alone is larger.
+    """
+    n = a.shape[0]
+    out = np.empty((n, b.shape[0]))
+    rows = max(1, BLOCK_BYTES // max(1, 8 * b.size))
+    block = np.empty((min(rows, n),) + b.shape)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        diff = block[:stop - start]
+        np.subtract(a[start:stop, None, :], b[None, :, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=-1, out=out[start:stop])
+    return out
+
+
 def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarray:
     """D[i][j] = squared Euclidean distance between query i and gallery j."""
     if queries.dim != gallery.dim:
         raise InvalidDimension(
             f"query dim {queries.dim} differs from gallery dim {gallery.dim}"
         )
-    diff = queries.vectors[:, None, :] - gallery.vectors[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    return sq_euclidean(queries.vectors, gallery.vectors)
+
+
+def _relevant_positions(row: np.ndarray, is_relevant: np.ndarray) -> np.ndarray:
+    """Ascending 1-based positions of the relevant items when ``row`` is
+    ranked by (distance, gallery index)."""
+    sorted_row = np.sort(row)
+    d = np.sort(row[is_relevant])  # ascending keys keep each binary search short
+    positions = np.searchsorted(sorted_row, d, "left")  # items strictly closer
+    # tied: the next slot of the sorted row holds the same distance
+    after = positions + 1
+    tied = (sorted_row[np.minimum(after, row.size - 1)] == d) & (after < row.size)
+    if tied.any():
+        # every item at a tied distance, ordered by (distance, index): its
+        # position is the count of items strictly closer plus the count of
+        # items before it in this order at the same distance
+        members = np.flatnonzero(np.isin(row, d[tied]))
+        order = np.lexsort((members, row[members]))
+        ranked = row[members[order]]
+        member_positions = (np.searchsorted(sorted_row, ranked, "left")
+                            + np.arange(members.size) - np.searchsorted(ranked, ranked, "left"))
+        positions = np.sort(np.concatenate(
+            (positions[~tied], member_positions[is_relevant[members[order]]])))
+    return positions + 1
 
 
 def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     """Score a distance matrix: mAP, rank-1 and the full CMC curve.
 
-    Every query class must occur in the gallery.  AP per query is the
-    mean of (number of relevant items in the top r) / r over the ranks r
-    where a relevant item sits.
+    Every query class must occur in the gallery, and no distance may be
+    NaN.  AP per query is the mean of (number of relevant items in the
+    top r) / r over the ranks r where a relevant item sits.
     """
     dist = np.asarray(distances, dtype=np.float64)
     q_labels = np.asarray(query_labels, dtype=np.int64)
@@ -93,14 +151,14 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     missing = sorted(set(q_labels.tolist()) - set(g_labels.tolist()))
     if missing:
         raise ProtocolViolation(f"query classes absent from gallery: {missing}")
+    if np.isnan(dist).any():
+        raise ProtocolViolation("distances must not be NaN")
 
     n_q, n_g = dist.shape
     first_hit = np.zeros(n_g, dtype=np.int64)
     aps = np.empty(n_q)
     for i in range(n_q):
-        order = np.argsort(dist[i], kind="stable")  # ties resolve by gallery index
-        relevant = g_labels[order] == q_labels[i]
-        positions = np.flatnonzero(relevant) + 1  # 1-based ranks of relevant items
+        positions = _relevant_positions(dist[i], g_labels == q_labels[i])
         first_hit[positions[0] - 1] += 1
         precisions = np.arange(1, positions.size + 1) / positions
         aps[i] = float(np.mean(precisions))
@@ -130,8 +188,8 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read an embedding file; a malformed header or row raises InvalidState
-    naming ``path:line``."""
+    """Read an embedding file; a malformed header or row, a non-finite value
+    or a repeated id raises InvalidState naming ``path:line``."""
     rows = [(no, line) for no, line in enumerate(Path(path).read_text().splitlines(), start=1)
             if line.strip()]
     if not rows:
@@ -160,4 +218,12 @@ def load_embeddings(path) -> EmbeddingSet:
             vectors[i] = [float(v) for v in parts[2:]]
         except ValueError as exc:
             raise InvalidState(f"{path}:{line_no}: {exc}") from None
+    nonfinite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if nonfinite.size:
+        raise InvalidState(f"{path}:{rows[1 + nonfinite[0]][0]}: non-finite vector value")
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        i = repeats.min()
+        raise InvalidState(f"{path}:{rows[1 + i][0]}: duplicate id {ids[i]}")
     return EmbeddingSet(ids, labels, vectors)

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationFailure, InvalidConfig, InvalidDimension, InvalidState
+from .retrieval import sq_euclidean
 
 SPLIT_TAGS = ("train", "query", "gallery")
 # class means sit >= this multiple of the cluster spread apart;
@@ -148,12 +149,10 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
         means = _simplex_means(n_classes, dim, max(1.0, separation), rng)
     else:
         means = _place_class_means(n_classes, dim, separation, rng)
-    if n_classes > 1:
-        diffs = means[:, None, :] - means[None, :, :]
-        dists = np.linalg.norm(diffs, axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        if np.min(dists) < MIN_SEPARATION_FACTOR * cluster_spread:
-            raise GenerationFailure("class mean separation guarantee violated")
+    dists = np.sqrt(sq_euclidean(means, means))
+    np.fill_diagonal(dists, np.inf)
+    if np.min(dists) < MIN_SEPARATION_FACTOR * cluster_spread:
+        raise GenerationFailure("class mean separation guarantee violated")
 
     samples = []
     next_id = 0
@@ -196,6 +195,8 @@ def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
     """
     if m < 1:
         raise InvalidConfig("need at least one generated sample")
+    if not noise >= 0:
+        raise InvalidConfig(f"noise must be >= 0, got {noise!r}")
     if not 2 <= mix_size <= real.n_classes:
         raise InvalidConfig(f"mix_size must be in 2..{real.n_classes}")
     train = real.split("train")

@@ -72,6 +72,19 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="line 1"):
             parse_spec_text("strategies = warp_drive\n")
 
+    @pytest.mark.parametrize("text", [
+        "epochs = 3\nnoise = nan\n",
+        "epochs = 3\nlr_initial = -inf\n",
+        "epochs = 3\ngen_weight = inf\n",
+    ])
+    def test_non_finite_float_carries_line_number(self, text):
+        with pytest.raises(SpecError, match="line 2: .* must be finite"):
+            parse_spec_text(text)
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(SpecError, match="noise"):
+            parse_spec_text("noise = -0.5\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(SpecError, match="duplicate"):
             parse_spec_text("epochs = 3\nepochs = 4\n")
@@ -253,6 +266,9 @@ class TestCli:
         ("2 3\n1 x 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 2),  # bad label field
         ("1 -1\n7 1\n", 1),  # impossible dimension
         ("1 3 9\n7 1 0.5 0.5 0.5\n", 1),  # extra header field
+        ("2 3\n1 1 0.5 0.5 0.5\n2 1 0.5 nan 0.5\n", 3),  # non-finite value
+        ("2 3\n1 1 0.5 0.5 0.5\n\n1 1 -inf 0.5 0.5\n", 4),  # non-finite value
+        ("2 3\n1 1 0.5 0.5 0.5\n1 2 0.5 0.5 0.5\n", 3),  # duplicate id
     ])
     def test_malformed_embedding_file_exits_two(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
@@ -263,6 +279,51 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{bad}:{line}:" in err[0]
+
+    @pytest.mark.parametrize("query, gallery", [
+        ("1 3\n7 1 0.0 0.0 0.0\n", "1 2\n8 1 0.0 0.0\n"),  # dimension mismatch
+        ("1 3\n7 4 0.0 0.0 0.0\n", "1 3\n8 1 0.0 0.0 0.0\n"),  # query class absent
+    ])
+    def test_mismatched_embedding_files_exit_two(self, tmp_path, capsys, query, gallery):
+        (tmp_path / "q.txt").write_text(query)
+        (tmp_path / "g.txt").write_text(gallery)
+        assert main(["eval", "--query", str(tmp_path / "q.txt"),
+                     "--gallery", str(tmp_path / "g.txt")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{tmp_path / 'q.txt'} against {tmp_path / 'g.txt'}: " in err[0]
+
+    def test_missing_embedding_file_exits_one(self, tmp_path, capsys):
+        good = tmp_path / "g.txt"
+        good.write_text("1 3\n8 1 0.0 0.0 0.0\n")
+        assert main(["eval", "--query", str(tmp_path / "nope.txt"),
+                     "--gallery", str(good)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_gradcheck_bad_k_exits_one(self, capsys):
+        assert main(["gradcheck", "--k", "2,abc", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'abc'" in err[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", [
+        "noise          = nan",
+        "noise          = -1",
+        "lr_initial     = nan",
+        "cluster_spread = inf",
+    ])
+    def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, line):
+        key = line.split("=")[0]
+        text = "\n".join(line if row.startswith(key) else row
+                         for row in TINY_SPEC.splitlines())
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text + "\n")
+        assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, line", [
         ("3 2 x\n", 1),  # bad header field

@@ -1,9 +1,19 @@
 """CMC / mAP evaluation against an exhaustive brute-force oracle."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mprl.errors import InvalidDimension, MprlError, ProtocolViolation
+from mprl import retrieval
+from mprl.errors import InvalidDimension, InvalidState, MprlError, ProtocolViolation
 from mprl.retrieval import (
     EmbeddingSet,
     EvalReport,
@@ -13,6 +23,7 @@ from mprl.retrieval import (
     report_to_json,
     save_embeddings,
     save_report,
+    sq_euclidean,
 )
 
 
@@ -39,6 +50,102 @@ def brute_force_eval(distances, query_labels, gallery_labels):
             cmc_hits[k] += 1
     cmc = [h / n_q for h in cmc_hits]
     return sum(aps) / n_q, cmc
+
+
+def argsort_eval(distances, query_labels, gallery_labels):
+    """Ranking by a stable argsort of every row, then the same arithmetic as
+    ``evaluate``: equal ranks give bit-equal reports at any size."""
+    n_q, n_g = distances.shape
+    first_hit = np.zeros(n_g, dtype=np.int64)
+    aps = np.empty(n_q)
+    for i in range(n_q):
+        order = np.argsort(distances[i], kind="stable")
+        positions = np.flatnonzero(gallery_labels[order] == query_labels[i]) + 1
+        first_hit[positions[0] - 1] += 1
+        aps[i] = float(np.mean(np.arange(1, positions.size + 1) / positions))
+    cmc = np.cumsum(first_hit) / n_q
+    return float(cmc[0]), float(np.mean(aps)), cmc
+
+
+def retrieval_case(seed, n_q, g_labels, kind):
+    """Distances for ``n_q`` queries drawn from the classes of ``g_labels``.
+
+    ``kind`` picks the distances: "ties" are small integers (many exact
+    ties), "duplicates" come from gallery vectors repeated several times,
+    "real" are continuous.
+    """
+    rng = np.random.default_rng(seed)
+    n_g = g_labels.size
+    q_labels = g_labels[rng.integers(0, n_g, size=n_q)]
+    if kind == "ties":
+        distances = rng.integers(0, 4, size=(n_q, n_g)).astype(np.float64)
+    elif kind == "duplicates":
+        distinct = rng.integers(-2, 3, size=(max(1, n_g // 3), 2)).astype(np.float64)
+        gallery = distinct[rng.integers(0, distinct.shape[0], size=n_g)]
+        queries = rng.integers(-2, 3, size=(n_q, 2)).astype(np.float64)
+        distances = sq_euclidean(queries, gallery)
+    else:
+        distances = rng.uniform(0, 10, size=(n_q, n_g))
+    return distances, q_labels
+
+
+CASE_KINDS = st.sampled_from(["ties", "duplicates", "real"])
+
+
+class TestSqEuclideanBlocks:
+    @staticmethod
+    def one_shot(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.sum(diff * diff, axis=-1)
+
+    @given(st.integers(1, 23), st.integers(1, 17), st.integers(1, 12),
+           st.integers(1, 2000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_bit_equal_to_one_shot_across_block_boundaries(self, n_a, n_b, dim, budget,
+                                                           seed):
+        # a small byte budget makes blocks of one to a few rows, so n_a is
+        # rarely a multiple of the block rows
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_a, dim)) * 10.0 ** rng.integers(-3, 4)
+        b = rng.normal(size=(n_b, dim))
+        with mock.patch.object(retrieval, "BLOCK_BYTES", budget):
+            blocked = sq_euclidean(a, b)
+        assert blocked.tobytes() == self.one_shot(a, b).tobytes()
+
+    @pytest.mark.parametrize("n_a, n_b, dim", [
+        (10, 4000, 16),  # 4 rows per block: a last block of 2
+        (1, 4000, 16),  # a single query
+        (9, 5000, 1),  # d = 1
+        (3, 300, 1000),  # a gallery row set above the budget: one row per block
+    ])
+    def test_bit_equal_at_the_module_budget(self, n_a, n_b, dim):
+        rng = np.random.default_rng(n_a * n_b + dim)
+        a = rng.normal(size=(n_a, dim))
+        b = rng.normal(size=(n_b, dim))
+        assert sq_euclidean(a, b).tobytes() == self.one_shot(a, b).tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+    def test_memory_stays_bounded(self):
+        # pairwise + evaluate at 1000 x 4000 x 16: the one-shot difference
+        # tensor and its square alone would take 1 GB
+        child = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from mprl.retrieval import EmbeddingSet, evaluate, pairwise_sq_euclidean
+
+            rng = np.random.default_rng(0)
+            labels = np.repeat(np.arange(500), 8)
+            gallery = EmbeddingSet(np.arange(4000), labels, rng.normal(size=(4000, 16)))
+            queries = EmbeddingSet(np.arange(1000), labels[::4], rng.normal(size=(1000, 16)))
+            evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        src = Path(retrieval.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        peak_mb = int(result.stdout.split()[-1]) / 1024
+        assert peak_mb < 300
 
 
 class TestPairwiseSqEuclidean:
@@ -102,6 +209,58 @@ class TestEvaluate:
             )
             assert abs(report.mean_ap - oracle_map) < 1e-12
             np.testing.assert_allclose(report.cmc_curve, oracle_cmc, atol=1e-12)
+
+    @given(st.integers(1, 7), st.integers(1, 28), st.integers(1, 4), CASE_KINDS,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force_exactly(self, n_q, n_g, n_classes, kind, seed):
+        # at most 7 queries and 7 items per class keep every sum at 7 terms
+        # or fewer, which numpy adds left to right like the oracle: the
+        # means agree bit for bit, not just to 1e-12
+        g_labels = np.arange(min(n_g, 7 * n_classes)) % n_classes
+        distances, q_labels = retrieval_case(seed, n_q, g_labels, kind)
+        report = evaluate(distances, q_labels, g_labels)
+        oracle_map, oracle_cmc = brute_force_eval(
+            distances.tolist(), q_labels.tolist(), g_labels.tolist())
+        assert report.rank1 == oracle_cmc[0]
+        assert report.mean_ap == oracle_map
+        assert report.cmc_curve.tolist() == oracle_cmc
+
+    @given(st.integers(1, 30), st.integers(1, 300), st.integers(1, 6), CASE_KINDS,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stable_argsort_ranking(self, n_q, n_g, n_classes, kind, seed):
+        g_labels = np.random.default_rng(seed + 1).integers(0, n_classes, size=n_g)
+        distances, q_labels = retrieval_case(seed, n_q, g_labels, kind)
+        report = evaluate(distances, q_labels, g_labels)
+        rank1, mean_ap, cmc = argsort_eval(distances, q_labels, g_labels)
+        assert report.rank1 == rank1 and report.mean_ap == mean_ap
+        assert report.cmc_curve.tobytes() == cmc.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ties", "duplicates", "real"])
+    def test_single_class_gallery(self, kind):
+        # every item relevant, most of them tied for "ties" and "duplicates"
+        g_labels = np.zeros(400, dtype=np.int64)
+        distances, q_labels = retrieval_case(3, 5, g_labels, kind)
+        report = evaluate(distances, q_labels, g_labels)
+        assert report.rank1 == 1.0 and report.mean_ap == 1.0
+        assert report.cmc_curve.tolist() == [1.0] * 400
+
+    def test_one_gallery_item(self):
+        report = evaluate(np.array([[4.0], [0.0]]), [9, 9], [9])
+        assert report.rank1 == 1.0 and report.mean_ap == 1.0
+        assert report.cmc_curve.tolist() == [1.0]
+
+    def test_every_distance_tied(self):
+        # the relevant items sit wherever their gallery index puts them
+        report = evaluate(np.full((1, 6), 2.5), [1], [0, 1, 0, 0, 1, 0])
+        assert report.rank1 == 0.0
+        assert report.mean_ap == (1 / 2 + 2 / 5) / 2
+        assert report.cmc_curve.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ProtocolViolation):
+            evaluate(np.array([[1.0, np.nan]]), [1], [1, 2])
 
     def test_ties_break_by_gallery_index(self):
         distances = np.array([[1.0, 1.0]])
@@ -189,6 +348,19 @@ class TestSerialization:
         assert back.vectors.tobytes() == emb.vectors.tobytes()
         np.testing.assert_array_equal(back.ids, emb.ids)
         np.testing.assert_array_equal(back.labels, emb.labels)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\n1 1 0.5 0.5\n\n2 1 0.5 {value}\n")
+        with pytest.raises(InvalidState, match=f"{path}:4: non-finite"):
+            load_embeddings(path)
+
+    def test_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("4 1\n5 1 0.5\n3 1 0.5\n3 2 0.5\n5 2 0.5\n")
+        with pytest.raises(InvalidState, match=f"{path}:4: duplicate id 3"):
+            load_embeddings(path)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidDimension):

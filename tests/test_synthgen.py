@@ -155,6 +155,11 @@ class TestMakeGeneratedDataset:
         with pytest.raises(InvalidConfig):
             make_generated_dataset(real, 5, 9, 0.1, seed=1)
 
+    @pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan")])
+    def test_negative_noise_rejected(self, real, noise):
+        with pytest.raises(InvalidConfig, match="noise"):
+            make_generated_dataset(real, 4, 2, noise, seed=0)
+
     def test_empty_train_split_fails(self, real):
         queries_only = Dataset([s for s in real.samples if s.split == "query"],
                                real.n_classes, real.feature_dim)
