@@ -13,7 +13,8 @@ Exit codes (every failure prints one ``error:`` line to stderr):
 
 * 0 -- success.
 * 1 -- a spec, configuration or argument rejected before any work
-  starts, or a missing file.
+  starts (dataset parameters the generator would refuse included), or
+  a missing file.
 * 2 -- an input file whose content is rejected (malformed line,
   non-finite value, duplicate id, dimension mismatch, query class absent
   from the gallery), or a failure during a run.

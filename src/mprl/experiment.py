@@ -16,6 +16,9 @@ training template and the grid to sweep:
     epochs         = 50
     out_dir        = results
 
+``ExperimentSpec.validate`` rejects, before any cell trains, every
+dataset parameter the generator would refuse inside a cell.
+
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
 Every cell writes ``history.csv`` and ``report.json`` into its own
@@ -97,6 +100,20 @@ class ExperimentSpec:
             raise SpecError("counts list must not be empty")
         if not self.noise >= 0:
             raise SpecError(f"noise must be >= 0, got {self.noise!r}")
+        # what dataset generation would reject inside a cell, before any cell
+        if self.n_classes < 2:
+            raise SpecError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.n_per_class < 4:
+            raise SpecError("n_per_class must be >= 4 (train/query/gallery split), "
+                            f"got {self.n_per_class}")
+        if self.dim < 2:
+            raise SpecError(f"dim must be >= 2, got {self.dim}")
+        if not self.cluster_spread >= 0:
+            raise SpecError(f"cluster_spread must be >= 0, got {self.cluster_spread!r}")
+        mixes = (any(s is not Strategy.BASELINE for s in self.strategies)
+                 and any(c > 0 for c in self.counts))
+        if mixes and not 2 <= self.mix_size <= self.n_classes:
+            raise SpecError(f"mix_size must be in 2..{self.n_classes}, got {self.mix_size}")
 
     def train_config(self, strategy: Strategy, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -245,9 +262,10 @@ class CellResult:
     wall_seconds: float
 
 
-def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResult:
-    """Train one grid cell, write its artifacts, return its summary row."""
-    start = time.perf_counter()
+def _train_cell(spec: ExperimentSpec, cell: Cell):
+    """Build a cell's datasets and train it (smprl first pretrains the
+    baseline that fixes its static labels); returns the real dataset, the
+    trained parameters and the history."""
     real, generated = build_datasets(spec, cell.seed, cell.n_generated)
     cfg = spec.train_config(cell.strategy, cell.seed)
     static = None
@@ -256,6 +274,13 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResu
         static = assign_static_labels(
             pretrained, generated, cfg.tie_policy) if generated else {}
     params, history = train(real, generated, cfg, static_labels=static)
+    return real, params, history
+
+
+def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResult:
+    """Train one grid cell, write its artifacts, return its summary row."""
+    start = time.perf_counter()
+    real, params, history = _train_cell(spec, cell)
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
@@ -369,19 +394,9 @@ def run_trace(spec: ExperimentSpec, n_samples: int, out_dir) -> tuple[Path, int]
         raise SpecError("trace sample count must be >= 0")
     # first strategy, first count, first seed of the grid; trajectories are
     # forward-only so even the baseline can trace generated samples
-    strategy = spec.strategies[0]
-    count = spec.counts[0]
-    seed = spec.seeds[0]
-    real, generated = build_datasets(spec, seed, count)
-    available = len(generated.samples) if generated else 0
-    tracked = min(n_samples, available)
-
-    cfg = replace(spec.train_config(strategy, seed), track_trajectories=tracked)
-    static = None
-    if strategy is Strategy.SMPRL:
-        pretrained = pretrain_baseline(real, cfg)
-        static = assign_static_labels(pretrained, generated, cfg.tie_policy) if generated else {}
-    _, history = train(real, generated, cfg, static_labels=static)
+    cell = Cell(spec.strategies[0], spec.counts[0], spec.seeds[0])
+    tracked = min(n_samples, cell.n_generated)  # a generated set holds `count` samples
+    _, _, history = _train_cell(replace(spec, track_trajectories=tracked), cell)
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

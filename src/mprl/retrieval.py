@@ -1,12 +1,17 @@
 """Retrieval evaluation: squared-Euclidean ranking, CMC and mAP.
 
 Distances are exact brute force, computed over blocks of query rows
-(the blocked exact search of Johnson, Douze and Jegou, arXiv 1702.08734):
-each block's (rows, n_g, d) difference tensor holds at most
+(the blocked exact search of Johnson, Douze and Jegou, arXiv 1702.08734).
+A block's distances are a sum of per-coordinate (rows, n_g) planes
+``(q[:, k, None] - g.T[k])**2``, added in the order numpy's pairwise
+sum adds a length-d axis: one by one below 8 terms, eight strided
+partial sums combined as a balanced tree up to 128, and two recursive
+halves above.  Every distance is therefore the same
+``sum(diff * diff)`` the one-shot (n_q, n_g, d) broadcast gives, bit
+for bit, while the work is whole-plane elementwise passes.  A block's
+scratch planes, numpy's ufunc buffers included, hold at most
 ``BLOCK_BYTES`` (one query row when a row alone is larger), so memory
-beyond the (n_q, n_g) result is bounded whatever the number of queries,
-and every distance is the same ``sum(diff * diff)`` the one-shot
-broadcast gives, bit for bit.
+beyond the (n_q, n_g) result is bounded whatever the number of queries.
 
 Per query, gallery items rank by ascending distance with ties broken by
 gallery index.  The ranking is counted, not sorted out: a relevant
@@ -30,8 +35,12 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidState, ProtocolViolation
 
-# byte budget of one query block's difference tensor (at least one row)
+# byte budget of one query block's scratch planes, numpy's buffers included
+# (at least one row of planes)
 BLOCK_BYTES = 2 * 1024 * 1024
+# numpy buffers a broadcast operand when a plane row is short (under a third
+# of its buffer size): at most one buffer for each operand of a ufunc
+_UFUNC_BUFFER_BYTES = 3 * 8 * np.getbufsize()
 
 
 @dataclass
@@ -80,24 +89,86 @@ class EvalReport:
             raise ProtocolViolation("CMC must not exceed 1")
 
 
+def _scratch_planes(n: int) -> int:
+    """Scratch planes ``_pairwise`` needs for n terms, besides its output."""
+    if n < 8:
+        return int(n > 1)
+    if n <= 128:
+        # three finished partial sums of the 8-way tree, plus a chain's term
+        return 3 + (n >= 16)
+    n2 = n // 2 - n // 2 % 8
+    return max(_scratch_planes(n2), 1 + _scratch_planes(n - n2))
+
+
+def _square_diff(a, bt, k, dest):
+    np.subtract(a[:, k, None], bt[k], out=dest)
+    np.multiply(dest, dest, out=dest)
+
+
+def _chain(a, bt, ks, dest, spare):
+    """dest = the planes of ``ks`` added one by one, left to right."""
+    _square_diff(a, bt, ks[0], dest)
+    for k in ks[1:]:
+        _square_diff(a, bt, k, spare[0])
+        dest += spare[0]
+
+
+def _tree(a, bt, groups, dest, spare):
+    """dest = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), r_j the
+    chain of ``groups[j]``."""
+    if len(groups) == 1:
+        _chain(a, bt, groups[0], dest, spare)
+        return
+    half = len(groups) // 2
+    _tree(a, bt, groups[:half], dest, spare)
+    _tree(a, bt, groups[half:], spare[0], spare[1:])
+    dest += spare[0]
+
+
+def _pairwise(a, bt, ks, dest, spare):
+    """dest = the sum over k in ``ks`` of (a[:, k, None] - bt[k])**2, added
+    in the order numpy's pairwise sum adds an axis of len(ks) terms."""
+    n = len(ks)
+    if n < 8:
+        _chain(a, bt, ks, dest, spare)
+    elif n <= 128:
+        # eight strided partial sums over the largest multiple of 8, then
+        # the rest one by one
+        m = n - n % 8
+        _tree(a, bt, [ks[j:m:8] for j in range(8)], dest, spare)
+        for k in ks[m:]:
+            _square_diff(a, bt, k, spare[0])
+            dest += spare[0]
+    else:
+        n2 = n // 2 - n // 2 % 8
+        _pairwise(a, bt, ks[:n2], dest, spare)
+        _pairwise(a, bt, ks[n2:], spare[0], spare[1:])
+        dest += spare[0]
+
+
 def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D[i][j] = squared Euclidean distance between rows a[i] and b[j].
 
     Exact and bit-equal to ``np.sum(diff * diff, axis=-1)`` over the full
-    (n_a, n_b, d) broadcast, which is never built: rows of ``a`` go
-    through one reused block buffer of at most ``BLOCK_BYTES``, or of
-    one row when a row alone is larger.
+    (n_a, n_b, d) broadcast, which is never built.  A block of rows of
+    ``a`` writes its (rows, n_b) result slice as a sum of per-coordinate
+    planes ``(a[:, k, None] - b.T[k])**2``, added in numpy's pairwise
+    order.  A block's scratch planes and numpy's ufunc buffers hold at
+    most ``BLOCK_BYTES`` together; a block is one row when that row's
+    planes alone are larger.
     """
-    n = a.shape[0]
+    n, d = a.shape
+    if d == 0:
+        return np.zeros((n, b.shape[0]))
     out = np.empty((n, b.shape[0]))
-    rows = max(1, BLOCK_BYTES // max(1, 8 * b.size))
-    block = np.empty((min(rows, n),) + b.shape)
+    bt = np.ascontiguousarray(b.T)
+    planes = _scratch_planes(d)
+    rows = max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 8 * planes * b.shape[0]))
+    scratch = np.empty((planes, min(rows, n), b.shape[0]))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        diff = block[:stop - start]
-        np.subtract(a[start:stop, None, :], b[None, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=-1, out=out[start:stop])
+        _pairwise(a[start:stop], bt, range(d), out[start:stop],
+                  [plane[:stop - start] for plane in scratch])
     return out
 
 

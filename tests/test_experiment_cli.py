@@ -1,14 +1,21 @@
 """Spec parsing, grid expansion, artifact reproducibility, CLI exit codes."""
 
+import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mprl import experiment
 from mprl.cli import main
-from mprl.errors import SpecError
+from mprl.errors import GenerationFailure, SpecError
 from mprl.experiment import (
     Cell,
+    ExperimentSpec,
     RunFailure,
     expand_cells,
     parse_spec_text,
@@ -85,6 +92,13 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="noise"):
             parse_spec_text("noise = -0.5\n")
 
+    @pytest.mark.parametrize("text", [
+        "n_classes = 3\nmix_size = 4\nstrategies = baseline\ncounts = 6\n",
+        "n_classes = 3\nmix_size = 4\nstrategies = lsro, smprl\ncounts = 0\n",
+    ])
+    def test_mix_size_unchecked_when_nothing_is_mixed(self, text):
+        assert parse_spec_text(text).mix_size == 4
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(SpecError, match="duplicate"):
             parse_spec_text("epochs = 3\nepochs = 4\n")
@@ -96,6 +110,45 @@ class TestSpecParsing:
     def test_empty_lists_rejected(self):
         with pytest.raises(SpecError):
             parse_spec_text("seeds = \n")
+
+
+SPEC_KEYS = [f.name for f in fields(ExperimentSpec)]
+HOSTILE_VALUES = st.sampled_from([
+    "1e400", "-1e400", "1e-400", "nan", "-inf", "", " ", ",", " , , ", "0", "-0", "-1",
+    "\u0663", "\uff13", "\u0663.5", "1_000", "0x10", "None", "auto", "baseline,,lsro",
+    "2, nan", "\x00", "9" * 5000, "#", "= =", "1e400, 2",
+])
+SPEC_VALUES = st.one_of(
+    HOSTILE_VALUES,
+    st.text(max_size=12),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.lists(st.one_of(HOSTILE_VALUES, st.integers(-3, 9).map(str)), max_size=4).map(",".join),
+)
+SPEC_LINES = st.one_of(
+    st.builds("{} = {}".format, st.one_of(st.sampled_from(SPEC_KEYS), st.text(max_size=8)),
+              SPEC_VALUES),
+    st.text(max_size=30),
+)
+
+
+def tiny_spec_with(index, value):
+    """TINY_SPEC with the value of its ``index``-th setting replaced."""
+    lines = [row for row in TINY_SPEC.splitlines() if "=" in row]
+    index %= len(lines)
+    lines[index] = f"{lines[index].split('=')[0]}= {value}"
+    return "\n".join(lines)
+
+
+@given(st.one_of(st.lists(SPEC_LINES, max_size=8).map("\n".join),
+                 st.builds(tiny_spec_with, st.integers(0, 100), SPEC_VALUES)))
+@settings(max_examples=250, deadline=None)
+def test_spec_parser_raises_nothing_but_spec_errors(text):
+    # any other exception would reach the CLI user as a traceback
+    try:
+        parse_spec_text(text)
+    except SpecError:
+        pass
 
 
 class TestGridExpansion:
@@ -164,12 +217,18 @@ class TestRunExperiment:
         rows = (out / "summary.csv").read_text().splitlines()
         assert len(rows) == 2  # header + one data row, no mean row for one seed
 
-    def test_mid_run_failure_leaves_manifest(self, tmp_path):
+    def test_mid_run_failure_leaves_manifest(self, tmp_path, monkeypatch):
         spec = parse_spec_text(
-            "n_classes = 3\ndim = 4\nn_per_class = 6\nmix_size = 5\n"
+            "n_classes = 3\ndim = 4\nn_per_class = 6\n"
             "strategies = lsro\ncounts = 6\nseeds = 1\nepochs = 2\n"
             "warmup_epoch = 1\nhidden_sizes = 6\n"
         )
+
+        def fail(*args, **kwargs):
+            raise GenerationFailure("no mixture found")
+
+        # a legal spec whose data generation fails inside the cell
+        monkeypatch.setattr(experiment, "make_generated_dataset", fail)
         out = tmp_path / "out"
         with pytest.raises(RunFailure):
             run_experiment(spec, out_dir=out)
@@ -313,6 +372,13 @@ class TestCli:
         "noise          = -1",
         "lr_initial     = nan",
         "cluster_spread = inf",
+        # dataset parameters the generator refuses: rejected before any cell
+        "mix_size       = 5",  # above n_classes = 3
+        "mix_size       = 1",
+        "cluster_spread = -1",
+        "n_classes      = 1",
+        "n_per_class    = 3",
+        "dim            = 1",
     ])
     def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, line):
         key = line.split("=")[0]
@@ -322,7 +388,7 @@ class TestCli:
         spec.write_text(text + "\n")
         assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ") and key.strip() in err[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, line", [
@@ -340,10 +406,12 @@ class TestCli:
             load_dataset(bad)
 
     def test_console_entry_point(self, tmp_path):
-        # the module runs standalone as well
+        # the module runs standalone as well, from the source tree under test
+        src = Path(experiment.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "mprl.cli", "gradcheck", "--k", "2", "--trials", "1"],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout

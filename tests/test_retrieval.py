@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprl import retrieval
@@ -98,17 +99,28 @@ class TestSqEuclideanBlocks:
         diff = a[:, None, :] - b[None, :, :]
         return np.sum(diff * diff, axis=-1)
 
-    @given(st.integers(1, 23), st.integers(1, 17), st.integers(1, 12),
+    # every branch of numpy's pairwise sum: one by one below 8 terms, eight
+    # partial sums up to 128 (with and without a remainder mod 8), halves above
+    DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
+
+    @given(st.integers(1, 23), st.integers(1, 17), DIMS,
            st.integers(1, 2000), st.integers(0, 2**32 - 1))
+    @example(5, 7, 8, 2000, 1)  # eight one-term partial sums
+    @example(5, 7, 15, 2000, 2)  # ... and seven terms one by one
+    @example(5, 7, 128, 2000, 3)
+    @example(5, 7, 129, 2000, 4)  # halves of 128 and 1 term
+    @example(5, 7, 513, 2000, 5)  # halves of halves
     @settings(max_examples=120, deadline=None)
     def test_bit_equal_to_one_shot_across_block_boundaries(self, n_a, n_b, dim, budget,
                                                            seed):
-        # a small byte budget makes blocks of one to a few rows, so n_a is
-        # rarely a multiple of the block rows
+        # a small byte budget beyond the reserve for numpy's buffers makes
+        # blocks of one to a few rows, so n_a is rarely a multiple of the
+        # block rows
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n_a, dim)) * 10.0 ** rng.integers(-3, 4)
         b = rng.normal(size=(n_b, dim))
-        with mock.patch.object(retrieval, "BLOCK_BYTES", budget):
+        with mock.patch.object(retrieval, "BLOCK_BYTES",
+                               retrieval._UFUNC_BUFFER_BYTES + budget):
             blocked = sq_euclidean(a, b)
         assert blocked.tobytes() == self.one_shot(a, b).tobytes()
 
@@ -116,13 +128,45 @@ class TestSqEuclideanBlocks:
         (10, 4000, 16),  # 4 rows per block: a last block of 2
         (1, 4000, 16),  # a single query
         (9, 5000, 1),  # d = 1
+        (50, 3004, 64),  # the reid_751 embedding: blocks of 19 rows
+        (100, 1000, 256),  # two recursive halves of 128 terms
         (3, 300, 1000),  # a gallery row set above the budget: one row per block
+        (2, 100000, 16),  # planes of one row above the budget
     ])
     def test_bit_equal_at_the_module_budget(self, n_a, n_b, dim):
         rng = np.random.default_rng(n_a * n_b + dim)
         a = rng.normal(size=(n_a, dim))
         b = rng.normal(size=(n_b, dim))
-        assert sq_euclidean(a, b).tobytes() == self.one_shot(a, b).tobytes()
+        # one query row at a time: the whole broadcast would take up to 400 MB
+        expected = np.concatenate([self.one_shot(a[i:i + 1], b) for i in range(n_a)])
+        assert sq_euclidean(a, b).tobytes() == expected.tobytes()
+
+    def test_zero_dimensional_rows_are_at_distance_zero(self):
+        assert sq_euclidean(np.empty((3, 0)), np.empty((2, 0))).tolist() == [[0.0] * 2] * 3
+
+    @pytest.mark.parametrize("n_a, n_b, dim", [
+        (1000, 4000, 16),  # the retrieval_eval shape
+        (300, 3004, 64),
+        (100, 1000, 256),
+        (200, 751, 64),  # rows under 2731 items: numpy buffers the broadcast
+        (60, 20, 300),  # the whole input in one block
+        (5, 100000, 16),  # one row of planes above the budget
+    ])
+    def test_scratch_stays_within_the_block_budget(self, n_a, n_b, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(n_a, dim))
+        b = rng.normal(size=(n_b, dim))
+        sq_euclidean(a[:2], b)  # first-call set-up is not scratch
+        tracemalloc.start()
+        try:
+            out = sq_euclidean(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output and the transposed copy of b are not scratch
+        scratch = peak - out.nbytes - b.nbytes
+        one_row = 8 * retrieval._scratch_planes(dim) * n_b + retrieval._UFUNC_BUFFER_BYTES
+        assert scratch <= max(retrieval.BLOCK_BYTES, one_row)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
     def test_memory_stays_bounded(self):
