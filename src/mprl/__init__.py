@@ -73,8 +73,6 @@ from .retrieval import (
 )
 from .synthgen import (
     Dataset,
-    MixRecord,
-    Sample,
     convex_mix,
     load_dataset,
     make_generated_dataset,

@@ -13,8 +13,8 @@ Exit codes (every failure prints one ``error:`` line to stderr):
 
 * 0 -- success.
 * 1 -- a spec, configuration or argument rejected before any work
-  starts (dataset parameters the generator would refuse included), or
-  a missing file.
+  starts (dataset parameters the generator would refuse and bad
+  command-line arguments included), or a missing file.
 * 2 -- an input file whose content is rejected (malformed line,
   non-finite value, duplicate id, dimension mismatch, query class absent
   from the gallery), or a failure during a run.
@@ -33,6 +33,7 @@ from pathlib import Path
 from .errors import InvalidConfig, InvalidDimension, MprlError, ProtocolViolation, SpecError
 from .experiment import (
     build_datasets,
+    build_generated,
     parse_spec,
     run_experiment,
     run_trace,
@@ -113,12 +114,12 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else spec.seeds[0]
+    real, _ = build_datasets(spec, seed, 0)
+    real_path = out / f"real_seed{seed}.txt"
+    save_dataset(real, real_path)
+    _say(f"wrote {real_path}")
     for count in spec.counts:
-        real, generated = build_datasets(spec, seed, count)
-        real_path = out / f"real_seed{seed}.txt"
-        if not real_path.exists():
-            save_dataset(real, real_path)
-            _say(f"wrote {real_path}")
+        generated = build_generated(spec, real, seed, count)
         if generated is not None:
             gen_path = out / f"generated_n{count}_seed{seed}.txt"
             save_dataset(generated, gen_path)
@@ -143,8 +144,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, but a rejected argument exits with EXIT_VALIDATION."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mprl", description="virtual-label training and evaluation harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)

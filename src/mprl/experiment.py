@@ -244,12 +244,14 @@ def build_datasets(spec: ExperimentSpec, seed: int, count: int) -> tuple[Dataset
         spec.n_classes, spec.n_per_class, spec.dim, spec.cluster_spread,
         seed=(seed, _SEED_REAL_DATA),
     )
-    generated = None
-    if count > 0:
-        generated = make_generated_dataset(
-            real, count, spec.mix_size, spec.noise, seed=(seed, _SEED_GEN_DATA),
-        )
-    return real, generated
+    return real, build_generated(spec, real, seed, count)
+
+
+def build_generated(spec: ExperimentSpec, real: Dataset, seed: int,
+                    count: int) -> Dataset | None:
+    """The generated dataset of (seed, count) mixed from ``real``; None at count 0."""
+    return make_generated_dataset(real, count, spec.mix_size, spec.noise,
+                                  seed=(seed, _SEED_GEN_DATA)) if count > 0 else None
 
 
 @dataclass
@@ -263,16 +265,14 @@ class CellResult:
 
 
 def _train_cell(spec: ExperimentSpec, cell: Cell):
-    """Build a cell's datasets and train it (smprl first pretrains the
-    baseline that fixes its static labels); returns the real dataset, the
-    trained parameters and the history."""
+    """Build a cell's datasets and train it (smprl with generated data
+    first pretrains the baseline that fixes its static labels); returns
+    the real dataset, the trained parameters and the history."""
     real, generated = build_datasets(spec, cell.seed, cell.n_generated)
     cfg = spec.train_config(cell.strategy, cell.seed)
     static = None
-    if cell.strategy is Strategy.SMPRL:
-        pretrained = pretrain_baseline(real, cfg)
-        static = assign_static_labels(
-            pretrained, generated, cfg.tie_policy) if generated else {}
+    if cell.strategy is Strategy.SMPRL and generated is not None:
+        static = assign_static_labels(pretrain_baseline(real, cfg), generated, cfg.tie_policy)
     params, history = train(real, generated, cfg, static_labels=static)
     return real, params, history
 

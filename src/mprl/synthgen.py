@@ -10,6 +10,9 @@ samples have strong affinity to a few classes rather than a uniform
 blend of all of them.  Which classes went into a sample is kept only as
 a diagnostics record, never shown to training code.
 
+A :class:`Dataset` is columnar: row-aligned arrays, no per-sample
+objects; a row's origin follows from its class (-1 marks generated).
+
 Dataset file format (plain text, locale-independent):
 
     K dim n_samples
@@ -23,6 +26,7 @@ round-trips are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,40 +46,41 @@ WEIGHT_SHRINK = 0.6
 
 
 @dataclass
-class Sample:
-    id: int
-    features: np.ndarray
-    origin: str  # "real" | "generated"
-    class_label: int | None  # 1-based; None for generated samples
-    split: str
-
-
-@dataclass(frozen=True)
-class MixRecord:
-    """Diagnostics-only provenance of one generated sample."""
-
-    source_ids: tuple[int, ...]
-    source_classes: tuple[int, ...]
-    weights: np.ndarray
-
-
-@dataclass
 class Dataset:
-    samples: list[Sample]
+    """``ids`` (N,), ``features`` (N, d), ``classes`` (N,) 1-based or -1
+    for a generated row, ``splits`` (N,) from SPLIT_TAGS.  Provenance:
+    (m, mix_size) source ids, classes and weights aligned with the
+    generated rows; None when unknown, never serialized or trained on."""
+
+    ids: np.ndarray
+    features: np.ndarray
+    classes: np.ndarray
+    splits: np.ndarray
     n_classes: int
-    feature_dim: int
-    # provenance is never serialized and never read by training code
-    provenance: dict[int, MixRecord] = field(default_factory=dict, repr=False)
+    source_ids: np.ndarray | None = field(default=None, repr=False)
+    source_classes: np.ndarray | None = field(default=None, repr=False)
+    source_weights: np.ndarray | None = field(default=None, repr=False)
 
-    def split(self, tag: str) -> list[Sample]:
-        return [s for s in self.samples if s.split == tag]
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
-    def feature_matrix(self, samples: list[Sample] | None = None) -> np.ndarray:
-        rows = self.samples if samples is None else samples
-        return np.stack([s.features for s in rows]) if rows else np.empty((0, self.feature_dim))
+    @property
+    def generated(self) -> np.ndarray:
+        """Mask of the generated rows."""
+        return self.classes == -1
+
+    def split(self, tag: str) -> Dataset:
+        """The rows tagged ``tag``, in order, provenance included."""
+        rows = self.splits == tag
+        mixed = rows[self.generated]
+        provenance = (None if p is None else p[mixed]
+                      for p in (self.source_ids, self.source_classes, self.source_weights))
+        return Dataset(self.ids[rows], self.features[rows], self.classes[rows],
+                       self.splits[rows], self.n_classes, *provenance)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.ids.size
 
 
 def _simplex_means(n_classes, dim, edge, rng):
@@ -154,21 +159,14 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
     if np.min(dists) < MIN_SEPARATION_FACTOR * cluster_spread:
         raise GenerationFailure("class mean separation guarantee violated")
 
-    samples = []
-    next_id = 0
+    # one draw per class, in class order
+    draws = np.concatenate([rng.standard_normal((n_per_class, dim)) for _ in range(n_classes)])
+    features = np.repeat(means, n_per_class, axis=0) + cluster_spread * draws
     n_train = n_per_class // 2
-    for c in range(1, n_classes + 1):
-        feats = means[c - 1] + cluster_spread * rng.standard_normal((n_per_class, dim))
-        for j in range(n_per_class):
-            if j < n_train:
-                tag = "train"
-            elif j == n_train:
-                tag = "query"
-            else:
-                tag = "gallery"
-            samples.append(Sample(next_id, feats[j], "real", c, tag))
-            next_id += 1
-    return Dataset(samples, n_classes, dim)
+    tags = ["train"] * n_train + ["query"] + ["gallery"] * (n_per_class - n_train - 1)
+    return Dataset(np.arange(n_classes * n_per_class), features,
+                   np.repeat(np.arange(1, n_classes + 1), n_per_class),
+                   np.tile(tags, n_classes), n_classes)
 
 
 def convex_mix(features: np.ndarray, weights) -> np.ndarray:
@@ -190,8 +188,8 @@ def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
     uniform, so every source class keeps a substantial share; the noise is
     Gaussian clipped at 3 standard deviations, so samples provably stay
     inside the source hull expanded by 3*noise per coordinate.  The source
-    classes and weights go into ``Dataset.provenance`` for diagnostics
-    only.
+    ids, classes and weights go into the dataset's provenance arrays for
+    diagnostics only.
     """
     if m < 1:
         raise InvalidConfig("need at least one generated sample")
@@ -200,55 +198,50 @@ def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
     if not 2 <= mix_size <= real.n_classes:
         raise InvalidConfig(f"mix_size must be in 2..{real.n_classes}")
     train = real.split("train")
-    if not train:
-        raise GenerationFailure("real dataset has no train split to mix from")
-
-    by_class: dict[int, list[Sample]] = {}
-    for s in train:
-        by_class.setdefault(s.class_label, []).append(s)
-    if len(by_class) < mix_size:
+    class_ids = np.unique(train.classes)
+    if class_ids.size < mix_size:
         raise GenerationFailure(
-            f"only {len(by_class)} classes have train samples, need {mix_size}"
+            f"only {class_ids.size} classes have train samples, need {mix_size}"
         )
-    class_ids = sorted(by_class)
+    # train rows of each class, in dataset order
+    members = [np.flatnonzero(train.classes == c) for c in class_ids]
 
     rng = np.random.default_rng(seed)
-    next_id = max(s.id for s in real.samples) + 1
-    samples = []
-    provenance: dict[int, MixRecord] = {}
-    for _ in range(m):
-        chosen = rng.choice(len(class_ids), size=mix_size, replace=False)
-        sources = [by_class[class_ids[idx]][rng.integers(len(by_class[class_ids[idx]]))]
-                   for idx in chosen]
-        raw = rng.dirichlet(np.ones(mix_size))
-        weights = (1.0 - WEIGHT_SHRINK) * raw + WEIGHT_SHRINK / mix_size
-        feats = convex_mix(np.stack([s.features for s in sources]), weights)
+    sources = np.empty((m, mix_size), dtype=np.int64)
+    weights = np.empty((m, mix_size))
+    features = np.empty((m, real.feature_dim))
+    # the random stream per sample: class choice, source picks, weights, noise
+    for i in range(m):
+        chosen = rng.choice(class_ids.size, size=mix_size, replace=False)
+        sources[i] = [members[idx][rng.integers(members[idx].size)] for idx in chosen]
+        weights[i] = (1.0 - WEIGHT_SHRINK) * rng.dirichlet(np.ones(mix_size)) \
+            + WEIGHT_SHRINK / mix_size
+        features[i] = convex_mix(train.features[sources[i]], weights[i])
         if noise > 0:
-            feats = feats + noise * np.clip(rng.standard_normal(real.feature_dim), -3.0, 3.0)
-        samples.append(Sample(next_id, feats, "generated", None, "train"))
-        provenance[next_id] = MixRecord(
-            tuple(s.id for s in sources),
-            tuple(s.class_label for s in sources),
-            weights,
-        )
-        next_id += 1
-    return Dataset(samples, real.n_classes, real.feature_dim, provenance)
+            features[i] += noise * np.clip(rng.standard_normal(real.feature_dim), -3.0, 3.0)
+    first_id = int(real.ids.max()) + 1
+    return Dataset(np.arange(first_id, first_id + m), features, np.full(m, -1),
+                   np.full(m, "train"), real.n_classes,
+                   train.ids[sources], train.classes[sources], weights)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the plain-text dataset format described in the module docstring."""
-    lines = [f"{dataset.n_classes} {dataset.feature_dim} {len(dataset.samples)}"]
-    for s in dataset.samples:
-        label = s.class_label if s.class_label is not None else -1
-        feats = " ".join(f"{v:.17g}" for v in s.features)
-        lines.append(f"{s.id} {s.split} {s.origin} {label} {feats}")
+    lines = [f"{dataset.n_classes} {dataset.feature_dim} {len(dataset)}"]
+    for sid, tag, label, row in zip(dataset.ids.tolist(), dataset.splits.tolist(),
+                                    dataset.classes.tolist(), dataset.features.tolist()):
+        origin = "generated" if label == -1 else "real"
+        feats = " ".join(f"{v:.17g}" for v in row)
+        lines.append(f"{sid} {tag} {origin} {label} {feats}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset file back; feature values round-trip bit-exactly.
 
-    A malformed header or row raises InvalidState naming ``path:line``.
+    A malformed header or row raises InvalidState naming ``path:line``,
+    among them K < 1 or dim < 1, an origin its class contradicts,
+    a non-finite feature and a duplicate id.
     """
     text = Path(path).read_text()
     rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
@@ -260,9 +253,13 @@ def load_dataset(path) -> Dataset:
     except ValueError:
         raise InvalidState(f"{path}:{header_no}: header must be 'K dim n_samples', "
                            f"got {header.strip()!r}") from None
+    if n_classes < 1 or dim < 1:
+        raise InvalidState(f"{path}:{header_no}: need K >= 1 and dim >= 1, "
+                           f"got K={n_classes} dim={dim}")
     if len(rows) - 1 != count:
         raise InvalidState(f"{path}: header says {count} samples, file has {len(rows) - 1}")
-    samples = []
+    ids, splits, classes, features = [], [], [], []
+    seen = set()
     for line_no, row in rows[1:]:
         parts = row.split()
         if len(parts) != 4 + dim:
@@ -272,8 +269,23 @@ def load_dataset(path) -> Dataset:
             raise InvalidState(f"{path}:{line_no}: unknown split tag {split_tag!r}")
         try:
             sid, label = int(parts[0]), int(parts[3])
-            feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+            feats = [float(v) for v in parts[4:]]
         except ValueError as exc:
             raise InvalidState(f"{path}:{line_no}: {exc}") from None
-        samples.append(Sample(sid, feats, origin, None if label == -1 else label, split_tag))
-    return Dataset(samples, n_classes, dim)
+        if origin not in ("real", "generated"):
+            raise InvalidState(f"{path}:{line_no}: unknown origin {origin!r}")
+        if not (label == -1 if origin == "generated" else 1 <= label <= n_classes):
+            raise InvalidState(f"{path}:{line_no}: class {label} contradicts origin {origin!r} "
+                               f"(real needs 1..{n_classes}, generated -1)")
+        if not all(map(math.isfinite, feats)):
+            raise InvalidState(f"{path}:{line_no}: non-finite feature value")
+        if sid in seen:
+            raise InvalidState(f"{path}:{line_no}: duplicate id {sid}")
+        seen.add(sid)
+        ids.append(sid)
+        splits.append(split_tag)
+        classes.append(label)
+        features.append(feats)
+    return Dataset(np.array(ids, dtype=np.int64),
+                   np.array(features, dtype=np.float64).reshape(count, dim),
+                   np.array(classes, dtype=np.int64), np.array(splits, dtype=str), n_classes)

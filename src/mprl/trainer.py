@@ -4,7 +4,8 @@ Seven strategies cover a real-only baseline, three comparison virtual
 labels (all-in-one extra class, one-hot pseudo, uniform LSRO) and the
 three rank-weighted multi-pseudo variants:
 
-* ``smprl``: labels assigned once by a pretrained model, frozen.
+* ``smprl``: labels assigned once by a pretrained model, frozen as one
+  (n_generated, K) weight matrix.
 * ``dmprl1``: labels recomputed from the current forward pass at every
   visit, starting from the very first iteration (which uses random rank
   permutations, since the untrained model offers no signal).
@@ -12,8 +13,9 @@ three rank-weighted multi-pseudo variants:
   until a warm-up epoch is reached, and the generated-side loss weight
   defaults to 0.1.
 
-Training is batch-first.  Each epoch shuffles the merged real +
-generated feature matrix with an epoch-seeded RNG, so identical configs
+Training is batch-first over the columnar datasets of :mod:`mprl.synthgen`.
+Each epoch shuffles the pool (the real train rows' features, then the
+generated rows') with an epoch-seeded RNG, so identical configs
 reproduce identical parameter trajectories bit for bit.  Per mini-batch
 the strategy maps the batch's logits to a (B, width) weight matrix (real
 rows one-hot at their class, generated rows the strategy's virtual
@@ -34,16 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, InvalidDimension, NotRecorded
-from .labels import (
-    LabelScheme,
-    TiePolicy,
-    VirtualLabel,
-    all_in_one_label,
-    lsro_label,
-    mprl_rows,
-    rank_weight_normalizer,
-    row_ranks,
-)
+from .labels import TiePolicy, all_in_one_label, lsro_label, mprl_rows, row_ranks
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
     ground_truth_label,
@@ -182,22 +175,22 @@ def epoch_shuffle_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def _check_datasets(real: Dataset, generated: Dataset | None) -> None:
-    if real.n_classes < 1 or not real.split("train"):
+    train_classes = real.split("train").classes
+    if real.n_classes < 1 or not train_classes.size:
         raise InvalidConfig("real dataset needs classes and a train split")
-    train_classes = {s.class_label for s in real.split("train")}
-    if train_classes != set(range(1, real.n_classes + 1)):
+    if set(train_classes.tolist()) != set(range(1, real.n_classes + 1)):
         raise InvalidConfig("every class needs at least one train sample")
-    if generated is not None and generated.samples:
+    if generated is not None and len(generated):
         if generated.feature_dim != real.feature_dim:
             raise InvalidDimension(
                 f"generated feature dim {generated.feature_dim} differs "
                 f"from real {real.feature_dim}"
             )
-        if any(s.origin != "generated" for s in generated.samples):
+        if not generated.generated.all():
             raise InvalidConfig("generated dataset contains non-generated samples")
 
 
-def _generated_rule(cfg: TrainConfig, n_classes: int, static_weights):
+def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
     """The strategy's map from a batch's generated rows to their weight rows.
 
     The returned function takes the generated rows' logits and their
@@ -214,7 +207,7 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_weights):
         eye = np.eye(n_classes)
         return lambda logits, positions: eye[np.argmax(logits, axis=1)]
     if cfg.strategy is Strategy.SMPRL:
-        return lambda logits, positions: static_weights[positions]
+        return lambda logits, positions: static_labels[positions]
     return lambda logits, positions: mprl_rows(row_ranks(logits, cfg.tie_policy))
 
 
@@ -222,16 +215,16 @@ def train(
     real: Dataset,
     generated: Dataset | None,
     cfg: TrainConfig,
-    static_labels: dict[int, VirtualLabel] | None = None,
+    static_labels: np.ndarray | None = None,
     initial_params: ModelParams | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run one training schedule and return final params plus history.
 
-    ``static_labels`` (from :func:`assign_static_labels`) is required for
-    the smprl strategy and ignored otherwise.  ``initial_params`` lets a
-    pretrained checkpoint seed the run; by default parameters are
-    initialized from the config seed.  All validation happens before the
-    first epoch.
+    ``static_labels`` (the (n_generated, K) rows of :func:`assign_static_labels`)
+    is required for smprl with generated rows and ignored otherwise.
+    ``initial_params`` lets a pretrained checkpoint seed the run; by
+    default parameters are initialized from the config seed.  All
+    validation happens before the first epoch.
     """
     cfg.validate()
     _check_datasets(real, generated)
@@ -239,20 +232,15 @@ def train(
     head_width = n_classes + 1 if cfg.strategy is Strategy.ALL_IN_ONE else n_classes
 
     real_train = real.split("train")
-    gen_train = list(generated.samples) if (
+    gen_feats = generated.features if (
         generated is not None and cfg.strategy is not Strategy.BASELINE
-    ) else []
-    static_weights = None
-    if cfg.strategy is Strategy.SMPRL:
+    ) else np.empty((0, real.feature_dim))
+    if cfg.strategy is Strategy.SMPRL and len(gen_feats):
         if static_labels is None:
             raise InvalidConfig("smprl needs static_labels from assign_static_labels")
-        missing = [s.id for s in gen_train if s.id not in static_labels]
-        if missing:
-            raise InvalidConfig(f"static_labels missing for generated ids {missing[:5]}...")
-        rows = [static_labels[s.id].weights for s in gen_train]
-        if any(row.size != n_classes for row in rows):
-            raise InvalidDimension(f"static labels must have {n_classes} classes")
-        static_weights = rank_weight_normalizer(n_classes) * np.array(rows).reshape(-1, n_classes)
+        if static_labels.shape != (len(gen_feats), n_classes):
+            raise InvalidDimension(f"static labels must have shape ({len(gen_feats)}, "
+                                   f"{n_classes}), got {static_labels.shape}")
 
     layer_sizes = (real.feature_dim, *cfg.hidden_sizes, head_width)
     params = initial_params if initial_params is not None else init_params(
@@ -270,9 +258,8 @@ def train(
                           cfg.gradient_mode if rank_weighted else GradientMode.ANALYTIC)
 
     # tracked trajectory samples: lowest generated ids first, clipped
-    all_generated = list(generated.samples) if generated is not None else []
-    tracked_samples = sorted(all_generated, key=lambda s: s.id)[: cfg.track_trajectories]
-    tracked = tuple(s.id for s in tracked_samples)
+    tracked_rows = np.argsort(generated.ids)[: cfg.track_trajectories] if generated else []
+    tracked = tuple(generated.ids[tracked_rows].tolist()) if len(tracked_rows) else ()
     history = TrainHistory(
         tracked_ids=tracked,
         trajectories={sid: [] for sid in tracked},
@@ -281,13 +268,10 @@ def train(
 
     # the merged pool: real train rows first, then the generated rows
     n_real = len(real_train)
-    real_train_feats = real.feature_matrix(real_train)
-    real_train_classes = np.array([s.class_label for s in real_train])
-    gen_feats = generated.feature_matrix(gen_train) if gen_train else np.empty((0, real.feature_dim))
-    pool_feats = np.concatenate([real_train_feats, gen_feats])
+    pool_feats = np.concatenate([real_train.features, gen_feats])
     pool_generated = np.arange(len(pool_feats)) >= n_real
-    pool_class = np.concatenate([real_train_classes - 1, np.zeros(len(gen_train), dtype=int)])
-    generated_rule = _generated_rule(cfg, n_classes, static_weights)
+    pool_class = np.concatenate([real_train.classes - 1, np.zeros(len(gen_feats), dtype=int)])
+    generated_rule = _generated_rule(cfg, n_classes, static_labels)
     first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
 
     for epoch in range(1, cfg.epochs + 1):
@@ -332,18 +316,16 @@ def train(
 
         l1 = real_sum / real_count if real_count else 0.0
         l2 = gen_sum / gen_count if gen_count else 0.0
-        train_acc = _accuracy(params, real_train_feats, real_train_classes, n_classes)
+        train_acc = _accuracy(params, real_train.features, real_train.classes, n_classes)
         history.records.append(EpochRecord(
             epoch, l1, l2, l1 + loss_cfg.gen_weight * l2, train_acc, lr, gen_grad_norm,
         ))
 
-        if tracked_samples:
-            t_logits, _, _ = forward(
-                params, np.stack([s.features for s in tracked_samples]), train_mode=False
-            )
+        if tracked:
+            t_logits, _, _ = forward(params, generated.features[tracked_rows], train_mode=False)
             argmax = np.argmax(t_logits[:, :n_classes], axis=1) + 1
-            for s, cls in zip(tracked_samples, argmax):
-                history.trajectories[s.id].append(int(cls))
+            for sid, cls in zip(tracked, argmax.tolist()):
+                history.trajectories[sid].append(cls)
 
     return params, history
 
@@ -360,32 +342,25 @@ def assign_static_labels(
     pretrained: ModelParams,
     generated: Dataset,
     tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK,
-) -> dict[int, VirtualLabel]:
-    """One frozen rank-weighted label per generated sample.
+) -> np.ndarray:
+    """One frozen rank-weighted label row per generated sample.
 
     The pretrained model (typically a baseline run over the real data)
-    scores each generated sample once; the resulting labels (weights
-    rank/K, ranks taken on the logits) never change afterwards.
+    scores each generated sample once; row i of the (n_generated, K)
+    result (rank/K x 2/(1+K), ranks taken on the logits) is generated
+    row i's label and never changes afterwards.
     """
-    if not generated.samples:
-        return {}
-    feats = generated.feature_matrix()
-    logits, _, _ = forward(pretrained, feats, train_mode=False)
-    weights = row_ranks(logits, tie_policy) / logits.shape[1]
-    return {sample.id: VirtualLabel(LabelScheme.MPRL, row)
-            for sample, row in zip(generated.samples, weights)}
+    logits, _, _ = forward(pretrained, generated.features, train_mode=False)
+    return mprl_rows(row_ranks(logits, tie_policy))
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:
     """Eval-mode penultimate activations for one split of a dataset."""
     rows = dataset.split(split)
-    if not rows:
+    if not len(rows):
         raise InvalidDimension(f"dataset has no samples in split {split!r}")
-    feats = dataset.feature_matrix(rows)
-    _, _, emb = forward(params, feats, train_mode=False)
-    ids = np.array([s.id for s in rows])
-    labels = np.array([s.class_label if s.class_label is not None else -1 for s in rows])
-    return EmbeddingSet(ids, labels, emb)
+    _, _, emb = forward(params, rows.features, train_mode=False)
+    return EmbeddingSet(rows.ids, rows.classes, emb)
 
 
 def pretrain_baseline(real: Dataset, cfg: TrainConfig) -> ModelParams:

@@ -175,10 +175,9 @@ def test_criterion_9_serialization_round_trips(tmp_path):
             save_dataset(ds, path)
             back = load_dataset(path)
             assert len(back) == len(ds)
-            for a, b in zip(ds.samples, back.samples):
-                assert a.features.tobytes() == b.features.tobytes()
-                assert (a.id, a.split, a.origin, a.class_label) == (
-                    b.id, b.split, b.origin, b.class_label)
+            assert back.features.tobytes() == ds.features.tobytes()
+            for column in ("ids", "splits", "classes", "generated"):
+                np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
 
         params = init_params((7, 12, 6, 5), seed=62)
         ckpt = tmp_path / "model.ckpt"

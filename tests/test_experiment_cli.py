@@ -258,6 +258,18 @@ class TestRunTrace:
         assert tracked == 4
 
 
+class TestSmprlWithoutGeneratedData:
+    def test_count_zero_report_matches_baseline(self, tmp_path):
+        # no generated rows: smprl trains exactly what the baseline trains
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "baseline, smprl")
+                               .replace("0, 6", "0"))
+        run_experiment(spec, out_dir=tmp_path)
+        for seed in spec.seeds:
+            for artifact in ("report.json", "history.csv"):
+                assert (tmp_path / f"smprl_n0_seed{seed}" / artifact).read_bytes() == \
+                    (tmp_path / f"baseline_n0_seed{seed}" / artifact).read_bytes()
+
+
 class TestCli:
     def test_run_and_determinism(self, spec_file, tmp_path, capsys):
         out1 = tmp_path / "r1"
@@ -391,10 +403,68 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and key.strip() in err[0]
         assert not (tmp_path / "out").exists()
 
+    def test_gen_data_rewrites_the_real_file(self, spec_file, tmp_path, capsys):
+        # a second run into the same directory with a changed spec must not
+        # leave the first run's real dataset next to the new generated files
+        from mprl.synthgen import load_dataset
+
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(data_dir)]) == 0
+        changed = tmp_path / "changed.txt"
+        changed.write_text(TINY_SPEC.replace("n_classes      = 3", "n_classes      = 4"))
+        assert main(["gen-data", "--spec", str(changed), "--out", str(data_dir)]) == 0
+        real = load_dataset(data_dir / "real_seed1.txt")
+        generated = load_dataset(data_dir / "generated_n6_seed1.txt")
+        assert real.n_classes == generated.n_classes == 4
+        assert real.ids.max() < generated.ids.min()
+        out = capsys.readouterr().out
+        assert out.count("real_seed1.txt") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],  # --spec missing
+        ["run", "--spec", "spec.txt", "--jobs", "abc"],
+        ["gradcheck", "--trials", "abc"],
+        ["frobnicate"],  # unknown subcommand
+        [],  # no subcommand
+    ])
+    def test_argument_errors_exit_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert sum(": error: " in line for line in err) == 1
+        assert err[-1].startswith("mprl") and ": error: " in err[-1]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "--spec" in capsys.readouterr().out
+
+    def test_argument_error_process_exit_code(self):
+        src = Path(experiment.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "mprl.cli", "run", "--jobs", "abc"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+
     @pytest.mark.parametrize("text, line", [
         ("3 2 x\n", 1),  # bad header field
         ("3 2 1\n0 train real one 0.5 0.5\n", 2),  # bad class field
         ("3 2 1\n0 train real 1 0.5 nan?\n", 2),  # bad feature field
+        ("2 2 1\n0 train foo 1 0.5 0.5\n", 2),  # unknown origin
+        ("2 2 1\n0 train real 7 0.5 0.5\n", 2),  # real class above K
+        ("2 2 1\n0 train real 0 0.5 0.5\n", 2),  # real class below 1
+        ("2 2 1\n0 train real -1 0.5 0.5\n", 2),  # real row with the generated class
+        ("2 2 1\n0 train generated 1 0.5 0.5\n", 2),  # generated row with a class
+        ("2 2 1\n0 train real 1 nan 0.5\n", 2),  # non-finite feature
+        ("2 2 2\n0 train real 1 0.5 0.5\n\n1 query real 2 0.5 -inf\n", 4),
+        ("2 2 2\n0 train real 1 0.5 0.5\n0 query real 2 0.5 0.5\n", 3),  # duplicate id
+        ("0 2 1\n0 train generated -1 0.5 0.5\n", 1),  # K < 1
+        ("2 0 1\n0 train real 1\n", 1),  # dim < 1
     ])
     def test_malformed_dataset_file_names_line(self, tmp_path, text, line):
         from mprl.errors import InvalidState

@@ -168,12 +168,13 @@ class TestSqEuclideanBlocks:
         one_row = 8 * retrieval._scratch_planes(dim) * n_b + retrieval._UFUNC_BUFFER_BYTES
         assert scratch <= max(retrieval.BLOCK_BYTES, one_row)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
     def test_memory_stays_bounded(self):
         # pairwise + evaluate at 1000 x 4000 x 16: the one-shot difference
-        # tensor and its square alone would take 1 GB
+        # tensor and its square alone would take 1 GB.  The child reads its
+        # own VmHWM: ru_maxrss would carry over the high-water mark of the
+        # test process that started it.
         child = textwrap.dedent("""
-            import resource
             import numpy as np
             from mprl.retrieval import EmbeddingSet, evaluate, pairwise_sq_euclidean
 
@@ -182,7 +183,8 @@ class TestSqEuclideanBlocks:
             gallery = EmbeddingSet(np.arange(4000), labels, rng.normal(size=(4000, 16)))
             queries = EmbeddingSet(np.arange(1000), labels[::4], rng.normal(size=(1000, 16)))
             evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            with open("/proc/self/status") as status:
+                print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
         """)
         src = Path(retrieval.__file__).resolve().parents[1]
         result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,

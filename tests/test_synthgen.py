@@ -5,6 +5,7 @@ import pytest
 
 from mprl.errors import GenerationFailure, InvalidConfig
 from mprl.synthgen import (
+    WEIGHT_SHRINK,
     Dataset,
     _place_class_means,
     convex_mix,
@@ -17,9 +18,46 @@ from mprl.synthgen import (
 
 def class_centroids(dataset: Dataset, split="train"):
     out = {}
+    rows = dataset.split(split)
     for c in range(1, dataset.n_classes + 1):
-        rows = [s.features for s in dataset.split(split) if s.class_label == c]
-        out[c] = np.mean(rows, axis=0)
+        out[c] = np.mean(rows.features[rows.classes == c], axis=0)
+    return out
+
+
+def assert_same_rows(a: Dataset, b: Dataset):
+    """Every serialized column equal, features bit for bit."""
+    assert (a.n_classes, a.feature_dim, len(a)) == (b.n_classes, b.feature_dim, len(b))
+    np.testing.assert_array_equal(a.ids, b.ids)
+    np.testing.assert_array_equal(a.splits, b.splits)
+    np.testing.assert_array_equal(a.classes, b.classes)
+    np.testing.assert_array_equal(a.generated, b.generated)
+    assert a.features.tobytes() == b.features.tobytes()
+
+
+def reference_generated(real: Dataset, m: int, mix_size: int, noise: float, seed):
+    """The generator written one sample at a time, drawing from the random
+    stream in its documented order: class choice, one source pick per
+    chosen class, Dirichlet weights, then noise.  Returns per sample
+    (id, features, source ids, source classes, weights)."""
+    by_class = {}
+    for sid, feats, cls, tag in zip(real.ids.tolist(), real.features, real.classes.tolist(),
+                                    real.splits.tolist()):
+        if tag == "train":
+            by_class.setdefault(cls, []).append((sid, feats, cls))
+    class_ids = sorted(by_class)
+    rng = np.random.default_rng(seed)
+    out = []
+    for offset in range(m):
+        chosen = rng.choice(len(class_ids), size=mix_size, replace=False)
+        picks = [by_class[class_ids[i]][rng.integers(len(by_class[class_ids[i]]))]
+                 for i in chosen]
+        weights = (1.0 - WEIGHT_SHRINK) * rng.dirichlet(np.ones(mix_size)) \
+            + WEIGHT_SHRINK / mix_size
+        feats = weights @ np.stack([f for _, f, _ in picks])
+        if noise > 0:
+            feats = feats + noise * np.clip(rng.standard_normal(real.feature_dim), -3.0, 3.0)
+        out.append((int(real.ids.max()) + 1 + offset, feats, [p[0] for p in picks],
+                    [p[2] for p in picks], weights))
     return out
 
 
@@ -38,32 +76,30 @@ class TestMakeRealDataset:
     def test_bitwise_reproducible(self):
         a = make_real_dataset(2, 4, 2, 0.5, seed=1)
         b = make_real_dataset(2, 4, 2, 0.5, seed=1)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.id == sb.id and sa.split == sb.split and sa.class_label == sb.class_label
-            assert sa.features.tobytes() == sb.features.tobytes()
+        assert_same_rows(a, b)
 
     def test_different_seed_differs(self):
         a = make_real_dataset(2, 4, 2, 0.5, seed=1)
         b = make_real_dataset(2, 4, 2, 0.5, seed=2)
-        assert not np.array_equal(a.samples[0].features, b.samples[0].features)
+        assert not np.array_equal(a.features[0], b.features[0])
 
     def test_zero_spread_collapses_to_means(self):
         ds = make_real_dataset(3, 5, 4, cluster_spread=0.0, seed=7)
         for c in range(1, 4):
-            rows = [s.features for s in ds.samples if s.class_label == c]
+            rows = ds.features[ds.classes == c]
             for row in rows[1:]:
                 np.testing.assert_array_equal(row, rows[0])
 
     def test_split_invariants(self):
         ds = make_real_dataset(5, 9, 6, 1.0, seed=3)
-        train_ids = {s.id for s in ds.split("train")}
+        train_ids = set(ds.split("train").ids.tolist())
         query = ds.split("query")
         gallery = ds.split("gallery")
-        assert train_ids.isdisjoint({s.id for s in query} | {s.id for s in gallery})
-        train_classes = {s.class_label for s in ds.split("train")}
+        assert train_ids.isdisjoint(set(query.ids.tolist()) | set(gallery.ids.tolist()))
+        train_classes = set(ds.split("train").classes.tolist())
         assert train_classes == set(range(1, 6))
-        gallery_classes = {s.class_label for s in gallery}
-        assert all(q.class_label in gallery_classes for q in query)
+        gallery_classes = set(gallery.classes.tolist())
+        assert all(c in gallery_classes for c in query.classes.tolist())
 
     def test_separation_guarantee(self):
         spread = 0.8
@@ -82,7 +118,8 @@ class TestMakeRealDataset:
         centroids = class_centroids(ds)
         train = ds.split("train")
         hits = sum(
-            nearest_centroid_classify(centroids, s.features) == s.class_label for s in train
+            nearest_centroid_classify(centroids, f) == c
+            for f, c in zip(train.features, train.classes)
         )
         assert hits / len(train) > 0.95
 
@@ -134,16 +171,15 @@ class TestMakeGeneratedDataset:
     def test_counts_ids_and_tags(self, real):
         gen = make_generated_dataset(real, 30, mix_size=2, noise=0.1, seed=9)
         assert len(gen) == 30
-        assert all(s.origin == "generated" for s in gen.samples)
-        assert all(s.class_label is None for s in gen.samples)
-        assert all(s.split == "train" for s in gen.samples)
-        assert min(s.id for s in gen.samples) > max(s.id for s in real.samples)
+        assert gen.generated.all()
+        assert np.all(gen.classes == -1)
+        assert np.all(gen.splits == "train")
+        assert gen.ids.min() > real.ids.max()
 
     def test_deterministic(self, real):
         a = make_generated_dataset(real, 10, 2, 0.1, seed=4)
         b = make_generated_dataset(real, 10, 2, 0.1, seed=4)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.features.tobytes() == sb.features.tobytes()
+        assert a.features.tobytes() == b.features.tobytes()
 
     def test_zero_count_rejected(self, real):
         with pytest.raises(InvalidConfig):
@@ -161,38 +197,59 @@ class TestMakeGeneratedDataset:
             make_generated_dataset(real, 4, 2, noise, seed=0)
 
     def test_empty_train_split_fails(self, real):
-        queries_only = Dataset([s for s in real.samples if s.split == "query"],
-                               real.n_classes, real.feature_dim)
+        queries_only = real.split("query")
         with pytest.raises(GenerationFailure):
             make_generated_dataset(queries_only, 5, 2, 0.1, seed=1)
 
     def test_noiseless_samples_sit_in_source_hull(self, real):
         gen = make_generated_dataset(real, 25, mix_size=3, noise=0.0, seed=2)
-        by_id = {s.id: s for s in real.samples}
-        for s in gen.samples:
-            record = gen.provenance[s.id]
-            sources = np.stack([by_id[i].features for i in record.source_ids])
+        row_of = {sid: i for i, sid in enumerate(real.ids.tolist())}
+        for feats, source_ids in zip(gen.features, gen.source_ids.tolist()):
+            sources = real.features[[row_of[i] for i in source_ids]]
             lo, hi = sources.min(axis=0), sources.max(axis=0)
-            assert np.all(s.features >= lo - 1e-12)
-            assert np.all(s.features <= hi + 1e-12)
+            assert np.all(feats >= lo - 1e-12)
+            assert np.all(feats <= hi + 1e-12)
 
     def test_noisy_samples_within_expanded_hull(self, real):
         noise = 0.3
         gen = make_generated_dataset(real, 50, mix_size=2, noise=noise, seed=8)
-        by_id = {s.id: s for s in real.samples}
-        for s in gen.samples:
-            record = gen.provenance[s.id]
-            sources = np.stack([by_id[i].features for i in record.source_ids])
+        row_of = {sid: i for i, sid in enumerate(real.ids.tolist())}
+        for feats, source_ids in zip(gen.features, gen.source_ids.tolist()):
+            sources = real.features[[row_of[i] for i in source_ids]]
             lo, hi = sources.min(axis=0), sources.max(axis=0)
-            assert np.all(s.features >= lo - 3 * noise - 1e-12)
-            assert np.all(s.features <= hi + 3 * noise + 1e-12)
+            assert np.all(feats >= lo - 3 * noise - 1e-12)
+            assert np.all(feats <= hi + 3 * noise + 1e-12)
 
     def test_provenance_has_distinct_classes_and_simplex_weights(self, real):
         gen = make_generated_dataset(real, 40, mix_size=3, noise=0.05, seed=6)
-        for record in gen.provenance.values():
-            assert len(set(record.source_classes)) == 3
-            assert abs(record.weights.sum() - 1.0) < 1e-12
-            assert np.all(record.weights >= 0)
+        assert gen.source_classes.shape == gen.source_weights.shape == (40, 3)
+        for classes, weights in zip(gen.source_classes, gen.source_weights):
+            assert len(set(classes.tolist())) == 3
+            assert abs(weights.sum() - 1.0) < 1e-12
+            assert np.all(weights >= 0)
+
+    @pytest.mark.parametrize("mix_size, noise", [(2, 0.1), (3, 0.0), (4, 0.3)])
+    def test_bit_equal_to_per_sample_reference(self, real, mix_size, noise):
+        gen = make_generated_dataset(real, 25, mix_size, noise, seed=21)
+        reference = reference_generated(real, 25, mix_size, noise, seed=21)
+        assert gen.ids.tolist() == [r[0] for r in reference]
+        assert gen.features.tobytes() == np.stack([r[1] for r in reference]).tobytes()
+        assert gen.source_ids.tolist() == [r[2] for r in reference]
+        assert gen.source_classes.tolist() == [r[3] for r in reference]
+        assert gen.source_weights.tobytes() == np.stack([r[4] for r in reference]).tobytes()
+
+    def test_split_keeps_provenance_aligned(self, real):
+        gen = make_generated_dataset(real, 6, 2, 0.1, seed=3)
+        merged = Dataset(np.concatenate([real.ids, gen.ids]),
+                         np.concatenate([real.features, gen.features]),
+                         np.concatenate([real.classes, gen.classes]),
+                         np.concatenate([real.splits, gen.splits]), real.n_classes,
+                         gen.source_ids, gen.source_classes, gen.source_weights)
+        train = merged.split("train")
+        assert train.generated.sum() == 6
+        np.testing.assert_array_equal(train.source_ids, gen.source_ids)
+        np.testing.assert_array_equal(train.source_weights, gen.source_weights)
+        assert merged.split("query").source_ids.shape == (0, 2)
 
     def test_affinity_to_source_classes(self, real):
         # for most generated samples, the two nearest class centroids (the
@@ -201,12 +258,12 @@ class TestMakeGeneratedDataset:
         centroids = class_centroids(real)
         keys = sorted(centroids)
         hits = 0
-        for s in gen.samples:
-            dists = {c: float(np.sum((s.features - centroids[c]) ** 2)) for c in keys}
+        for feats, source_classes in zip(gen.features, gen.source_classes.tolist()):
+            dists = {c: float(np.sum((feats - centroids[c]) ** 2)) for c in keys}
             top2 = set(sorted(keys, key=dists.get)[:2])
-            if top2 == set(gen.provenance[s.id].source_classes):
+            if top2 == set(source_classes):
                 hits += 1
-        assert hits / len(gen.samples) >= 0.80
+        assert hits / len(gen) >= 0.80
 
 
 class TestSerialization:
@@ -215,12 +272,8 @@ class TestSerialization:
         path = tmp_path / "real.txt"
         save_dataset(ds, path)
         back = load_dataset(path)
-        assert back.n_classes == ds.n_classes and back.feature_dim == ds.feature_dim
-        assert len(back) == len(ds)
-        for a, b in zip(ds.samples, back.samples):
-            assert (a.id, a.split, a.origin, a.class_label) == (b.id, b.split, b.origin,
-                                                                b.class_label)
-            assert a.features.tobytes() == b.features.tobytes()
+        assert_same_rows(ds, back)
+        assert not back.generated.any()
 
     def test_round_trip_generated(self, tmp_path):
         real = make_real_dataset(3, 6, 5, 0.7, seed=13)
@@ -228,9 +281,11 @@ class TestSerialization:
         path = tmp_path / "gen.txt"
         save_dataset(gen, path)
         back = load_dataset(path)
-        for a, b in zip(gen.samples, back.samples):
-            assert b.class_label is None and b.origin == "generated"
-            assert a.features.tobytes() == b.features.tobytes()
+        assert_same_rows(gen, back)
+        assert back.generated.all()
+        assert "generated" in path.read_text().splitlines()[1].split()
+        # provenance is diagnostics only and never serialized
+        assert back.source_ids is None and back.source_weights is None
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         ds = make_real_dataset(2, 4, 3, 0.4, seed=17)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mprl.trainer as trainer_module
-from mprl.errors import InvalidConfig, NotRecorded
-from mprl.labels import TiePolicy, rank_weight_normalizer
+from mprl.errors import InvalidConfig, InvalidDimension, NotRecorded
+from mprl.labels import TiePolicy, mprl_rows
 from mprl.net import forward, init_params
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import (
@@ -106,6 +106,13 @@ class TestStrategyContracts:
         with pytest.raises(InvalidConfig):
             train(real, generated, quick_config(Strategy.SMPRL))
 
+    def test_smprl_static_labels_need_one_row_per_generated_sample(self, real, generated):
+        k = real.n_classes
+        for shape in ((len(generated) - 1, k), (len(generated), k + 1)):
+            with pytest.raises(InvalidDimension, match="static labels must have shape"):
+                train(real, generated, quick_config(Strategy.SMPRL),
+                      static_labels=np.full(shape, 1.0 / k))
+
     def test_dmprl2_warmup_must_precede_end(self, real, generated):
         cfg = quick_config(Strategy.DMPRL2, epochs=3, warmup_epoch=3)
         with pytest.raises(InvalidConfig):
@@ -159,36 +166,34 @@ class TestStaticLabels:
         params = pretrain_baseline(real, quick_config(Strategy.BASELINE))
         a = assign_static_labels(params, generated)
         b = assign_static_labels(params, generated)
-        assert a.keys() == b.keys()
-        for key in a:
-            np.testing.assert_array_equal(a[key].weights, b[key].weights)
+        assert a.shape == (len(generated), real.n_classes)
+        assert a.tobytes() == b.tobytes()
 
     def test_zero_weight_model_degenerates_to_lsro(self, real, generated):
-        # uniform outputs plus average-rank ties: every label carries the
-        # uniform mass once the rank normalizer is applied
+        # uniform outputs plus average-rank ties: every normalized label
+        # row carries the uniform mass
         k = real.n_classes
         flat = init_params((real.feature_dim, 5, k), seed=0, scale=0.0)
         labels = assign_static_labels(flat, generated, TiePolicy.AVERAGE_RANK)
-        sigma = rank_weight_normalizer(k)
-        for label in labels.values():
-            np.testing.assert_allclose(sigma * label.weights, np.full(k, 1 / k), atol=1e-15)
+        for row in labels:
+            np.testing.assert_allclose(row, np.full(k, 1 / k), atol=1e-15)
 
     def test_nontrivial_model_gives_rank_scaled_weights(self, real, generated):
         params = pretrain_baseline(real, quick_config(Strategy.BASELINE, epochs=6))
         labels = assign_static_labels(params, generated)
         k = real.n_classes
-        for label in labels.values():
-            ratio = label.weights.max() / label.weights.min()
+        for row in labels:
+            ratio = row.max() / row.min()
             assert ratio == pytest.approx(k)
-            assert sorted(label.weights * k) == list(range(1, k + 1))
+            # distinct ranks 1..K, each scaled by 1/K x 2/(1+K)
+            np.testing.assert_array_equal(np.sort(row), mprl_rows(np.arange(1.0, k + 1)))
 
     def test_frozen_map_unchanged_by_training(self, real, generated):
         cfg = quick_config(Strategy.SMPRL)
         static = assign_static_labels(pretrain_baseline(real, cfg), generated)
-        before = {key: label.weights.tobytes() for key, label in static.items()}
+        before = static.tobytes()
         train(real, generated, cfg, static_labels=static)
-        after = {key: label.weights.tobytes() for key, label in static.items()}
-        assert before == after
+        assert static.tobytes() == before
 
 
 class TestTrajectories:
@@ -223,9 +228,10 @@ class TestTrajectories:
         )
         _, history = train(real, generated, cfg)
         series = log_label_trajectory(history)
+        source_classes = dict(zip(generated.ids.tolist(), generated.source_classes.tolist()))
         settled = 0
         for sid, values in series.items():
-            sources = set(generated.provenance[sid].source_classes)
+            sources = set(source_classes[sid])
             tail = values[-10:]
             inside = sum(1 for v in tail if v in sources)
             if inside >= 8:
@@ -274,7 +280,7 @@ class TestExtremeLogits:
     def test_confident_model_trains_an_epoch(self, real, generated, strategy):
         # softmax of these logits underflows to exact zeros in every row
         params = init_params((real.feature_dim, 8, 6, real.n_classes), seed=5, scale=30.0)
-        logits, _, _ = forward(params, generated.feature_matrix(), train_mode=False)
+        logits, _, _ = forward(params, generated.features, train_mode=False)
         assert np.min(np.ptp(logits, axis=1)) > 1000.0
         cfg = quick_config(strategy, epochs=1, warmup_epoch=0, dropout_rate=0.0)
         static = assign_static_labels(params, generated) if strategy is Strategy.SMPRL else None
@@ -297,7 +303,7 @@ class TestBatchContract:
         monkeypatch.setattr(trainer_module, "combined_loss", counting)
         cfg = quick_config(Strategy.ALL_IN_ONE, epochs=3, batch_size=4)
         train(real, generated, cfg)
-        pool = len(real.split("train")) + len(generated.samples)
+        pool = len(real.split("train")) + len(generated)
         assert len(calls) == cfg.epochs * math.ceil(pool / cfg.batch_size)
         assert all(isinstance(x, np.ndarray) and x.ndim == 2 for x in calls)
         assert {x.shape[1] for x in calls} == {real.n_classes + 1}
