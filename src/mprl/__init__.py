@@ -22,10 +22,7 @@ from .errors import (
     SpecError,
 )
 from .labels import (
-    LabelScheme,
-    RankWeights,
     TiePolicy,
-    VirtualLabel,
     all_in_one_label,
     ground_truth_label,
     lsro_label,

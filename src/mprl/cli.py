@@ -13,8 +13,10 @@ Exit codes (every failure prints one ``error:`` line to stderr):
 
 * 0 -- success.
 * 1 -- a spec, configuration or argument rejected before any work
-  starts (dataset parameters the generator would refuse and bad
-  command-line arguments included), or a missing file.
+  starts (dataset parameters the generator would refuse, repeated grid
+  values and bad command-line numbers included), or a file or
+  directory the system refuses to read or create (missing, a directory
+  where a file is expected, an output path that is an existing file).
 * 2 -- an input file whose content is rejected (malformed line,
   non-finite value, duplicate id, dimension mismatch, query class absent
   from the gallery), or a failure during a run.
@@ -111,9 +113,11 @@ def cmd_trace(args) -> int:
 
 def cmd_gen_data(args) -> int:
     spec = parse_spec(args.spec)
+    seed = args.seed if args.seed is not None else spec.seeds[0]
+    if seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else spec.seeds[0]
     real, _ = build_datasets(spec, seed, 0)
     real_path = out / f"real_seed{seed}.txt"
     save_dataset(real, real_path)
@@ -200,7 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, InvalidConfig, FileNotFoundError) as exc:
+    except (SpecError, InvalidConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MprlError as exc:

@@ -98,6 +98,13 @@ class ExperimentSpec:
             raise SpecError("generated-data counts must be >= 0")
         if not self.counts:
             raise SpecError("counts list must not be empty")
+        if any(s < 0 for s in self.seeds):
+            raise SpecError(f"seeds must be >= 0, got {self.seeds}")
+        # a repeated grid value would train one cell twice into one directory
+        for key in ("strategies", "counts", "seeds"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise SpecError(f"{key} must not repeat a value")
         if not self.noise >= 0:
             raise SpecError(f"noise must be >= 0, got {self.noise!r}")
         # what dataset generation would reject inside a cell, before any cell

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .labels import TiePolicy, mprl_alpha, mprl_rows, softmax
+from .labels import (
+    TiePolicy,
+    ground_truth_label,
+    lsro_label,
+    mprl_alpha,
+    mprl_rows,
+    softmax,
+)
 from .losses import (
     GradientMode,
     LossConfig,
@@ -59,17 +66,16 @@ def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) ->
     return grad
 
 
-def _batch_values(weights, one_hot: bool = False, scale: float = 1.0):
+def _batch_values(weights, one_hot: bool = False):
     """The forward value of one weight row's loss, at every point of a batch.
 
     These are the kernel rows the per-vector losses evaluate:
     ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the uniform row and
-    ``mprl_generated_loss`` the normalized rank row scaled by gen_weight.
+    ``mprl_generated_loss`` (at gen_weight 1) the normalized rank row.
     """
     def values(points):
-        out, _ = weighted_ce(points, np.broadcast_to(weights, points.shape),
-                             one_hot=np.full(points.shape[0], one_hot))
-        return scale * out
+        return weighted_ce(points, np.broadcast_to(weights, points.shape),
+                           one_hot=np.full(points.shape[0], one_hot))[0]
     return values
 
 
@@ -126,38 +132,43 @@ def run_gradcheck(
     """Run the finite-difference suite over every loss and class count."""
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise InvalidConfig(f"tolerance must be finite and > 0, got {tolerance!r}")
+    # Freeing one block too large for the malloc heap makes glibc raise its
+    # heap-trim threshold.  Without it, whether the (2 * FD_BLOCK, K)
+    # temporaries of every kernel call go back to the system and fault in
+    # again depends on the heap layout, which doubled the K=751 run time in
+    # about half of the checkout paths tried.
+    np.empty(1 << 17)
     report = GradCheckReport(tolerance=tolerance, step=step)
     rng = np.random.default_rng(seed)
     for k in k_values:
-        worst = {"real_ce": 0.0, "lsro": 0.0, "mprl_analytic": 0.0}
+        worst: dict[str, float] = {}
         diag_div = 0.0
         cfg = LossConfig(n_classes=k, gen_weight=1.0, gradient_mode=GradientMode.ANALYTIC)
         diag_cfg = LossConfig(n_classes=k, gen_weight=1.0, gradient_mode=GradientMode.DIAGONAL)
         for _ in range(trials):
             x = rng.normal(0.0, LOGIT_SIGMA, size=k)
             c = int(rng.integers(k))
-            alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-
-            out = real_ce_loss(x, c)
-            hot = np.zeros(k)
-            hot[c] = 1.0
-            fd = finite_difference_gradient(_batch_values(hot, one_hot=True), x, step)
-            worst["real_ce"] = max(worst["real_ce"], relative_gradient_error(out.grad_logits, fd))
-
-            out = lsro_loss(x)
-            fd = finite_difference_gradient(_batch_values(np.full(k, 1.0 / k)), x, step)
-            worst["lsro"] = max(worst["lsro"], relative_gradient_error(out.grad_logits, fd))
-
-            out = mprl_generated_loss(x, alpha, cfg)
-            fd = finite_difference_gradient(
-                _batch_values(mprl_rows(alpha.ranks), scale=cfg.gen_weight), x, step)
-            worst["mprl_analytic"] = max(
-                worst["mprl_analytic"], relative_gradient_error(out.grad_logits, fd)
+            ranks = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+            mprl_out = mprl_generated_loss(x, ranks, cfg)
+            # (name, analytic output, the weight row it differentiates, one-hot?)
+            cases = (
+                ("real_ce", real_ce_loss(x, c), ground_truth_label(c + 1, k), True),
+                ("lsro", lsro_loss(x), lsro_label(k), False),
+                ("mprl_analytic", mprl_out, mprl_rows(ranks), False),
             )
+            for name, out, row, one_hot in cases:
+                fd = finite_difference_gradient(_batch_values(row, one_hot), x, step)
+                worst[name] = max(worst.get(name, 0.0),
+                                  relative_gradient_error(out.grad_logits, fd))
 
             if include_diagonal_info:
-                diag = mprl_generated_loss(x, alpha, diag_cfg)
-                diag_div = max(diag_div, float(np.max(np.abs(diag.grad_logits - out.grad_logits))))
+                diag = mprl_generated_loss(x, ranks, diag_cfg)
+                diag_div = max(diag_div,
+                               float(np.max(np.abs(diag.grad_logits - mprl_out.grad_logits))))
 
         for name, err in worst.items():
             report.cases.append(GradCheckCase(name, k, trials, err, err < tolerance))

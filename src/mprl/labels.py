@@ -1,23 +1,25 @@
 """Virtual-label construction for unlabeled generated samples.
 
-A softmax classifier over K pre-defined training classes induces several
+Every label is a plain float64 weight row over the classifier head,
+and a mini-batch's labels are the rows of one (B, width) matrix.  A
+softmax classifier over K pre-defined training classes induces several
 ways to label a sample that has no ground-truth class:
 
-* ``all_in_one_label``: a single extra class K+1 shared by every
-  generated sample (the classifier head widens to K+1).
+* ``all_in_one_label``: one-hot at a single extra class K+1 shared by
+  every generated sample (the row, and the classifier head, has K+1
+  entries).
 * ``one_hot_pseudo_label``: one-hot at the argmax predicted class,
   recomputed each time the sample is visited.
-* ``lsro_label``: the uniform distribution 1/K over all pre-defined
-  classes, identical for every generated sample.
-* ``mprl_label``: a multi-pseudo label whose per-class weight is the rank
-  of that class's predicted probability divided by K.  Every class keeps
-  a nonzero weight, and with distinct probabilities the gap between
-  consecutive sorted weights is exactly 1/K.
+* ``lsro_label``: the uniform row 1/K over all pre-defined classes,
+  identical for every generated sample.
+* ``mprl_label``: a multi-pseudo row whose per-class weight is the rank
+  (``mprl_alpha``) of that class's predicted probability divided by K.
+  Every class keeps a nonzero weight, and with distinct probabilities
+  the gap between consecutive sorted weights is exactly 1/K.
 
-Training works on whole mini-batches: every label is a row of a
-(B, width) weight matrix, and the rank-weighted rows of a batch come
-from its logits in one row-wise sort (:func:`row_ranks`, then
-:func:`mprl_rows`).  Softmax preserves order, so ranking logits gives
+The rank-weighted rows of a batch come from its logits in one row-wise
+sort (:func:`row_ranks`, then :func:`mprl_rows`, which also applies the
+2/(1+K) normaliser).  Softmax preserves order, so ranking logits gives
 the same ranks as ranking probabilities, except that logits keep apart
 values which softmax rounds to one probability (``[0, 1e-17, 5]`` ranks
 ``[1, 2, 3]`` as logits and ``[1.5, 1.5, 3]`` as probabilities), and
@@ -26,12 +28,11 @@ logits never underflow to a zero probability.  The per-vector builders
 contract; the trainer ranks and argmaxes logits instead.
 
 Class identities are 1-based throughout this package: class ``c`` lives
-at vector position ``c - 1``.  Weight vectors are plain float arrays.
+at row position ``c - 1``, so a one-hot row's class is ``argmax + 1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,57 +53,6 @@ class TiePolicy(str, Enum):
 
     COMPETITION_ORDER = "competition_order"
     AVERAGE_RANK = "average_rank"
-
-
-class LabelScheme(str, Enum):
-    GROUND_TRUTH = "ground_truth"
-    ALL_IN_ONE = "all_in_one"
-    ONE_HOT_PSEUDO = "one_hot_pseudo"
-    LSRO = "lsro"
-    MPRL = "mprl"
-
-
-@dataclass(frozen=True)
-class RankWeights:
-    """Per-class rank weights for one generated sample.
-
-    ``ranks[k]`` is the 1-based position of class k+1's predicted
-    probability in the ascending sort of all K probabilities: the least
-    likely class gets 1, the most likely gets K.  Under either tie policy
-    the ranks sum to K(K+1)/2 exactly.
-    """
-
-    ranks: np.ndarray
-    tie_policy: TiePolicy
-
-    def __post_init__(self):
-        ranks = np.asarray(self.ranks, dtype=np.float64)
-        if ranks.ndim != 1 or ranks.size == 0:
-            raise InvalidDimension("ranks must be a non-empty 1-d vector")
-        object.__setattr__(self, "ranks", ranks)
-
-    @property
-    def n_classes(self) -> int:
-        return self.ranks.size
-
-
-@dataclass(frozen=True)
-class VirtualLabel:
-    """A training target: a weight per class plus the scheme that built it.
-
-    ``weights`` has length K, or K+1 for ALL_IN_ONE.  ``source_class`` is
-    the 1-based class singled out by one-hot schemes (None otherwise).
-    """
-
-    scheme: LabelScheme
-    weights: np.ndarray
-    source_class: int | None = None
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise InvalidDimension("label weights must be a non-empty 1-d vector")
-        object.__setattr__(self, "weights", weights)
 
 
 def check_logits(logits) -> np.ndarray:
@@ -147,24 +97,27 @@ def rank_weight_normalizer(n_classes: int) -> float:
     return 2.0 / (1.0 + n_classes)
 
 
-def lsro_label(n_classes: int) -> VirtualLabel:
+def _one_hot(width: int, position: int) -> np.ndarray:
+    row = np.zeros(width)
+    row[position] = 1.0
+    return row
+
+
+def lsro_label(n_classes: int) -> np.ndarray:
     """Uniform virtual label 1/K over all pre-defined classes."""
     if n_classes < 1:
         raise InvalidDimension("class count must be >= 1")
-    weights = np.full(n_classes, 1.0 / n_classes)
-    return VirtualLabel(LabelScheme.LSRO, weights)
+    return np.full(n_classes, 1.0 / n_classes)
 
 
-def all_in_one_label(n_classes: int) -> VirtualLabel:
-    """One-hot virtual label at the extra class K+1 (vector length K+1)."""
+def all_in_one_label(n_classes: int) -> np.ndarray:
+    """One-hot virtual label at the extra class K+1 (row length K+1)."""
     if n_classes < 1:
         raise InvalidDimension("class count must be >= 1")
-    weights = np.zeros(n_classes + 1)
-    weights[n_classes] = 1.0
-    return VirtualLabel(LabelScheme.ALL_IN_ONE, weights, source_class=n_classes + 1)
+    return _one_hot(n_classes + 1, n_classes)
 
 
-def ground_truth_label(class_id: int, width: int) -> VirtualLabel:
+def ground_truth_label(class_id: int, width: int) -> np.ndarray:
     """One-hot label for a real sample of class ``class_id`` (1-based).
 
     ``width`` is the classifier head width: K, or K+1 when an extra
@@ -174,18 +127,13 @@ def ground_truth_label(class_id: int, width: int) -> VirtualLabel:
         raise InvalidDimension("label width must be >= 1")
     if not 1 <= class_id <= width:
         raise InvalidDimension(f"class {class_id} outside 1..{width}")
-    weights = np.zeros(width)
-    weights[class_id - 1] = 1.0
-    return VirtualLabel(LabelScheme.GROUND_TRUTH, weights, source_class=class_id)
+    return _one_hot(width, class_id - 1)
 
 
-def one_hot_pseudo_label(probs) -> VirtualLabel:
+def one_hot_pseudo_label(probs) -> np.ndarray:
     """One-hot virtual label at the argmax class; ties go to the lowest index."""
     p = check_prob_vector(probs)
-    idx = int(np.argmax(p))
-    weights = np.zeros(p.size)
-    weights[idx] = 1.0
-    return VirtualLabel(LabelScheme.ONE_HOT_PSEUDO, weights, source_class=idx + 1)
+    return _one_hot(p.size, int(np.argmax(p)))
 
 
 def row_ranks(scores, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndarray:
@@ -216,28 +164,29 @@ def row_ranks(scores, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndar
     return ranks
 
 
-def mprl_alpha(probs, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> RankWeights:
+def mprl_alpha(probs, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndarray:
     """Rank each class's predicted probability, ascending.
 
     The smallest probability ranks 1 and the largest ranks K.  Ties (exact
     float equality) are resolved by ``tie_policy``; see :class:`TiePolicy`.
+    Under either policy the ranks sum to K(K+1)/2 exactly.
     """
     p = check_prob_vector(probs)
-    return RankWeights(row_ranks(p[None, :], tie_policy)[0], tie_policy)
+    return row_ranks(p[None, :], tie_policy)[0]
 
 
-def mprl_label(alpha: RankWeights, n_classes: int) -> VirtualLabel:
+def mprl_label(ranks, n_classes: int) -> np.ndarray:
     """Multi-pseudo label with per-class weight rank/K.
 
     The weights are deliberately unnormalized (their mass is (K+1)/2);
-    the loss applies the 2/(1+K) normalizer, see
-    :func:`mprl.losses.mprl_generated_loss`.
+    :func:`mprl_rows` gives the normalized row the losses take.
     """
-    if alpha.n_classes != n_classes:
+    r = np.asarray(ranks, dtype=np.float64)
+    if r.shape != (n_classes,):
         raise InvalidDimension(
-            f"rank vector has {alpha.n_classes} entries, expected {n_classes}"
+            f"rank vector has shape {r.shape}, expected ({n_classes},)"
         )
-    return VirtualLabel(LabelScheme.MPRL, alpha.ranks / n_classes)
+    return r / n_classes
 
 
 def mprl_rows(ranks) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Forward losses and backward gradients for real and generated samples.
 
-Every label in play is a weight vector over the classifier head, so one
-operation covers them all: the cross-entropy of a logit row against a
-weight row, -sum_k w_k log softmax(x)_k.  :func:`weighted_ce` evaluates it
-for a whole (B, width) batch at once; :func:`combined_loss` reduces a
-mini-batch with it, and the per-vector losses (``real_ce_loss``,
-``lsro_loss``, ``mprl_generated_loss``) are one-row calls into it.  Real
-samples carry one-hot weights; generated samples carry their virtual
-label, whose weights for multi-pseudo (rank-weighted) labels are
-normalized by 2/(1+K); the generated-sample loss is scaled by a
-trade-off factor against the real-sample loss.
+Every label in play is a plain weight row over the classifier head (see
+:mod:`mprl.labels`), so one operation covers them all: the cross-entropy
+of a logit row against a weight row, -sum_k w_k log softmax(x)_k.
+:func:`weighted_ce` evaluates it for a whole (B, width) batch at once;
+:func:`combined_loss` reduces a mini-batch with it, and the per-vector
+losses (``real_ce_loss``, ``lsro_loss``, ``mprl_generated_loss``) are
+one-row calls into it.  Real samples carry one-hot weights; generated
+samples carry their virtual label, whose weights for multi-pseudo
+(rank-weighted) labels are normalized by 2/(1+K); the generated-sample
+loss is scaled by a trade-off factor against the real-sample loss.
 
 Two gradient modes exist for the rank-weighted generated loss:
 
@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidClass, InvalidConfig, InvalidDimension
-from .labels import RankWeights, check_logits, mprl_rows, rank_weight_normalizer
+from .labels import check_logits, mprl_rows
 
 
 class GradientMode(str, Enum):
@@ -44,8 +44,7 @@ class LossConfig:
     """Loss hyperparameters.
 
     ``gen_weight`` trades off generated-sample loss against real-sample
-    loss (1.0 unless a training schedule says otherwise).  ``rank_norm``
-    is always recomputed from the class count, never stored.
+    loss (1.0 unless a training schedule says otherwise).
     """
 
     n_classes: int
@@ -58,22 +57,11 @@ class LossConfig:
         if not (np.isfinite(self.gen_weight) and self.gen_weight >= 0.0):
             raise InvalidConfig("gen_weight must be finite and >= 0")
 
-    @property
-    def rank_norm(self) -> float:
-        """Normalizer 2/(1+K): scales the rank-weight mass (K+1)/2 to 1."""
-        return rank_weight_normalizer(self.n_classes)
-
 
 @dataclass(frozen=True)
 class LossOutput:
     value: float
     grad_logits: np.ndarray
-
-
-def log_sum_exp(logits: np.ndarray) -> float:
-    """Stable log(sum(exp(x))) via max shift."""
-    m = float(np.max(logits))
-    return m + float(np.log(np.sum(np.exp(logits - m))))
 
 
 def weighted_ce(logits, weights, one_hot=None, diagonal=None) -> tuple[np.ndarray, np.ndarray]:
@@ -140,20 +128,22 @@ def lsro_loss(logits) -> LossOutput:
     return _one_row(x, np.full(x.size, 1.0 / x.size))
 
 
-def mprl_generated_loss(logits, alpha: RankWeights, cfg: LossConfig) -> LossOutput:
+def mprl_generated_loss(logits, ranks, cfg: LossConfig) -> LossOutput:
     """Rank-weighted cross-entropy for a generated sample.
 
-    Value: -gen_weight * rank_norm * sum_k (rank_k / K) * log p_k.  The
+    ``ranks`` is the 1..K rank vector of :func:`mprl.labels.mprl_alpha`.
+    Value: -gen_weight * 2/(1+K) * sum_k (rank_k / K) * log p_k.  The
     gradient follows ``cfg.gradient_mode``; rank weights are constants
     during differentiation.
     """
     x = check_logits(logits)
-    if alpha.n_classes != x.size or x.size != cfg.n_classes:
+    r = np.asarray(ranks, dtype=np.float64)
+    if r.shape != x.shape or x.size != cfg.n_classes:
         raise InvalidDimension(
-            f"logits ({x.size}), ranks ({alpha.n_classes}) and config "
+            f"logits {x.shape}, ranks {r.shape} and config "
             f"({cfg.n_classes}) disagree on the class count"
         )
-    w = mprl_rows(alpha.ranks)
+    w = mprl_rows(r)
     out = _one_row(x, w, diagonal=cfg.gradient_mode is GradientMode.DIAGONAL)
     return LossOutput(cfg.gen_weight * out.value, cfg.gen_weight * out.grad_logits)
 

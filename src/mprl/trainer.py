@@ -118,6 +118,10 @@ class TrainConfig:
             raise InvalidConfig("dropout_rate must be in [0, 1)")
         if self.track_trajectories < 0:
             raise InvalidConfig("track_trajectories must be >= 0")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise InvalidConfig(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
+        if not self.init_scale >= 0:
+            raise InvalidConfig(f"init_scale must be >= 0, got {self.init_scale!r}")
         if self.strategy is Strategy.DMPRL2 and not self.warmup_epoch < self.epochs:
             raise InvalidConfig(
                 f"warmup_epoch ({self.warmup_epoch}) must be < epochs ({self.epochs}) "
@@ -198,10 +202,10 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
     per generated row.
     """
     if cfg.strategy is Strategy.ALL_IN_ONE:
-        row = all_in_one_label(n_classes).weights
+        row = all_in_one_label(n_classes)
         return lambda logits, positions: np.broadcast_to(row, logits.shape)
     if cfg.strategy is Strategy.LSRO:
-        row = lsro_label(n_classes).weights
+        row = lsro_label(n_classes)
         return lambda logits, positions: np.broadcast_to(row, logits.shape)
     if cfg.strategy is Strategy.ONE_HOT_PSEUDO:
         eye = np.eye(n_classes)

@@ -58,7 +58,7 @@ def test_criterion_2_normalization_identity():
             sigma = rank_weight_normalizer(k)
             for policy in TiePolicy:
                 alpha = mprl_alpha(p, policy)
-                assert abs(sigma * float(np.sum(alpha.ranks / k)) - 1.0) < 1e-12
+                assert abs(sigma * float(np.sum(alpha / k)) - 1.0) < 1e-12
 
 
 def test_criterion_3_lsro_degeneracy():
@@ -77,7 +77,7 @@ def test_criterion_4_gradient_mode_discrepancy():
     with criterion(4, "analytic gradient [0,0] vs diagonal gradient [-2/9,-2/9]"):
         x = np.array([0.0, math.log(2.0)])
         alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-        np.testing.assert_array_equal(alpha.ranks, [1.0, 2.0])
+        np.testing.assert_array_equal(alpha, [1.0, 2.0])
         analytic = mprl_generated_loss(
             x, alpha, LossConfig(2, 1.0, GradientMode.ANALYTIC)).grad_logits
         diagonal = mprl_generated_loss(

@@ -391,17 +391,59 @@ class TestCli:
         "n_classes      = 1",
         "n_per_class    = 3",
         "dim            = 1",
+        # values the first cell would fail on
+        "seeds          = -1",
+        "hidden_sizes   = 8, 0",
+        "init_scale     = -1",
+        # repeated grid values would train one cell twice into one directory
+        "seeds          = 1, 1",
+        "counts         = 6, 6",
+        "strategies     = lsro, lsro",
     ])
     def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, line):
         key = line.split("=")[0]
-        text = "\n".join(line if row.startswith(key) else row
-                         for row in TINY_SPEC.splitlines())
+        rows = TINY_SPEC.splitlines()
+        if not any(row.startswith(key) for row in rows):
+            rows.append(key)
+        text = "\n".join(line if row.startswith(key) else row for row in rows)
         spec = tmp_path / "spec.txt"
         spec.write_text(text + "\n")
         assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key.strip() in err[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--seed", "-1"],
+        ["gradcheck", "--tolerance", "nan"],
+        ["gradcheck", "--tolerance", "-1"],
+        ["gen-data", "--spec", "SPEC", "--out", "OUT", "--seed", "-1"],
+    ])
+    def test_bad_numbers_exit_one_before_work(self, argv, spec_file, tmp_path, capsys):
+        argv = [str(spec_file) if a == "SPEC" else str(tmp_path / "out") if a == "OUT"
+                else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and argv[-2].strip("-") in err[0]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["spec_is_dir", "gallery_is_dir", "out_is_file"])
+    def test_os_errors_exit_one_without_traceback(self, case, spec_file, tmp_path, capsys):
+        embeddings = tmp_path / "q.txt"
+        embeddings.write_text("1 3\n7 1 0.0 0.0 0.0\n")
+        taken = tmp_path / "taken.txt"
+        taken.write_text("not a directory\n")
+        argv = {
+            "spec_is_dir": ["run", "--spec", str(tmp_path)],
+            "gallery_is_dir": ["eval", "--query", str(embeddings), "--gallery", str(tmp_path)],
+            "out_is_file": ["run", "--spec", str(spec_file), "--out", str(taken)],
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert taken.read_text() == "not a directory\n"
 
     def test_gen_data_rewrites_the_real_file(self, spec_file, tmp_path, capsys):
         # a second run into the same directory with a changed spec must not

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mprl.errors import InvalidDimension
 from mprl.labels import (
-    LabelScheme,
     TiePolicy,
     all_in_one_label,
     check_prob_vector,
@@ -63,17 +62,15 @@ class TestSoftmax:
 
 class TestLsroLabel:
     def test_k4(self):
-        label = lsro_label(4)
-        np.testing.assert_array_equal(label.weights, [0.25] * 4)
-        assert label.scheme is LabelScheme.LSRO
+        np.testing.assert_array_equal(lsro_label(4), [0.25] * 4)
 
     def test_degenerate_k1(self):
-        np.testing.assert_array_equal(lsro_label(1).weights, [1.0])
+        np.testing.assert_array_equal(lsro_label(1), [1.0])
 
     def test_market_scale_class_count(self):
         label = lsro_label(751)
-        assert label.weights.size == 751
-        np.testing.assert_allclose(label.weights, 1.0 / 751, rtol=0, atol=0)
+        assert label.shape == (751,) and label.dtype == np.float64
+        np.testing.assert_allclose(label, 1.0 / 751, rtol=0, atol=0)
 
     def test_k0_rejected(self):
         with pytest.raises(InvalidDimension):
@@ -82,18 +79,18 @@ class TestLsroLabel:
 
 class TestAllInOneLabel:
     def test_k3(self):
-        np.testing.assert_array_equal(all_in_one_label(3).weights, [0, 0, 0, 1])
+        np.testing.assert_array_equal(all_in_one_label(3), [0, 0, 0, 1])
 
     def test_degenerate_k1(self):
-        np.testing.assert_array_equal(all_in_one_label(1).weights, [0, 1])
+        np.testing.assert_array_equal(all_in_one_label(1), [0, 1])
 
     def test_construction_oracle_751(self):
         # independent construction: list with a single 1 appended after K zeros
         expected = np.array([0.0] * 751 + [1.0])
         label = all_in_one_label(751)
-        np.testing.assert_array_equal(label.weights, expected)
-        assert label.weights.size == 752
-        assert label.source_class == 752
+        np.testing.assert_array_equal(label, expected)
+        assert label.size == 752
+        assert np.argmax(label) + 1 == 752
 
     def test_k0_rejected(self):
         with pytest.raises(InvalidDimension):
@@ -105,46 +102,46 @@ class TestOneHotPseudoLabel:
         p = [0.2, 0.5, 0.3]
         expected_class = max(range(len(p)), key=lambda i: p[i]) + 1
         label = one_hot_pseudo_label(p)
-        assert label.source_class == expected_class == 2
-        np.testing.assert_array_equal(label.weights, [0, 1, 0])
+        assert np.argmax(label) + 1 == expected_class == 2
+        np.testing.assert_array_equal(label, [0, 1, 0])
 
     def test_tie_breaks_to_lowest_index(self):
-        assert one_hot_pseudo_label([0.5, 0.5]).source_class == 1
-        assert one_hot_pseudo_label([1 / 3, 1 / 3, 1 / 3]).source_class == 1
+        np.testing.assert_array_equal(one_hot_pseudo_label([0.5, 0.5]), [1, 0])
+        np.testing.assert_array_equal(one_hot_pseudo_label([1 / 3, 1 / 3, 1 / 3]), [1, 0, 0])
 
     def test_exactly_one_nonzero(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             label = one_hot_pseudo_label(softmax(rng.normal(0, 3, size=9)))
-            assert np.count_nonzero(label.weights) == 1
-            assert label.weights.sum() == 1.0
+            assert np.count_nonzero(label) == 1
+            assert label.sum() == 1.0
 
 
 class TestMprlAlpha:
     def test_argsort_oracle(self):
         p = np.array([0.2, 0.5, 0.3])
         alpha = mprl_alpha(p, TiePolicy.COMPETITION_ORDER)
-        np.testing.assert_array_equal(alpha.ranks, ascending_position_oracle(p))
-        np.testing.assert_array_equal(alpha.ranks, [1, 3, 2])
+        np.testing.assert_array_equal(alpha, ascending_position_oracle(p))
+        np.testing.assert_array_equal(alpha, [1, 3, 2])
 
     def test_tie_symmetry_average(self):
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
-        np.testing.assert_array_equal(alpha.ranks, [1.5, 1.5])
+        np.testing.assert_array_equal(alpha, [1.5, 1.5])
 
     def test_uniform_all_tied(self):
         alpha = mprl_alpha([0.2] * 5, TiePolicy.AVERAGE_RANK)
-        np.testing.assert_array_equal(alpha.ranks, [3.0] * 5)
+        np.testing.assert_array_equal(alpha, [3.0] * 5)
 
     def test_competition_order_keeps_input_order_on_ties(self):
         alpha = mprl_alpha([0.25, 0.25, 0.25, 0.25], TiePolicy.COMPETITION_ORDER)
-        np.testing.assert_array_equal(alpha.ranks, [1, 2, 3, 4])
+        np.testing.assert_array_equal(alpha, [1, 2, 3, 4])
 
     def test_random_vectors_match_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             p = softmax(rng.normal(0, 3, size=rng.integers(2, 30)))
             alpha = mprl_alpha(p, TiePolicy.COMPETITION_ORDER)
-            np.testing.assert_array_equal(alpha.ranks, ascending_position_oracle(p))
+            np.testing.assert_array_equal(alpha, ascending_position_oracle(p))
 
     @given(st.integers(min_value=1, max_value=60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -152,7 +149,7 @@ class TestMprlAlpha:
         rng = np.random.default_rng(seed)
         p = softmax(rng.normal(0, 3, size=k))
         for policy in TiePolicy:
-            total = mprl_alpha(p, policy).ranks.sum()
+            total = mprl_alpha(p, policy).sum()
             assert total == k * (k + 1) / 2
 
     @given(st.integers(min_value=2, max_value=30), st.integers(0, 2**32 - 1))
@@ -160,7 +157,7 @@ class TestMprlAlpha:
     def test_permutation_under_competition_order(self, k, seed):
         rng = np.random.default_rng(seed)
         p = softmax(rng.normal(0, 3, size=k))
-        ranks = mprl_alpha(p, TiePolicy.COMPETITION_ORDER).ranks
+        ranks = mprl_alpha(p, TiePolicy.COMPETITION_ORDER)
         assert sorted(ranks.tolist()) == list(range(1, k + 1))
 
 
@@ -169,7 +166,7 @@ class TestRowRanks:
         # softmax rounds 0 and 1e-17 to one probability; the logits differ
         np.testing.assert_array_equal(row_ranks(np.array([[0.0, 1e-17, 5.0]])), [[1, 2, 3]])
         np.testing.assert_array_equal(
-            mprl_alpha(softmax([0.0, 1e-17, 5.0])).ranks, [1.5, 1.5, 3.0])
+            mprl_alpha(softmax([0.0, 1e-17, 5.0])), [1.5, 1.5, 3.0])
 
     def test_extreme_logits_rank_where_softmax_underflows(self):
         # softmax([0, -800, -801]) has zero entries, which mprl_alpha rejects
@@ -194,7 +191,7 @@ class TestRowRanks:
         for row, got in zip(x, ranks):
             p = softmax(row)
             if np.unique(p).size == np.unique(row).size:
-                np.testing.assert_array_equal(got, mprl_alpha(p, policy).ranks)
+                np.testing.assert_array_equal(got, mprl_alpha(p, policy))
 
     @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.sampled_from(list(TiePolicy)))
@@ -209,24 +206,24 @@ class TestRowRanks:
 class TestMprlLabel:
     def test_direct_evaluation(self):
         alpha = mprl_alpha([0.2, 0.5, 0.3], TiePolicy.COMPETITION_ORDER)
-        label = mprl_label(alpha, 3)
-        np.testing.assert_allclose(label.weights, [1 / 3, 1.0, 2 / 3], atol=1e-15)
-        assert label.scheme is LabelScheme.MPRL
+        np.testing.assert_allclose(mprl_label(alpha, 3), [1 / 3, 1.0, 2 / 3], atol=1e-15)
 
     def test_tie_case(self):
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
-        np.testing.assert_array_equal(mprl_label(alpha, 2).weights, [0.75, 0.75])
+        np.testing.assert_array_equal(mprl_label(alpha, 2), [0.75, 0.75])
 
     def test_normalizer_closes_the_mass(self):
         alpha = mprl_alpha([1 / 3, 2 / 3], TiePolicy.AVERAGE_RANK)
         label = mprl_label(alpha, 2)
-        np.testing.assert_array_equal(label.weights, [0.5, 1.0])
-        assert abs(rank_weight_normalizer(2) * label.weights.sum() - 1.0) < 1e-15
+        np.testing.assert_array_equal(label, [0.5, 1.0])
+        assert abs(rank_weight_normalizer(2) * label.sum() - 1.0) < 1e-15
 
     def test_dimension_mismatch_rejected(self):
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
         with pytest.raises(InvalidDimension):
             mprl_label(alpha, 3)
+        with pytest.raises(InvalidDimension):
+            mprl_label(alpha[None, :], 2)
 
     def test_consecutive_sorted_gap_is_one_over_k(self):
         rng = np.random.default_rng(5)
@@ -234,7 +231,7 @@ class TestMprlLabel:
             k = int(rng.integers(2, 40))
             p = softmax(rng.normal(0, 3, size=k))
             label = mprl_label(mprl_alpha(p, TiePolicy.COMPETITION_ORDER), k)
-            gaps = np.diff(np.sort(label.weights))
+            gaps = np.diff(np.sort(label))
             np.testing.assert_allclose(gaps, 1.0 / k, atol=1e-15)
 
 
@@ -246,15 +243,15 @@ class TestCrossSchemeInvariants:
             p = softmax(rng.normal(0, 3, size=k))
             for policy in TiePolicy:
                 alpha = mprl_alpha(p, policy)
-                assert abs(sigma * np.sum(alpha.ranks / k) - 1.0) < 1e-12
+                assert abs(sigma * np.sum(alpha / k) - 1.0) < 1e-12
 
     def test_shift_invariance_of_ranks(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             x = rng.normal(0, 3, size=10)
             shift = rng.uniform(-100, 100)
-            a0 = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK).ranks
-            a1 = mprl_alpha(softmax(x + shift), TiePolicy.AVERAGE_RANK).ranks
+            a0 = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+            a1 = mprl_alpha(softmax(x + shift), TiePolicy.AVERAGE_RANK)
             np.testing.assert_array_equal(a0, a1)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2.0, 0.5, 7.5]))
@@ -264,40 +261,48 @@ class TestCrossSchemeInvariants:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-3.0, 3.0, size=8)
         monotone = [gain * x + 1.0, np.exp(x / 4.0), x ** 3 + 0.1 * x]
-        base = mprl_alpha(softmax(x), TiePolicy.COMPETITION_ORDER).ranks
+        base = mprl_alpha(softmax(x), TiePolicy.COMPETITION_ORDER)
         for fx in monotone:
             np.testing.assert_array_equal(
-                base, mprl_alpha(softmax(fx), TiePolicy.COMPETITION_ORDER).ranks
+                base, mprl_alpha(softmax(fx), TiePolicy.COMPETITION_ORDER)
             )
 
     def test_uniform_average_rank_degenerates_to_lsro(self):
         for k in [1, 2, 5, 10, 100]:
             p = softmax(np.zeros(k))
             label = mprl_label(mprl_alpha(p, TiePolicy.AVERAGE_RANK), k)
-            scaled = rank_weight_normalizer(k) * label.weights
-            np.testing.assert_allclose(scaled, lsro_label(k).weights, rtol=0, atol=1e-16)
+            scaled = rank_weight_normalizer(k) * label
+            np.testing.assert_allclose(scaled, lsro_label(k), rtol=0, atol=1e-16)
+
+    def test_every_label_is_a_plain_float_row(self):
+        p = softmax(np.array([0.3, -1.0, 2.0, 0.0]))
+        labels = [lsro_label(4), all_in_one_label(4), ground_truth_label(1, 4),
+                  one_hot_pseudo_label(p), mprl_alpha(p), mprl_label(mprl_alpha(p), 4)]
+        for label in labels:
+            assert type(label) is np.ndarray
+            assert label.dtype == np.float64 and label.ndim == 1
 
     def test_one_hot_vs_multiple_distribution(self):
         p = softmax(np.array([0.3, -1.0, 2.0, 0.0]))
         one_hots = [all_in_one_label(4), one_hot_pseudo_label(p)]
         multiples = [lsro_label(4), mprl_label(mprl_alpha(p), 4)]
         for label in one_hots:
-            assert np.count_nonzero(label.weights) == 1
+            assert np.count_nonzero(label) == 1
         for label in multiples:
-            assert np.all(label.weights > 0)
+            assert np.all(label > 0)
 
     def test_same_vs_different_assignment(self):
         p1 = softmax(np.array([2.0, 0.0, -1.0]))
         p2 = softmax(np.array([-1.0, 0.0, 2.0]))
         # input-independent schemes give identical labels
-        np.testing.assert_array_equal(lsro_label(3).weights, lsro_label(3).weights)
-        np.testing.assert_array_equal(all_in_one_label(3).weights, all_in_one_label(3).weights)
+        np.testing.assert_array_equal(lsro_label(3), lsro_label(3))
+        np.testing.assert_array_equal(all_in_one_label(3), all_in_one_label(3))
         # input-driven schemes differ when the probability ordering differs
         assert not np.array_equal(
-            one_hot_pseudo_label(p1).weights, one_hot_pseudo_label(p2).weights
+            one_hot_pseudo_label(p1), one_hot_pseudo_label(p2)
         )
         assert not np.array_equal(
-            mprl_label(mprl_alpha(p1), 3).weights, mprl_label(mprl_alpha(p2), 3).weights
+            mprl_label(mprl_alpha(p1), 3), mprl_label(mprl_alpha(p2), 3)
         )
 
 
@@ -318,7 +323,7 @@ class TestValidation:
 
     def test_ground_truth_label(self):
         label = ground_truth_label(2, 4)
-        np.testing.assert_array_equal(label.weights, [0, 1, 0, 0])
-        assert label.source_class == 2
+        np.testing.assert_array_equal(label, [0, 1, 0, 0])
+        assert np.argmax(label) + 1 == 2
         with pytest.raises(InvalidDimension):
             ground_truth_label(5, 4)

@@ -235,6 +235,7 @@ class TestEndToEndLossGradients:
             mprl_alpha,
             mprl_label,
             one_hot_pseudo_label,
+            rank_weight_normalizer,
             softmax,
         )
 
@@ -257,7 +258,7 @@ class TestEndToEndLossGradients:
         }
         label, is_gen = labels[scheme]
         # matrix form: rank-weighted rows carry the 2/(1+K) normalizer
-        row = cfg.rank_norm * label.weights if scheme == "mprl" else label.weights
+        row = rank_weight_normalizer(k) * label if scheme == "mprl" else label
         weights = np.tile(row, (x.shape[0], 1))
         generated = np.full(x.shape[0], is_gen)
 
