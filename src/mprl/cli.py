@@ -81,7 +81,20 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
             k_values.append(int(item))
         except ValueError:
             raise InvalidConfig(f"--k: {item.strip()!r} is not an integer") from None
+        if k_values[-1] < 1:
+            raise InvalidConfig(f"--k: class counts must be >= 1, got {k_values[-1]}")
     return tuple(k_values)
+
+
+def _worker_count(text: str) -> int:
+    """``--jobs``: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def cmd_gradcheck(args) -> int:
@@ -165,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment grid from a spec file")
     p_run.add_argument("--spec", required=True, help="spec file path")
     p_run.add_argument("--out", default=None, help="output directory (overrides spec)")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=_worker_count, default=1,
+                       help="parallel worker processes (>= 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -1,8 +1,8 @@
 """Experiment specs and the grid runner behind the CLI.
 
-A spec is a flat ``key = value`` text file (``#`` starts a comment;
-lists are comma-separated), describing the synthetic dataset, the
-training template and the grid to sweep:
+A spec is a flat ``key = value`` text file (``#`` starts a comment),
+describing the synthetic dataset, the training template and the grid to
+sweep:
 
     n_classes      = 8
     dim            = 16
@@ -16,8 +16,14 @@ training template and the grid to sweep:
     epochs         = 50
     out_dir        = results
 
-``ExperimentSpec.validate`` rejects, before any cell trains, every
-dataset parameter the generator would refuse inside a cell.
+Every ``ExperimentSpec`` field is a key, and its annotation is the key's
+type: ``tuple[T, ...]`` is a comma-separated list of T, ``float | None``
+also takes ``none`` or ``auto``, and any other T parses as ``T(value)``;
+floats must be finite.  Each ``TrainConfig`` field but the per-cell
+``strategy``, ``seed`` and ``track_trajectories`` comes from the spec
+field of the same name.  ``ExperimentSpec.validate`` rejects, before any
+cell trains, every dataset parameter the generator would refuse inside a
+cell.
 
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
@@ -34,12 +40,16 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import MprlError, SpecError
+# the enum annotations below resolve through these names (get_type_hints)
 from .labels import TiePolicy
 from .losses import GradientMode
 from .net import Activation
@@ -86,7 +96,6 @@ class ExperimentSpec:
     hidden_sizes: tuple[int, ...] = (32, 16)
     init_scale: float = 1.0
     activation: Activation = Activation.RELU
-    track_trajectories: int = 0
     out_dir: str = "results"
 
     def validate(self) -> None:
@@ -123,73 +132,36 @@ class ExperimentSpec:
             raise SpecError(f"mix_size must be in 2..{self.n_classes}, got {self.mix_size}")
 
     def train_config(self, strategy: Strategy, seed: int) -> TrainConfig:
-        return TrainConfig(
-            strategy=strategy,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr_initial=self.lr_initial,
-            lr_after_decay=self.lr_after_decay,
-            decay_epoch=self.decay_epoch,
-            momentum=self.momentum,
-            gen_weight=self.gen_weight,
-            warmup_epoch=self.warmup_epoch,
-            tie_policy=self.tie_policy,
-            gradient_mode=self.gradient_mode,
-            dropout_rate=self.dropout_rate,
-            hidden_sizes=self.hidden_sizes,
-            init_scale=self.init_scale,
-            activation=self.activation,
-            seed=seed,
-            track_trajectories=self.track_trajectories,
-        )
+        """The cell's config: every other TrainConfig field is the spec's."""
+        return TrainConfig(strategy=strategy, seed=seed, **{
+            f.name: getattr(self, f.name) for f in fields(TrainConfig)
+            if f.name not in ("strategy", "seed", "track_trajectories")})
 
 
-def _parse_scalar(key: str, raw: str, target_type, line_no: int):
+def _parse_value(key: str, raw: str, annotation, line_no: int):
+    """``raw`` as a value of the spec field type ``annotation``."""
+    if get_origin(annotation) is tuple:
+        parts = [p for p in (piece.strip() for piece in raw.split(",")) if p]
+        if not parts:
+            raise SpecError(f"line {line_no}: list {key!r} must not be empty")
+        return tuple(_parse_value(key, p, get_args(annotation)[0], line_no) for p in parts)
     raw = raw.strip()
+    if get_origin(annotation) is UnionType:  # T | None
+        if raw.lower() in ("none", "auto"):
+            return None
+        annotation = get_args(annotation)[0]
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise SpecError(f"line {line_no}: {key} must be finite, got {raw!r}")
-            return value
-        if target_type is str:
-            return raw
-        if target_type is Strategy:
-            return Strategy(raw)
-        if target_type is TiePolicy:
-            return TiePolicy(raw)
-        if target_type is GradientMode:
-            return GradientMode(raw)
-        if target_type is Activation:
-            return Activation(raw)
+        value = annotation(raw)
     except ValueError as exc:
         raise SpecError(f"line {line_no}: bad value {raw!r} for {key}: {exc}") from None
-    raise SpecError(f"line {line_no}: unsupported type for {key}")
-
-
-_LIST_KEYS = {
-    "strategies": Strategy,
-    "counts": int,
-    "seeds": int,
-    "hidden_sizes": int,
-}
-_OPTIONAL_FLOAT_KEYS = {"gen_weight"}
+    if annotation is float and not math.isfinite(value):
+        raise SpecError(f"line {line_no}: {key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_spec_text(text: str) -> ExperimentSpec:
     """Parse spec text; errors carry the offending line number."""
-    known = {f.name: f for f in fields(ExperimentSpec)}
-    scalar_types = {
-        "n_classes": int, "dim": int, "n_per_class": int, "cluster_spread": float,
-        "mix_size": int, "noise": float, "epochs": int, "batch_size": int,
-        "lr_initial": float, "lr_after_decay": float, "decay_epoch": int,
-        "momentum": float, "warmup_epoch": int, "dropout_rate": float,
-        "init_scale": float, "track_trajectories": int, "out_dir": str,
-        "tie_policy": TiePolicy, "gradient_mode": GradientMode,
-        "activation": Activation,
-    }
+    types = get_type_hints(ExperimentSpec)
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -199,22 +171,11 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             raise SpecError(f"line {line_no}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in types:
             raise SpecError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise SpecError(f"line {line_no}: duplicate key {key!r}")
-        if key in _LIST_KEYS:
-            elem_type = _LIST_KEYS[key]
-            parts = [p for p in (piece.strip() for piece in raw.split(",")) if p]
-            if not parts:
-                raise SpecError(f"line {line_no}: list {key!r} must not be empty")
-            values[key] = tuple(_parse_scalar(key, p, elem_type, line_no) for p in parts)
-        elif key in _OPTIONAL_FLOAT_KEYS:
-            raw = raw.strip()
-            values[key] = None if raw.lower() in ("none", "auto") else _parse_scalar(
-                key, raw, float, line_no)
-        else:
-            values[key] = _parse_scalar(key, raw, scalar_types[key], line_no)
+        values[key] = _parse_value(key, raw, types[key], line_no)
     spec = ExperimentSpec(**values)
     spec.validate()
     return spec
@@ -271,12 +232,15 @@ class CellResult:
     wall_seconds: float
 
 
-def _train_cell(spec: ExperimentSpec, cell: Cell):
+def _train_cell(spec: ExperimentSpec, cell: Cell, track_trajectories: int = 0):
     """Build a cell's datasets and train it (smprl with generated data
     first pretrains the baseline that fixes its static labels); returns
-    the real dataset, the trained parameters and the history."""
+    the real dataset, the trained parameters and the history, which
+    holds the argmax trajectories of the first ``track_trajectories``
+    generated samples."""
     real, generated = build_datasets(spec, cell.seed, cell.n_generated)
-    cfg = spec.train_config(cell.strategy, cell.seed)
+    cfg = replace(spec.train_config(cell.strategy, cell.seed),
+                  track_trajectories=track_trajectories)
     static = None
     if cell.strategy is Strategy.SMPRL and generated is not None:
         static = assign_static_labels(pretrain_baseline(real, cfg), generated, cfg.tie_policy)
@@ -305,8 +269,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResu
 
 
 def _run_cell_job(args):
-    spec, cell, out_dir = args
-    return run_cell(spec, cell, Path(out_dir) if out_dir else None)
+    return run_cell(*args)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
@@ -328,16 +291,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
 
     results: list[CellResult] = []
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for result in pool.map(
-                        _run_cell_job, [(spec, c, str(out_path)) for c in cells]):
-                    results.append(result)
-                    if progress:
-                        progress(result)
-        else:
-            for cell in cells:
-                result = run_cell(spec, cell, out_path)
+        # --jobs 1 stays in this process, so patched module globals apply
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            for result in (map if pool is None else pool.map)(
+                    _run_cell_job, [(spec, c, out_path) for c in cells]):
                 results.append(result)
                 if progress:
                     progress(result)
@@ -350,17 +307,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
             "completed": [r.cell.name for r in results],
         }
         (out_path / "failure_manifest.json").write_text(
-            _manifest_json(manifest) + "\n")
+            json.dumps(manifest, indent=2) + "\n")
         if results:
             write_summary(results, out_path / "summary.csv")
         raise RunFailure(failed or cells[0], exc) from exc
 
     write_summary(results, out_path / "summary.csv")
     return results
-
-
-def _manifest_json(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2)
 
 
 def write_summary(results: list[CellResult], path) -> None:
@@ -403,7 +356,7 @@ def run_trace(spec: ExperimentSpec, n_samples: int, out_dir) -> tuple[Path, int]
     # forward-only so even the baseline can trace generated samples
     cell = Cell(spec.strategies[0], spec.counts[0], spec.seeds[0])
     tracked = min(n_samples, cell.n_generated)  # a generated set holds `count` samples
-    _, _, history = _train_cell(replace(spec, track_trajectories=tracked), cell)
+    _, _, history = _train_cell(spec, cell, tracked)
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

@@ -127,7 +127,6 @@ def run_gradcheck(
     tolerance: float = DEFAULT_TOLERANCE,
     step: float = DEFAULT_STEP,
     seed: int = 0,
-    include_diagonal_info: bool = True,
 ) -> GradCheckReport:
     """Run the finite-difference suite over every loss and class count."""
     if trials < 1:
@@ -165,13 +164,11 @@ def run_gradcheck(
                 worst[name] = max(worst.get(name, 0.0),
                                   relative_gradient_error(out.grad_logits, fd))
 
-            if include_diagonal_info:
-                diag = mprl_generated_loss(x, ranks, diag_cfg)
-                diag_div = max(diag_div,
-                               float(np.max(np.abs(diag.grad_logits - mprl_out.grad_logits))))
+            diag = mprl_generated_loss(x, ranks, diag_cfg)
+            diag_div = max(diag_div,
+                           float(np.max(np.abs(diag.grad_logits - mprl_out.grad_logits))))
 
         for name, err in worst.items():
             report.cases.append(GradCheckCase(name, k, trials, err, err < tolerance))
-        if include_diagonal_info:
-            report.diagonal_divergence[k] = diag_div
+        report.diagonal_divergence[k] = diag_div
     return report

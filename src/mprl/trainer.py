@@ -110,8 +110,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfig("epochs and batch_size must be >= 1")
-        if self.lr_initial <= 0 or self.lr_after_decay <= 0:
-            raise InvalidConfig("learning rates must be positive")
+        if not (0 < self.lr_initial < math.inf and 0 < self.lr_after_decay < math.inf):
+            raise InvalidConfig("learning rates must be positive and finite, got "
+                                f"{self.lr_initial!r} and {self.lr_after_decay!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfig("momentum must be in [0, 1)")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from mprl.experiment import (
     run_experiment,
     run_trace,
 )
-from mprl.trainer import Strategy
+from mprl.trainer import Strategy, TrainConfig
 
 TINY_SPEC = """\
 # desk-size grid for tests
@@ -70,8 +71,10 @@ class TestSpecParsing:
         assert tiny_spec.hidden_sizes == (8, 6)
 
     def test_unknown_key_carries_line_number(self):
-        with pytest.raises(SpecError, match="line 2"):
-            parse_spec_text("n_classes = 3\nbogus_key = 1\n")
+        # track_trajectories is set per cell by `mprl trace`, not by the spec
+        for line in ("bogus_key = 1", "track_trajectories = 3"):
+            with pytest.raises(SpecError, match="line 2: unknown key"):
+                parse_spec_text(f"n_classes = 3\n{line}\n")
 
     def test_bad_value_carries_line_number(self):
         with pytest.raises(SpecError, match="line 1"):
@@ -110,6 +113,28 @@ class TestSpecParsing:
     def test_empty_lists_rejected(self):
         with pytest.raises(SpecError):
             parse_spec_text("seeds = \n")
+
+
+# set per cell, not by the spec
+CELL_FIELDS = {"strategy", "seed", "track_trajectories"}
+
+
+class TestSpecConfigContract:
+    def test_every_config_field_is_a_spec_key_of_the_same_type_and_default(self):
+        spec_fields = {f.name: f for f in fields(ExperimentSpec)}
+        spec_types = get_type_hints(ExperimentSpec)
+        config_types = get_type_hints(TrainConfig)
+        for field in fields(TrainConfig):
+            if field.name in CELL_FIELDS:
+                continue
+            assert field.name in spec_fields, field.name
+            assert spec_types[field.name] == config_types[field.name], field.name
+            assert spec_fields[field.name].default == field.default, field.name
+        assert not CELL_FIELDS & set(spec_fields)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_default_spec_gives_the_default_config(self, strategy):
+        assert ExperimentSpec().train_config(strategy, 1) == TrainConfig(strategy, seed=1)
 
 
 SPEC_KEYS = [f.name for f in fields(ExperimentSpec)]
@@ -217,23 +242,27 @@ class TestRunExperiment:
         rows = (out / "summary.csv").read_text().splitlines()
         assert len(rows) == 2  # header + one data row, no mean row for one seed
 
-    def test_mid_run_failure_leaves_manifest(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mid_run_failure_leaves_manifest(self, tmp_path, monkeypatch, jobs):
         spec = parse_spec_text(
             "n_classes = 3\ndim = 4\nn_per_class = 6\n"
-            "strategies = lsro\ncounts = 6\nseeds = 1\nepochs = 2\n"
+            "strategies = baseline, lsro\ncounts = 6\nseeds = 1\nepochs = 2\n"
             "warmup_epoch = 1\nhidden_sizes = 6\n"
         )
 
         def fail(*args, **kwargs):
             raise GenerationFailure("no mixture found")
 
-        # a legal spec whose data generation fails inside the cell
+        # a legal spec whose data generation fails inside the lsro cell;
+        # forked workers inherit the patch
         monkeypatch.setattr(experiment, "make_generated_dataset", fail)
         out = tmp_path / "out"
         with pytest.raises(RunFailure):
-            run_experiment(spec, out_dir=out)
+            run_experiment(spec, out_dir=out, jobs=jobs)
         assert (out / "failure_manifest.json").exists()
         assert "lsro_n6_seed1" in (out / "failure_manifest.json").read_text()
+        # the baseline cell completed before it
+        assert (out / "summary.csv").exists()
 
 
 class TestRunTrace:
@@ -418,6 +447,7 @@ class TestCli:
         ["gradcheck", "--tolerance", "nan"],
         ["gradcheck", "--tolerance", "-1"],
         ["gen-data", "--spec", "SPEC", "--out", "OUT", "--seed", "-1"],
+        ["gradcheck", "--k", "751,0"],
     ])
     def test_bad_numbers_exit_one_before_work(self, argv, spec_file, tmp_path, capsys):
         argv = [str(spec_file) if a == "SPEC" else str(tmp_path / "out") if a == "OUT"
@@ -468,6 +498,8 @@ class TestCli:
         ["gradcheck", "--trials", "abc"],
         ["frobnicate"],  # unknown subcommand
         [],  # no subcommand
+        ["run", "--spec", "spec.txt", "--jobs", "0"],
+        ["run", "--spec", "spec.txt", "--jobs", "-3"],
     ])
     def test_argument_errors_exit_one(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -118,6 +118,15 @@ class TestStrategyContracts:
         with pytest.raises(InvalidConfig):
             train(real, generated, cfg)
 
+    @pytest.mark.parametrize("rates", [
+        {"lr_initial": math.nan}, {"lr_initial": math.inf},
+        {"lr_after_decay": math.nan}, {"lr_after_decay": -math.inf},
+    ])
+    def test_non_finite_learning_rate_rejected_before_training(self, real, generated, rates):
+        # nan <= 0 is False, so a sign check alone lets a nan rate through
+        with pytest.raises(InvalidConfig, match="learning rates"):
+            train(real, generated, quick_config(Strategy.LSRO, **rates))
+
     def test_gen_weight_default_resolution(self):
         assert quick_config(Strategy.DMPRL2, epochs=30).resolved_gen_weight() == 0.1
         assert quick_config(Strategy.LSRO).resolved_gen_weight() == 1.0
