@@ -17,7 +17,6 @@ from .errors import (
     InvalidDimension,
     InvalidState,
     MprlError,
-    NotRecorded,
     ProtocolViolation,
     SpecError,
 )
@@ -83,7 +82,6 @@ from .trainer import (
     TrainHistory,
     assign_static_labels,
     extract_embeddings,
-    log_label_trajectory,
     pretrain_baseline,
     train,
 )

@@ -29,9 +29,5 @@ class ProtocolViolation(MprlError, ValueError):
     """Evaluation inputs violate the retrieval protocol."""
 
 
-class NotRecorded(MprlError, LookupError):
-    """A requested log or trajectory was not recorded during training."""
-
-
 class SpecError(MprlError, ValueError):
     """An experiment spec file failed to parse or validate."""

@@ -20,10 +20,9 @@ Every ``ExperimentSpec`` field is a key, and its annotation is the key's
 type: ``tuple[T, ...]`` is a comma-separated list of T, ``float | None``
 also takes ``none`` or ``auto``, and any other T parses as ``T(value)``;
 floats must be finite.  Each ``TrainConfig`` field but the per-cell
-``strategy``, ``seed`` and ``track_trajectories`` comes from the spec
-field of the same name.  ``ExperimentSpec.validate`` rejects, before any
-cell trains, every dataset parameter the generator would refuse inside a
-cell.
+``strategy`` and ``seed`` comes from the spec field of the same name.
+``ExperimentSpec.validate`` rejects, before any cell trains, every
+dataset parameter the generator would refuse inside a cell.
 
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
@@ -41,7 +40,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -52,7 +51,7 @@ from .errors import MprlError, SpecError
 # the enum annotations below resolve through these names (get_type_hints)
 from .labels import TiePolicy
 from .losses import GradientMode
-from .net import Activation
+from .net import Activation, forward
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import Dataset, make_generated_dataset, make_real_dataset
 from .trainer import (
@@ -135,7 +134,7 @@ class ExperimentSpec:
         """The cell's config: every other TrainConfig field is the spec's."""
         return TrainConfig(strategy=strategy, seed=seed, **{
             f.name: getattr(self, f.name) for f in fields(TrainConfig)
-            if f.name not in ("strategy", "seed", "track_trajectories")})
+            if f.name not in ("strategy", "seed")})
 
 
 def _parse_value(key: str, raw: str, annotation, line_no: int):
@@ -232,26 +231,24 @@ class CellResult:
     wall_seconds: float
 
 
-def _train_cell(spec: ExperimentSpec, cell: Cell, track_trajectories: int = 0):
-    """Build a cell's datasets and train it (smprl with generated data
-    first pretrains the baseline that fixes its static labels); returns
-    the real dataset, the trained parameters and the history, which
-    holds the argmax trajectories of the first ``track_trajectories``
-    generated samples."""
-    real, generated = build_datasets(spec, cell.seed, cell.n_generated)
-    cfg = replace(spec.train_config(cell.strategy, cell.seed),
-                  track_trajectories=track_trajectories)
+def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
+                generated: Dataset | None, on_epoch=None):
+    """Train a cell on the datasets its caller built (smprl with generated
+    rows first pretrains the baseline that fixes its static labels);
+    returns the trained parameters and the history.  ``on_epoch`` observes
+    the cell's own training, never the pretraining."""
+    cfg = spec.train_config(cell.strategy, cell.seed)
     static = None
     if cell.strategy is Strategy.SMPRL and generated is not None:
         static = assign_static_labels(pretrain_baseline(real, cfg), generated, cfg.tie_policy)
-    params, history = train(real, generated, cfg, static_labels=static)
-    return real, params, history
+    return train(real, generated, cfg, static_labels=static, on_epoch=on_epoch)
 
 
 def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResult:
     """Train one grid cell, write its artifacts, return its summary row."""
     start = time.perf_counter()
-    real, params, history = _train_cell(spec, cell)
+    real, generated = build_datasets(spec, cell.seed, cell.n_generated)
+    params, history = _train_cell(spec, cell, real, generated)
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
@@ -344,7 +341,10 @@ def write_summary(results: list[CellResult], path) -> None:
 
 
 def run_trace(spec: ExperimentSpec, n_samples: int, out_dir) -> tuple[Path, int]:
-    """Train the first grid cell with trajectory logging and dump the CSV.
+    """Train the first grid cell and write ``trajectory.csv``: for each of
+    the ``n_samples`` lowest generated ids, the eval-mode argmax over the
+    K pre-defined classes after every epoch (one ``sample_id,epoch,
+    argmax_class`` row per sample and epoch, sample by sample).
 
     Returns the CSV path and the number of samples actually tracked
     (clipped to the generated set size).  With zero samples requested the
@@ -355,16 +355,26 @@ def run_trace(spec: ExperimentSpec, n_samples: int, out_dir) -> tuple[Path, int]
     # first strategy, first count, first seed of the grid; trajectories are
     # forward-only so even the baseline can trace generated samples
     cell = Cell(spec.strategies[0], spec.counts[0], spec.seeds[0])
+    real, generated = build_datasets(spec, cell.seed, cell.n_generated)
     tracked = min(n_samples, cell.n_generated)  # a generated set holds `count` samples
-    _, _, history = _train_cell(spec, cell, tracked)
+    rows = np.argsort(generated.ids)[:tracked] if tracked else None
+    argmax_by_epoch = []
 
+    def observe(record, params):
+        logits, _, _ = forward(params, generated.features[rows], train_mode=False)
+        argmax_by_epoch.append(np.argmax(logits[:, :real.n_classes], axis=1) + 1)
+
+    _train_cell(spec, cell, real, generated, observe if tracked else None)
+
+    lines = ["sample_id,epoch,argmax_class"]
+    if tracked:
+        for sid, series in zip(generated.ids[rows].tolist(),
+                               np.transpose(argmax_by_epoch).tolist()):
+            lines += [f"{sid},{epoch},{cls}" for epoch, cls in enumerate(series, start=1)]
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     csv_path = out_path / "trajectory.csv"
-    if tracked == 0:
-        csv_path.write_text("sample_id,epoch,argmax_class\n")
-    else:
-        history.trajectory_csv(csv_path)
+    csv_path.write_text("\n".join(lines) + "\n")
     return csv_path, tracked
 
 

@@ -24,18 +24,24 @@ Rank-weighted and one-hot pseudo labels are read off the logits directly
 (see :mod:`mprl.labels`), so an arbitrarily confident model never
 produces an invalid label.  Epoch indices are 1-based; the warm-up gate
 opens at ``epoch >= warmup_epoch``.
+
+Training records only its history, one :class:`EpochRecord` per epoch.
+Anything else, such as the argmax trajectories of ``mprl trace``, is an
+``on_epoch`` observer that :func:`train` calls with each record and the
+parameters at the end of that epoch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDimension, NotRecorded
+from .errors import InvalidConfig, InvalidDimension
 from .labels import TiePolicy, all_in_one_label, lsro_label, mprl_rows, row_ranks
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
@@ -98,9 +104,6 @@ class TrainConfig:
     init_scale: float = 1.0
     activation: Activation = Activation.RELU
     seed: int = 0
-    # number of generated samples (lowest ids first) whose argmax class is
-    # recorded each epoch; 0 disables trajectory logging
-    track_trajectories: int = 0
 
     def resolved_gen_weight(self) -> float:
         if self.gen_weight is not None:
@@ -117,12 +120,15 @@ class TrainConfig:
             raise InvalidConfig("momentum must be in [0, 1)")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidConfig("dropout_rate must be in [0, 1)")
-        if self.track_trajectories < 0:
-            raise InvalidConfig("track_trajectories must be >= 0")
         if any(size < 1 for size in self.hidden_sizes):
             raise InvalidConfig(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
-        if not self.init_scale >= 0:
-            raise InvalidConfig(f"init_scale must be >= 0, got {self.init_scale!r}")
+        if not 0 <= self.init_scale < math.inf:
+            raise InvalidConfig(f"init_scale must be finite and >= 0, got {self.init_scale!r}")
+        if self.decay_epoch < 0 or self.warmup_epoch < 0:
+            raise InvalidConfig("decay_epoch and warmup_epoch must be >= 0, got "
+                                f"{self.decay_epoch} and {self.warmup_epoch}")
+        if self.gen_weight is not None and not 0 <= self.gen_weight < math.inf:
+            raise InvalidConfig(f"gen_weight must be finite and >= 0, got {self.gen_weight!r}")
         if self.strategy is Strategy.DMPRL2 and not self.warmup_epoch < self.epochs:
             raise InvalidConfig(
                 f"warmup_epoch ({self.warmup_epoch}) must be < epochs ({self.epochs}) "
@@ -146,9 +152,6 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
-    tracked_ids: tuple[int, ...] = ()
-    trajectories: dict[int, list[int]] = field(default_factory=dict)
-    trajectory_enabled: bool = False
 
     def to_csv(self, path) -> None:
         lines = ["epoch,l1,l2,combined,train_acc,lr"]
@@ -158,20 +161,6 @@ class TrainHistory:
                 f"{r.combined:.17g},{r.train_acc:.17g},{r.lr:.17g}"
             )
         Path(path).write_text("\n".join(lines) + "\n")
-
-    def trajectory_csv(self, path) -> None:
-        lines = ["sample_id,epoch,argmax_class"]
-        for sid, series in log_label_trajectory(self).items():
-            for epoch, cls in enumerate(series, start=1):
-                lines.append(f"{sid},{epoch},{cls}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-def log_label_trajectory(history: TrainHistory) -> dict[int, list[int]]:
-    """Per tracked generated sample: the argmax pre-defined class per epoch."""
-    if not history.trajectory_enabled:
-        raise NotRecorded("trajectory logging was not enabled in the train config")
-    return history.trajectories
 
 
 def epoch_shuffle_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -222,6 +211,7 @@ def train(
     cfg: TrainConfig,
     static_labels: np.ndarray | None = None,
     initial_params: ModelParams | None = None,
+    on_epoch: Callable[[EpochRecord, ModelParams], None] | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run one training schedule and return final params plus history.
 
@@ -230,6 +220,12 @@ def train(
     ``initial_params`` lets a pretrained checkpoint seed the run; by
     default parameters are initialized from the config seed.  All
     validation happens before the first epoch.
+
+    ``on_epoch(record, params)``, when given, is called after each epoch's
+    record is appended, with the parameters as they stand at the end of
+    that epoch (after the last epoch, the returned ones).  It observes
+    only: it must not modify ``params``, and training draws nothing from
+    it, so a run with an observer equals one without bit for bit.
     """
     cfg.validate()
     _check_datasets(real, generated)
@@ -262,14 +258,7 @@ def train(
     loss_cfg = LossConfig(n_classes, cfg.resolved_gen_weight(),
                           cfg.gradient_mode if rank_weighted else GradientMode.ANALYTIC)
 
-    # tracked trajectory samples: lowest generated ids first, clipped
-    tracked_rows = np.argsort(generated.ids)[: cfg.track_trajectories] if generated else []
-    tracked = tuple(generated.ids[tracked_rows].tolist()) if len(tracked_rows) else ()
-    history = TrainHistory(
-        tracked_ids=tracked,
-        trajectories={sid: [] for sid in tracked},
-        trajectory_enabled=cfg.track_trajectories > 0,
-    )
+    history = TrainHistory()
 
     # the merged pool: real train rows first, then the generated rows
     n_real = len(real_train)
@@ -325,12 +314,8 @@ def train(
         history.records.append(EpochRecord(
             epoch, l1, l2, l1 + loss_cfg.gen_weight * l2, train_acc, lr, gen_grad_norm,
         ))
-
-        if tracked:
-            t_logits, _, _ = forward(params, generated.features[tracked_rows], train_mode=False)
-            argmax = np.argmax(t_logits[:, :n_classes], axis=1) + 1
-            for sid, cls in zip(tracked, argmax.tolist()):
-                history.trajectories[sid].append(cls)
+        if on_epoch is not None:
+            on_epoch(history.records[-1], params)
 
     return params, history
 
@@ -370,7 +355,6 @@ def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> Emb
 
 def pretrain_baseline(real: Dataset, cfg: TrainConfig) -> ModelParams:
     """Train the baseline (real-only) model used to assign static labels."""
-    base_cfg = replace(cfg, strategy=Strategy.BASELINE, gen_weight=None,
-                       track_trajectories=0)
+    base_cfg = replace(cfg, strategy=Strategy.BASELINE, gen_weight=None)
     params, _ = train(real, None, base_cfg)
     return params

@@ -71,7 +71,7 @@ class TestSpecParsing:
         assert tiny_spec.hidden_sizes == (8, 6)
 
     def test_unknown_key_carries_line_number(self):
-        # track_trajectories is set per cell by `mprl trace`, not by the spec
+        # trajectories come from `mprl trace --samples`, never from a spec key
         for line in ("bogus_key = 1", "track_trajectories = 3"):
             with pytest.raises(SpecError, match="line 2: unknown key"):
                 parse_spec_text(f"n_classes = 3\n{line}\n")
@@ -116,7 +116,7 @@ class TestSpecParsing:
 
 
 # set per cell, not by the spec
-CELL_FIELDS = {"strategy", "seed", "track_trajectories"}
+CELL_FIELDS = {"strategy", "seed"}
 
 
 class TestSpecConfigContract:
@@ -428,15 +428,22 @@ class TestCli:
         "seeds          = 1, 1",
         "counts         = 6, 6",
         "strategies     = lsro, lsro",
+        # schedule and weight values that trained silently or failed in a cell
+        "decay_epoch    = -1",
+        "warmup_epoch   = -4",
+        "strategies     = dmprl2\nwarmup_epoch   = -4",
+        "gen_weight     = -1",
+        "strategies     = baseline\ngen_weight     = -1",
     ])
     def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, line):
-        key = line.split("=")[0]
         rows = TINY_SPEC.splitlines()
-        if not any(row.startswith(key) for row in rows):
-            rows.append(key)
-        text = "\n".join(line if row.startswith(key) else row for row in rows)
+        for new in line.splitlines():  # the last line holds the rejected key
+            key = new.split("=")[0]
+            if not any(row.startswith(key) for row in rows):
+                rows.append(key)
+            rows = [new if row.startswith(key) else row for row in rows]
         spec = tmp_path / "spec.txt"
-        spec.write_text(text + "\n")
+        spec.write_text("\n".join(rows) + "\n")
         assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key.strip() in err[0]

@@ -2,15 +2,21 @@
 
 Every cell of ``benchmark.spec`` (seven strategies, 400 generated
 samples) is trained at seed 1 and each ``report.json`` is compared by
-SHA-256 against the digests below.  A refactor that claims to leave the
-numbers alone must leave these digests alone; a change that moves them
-on purpose re-pins them and says why.
+SHA-256 against the digests below; so is the ``trajectory.csv`` that
+``mprl trace --samples 5`` writes with dmprl2 (dynamic labels, warm-up
+gate) and with smprl (pretrained static labels) as the first strategy.
+A refactor that claims to leave the numbers alone must leave these
+digests alone; a change that moves them on purpose re-pins them and
+says why.
 """
 
 import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from mprl.cli import main
 from mprl.experiment import parse_spec, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +47,28 @@ def test_benchmark_spec_seed_1_reports_are_byte_identical(tmp_path):
     got = {path.parent.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in reports}
     assert got == GOLDEN_REPORT_SHA256, [path.read_text()[:40] for path in reports]
+
+
+# first strategy of the grid -> sha256 of trajectory.csv (5 samples, 50 epochs)
+GOLDEN_TRACE_SHA256 = {
+    "dmprl2": "adc03d105acc3c6588e254ac8bab54906a72ce15b3c4677bcd0339a495956087",
+    "smprl": "19a1341a01c74ff4020ca46a0119729251de06388b9278f31093de24b120b29d",
+}
+
+
+@pytest.mark.parametrize("first", sorted(GOLDEN_TRACE_SHA256))
+def test_benchmark_spec_seed_1_traces_are_byte_identical(tmp_path, first):
+    text = (ROOT / "benchmark.spec").read_text()
+    rows = []
+    for row in text.splitlines():
+        if row.startswith("strategies"):
+            row = f"strategies = {first}, baseline"
+        elif row.startswith("seeds"):
+            row = "seeds = 1"
+        rows.append(row)
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "trace"
+    assert main(["trace", "--spec", str(spec_path), "--samples", "5", "--out", str(out)]) == 0
+    got = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_TRACE_SHA256[first]

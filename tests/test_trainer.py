@@ -1,4 +1,4 @@
-"""Training strategies: gating, determinism, label assignment, logging."""
+"""Training strategies: gating, determinism, label assignment, epoch observers."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mprl.trainer as trainer_module
-from mprl.errors import InvalidConfig, InvalidDimension, NotRecorded
+from mprl.errors import InvalidConfig, InvalidDimension
 from mprl.labels import TiePolicy, mprl_rows
 from mprl.net import forward, init_params
 from mprl.synthgen import make_generated_dataset, make_real_dataset
@@ -16,7 +16,6 @@ from mprl.trainer import (
     assign_static_labels,
     epoch_shuffle_order,
     extract_embeddings,
-    log_label_trajectory,
     pretrain_baseline,
     train,
 )
@@ -51,9 +50,23 @@ def quick_config(strategy, **overrides):
 
 
 def histories_equal(a, b) -> bool:
-    if len(a.records) != len(b.records) or a.trajectories != b.trajectories:
+    if len(a.records) != len(b.records):
         return False
     return all(ra == rb for ra, rb in zip(a.records, b.records))
+
+
+def argmax_observer(generated, n_tracked, n_classes):
+    """An on_epoch observer recording, per tracked generated id (lowest
+    first), the eval-mode argmax class after every epoch."""
+    rows = np.argsort(generated.ids)[:n_tracked]
+    series = {sid: [] for sid in generated.ids[rows].tolist()}
+
+    def observe(record, params):
+        logits, _, _ = forward(params, generated.features[rows], train_mode=False)
+        for sid, cls in zip(series, np.argmax(logits[:, :n_classes], axis=1) + 1):
+            series[sid].append(int(cls))
+
+    return observe, series
 
 
 def params_bitwise_equal(a, b) -> bool:
@@ -127,6 +140,25 @@ class TestStrategyContracts:
         with pytest.raises(InvalidConfig, match="learning rates"):
             train(real, generated, quick_config(Strategy.LSRO, **rates))
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"init_scale": math.inf}, "init_scale"),
+        ({"init_scale": math.nan}, "init_scale"),
+        ({"decay_epoch": -1}, "decay_epoch"),
+        ({"warmup_epoch": -4}, "warmup_epoch"),
+        ({"gen_weight": -1.0}, "gen_weight"),
+        ({"gen_weight": math.inf}, "gen_weight"),
+        ({"gen_weight": math.nan}, "gen_weight"),
+    ])
+    def test_out_of_range_values_rejected_for_every_strategy(self, bad, match):
+        # the baseline never uses gen_weight or the warm-up gate, yet a
+        # value no strategy can use is still rejected for it
+        with pytest.raises(InvalidConfig, match=match):
+            quick_config(Strategy.BASELINE, **bad).validate()
+
+    def test_zero_schedule_epochs_and_baseline_zero_gen_weight_accepted(self):
+        quick_config(Strategy.DMPRL2, decay_epoch=0, warmup_epoch=0).validate()
+        quick_config(Strategy.BASELINE, gen_weight=0.0).validate()
+
     def test_gen_weight_default_resolution(self):
         assert quick_config(Strategy.DMPRL2, epochs=30).resolved_gen_weight() == 0.1
         assert quick_config(Strategy.LSRO).resolved_gen_weight() == 1.0
@@ -139,7 +171,7 @@ class TestDeterminism:
         Strategy.LSRO, Strategy.DMPRL1, Strategy.DMPRL2,
     ])
     def test_identical_seed_reproduces_bitwise(self, real, generated, strategy):
-        cfg = quick_config(strategy, epochs=5, warmup_epoch=3, track_trajectories=2)
+        cfg = quick_config(strategy, epochs=5, warmup_epoch=3)
         p1, h1 = train(real, generated, cfg)
         p2, h2 = train(real, generated, cfg)
         assert params_bitwise_equal(p1, p2)
@@ -207,23 +239,18 @@ class TestStaticLabels:
 
 class TestTrajectories:
     def test_shape_of_series(self, real, generated):
-        cfg = quick_config(Strategy.LSRO, epochs=5, track_trajectories=2)
-        _, history = train(real, generated, cfg)
-        series = log_label_trajectory(history)
+        observe, series = argmax_observer(generated, 2, real.n_classes)
+        train(real, generated, quick_config(Strategy.LSRO, epochs=5), on_epoch=observe)
         assert len(series) == 2
         for values in series.values():
             assert len(values) == 5
             assert all(1 <= v <= real.n_classes for v in values)
 
     def test_baseline_can_still_trace(self, real, generated):
-        cfg = quick_config(Strategy.BASELINE, track_trajectories=3)
-        _, history = train(real, generated, cfg)
-        assert len(log_label_trajectory(history)) == 3
-
-    def test_disabled_logging_raises(self, real, generated):
-        _, history = train(real, generated, quick_config(Strategy.LSRO))
-        with pytest.raises(NotRecorded):
-            log_label_trajectory(history)
+        observe, series = argmax_observer(generated, 3, real.n_classes)
+        train(real, generated, quick_config(Strategy.BASELINE), on_epoch=observe)
+        assert len(series) == 3
+        assert all(len(values) == 4 for values in series.values())
 
     def test_trajectory_settles_on_source_classes(self):
         # well-separated data: late-epoch argmax stays within each sample's
@@ -233,10 +260,11 @@ class TestTrajectories:
         cfg = TrainConfig(
             strategy=Strategy.DMPRL2, epochs=30, batch_size=32, lr_initial=0.05,
             lr_after_decay=0.01, decay_epoch=24, momentum=0.9, warmup_epoch=10,
-            dropout_rate=0.25, hidden_sizes=(32, 16), seed=3, track_trajectories=24,
+            dropout_rate=0.25, hidden_sizes=(32, 16), seed=3,
         )
-        _, history = train(real, generated, cfg)
-        series = log_label_trajectory(history)
+        observe, series = argmax_observer(generated, 24, real.n_classes)
+        train(real, generated, cfg, on_epoch=observe)
+        assert len(series) == 24
         source_classes = dict(zip(generated.ids.tolist(), generated.source_classes.tolist()))
         settled = 0
         for sid, values in series.items():
@@ -248,18 +276,36 @@ class TestTrajectories:
         assert settled / len(series) >= 0.8
 
     def test_csv_export(self, real, generated, tmp_path):
-        cfg = quick_config(Strategy.LSRO, epochs=3, track_trajectories=2)
+        cfg = quick_config(Strategy.LSRO, epochs=3)
         _, history = train(real, generated, cfg)
         hist_path = tmp_path / "history.csv"
         history.to_csv(hist_path)
         lines = hist_path.read_text().splitlines()
         assert lines[0] == "epoch,l1,l2,combined,train_acc,lr"
         assert len(lines) == 4
-        traj_path = tmp_path / "trajectory.csv"
-        history.trajectory_csv(traj_path)
-        rows = traj_path.read_text().splitlines()
-        assert rows[0] == "sample_id,epoch,argmax_class"
-        assert len(rows) == 1 + 2 * 3
+
+
+class TestEpochObserver:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_observer_cannot_move_training(self, real, generated, strategy):
+        cfg = quick_config(strategy, epochs=5, warmup_epoch=3)
+        static = None
+        if strategy is Strategy.SMPRL:
+            static = assign_static_labels(pretrain_baseline(real, cfg), generated)
+        seen = []
+
+        def observe(record, params):
+            # a forward pass over every generated row, as a diagnostic would run
+            forward(params, generated.features, train_mode=False)
+            seen.append((record, params))
+
+        p1, h1 = train(real, generated, cfg, static_labels=static)
+        p2, h2 = train(real, generated, cfg, static_labels=static, on_epoch=observe)
+        assert params_bitwise_equal(p1, p2)
+        assert histories_equal(h1, h2)
+        assert [record.epoch for record, _ in seen] == [1, 2, 3, 4, 5]
+        assert [record for record, _ in seen] == h2.records
+        assert seen[-1][1] is p2
 
 
 class TestCombinedHistorySemantics:
