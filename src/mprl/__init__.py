@@ -80,6 +80,7 @@ from .trainer import (
     Strategy,
     TrainConfig,
     TrainHistory,
+    TrainSettings,
     assign_static_labels,
     extract_embeddings,
     pretrain_baseline,

@@ -19,10 +19,10 @@ sweep:
 Every ``ExperimentSpec`` field is a key, and its annotation is the key's
 type: ``tuple[T, ...]`` is a comma-separated list of T, ``float | None``
 also takes ``none`` or ``auto``, and any other T parses as ``T(value)``;
-floats must be finite.  Each ``TrainConfig`` field but the per-cell
-``strategy`` and ``seed`` comes from the spec field of the same name.
-``ExperimentSpec.validate`` rejects, before any cell trains, every
-dataset parameter the generator would refuse inside a cell.
+floats must be finite.  The training keys are the inherited
+``TrainSettings`` fields, which each cell's ``TrainConfig`` copies.
+``ExperimentSpec.validate`` (run by ``parse_spec``) rejects every value
+the generator or ``TrainConfig.validate`` would refuse inside a cell.
 
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
@@ -47,16 +47,14 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import MprlError, SpecError
-# the enum annotations below resolve through these names (get_type_hints)
-from .labels import TiePolicy
-from .losses import GradientMode
-from .net import Activation, forward
+from .errors import InvalidConfig, MprlError, SpecError
+from .net import forward
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import Dataset, make_generated_dataset, make_real_dataset
 from .trainer import (
     Strategy,
     TrainConfig,
+    TrainSettings,
     assign_static_labels,
     extract_embeddings,
     pretrain_baseline,
@@ -70,8 +68,8 @@ _SEED_GEN_DATA = 11
 SUMMARY_COLUMNS = "strategy,n_generated,seed,rank1,mAP,l1_final,l2_final,wall_seconds"
 
 
-@dataclass
-class ExperimentSpec:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(TrainSettings):
     n_classes: int = 8
     dim: int = 16
     n_per_class: int = 50
@@ -81,20 +79,6 @@ class ExperimentSpec:
     strategies: tuple[Strategy, ...] = (Strategy.BASELINE,)
     counts: tuple[int, ...] = (400,)
     seeds: tuple[int, ...] = (0,)
-    epochs: int = 50
-    batch_size: int = 64
-    lr_initial: float = 0.1
-    lr_after_decay: float = 0.01
-    decay_epoch: int = 40
-    momentum: float = 0.9
-    gen_weight: float | None = None
-    warmup_epoch: int = 20
-    tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK
-    gradient_mode: GradientMode = GradientMode.ANALYTIC
-    dropout_rate: float = 0.5
-    hidden_sizes: tuple[int, ...] = (32, 16)
-    init_scale: float = 1.0
-    activation: Activation = Activation.RELU
     out_dir: str = "results"
 
     def validate(self) -> None:
@@ -129,12 +113,16 @@ class ExperimentSpec:
                  and any(c > 0 for c in self.counts))
         if mixes and not 2 <= self.mix_size <= self.n_classes:
             raise SpecError(f"mix_size must be in 2..{self.n_classes}, got {self.mix_size}")
+        for strategy in self.strategies:
+            try:
+                self.train_config(strategy, self.seeds[0]).validate()
+            except InvalidConfig as exc:
+                raise SpecError(str(exc)) from None
 
     def train_config(self, strategy: Strategy, seed: int) -> TrainConfig:
-        """The cell's config: every other TrainConfig field is the spec's."""
-        return TrainConfig(strategy=strategy, seed=seed, **{
-            f.name: getattr(self, f.name) for f in fields(TrainConfig)
-            if f.name not in ("strategy", "seed")})
+        """The cell's config: the spec's training settings, ``strategy`` and ``seed``."""
+        return TrainConfig(strategy, seed=seed, **{
+            f.name: getattr(self, f.name) for f in fields(TrainSettings)})
 
 
 def _parse_value(key: str, raw: str, annotation, line_no: int):
@@ -279,9 +267,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
     wall_seconds timing column.
     """
     spec.validate()
-    for strategy in spec.strategies:
-        # config problems should surface before any cell trains
-        spec.train_config(strategy, spec.seeds[0]).validate()
     out_path = Path(out_dir if out_dir is not None else spec.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     cells = expand_cells(spec)

@@ -271,8 +271,9 @@ def load_embeddings(path) -> EmbeddingSet:
     except ValueError:
         raise InvalidState(f"{path}:{header_no}: header must be 'n dim', "
                            f"got {header.strip()!r}") from None
-    if dim < 1:
-        raise InvalidState(f"{path}:{header_no}: embedding dim must be >= 1, got {dim}")
+    if n < 1 or dim < 1:
+        raise InvalidState(f"{path}:{header_no}: header needs n >= 1 and dim >= 1, "
+                           f"got {n} and {dim}")
     if len(rows) - 1 != n:
         raise InvalidState(f"{path}: header says {n} rows, file has {len(rows) - 1}")
     ids = np.empty(n, dtype=np.int64)

@@ -145,8 +145,8 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
         raise InvalidConfig("need at least 4 samples per class (train/query/gallery split)")
     if dim < 2:
         raise InvalidConfig("feature dimension must be >= 2")
-    if cluster_spread < 0:
-        raise InvalidConfig("cluster_spread must be >= 0")
+    if not 0 <= cluster_spread < math.inf:
+        raise InvalidConfig(f"cluster_spread must be finite and >= 0, got {cluster_spread!r}")
 
     rng = np.random.default_rng(seed)
     separation = MEAN_SEPARATION_FACTOR * cluster_spread
@@ -193,8 +193,8 @@ def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
     """
     if m < 1:
         raise InvalidConfig("need at least one generated sample")
-    if not noise >= 0:
-        raise InvalidConfig(f"noise must be >= 0, got {noise!r}")
+    if not 0 <= noise < math.inf:
+        raise InvalidConfig(f"noise must be finite and >= 0, got {noise!r}")
     if not 2 <= mix_size <= real.n_classes:
         raise InvalidConfig(f"mix_size must be in 2..{real.n_classes}")
     train = real.split("train")

@@ -25,6 +25,9 @@ Rank-weighted and one-hot pseudo labels are read off the logits directly
 produces an invalid label.  Epoch indices are 1-based; the warm-up gate
 opens at ``epoch >= warmup_epoch``.
 
+A :class:`TrainConfig` is the shared :class:`TrainSettings` plus a
+strategy and a seed; its ``validate`` holds every rule on their values.
+
 Training records only its history, one :class:`EpochRecord` per epoch.
 Anything else, such as the argmax trajectories of ``mprl trace``, is an
 ``on_epoch`` observer that :func:`train` calls with each record and the
@@ -84,9 +87,10 @@ _SEED_DROPOUT = 2
 _SEED_FIRST_ITER = 3
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    strategy: Strategy
+@dataclass(frozen=True, kw_only=True)
+class TrainSettings:
+    """The schedule and model every cell of a grid shares; each field is a spec key."""
+
     epochs: int = 50
     batch_size: int = 64
     lr_initial: float = 0.1
@@ -103,7 +107,12 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (32, 16)
     init_scale: float = 1.0
     activation: Activation = Activation.RELU
-    seed: int = 0
+
+
+@dataclass(frozen=True)
+class TrainConfig(TrainSettings):
+    strategy: Strategy
+    seed: int = field(default=0, kw_only=True)
 
     def resolved_gen_weight(self) -> float:
         if self.gen_weight is not None:

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,10 @@ from mprl.experiment import (
     run_experiment,
     run_trace,
 )
-from mprl.trainer import Strategy, TrainConfig
+from mprl.labels import TiePolicy
+from mprl.losses import GradientMode
+from mprl.net import Activation
+from mprl.trainer import Strategy, TrainConfig, TrainSettings
 
 TINY_SPEC = """\
 # desk-size grid for tests
@@ -115,26 +117,41 @@ class TestSpecParsing:
             parse_spec_text("seeds = \n")
 
 
-# set per cell, not by the spec
-CELL_FIELDS = {"strategy", "seed"}
+# a valid value other than the default for every training setting
+NON_DEFAULT_SETTINGS = {
+    "epochs": ("7", 7),
+    "batch_size": ("9", 9),
+    "lr_initial": ("0.3", 0.3),
+    "lr_after_decay": ("0.03", 0.03),
+    "decay_epoch": ("5", 5),
+    "momentum": ("0.5", 0.5),
+    "gen_weight": ("0.7", 0.7),
+    "warmup_epoch": ("3", 3),
+    "tie_policy": ("competition_order", TiePolicy.COMPETITION_ORDER),
+    "gradient_mode": ("diagonal", GradientMode.DIAGONAL),
+    "dropout_rate": ("0.1", 0.1),
+    "hidden_sizes": ("5, 4, 3", (5, 4, 3)),
+    "init_scale": ("2.5", 2.5),
+    "activation": ("tanh", Activation.TANH),
+}
 
 
 class TestSpecConfigContract:
-    def test_every_config_field_is_a_spec_key_of_the_same_type_and_default(self):
-        spec_fields = {f.name: f for f in fields(ExperimentSpec)}
-        spec_types = get_type_hints(ExperimentSpec)
-        config_types = get_type_hints(TrainConfig)
-        for field in fields(TrainConfig):
-            if field.name in CELL_FIELDS:
-                continue
-            assert field.name in spec_fields, field.name
-            assert spec_types[field.name] == config_types[field.name], field.name
-            assert spec_fields[field.name].default == field.default, field.name
-        assert not CELL_FIELDS & set(spec_fields)
-
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_default_spec_gives_the_default_config(self, strategy):
         assert ExperimentSpec().train_config(strategy, 1) == TrainConfig(strategy, seed=1)
+
+    def test_every_training_setting_reaches_the_config(self):
+        defaults = TrainSettings()
+        assert set(NON_DEFAULT_SETTINGS) == {f.name for f in fields(TrainSettings)}
+        spec = parse_spec_text("strategies = dmprl2\n" + "".join(
+            f"{key} = {text}\n" for key, (text, _) in NON_DEFAULT_SETTINGS.items()))
+        cfg = spec.train_config(Strategy.DMPRL2, 4)
+        assert (cfg.strategy, cfg.seed) == (Strategy.DMPRL2, 4)
+        for key, (_, value) in NON_DEFAULT_SETTINGS.items():
+            assert value != getattr(defaults, key), key
+            assert getattr(cfg, key) == value, key
+            assert type(getattr(cfg, key)) is type(value), key
 
 
 SPEC_KEYS = [f.name for f in fields(ExperimentSpec)]
@@ -299,6 +316,36 @@ class TestSmprlWithoutGeneratedData:
                     (tmp_path / f"baseline_n0_seed{seed}" / artifact).read_bytes()
 
 
+# spec values every command that reads a spec rejects before any work
+REJECTED_SPEC_LINES = [
+    "noise          = nan",
+    "noise          = -1",
+    "lr_initial     = nan",
+    "cluster_spread = inf",
+    # dataset parameters the generator refuses: rejected before any cell
+    "mix_size       = 5",  # above n_classes = 3
+    "mix_size       = 1",
+    "cluster_spread = -1",
+    "n_classes      = 1",
+    "n_per_class    = 3",
+    "dim            = 1",
+    # values the first cell would fail on
+    "seeds          = -1",
+    "hidden_sizes   = 8, 0",
+    "init_scale     = -1",
+    # repeated grid values would train one cell twice into one directory
+    "seeds          = 1, 1",
+    "counts         = 6, 6",
+    "strategies     = lsro, lsro",
+    # schedule and weight values that trained silently or failed in a cell
+    "decay_epoch    = -1",
+    "warmup_epoch   = -4",
+    "strategies     = dmprl2\nwarmup_epoch   = -4",
+    "gen_weight     = -1",
+    "strategies     = baseline\ngen_weight     = -1",
+]
+
+
 class TestCli:
     def test_run_and_determinism(self, spec_file, tmp_path, capsys):
         out1 = tmp_path / "r1"
@@ -369,6 +416,7 @@ class TestCli:
         ("2 3\n1 1 0.5 0.5 0.5\n2 1 0.5 nan 0.5\n", 3),  # non-finite value
         ("2 3\n1 1 0.5 0.5 0.5\n\n1 1 -inf 0.5 0.5\n", 4),  # non-finite value
         ("2 3\n1 1 0.5 0.5 0.5\n1 2 0.5 0.5 0.5\n", 3),  # duplicate id
+        ("0 3\n", 1),  # no rows
     ])
     def test_malformed_embedding_file_exits_two(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
@@ -408,34 +456,16 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and "'abc'" in err[0]
         assert captured.out == ""
 
-    @pytest.mark.parametrize("line", [
-        "noise          = nan",
-        "noise          = -1",
-        "lr_initial     = nan",
-        "cluster_spread = inf",
-        # dataset parameters the generator refuses: rejected before any cell
-        "mix_size       = 5",  # above n_classes = 3
-        "mix_size       = 1",
-        "cluster_spread = -1",
-        "n_classes      = 1",
-        "n_per_class    = 3",
-        "dim            = 1",
-        # values the first cell would fail on
-        "seeds          = -1",
-        "hidden_sizes   = 8, 0",
-        "init_scale     = -1",
-        # repeated grid values would train one cell twice into one directory
-        "seeds          = 1, 1",
-        "counts         = 6, 6",
-        "strategies     = lsro, lsro",
-        # schedule and weight values that trained silently or failed in a cell
-        "decay_epoch    = -1",
-        "warmup_epoch   = -4",
-        "strategies     = dmprl2\nwarmup_epoch   = -4",
-        "gen_weight     = -1",
-        "strategies     = baseline\ngen_weight     = -1",
-    ])
-    def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("command, line", [
+        # run's cases are named by the bare line, so their ids stay stable
+        pytest.param(command, line, id=line if command == "run" else f"{command}-{line}")
+        for command in ("run", "trace", "gen-data") for line in REJECTED_SPEC_LINES])
+    def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                 command, line):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected spec must not build a dataset")
+
+        monkeypatch.setattr(experiment, "make_real_dataset", no_work)
         rows = TINY_SPEC.splitlines()
         for new in line.splitlines():  # the last line holds the rejected key
             key = new.split("=")[0]
@@ -444,7 +474,8 @@ class TestCli:
             rows = [new if row.startswith(key) else row for row in rows]
         spec = tmp_path / "spec.txt"
         spec.write_text("\n".join(rows) + "\n")
-        assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        argv = [command, "--spec", str(spec), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--samples", "2"] if command == "trace" else [])) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key.strip() in err[0]
         assert not (tmp_path / "out").exists()

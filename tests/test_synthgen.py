@@ -131,6 +131,12 @@ class TestMakeRealDataset:
         with pytest.raises(InvalidConfig):
             make_real_dataset(2, 4, 1, 0.5, seed=0)
 
+    @pytest.mark.parametrize("spread", [-1.0, float("nan"), float("inf")])
+    def test_bad_spread_rejected(self, spread):
+        # a non-finite spread would give all-NaN or infinite features
+        with pytest.raises(InvalidConfig, match="cluster_spread"):
+            make_real_dataset(4, 8, 8, spread, seed=1)
+
     def test_infeasible_packing_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(GenerationFailure):
@@ -191,7 +197,7 @@ class TestMakeGeneratedDataset:
         with pytest.raises(InvalidConfig):
             make_generated_dataset(real, 5, 9, 0.1, seed=1)
 
-    @pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_negative_noise_rejected(self, real, noise):
         with pytest.raises(InvalidConfig, match="noise"):
             make_generated_dataset(real, 4, 2, noise, seed=0)
