@@ -43,6 +43,7 @@ from .losses import (
     mprl_generated_loss,
     real_ce_loss,
     weighted_ce,
+    weighted_ce_values,
 )
 from .net import (
     Activation,

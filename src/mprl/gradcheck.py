@@ -34,7 +34,7 @@ from .losses import (
     lsro_loss,
     mprl_generated_loss,
     real_ce_loss,
-    weighted_ce,
+    weighted_ce_values,
 )
 
 DEFAULT_K_VALUES = (2, 5, 10, 751)
@@ -74,8 +74,8 @@ def _batch_values(weights, one_hot: bool = False):
     ``mprl_generated_loss`` (at gen_weight 1) the normalized rank row.
     """
     def values(points):
-        return weighted_ce(points, np.broadcast_to(weights, points.shape),
-                           one_hot=np.full(points.shape[0], one_hot))[0]
+        return weighted_ce_values(points, np.broadcast_to(weights, points.shape),
+                                  one_hot=np.full(points.shape[0], one_hot))
     return values
 
 

@@ -19,11 +19,13 @@ ways to label a sample that has no ground-truth class:
 
 The rank-weighted rows of a batch come from its logits in one row-wise
 sort (:func:`row_ranks`, then :func:`mprl_rows`, which also applies the
-2/(1+K) normaliser).  Softmax preserves order, so ranking logits gives
-the same ranks as ranking probabilities, except that logits keep apart
-values which softmax rounds to one probability (``[0, 1e-17, 5]`` ranks
-``[1, 2, 3]`` as logits and ``[1.5, 1.5, 3]`` as probabilities), and
-logits never underflow to a zero probability.  The per-vector builders
+2/(1+K) normaliser).  Under ``TiePolicy.AVERAGE_RANK``, the default, that
+sort is numpy's default argsort; ``TiePolicy.COMPETITION_ORDER`` breaks
+ties by position and so needs the stable sort.  Softmax preserves order,
+so ranking logits gives the same ranks as ranking probabilities, except
+that logits keep apart values which softmax rounds to one probability
+(``[0, 1e-17, 5]`` ranks ``[1, 2, 3]`` as logits and ``[1.5, 1.5, 3]``
+as probabilities), and logits never underflow to a zero probability.  The per-vector builders
 ``one_hot_pseudo_label`` and ``mprl_alpha`` keep their probability
 contract; the trainer ranks and argmaxes logits instead.
 
@@ -141,27 +143,43 @@ def row_ranks(scores, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndar
 
     The smallest entry of a row ranks 1 and the largest ranks K.  Ties
     (exact float equality within a row) are resolved by ``tie_policy``;
-    see :class:`TiePolicy`.  One stable sort covers the whole matrix.
+    see :class:`TiePolicy`.  One row-wise argsort covers the whole matrix:
+    COMPETITION_ORDER needs a stable sort, since the order it leaves a
+    tie run in is the ranks; AVERAGE_RANK gives every member of a run the
+    same mean, so numpy's faster default sort gives the same ranks, and
+    only rows holding a tie compute their runs.
     """
     x = np.asarray(scores, dtype=np.float64)
     n, k = x.shape
-    order = np.argsort(x, axis=1, kind="stable")
-    if tie_policy is TiePolicy.AVERAGE_RANK:
+    average = tie_policy is TiePolicy.AVERAGE_RANK
+    order = np.argsort(x, axis=1, kind=None if average else "stable")
+    sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
+    if average:
         ordered = np.take_along_axis(x, order, axis=1)
-        pos = np.arange(k)
         differs = ordered[:, 1:] != ordered[:, :-1]
-        edge = np.ones((n, 1), dtype=bool)
-        # first and last sorted position of the run of equal values holding
-        # each position; the run occupies 1-based positions first+1 .. last+1
-        first = np.maximum.accumulate(np.where(np.hstack([edge, differs]), pos, 0), axis=1)
-        last = np.minimum.accumulate(
-            np.where(np.hstack([differs, edge]), pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
-        sorted_ranks = (first + last + 2) / 2.0
-    else:
-        sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
+        tied = ~differs.all(axis=1)
+        if tied.any():
+            sorted_ranks = sorted_ranks.copy()
+            sorted_ranks[tied] = _average_ranks(differs[tied])
     ranks = np.empty((n, k))
     np.put_along_axis(ranks, order, sorted_ranks, axis=1)
     return ranks
+
+
+def _average_ranks(differs: np.ndarray) -> np.ndarray:
+    """Mean 1-based position of each sorted position's run of equal values.
+
+    ``differs`` (n, K-1) flags where a sorted row's value changes.
+    """
+    n, k = differs.shape[0], differs.shape[1] + 1
+    pos = np.arange(k)
+    edge = np.ones((n, 1), dtype=bool)
+    # first and last sorted position of the run of equal values holding
+    # each position; the run occupies 1-based positions first+1 .. last+1
+    first = np.maximum.accumulate(np.where(np.hstack([edge, differs]), pos, 0), axis=1)
+    last = np.minimum.accumulate(
+        np.where(np.hstack([differs, edge]), pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
+    return (first + last + 2) / 2.0
 
 
 def mprl_alpha(probs, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndarray:

@@ -68,32 +68,94 @@ def weighted_ce(logits, weights, one_hot=None, diagonal=None) -> tuple[np.ndarra
     """Cross-entropy of every logit row against its weight row.
 
     ``logits`` and ``weights`` are (B, width).  Row i's value is
-    -sum_k W_ik log softmax(X_i)_k and its gradient is sum(W_i) p_i - W_i,
-    the derivative of that value with the weights held fixed.  Rows
-    flagged in the boolean mask ``diagonal`` get the diagonal gradient
-    -W_i (1 - p_i) instead.  Rows flagged in ``one_hot`` must carry one-hot
-    weights; where their class holds the top logit the value is
-    log1p(sum of the other classes' exp(x_j - x_c)), which stays accurate,
-    and strictly positive, at margins where the log-sum-exp form cancels
-    to zero.  Returns the values (B,) and the gradients (B, width).
+    -sum_k W_ik log softmax(X_i)_k = sum_k W_ik (log t_i - z_ik), with
+    z_i = X_i - max(X_i) and t_i = sum_k exp(z_ik), and its gradient is
+    sum(W_i) p_i - W_i, the derivative of that value with the weights held
+    fixed.  Rows flagged in the boolean mask ``diagonal`` get the diagonal
+    gradient -W_i (1 - p_i) instead.  Rows flagged in ``one_hot`` must
+    carry one-hot weights, at class c; their sums collapse to the value
+    log t_i - z_ic and the gradient p_i - e_c, bit for bit, since the row
+    sums to exactly 1 and every other product is +0.  Where c holds the
+    top logit the value is log1p(sum of the other classes' exp(x_j - x_c)),
+    which stays accurate, and strictly positive, at margins where the
+    log-sum-exp form cancels to zero.  Returns the values (B,) and the
+    gradients (B, width).
     """
+    rows, cls = _one_hot_classes(weights, one_hot)
+    return _kernel(logits, weights, rows, cls, diagonal)
+
+
+def weighted_ce_values(logits, weights, one_hot=None) -> np.ndarray:
+    """The values (B,) of :func:`weighted_ce`, bit for bit, without its gradients."""
+    rows, cls = _one_hot_classes(weights, one_hot)
+    z, e, total = _softmax_terms(logits)
+    return _values(z, e, total, weights, rows, cls)
+
+
+def _one_hot_classes(weights, one_hot) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the rows flagged in ``one_hot`` and each one's class."""
+    if one_hot is None:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    rows = np.flatnonzero(one_hot)
+    return rows, np.argmax(weights[rows], axis=1)
+
+
+def _softmax_terms(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z = logits - row max, exp(z) and the row sums t of exp(z), (B, 1)."""
     z = logits - np.max(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    total = np.sum(e, axis=1, keepdims=True)
-    p = e / total
-    values = np.sum(weights * (np.log(total) - z), axis=1)
-    grads = np.sum(weights, axis=1, keepdims=True) * p - weights
-    if diagonal is not None and diagonal.any():
-        grads[diagonal] = -weights[diagonal] * (1.0 - p[diagonal])
-    if one_hot is not None and one_hot.any():
-        rows = np.flatnonzero(one_hot)
-        cls = np.argmax(weights[rows], axis=1)
-        top = z[rows, cls] == 0.0
+    return z, e, np.sum(e, axis=1, keepdims=True)
+
+
+def _values(z, e, total, weights, rows, cls) -> np.ndarray:
+    """Row values from the softmax terms; ``rows`` are one-hot at ``cls``."""
+    log_total = np.log(total)
+    if rows.size == 0:
+        return np.sum(weights * (log_total - z), axis=1)
+    values = np.empty(z.shape[0])
+    dense = _dense_rows(z.shape[0], rows)
+    if dense.any():
+        values[dense] = np.sum(weights[dense] * (log_total[dense] - z[dense]), axis=1)
+    z_class = z[rows, cls]
+    values[rows] = log_total[rows, 0] - z_class
+    top = z_class == 0.0
+    if top.any():
         rows, cls = rows[top], cls[top]
-        width = z.shape[1]
-        others = np.arange(width - 1) + (np.arange(width - 1) >= cls[:, None])
-        values[rows] = np.log1p(np.sum(np.take_along_axis(e[rows], others, axis=1), axis=1))
+        # the other classes of each row, in order, as one contiguous
+        # (n, width - 1) block, so the pairwise sum adds them as it always has
+        others = np.ones((rows.size, z.shape[1]), dtype=bool)
+        others[np.arange(rows.size), cls] = False
+        values[rows] = np.log1p(np.sum(e[rows][others].reshape(rows.size, -1), axis=1))
+    return values
+
+
+def _kernel(logits, weights, rows, cls, diagonal) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`weighted_ce` once the one-hot ``rows`` and their classes are known."""
+    z, e, total = _softmax_terms(logits)
+    values = _values(z, e, total, weights, rows, cls)
+    p = np.divide(e, total, out=e)  # e is spent once the values are in
+    diagonal_rows = None
+    if diagonal is not None and diagonal.any():
+        diagonal_rows = -weights[diagonal] * (1.0 - p[diagonal])
+    if rows.size == 0:
+        grads = np.sum(weights, axis=1, keepdims=True) * p - weights
+    else:
+        dense = _dense_rows(z.shape[0], rows)
+        if dense.any():
+            w = weights[dense]
+            p[dense] = np.sum(w, axis=1, keepdims=True) * p[dense] - w
+        p[rows, cls] -= 1.0
+        grads = p
+    if diagonal_rows is not None:
+        grads[diagonal] = diagonal_rows
     return values, grads
+
+
+def _dense_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """Boolean mask of the n rows not listed in the one-hot ``rows``."""
+    dense = np.ones(n, dtype=bool)
+    dense[rows] = False
+    return dense
 
 
 def _one_row(x: np.ndarray, w: np.ndarray, one_hot=False, diagonal=False) -> LossOutput:
@@ -196,16 +258,20 @@ def combined_loss(logits, weights, generated, cfg: LossConfig,
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         raise InvalidDimension("logits and weights must be finite")
     real = ~gen
-    hot = w[real]
-    not_one_hot = (np.count_nonzero(hot, axis=1) != 1) | (np.count_nonzero(hot == 1.0, axis=1) != 1)
-    if np.any(not_one_hot):
-        row = int(np.flatnonzero(real)[np.argmax(not_one_hot)])
+    rows = np.flatnonzero(real)
+    hot = w[rows]
+    cls = np.argmax(hot, axis=1)
+    is_one = hot[np.arange(rows.size), cls] == 1.0
+    # a 1.0 in every row and no other nonzero entry: each row is one-hot
+    if not (is_one.all() and np.count_nonzero(hot) == rows.size):
+        not_one_hot = (np.count_nonzero(hot, axis=1) != 1) | ~is_one
+        row = int(rows[np.argmax(not_one_hot)])
         raise InvalidClass(f"row {row}: real row must carry one-hot weights")
-    n_real = int(np.count_nonzero(real))
+    n_real = rows.size
     n_generated = x.shape[0] - n_real
 
     diagonal = gen if cfg.gradient_mode is GradientMode.DIAGONAL else None
-    values, grads = weighted_ce(x, w, one_hot=real, diagonal=diagonal)
+    values, grads = _kernel(x, w, rows, cls, diagonal)
     if n_real:
         grads[real] /= n_real
     if gate_active and n_generated:

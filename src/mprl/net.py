@@ -150,7 +150,8 @@ def forward(params: ModelParams, features, dropout_rate: float = 0.0,
     hidden_acts = []
     a = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w + b
+        z = a @ w
+        z += b
         a = _activate(z, params.activation)
         pre_acts.append(z)
         hidden_acts.append(a)
@@ -166,7 +167,8 @@ def forward(params: ModelParams, features, dropout_rate: float = 0.0,
         mask = (rng.random(embedding.shape) >= dropout_rate) / keep
         dropped = embedding * mask
 
-    logits = dropped @ params.weights[-1] + params.biases[-1]
+    logits = dropped @ params.weights[-1]
+    logits += params.biases[-1]
     cache = ForwardCache(params, x, pre_acts, hidden_acts, mask, dropped, logits, single)
     if single:
         return logits[0], cache, embedding[0]
@@ -229,8 +231,11 @@ def init_optimizer(params: ModelParams, learning_rate: float, momentum: float) -
 def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> ModelParams:
     """Classical momentum update: v <- m*v - lr*g; w <- w + v.
 
-    Returns a fresh ModelParams (so stale forward caches are detectable);
-    velocity buffers are updated in place.
+    The velocity buffers of ``state`` are updated in place (``v *= m``,
+    then ``v -= lr*g``: the same float operations, in the same order).
+    The given params are never written to: the result is a fresh
+    ModelParams with fresh arrays, so stale forward caches are detectable
+    and anyone holding the old params keeps their values.
     """
     if len(grads.weights) != len(params.weights):
         raise InvalidDimension("gradient layer count differs from params")
@@ -239,10 +244,10 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> M
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if grads.weights[i].shape != w.shape or grads.biases[i].shape != b.shape:
             raise InvalidDimension(f"layer {i}: gradient shape mismatch")
-        state.velocity_w[i] = state.momentum * state.velocity_w[i] \
-            - state.learning_rate * grads.weights[i]
-        state.velocity_b[i] = state.momentum * state.velocity_b[i] \
-            - state.learning_rate * grads.biases[i]
+        for v, g in ((state.velocity_w[i], grads.weights[i]),
+                     (state.velocity_b[i], grads.biases[i])):
+            v *= state.momentum
+            v -= state.learning_rate * g
         new_w.append(w + state.velocity_w[i])
         new_b.append(b + state.velocity_b[i])
     return ModelParams(new_w, new_b, params.activation)

@@ -203,6 +203,64 @@ class TestRowRanks:
         np.testing.assert_array_equal(row_ranks(x + shifts, policy), row_ranks(x, policy))
 
 
+def stable_sort_row_ranks(scores, tie_policy):
+    """Oracle: row ranks from one stable argsort, every run's average
+    computed for every row (the implementation before the tie fast path)."""
+    x = np.asarray(scores, dtype=np.float64)
+    n, k = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    if tie_policy is TiePolicy.AVERAGE_RANK:
+        ordered = np.take_along_axis(x, order, axis=1)
+        pos = np.arange(k)
+        differs = ordered[:, 1:] != ordered[:, :-1]
+        edge = np.ones((n, 1), dtype=bool)
+        first = np.maximum.accumulate(np.where(np.hstack([edge, differs]), pos, 0), axis=1)
+        last = np.minimum.accumulate(
+            np.where(np.hstack([differs, edge]), pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
+        sorted_ranks = (first + last + 2) / 2.0
+    else:
+        sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
+    ranks = np.empty((n, k))
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
+
+
+def score_rows(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        return rng.normal(0.0, 3.0, size=(n, k))
+    if kind == "integer":  # a few distinct values: long tie runs everywhere
+        return rng.integers(-3, 3, size=(n, k)).astype(float)
+    if kind == "signed_zeros":  # -0.0 == 0.0, so they tie
+        return rng.choice([-0.0, 0.0, 1.0], size=(n, k))
+    if kind == "all_equal":
+        return np.full((n, k), rng.normal())
+    # continuous rows, each holding one tie
+    x = rng.normal(0.0, 3.0, size=(n, k))
+    x[:, 0] = x[:, -1]
+    return x
+
+
+class TestRowRanksFastPath:
+    @given(st.sampled_from(["continuous", "integer", "signed_zeros", "all_equal", "one_tie"]),
+           st.sampled_from([1, 2, 3, 8, 751]), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(TiePolicy)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_stable_sort_oracle_bit_for_bit(self, kind, k, n, seed, policy):
+        x = score_rows(kind, n, k, seed)
+        assert np.array_equal(row_ranks(x, policy), stable_sort_row_ranks(x, policy))
+
+    def test_a_batch_mixing_tied_and_untied_rows(self):
+        x = np.vstack([score_rows(kind, 3, 751, seed) for seed, kind in enumerate(
+            ["continuous", "integer", "signed_zeros", "all_equal", "one_tie"])])
+        for policy in TiePolicy:
+            assert np.array_equal(row_ranks(x, policy), stable_sort_row_ranks(x, policy))
+        ranks = row_ranks(x)
+        np.testing.assert_array_equal(ranks[9:12], 376.0)  # all equal: (1 + 751) / 2
+        np.testing.assert_array_equal(np.sort(ranks[:3], axis=1),
+                                      np.broadcast_to(np.arange(1.0, 752.0), (3, 751)))
+
+
 class TestMprlLabel:
     def test_direct_evaluation(self):
         alpha = mprl_alpha([0.2, 0.5, 0.3], TiePolicy.COMPETITION_ORDER)

@@ -27,6 +27,7 @@ from mprl.losses import (
     mprl_generated_loss,
     real_ce_loss,
     weighted_ce,
+    weighted_ce_values,
 )
 
 LN2 = math.log(2.0)
@@ -292,6 +293,141 @@ class TestWeightedCeKernel:
         np.testing.assert_array_equal(gated.grad_logits[~generated],
                                       out.grad_logits[~generated])
         assert gated.gen_loss == 0.0 and gated.value == gated.real_loss == out.real_loss
+
+
+def dense_weighted_ce(logits, weights, one_hot=None, diagonal=None):
+    """Oracle: the kernel evaluated densely on every row (the implementation
+    before one-hot rows were collapsed), log1p for top-logit one-hot rows."""
+    z = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = np.sum(e, axis=1, keepdims=True)
+    p = e / total
+    values = np.sum(weights * (np.log(total) - z), axis=1)
+    grads = np.sum(weights, axis=1, keepdims=True) * p - weights
+    if diagonal is not None and diagonal.any():
+        grads[diagonal] = -weights[diagonal] * (1.0 - p[diagonal])
+    if one_hot is not None and one_hot.any():
+        rows = np.flatnonzero(one_hot)
+        cls = np.argmax(weights[rows], axis=1)
+        top = z[rows, cls] == 0.0
+        rows, cls = rows[top], cls[top]
+        width = z.shape[1]
+        others = np.arange(width - 1) + (np.arange(width - 1) >= cls[:, None])
+        values[rows] = np.log1p(np.sum(np.take_along_axis(e[rows], others, axis=1), axis=1))
+    return values, grads
+
+
+def mixed_batch(k, n, seed, margin):
+    """n rows over k classes: one-hot rows (a third at the top logit by
+    ``margin``), LSRO rows and rank-weighted rows, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 3.0, size=(n, k))
+    kind = rng.integers(3, size=n)  # 0 one-hot, 1 LSRO, 2 rank-weighted
+    cls = rng.integers(k, size=n)
+    weights = np.zeros((n, k))
+    for i in range(n):
+        if kind[i] == 0:
+            weights[i, cls[i]] = 1.0
+            if rng.random() < 1 / 3:
+                x[i, cls[i]] = x[i].max() + margin
+        elif kind[i] == 1:
+            weights[i] = 1.0 / k
+        else:
+            weights[i] = mprl_rows(mprl_alpha(softmax(x[i])))
+    return x, weights, kind == 0
+
+
+class TestCollapsedOneHotRows:
+    @given(st.sampled_from([1, 2, 3, 8, 151, 751]), st.integers(1, 12),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 2.0, 40.0, 1e3]),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_dense_kernel_bit_for_bit(self, k, n, seed, margin, diagonal):
+        x, weights, hot = mixed_batch(k, n, seed, margin)
+        flags = ~hot if diagonal else None
+        values, grads = weighted_ce(x, weights, one_hot=hot, diagonal=flags)
+        want_values, want_grads = dense_weighted_ce(x, weights, one_hot=hot, diagonal=flags)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(grads, want_grads)
+        assert np.array_equal(weighted_ce_values(x, weights, one_hot=hot), want_values)
+
+    def test_top_logit_rows_keep_the_log1p_value(self):
+        x, weights, hot = mixed_batch(751, 12, 3, 40.0)
+        z = x - x.max(axis=1, keepdims=True)
+        top = hot & (z[np.arange(12), np.argmax(weights, axis=1)] == 0.0)
+        assert top.any()
+        values, _ = weighted_ce(x, weights, one_hot=hot)
+        # log t - z_c rounds to 0 at a margin of 40; log1p keeps the value
+        assert np.all(values[top] > 0.0)
+        assert np.array_equal(values, dense_weighted_ce(x, weights, one_hot=hot)[0])
+
+    def test_all_one_hot_and_all_dense_batches(self):
+        for hot in (np.ones(6, dtype=bool), np.zeros(6, dtype=bool)):
+            x, weights, _ = mixed_batch(20, 6, 9, 5.0)
+            weights[hot] = np.eye(20)[:6][hot]
+            got = weighted_ce(x, weights, one_hot=hot)
+            want = dense_weighted_ce(x, weights, one_hot=hot)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def first_non_one_hot_real_row(weights, generated):
+    """Oracle: the first real row the check before the collapse rejected."""
+    real = ~np.asarray(generated)
+    hot = weights[real]
+    bad = (np.count_nonzero(hot, axis=1) != 1) | (np.count_nonzero(hot == 1.0, axis=1) != 1)
+    return int(np.flatnonzero(real)[np.argmax(bad)]) if bad.any() else None
+
+
+class TestRealRowContract:
+    @pytest.mark.parametrize("row", [
+        [1.0, 1.0, 0.0, 0.0],   # two 1.0s
+        [1.0, -0.5, 0.0, 0.0],  # a 1.0 plus a -0.5
+        [0.0, 2.0, 0.0, 0.0],   # a lone 2.0
+        [0.0, 0.0, -1.0, 0.0],  # a lone -1.0
+        [0.0, 0.0, 0.0, 0.0],   # all zero
+        [0.5, 0.0, 0.0, 0.5],   # a mass-1 row that is not one-hot
+        [1.0, 1e-300, 0.0, 0.0],
+    ], ids=["two_ones", "one_and_minus_half", "lone_two", "lone_minus_one", "all_zero",
+            "two_halves", "one_and_tiny"])
+    def test_rejects_the_same_row_by_number(self, row):
+        weights = np.array([[0.0, 1.0, 0.0, 0.0], [0.25] * 4, [0.0, 0.0, 0.0, 1.0],
+                            row, row])
+        generated = np.array([False, True, False, False, False])
+        assert first_non_one_hot_real_row(weights, generated) == 3
+        with pytest.raises(InvalidClass, match=r"^row 3: real row must carry one-hot"):
+            combined_loss(np.zeros((5, 4)), weights, generated, LossConfig(n_classes=4))
+
+    @pytest.mark.parametrize("value", [0.0, 2.0, -1.0, 0.5])
+    def test_k1_rejects_a_row_other_than_one(self, value):
+        weights = np.array([[1.0], [1.0], [value]])
+        with pytest.raises(InvalidClass, match=r"^row 2: "):
+            combined_loss(np.zeros((3, 1)), weights, np.zeros(3, dtype=bool),
+                          LossConfig(n_classes=1))
+
+    def test_k1_and_signed_zeros_are_accepted(self):
+        combined_loss(np.zeros((2, 1)), np.ones((2, 1)), [False, False], LossConfig(n_classes=1))
+        weights = np.array([[-0.0, 1.0, -0.0], [1.0, 0.0, -0.0]])
+        out = combined_loss(np.zeros((2, 3)), weights, [False, False], LossConfig(n_classes=3))
+        assert out.real_loss == pytest.approx(math.log(3.0), abs=1e-15)
+
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_and_rejects_as_the_old_check(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        weights = np.zeros((n, k))
+        weights[np.arange(n), rng.integers(k, size=n)] = 1.0
+        # spoil a few entries with values the check must see
+        spoiled = rng.random((n, k)) < 0.1
+        weights[spoiled] = rng.choice([0.0, -0.0, 1.0, 2.0, -0.5, 0.5, 1e-300],
+                                      size=int(spoiled.sum()))
+        generated = rng.random(n) < 0.2
+        want = first_non_one_hot_real_row(weights, generated)
+        cfg = LossConfig(n_classes=k)
+        if want is None:
+            combined_loss(np.zeros((n, k)), weights, generated, cfg)
+        else:
+            with pytest.raises(InvalidClass, match=rf"^row {want}: "):
+                combined_loss(np.zeros((n, k)), weights, generated, cfg)
 
 
 class TestCombinedLoss:

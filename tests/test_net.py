@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mprl.errors import InvalidConfig, InvalidDimension, InvalidState
 from mprl.labels import ground_truth_label
@@ -13,6 +15,7 @@ from mprl.net import (
     forward,
     init_optimizer,
     init_params,
+    ParamGrads,
     load_params,
     save_params,
     sgd_step,
@@ -333,6 +336,59 @@ class TestSgdStep:
         bad = ParamGrads([np.zeros((3, 2))], [np.zeros(3)])
         with pytest.raises(InvalidDimension):
             sgd_step(params, bad, opt)
+
+
+class TestInPlaceArithmetic:
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(list(Activation)),
+           st.sampled_from([(5, 7), (5, 6, 4), (16, 32, 16, 151)]))
+    @settings(max_examples=60, deadline=None)
+    def test_forward_equals_matmul_plus_bias_bit_for_bit(self, n, seed, activation, sizes):
+        rng = np.random.default_rng(seed)
+        params = init_params(sizes, seed=seed, activation=activation)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 1.0, size=b.size)
+        x = rng.normal(0.0, 2.0, size=(n, sizes[0]))
+        logits, cache, _ = forward(params, x)
+        a = x
+        for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+            z = a @ w + b
+            assert np.array_equal(cache.pre_acts[i], z)
+            a = np.maximum(z, 0.0) if activation is Activation.RELU else np.tanh(z)
+        assert np.array_equal(logits, a @ params.weights[-1] + params.biases[-1])
+
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-4, 1.0), st.sampled_from([0.0, 0.5, 0.9]),
+           st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_sgd_step_equals_the_fresh_array_update_bit_for_bit(self, seed, lr, momentum, steps):
+        rng = np.random.default_rng(seed)
+        params = init_params((6, 5, 4), seed=seed)
+        opt = init_optimizer(params, lr, momentum)
+        velocity = [np.zeros_like(w) for w in params.weights + params.biases]
+        for _ in range(steps):
+            g = [rng.normal(0.0, 3.0, size=w.shape) for w in params.weights + params.biases]
+            want = []
+            for i, (w, gi) in enumerate(zip(params.weights + params.biases, g)):
+                velocity[i] = momentum * velocity[i] - lr * gi
+                want.append(w + velocity[i])
+            params = sgd_step(params, ParamGrads(g[:2], g[2:]), opt)
+            for got, expected in zip(params.weights + params.biases, want):
+                assert np.array_equal(got, expected)
+            for got, expected in zip(opt.velocity_w + opt.velocity_b, velocity):
+                assert np.array_equal(got, expected)
+
+    def test_sgd_step_leaves_the_given_params_untouched(self):
+        params = init_params((6, 5, 4), seed=3)
+        before = [a.copy() for a in params.weights + params.biases]
+        opt = init_optimizer(params, 0.1, 0.9)
+        grads = ParamGrads([np.ones_like(w) for w in params.weights],
+                           [np.ones_like(b) for b in params.biases])
+        updated = sgd_step(params, grads, opt)
+        updated = sgd_step(updated, grads, opt)
+        for old, kept in zip(before, params.weights + params.biases):
+            assert np.array_equal(old, kept)
+        fresh = updated.weights + updated.biases
+        assert not any(np.shares_memory(a, b) for a in fresh
+                       for b in params.weights + params.biases + opt.velocity_w + opt.velocity_b)
 
 
 class TestCheckpoint:

@@ -1,5 +1,6 @@
 """Training strategies: gating, determinism, label assignment, epoch observers."""
 
+import copy
 import math
 
 import numpy as np
@@ -306,6 +307,21 @@ class TestEpochObserver:
         assert [record.epoch for record, _ in seen] == [1, 2, 3, 4, 5]
         assert [record for record, _ in seen] == h2.records
         assert seen[-1][1] is p2
+
+    def test_params_held_from_epoch_1_keep_their_values(self, real, generated):
+        cfg = quick_config(Strategy.DMPRL1, epochs=4)
+        seen = []
+        snapshot = []
+
+        def observe(record, params):
+            seen.append(params)
+            if record.epoch == 1:
+                snapshot.append(copy.deepcopy(params))
+
+        final, _ = train(real, generated, cfg, on_epoch=observe)
+        # training went on for three epochs, updating its velocity in place
+        assert not params_bitwise_equal(seen[0], final)
+        assert params_bitwise_equal(seen[0], snapshot[0])
 
 
 class TestCombinedHistorySemantics:
