@@ -110,7 +110,7 @@ def _softmax_terms(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _values(z, e, total, weights, rows, cls) -> np.ndarray:
     """Row values from the softmax terms; ``rows`` are one-hot at ``cls``."""
     log_total = np.log(total)
-    if rows.size == 0:
+    if rows.size == 0:  # every row dense: no row subsets to copy
         return np.sum(weights * (log_total - z), axis=1)
     values = np.empty(z.shape[0])
     dense = _dense_rows(z.shape[0], rows)
@@ -133,19 +133,17 @@ def _kernel(logits, weights, rows, cls, diagonal) -> tuple[np.ndarray, np.ndarra
     """:func:`weighted_ce` once the one-hot ``rows`` and their classes are known."""
     z, e, total = _softmax_terms(logits)
     values = _values(z, e, total, weights, rows, cls)
-    p = np.divide(e, total, out=e)  # e is spent once the values are in
+    # p = softmax, computed over e (spent once the values are in); each
+    # row of it then becomes that row's gradient
+    grads = np.divide(e, total, out=e)
     diagonal_rows = None
     if diagonal is not None and diagonal.any():
-        diagonal_rows = -weights[diagonal] * (1.0 - p[diagonal])
-    if rows.size == 0:
-        grads = np.sum(weights, axis=1, keepdims=True) * p - weights
-    else:
-        dense = _dense_rows(z.shape[0], rows)
-        if dense.any():
-            w = weights[dense]
-            p[dense] = np.sum(w, axis=1, keepdims=True) * p[dense] - w
-        p[rows, cls] -= 1.0
-        grads = p
+        diagonal_rows = -weights[diagonal] * (1.0 - grads[diagonal])
+    dense = _dense_rows(z.shape[0], rows)
+    if dense.any():
+        w = weights[dense]
+        grads[dense] = np.sum(w, axis=1, keepdims=True) * grads[dense] - w
+    grads[rows, cls] -= 1.0
     if diagonal_rows is not None:
         grads[diagonal] = diagonal_rows
     return values, grads
