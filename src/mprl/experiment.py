@@ -26,11 +26,20 @@ the generator or ``TrainConfig.validate`` would refuse inside a cell.
 
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
+Cells run seed-major: every cell of the first seed (strategies in spec
+order, each over its counts), then the next seed.  Within one
+:func:`run_experiment` call, and within each worker process under
+``jobs > 1``, the cells of a seed share what they would otherwise each
+build: the real dataset, each count's generated dataset (read-only), and
+the baseline model that labels an smprl cell's generated rows, which is
+the baseline cell's when it has already run there and is pretrained
+once otherwise.  Nothing is shared across seeds or across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
 per (strategy, count) group when several seeds ran.  All cell artifacts
-are byte-reproducible from the spec; the summary's wall_seconds column
-is the only timing (hence non-reproducible) field anywhere.
+are byte-reproducible from the spec, whatever ran before them; the
+summary's wall_seconds column is the only timing (hence
+non-reproducible) field anywhere.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import InvalidConfig, MprlError, SpecError
-from .net import forward
+from .net import ModelParams, forward
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import Dataset, make_generated_dataset, make_real_dataset
 from .trainer import (
@@ -184,22 +193,85 @@ class Cell:
 
 
 def expand_cells(spec: ExperimentSpec) -> list[Cell]:
-    """Grid expansion; the baseline collapses over the count axis."""
+    """Grid expansion, seed-major: every cell of one seed (strategies in
+    spec order, each over its counts) before the next seed; the baseline
+    collapses over the count axis."""
     cells = []
-    for strategy in spec.strategies:
-        counts = (0,) if strategy is Strategy.BASELINE else spec.counts
-        for count in counts:
-            for seed in spec.seeds:
+    for seed in spec.seeds:
+        for strategy in spec.strategies:
+            counts = (0,) if strategy is Strategy.BASELINE else spec.counts
+            for count in counts:
                 cells.append(Cell(strategy, count, seed))
     return cells
 
 
-def build_datasets(spec: ExperimentSpec, seed: int, count: int) -> tuple[Dataset, Dataset | None]:
-    real = make_real_dataset(
+class RunMemo:
+    """What the cells of one seed share within one :func:`run_experiment`
+    call: the real dataset, each count's generated dataset and the
+    baseline model that labels an smprl cell's generated rows.  Cells run
+    seed-major, so it holds one seed at a time.  Every array it holds is
+    read-only."""
+
+    def __init__(self):
+        self._hold(None)
+
+    def at(self, spec: ExperimentSpec, seed: int) -> RunMemo:
+        """This memo, emptied first unless it holds (spec, seed)."""
+        if self.key != (spec, seed):
+            self._hold((spec, seed))
+        return self
+
+    def _hold(self, key) -> None:
+        self.key = key
+        self.real: Dataset | None = None
+        self.generated: dict[int, Dataset | None] = {}
+        self.baseline: ModelParams | None = None
+
+
+# a pool worker's memo, set by the pool's initializer; it ends with its
+# worker, which ends with the run's pool
+_worker_memo: RunMemo | None = None
+
+
+def _start_worker_memo() -> None:
+    global _worker_memo
+    _worker_memo = RunMemo()
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+def _frozen_dataset(data: Dataset | None) -> Dataset | None:
+    if data is not None:
+        _read_only(data.ids, data.features, data.classes, data.splits,
+                   data.source_ids, data.source_classes, data.source_weights)
+    return data
+
+
+def build_datasets(spec: ExperimentSpec, seed: int, count: int,
+                   memo: RunMemo | None = None) -> tuple[Dataset, Dataset | None]:
+    """The real dataset of ``seed`` and the generated dataset of (seed,
+    count), None at count 0.  With a run's ``memo`` each is built once and
+    then shared, read-only."""
+    if memo is None:
+        real = _build_real(spec, seed)
+        return real, build_generated(spec, real, seed, count)
+    memo.at(spec, seed)
+    if memo.real is None:
+        memo.real = _frozen_dataset(_build_real(spec, seed))
+    if count not in memo.generated:
+        memo.generated[count] = _frozen_dataset(build_generated(spec, memo.real, seed, count))
+    return memo.real, memo.generated[count]
+
+
+def _build_real(spec: ExperimentSpec, seed: int) -> Dataset:
+    return make_real_dataset(
         spec.n_classes, spec.n_per_class, spec.dim, spec.cluster_spread,
         seed=(seed, _SEED_REAL_DATA),
     )
-    return real, build_generated(spec, real, seed, count)
 
 
 def build_generated(spec: ExperimentSpec, real: Dataset, seed: int,
@@ -220,23 +292,46 @@ class CellResult:
 
 
 def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
-                generated: Dataset | None, on_epoch=None):
-    """Train a cell on the datasets its caller built (smprl with generated
-    rows first pretrains the baseline that fixes its static labels);
-    returns the trained parameters and the history.  ``on_epoch`` observes
-    the cell's own training, never the pretraining."""
+                generated: Dataset | None, on_epoch=None, memo: RunMemo | None = None):
+    """Train a cell on the datasets its caller built; returns the trained
+    parameters and the history.  ``on_epoch`` observes the cell's own
+    training, never the pretraining.
+
+    smprl with generated rows labels them with its seed's baseline model:
+    within a run (``memo``) the baseline cell's parameters when that cell
+    has run, else one pretraining per seed.  The two are the same bits:
+    without generated rows, neither ``gen_weight`` nor the
+    strategy-specific settings reach the trajectory.
+    """
     cfg = spec.train_config(cell.strategy, cell.seed)
     static = None
     if cell.strategy is Strategy.SMPRL and generated is not None:
-        static = assign_static_labels(pretrain_baseline(real, cfg), generated, cfg.tie_policy)
-    return train(real, generated, cfg, static_labels=static, on_epoch=on_epoch)
+        baseline = memo.at(spec, cell.seed).baseline if memo is not None else None
+        if baseline is None:
+            baseline = _keep_baseline(spec, cell.seed, pretrain_baseline(real, cfg), memo)
+        static = assign_static_labels(baseline, generated, cfg.tie_policy)
+    params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch)
+    if cell.strategy is Strategy.BASELINE:
+        _keep_baseline(spec, cell.seed, params, memo)
+    return params, history
 
 
-def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResult:
-    """Train one grid cell, write its artifacts, return its summary row."""
+def _keep_baseline(spec: ExperimentSpec, seed: int, params: ModelParams,
+                   memo: RunMemo | None) -> ModelParams:
+    """Hold ``params``, read-only, as the seed's baseline model for the rest of the run."""
+    if memo is not None:
+        _read_only(*params.weights, *params.biases)
+        memo.at(spec, seed).baseline = params
+    return params
+
+
+def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None,
+             memo: RunMemo | None = None) -> CellResult:
+    """Train one grid cell, write its artifacts, return its summary row.
+    ``memo`` carries what the cells of one run share."""
     start = time.perf_counter()
-    real, generated = build_datasets(spec, cell.seed, cell.n_generated)
-    params, history = _train_cell(spec, cell, real, generated)
+    real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
+    params, history = _train_cell(spec, cell, real, generated, memo=memo)
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
@@ -254,7 +349,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None) -> CellResu
 
 
 def _run_cell_job(args):
-    return run_cell(*args)
+    return run_cell(*args, memo=_worker_memo)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
@@ -273,10 +368,16 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
 
     results: list[CellResult] = []
     try:
-        # --jobs 1 stays in this process, so patched module globals apply
-        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-            for result in (map if pool is None else pool.map)(
-                    _run_cell_job, [(spec, c, out_path) for c in cells]):
+        # --jobs 1 stays in this process, so patched module globals apply;
+        # each worker process starts a memo of its own
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker_memo
+                                 ) if jobs > 1 else nullcontext() as pool:
+            if pool is None:
+                memo = RunMemo()
+                outcomes = (run_cell(spec, c, out_path, memo) for c in cells)
+            else:
+                outcomes = pool.map(_run_cell_job, [(spec, c, out_path) for c in cells])
+            for result in outcomes:
                 results.append(result)
                 if progress:
                     progress(result)

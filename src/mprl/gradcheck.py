@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InvalidConfig
 from .labels import (
     TiePolicy,
-    ground_truth_label,
     lsro_label,
     mprl_alpha,
     mprl_rows,
@@ -66,16 +65,18 @@ def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) ->
     return grad
 
 
-def _batch_values(weights, one_hot: bool = False):
-    """The forward value of one weight row's loss, at every point of a batch.
+def _batch_values(cls: int, weights=None):
+    """The forward value of one label's loss, at every point of a batch.
 
-    These are the kernel rows the per-vector losses evaluate:
-    ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the uniform row and
-    ``mprl_generated_loss`` (at gen_weight 1) the normalized rank row.
+    The label is the one-hot row at class ``cls``, or with ``cls`` -1 the
+    weight row ``weights``.  These are the kernel rows the per-vector
+    losses evaluate: ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the
+    uniform row and ``mprl_generated_loss`` (at gen_weight 1) the
+    normalized rank row.
     """
     def values(points):
-        return weighted_ce_values(points, np.broadcast_to(weights, points.shape),
-                                  one_hot=np.full(points.shape[0], one_hot))
+        rows = None if weights is None else np.broadcast_to(weights, points.shape)
+        return weighted_ce_values(points, np.full(points.shape[0], cls), rows)
     return values
 
 
@@ -153,14 +154,14 @@ def run_gradcheck(
             c = int(rng.integers(k))
             ranks = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
             mprl_out = mprl_generated_loss(x, ranks, cfg)
-            # (name, analytic output, the weight row it differentiates, one-hot?)
+            # (name, analytic output, the class or weight row it differentiates)
             cases = (
-                ("real_ce", real_ce_loss(x, c), ground_truth_label(c + 1, k), True),
-                ("lsro", lsro_loss(x), lsro_label(k), False),
-                ("mprl_analytic", mprl_out, mprl_rows(ranks), False),
+                ("real_ce", real_ce_loss(x, c), c, None),
+                ("lsro", lsro_loss(x), -1, lsro_label(k)),
+                ("mprl_analytic", mprl_out, -1, mprl_rows(ranks)),
             )
-            for name, out, row, one_hot in cases:
-                fd = finite_difference_gradient(_batch_values(row, one_hot), x, step)
+            for name, out, cls, row in cases:
+                fd = finite_difference_gradient(_batch_values(cls, row), x, step)
                 worst[name] = max(worst.get(name, 0.0),
                                   relative_gradient_error(out.grad_logits, fd))
 

@@ -153,16 +153,18 @@ def row_ranks(scores, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndar
     n, k = x.shape
     average = tie_policy is TiePolicy.AVERAGE_RANK
     order = np.argsort(x, axis=1, kind=None if average else "stable")
+    # the sort's positions in the flattened matrix, for one flat gather and scatter
+    flat = order + np.arange(0, n * k, k)[:, None]
     sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
     if average:
-        ordered = np.take_along_axis(x, order, axis=1)
+        ordered = np.take(x, flat)
         differs = ordered[:, 1:] != ordered[:, :-1]
         tied = ~differs.all(axis=1)
         if tied.any():
             sorted_ranks = sorted_ranks.copy()
             sorted_ranks[tied] = _average_ranks(differs[tied])
     ranks = np.empty((n, k))
-    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    ranks.reshape(-1)[flat] = sorted_ranks
     return ranks
 
 

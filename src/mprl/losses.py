@@ -6,9 +6,10 @@ of a logit row against a weight row, -sum_k w_k log softmax(x)_k.
 :func:`weighted_ce` evaluates it for a whole (B, width) batch at once;
 :func:`combined_loss` reduces a mini-batch with it, and the per-vector
 losses (``real_ce_loss``, ``lsro_loss``, ``mprl_generated_loss``) are
-one-row calls into it.  Real samples carry one-hot weights; generated
-samples carry their virtual label, whose weights for multi-pseudo
-(rank-weighted) labels are normalized by 2/(1+K); the generated-sample
+one-row calls into it.  A real sample is given by its class, whose
+one-hot row is scored without ever being built; a generated sample
+carries its virtual label's weight row, which for multi-pseudo
+(rank-weighted) labels is normalized by 2/(1+K); the generated-sample
 loss is scaled by a trade-off factor against the real-sample loss.
 
 Two gradient modes exist for the rank-weighted generated loss:
@@ -64,40 +65,74 @@ class LossOutput:
     grad_logits: np.ndarray
 
 
-def weighted_ce(logits, weights, one_hot=None, diagonal=None) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy of every logit row against its weight row.
+def weighted_ce(logits, classes, weights=None, diagonal: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of every logit row against its label.
 
-    ``logits`` and ``weights`` are (B, width).  Row i's value is
-    -sum_k W_ik log softmax(X_i)_k = sum_k W_ik (log t_i - z_ik), with
-    z_i = X_i - max(X_i) and t_i = sum_k exp(z_ik), and its gradient is
-    sum(W_i) p_i - W_i, the derivative of that value with the weights held
-    fixed.  Rows flagged in the boolean mask ``diagonal`` get the diagonal
-    gradient -W_i (1 - p_i) instead.  Rows flagged in ``one_hot`` must
-    carry one-hot weights, at class c; their sums collapse to the value
-    log t_i - z_ic and the gradient p_i - e_c, bit for bit, since the row
-    sums to exactly 1 and every other product is +0.  Where c holds the
-    top logit the value is log1p(sum of the other classes' exp(x_j - x_c)),
-    which stays accurate, and strictly positive, at margins where the
-    log-sum-exp form cancels to zero.  Returns the values (B,) and the
-    gradients (B, width).
+    ``logits`` is (B, width) and ``classes`` (B,) names each row's label:
+    a class c in 0..width-1 is the one-hot row at c, and -1 marks a
+    weighted row, whose weights are the next row of ``weights`` (G, width):
+    one row per -1, in batch order, and None when there is no -1.  Row i's
+    value is -sum_k W_ik log softmax(X_i)_k = sum_k W_ik (log t_i - z_ik),
+    with z_i = X_i - max(X_i) and t_i = sum_k exp(z_ik), and its gradient
+    is sum(W_i) p_i - W_i, the derivative of that value with the weights
+    held fixed.  With ``diagonal`` every weighted row gets the diagonal
+    gradient -W_i (1 - p_i) instead.  A one-hot row at c is scored in
+    collapsed form, value log t_i - z_ic and gradient p_i - e_c: the
+    weighted form bit for bit, since the row sums to exactly 1 and every
+    other product is +0.  Where c holds the top logit the value is
+    log1p(sum of the other classes' exp(x_j - x_c)), which stays accurate,
+    and strictly positive, at margins where the log-sum-exp form cancels
+    to zero.  Returns the values (B,) and the gradients (B, width).
     """
-    rows, cls = _one_hot_classes(weights, one_hot)
-    return _kernel(logits, weights, rows, cls, diagonal)
+    x = np.asarray(logits, dtype=np.float64)
+    rows, cls, dense = _label_rows(classes, x.shape)
+    w = _weight_rows(weights, x.shape[0] - rows.size, x.shape[1])
+    values, grads, dense_grads = _kernel(x, rows, cls, dense, w, diagonal)
+    if dense_grads is None:
+        return values, grads
+    if not rows.size:  # every row weighted
+        return values, dense_grads
+    grads[dense] = dense_grads
+    return values, grads
 
 
-def weighted_ce_values(logits, weights, one_hot=None) -> np.ndarray:
+def weighted_ce_values(logits, classes, weights=None) -> np.ndarray:
     """The values (B,) of :func:`weighted_ce`, bit for bit, without its gradients."""
-    rows, cls = _one_hot_classes(weights, one_hot)
-    z, e, total = _softmax_terms(logits)
-    return _values(z, e, total, weights, rows, cls)
+    x = np.asarray(logits, dtype=np.float64)
+    rows, cls, dense = _label_rows(classes, x.shape)
+    w = _weight_rows(weights, x.shape[0] - rows.size, x.shape[1])
+    z, e, total = _softmax_terms(x)
+    return _values(z, e, total, rows, cls, dense, w)
 
 
-def _one_hot_classes(weights, one_hot) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the rows flagged in ``one_hot`` and each one's class."""
-    if one_hot is None:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    rows = np.flatnonzero(one_hot)
-    return rows, np.argmax(weights[rows], axis=1)
+def _label_rows(classes, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-hot rows' positions and classes, and the weighted-row (-1) mask."""
+    n, width = shape
+    c = np.asarray(classes)
+    if c.shape != (n,) or (n and c.dtype.kind not in "iu"):
+        raise InvalidDimension(f"classes must be {n} integers, one per logit row, "
+                               f"got {c.dtype} of shape {c.shape}")
+    if n and (c.min() < -1 or c.max() >= width):
+        row = int(np.argmax((c < -1) | (c >= width)))
+        raise InvalidClass(f"row {row}: class {c[row]} outside 0..{width - 1} "
+                           "(or -1 for a weighted row)")
+    dense = c < 0
+    rows = np.flatnonzero(~dense)
+    return rows, c[rows], dense
+
+
+def _weight_rows(weights, n_dense: int, width: int) -> np.ndarray | None:
+    """The weighted rows' (n_dense, width) weights; None when no row is weighted."""
+    if weights is None:
+        if n_dense:
+            raise InvalidDimension(f"{n_dense} weighted rows (class -1) need weight rows")
+        return None
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n_dense, width):
+        raise InvalidDimension(f"weights {w.shape} do not match the {n_dense} weighted "
+                               f"rows of width {width}")
+    return w if n_dense else None
 
 
 def _softmax_terms(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,15 +142,18 @@ def _softmax_terms(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, e, np.sum(e, axis=1, keepdims=True)
 
 
-def _values(z, e, total, weights, rows, cls) -> np.ndarray:
-    """Row values from the softmax terms; ``rows`` are one-hot at ``cls``."""
+def _values(z, e, total, rows, cls, dense, weights) -> np.ndarray:
+    """Row values from the softmax terms: ``rows`` one-hot at ``cls``, the
+    ``dense`` rows against ``weights``, and 0 for a dense row without
+    weights (None, as behind a closed gate)."""
     log_total = np.log(total)
-    if rows.size == 0:  # every row dense: no row subsets to copy
+    if not rows.size:  # every row dense: no row subsets to copy
+        if weights is None:
+            return np.zeros(z.shape[0])
         return np.sum(weights * (log_total - z), axis=1)
-    values = np.empty(z.shape[0])
-    dense = _dense_rows(z.shape[0], rows)
-    if dense.any():
-        values[dense] = np.sum(weights[dense] * (log_total[dense] - z[dense]), axis=1)
+    values = np.zeros(z.shape[0])
+    if weights is not None:
+        values[dense] = np.sum(weights * (log_total[dense] - z[dense]), axis=1)
     z_class = z[rows, cls]
     values[rows] = log_total[rows, 0] - z_class
     top = z_class == 0.0
@@ -129,36 +167,30 @@ def _values(z, e, total, weights, rows, cls) -> np.ndarray:
     return values
 
 
-def _kernel(logits, weights, rows, cls, diagonal) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`weighted_ce` once the one-hot ``rows`` and their classes are known."""
-    z, e, total = _softmax_terms(logits)
-    values = _values(z, e, total, weights, rows, cls)
-    # p = softmax, computed over e (spent once the values are in); each
-    # row of it then becomes that row's gradient
-    grads = np.divide(e, total, out=e)
-    diagonal_rows = None
-    if diagonal is not None and diagonal.any():
-        diagonal_rows = -weights[diagonal] * (1.0 - grads[diagonal])
-    dense = _dense_rows(z.shape[0], rows)
-    if dense.any():
-        w = weights[dense]
-        grads[dense] = np.sum(w, axis=1, keepdims=True) * grads[dense] - w
-    grads[rows, cls] -= 1.0
-    if diagonal_rows is not None:
-        grads[diagonal] = diagonal_rows
-    return values, grads
+def _kernel(x, rows, cls, dense, weights, diagonal
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The values (B,), the (B, width) softmax buffer holding each one-hot
+    row's gradient, and the dense rows' gradients (G, width), None
+    without weights; a dense row's line of the buffer holds its softmax."""
+    z, e, total = _softmax_terms(x)
+    values = _values(z, e, total, rows, cls, dense, weights)
+    # p = softmax, computed over e (spent once the values are in)
+    p = np.divide(e, total, out=e)
+    dense_grads = None
+    if weights is not None:
+        p_dense = p[dense] if rows.size else p
+        if diagonal:
+            dense_grads = -weights * (1.0 - p_dense)
+        else:
+            dense_grads = np.sum(weights, axis=1, keepdims=True) * p_dense - weights
+    p[rows, cls] -= 1.0
+    return values, p, dense_grads
 
 
-def _dense_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Boolean mask of the n rows not listed in the one-hot ``rows``."""
-    dense = np.ones(n, dtype=bool)
-    dense[rows] = False
-    return dense
-
-
-def _one_row(x: np.ndarray, w: np.ndarray, one_hot=False, diagonal=False) -> LossOutput:
-    values, grads = weighted_ce(x[None, :], w[None, :], np.array([one_hot]),
-                                np.array([diagonal]))
+def _one_row(x: np.ndarray, cls: int = -1, w: np.ndarray | None = None,
+             diagonal: bool = False) -> LossOutput:
+    values, grads = weighted_ce(x[None, :], np.array([cls]),
+                                None if w is None else w[None, :], diagonal)
     return LossOutput(float(values[0]), grads[0])
 
 
@@ -174,9 +206,7 @@ def real_ce_loss(logits, class_index: int) -> LossOutput:
     x = check_logits(logits)
     if not 0 <= class_index < x.size:
         raise InvalidClass(f"class index {class_index} outside 0..{x.size - 1}")
-    w = np.zeros(x.size)
-    w[class_index] = 1.0
-    return _one_row(x, w, one_hot=True)
+    return _one_row(x, class_index)
 
 
 def lsro_loss(logits) -> LossOutput:
@@ -185,7 +215,7 @@ def lsro_loss(logits) -> LossOutput:
     Value: -(1/K) sum_k log p_k; gradient: p - 1/K, which sums to zero.
     """
     x = check_logits(logits)
-    return _one_row(x, np.full(x.size, 1.0 / x.size))
+    return _one_row(x, w=np.full(x.size, 1.0 / x.size))
 
 
 def mprl_generated_loss(logits, ranks, cfg: LossConfig) -> LossOutput:
@@ -204,7 +234,7 @@ def mprl_generated_loss(logits, ranks, cfg: LossConfig) -> LossOutput:
             f"({cfg.n_classes}) disagree on the class count"
         )
     w = mprl_rows(r)
-    out = _one_row(x, w, diagonal=cfg.gradient_mode is GradientMode.DIAGONAL)
+    out = _one_row(x, w=w, diagonal=cfg.gradient_mode is GradientMode.DIAGONAL)
     return LossOutput(cfg.gen_weight * out.value, cfg.gen_weight * out.grad_logits)
 
 
@@ -228,56 +258,55 @@ class CombinedLoss:
     grad_logits: np.ndarray
 
 
-def combined_loss(logits, weights, generated, cfg: LossConfig,
+def combined_loss(logits, classes, gen_weights, cfg: LossConfig,
                   gate_active: bool = True) -> CombinedLoss:
-    """Mini-batch loss of a (B, width) logit matrix against (B, width) weight rows.
+    """Mini-batch loss of a (B, width) logit matrix against its rows' labels.
 
-    ``generated`` is a boolean mask of length B.  Real rows must carry
-    one-hot weights at their class.  Generated rows carry their virtual
-    label's weights, normalized: multi-pseudo rows already include the
-    2/(1+K) factor (see :func:`mprl.labels.mprl_rows`).  When
-    ``cfg.gradient_mode`` is DIAGONAL every generated row gets the
-    diagonal gradient.  Reduction is per-origin mean, then
+    ``classes`` (B,) holds each real row's 0-based class and -1 for a
+    generated row.  ``gen_weights`` (G, width) holds the generated rows'
+    virtual labels, one row per -1 in batch order; multi-pseudo rows
+    already include the 2/(1+K) factor (see :func:`mprl.labels.mprl_rows`).
+    When ``gate_active`` is False the generated rows contribute exactly
+    zero loss and gradient (hard-zero gradient rows), and ``gen_weights``
+    may be None.  Real rows are scored in :func:`weighted_ce`'s collapsed
+    one-hot form; when ``cfg.gradient_mode`` is DIAGONAL every generated
+    row gets the diagonal gradient.  Reduction is per-origin mean, then
     value = mean(real) + gen_weight * mean(generated), so the trade-off
-    factor keeps its meaning regardless of batch composition.  When
-    ``gate_active`` is False, generated items contribute exactly zero
-    loss and gradient (gradient rows are hard zeros).
+    factor keeps its meaning regardless of batch composition.  A class
+    outside 0..width-1 (other than -1) raises ``InvalidClass`` naming its
+    row.
     """
     x = np.asarray(logits, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    gen = np.asarray(generated, dtype=bool)
     if x.ndim != 2 or x.size == 0:
         raise InvalidDimension("batch must contain at least one item")
-    if w.shape != x.shape or gen.shape != x.shape[:1]:
-        raise InvalidDimension(
-            f"logits {x.shape}, weights {w.shape} and generated mask {gen.shape} "
-            "disagree on the batch shape"
-        )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise InvalidDimension("logits and weights must be finite")
-    real = ~gen
-    rows = np.flatnonzero(real)
-    hot = w[rows]
-    cls = np.argmax(hot, axis=1)
-    is_one = hot[np.arange(rows.size), cls] == 1.0
-    # a 1.0 in every row and no other nonzero entry: each row is one-hot
-    if not (is_one.all() and np.count_nonzero(hot) == rows.size):
-        not_one_hot = (np.count_nonzero(hot, axis=1) != 1) | ~is_one
-        row = int(rows[np.argmax(not_one_hot)])
-        raise InvalidClass(f"row {row}: real row must carry one-hot weights")
+    rows, cls, gen = _label_rows(classes, x.shape)
     n_real = rows.size
     n_generated = x.shape[0] - n_real
+    # behind a closed gate the generated rows need no weights
+    w = None if gen_weights is None and not gate_active else _weight_rows(
+        gen_weights, n_generated, x.shape[1])
+    scored = gate_active and n_generated > 0
+    if not (_finite(x) and (w is None or _finite(w))):
+        raise InvalidDimension("logits and weights must be finite")
 
-    diagonal = gen if cfg.gradient_mode is GradientMode.DIAGONAL else None
-    values, grads = _kernel(x, w, rows, cls, diagonal)
+    diagonal = cfg.gradient_mode is GradientMode.DIAGONAL
+    values, grads, gen_grads = _kernel(x, rows, cls, gen, w if scored else None, diagonal)
+    # per-row scaling in place on the (B, width) buffer; the generated
+    # rows it scales are overwritten below
     if n_real:
-        grads[real] /= n_real
-    if gate_active and n_generated:
-        grads[gen] *= cfg.gen_weight / n_generated
-    else:
+        grads /= n_real
+    if scored:
+        gen_grads *= cfg.gen_weight / n_generated
+        grads[gen] = gen_grads
+    elif n_generated:
         grads[gen] = 0.0
 
-    real_loss = float(np.sum(values[real])) / n_real if n_real else 0.0
-    gen_loss = float(np.sum(values[gen])) / n_generated if (n_generated and gate_active) else 0.0
+    real_loss = float(np.sum(values[rows])) / n_real if n_real else 0.0
+    gen_loss = float(np.sum(values[gen])) / n_generated if scored else 0.0
     value = real_loss + cfg.gen_weight * gen_loss
     return CombinedLoss(value, real_loss, gen_loss, n_real, n_generated, grads)
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Every entry finite; NaN propagates through min and max."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))

@@ -146,17 +146,7 @@ def forward(params: ModelParams, features, dropout_rate: float = 0.0,
     if not 0.0 <= dropout_rate < 1.0:
         raise InvalidConfig("dropout_rate must be in [0, 1)")
 
-    pre_acts = []
-    hidden_acts = []
-    a = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w
-        z += b
-        a = _activate(z, params.activation)
-        pre_acts.append(z)
-        hidden_acts.append(a)
-
-    embedding = a  # input itself when there are no hidden layers
+    pre_acts, hidden_acts, embedding = _hidden_stack(params, x)
     mask = None
     dropped = embedding
     if train_mode and dropout_rate > 0.0:
@@ -173,6 +163,32 @@ def forward(params: ModelParams, features, dropout_rate: float = 0.0,
     if single:
         return logits[0], cache, embedding[0]
     return logits, cache, embedding
+
+
+def embed(params: ModelParams, features) -> np.ndarray:
+    """Eval-mode embeddings of a (n, d) batch: the hidden stack of
+    :func:`forward`, bit for bit, without the logits head."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+        raise InvalidDimension(
+            f"features have shape {x.shape}, network expects (n, {params.layer_sizes[0]})"
+        )
+    return _hidden_stack(params, x)[2]
+
+
+def _hidden_stack(params: ModelParams, x: np.ndarray):
+    """Pre-activations and activations of every hidden layer, and the
+    embedding (the last activation; the input itself without hidden layers)."""
+    pre_acts = []
+    hidden_acts = []
+    a = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w
+        z += b
+        a = _activate(z, params.activation)
+        pre_acts.append(z)
+        hidden_acts.append(a)
+    return pre_acts, hidden_acts, a
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrads:

@@ -17,9 +17,10 @@ Training is batch-first over the columnar datasets of :mod:`mprl.synthgen`.
 Each epoch shuffles the pool (the real train rows' features, then the
 generated rows') with an epoch-seeded RNG, so identical configs
 reproduce identical parameter trajectories bit for bit.  Per mini-batch
-the strategy maps the batch's logits to a (B, width) weight matrix (real
-rows one-hot at their class, generated rows the strategy's virtual
-label), and one :func:`combined_loss` call scores the whole batch.
+one :func:`combined_loss` call scores the whole batch from its logits,
+each row's class (0-based for a real row, -1 for a generated one) and
+the generated rows' (G, width) virtual labels, which the strategy maps
+from their logits; no real row is ever spelled out as a one-hot row.
 Rank-weighted and one-hot pseudo labels are read off the logits directly
 (see :mod:`mprl.labels`), so an arbitrarily confident model never
 produces an invalid label.  Epoch indices are 1-based; the warm-up gate
@@ -59,6 +60,7 @@ from .net import (
     Activation,
     ModelParams,
     backward,
+    embed,
     forward,
     init_optimizer,
     init_params,
@@ -270,10 +272,10 @@ def train(
     history = TrainHistory()
 
     # the merged pool: real train rows first, then the generated rows
+    # (0-based classes, -1 for a generated row)
     n_real = len(real_train)
     pool_feats = np.concatenate([real_train.features, gen_feats])
-    pool_generated = np.arange(len(pool_feats)) >= n_real
-    pool_class = np.concatenate([real_train.classes - 1, np.zeros(len(gen_feats), dtype=int)])
+    pool_class = np.concatenate([real_train.classes - 1, np.full(len(gen_feats), -1)])
     generated_rule = _generated_rule(cfg, n_classes, static_labels)
     first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
 
@@ -294,19 +296,19 @@ def train(
                 dropout_seed=(cfg.seed, _SEED_DROPOUT, epoch, batch_idx),
                 train_mode=True,
             )
-            gen = pool_generated[batch]
-            weights = np.zeros(logits.shape)
-            real_rows = np.flatnonzero(~gen)
-            weights[real_rows, pool_class[batch[real_rows]]] = 1.0
+            classes = pool_class[batch]
+            gen = classes < 0
+            gen_weights = None  # behind a closed gate, the generated rows need none
             if gate and gen.any():
                 if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
                     # the untrained model offers no ranking signal yet
                     ranks = [first_iter_rng.permutation(n_classes) for _ in range(gen.sum())]
-                    weights[gen] = mprl_rows(np.stack(ranks) + 1.0)
+                    gen_weights = mprl_rows(np.stack(ranks) + 1.0)
                 else:
-                    weights[gen] = generated_rule(logits[gen], batch[gen] - n_real)
+                    gen_weights = generated_rule(logits[gen], batch[gen] - n_real)
 
-            out: CombinedLoss = combined_loss(logits, weights, gen, loss_cfg, gate_active=gate)
+            out: CombinedLoss = combined_loss(logits, classes, gen_weights, loss_cfg,
+                                              gate_active=gate)
             grads = backward(params, cache, out.grad_logits)
             params = sgd_step(params, grads, opt)
 
@@ -354,12 +356,12 @@ def assign_static_labels(
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:
-    """Eval-mode penultimate activations for one split of a dataset."""
+    """Eval-mode penultimate activations for one split of a dataset (the
+    hidden stack only; the logits head is never computed)."""
     rows = dataset.split(split)
     if not len(rows):
         raise InvalidDimension(f"dataset has no samples in split {split!r}")
-    _, _, emb = forward(params, rows.features, train_mode=False)
-    return EmbeddingSet(rows.ids, rows.classes, emb)
+    return EmbeddingSet(rows.ids, rows.classes, embed(params, rows.features))
 
 
 def pretrain_baseline(real: Dataset, cfg: TrainConfig) -> ModelParams:

@@ -219,6 +219,94 @@ class TestGridExpansion:
         assert cells == [Cell(Strategy.BASELINE, 0, 9)]
 
 
+    def test_cells_run_seed_major(self):
+        spec = parse_spec_text("strategies = lsro, baseline\ncounts = 0, 5\nseeds = 2, 1\n")
+        assert [c.name for c in expand_cells(spec)] == [
+            "lsro_n0_seed2", "lsro_n5_seed2", "baseline_n0_seed2",
+            "lsro_n0_seed1", "lsro_n5_seed1", "baseline_n0_seed1",
+        ]
+
+
+class TestRunMemo:
+    """One run builds each dataset once and trains each seed's baseline once."""
+
+    SPEC = TINY_SPEC.replace("baseline, lsro", "baseline, lsro, smprl")
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(experiment, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counting)
+        return calls
+
+    def test_each_dataset_is_built_once_per_run(self, tmp_path, monkeypatch):
+        real = self.count_calls(monkeypatch, "make_real_dataset")
+        generated = self.count_calls(monkeypatch, "make_generated_dataset")
+        pretrained = self.count_calls(monkeypatch, "pretrain_baseline")
+        spec = parse_spec_text(self.SPEC)
+        run_experiment(spec, out_dir=tmp_path)
+        # 2 seeds x (baseline + lsro and smprl at counts 0 and 6) = 10 cells
+        assert len(expand_cells(spec)) == 10
+        assert len(real) == len(spec.seeds) == 2
+        assert len(generated) == 2  # one per (seed, count > 0)
+        assert [args[1] for args in generated] == [6, 6]
+        # the smprl cells label with their seed's baseline cell's model
+        assert pretrained == []
+
+    def test_consecutive_runs_each_build_their_own(self, tmp_path, monkeypatch):
+        real = self.count_calls(monkeypatch, "make_real_dataset")
+        spec = parse_spec_text(self.SPEC)
+        run_experiment(spec, out_dir=tmp_path / "a")
+        run_experiment(spec, out_dir=tmp_path / "b")
+        assert len(real) == 2 * len(spec.seeds)
+        for artifact in ("report.json", "history.csv"):
+            for cell in expand_cells(spec):
+                assert (tmp_path / "a" / cell.name / artifact).read_bytes() == \
+                    (tmp_path / "b" / cell.name / artifact).read_bytes()
+
+    def test_cached_arrays_are_read_only(self, tmp_path, monkeypatch):
+        seen = []
+        original = experiment.train
+
+        def capturing(real, generated, cfg, **kwargs):
+            seen.append((real, generated, kwargs.get("static_labels")))
+            return original(real, generated, cfg, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", capturing)
+        run_experiment(parse_spec_text(self.SPEC), out_dir=tmp_path)
+        for real, generated, _ in seen:
+            for data in (real, generated):
+                if data is None:
+                    continue
+                arrays = [data.ids, data.features, data.classes, data.splits]
+                if data.source_ids is not None:
+                    arrays += [data.source_ids, data.source_classes, data.source_weights]
+                assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                real.features[0, 0] = 0.0
+        assert any(generated is not None for _, generated, _ in seen)
+
+    def test_smprl_before_baseline_pretrains_once_per_seed(self, tmp_path, monkeypatch):
+        # the pretrained model and the baseline cell's are the same bits
+        run_experiment(parse_spec_text(self.SPEC.replace("counts         = 0, 6",
+                                                         "counts         = 6, 9")),
+                       out_dir=tmp_path / "baseline_first")
+        pretrained = self.count_calls(monkeypatch, "pretrain_baseline")
+        spec = parse_spec_text(self.SPEC.replace("baseline, lsro, smprl", "smprl, baseline")
+                               .replace("counts         = 0, 6", "counts         = 6, 9"))
+        run_experiment(spec, out_dir=tmp_path / "smprl_first")
+        assert len(pretrained) == len(spec.seeds)
+        for cell in expand_cells(spec):
+            for artifact in ("report.json", "history.csv"):
+                assert (tmp_path / "smprl_first" / cell.name / artifact).read_bytes() == \
+                    (tmp_path / "baseline_first" / cell.name / artifact).read_bytes()
+
+
 class TestRunExperiment:
     def test_artifacts_and_summary(self, tiny_spec, tmp_path):
         out = tmp_path / "out"

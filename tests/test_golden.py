@@ -11,7 +11,9 @@ adds one by one in any layout, so only a wide row shows a sum taken in
 another order (a generated row's value or weight sum, say).  The log1p
 value of a real row at the top logit is too small against its batch's
 mean loss to show in either grid; ``tests/test_losses.py`` pins it bit
-for bit.  A refactor that claims to leave the numbers alone must leave these
+for bit.  A small two-seed grid pins every ``report.json`` and
+``history.csv`` at ``--jobs`` 1 and 2, which covers the seed-major cell
+order and what the cells of one run share.  A refactor that claims to leave the numbers alone must leave these
 digests alone; a change that moves them on purpose re-pins them and
 says why.
 """
@@ -136,3 +138,118 @@ def test_wide_grid_artifacts_are_byte_identical(tmp_path):
            for path in sorted(tmp_path.glob("*/*"))
            if path.name in ("report.json", "history.csv")}
     assert got == GOLDEN_WIDE_SHA256
+
+
+# two seeds, counts 0 and > 0, the baseline, LSRO and two MpRL strategies:
+# covers the seed-major cell order, the per-run dataset memo and the smprl
+# cells labelling with their seed's baseline cell's model, at --jobs 1 and 2
+SMALL_GRID_SPEC = """\
+n_classes      = 6
+dim            = 8
+n_per_class    = 8
+strategies     = baseline, lsro, smprl, dmprl1
+counts         = 0, 24, 48
+seeds          = 1, 2
+epochs         = 6
+batch_size     = 16
+lr_initial     = 0.05
+lr_after_decay = 0.005
+decay_epoch    = 4
+warmup_epoch   = 2
+dropout_rate   = 0.25
+hidden_sizes   = 12, 8
+gen_weight     = 0.5
+"""
+
+# cell/artifact -> sha256, computed before cells shared datasets or models
+GOLDEN_SMALL_GRID_SHA256 = {
+    "baseline_n0_seed1/history.csv":
+        "8ace7cd0d403712b2ebf641268252e5642a9e9056de58a8ecb2dd30c319916db",
+    "baseline_n0_seed1/report.json":
+        "04683e78c00a7e07f4545037371bde7c85c5aea8844e13f6522fb1d8ba3182f9",
+    "baseline_n0_seed2/history.csv":
+        "dbda4c10212e97632ce7c2aa281c0d00a0439389d54716f71f6ba40aff3866f5",
+    "baseline_n0_seed2/report.json":
+        "cef48822b68f6d3bd3d70d698085c67e126d0a7a5dbb110a14e15720e7f81c40",
+    "dmprl1_n0_seed1/history.csv":
+        "8ace7cd0d403712b2ebf641268252e5642a9e9056de58a8ecb2dd30c319916db",
+    "dmprl1_n0_seed1/report.json":
+        "04683e78c00a7e07f4545037371bde7c85c5aea8844e13f6522fb1d8ba3182f9",
+    "dmprl1_n0_seed2/history.csv":
+        "dbda4c10212e97632ce7c2aa281c0d00a0439389d54716f71f6ba40aff3866f5",
+    "dmprl1_n0_seed2/report.json":
+        "cef48822b68f6d3bd3d70d698085c67e126d0a7a5dbb110a14e15720e7f81c40",
+    "dmprl1_n24_seed1/history.csv":
+        "59d49afd2cb5b4b7c155bc31f74a27fa389f3b21f2dedeedb14a1147729aebf9",
+    "dmprl1_n24_seed1/report.json":
+        "d86deb08690176b4d40051559f1f85a9f6d4a2ebe77cc86b04e9d61627cf2fcf",
+    "dmprl1_n24_seed2/history.csv":
+        "4f5da67224a90e22aa82d62ca1acd63db4eac7c6834756dd6244e4f00ad3b2de",
+    "dmprl1_n24_seed2/report.json":
+        "075347b9850b3d6b6fa2e89800d9e074bdd5896b29fc085d7a4154b595c5ab04",
+    "dmprl1_n48_seed1/history.csv":
+        "c6dceebe45bbbb13c55f7a6f97a2575473d50e86c58a684f719082fa941ad3e5",
+    "dmprl1_n48_seed1/report.json":
+        "788c6d30ac21a7eb7756cd6e819241989fdaf13468036cfc3905297b8412f49d",
+    "dmprl1_n48_seed2/history.csv":
+        "272f802641f3184ced3905e749598b9defc5f08b65ea8ac849d57f0b158cddc5",
+    "dmprl1_n48_seed2/report.json":
+        "1754bfe18dec241bc9f97e5a5a6fdfa64db2f5e48a67d7971035ab07b5ea98d5",
+    "lsro_n0_seed1/history.csv":
+        "8ace7cd0d403712b2ebf641268252e5642a9e9056de58a8ecb2dd30c319916db",
+    "lsro_n0_seed1/report.json":
+        "04683e78c00a7e07f4545037371bde7c85c5aea8844e13f6522fb1d8ba3182f9",
+    "lsro_n0_seed2/history.csv":
+        "dbda4c10212e97632ce7c2aa281c0d00a0439389d54716f71f6ba40aff3866f5",
+    "lsro_n0_seed2/report.json":
+        "cef48822b68f6d3bd3d70d698085c67e126d0a7a5dbb110a14e15720e7f81c40",
+    "lsro_n24_seed1/history.csv":
+        "044208c58ca1ba399e19cb1a00b66c59175310b5853ad3f5721f5be0b7f2bac3",
+    "lsro_n24_seed1/report.json":
+        "cbb1b9b600a57aaa592163588d27c2b601b38ef1cab4e356567d5bd76bc83ff5",
+    "lsro_n24_seed2/history.csv":
+        "c1d458e2d0332cfb42430d14454b530863e4391ef980b174937192cbda38bcf9",
+    "lsro_n24_seed2/report.json":
+        "39bf2da10be91844fdb30ed235126100788462a153b5c89c84d43d049e63d248",
+    "lsro_n48_seed1/history.csv":
+        "f44a8bf3593a76e668aae0b29463e58f271092cb5c8ca0dbf5a25489e3f7d95a",
+    "lsro_n48_seed1/report.json":
+        "94b6a0b22fbdecafb0c21a349920ea050b7a2c2865c5d2e96c1a1f059cab6773",
+    "lsro_n48_seed2/history.csv":
+        "a34c129f4b06e723b562aba423cbe452e75538b93004c85a496880baefeecdb5",
+    "lsro_n48_seed2/report.json":
+        "30d8f0915295ddb81222c9943f069286020fea80aba2b0f58e841e32006415b9",
+    "smprl_n0_seed1/history.csv":
+        "8ace7cd0d403712b2ebf641268252e5642a9e9056de58a8ecb2dd30c319916db",
+    "smprl_n0_seed1/report.json":
+        "04683e78c00a7e07f4545037371bde7c85c5aea8844e13f6522fb1d8ba3182f9",
+    "smprl_n0_seed2/history.csv":
+        "dbda4c10212e97632ce7c2aa281c0d00a0439389d54716f71f6ba40aff3866f5",
+    "smprl_n0_seed2/report.json":
+        "cef48822b68f6d3bd3d70d698085c67e126d0a7a5dbb110a14e15720e7f81c40",
+    "smprl_n24_seed1/history.csv":
+        "9e26bcdf21ce17ac180feca64a2290d76859b25873b51f7cdf33c43933c15d64",
+    "smprl_n24_seed1/report.json":
+        "3286597c7b0f967d0d171ca9cb3fa5f8c7cf8b1faebc3996b288aa48cbd9062f",
+    "smprl_n24_seed2/history.csv":
+        "6b028f3b0c7eeec4bcedccdcabc18900e3cd441a214c69b1671988c69c9b151f",
+    "smprl_n24_seed2/report.json":
+        "40a81bdf8f664f6f04a867b903e4b40e4aa5e4bb71e14fb1f1027e7fc4f33cf6",
+    "smprl_n48_seed1/history.csv":
+        "9fd4be60a8c5be999ea48c303e4fd7ed786ff066b9431c2caebb99c368cb5732",
+    "smprl_n48_seed1/report.json":
+        "94b6a0b22fbdecafb0c21a349920ea050b7a2c2865c5d2e96c1a1f059cab6773",
+    "smprl_n48_seed2/history.csv":
+        "407b8a20507902f99f6aa62152ee08896e9a9bdde15d7b1b7296116db2cbd8c9",
+    "smprl_n48_seed2/report.json":
+        "08fa430c730104ef5acc4d5e189183544373cf345377aa92fb19559115d63722",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_small_grid_artifacts_are_byte_identical(tmp_path, jobs):
+    run_experiment(parse_spec_text(SMALL_GRID_SPEC), out_dir=tmp_path, jobs=jobs)
+    got = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.glob("*/*"))
+           if path.name in ("report.json", "history.csv")}
+    assert got == GOLDEN_SMALL_GRID_SHA256

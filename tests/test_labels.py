@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mprl.errors import InvalidDimension
 from mprl.labels import (
     TiePolicy,
+    _average_ranks,
     all_in_one_label,
     check_prob_vector,
     ground_truth_label,
@@ -385,3 +386,33 @@ class TestValidation:
         assert np.argmax(label) + 1 == 2
         with pytest.raises(InvalidDimension):
             ground_truth_label(5, 4)
+
+
+def along_axis_row_ranks(scores, tie_policy):
+    """Oracle: ``row_ranks`` as it gathered and scattered with
+    ``take_along_axis`` and ``put_along_axis`` (before the flat indices)."""
+    x = np.asarray(scores, dtype=np.float64)
+    n, k = x.shape
+    average = tie_policy is TiePolicy.AVERAGE_RANK
+    order = np.argsort(x, axis=1, kind=None if average else "stable")
+    sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
+    if average:
+        ordered = np.take_along_axis(x, order, axis=1)
+        differs = ordered[:, 1:] != ordered[:, :-1]
+        tied = ~differs.all(axis=1)
+        if tied.any():
+            sorted_ranks = sorted_ranks.copy()
+            sorted_ranks[tied] = _average_ranks(differs[tied])
+    ranks = np.empty((n, k))
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
+
+
+class TestRowRanksFlatIndices:
+    @given(st.sampled_from(["continuous", "integer", "signed_zeros", "all_equal", "one_tie"]),
+           st.sampled_from([1, 2, 751]), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(TiePolicy)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_along_axis_implementation_bit_for_bit(self, kind, k, n, seed, policy):
+        x = score_rows(kind, n, k, seed)
+        assert np.array_equal(row_ranks(x, policy), along_axis_row_ranks(x, policy))

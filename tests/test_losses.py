@@ -17,11 +17,13 @@ from mprl.labels import (
     mprl_label,
     mprl_rows,
     rank_weight_normalizer,
+    row_ranks,
     softmax,
 )
 from mprl.losses import (
     GradientMode,
     LossConfig,
+    LossOutput,
     combined_loss,
     lsro_loss,
     mprl_generated_loss,
@@ -191,12 +193,6 @@ class TestFiniteDifferences:
                     assert np.abs(analytic - fd).max() / scale < 1e-6
 
 
-def batch(items):
-    """(logits, weights, is_generated) triples as combined_loss's matrix form."""
-    logits, weights, generated = zip(*items)
-    return np.array(logits), np.array(weights), np.array(generated)
-
-
     @pytest.mark.parametrize("k", [1, 2, 5, 70, 130])
     def test_batched_central_differences_equal_the_scalar_loop(self, k):
         rng = np.random.default_rng(k)
@@ -204,13 +200,11 @@ def batch(items):
         c = int(rng.integers(k))
         alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
         cfg = LossConfig(n_classes=k, gen_weight=0.7)
-        hot = np.zeros(k)
-        hot[c] = 1.0
         cases = [
-            (lambda z: real_ce_loss(z, c).value, _batch_values(hot, one_hot=True)),
-            (lambda z: lsro_loss(z).value, _batch_values(np.full(k, 1.0 / k))),
+            (lambda z: real_ce_loss(z, c).value, _batch_values(c)),
+            (lambda z: lsro_loss(z).value, _batch_values(-1, np.full(k, 1.0 / k))),
             (lambda z: mprl_generated_loss(z, alpha, cfg).value,
-             lambda points: cfg.gen_weight * _batch_values(mprl_rows(alpha))(points)),
+             lambda points: cfg.gen_weight * _batch_values(-1, mprl_rows(alpha))(points)),
         ]
         for scalar_fn, batch_fn in cases:
             scalar = fd_gradient(scalar_fn, x)
@@ -218,9 +212,20 @@ def batch(items):
             assert np.max(np.abs(batched - scalar)) <= 1e-9 * np.max(np.abs(scalar))
 
 
+def batch(items):
+    """(logits, weight row, is_generated) triples in combined_loss's form:
+    the logits, each real row's class (its one-hot row's argmax) or -1,
+    and the generated rows' weights (None without generated rows)."""
+    logits, weights, generated = (np.array(a) for a in zip(*items))
+    classes = np.where(generated, -1, np.argmax(weights, axis=1))
+    return logits, classes, weights[generated] if generated.any() else None
+
+
 def kernel_case(k, seed, diagonal):
     """A mixed batch: real rows (one at a huge top margin), an LSRO row and
-    a rank-weighted row, with the per-vector loss each row must equal."""
+    a rank-weighted row, in the class form, with the per-vector loss each
+    row must equal (under ``diagonal`` both weighted rows get the diagonal
+    gradient)."""
     rng = np.random.default_rng(seed)
     cfg = LossConfig(n_classes=k, gen_weight=1.0,
                      gradient_mode=GradientMode.DIAGONAL if diagonal else GradientMode.ANALYTIC)
@@ -228,12 +233,13 @@ def kernel_case(k, seed, diagonal):
     c = int(rng.integers(k))
     x[3, c] = x[3].max() + 60.0
     alpha = mprl_alpha(softmax(x[2]), TiePolicy.AVERAGE_RANK)
-    hot = np.zeros(k)
-    hot[c] = 1.0
-    weights = np.array([hot, np.full(k, 1.0 / k), mprl_rows(alpha), hot])
-    expected = [real_ce_loss(x[0], c), lsro_loss(x[1]),
+    weights = np.array([np.full(k, 1.0 / k), mprl_rows(alpha)])
+    lsro = lsro_loss(x[1])
+    if diagonal:
+        lsro = LossOutput(lsro.value, -weights[0] * (1.0 - softmax(x[1])))
+    expected = [real_ce_loss(x[0], c), lsro,
                 mprl_generated_loss(x[2], alpha, cfg), real_ce_loss(x[3], c)]
-    return x, weights, expected
+    return x, np.array([c, -1, -1, c]), weights, expected
 
 
 def assert_close(got, want):
@@ -244,9 +250,8 @@ class TestWeightedCeKernel:
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_rows_equal_the_per_vector_losses(self, k, seed, diagonal):
-        x, weights, expected = kernel_case(k, seed, diagonal)
-        values, grads = weighted_ce(x, weights, one_hot=np.array([True, False, False, True]),
-                                    diagonal=np.array([False, False, diagonal, False]))
+        x, classes, weights, expected = kernel_case(k, seed, diagonal)
+        values, grads = weighted_ce(x, classes, weights, diagonal=diagonal)
         for value, grad, want in zip(values, grads, expected):
             assert_close(value, want.value)
             np.testing.assert_allclose(grad, want.grad_logits, rtol=0, atol=1e-12)
@@ -259,10 +264,9 @@ class TestWeightedCeKernel:
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 3, size=(3, k + 1))
         c = int(rng.integers(k))
-        weights = np.zeros((3, k + 1))
-        weights[0, c] = 1.0  # real row
-        weights[1:, k] = 1.0  # generated rows at the extra class
-        values, grads = weighted_ce(x, weights, one_hot=np.array([True, False, False]))
+        weights = np.zeros((2, k + 1))
+        weights[:, k] = 1.0  # generated rows at the extra class
+        values, grads = weighted_ce(x, np.array([c, -1, -1]), weights)
         for row, cls in ((0, c), (1, k), (2, k)):
             want = real_ce_loss(x[row], cls)
             assert_close(values[row], want.value)
@@ -273,22 +277,20 @@ class TestWeightedCeKernel:
     @settings(max_examples=60, deadline=None)
     def test_combined_rows_scale_the_kernel_rows_and_a_closed_gate_zeroes(
             self, k, seed, diagonal, gen_weight):
-        x, weights, expected = kernel_case(k, seed, diagonal)
-        generated = np.array([False, True, True, False])
+        x, classes, weights, expected = kernel_case(k, seed, diagonal)
+        generated = classes == -1
         cfg = LossConfig(n_classes=k, gen_weight=gen_weight, gradient_mode=GradientMode.DIAGONAL
                          if diagonal else GradientMode.ANALYTIC)
-        out = combined_loss(x, weights, generated, cfg)
-        lsro_row = lsro_loss(x[1]).grad_logits
-        if diagonal:  # the diagonal mode covers every generated row
-            lsro_row = -weights[1] * (1.0 - softmax(x[1]))
+        out = combined_loss(x, classes, weights, cfg)
         scale = gen_weight / 2
         np.testing.assert_allclose(out.grad_logits[0], expected[0].grad_logits / 2, atol=1e-12)
-        np.testing.assert_allclose(out.grad_logits[1], scale * lsro_row, atol=1e-12)
+        np.testing.assert_allclose(out.grad_logits[1], scale * expected[1].grad_logits,
+                                   atol=1e-12)
         np.testing.assert_allclose(out.grad_logits[2], scale * expected[2].grad_logits, atol=1e-12)
         assert_close(out.real_loss, (expected[0].value + expected[3].value) / 2)
         assert_close(out.gen_loss, (expected[1].value + expected[2].value) / 2)
 
-        gated = combined_loss(x, weights, generated, cfg, gate_active=False)
+        gated = combined_loss(x, classes, None, cfg, gate_active=False)
         np.testing.assert_array_equal(gated.grad_logits[generated], 0.0)
         np.testing.assert_array_equal(gated.grad_logits[~generated],
                                       out.grad_logits[~generated])
@@ -315,6 +317,32 @@ def dense_weighted_ce(logits, weights, one_hot=None, diagonal=None):
         others = np.arange(width - 1) + (np.arange(width - 1) >= cls[:, None])
         values[rows] = np.log1p(np.sum(np.take_along_axis(e[rows], others, axis=1), axis=1))
     return values, grads
+
+
+def dense_combined_loss(logits, weights, generated, cfg, gate_active=True):
+    """Oracle: combined_loss as it took dense (B, width) weight rows (real
+    rows one-hot at their class, generated rows all zero behind a closed
+    gate) and a generated mask; returns (value, real_loss, gen_loss, grads)."""
+    gen = np.asarray(generated, dtype=bool)
+    real = ~gen
+    n_real = int(real.sum())
+    n_generated = gen.size - n_real
+    diagonal = gen if cfg.gradient_mode is GradientMode.DIAGONAL else None
+    values, grads = dense_weighted_ce(logits, weights, one_hot=real, diagonal=diagonal)
+    if n_real:
+        grads[real] /= n_real
+    if gate_active and n_generated:
+        grads[gen] *= cfg.gen_weight / n_generated
+    else:
+        grads[gen] = 0.0
+    real_loss = float(np.sum(values[real])) / n_real if n_real else 0.0
+    gen_loss = float(np.sum(values[gen])) / n_generated if (n_generated and gate_active) else 0.0
+    return real_loss + cfg.gen_weight * gen_loss, real_loss, gen_loss, grads
+
+
+def class_form(weights, hot):
+    """Dense rows (one-hot where ``hot``) as classes and the other rows' weights."""
+    return np.where(hot, np.argmax(weights, axis=1), -1), weights[~hot]
 
 
 def mixed_batch(k, n, seed, margin):
@@ -344,19 +372,20 @@ class TestCollapsedOneHotRows:
     @settings(max_examples=120, deadline=None)
     def test_equals_the_dense_kernel_bit_for_bit(self, k, n, seed, margin, diagonal):
         x, weights, hot = mixed_batch(k, n, seed, margin)
+        classes, rows = class_form(weights, hot)
+        values, grads = weighted_ce(x, classes, rows, diagonal=diagonal)
         flags = ~hot if diagonal else None
-        values, grads = weighted_ce(x, weights, one_hot=hot, diagonal=flags)
         want_values, want_grads = dense_weighted_ce(x, weights, one_hot=hot, diagonal=flags)
         assert np.array_equal(values, want_values)
         assert np.array_equal(grads, want_grads)
-        assert np.array_equal(weighted_ce_values(x, weights, one_hot=hot), want_values)
+        assert np.array_equal(weighted_ce_values(x, classes, rows), want_values)
 
     def test_top_logit_rows_keep_the_log1p_value(self):
         x, weights, hot = mixed_batch(751, 12, 3, 40.0)
         z = x - x.max(axis=1, keepdims=True)
         top = hot & (z[np.arange(12), np.argmax(weights, axis=1)] == 0.0)
         assert top.any()
-        values, _ = weighted_ce(x, weights, one_hot=hot)
+        values, _ = weighted_ce(x, *class_form(weights, hot))
         # log t - z_c rounds to 0 at a margin of 40; log1p keeps the value
         assert np.all(values[top] > 0.0)
         assert np.array_equal(values, dense_weighted_ce(x, weights, one_hot=hot)[0])
@@ -365,69 +394,100 @@ class TestCollapsedOneHotRows:
         for hot in (np.ones(6, dtype=bool), np.zeros(6, dtype=bool)):
             x, weights, _ = mixed_batch(20, 6, 9, 5.0)
             weights[hot] = np.eye(20)[:6][hot]
-            got = weighted_ce(x, weights, one_hot=hot)
+            got = weighted_ce(x, *class_form(weights, hot))
             want = dense_weighted_ce(x, weights, one_hot=hot)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def first_non_one_hot_real_row(weights, generated):
-    """Oracle: the first real row the check before the collapse rejected."""
-    real = ~np.asarray(generated)
-    hot = weights[real]
-    bad = (np.count_nonzero(hot, axis=1) != 1) | (np.count_nonzero(hot == 1.0, axis=1) != 1)
-    return int(np.flatnonzero(real)[np.argmax(bad)]) if bad.any() else None
+class TestClassForm:
+    """``combined_loss`` and ``weighted_ce`` take each one-hot row as its
+    class, so a real row can no longer carry weights that are not one-hot."""
 
-
-class TestRealRowContract:
-    @pytest.mark.parametrize("row", [
-        [1.0, 1.0, 0.0, 0.0],   # two 1.0s
-        [1.0, -0.5, 0.0, 0.0],  # a 1.0 plus a -0.5
-        [0.0, 2.0, 0.0, 0.0],   # a lone 2.0
-        [0.0, 0.0, -1.0, 0.0],  # a lone -1.0
-        [0.0, 0.0, 0.0, 0.0],   # all zero
-        [0.5, 0.0, 0.0, 0.5],   # a mass-1 row that is not one-hot
-        [1.0, 1e-300, 0.0, 0.0],
-    ], ids=["two_ones", "one_and_minus_half", "lone_two", "lone_minus_one", "all_zero",
-            "two_halves", "one_and_tiny"])
-    def test_rejects_the_same_row_by_number(self, row):
-        weights = np.array([[0.0, 1.0, 0.0, 0.0], [0.25] * 4, [0.0, 0.0, 0.0, 1.0],
-                            row, row])
-        generated = np.array([False, True, False, False, False])
-        assert first_non_one_hot_real_row(weights, generated) == 3
-        with pytest.raises(InvalidClass, match=r"^row 3: real row must carry one-hot"):
-            combined_loss(np.zeros((5, 4)), weights, generated, LossConfig(n_classes=4))
-
-    @pytest.mark.parametrize("value", [0.0, 2.0, -1.0, 0.5])
-    def test_k1_rejects_a_row_other_than_one(self, value):
-        weights = np.array([[1.0], [1.0], [value]])
-        with pytest.raises(InvalidClass, match=r"^row 2: "):
-            combined_loss(np.zeros((3, 1)), weights, np.zeros(3, dtype=bool),
-                          LossConfig(n_classes=1))
-
-    def test_k1_and_signed_zeros_are_accepted(self):
-        combined_loss(np.zeros((2, 1)), np.ones((2, 1)), [False, False], LossConfig(n_classes=1))
-        weights = np.array([[-0.0, 1.0, -0.0], [1.0, 0.0, -0.0]])
-        out = combined_loss(np.zeros((2, 3)), weights, [False, False], LossConfig(n_classes=3))
-        assert out.real_loss == pytest.approx(math.log(3.0), abs=1e-15)
-
-    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @given(st.sampled_from([1, 2, 8, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.4, 1.0]), st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 2.0, 1e3]))
     @settings(max_examples=150, deadline=None)
-    def test_accepts_and_rejects_as_the_old_check(self, k, n, seed):
+    def test_combined_loss_equals_the_dense_weight_version_bit_for_bit(
+            self, k, n, seed, gen_share, gate, diagonal, broadcast, margin):
         rng = np.random.default_rng(seed)
-        weights = np.zeros((n, k))
-        weights[np.arange(n), rng.integers(k, size=n)] = 1.0
-        # spoil a few entries with values the check must see
-        spoiled = rng.random((n, k)) < 0.1
-        weights[spoiled] = rng.choice([0.0, -0.0, 1.0, 2.0, -0.5, 0.5, 1e-300],
-                                      size=int(spoiled.sum()))
-        generated = rng.random(n) < 0.2
-        want = first_non_one_hot_real_row(weights, generated)
-        cfg = LossConfig(n_classes=k)
-        if want is None:
-            combined_loss(np.zeros((n, k)), weights, generated, cfg)
+        x = rng.normal(0.0, 3.0, size=(n, k))
+        gen = rng.random(n) < gen_share
+        classes = np.where(gen, -1, rng.integers(k, size=n))
+        for i in np.flatnonzero(~gen):  # about a third of the real rows at the top logit
+            if rng.random() < 1 / 3:
+                x[i, classes[i]] = x[i].max() + margin
+        if broadcast:  # as the trainer passes LSRO rows
+            gen_weights = np.broadcast_to(lsro_label(k), (int(gen.sum()), k))
         else:
-            with pytest.raises(InvalidClass, match=rf"^row {want}: "):
-                combined_loss(np.zeros((n, k)), weights, generated, cfg)
+            gen_weights = mprl_rows(row_ranks(x[gen]))
+        dense = np.zeros((n, k))
+        dense[np.flatnonzero(~gen), classes[~gen]] = 1.0
+        if gate:
+            dense[gen] = gen_weights
+        cfg = LossConfig(n_classes=k, gen_weight=0.35, gradient_mode=GradientMode.DIAGONAL
+                         if diagonal else GradientMode.ANALYTIC)
+
+        out = combined_loss(x, classes, gen_weights if gate else None, cfg, gate_active=gate)
+        value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, cfg, gate)
+        assert np.array_equal(out.grad_logits, grads)
+        assert (out.value, out.real_loss, out.gen_loss) == (value, real_loss, gen_loss)
+        assert (out.n_real, out.n_generated) == (int((~gen).sum()), int(gen.sum()))
+
+    @pytest.mark.parametrize("bad", [4, 7, -2])
+    def test_class_out_of_range_raises_naming_the_row(self, bad):
+        classes = np.array([0, -1, 3, bad, 1])
+        weights = np.full((1, 4), 0.25)
+        cfg = LossConfig(n_classes=4)
+        with pytest.raises(InvalidClass, match=rf"^row 3: class {bad} outside 0\.\.3"):
+            combined_loss(np.zeros((5, 4)), classes, weights, cfg)
+        with pytest.raises(InvalidClass, match=r"^row 3: "):
+            weighted_ce(np.zeros((5, 4)), classes, weights)
+        with pytest.raises(InvalidClass, match=r"^row 3: "):
+            weighted_ce_values(np.zeros((5, 4)), classes, weights)
+
+    def test_k1_takes_class_0(self):
+        out = combined_loss(np.zeros((2, 1)), np.array([0, 0]), None, LossConfig(n_classes=1))
+        assert out.value == 0.0 and out.n_real == 2
+        with pytest.raises(InvalidClass, match=r"^row 1: "):
+            combined_loss(np.zeros((2, 1)), np.array([0, 1]), None, LossConfig(n_classes=1))
+
+    def test_weights_must_match_the_weighted_rows(self):
+        x = np.zeros((3, 2))
+        cfg = LossConfig(n_classes=2)
+        classes = np.array([0, -1, -1])
+        for weights in (None, np.full((1, 2), 0.5), np.full((3, 2), 0.5), np.full((2, 3), 0.5)):
+            with pytest.raises(InvalidDimension):
+                combined_loss(x, classes, weights, cfg)
+            with pytest.raises(InvalidDimension):
+                weighted_ce(x, classes, weights)
+        # behind a closed gate the generated rows need no weights
+        gated = combined_loss(x, classes, None, cfg, gate_active=False)
+        np.testing.assert_array_equal(gated.grad_logits[1:], 0.0)
+
+    def test_a_class_row_cannot_also_carry_weights(self):
+        # x = [0, 1, 2] against w = [.5, .5, 0] is 1.908; scoring that row
+        # at its argmax, as a one-hot flag on weights once did, gives 2.408
+        x = np.array([[0.0, 1.0, 2.0]])
+        w = np.array([[0.5, 0.5, 0.0]])
+        assert abs(weighted_ce_values(x, np.array([-1]), w)[0] - 1.9076) < 1e-4
+        assert abs(weighted_ce_values(x, np.array([0]))[0] - 2.4076) < 1e-4
+        with pytest.raises(InvalidDimension):
+            weighted_ce(x, np.array([0]), w)
+
+    def test_classes_must_be_integers_one_per_row(self):
+        cfg = LossConfig(n_classes=2)
+        for classes in (np.array([0.0, 1.0]), np.array([0]), np.array([[0, 1]])):
+            with pytest.raises(InvalidDimension):
+                combined_loss(np.zeros((2, 2)), classes, None, cfg)
+
+    def test_non_finite_logits_and_weights_raise(self):
+        cfg = LossConfig(n_classes=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidDimension, match="finite"):
+                combined_loss(np.array([[0.0, bad], [0.0, 0.0]]), np.array([0, -1]),
+                              np.full((1, 2), 0.5), cfg)
+            with pytest.raises(InvalidDimension, match="finite"):
+                combined_loss(np.zeros((2, 2)), np.array([0, -1]), np.array([[0.5, bad]]), cfg)
 
 
 class TestCombinedLoss:
@@ -498,10 +558,10 @@ class TestCombinedLoss:
     def test_mixed_width_rejected(self):
         cfg = LossConfig(n_classes=3)
         with pytest.raises(InvalidDimension):
-            combined_loss(np.zeros((2, 3)), np.zeros((2, 4)), [False, True], cfg)
+            combined_loss(np.zeros((2, 3)), np.array([0, -1]), np.zeros((1, 4)), cfg)
 
     def test_real_item_requires_ground_truth_label(self):
+        # a real row's label is its class, which must name a head column
         cfg = LossConfig(n_classes=2)
         with pytest.raises(InvalidClass):
-            combined_loss(*batch([(np.zeros(2), lsro_label(2), False)]), cfg)
-
+            combined_loss(np.zeros((1, 2)), np.array([2]), None, cfg)

@@ -12,6 +12,7 @@ from mprl.net import (
     Activation,
     ModelParams,
     backward,
+    embed,
     forward,
     init_optimizer,
     init_params,
@@ -130,6 +131,24 @@ class TestForward:
         for _ in range(10):
             _, _, emb = forward(params, rng.normal(size=3))
             assert emb.shape == (4,)
+
+
+class TestEmbed:
+    @given(st.integers(0, 3), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(Activation)))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_forward_embedding_bit_for_bit(self, n_hidden, n, seed, activation):
+        sizes = (5, *(7 - i for i in range(n_hidden)), 3)
+        params = init_params(sizes, seed=seed, activation=activation)
+        x = np.random.default_rng(seed).normal(size=(n, 5))
+        _, _, want = forward(params, x)
+        assert np.array_equal(embed(params, x), want)
+
+    def test_rejects_features_of_another_shape(self):
+        params = init_params((4, 6, 3), seed=0)
+        for x in (np.zeros((2, 5)), np.zeros(4)):
+            with pytest.raises(InvalidDimension):
+                embed(params, x)
 
 
 class TestBackward:
@@ -262,15 +281,16 @@ class TestEndToEndLossGradients:
         label, is_gen = labels[scheme]
         # matrix form: rank-weighted rows carry the 2/(1+K) normalizer
         row = rank_weight_normalizer(k) * label if scheme == "mprl" else label
-        weights = np.tile(row, (x.shape[0], 1))
-        generated = np.full(x.shape[0], is_gen)
+        # a real row by its 0-based class, generated rows by their weight rows
+        classes = np.full(x.shape[0], -1 if is_gen else int(np.argmax(row)))
+        gen_weights = np.tile(row, (x.shape[0], 1)) if is_gen else None
 
         def loss_of(p):
             out, _, _ = forward(p, x)
-            return combined_loss(out, weights, generated, cfg).value
+            return combined_loss(out, classes, gen_weights, cfg).value
 
         logits, cache, _ = forward(params, x)
-        grad_rows = combined_loss(logits, weights, generated, cfg).grad_logits
+        grad_rows = combined_loss(logits, classes, gen_weights, cfg).grad_logits
         grads = backward(params, cache, grad_rows)
 
         step = 1e-6

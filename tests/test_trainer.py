@@ -342,6 +342,9 @@ class TestCombinedHistorySemantics:
         emb = extract_embeddings(params, real, "query")
         assert emb.vectors.shape == (len(real.split("query")), cfg.hidden_sizes[-1])
         assert emb.dim == params.embedding_dim
+        # the hidden stack alone gives forward's embedding bit for bit
+        _, _, want = forward(params, real.split("query").features, train_mode=False)
+        assert np.array_equal(emb.vectors, want)
 
 
 class TestExtremeLogits:
