@@ -30,10 +30,15 @@ Cells run seed-major: every cell of the first seed (strategies in spec
 order, each over its counts), then the next seed.  Within one
 :func:`run_experiment` call, and within each worker process under
 ``jobs > 1``, the cells of a seed share what they would otherwise each
-build: the real dataset, each count's generated dataset (read-only), and
-the baseline model that labels an smprl cell's generated rows, which is
-the baseline cell's when it has already run there and is pretrained
-once otherwise.  Nothing is shared across seeds or across calls.
+build: the real dataset, each count's generated dataset (read-only), the
+baseline model that labels an smprl cell's generated rows, which is the
+baseline cell's when it has already run there and is pretrained once
+otherwise, and the dropout masks.  A mask depends only on (seed, epoch,
+batch, rows), never on the strategy, so each is drawn once per seed and
+replayed by the seed's later cells; held at one bit per unit, a seed's
+masks take about 61 KB on the desk grid of ``benchmark.spec`` and about
+0.46 MB on a Market-1501-shaped one (K = 751).  Nothing is shared across
+seeds or across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
 per (strategy, count) group when several seeds ran.  All cell artifacts
@@ -61,6 +66,7 @@ from .net import ModelParams, forward
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import Dataset, make_generated_dataset, make_real_dataset
 from .trainer import (
+    DropoutMasks,
     Strategy,
     TrainConfig,
     TrainSettings,
@@ -207,10 +213,10 @@ def expand_cells(spec: ExperimentSpec) -> list[Cell]:
 
 class RunMemo:
     """What the cells of one seed share within one :func:`run_experiment`
-    call: the real dataset, each count's generated dataset and the
-    baseline model that labels an smprl cell's generated rows.  Cells run
-    seed-major, so it holds one seed at a time.  Every array it holds is
-    read-only."""
+    call: the real dataset, each count's generated dataset, the baseline
+    model that labels an smprl cell's generated rows and the seed's
+    dropout masks.  Cells run seed-major, so it holds one seed at a time.
+    Every array it holds is read-only."""
 
     def __init__(self):
         self._hold(None)
@@ -226,6 +232,7 @@ class RunMemo:
         self.real: Dataset | None = None
         self.generated: dict[int, Dataset | None] = {}
         self.baseline: ModelParams | None = None
+        self.masks = DropoutMasks()
 
 
 # a pool worker's memo, set by the pool's initializer; it ends with its
@@ -301,16 +308,20 @@ def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
     within a run (``memo``) the baseline cell's parameters when that cell
     has run, else one pretraining per seed.  The two are the same bits:
     without generated rows, neither ``gen_weight`` nor the
-    strategy-specific settings reach the trajectory.
+    strategy-specific settings reach the trajectory.  Within a run every
+    training of the seed replays the memo's dropout masks.
     """
     cfg = spec.train_config(cell.strategy, cell.seed)
+    masks = memo.at(spec, cell.seed).masks if memo is not None else None
     static = None
     if cell.strategy is Strategy.SMPRL and generated is not None:
-        baseline = memo.at(spec, cell.seed).baseline if memo is not None else None
+        baseline = memo.baseline if memo is not None else None
         if baseline is None:
-            baseline = _keep_baseline(spec, cell.seed, pretrain_baseline(real, cfg), memo)
+            baseline = _keep_baseline(spec, cell.seed,
+                                      pretrain_baseline(real, cfg, dropout_masks=masks), memo)
         static = assign_static_labels(baseline, generated, cfg.tie_policy)
-    params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch)
+    params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch,
+                            dropout_masks=masks)
     if cell.strategy is Strategy.BASELINE:
         _keep_baseline(spec, cell.seed, params, memo)
     return params, history

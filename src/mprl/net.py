@@ -2,9 +2,9 @@
 
 The network is a plain MLP: input -> hidden layers -> logits.  The
 activation of the last hidden layer is the retrieval embedding; one
-inverted-scaling dropout mask sits between it and the logits head, so
-evaluation needs no rescale.  Everything is float64 and deterministic
-given explicit seeds.
+inverted-scaling dropout mask, handed in by the caller, sits between it
+and the logits head, so evaluation needs no rescale.  Everything is
+float64 and deterministic given explicit seeds and masks.
 """
 
 from __future__ import annotations
@@ -127,13 +127,19 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np
 
 
 def forward(params: ModelParams, features, dropout_rate: float = 0.0,
-            dropout_seed=None, train_mode: bool = False):
+            dropout_mask=None, train_mode: bool = False):
     """Run the network on one sample (1-d) or a batch (2-d).
 
     Returns ``(logits, cache, embedding)``.  The embedding is the
     penultimate activation before dropout.  In train mode with a nonzero
-    dropout rate an inverted-scaling mask is drawn from ``dropout_seed``;
-    in eval mode dropout is the identity.
+    dropout rate the caller hands in ``dropout_mask``, the embedding-shaped
+    inverted-scaling keep mask (0 for a dropped unit, ``1 / (1 -
+    dropout_rate)`` for a kept one), and the logits head sees the embedding
+    times that mask; the network draws no randomness of its own.  The
+    trainer's masks depend only on (seed, epoch, batch, rows); within a
+    grid run each is drawn once per seed and replayed, held at one bit
+    per unit (:class:`mprl.trainer.DropoutMasks`).  In eval mode dropout
+    is the identity.
     """
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
@@ -150,11 +156,15 @@ def forward(params: ModelParams, features, dropout_rate: float = 0.0,
     mask = None
     dropped = embedding
     if train_mode and dropout_rate > 0.0:
-        if dropout_seed is None:
-            raise InvalidConfig("train-mode dropout needs an explicit dropout_seed")
-        rng = np.random.default_rng(dropout_seed)
-        keep = 1.0 - dropout_rate
-        mask = (rng.random(embedding.shape) >= dropout_rate) / keep
+        if dropout_mask is None:
+            raise InvalidConfig("train-mode dropout needs an explicit dropout_mask")
+        mask = np.asarray(dropout_mask, dtype=np.float64)
+        if single and mask.ndim == 1:
+            mask = mask[np.newaxis, :]
+        if mask.shape != embedding.shape:
+            raise InvalidDimension(
+                f"dropout mask has shape {mask.shape}, embedding has {embedding.shape}"
+            )
         dropped = embedding * mask
 
     logits = dropped @ params.weights[-1]

@@ -26,6 +26,15 @@ Rank-weighted and one-hot pseudo labels are read off the logits directly
 produces an invalid label.  Epoch indices are 1-based; the warm-up gate
 opens at ``epoch >= warmup_epoch``.
 
+Dropout masks depend on nothing but (seed, epoch, batch, rows): the
+strategy never reaches them, so every cell of one seed trains under the
+same masks.  :class:`DropoutMasks` draws each mask once and replays it;
+a grid run shares one store per seed across its cells (see
+:mod:`mprl.experiment`), and a :func:`train` call without one keeps a
+private store, which draws exactly the masks it needs.  A stored mask is
+packed to one bit per unit: a seed of the desk grid of ``benchmark.spec``
+holds about 61 KB of them, a seed of a K = 751 grid about 0.46 MB.
+
 A :class:`TrainConfig` is the shared :class:`TrainSettings` plus a
 strategy and a seed; its ``validate`` holds every rule on their values.
 
@@ -45,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDimension
+from .errors import InvalidConfig, InvalidDimension, MprlError
 from .labels import TiePolicy, all_in_one_label, lsro_label, mprl_rows, row_ranks
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
@@ -179,6 +188,42 @@ def epoch_shuffle_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng((seed, _SEED_SHUFFLE, epoch)).permutation(n)
 
 
+def draw_keep_mask(seed: int, epoch: int, batch_idx: int, shape: tuple[int, int],
+                   rate: float) -> np.ndarray:
+    """The boolean dropout keep mask of one training batch: a unit is kept
+    where its uniform draw from the ``(seed, epoch, batch_idx)`` stream is
+    at least ``rate``."""
+    return np.random.default_rng((seed, _SEED_DROPOUT, epoch, batch_idx)).random(shape) >= rate
+
+
+class DropoutMasks:
+    """Dropout keep masks, each drawn once by :func:`draw_keep_mask` and
+    then replayed.
+
+    A mask is keyed by everything it depends on: (seed, epoch, batch,
+    shape, rate).  It is held flat and packed (``np.packbits``, one bit
+    per unit, read-only) in :attr:`packed`; :meth:`keep` unpacks a fresh
+    float copy with inverted scaling, bit-equal to dividing the boolean
+    draw by ``1 - rate``.
+    """
+
+    def __init__(self):
+        self.packed: dict[tuple, np.ndarray] = {}
+
+    def keep(self, seed: int, epoch: int, batch_idx: int, shape: tuple[int, int],
+             rate: float) -> np.ndarray:
+        """The (rows, width) float keep mask of one batch: 0 for a dropped
+        unit, ``1 / (1 - rate)`` for a kept one."""
+        key = (seed, epoch, batch_idx, shape, rate)
+        bits = self.packed.get(key)
+        if bits is None:
+            bits = np.packbits(draw_keep_mask(seed, epoch, batch_idx, shape, rate))
+            bits.flags.writeable = False
+            self.packed[key] = bits
+        # slicing off the padding bits is cheaper than unpackbits(count=...)
+        return np.unpackbits(bits)[:shape[0] * shape[1]].reshape(shape) / (1.0 - rate)
+
+
 def _check_datasets(real: Dataset, generated: Dataset | None) -> None:
     train_classes = real.split("train").classes
     if real.n_classes < 1 or not train_classes.size:
@@ -216,6 +261,9 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
     return lambda logits, positions: mprl_rows(row_ranks(logits, cfg.tie_policy))
 
 
+# floating-point warnings stay silent: a diverging run fails on its
+# first non-finite logits, which the error names by epoch and batch
+@np.errstate(all="ignore")
 def train(
     real: Dataset,
     generated: Dataset | None,
@@ -223,6 +271,7 @@ def train(
     static_labels: np.ndarray | None = None,
     initial_params: ModelParams | None = None,
     on_epoch: Callable[[EpochRecord, ModelParams], None] | None = None,
+    dropout_masks: DropoutMasks | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run one training schedule and return final params plus history.
 
@@ -237,6 +286,16 @@ def train(
     that epoch (after the last epoch, the returned ones).  It observes
     only: it must not modify ``params``, and training draws nothing from
     it, so a run with an observer equals one without bit for bit.
+
+    ``dropout_masks`` is a store shared with other runs of the same seed
+    (a grid's cells); a mask drawn there before is replayed, so a run with
+    a shared store equals one with its own bit for bit.  By default the
+    run keeps a private store.
+
+    The loop runs under ``np.errstate(all="ignore")``, so a diverging run
+    prints no floating-point warnings; its first non-finite logits fail
+    the batch instead, and an error raised inside a batch names the epoch
+    and batch in front of its message.
     """
     cfg.validate()
     _check_datasets(real, generated)
@@ -278,6 +337,8 @@ def train(
     pool_class = np.concatenate([real_train.classes - 1, np.full(len(gen_feats), -1)])
     generated_rule = _generated_rule(cfg, n_classes, static_labels)
     first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
+    masks = dropout_masks if dropout_masks is not None else DropoutMasks()
+    embedding_dim = params.embedding_dim
 
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr_initial if epoch <= cfg.decay_epoch else cfg.lr_after_decay
@@ -289,35 +350,37 @@ def train(
         gen_sum = gen_count = 0.0
         gen_grad_norm = 0.0
         n_batches = math.ceil(len(order) / cfg.batch_size)
-        for batch_idx in range(n_batches):
-            batch = order[batch_idx * cfg.batch_size:(batch_idx + 1) * cfg.batch_size]
-            logits, cache, _ = forward(
-                params, pool_feats[batch], cfg.dropout_rate,
-                dropout_seed=(cfg.seed, _SEED_DROPOUT, epoch, batch_idx),
-                train_mode=True,
-            )
-            classes = pool_class[batch]
-            gen = classes < 0
-            gen_weights = None  # behind a closed gate, the generated rows need none
-            if gate and gen.any():
-                if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
-                    # the untrained model offers no ranking signal yet
-                    ranks = [first_iter_rng.permutation(n_classes) for _ in range(gen.sum())]
-                    gen_weights = mprl_rows(np.stack(ranks) + 1.0)
-                else:
-                    gen_weights = generated_rule(logits[gen], batch[gen] - n_real)
+        try:
+            for batch_idx in range(n_batches):
+                batch = order[batch_idx * cfg.batch_size:(batch_idx + 1) * cfg.batch_size]
+                mask = masks.keep(cfg.seed, epoch, batch_idx, (len(batch), embedding_dim),
+                                  cfg.dropout_rate) if cfg.dropout_rate else None
+                logits, cache, _ = forward(params, pool_feats[batch], cfg.dropout_rate,
+                                           dropout_mask=mask, train_mode=True)
+                classes = pool_class[batch]
+                gen = classes < 0
+                gen_weights = None  # behind a closed gate, the generated rows need none
+                if gate and gen.any():
+                    if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
+                        # the untrained model offers no ranking signal yet
+                        ranks = [first_iter_rng.permutation(n_classes) for _ in range(gen.sum())]
+                        gen_weights = mprl_rows(np.stack(ranks) + 1.0)
+                    else:
+                        gen_weights = generated_rule(logits[gen], batch[gen] - n_real)
 
-            out: CombinedLoss = combined_loss(logits, classes, gen_weights, loss_cfg,
-                                              gate_active=gate)
-            grads = backward(params, cache, out.grad_logits)
-            params = sgd_step(params, grads, opt)
+                out: CombinedLoss = combined_loss(logits, classes, gen_weights, loss_cfg,
+                                                  gate_active=gate)
+                grads = backward(params, cache, out.grad_logits)
+                params = sgd_step(params, grads, opt)
 
-            real_sum += out.real_loss * out.n_real
-            real_count += out.n_real
-            gen_sum += out.gen_loss * out.n_generated
-            gen_count += out.n_generated
-            if out.n_generated:
-                gen_grad_norm += float(np.linalg.norm(out.grad_logits[gen]))
+                real_sum += out.real_loss * out.n_real
+                real_count += out.n_real
+                gen_sum += out.gen_loss * out.n_generated
+                gen_count += out.n_generated
+                if out.n_generated:
+                    gen_grad_norm += float(np.linalg.norm(out.grad_logits[gen]))
+        except MprlError as exc:
+            raise type(exc)(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
 
         l1 = real_sum / real_count if real_count else 0.0
         l2 = gen_sum / gen_count if gen_count else 0.0
@@ -364,8 +427,10 @@ def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> Emb
     return EmbeddingSet(rows.ids, rows.classes, embed(params, rows.features))
 
 
-def pretrain_baseline(real: Dataset, cfg: TrainConfig) -> ModelParams:
-    """Train the baseline (real-only) model used to assign static labels."""
+def pretrain_baseline(real: Dataset, cfg: TrainConfig,
+                      dropout_masks: DropoutMasks | None = None) -> ModelParams:
+    """Train the baseline (real-only) model used to assign static labels;
+    ``dropout_masks`` as for :func:`train`."""
     base_cfg = replace(cfg, strategy=Strategy.BASELINE, gen_weight=None)
-    params, _ = train(real, None, base_cfg)
+    params, _ = train(real, None, base_cfg, dropout_masks=dropout_masks)
     return params

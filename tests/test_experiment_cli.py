@@ -1,8 +1,11 @@
 """Spec parsing, grid expansion, artifact reproducibility, CLI exit codes."""
 
+import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mprl import experiment
+from mprl import experiment, trainer
 from mprl.cli import main
 from mprl.errors import GenerationFailure, SpecError
 from mprl.experiment import (
@@ -306,6 +309,68 @@ class TestRunMemo:
                 assert (tmp_path / "smprl_first" / cell.name / artifact).read_bytes() == \
                     (tmp_path / "baseline_first" / cell.name / artifact).read_bytes()
 
+    @staticmethod
+    def count_draws(monkeypatch):
+        draws = []
+        original = trainer.draw_keep_mask
+
+        def counting(seed, epoch, batch_idx, shape, rate):
+            draws.append((seed, epoch, batch_idx, shape[0]))
+            return original(seed, epoch, batch_idx, shape, rate)
+
+        monkeypatch.setattr(trainer, "draw_keep_mask", counting)
+        return draws
+
+    @pytest.mark.parametrize("strategies", ["baseline, lsro, smprl", "smprl, lsro, baseline"])
+    def test_each_dropout_mask_is_drawn_once_per_run(self, tmp_path, monkeypatch, strategies):
+        draws = self.count_draws(monkeypatch)
+        batches = []
+        original = trainer.forward
+
+        def counting(params, features, *args, train_mode=False, **kwargs):
+            if train_mode:
+                batches.append(len(features))
+            return original(params, features, *args, train_mode=train_mode, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward", counting)
+        spec = parse_spec_text(self.SPEC.replace("baseline, lsro, smprl", strategies))
+        run_experiment(spec, out_dir=tmp_path)
+        # a pool of real rows only (baseline, pretraining, count 0) and one
+        # with 6 generated rows: each (seed, epoch, batch, rows) is drawn
+        # once, and a first batch of 8 rows is the same mask in both pools
+        real_train = spec.n_classes * (spec.n_per_class // 2)
+        size = spec.batch_size
+        expected = {(seed, epoch, b, min(size, n - b * size))
+                    for seed in spec.seeds for epoch in range(1, spec.epochs + 1)
+                    for n in (real_train, real_train + 6) for b in range(math.ceil(n / size))}
+        assert sorted(draws) == sorted(expected)
+        assert len(draws) < len(batches)
+
+    def test_masks_are_read_only_and_dropped_with_their_seed(self, tmp_path, monkeypatch):
+        stores = []
+        original = experiment.train
+
+        def capturing(real, generated, cfg, **kwargs):
+            stores.append((cfg.seed, kwargs["dropout_masks"]))
+            return original(real, generated, cfg, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", capturing)
+        spec = parse_spec_text(self.SPEC)
+        run_experiment(spec, out_dir=tmp_path)
+        by_seed = {seed: {id(store) for s, store in stores if s == seed} for seed in spec.seeds}
+        assert all(len(ids) == 1 for ids in by_seed.values())
+        assert len(set.union(*by_seed.values())) == len(spec.seeds)
+        for _, store in stores:
+            assert store.packed
+            assert not any(bits.flags.writeable for bits in store.packed.values())
+
+        memo = experiment.RunMemo()
+        first = memo.at(spec, 1).masks
+        first.keep(1, 1, 0, (8, 6), spec.dropout_rate)
+        assert memo.at(spec, 1).masks is first and len(first.packed) == 1
+        assert memo.at(spec, 2).masks.packed == {}
+        assert memo.masks is not first
+
 
 class TestRunExperiment:
     def test_artifacts_and_summary(self, tiny_spec, tmp_path):
@@ -451,6 +516,22 @@ class TestCli:
         bad.write_text("strategies = baseline\nnot a key value line\n")
         assert main(["run", "--spec", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "diverge.txt"
+        spec.write_text("n_classes = 3\nepochs = 1\nhidden_sizes = 4\nstrategies = dmprl1\n"
+                        "counts = 3\nlr_initial = 1e300\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cell dmprl1_n3_seed0 failed: epoch 1, batch ")
+        assert "finite" in err
+        manifest = json.loads((out / "failure_manifest.json").read_text())
+        assert manifest["failed_cell"] == "dmprl1_n3_seed0"
+        assert manifest["completed"] == []
 
     def test_missing_spec_exits_one(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.txt")]) == 1

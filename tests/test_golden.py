@@ -13,7 +13,9 @@ value of a real row at the top logit is too small against its batch's
 mean loss to show in either grid; ``tests/test_losses.py`` pins it bit
 for bit.  A small two-seed grid pins every ``report.json`` and
 ``history.csv`` at ``--jobs`` 1 and 2, which covers the seed-major cell
-order and what the cells of one run share.  A refactor that claims to leave the numbers alone must leave these
+order and what the cells of one run share.  The stdout of ``mprl
+gradcheck --trials 5`` at the default K values is pinned for seeds 0-3.
+A refactor that claims to leave the numbers alone must leave these
 digests alone; a change that moves them on purpose re-pins them and
 says why.
 """
@@ -253,3 +255,21 @@ def test_small_grid_artifacts_are_byte_identical(tmp_path, jobs):
            for path in sorted(tmp_path.glob("*/*"))
            if path.name in ("report.json", "history.csv")}
     assert got == GOLDEN_SMALL_GRID_SHA256
+
+
+# seed -> sha256 of the stdout of `mprl gradcheck --trials 5 --seed s` at the
+# default K values (2, 5, 10, 751)
+GOLDEN_GRADCHECK_SHA256 = {
+    0: "1b36a67171347e572bf15274f62e8298f3a2c27cf07aacfdafa00b55d24fb354",
+    1: "dadb29ac58f81fa4e1bbaaa7af0929d882bdea88656243817475064a1695129e",
+    2: "84cdaad149648278ecea541d6c8a25ef3ec56e2730d5016c42a2cf6dfc9aad5a",
+    3: "61cd2cdba2bfa2b0793457c3acafcb08a6c7608bca311b5afd10942406bccb97",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_GRADCHECK_SHA256))
+def test_gradcheck_stdout_is_byte_identical(capsys, seed):
+    assert main(["gradcheck", "--trials", "5", "--seed", str(seed)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_GRADCHECK_SHA256[seed]

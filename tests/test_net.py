@@ -21,6 +21,7 @@ from mprl.net import (
     save_params,
     sgd_step,
 )
+from mprl.trainer import DropoutMasks
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -96,11 +97,15 @@ class TestForward:
             np.testing.assert_allclose(one_emb, batch_emb[i], rtol=1e-14, atol=1e-14)
 
     def test_dropout_deterministic_given_seed(self):
+        # the trainer draws a batch's mask from its seed; the network applies it
         params = init_params((3, 8, 2), seed=1)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        a, _, _ = forward(params, x, dropout_rate=0.5, dropout_seed=77, train_mode=True)
-        b, _, _ = forward(params, x, dropout_rate=0.5, dropout_seed=77, train_mode=True)
-        c, _, _ = forward(params, x, dropout_rate=0.5, dropout_seed=78, train_mode=True)
+
+        def run(seed):
+            mask = DropoutMasks().keep(seed, 1, 0, (5, 8), 0.5)
+            return forward(params, x, dropout_rate=0.5, dropout_mask=mask, train_mode=True)[0]
+
+        a, b, c = run(77), run(77), run(78)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -111,14 +116,36 @@ class TestForward:
         acc = np.zeros(1)
         n = 300
         for s in range(n):
-            logits, _, _ = forward(params, x, dropout_rate=0.4, dropout_seed=s, train_mode=True)
+            mask = DropoutMasks().keep(s, 1, 0, (1, 400), 0.4)
+            assert set(np.unique(mask)) <= {0.0, 1.0 / 0.6}
+            logits, _, _ = forward(params, x, dropout_rate=0.4, dropout_mask=mask,
+                                   train_mode=True)
             acc += logits
         np.testing.assert_allclose(acc / n, eval_logits, rtol=0.05, atol=0.02)
 
-    def test_dropout_needs_seed_in_train_mode(self):
+    def test_dropout_needs_mask_in_train_mode(self):
         params = init_params((2, 4, 2), seed=0)
         with pytest.raises(InvalidConfig):
             forward(params, np.zeros(2), dropout_rate=0.5, train_mode=True)
+        # without dropout, or in eval mode, no mask is needed
+        forward(params, np.zeros(2), dropout_rate=0.0, train_mode=True)
+        forward(params, np.zeros(2), dropout_rate=0.5, train_mode=False)
+
+    def test_dropout_mask_applies_to_the_embedding(self):
+        params = init_params((3, 4, 2), seed=6)
+        x = np.random.default_rng(2).normal(size=(3, 3))
+        mask = np.array([[2.0, 0.0, 2.0, 2.0], [0.0, 0.0, 2.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
+        logits, cache, emb = forward(params, x, dropout_rate=0.5, dropout_mask=mask,
+                                     train_mode=True)
+        np.testing.assert_array_equal(cache.dropped_embedding, emb * mask)
+        np.testing.assert_array_equal(logits, (emb * mask) @ params.weights[-1]
+                                      + params.biases[-1])
+        # one sample takes a 1-d mask
+        one, _, _ = forward(params, x[1], dropout_rate=0.5, dropout_mask=mask[1],
+                            train_mode=True)
+        assert one.shape == (2,)
+        with pytest.raises(InvalidDimension):
+            forward(params, x, dropout_rate=0.5, dropout_mask=mask[:2], train_mode=True)
 
     def test_dim_mismatch(self):
         params = init_params((3, 4, 2), seed=0)
@@ -212,13 +239,14 @@ class TestBackward:
         params = init_params((3, 6, 2), seed=21)
         x = np.random.default_rng(3).normal(size=(2, 3))
         target = np.random.default_rng(4).normal(size=(2, 2))
-        seed = 99
+        mask = DropoutMasks().keep(99, 1, 0, (2, 6), 0.5)
+        assert 0 < np.count_nonzero(mask) < mask.size
 
         def loss_of(p):
-            out, _, _ = forward(p, x, dropout_rate=0.5, dropout_seed=seed, train_mode=True)
+            out, _, _ = forward(p, x, dropout_rate=0.5, dropout_mask=mask, train_mode=True)
             return 0.5 * float(np.sum((out - target) ** 2))
 
-        logits, cache, _ = forward(params, x, dropout_rate=0.5, dropout_seed=seed,
+        logits, cache, _ = forward(params, x, dropout_rate=0.5, dropout_mask=mask,
                                    train_mode=True)
         grads = backward(params, cache, logits - target)
         w = params.weights[0]

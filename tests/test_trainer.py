@@ -2,16 +2,18 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import mprl.trainer as trainer_module
-from mprl.errors import InvalidConfig, InvalidDimension
+from mprl.errors import InvalidConfig, InvalidDimension, MprlError
 from mprl.labels import TiePolicy, mprl_rows
 from mprl.net import forward, init_params
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import (
+    DropoutMasks,
     Strategy,
     TrainConfig,
     assign_static_labels,
@@ -322,6 +324,85 @@ class TestEpochObserver:
         # training went on for three epochs, updating its velocity in place
         assert not params_bitwise_equal(seen[0], final)
         assert params_bitwise_equal(seen[0], snapshot[0])
+
+
+class TestDropoutMasks:
+    @pytest.mark.parametrize("shape", [(1, 1), (64, 16), (7, 13), (3, 751)])
+    @pytest.mark.parametrize("rate", [0.1, 0.25, 0.5, 0.9])
+    def test_replay_equals_the_float_draw_bit_for_bit(self, shape, rate):
+        # the mask forward applied when it drew its own from this stream
+        rng = np.random.default_rng((5, trainer_module._SEED_DROPOUT, 3, 2))
+        expected = (rng.random(shape) >= rate) / (1.0 - rate)
+        masks = DropoutMasks()
+        first = masks.keep(5, 3, 2, shape, rate)
+        again = masks.keep(5, 3, 2, shape, rate)
+        for got in (first, again):
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_each_mask_is_drawn_once_and_stored_read_only(self, monkeypatch):
+        draws = []
+        original = trainer_module.draw_keep_mask
+
+        def counting(*args):
+            draws.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(trainer_module, "draw_keep_mask", counting)
+        masks = DropoutMasks()
+        keys = [(1, 1, 0, (8, 6)), (1, 1, 1, (8, 6)), (1, 1, 1, (5, 6)), (2, 1, 0, (8, 6))]
+        for _ in range(3):
+            for key in keys:
+                masks.keep(*key, 0.25)
+        assert draws == [(*key, 0.25) for key in keys]
+        assert len(masks.packed) == len(keys)
+        for bits in masks.packed.values():
+            assert bits.dtype == np.uint8 and not bits.flags.writeable
+            with pytest.raises(ValueError):
+                bits[0] = 0
+        # the caller's copy is its own
+        handed = masks.keep(1, 1, 0, (8, 6), 0.25)
+        handed[:] = 0.0
+        assert masks.keep(1, 1, 0, (8, 6), 0.25).any()
+        # one bit per unit: 8 rows x 6 units take 6 bytes, 5 x 6 take 4
+        assert masks.packed[(1, 1, 0, (8, 6), 0.25)].nbytes == 6
+        assert masks.packed[(1, 1, 1, (5, 6), 0.25)].nbytes == 4
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_shared_store_trains_as_a_private_one(self, real, generated, strategy):
+        cfg = quick_config(strategy, epochs=5, warmup_epoch=3)
+        static = None
+        if strategy is Strategy.SMPRL:
+            static = assign_static_labels(pretrain_baseline(real, cfg), generated)
+        shared = DropoutMasks()
+        # other trainings of the seed (and of another seed) fill the store first
+        pretrain_baseline(real, cfg, dropout_masks=shared)
+        train(real, generated, quick_config(Strategy.LSRO, epochs=5), dropout_masks=shared)
+        train(real, generated, quick_config(Strategy.LSRO, epochs=5, seed=8),
+              dropout_masks=shared)
+        held = len(shared.packed)
+        p1, h1 = train(real, generated, cfg, static_labels=static)
+        p2, h2 = train(real, generated, cfg, static_labels=static, dropout_masks=shared)
+        assert params_bitwise_equal(p1, p2)
+        assert histories_equal(h1, h2)
+        # the pretraining and the lsro run drew every mask of this seed
+        assert len(shared.packed) == held
+
+    def test_no_dropout_draws_nothing(self, real, generated, monkeypatch):
+        monkeypatch.setattr(trainer_module, "draw_keep_mask", None)
+        masks = DropoutMasks()
+        train(real, generated, quick_config(Strategy.DMPRL1, dropout_rate=0.0),
+              dropout_masks=masks)
+        assert masks.packed == {}
+
+
+class TestDivergence:
+    def test_error_names_epoch_and_batch_without_warnings(self, real, generated):
+        cfg = quick_config(Strategy.DMPRL1, epochs=2, lr_initial=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MprlError, match=r"^epoch 1, batch [1-9]\d*: .*finite"):
+                train(real, generated, cfg)
 
 
 class TestCombinedHistorySemantics:
