@@ -33,13 +33,7 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidConfig, InvalidDimension, MprlError, ProtocolViolation, SpecError
-from .experiment import (
-    build_datasets,
-    build_generated,
-    parse_spec,
-    run_experiment,
-    run_trace,
-)
+from .experiment import RunMemo, build_datasets, parse_spec, run_experiment, run_trace
 from .gradcheck import DEFAULT_K_VALUES, DEFAULT_TOLERANCE, run_gradcheck
 from .retrieval import evaluate, load_embeddings, pairwise_sq_euclidean, report_to_json
 from .synthgen import save_dataset
@@ -131,12 +125,13 @@ def cmd_gen_data(args) -> int:
         raise InvalidConfig(f"--seed must be >= 0, got {seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    real, _ = build_datasets(spec, seed, 0)
+    memo = RunMemo()
+    real, _ = build_datasets(spec, seed, 0, memo)
     real_path = out / f"real_seed{seed}.txt"
     save_dataset(real, real_path)
     _say(f"wrote {real_path}")
     for count in spec.counts:
-        generated = build_generated(spec, real, seed, count)
+        _, generated = build_datasets(spec, seed, count, memo)
         if generated is not None:
             gen_path = out / f"generated_n{count}_seed{seed}.txt"
             save_dataset(generated, gen_path)

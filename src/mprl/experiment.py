@@ -27,9 +27,11 @@ the generator or ``TrainConfig.validate`` would refuse inside a cell.
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
 Cells run seed-major: every cell of the first seed (strategies in spec
-order, each over its counts), then the next seed.  Within one
-:func:`run_experiment` call, and within each worker process under
-``jobs > 1``, the cells of a seed share what they would otherwise each
+order, each over its counts), then the next seed.  Datasets are built
+and cells trained through a :class:`RunMemo` only: one per
+:func:`run_experiment` call, and one per worker process under ``jobs >
+1``; :func:`run_trace` and ``mprl gen-data`` each use a fresh one.
+Within a memo the cells of a seed share what they would otherwise each
 build: the real dataset, each count's generated dataset (read-only), the
 baseline model that labels an smprl cell's generated rows, which is the
 baseline cell's when it has already run there and is pretrained once
@@ -212,11 +214,12 @@ def expand_cells(spec: ExperimentSpec) -> list[Cell]:
 
 
 class RunMemo:
-    """What the cells of one seed share within one :func:`run_experiment`
-    call: the real dataset, each count's generated dataset, the baseline
-    model that labels an smprl cell's generated rows and the seed's
-    dropout masks.  Cells run seed-major, so it holds one seed at a time.
-    Every array it holds is read-only."""
+    """What the cells of one seed share within one run (a
+    :func:`run_experiment` call, a trace, a ``gen-data`` call): the real
+    dataset, each count's generated dataset, the baseline model that
+    labels an smprl cell's generated rows and the seed's dropout masks.
+    Cells run seed-major, so it holds one seed at a time.  Every array it
+    holds is read-only."""
 
     def __init__(self):
         self._hold(None)
@@ -259,33 +262,20 @@ def _frozen_dataset(data: Dataset | None) -> Dataset | None:
 
 
 def build_datasets(spec: ExperimentSpec, seed: int, count: int,
-                   memo: RunMemo | None = None) -> tuple[Dataset, Dataset | None]:
+                   memo: RunMemo) -> tuple[Dataset, Dataset | None]:
     """The real dataset of ``seed`` and the generated dataset of (seed,
-    count), None at count 0.  With a run's ``memo`` each is built once and
-    then shared, read-only."""
-    if memo is None:
-        real = _build_real(spec, seed)
-        return real, build_generated(spec, real, seed, count)
+    count), None at count 0.  Each is built once per ``memo`` and then
+    shared, read-only."""
     memo.at(spec, seed)
     if memo.real is None:
-        memo.real = _frozen_dataset(_build_real(spec, seed))
+        memo.real = _frozen_dataset(make_real_dataset(
+            spec.n_classes, spec.n_per_class, spec.dim, spec.cluster_spread,
+            seed=(seed, _SEED_REAL_DATA)))
     if count not in memo.generated:
-        memo.generated[count] = _frozen_dataset(build_generated(spec, memo.real, seed, count))
+        memo.generated[count] = _frozen_dataset(make_generated_dataset(
+            memo.real, count, spec.mix_size, spec.noise, seed=(seed, _SEED_GEN_DATA),
+        )) if count > 0 else None
     return memo.real, memo.generated[count]
-
-
-def _build_real(spec: ExperimentSpec, seed: int) -> Dataset:
-    return make_real_dataset(
-        spec.n_classes, spec.n_per_class, spec.dim, spec.cluster_spread,
-        seed=(seed, _SEED_REAL_DATA),
-    )
-
-
-def build_generated(spec: ExperimentSpec, real: Dataset, seed: int,
-                    count: int) -> Dataset | None:
-    """The generated dataset of (seed, count) mixed from ``real``; None at count 0."""
-    return make_generated_dataset(real, count, spec.mix_size, spec.noise,
-                                  seed=(seed, _SEED_GEN_DATA)) if count > 0 else None
 
 
 @dataclass
@@ -299,60 +289,53 @@ class CellResult:
 
 
 def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
-                generated: Dataset | None, on_epoch=None, memo: RunMemo | None = None):
+                generated: Dataset | None, memo: RunMemo, on_epoch=None):
     """Train a cell on the datasets its caller built; returns the trained
     parameters and the history.  ``on_epoch`` observes the cell's own
     training, never the pretraining.
 
-    smprl with generated rows labels them with its seed's baseline model:
-    within a run (``memo``) the baseline cell's parameters when that cell
-    has run, else one pretraining per seed.  The two are the same bits:
-    without generated rows, neither ``gen_weight`` nor the
-    strategy-specific settings reach the trajectory.  Within a run every
-    training of the seed replays the memo's dropout masks.
+    smprl with generated rows labels them with its seed's baseline model
+    in ``memo``: the baseline cell's parameters when that cell has run,
+    else one pretraining per seed.  The two are the same bits: without
+    generated rows, neither ``gen_weight`` nor the strategy-specific
+    settings reach the trajectory.  Every training of the seed replays
+    the memo's dropout masks.
     """
     cfg = spec.train_config(cell.strategy, cell.seed)
-    masks = memo.at(spec, cell.seed).masks if memo is not None else None
+    memo.at(spec, cell.seed)
     static = None
     if cell.strategy is Strategy.SMPRL and generated is not None:
-        baseline = memo.baseline if memo is not None else None
-        if baseline is None:
-            baseline = _keep_baseline(spec, cell.seed,
-                                      pretrain_baseline(real, cfg, dropout_masks=masks), memo)
-        static = assign_static_labels(baseline, generated, cfg.tie_policy)
+        if memo.baseline is None:
+            _keep_baseline(memo, pretrain_baseline(real, cfg, dropout_masks=memo.masks))
+        static = assign_static_labels(memo.baseline, generated, cfg.tie_policy)
     params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch,
-                            dropout_masks=masks)
+                            dropout_masks=memo.masks)
     if cell.strategy is Strategy.BASELINE:
-        _keep_baseline(spec, cell.seed, params, memo)
+        _keep_baseline(memo, params)
     return params, history
 
 
-def _keep_baseline(spec: ExperimentSpec, seed: int, params: ModelParams,
-                   memo: RunMemo | None) -> ModelParams:
-    """Hold ``params``, read-only, as the seed's baseline model for the rest of the run."""
-    if memo is not None:
-        _read_only(*params.weights, *params.biases)
-        memo.at(spec, seed).baseline = params
-    return params
+def _keep_baseline(memo: RunMemo, params: ModelParams) -> None:
+    """Hold ``params``, read-only, as the memo's baseline model for the rest of its seed."""
+    _read_only(*params.weights, *params.biases)
+    memo.baseline = params
 
 
-def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None,
-             memo: RunMemo | None = None) -> CellResult:
+def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> CellResult:
     """Train one grid cell, write its artifacts, return its summary row.
     ``memo`` carries what the cells of one run share."""
     start = time.perf_counter()
     real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
-    params, history = _train_cell(spec, cell, real, generated, memo=memo)
+    params, history = _train_cell(spec, cell, real, generated, memo)
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
     report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
 
-    if out_dir is not None:
-        cell_dir = out_dir / cell.name
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        history.to_csv(cell_dir / "history.csv")
-        save_report(report, cell_dir / "report.json")
+    cell_dir = out_dir / cell.name
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    history.to_csv(cell_dir / "history.csv")
+    save_report(report, cell_dir / "report.json")
 
     last = history.records[-1]
     return CellResult(cell, report.rank1, report.mean_ap, last.real_loss,
@@ -360,7 +343,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path | None,
 
 
 def _run_cell_job(args):
-    return run_cell(*args, memo=_worker_memo)
+    return run_cell(*args, _worker_memo)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
@@ -452,16 +435,17 @@ def run_trace(spec: ExperimentSpec, n_samples: int, out_dir) -> tuple[Path, int]
     # first strategy, first count, first seed of the grid; trajectories are
     # forward-only so even the baseline can trace generated samples
     cell = Cell(spec.strategies[0], spec.counts[0], spec.seeds[0])
-    real, generated = build_datasets(spec, cell.seed, cell.n_generated)
+    memo = RunMemo()
+    real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
     tracked = min(n_samples, cell.n_generated)  # a generated set holds `count` samples
     rows = np.argsort(generated.ids)[:tracked] if tracked else None
     argmax_by_epoch = []
 
     def observe(record, params):
-        logits, _, _ = forward(params, generated.features[rows], train_mode=False)
+        logits, _, _ = forward(params, generated.features[rows])
         argmax_by_epoch.append(np.argmax(logits[:, :real.n_classes], axis=1) + 1)
 
-    _train_cell(spec, cell, real, generated, observe if tracked else None)
+    _train_cell(spec, cell, real, generated, memo, observe if tracked else None)
 
     lines = ["sample_id,epoch,argmax_class"]
     if tracked:

@@ -91,7 +91,6 @@ class ForwardCache:
     dropout_mask: np.ndarray | None
     dropped_embedding: np.ndarray
     logits: np.ndarray
-    single: bool
 
 
 def init_params(layer_sizes, seed, scale: float = 1.0,
@@ -126,41 +125,25 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np
     return 1.0 - a * a
 
 
-def forward(params: ModelParams, features, dropout_rate: float = 0.0,
-            dropout_mask=None, train_mode: bool = False):
-    """Run the network on one sample (1-d) or a batch (2-d).
+def forward(params: ModelParams, features, dropout_mask=None):
+    """Run the network on a (n, d) batch of features.
 
     Returns ``(logits, cache, embedding)``.  The embedding is the
-    penultimate activation before dropout.  In train mode with a nonzero
-    dropout rate the caller hands in ``dropout_mask``, the embedding-shaped
-    inverted-scaling keep mask (0 for a dropped unit, ``1 / (1 -
-    dropout_rate)`` for a kept one), and the logits head sees the embedding
-    times that mask; the network draws no randomness of its own.  The
-    trainer's masks depend only on (seed, epoch, batch, rows); within a
-    grid run each is drawn once per seed and replayed, held at one bit
-    per unit (:class:`mprl.trainer.DropoutMasks`).  In eval mode dropout
-    is the identity.
+    penultimate activation before dropout.  A ``dropout_mask`` means
+    train-mode dropout: it is the embedding-shaped inverted-scaling keep
+    mask (0 for a dropped unit, ``1 / (1 - rate)`` for a kept one), and the
+    logits head sees the embedding times it.  Without a mask dropout is
+    the identity (eval mode).  The network draws no randomness of its own:
+    the trainer's masks depend only on (seed, epoch, batch, rows), and
+    within a grid run each is drawn once per seed and replayed, held at one
+    bit per unit (:class:`mprl.trainer.DropoutMasks`).
     """
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
-    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
-        raise InvalidDimension(
-            f"features have width {x.shape[-1]}, network expects {params.layer_sizes[0]}"
-        )
-    if not 0.0 <= dropout_rate < 1.0:
-        raise InvalidConfig("dropout_rate must be in [0, 1)")
-
+    x = _batch(params, features)
     pre_acts, hidden_acts, embedding = _hidden_stack(params, x)
     mask = None
     dropped = embedding
-    if train_mode and dropout_rate > 0.0:
-        if dropout_mask is None:
-            raise InvalidConfig("train-mode dropout needs an explicit dropout_mask")
+    if dropout_mask is not None:
         mask = np.asarray(dropout_mask, dtype=np.float64)
-        if single and mask.ndim == 1:
-            mask = mask[np.newaxis, :]
         if mask.shape != embedding.shape:
             raise InvalidDimension(
                 f"dropout mask has shape {mask.shape}, embedding has {embedding.shape}"
@@ -169,21 +152,24 @@ def forward(params: ModelParams, features, dropout_rate: float = 0.0,
 
     logits = dropped @ params.weights[-1]
     logits += params.biases[-1]
-    cache = ForwardCache(params, x, pre_acts, hidden_acts, mask, dropped, logits, single)
-    if single:
-        return logits[0], cache, embedding[0]
+    cache = ForwardCache(params, x, pre_acts, hidden_acts, mask, dropped, logits)
     return logits, cache, embedding
 
 
 def embed(params: ModelParams, features) -> np.ndarray:
     """Eval-mode embeddings of a (n, d) batch: the hidden stack of
     :func:`forward`, bit for bit, without the logits head."""
+    return _hidden_stack(params, _batch(params, features))[2]
+
+
+def _batch(params: ModelParams, features) -> np.ndarray:
+    """``features`` as a float64 (n, d) batch of the network's input width."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
         raise InvalidDimension(
             f"features have shape {x.shape}, network expects (n, {params.layer_sizes[0]})"
         )
-    return _hidden_stack(params, x)[2]
+    return x
 
 
 def _hidden_stack(params: ModelParams, x: np.ndarray):
@@ -202,7 +188,8 @@ def _hidden_stack(params: ModelParams, x: np.ndarray):
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrads:
-    """Backpropagate d(loss)/d(logits) to parameter gradients.
+    """Backpropagate d(loss)/d(logits), shaped like the logits, to
+    parameter gradients.
 
     Gradients are summed over the batch; per-sample reduction weights
     belong in ``grad_logits``.  The cache must come from a forward pass
@@ -211,11 +198,7 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrad
     if cache.params is not params:
         raise InvalidState("cache was built by a different (or updated) params object")
     g = np.asarray(grad_logits, dtype=np.float64)
-    if cache.single:
-        if g.ndim != 1:
-            raise InvalidDimension("forward saw a single sample; grad_logits must be 1-d")
-        g = g[np.newaxis, :]
-    if g.shape != cache.logits.shape and g.shape != (cache.inputs.shape[0], cache.logits.shape[-1]):
+    if g.shape != cache.logits.shape:
         raise InvalidDimension(
             f"grad_logits shape {g.shape} does not match logits {cache.logits.shape}"
         )
@@ -294,17 +277,30 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    """Load a checkpoint written by :func:`save_params`, bit-exactly."""
+    """Load a checkpoint written by :func:`save_params`, bit-exactly.
+
+    A file that is not a whole checkpoint raises :class:`InvalidState`
+    naming ``path``."""
     blob = Path(path).read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise InvalidState(f"{path}: not a model checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    act_code, n_sizes = struct.unpack_from("<BI", blob, offset)
-    offset += struct.calcsize("<BI")
+    offset = len(CHECKPOINT_MAGIC) + struct.calcsize("<BI")
+    if len(blob) < offset:
+        raise InvalidState(f"{path}: checkpoint ends inside its header")
+    act_code, n_sizes = struct.unpack_from("<BI", blob, len(CHECKPOINT_MAGIC))
     if act_code not in _ACTIVATION_FROM_CODE:
         raise InvalidState(f"{path}: unknown activation code {act_code}")
+    if n_sizes < 2:
+        raise InvalidState(f"{path}: {n_sizes} layer sizes, need input and output widths")
+    if len(blob) < offset + 4 * n_sizes:
+        raise InvalidState(f"{path}: checkpoint ends inside its header")
     sizes = struct.unpack_from(f"<{n_sizes}I", blob, offset)
-    offset += struct.calcsize(f"<{n_sizes}I")
+    offset += 4 * n_sizes
+    if min(sizes) < 1:
+        raise InvalidState(f"{path}: layer sizes must be positive, got {sizes}")
+    n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    if len(blob) < offset + 8 * n_values:
+        raise InvalidState(f"{path}: checkpoint ends inside its weights")
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

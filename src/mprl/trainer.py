@@ -269,7 +269,6 @@ def train(
     generated: Dataset | None,
     cfg: TrainConfig,
     static_labels: np.ndarray | None = None,
-    initial_params: ModelParams | None = None,
     on_epoch: Callable[[EpochRecord, ModelParams], None] | None = None,
     dropout_masks: DropoutMasks | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
@@ -277,9 +276,8 @@ def train(
 
     ``static_labels`` (the (n_generated, K) rows of :func:`assign_static_labels`)
     is required for smprl with generated rows and ignored otherwise.
-    ``initial_params`` lets a pretrained checkpoint seed the run; by
-    default parameters are initialized from the config seed.  All
-    validation happens before the first epoch.
+    Parameters are initialized from the config seed at ``cfg.init_scale``.
+    All validation happens before the first epoch.
 
     ``on_epoch(record, params)``, when given, is called after each epoch's
     record is appended, with the parameters as they stand at the end of
@@ -313,15 +311,9 @@ def train(
             raise InvalidDimension(f"static labels must have shape ({len(gen_feats)}, "
                                    f"{n_classes}), got {static_labels.shape}")
 
-    layer_sizes = (real.feature_dim, *cfg.hidden_sizes, head_width)
-    params = initial_params if initial_params is not None else init_params(
-        layer_sizes, seed=(cfg.seed, _SEED_INIT), scale=cfg.init_scale,
-        activation=cfg.activation,
-    )
-    if params.layer_sizes != layer_sizes:
-        raise InvalidDimension(
-            f"initial params have layer sizes {params.layer_sizes}, expected {layer_sizes}"
-        )
+    params = init_params((real.feature_dim, *cfg.hidden_sizes, head_width),
+                         seed=(cfg.seed, _SEED_INIT), scale=cfg.init_scale,
+                         activation=cfg.activation)
     opt = init_optimizer(params, cfg.lr_initial, cfg.momentum)
     # the diagonal gradient mode belongs to rank-weighted labels only
     rank_weighted = cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2)
@@ -355,8 +347,7 @@ def train(
                 batch = order[batch_idx * cfg.batch_size:(batch_idx + 1) * cfg.batch_size]
                 mask = masks.keep(cfg.seed, epoch, batch_idx, (len(batch), embedding_dim),
                                   cfg.dropout_rate) if cfg.dropout_rate else None
-                logits, cache, _ = forward(params, pool_feats[batch], cfg.dropout_rate,
-                                           dropout_mask=mask, train_mode=True)
+                logits, cache, _ = forward(params, pool_feats[batch], mask)
                 classes = pool_class[batch]
                 gen = classes < 0
                 gen_weights = None  # behind a closed gate, the generated rows need none
@@ -397,7 +388,7 @@ def train(
 def _accuracy(params, feats, classes, n_classes) -> float:
     """Eval-mode accuracy on the pre-defined classes (the extra head
     column, when present, is excluded so strategies stay comparable)."""
-    logits, _, _ = forward(params, feats, train_mode=False)
+    logits, _, _ = forward(params, feats)
     predicted = np.argmax(logits[:, :n_classes], axis=1) + 1
     return float(np.mean(predicted == classes))
 
@@ -414,7 +405,7 @@ def assign_static_labels(
     result (rank/K x 2/(1+K), ranks taken on the logits) is generated
     row i's label and never changes afterwards.
     """
-    logits, _, _ = forward(pretrained, generated.features, train_mode=False)
+    logits, _, _ = forward(pretrained, generated.features)
     return mprl_rows(row_ranks(logits, tie_policy))
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from mprl.cli import main
-from mprl.experiment import Cell, expand_cells, parse_spec, run_cell, run_experiment
+from mprl.experiment import Cell, RunMemo, expand_cells, parse_spec, run_cell, run_experiment
 from mprl.gradcheck import run_gradcheck
 from mprl.labels import TiePolicy, mprl_alpha, rank_weight_normalizer, softmax
 from mprl.losses import GradientMode, LossConfig, lsro_loss, mprl_generated_loss
@@ -131,8 +131,8 @@ def test_criterion_7_cell_determinism(tmp_path):
         spec = parse_spec(BENCHMARK_SPEC_PATH)
         cell = Cell(Strategy.DMPRL2, 400, 1)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_cell(spec, cell, out_a)
-        run_cell(spec, cell, out_b)
+        run_cell(spec, cell, out_a, RunMemo())
+        run_cell(spec, cell, out_b, RunMemo())
         for name in ("history.csv", "report.json"):
             assert (out_a / cell.name / name).read_bytes() == \
                 (out_b / cell.name / name).read_bytes()

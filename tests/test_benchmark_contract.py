@@ -4,7 +4,10 @@
 and samples machine speed inside calls the workloads name as probe
 targets.  A rename in ``src`` that drops one of these names would break
 every op of a workload, so the contract is checked here, next to the
-code that must honour it.
+code that must honour it.  A tiny traced grid and gradcheck run every
+wrapper and counter, so a call the counters cannot read (``forward``'s
+features passed by keyword, say) fails here and not only under
+``perfbench/run.py --trace 1``.
 """
 
 import sys
@@ -16,7 +19,21 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.append(str(ROOT))
 
+from mprl import experiment, gradcheck  # noqa: E402
 from perfbench import tracing, workloads  # noqa: E402
+
+TRACED_GRID_SPEC = """\
+n_classes    = 3
+dim          = 4
+n_per_class  = 6
+strategies   = baseline, smprl
+counts       = 6
+seeds        = 1
+epochs       = 3
+batch_size   = 8
+warmup_epoch = 1
+hidden_sizes = 8, 6
+"""
 
 
 @pytest.mark.parametrize("owner, attr", [
@@ -31,3 +48,28 @@ def test_every_probe_target_resolves_to_a_callable(name, tmp_path):
     targets = workloads.WORKLOADS[name](seed=1, workdir=tmp_path).probe_targets()
     for owner, attr in targets:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
+    spec = experiment.parse_spec_text(TRACED_GRID_SPEC)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        results = tracer.span(tracing.ROOT_SPAN, experiment.run_experiment, spec,
+                              out_dir=tmp_path)
+        report = tracer.span(tracing.ROOT_SPAN, gradcheck.run_gradcheck, k_values=(3,),
+                             trials=2, seed=0)
+    assert len(results) == 2 and report.passed
+    names = {name for name, _, _, _ in tracer.spans}
+    assert names <= tracing.span_names()
+    assert {"trainer.train", "net.forward", "net.backward", "losses.combined_loss",
+            "trainer.assign_static_labels", "retrieval.evaluate",
+            "gradcheck.finite_difference_gradient", "labels.mprl_alpha"} <= names
+    assert all(end >= start for _, _, start, end in tracer.spans)
+    # rows per cell and epoch: the training pool in mini-batches, then the
+    # real train rows for the epoch's accuracy; smprl also scores its
+    # generated rows once with the baseline cell's model
+    real_train = spec.n_classes * (spec.n_per_class // 2)
+    pools = (real_train, real_train + spec.counts[0])
+    assert tracer.counts["losses.combined_loss.rows"] == spec.epochs * sum(pools)
+    assert tracer.counts["net.forward.rows"] == (
+        spec.epochs * sum(pool + real_train for pool in pools) + spec.counts[0])

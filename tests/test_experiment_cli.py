@@ -327,10 +327,10 @@ class TestRunMemo:
         batches = []
         original = trainer.forward
 
-        def counting(params, features, *args, train_mode=False, **kwargs):
-            if train_mode:
+        def counting(params, features, dropout_mask=None):
+            if dropout_mask is not None:  # a training batch
                 batches.append(len(features))
-            return original(params, features, *args, train_mode=train_mode, **kwargs)
+            return original(params, features, dropout_mask)
 
         monkeypatch.setattr(trainer, "forward", counting)
         spec = parse_spec_text(self.SPEC.replace("baseline, lsro, smprl", strategies))
@@ -391,8 +391,8 @@ class TestRunExperiment:
     def test_cell_rerun_is_byte_identical(self, tiny_spec, tmp_path):
         cell = Cell(Strategy.LSRO, 6, 1)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_cell(tiny_spec, cell, out_a)
-        run_cell(tiny_spec, cell, out_b)
+        run_cell(tiny_spec, cell, out_a, experiment.RunMemo())
+        run_cell(tiny_spec, cell, out_b, experiment.RunMemo())
         name = cell.name
         assert (out_a / name / "history.csv").read_bytes() == \
             (out_b / name / "history.csv").read_bytes()
@@ -533,6 +533,20 @@ class TestCli:
         assert manifest["failed_cell"] == "dmprl1_n3_seed0"
         assert manifest["completed"] == []
 
+    def test_very_confident_model_runs(self, tmp_path, capsys):
+        # a large init_scale starts every cell from logits whose softmax
+        # underflows to exact zeros (tests/test_trainer.py, TestExtremeLogits)
+        spec = tmp_path / "confident.txt"
+        spec.write_text(TINY_SPEC.replace("strategies     = baseline, lsro",
+                                          "strategies     = one_hot_pseudo, smprl, dmprl1, dmprl2")
+                        .replace("counts         = 0, 6", "counts         = 6")
+                        .replace("seeds          = 1, 2", "seeds          = 1")
+                        + "init_scale     = 30\n")
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 4
+
     def test_missing_spec_exits_one(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.txt")]) == 1
 
@@ -560,12 +574,12 @@ class TestCli:
         assert (data_dir / "generated_n6_seed1.txt").exists()
 
         # standalone eval: embeddings straight from a trained cell
-        from mprl.experiment import build_datasets, parse_spec
+        from mprl.experiment import RunMemo, build_datasets, parse_spec
         from mprl.retrieval import save_embeddings
         from mprl.trainer import extract_embeddings, train
 
         spec = parse_spec(spec_file)
-        real, generated = build_datasets(spec, 1, 6)
+        real, generated = build_datasets(spec, 1, 6, RunMemo())
         params, _ = train(real, generated, spec.train_config(Strategy.LSRO, 1))
         q_path, g_path = tmp_path / "q.txt", tmp_path / "g.txt"
         save_embeddings(extract_embeddings(params, real, "query"), q_path)

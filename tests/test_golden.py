@@ -14,7 +14,9 @@ mean loss to show in either grid; ``tests/test_losses.py`` pins it bit
 for bit.  A small two-seed grid pins every ``report.json`` and
 ``history.csv`` at ``--jobs`` 1 and 2, which covers the seed-major cell
 order and what the cells of one run share.  The stdout of ``mprl
-gradcheck --trials 5`` at the default K values is pinned for seeds 0-3.
+gradcheck --trials 5`` at the default K values is pinned for seeds 0-3,
+and so is every file ``mprl gen-data --spec benchmark.spec --seed 1``
+writes.
 A refactor that claims to leave the numbers alone must leave these
 digests alone; a change that moves them on purpose re-pins them and
 says why.
@@ -273,3 +275,20 @@ def test_gradcheck_stdout_is_byte_identical(capsys, seed):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_GRADCHECK_SHA256[seed]
+
+
+# file -> sha256 of what `mprl gen-data --spec benchmark.spec --seed 1` writes
+GOLDEN_GEN_DATA_SHA256 = {
+    "generated_n400_seed1.txt":
+        "ea953af5bb3775ceeb05a7ecd763b14e708580772798754e5274e1332a9ea05b",
+    "real_seed1.txt":
+        "a40a4536fca91308303c5424b9b471decb36f90d5401a7fca96b3fe040f63768",
+}
+
+
+def test_gen_data_files_are_byte_identical(tmp_path):
+    assert main(["gen-data", "--spec", str(ROOT / "benchmark.spec"), "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.iterdir())}
+    assert got == GOLDEN_GEN_DATA_SHA256

@@ -1,14 +1,18 @@
 """MLP forward/backward/optimizer: shape contracts, oracles, checkpoints."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mprl.errors import InvalidConfig, InvalidDimension, InvalidState
+from mprl.errors import InvalidDimension, InvalidState
 from mprl.labels import ground_truth_label
 from mprl.losses import LossConfig, combined_loss
 from mprl.net import (
+    CHECKPOINT_MAGIC,
     Activation,
     ModelParams,
     backward,
@@ -46,14 +50,14 @@ class TestInitParams:
     def test_zero_scale_leaves_bias_path_only(self):
         params = init_params((3, 5, 2), seed=0, scale=0.0)
         assert all(np.all(w == 0.0) for w in params.weights)
-        logits, _, _ = forward(params, np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_array_equal(logits, np.zeros(2))
+        logits, _, _ = forward(params, np.array([[1.0, -2.0, 3.0]]))
+        np.testing.assert_array_equal(logits, np.zeros((1, 2)))
 
     def test_shape_contract(self):
         params = init_params((2, 8, 4, 3), seed=7)
-        logits, _, emb = forward(params, np.array([0.5, -0.5]))
-        assert logits.shape == (3,)
-        assert emb.shape == (4,)
+        logits, _, emb = forward(params, np.array([[0.5, -0.5]]))
+        assert logits.shape == (1, 3)
+        assert emb.shape == (1, 4)
         assert params.layer_sizes == (2, 8, 4, 3)
         assert params.embedding_dim == 4
 
@@ -67,34 +71,25 @@ class TestInitParams:
 class TestForward:
     def test_zero_net_relu_gives_zero_logits(self):
         params = init_params((3, 4, 2), seed=0, scale=0.0)
-        logits, _, _ = forward(params, np.zeros(3))
-        np.testing.assert_array_equal(logits, np.zeros(2))
+        logits, _, _ = forward(params, np.zeros((1, 3)))
+        np.testing.assert_array_equal(logits, np.zeros((1, 2)))
 
     def test_no_dropout_means_train_equals_eval(self):
+        # an all-kept mask at rate 0 is the identity: train mode equals eval
         params = init_params((3, 6, 2), seed=5)
-        x = np.array([0.1, 0.2, -0.3])
-        train_logits, _, _ = forward(params, x, dropout_rate=0.0, train_mode=True)
-        eval_logits, _, _ = forward(params, x, train_mode=False)
+        x = np.array([[0.1, 0.2, -0.3], [0.4, -0.5, 0.6]])
+        train_logits, cache, _ = forward(params, x, np.ones((2, 6)))
+        eval_logits, eval_cache, _ = forward(params, x)
         np.testing.assert_array_equal(train_logits, eval_logits)
+        assert eval_cache.dropout_mask is None and cache.dropout_mask is not None
 
     def test_single_linear_layer_matches_matmul_oracle(self):
         params = init_params((2, 3), seed=9, scale=1.0)
-        x = np.array([1.0, 2.0])
+        x = np.array([[1.0, 2.0]])
         logits, _, emb = forward(params, x)
         expected = x @ params.weights[0] + params.biases[0]
         np.testing.assert_allclose(logits, expected, atol=1e-15)
         np.testing.assert_array_equal(emb, x)  # no hidden layer: embedding is the input
-
-    def test_batch_and_single_agree(self):
-        # batched and single-row matmuls may take different BLAS kernels,
-        # so agreement is to the ulp, not bitwise
-        params = init_params((4, 5, 3), seed=3)
-        batch = np.random.default_rng(0).normal(size=(6, 4))
-        batch_logits, _, batch_emb = forward(params, batch)
-        for i in range(6):
-            one_logits, _, one_emb = forward(params, batch[i])
-            np.testing.assert_allclose(one_logits, batch_logits[i], rtol=1e-14, atol=1e-14)
-            np.testing.assert_allclose(one_emb, batch_emb[i], rtol=1e-14, atol=1e-14)
 
     def test_dropout_deterministic_given_seed(self):
         # the trainer draws a batch's mask from its seed; the network applies it
@@ -103,7 +98,7 @@ class TestForward:
 
         def run(seed):
             mask = DropoutMasks().keep(seed, 1, 0, (5, 8), 0.5)
-            return forward(params, x, dropout_rate=0.5, dropout_mask=mask, train_mode=True)[0]
+            return forward(params, x, mask)[0]
 
         a, b, c = run(77), run(77), run(78)
         np.testing.assert_array_equal(a, b)
@@ -111,53 +106,46 @@ class TestForward:
 
     def test_dropout_inverted_scaling_preserves_expectation(self):
         params = init_params((2, 400, 1), seed=2)
-        x = np.array([0.7, -0.4])
+        x = np.array([[0.7, -0.4]])
         eval_logits, _, _ = forward(params, x)
-        acc = np.zeros(1)
+        acc = np.zeros((1, 1))
         n = 300
         for s in range(n):
             mask = DropoutMasks().keep(s, 1, 0, (1, 400), 0.4)
             assert set(np.unique(mask)) <= {0.0, 1.0 / 0.6}
-            logits, _, _ = forward(params, x, dropout_rate=0.4, dropout_mask=mask,
-                                   train_mode=True)
+            logits, _, _ = forward(params, x, mask)
             acc += logits
         np.testing.assert_allclose(acc / n, eval_logits, rtol=0.05, atol=0.02)
-
-    def test_dropout_needs_mask_in_train_mode(self):
-        params = init_params((2, 4, 2), seed=0)
-        with pytest.raises(InvalidConfig):
-            forward(params, np.zeros(2), dropout_rate=0.5, train_mode=True)
-        # without dropout, or in eval mode, no mask is needed
-        forward(params, np.zeros(2), dropout_rate=0.0, train_mode=True)
-        forward(params, np.zeros(2), dropout_rate=0.5, train_mode=False)
 
     def test_dropout_mask_applies_to_the_embedding(self):
         params = init_params((3, 4, 2), seed=6)
         x = np.random.default_rng(2).normal(size=(3, 3))
         mask = np.array([[2.0, 0.0, 2.0, 2.0], [0.0, 0.0, 2.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
-        logits, cache, emb = forward(params, x, dropout_rate=0.5, dropout_mask=mask,
-                                     train_mode=True)
+        logits, cache, emb = forward(params, x, mask)
         np.testing.assert_array_equal(cache.dropped_embedding, emb * mask)
         np.testing.assert_array_equal(logits, (emb * mask) @ params.weights[-1]
                                       + params.biases[-1])
-        # one sample takes a 1-d mask
-        one, _, _ = forward(params, x[1], dropout_rate=0.5, dropout_mask=mask[1],
-                            train_mode=True)
-        assert one.shape == (2,)
-        with pytest.raises(InvalidDimension):
-            forward(params, x, dropout_rate=0.5, dropout_mask=mask[:2], train_mode=True)
+        # one sample is a batch of one row, with a one-row mask
+        one, _, _ = forward(params, x[1:2], mask[1:2])
+        assert one.shape == (1, 2)
+        for bad in (mask[:2], mask[1]):
+            with pytest.raises(InvalidDimension):
+                forward(params, x, bad)
 
     def test_dim_mismatch(self):
         params = init_params((3, 4, 2), seed=0)
-        with pytest.raises(InvalidDimension):
-            forward(params, np.zeros(5))
+        # a batch of the wrong width, and a single 1-d sample
+        for x in (np.zeros((2, 5)), np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(InvalidDimension):
+                forward(params, x)
 
     def test_embedding_dim_constant_over_inputs(self):
         params = init_params((3, 7, 4, 2), seed=0)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            _, _, emb = forward(params, rng.normal(size=3))
-            assert emb.shape == (4,)
+            n = int(rng.integers(1, 6))
+            _, _, emb = forward(params, rng.normal(size=(n, 3)))
+            assert emb.shape == (n, 4)
 
 
 class TestEmbed:
@@ -243,11 +231,10 @@ class TestBackward:
         assert 0 < np.count_nonzero(mask) < mask.size
 
         def loss_of(p):
-            out, _, _ = forward(p, x, dropout_rate=0.5, dropout_mask=mask, train_mode=True)
+            out, _, _ = forward(p, x, mask)
             return 0.5 * float(np.sum((out - target) ** 2))
 
-        logits, cache, _ = forward(params, x, dropout_rate=0.5, dropout_mask=mask,
-                                   train_mode=True)
+        logits, cache, _ = forward(params, x, mask)
         grads = backward(params, cache, logits - target)
         w = params.weights[0]
         step = 1e-6
@@ -263,6 +250,13 @@ class TestBackward:
                 fd[i, j] = (fp - fm) / (2 * step)
         scale = max(np.abs(grads.weights[0]).max(), np.abs(fd).max(), 1e-12)
         assert np.abs(grads.weights[0] - fd).max() / scale < 1e-5
+
+    def test_grad_logits_must_match_the_logits_shape(self):
+        params = init_params((3, 4, 2), seed=0)
+        logits, cache, _ = forward(params, np.zeros((2, 3)))
+        for bad in (np.ones(2), np.ones((1, 2)), np.ones((2, 3))):
+            with pytest.raises(InvalidDimension):
+                backward(params, cache, bad)
 
     def test_stale_cache_rejected(self):
         params = init_params((3, 4, 2), seed=0)
@@ -465,3 +459,30 @@ class TestCheckpoint:
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(InvalidState):
             load_params(path)
+
+
+def _checkpoint_header(n_sizes: int) -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<BI", 0, n_sizes)
+
+
+# a (3, 4, 2) relu checkpoint is 8 + 5 + 12 header bytes, then 26 float64s
+MALFORMED_CHECKPOINTS = {
+    "cut_in_header": lambda good: good[:len(CHECKPOINT_MAGIC) + 3],
+    "cut_in_layer_sizes": lambda good: good[:23],
+    "cut_in_weights": lambda good: good[:25 + 20],
+    "billion_layers": lambda good: _checkpoint_header(10**9) + good[13:],
+    "one_layer_size": lambda good: _checkpoint_header(1) + struct.pack("<I", 3),
+    "zero_layer_size": lambda good: _checkpoint_header(2) + struct.pack("<2I", 0, 2)
+    + bytes(16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_names_its_path(tmp_path, case):
+    good = tmp_path / "good.ckpt"
+    save_params(init_params((3, 4, 2), seed=0), good)
+    assert len(good.read_bytes()) == 25 + 26 * 8
+    bad = tmp_path / f"{case}.ckpt"
+    bad.write_bytes(MALFORMED_CHECKPOINTS[case](good.read_bytes()))
+    with pytest.raises(InvalidState, match=f"^{re.escape(str(bad))}: "):
+        load_params(bad)

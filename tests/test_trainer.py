@@ -65,7 +65,7 @@ def argmax_observer(generated, n_tracked, n_classes):
     series = {sid: [] for sid in generated.ids[rows].tolist()}
 
     def observe(record, params):
-        logits, _, _ = forward(params, generated.features[rows], train_mode=False)
+        logits, _, _ = forward(params, generated.features[rows])
         for sid, cls in zip(series, np.argmax(logits[:, :n_classes], axis=1) + 1):
             series[sid].append(int(cls))
 
@@ -299,7 +299,7 @@ class TestEpochObserver:
 
         def observe(record, params):
             # a forward pass over every generated row, as a diagnostic would run
-            forward(params, generated.features, train_mode=False)
+            forward(params, generated.features)
             seen.append((record, params))
 
         p1, h1 = train(real, generated, cfg, static_labels=static)
@@ -424,7 +424,7 @@ class TestCombinedHistorySemantics:
         assert emb.vectors.shape == (len(real.split("query")), cfg.hidden_sizes[-1])
         assert emb.dim == params.embedding_dim
         # the hidden stack alone gives forward's embedding bit for bit
-        _, _, want = forward(params, real.split("query").features, train_mode=False)
+        _, _, want = forward(params, real.split("query").features)
         assert np.array_equal(emb.vectors, want)
 
 
@@ -432,14 +432,24 @@ class TestExtremeLogits:
     @pytest.mark.parametrize("strategy", [
         Strategy.ONE_HOT_PSEUDO, Strategy.DMPRL1, Strategy.DMPRL2, Strategy.SMPRL,
     ])
-    def test_confident_model_trains_an_epoch(self, real, generated, strategy):
-        # softmax of these logits underflows to exact zeros in every row
-        params = init_params((real.feature_dim, 8, 6, real.n_classes), seed=5, scale=30.0)
-        logits, _, _ = forward(params, generated.features, train_mode=False)
+    def test_confident_model_trains_an_epoch(self, real, generated, strategy, monkeypatch):
+        starts = []
+
+        def capturing(*args, **kwargs):
+            starts.append(init_params(*args, **kwargs))
+            return starts[-1]
+
+        monkeypatch.setattr(trainer_module, "init_params", capturing)
+        cfg = quick_config(strategy, epochs=1, warmup_epoch=0, dropout_rate=0.0,
+                           init_scale=30.0)
+        static = None
+        if strategy is Strategy.SMPRL:
+            static = assign_static_labels(pretrain_baseline(real, cfg), generated)
+        _, history = train(real, generated, cfg, static_labels=static)
+        # softmax of the starting model's logits underflows to exact zeros
+        # in every row
+        logits, _, _ = forward(starts[-1], generated.features)
         assert np.min(np.ptp(logits, axis=1)) > 1000.0
-        cfg = quick_config(strategy, epochs=1, warmup_epoch=0, dropout_rate=0.0)
-        static = assign_static_labels(params, generated) if strategy is Strategy.SMPRL else None
-        _, history = train(real, generated, cfg, static_labels=static, initial_params=params)
         record = history.records[0]
         assert all(math.isfinite(v) for v in (record.real_loss, record.gen_loss,
                                                record.combined, record.gen_grad_norm))
