@@ -36,7 +36,6 @@ from .labels import (
 from .losses import (
     CombinedLoss,
     GradientMode,
-    LossConfig,
     LossOutput,
     combined_loss,
     lsro_loss,

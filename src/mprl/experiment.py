@@ -21,8 +21,10 @@ type: ``tuple[T, ...]`` is a comma-separated list of T, ``float | None``
 also takes ``none`` or ``auto``, and any other T parses as ``T(value)``;
 floats must be finite.  The training keys are the inherited
 ``TrainSettings`` fields, which each cell's ``TrainConfig`` copies.
-``ExperimentSpec.validate`` (run by ``parse_spec``) rejects every value
-the generator or ``TrainConfig.validate`` would refuse inside a cell.
+``ExperimentSpec.validate`` (run by ``parse_spec``) holds the dataset
+keys to the generators' own rules (``synthgen.check_real_params`` and
+``check_generated_params``) and the training keys to
+``TrainConfig.validate``, so no cell meets a value they would refuse.
 
 The grid expands to one cell per (strategy, count, seed), except that
 the baseline ignores the generated-data counts and runs once per seed.
@@ -37,10 +39,9 @@ baseline model that labels an smprl cell's generated rows, which is the
 baseline cell's when it has already run there and is pretrained once
 otherwise, and the dropout masks.  A mask depends only on (seed, epoch,
 batch, rows), never on the strategy, so each is drawn once per seed and
-replayed by the seed's later cells; held at one bit per unit, a seed's
-masks take about 61 KB on the desk grid of ``benchmark.spec`` and about
-0.46 MB on a Market-1501-shaped one (K = 751).  Nothing is shared across
-seeds or across calls.
+replayed by the seed's later cells (see
+:class:`mprl.trainer.DropoutMasks`).  Nothing is shared across seeds or
+across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
 per (strategy, count) group when several seeds ran.  All cell artifacts
@@ -66,7 +67,13 @@ import numpy as np
 from .errors import InvalidConfig, MprlError, SpecError
 from .net import ModelParams, forward
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
-from .synthgen import Dataset, make_generated_dataset, make_real_dataset
+from .synthgen import (
+    Dataset,
+    check_generated_params,
+    check_real_params,
+    make_generated_dataset,
+    make_real_dataset,
+)
 from .trainer import (
     DropoutMasks,
     Strategy,
@@ -114,27 +121,17 @@ class ExperimentSpec(TrainSettings):
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise SpecError(f"{key} must not repeat a value")
-        if not self.noise >= 0:
-            raise SpecError(f"noise must be >= 0, got {self.noise!r}")
-        # what dataset generation would reject inside a cell, before any cell
-        if self.n_classes < 2:
-            raise SpecError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.n_per_class < 4:
-            raise SpecError("n_per_class must be >= 4 (train/query/gallery split), "
-                            f"got {self.n_per_class}")
-        if self.dim < 2:
-            raise SpecError(f"dim must be >= 2, got {self.dim}")
-        if not self.cluster_spread >= 0:
-            raise SpecError(f"cluster_spread must be >= 0, got {self.cluster_spread!r}")
         mixes = (any(s is not Strategy.BASELINE for s in self.strategies)
                  and any(c > 0 for c in self.counts))
-        if mixes and not 2 <= self.mix_size <= self.n_classes:
-            raise SpecError(f"mix_size must be in 2..{self.n_classes}, got {self.mix_size}")
-        for strategy in self.strategies:
-            try:
+        try:
+            # what dataset generation would reject inside a cell, before any
+            # cell; mix_size only matters where some cell mixes
+            check_real_params(self.n_classes, self.n_per_class, self.dim, self.cluster_spread)
+            check_generated_params(self.n_classes, self.mix_size if mixes else None, self.noise)
+            for strategy in self.strategies:
                 self.train_config(strategy, self.seeds[0]).validate()
-            except InvalidConfig as exc:
-                raise SpecError(str(exc)) from None
+        except InvalidConfig as exc:
+            raise SpecError(str(exc)) from None
 
     def train_config(self, strategy: Strategy, seed: int) -> TrainConfig:
         """The cell's config: the spec's training settings, ``strategy`` and ``seed``."""
@@ -350,22 +347,24 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
                    progress=None) -> list[CellResult]:
     """Run every cell of the grid and write summary.csv.
 
-    ``jobs > 1`` distributes cells over worker processes; each cell is
-    internally deterministic, and the summary is assembled in sorted cell
-    order, so parallelism never changes any artifact except the
-    wall_seconds timing column.
+    ``jobs > 1`` distributes cells over at most ``min(jobs, cells)``
+    worker processes; each cell is internally deterministic, and the
+    summary is assembled in sorted cell order, so parallelism never
+    changes any artifact except the wall_seconds timing column.
     """
     spec.validate()
     out_path = Path(out_dir if out_dir is not None else spec.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     cells = expand_cells(spec)
+    # the pool forks all of its workers at the first submit
+    workers = min(jobs, len(cells))
 
     results: list[CellResult] = []
     try:
-        # --jobs 1 stays in this process, so patched module globals apply;
-        # each worker process starts a memo of its own
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker_memo
-                                 ) if jobs > 1 else nullcontext() as pool:
+        # one worker's work stays in this process, so patched module globals
+        # apply; each worker process starts a memo of its own
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker_memo
+                                 ) if workers > 1 else nullcontext() as pool:
             if pool is None:
                 memo = RunMemo()
                 outcomes = (run_cell(spec, c, out_path, memo) for c in cells)

@@ -28,8 +28,6 @@ from .labels import (
     softmax,
 )
 from .losses import (
-    GradientMode,
-    LossConfig,
     lsro_loss,
     mprl_generated_loss,
     real_ce_loss,
@@ -71,8 +69,7 @@ def _batch_values(cls: int, weights=None):
     The label is the one-hot row at class ``cls``, or with ``cls`` -1 the
     weight row ``weights``.  These are the kernel rows the per-vector
     losses evaluate: ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the
-    uniform row and ``mprl_generated_loss`` (at gen_weight 1) the
-    normalized rank row.
+    uniform row and ``mprl_generated_loss`` the normalized rank row.
     """
     def values(points):
         rows = None if weights is None else np.broadcast_to(weights, points.shape)
@@ -147,13 +144,11 @@ def run_gradcheck(
     for k in k_values:
         worst: dict[str, float] = {}
         diag_div = 0.0
-        cfg = LossConfig(n_classes=k, gen_weight=1.0, gradient_mode=GradientMode.ANALYTIC)
-        diag_cfg = LossConfig(n_classes=k, gen_weight=1.0, gradient_mode=GradientMode.DIAGONAL)
         for _ in range(trials):
             x = rng.normal(0.0, LOGIT_SIGMA, size=k)
             c = int(rng.integers(k))
             ranks = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-            mprl_out = mprl_generated_loss(x, ranks, cfg)
+            mprl_out = mprl_generated_loss(x, ranks)
             # (name, analytic output, the class or weight row it differentiates)
             cases = (
                 ("real_ce", real_ce_loss(x, c), c, None),
@@ -165,7 +160,7 @@ def run_gradcheck(
                 worst[name] = max(worst.get(name, 0.0),
                                   relative_gradient_error(out.grad_logits, fd))
 
-            diag = mprl_generated_loss(x, ranks, diag_cfg)
+            diag = mprl_generated_loss(x, ranks, diagonal=True)
             diag_div = max(diag_div,
                            float(np.max(np.abs(diag.grad_logits - mprl_out.grad_logits))))
 

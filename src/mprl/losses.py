@@ -9,8 +9,10 @@ losses (``real_ce_loss``, ``lsro_loss``, ``mprl_generated_loss``) are
 one-row calls into it.  A real sample is given by its class, whose
 one-hot row is scored without ever being built; a generated sample
 carries its virtual label's weight row, which for multi-pseudo
-(rank-weighted) labels is normalized by 2/(1+K); the generated-sample
-loss is scaled by a trade-off factor against the real-sample loss.
+(rank-weighted) labels is normalized by 2/(1+K).  Only the batch
+reduction scales the generated-sample loss, by the trade-off factor
+``gen_weight`` against the real-sample loss; ``gen_weights=None`` leaves
+the generated rows unscored, as behind a closed warm-up gate.
 
 Two gradient modes exist for the rank-weighted generated loss:
 
@@ -21,7 +23,7 @@ Two gradient modes exist for the rank-weighted generated loss:
   treats each log-probability as a function of its own logit alone.  It
   is *not* the derivative of the forward value; every entry is strictly
   negative.  Provided for fidelity comparisons, selectable but never the
-  default.
+  default; the losses take it as ``diagonal=True``.
 """
 
 from __future__ import annotations
@@ -31,32 +33,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidClass, InvalidConfig, InvalidDimension
+from .errors import InvalidClass, InvalidDimension
 from .labels import check_logits, mprl_rows
 
 
 class GradientMode(str, Enum):
     ANALYTIC = "analytic"
     DIAGONAL = "diagonal"
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Loss hyperparameters.
-
-    ``gen_weight`` trades off generated-sample loss against real-sample
-    loss (1.0 unless a training schedule says otherwise).
-    """
-
-    n_classes: int
-    gen_weight: float = 1.0
-    gradient_mode: GradientMode = GradientMode.ANALYTIC
-
-    def __post_init__(self):
-        if self.n_classes < 1:
-            raise InvalidConfig("n_classes must be >= 1")
-        if not (np.isfinite(self.gen_weight) and self.gen_weight >= 0.0):
-            raise InvalidConfig("gen_weight must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -218,24 +201,20 @@ def lsro_loss(logits) -> LossOutput:
     return _one_row(x, w=np.full(x.size, 1.0 / x.size))
 
 
-def mprl_generated_loss(logits, ranks, cfg: LossConfig) -> LossOutput:
+def mprl_generated_loss(logits, ranks, diagonal: bool = False) -> LossOutput:
     """Rank-weighted cross-entropy for a generated sample.
 
     ``ranks`` is the 1..K rank vector of :func:`mprl.labels.mprl_alpha`.
-    Value: -gen_weight * 2/(1+K) * sum_k (rank_k / K) * log p_k.  The
-    gradient follows ``cfg.gradient_mode``; rank weights are constants
-    during differentiation.
+    Value: -2/(1+K) * sum_k (rank_k / K) * log p_k.  The gradient is the
+    analytic one, or the diagonal one with ``diagonal``; rank weights are
+    constants during differentiation.  The ``gen_weight`` trade-off is
+    :func:`combined_loss`'s alone.
     """
     x = check_logits(logits)
     r = np.asarray(ranks, dtype=np.float64)
-    if r.shape != x.shape or x.size != cfg.n_classes:
-        raise InvalidDimension(
-            f"logits {x.shape}, ranks {r.shape} and config "
-            f"({cfg.n_classes}) disagree on the class count"
-        )
-    w = mprl_rows(r)
-    out = _one_row(x, w=w, diagonal=cfg.gradient_mode is GradientMode.DIAGONAL)
-    return LossOutput(cfg.gen_weight * out.value, cfg.gen_weight * out.grad_logits)
+    if r.shape != x.shape:
+        raise InvalidDimension(f"logits {x.shape} and ranks {r.shape} disagree on the class count")
+    return _one_row(x, w=mprl_rows(r), diagonal=diagonal)
 
 
 @dataclass(frozen=True)
@@ -244,7 +223,7 @@ class CombinedLoss:
 
     ``real_loss`` is the mean cross-entropy over real items; ``gen_loss``
     the mean virtual-label loss over generated items *before* the
-    gen_weight factor (so it is 0.0 when the epoch gate is closed).
+    gen_weight factor (so it is 0.0 when ``gen_weights`` is None).
     ``value`` = real_loss + gen_weight * gen_loss.  Row i of
     ``grad_logits`` is d(value)/d(logits of item i), so the mean
     reduction and gen_weight are already folded in.
@@ -258,23 +237,22 @@ class CombinedLoss:
     grad_logits: np.ndarray
 
 
-def combined_loss(logits, classes, gen_weights, cfg: LossConfig,
-                  gate_active: bool = True) -> CombinedLoss:
+def combined_loss(logits, classes, gen_weights, gen_weight: float,
+                  diagonal: bool = False) -> CombinedLoss:
     """Mini-batch loss of a (B, width) logit matrix against its rows' labels.
 
     ``classes`` (B,) holds each real row's 0-based class and -1 for a
     generated row.  ``gen_weights`` (G, width) holds the generated rows'
     virtual labels, one row per -1 in batch order; multi-pseudo rows
     already include the 2/(1+K) factor (see :func:`mprl.labels.mprl_rows`).
-    When ``gate_active`` is False the generated rows contribute exactly
-    zero loss and gradient (hard-zero gradient rows), and ``gen_weights``
-    may be None.  Real rows are scored in :func:`weighted_ce`'s collapsed
-    one-hot form; when ``cfg.gradient_mode`` is DIAGONAL every generated
-    row gets the diagonal gradient.  Reduction is per-origin mean, then
-    value = mean(real) + gen_weight * mean(generated), so the trade-off
-    factor keeps its meaning regardless of batch composition.  A class
-    outside 0..width-1 (other than -1) raises ``InvalidClass`` naming its
-    row.
+    With ``gen_weights`` None the generated rows are not scored, as behind
+    a closed warm-up gate: their loss is 0 and their gradient rows are
+    exactly +0.  Real rows are scored in :func:`weighted_ce`'s collapsed
+    one-hot form; with ``diagonal`` every generated row gets the diagonal
+    gradient.  Reduction is per-origin mean, then value = mean(real) +
+    gen_weight * mean(generated), so the trade-off factor keeps its
+    meaning regardless of batch composition.  A class outside
+    0..width-1 (other than -1) raises ``InvalidClass`` naming its row.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -282,28 +260,24 @@ def combined_loss(logits, classes, gen_weights, cfg: LossConfig,
     rows, cls, gen = _label_rows(classes, x.shape)
     n_real = rows.size
     n_generated = x.shape[0] - n_real
-    # behind a closed gate the generated rows need no weights
-    w = None if gen_weights is None and not gate_active else _weight_rows(
-        gen_weights, n_generated, x.shape[1])
-    scored = gate_active and n_generated > 0
+    w = None if gen_weights is None else _weight_rows(gen_weights, n_generated, x.shape[1])
     if not (_finite(x) and (w is None or _finite(w))):
         raise InvalidDimension("logits and weights must be finite")
 
-    diagonal = cfg.gradient_mode is GradientMode.DIAGONAL
-    values, grads, gen_grads = _kernel(x, rows, cls, gen, w if scored else None, diagonal)
+    values, grads, gen_grads = _kernel(x, rows, cls, gen, w, diagonal)
     # per-row scaling in place on the (B, width) buffer; the generated
     # rows it scales are overwritten below
     if n_real:
         grads /= n_real
-    if scored:
-        gen_grads *= cfg.gen_weight / n_generated
+    if w is not None:
+        gen_grads *= gen_weight / n_generated
         grads[gen] = gen_grads
     elif n_generated:
         grads[gen] = 0.0
 
     real_loss = float(np.sum(values[rows])) / n_real if n_real else 0.0
-    gen_loss = float(np.sum(values[gen])) / n_generated if scored else 0.0
-    value = real_loss + cfg.gen_weight * gen_loss
+    gen_loss = float(np.sum(values[gen])) / n_generated if w is not None else 0.0
+    value = real_loss + gen_weight * gen_loss
     return CombinedLoss(value, real_loss, gen_loss, n_real, n_generated, grads)
 
 

@@ -134,9 +134,8 @@ def forward(params: ModelParams, features, dropout_mask=None):
     mask (0 for a dropped unit, ``1 / (1 - rate)`` for a kept one), and the
     logits head sees the embedding times it.  Without a mask dropout is
     the identity (eval mode).  The network draws no randomness of its own:
-    the trainer's masks depend only on (seed, epoch, batch, rows), and
-    within a grid run each is drawn once per seed and replayed, held at one
-    bit per unit (:class:`mprl.trainer.DropoutMasks`).
+    the trainer's masks depend only on (seed, epoch, batch, rows) (see
+    :class:`mprl.trainer.DropoutMasks`).
     """
     x = _batch(params, features)
     pre_acts, hidden_acts, embedding = _hidden_stack(params, x)

@@ -127,6 +127,21 @@ def _place_class_means(n_classes, dim, min_separation, rng,
     )
 
 
+def check_real_params(n_classes: int, n_per_class: int, dim: int,
+                      cluster_spread: float) -> None:
+    """The rules :func:`make_real_dataset` holds its parameters to; a
+    violation raises InvalidConfig."""
+    if n_classes < 2:
+        raise InvalidConfig(f"n_classes must be >= 2, got {n_classes}")
+    if n_per_class < 4:
+        raise InvalidConfig("n_per_class must be >= 4 (train/query/gallery split), "
+                            f"got {n_per_class}")
+    if dim < 2:
+        raise InvalidConfig(f"dim must be >= 2, got {dim}")
+    if not 0 <= cluster_spread < math.inf:
+        raise InvalidConfig(f"cluster_spread must be finite and >= 0, got {cluster_spread!r}")
+
+
 def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
                       cluster_spread: float, seed) -> Dataset:
     """Build K Gaussian clusters with a deterministic per-class split.
@@ -139,15 +154,7 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
     symmetric geometry keeps class mixtures nearer their sources than any
     third class; otherwise means fall back to box rejection sampling.
     """
-    if n_classes < 2:
-        raise InvalidConfig("need at least 2 classes")
-    if n_per_class < 4:
-        raise InvalidConfig("need at least 4 samples per class (train/query/gallery split)")
-    if dim < 2:
-        raise InvalidConfig("feature dimension must be >= 2")
-    if not 0 <= cluster_spread < math.inf:
-        raise InvalidConfig(f"cluster_spread must be finite and >= 0, got {cluster_spread!r}")
-
+    check_real_params(n_classes, n_per_class, dim, cluster_spread)
     rng = np.random.default_rng(seed)
     separation = MEAN_SEPARATION_FACTOR * cluster_spread
     if n_classes <= dim:
@@ -179,6 +186,17 @@ def convex_mix(features: np.ndarray, weights) -> np.ndarray:
     return w @ features
 
 
+def check_generated_params(n_classes: int, mix_size: int | None, noise: float) -> None:
+    """The rules :func:`make_generated_dataset` holds ``mix_size`` and
+    ``noise`` to, given a real dataset of ``n_classes`` classes; with
+    ``mix_size`` None the noise alone is checked.  A violation raises
+    InvalidConfig."""
+    if not 0 <= noise < math.inf:
+        raise InvalidConfig(f"noise must be finite and >= 0, got {noise!r}")
+    if mix_size is not None and not 2 <= mix_size <= n_classes:
+        raise InvalidConfig(f"mix_size must be in 2..{n_classes}, got {mix_size}")
+
+
 def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
                            seed) -> Dataset:
     """Build m unlabeled samples, each a noisy convex mixture of train samples.
@@ -193,10 +211,7 @@ def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
     """
     if m < 1:
         raise InvalidConfig("need at least one generated sample")
-    if not 0 <= noise < math.inf:
-        raise InvalidConfig(f"noise must be finite and >= 0, got {noise!r}")
-    if not 2 <= mix_size <= real.n_classes:
-        raise InvalidConfig(f"mix_size must be in 2..{real.n_classes}")
+    check_generated_params(real.n_classes, mix_size, noise)
     train = real.split("train")
     class_ids = np.unique(train.classes)
     if class_ids.size < mix_size:

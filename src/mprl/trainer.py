@@ -21,19 +21,21 @@ one :func:`combined_loss` call scores the whole batch from its logits,
 each row's class (0-based for a real row, -1 for a generated one) and
 the generated rows' (G, width) virtual labels, which the strategy maps
 from their logits; no real row is ever spelled out as a one-hot row.
-Rank-weighted and one-hot pseudo labels are read off the logits directly
-(see :mod:`mprl.labels`), so an arbitrarily confident model never
-produces an invalid label.  Epoch indices are 1-based; the warm-up gate
-opens at ``epoch >= warmup_epoch``.
+The call also takes the two numbers :func:`train` resolves once per
+run: the config's ``gen_weight`` and whether the generated rows get the
+diagonal gradient (``gradient_mode`` diagonal, rank-weighted strategies
+only).  Rank-weighted and one-hot pseudo labels are read off the logits
+directly (see :mod:`mprl.labels`), so an arbitrarily confident model
+never produces an invalid label.  Epoch indices are 1-based; the warm-up
+gate opens at ``epoch >= warmup_epoch``, and behind a closed gate the
+generated rows' labels are ``None``, which leaves them unscored.
 
 Dropout masks depend on nothing but (seed, epoch, batch, rows): the
 strategy never reaches them, so every cell of one seed trains under the
 same masks.  :class:`DropoutMasks` draws each mask once and replays it;
 a grid run shares one store per seed across its cells (see
 :mod:`mprl.experiment`), and a :func:`train` call without one keeps a
-private store, which draws exactly the masks it needs.  A stored mask is
-packed to one bit per unit: a seed of the desk grid of ``benchmark.spec``
-holds about 61 KB of them, a seed of a K = 751 grid about 0.46 MB.
+private store, which draws exactly the masks it needs.
 
 A :class:`TrainConfig` is the shared :class:`TrainSettings` plus a
 strategy and a seed; its ``validate`` holds every rule on their values.
@@ -64,7 +66,7 @@ from .labels import (  # noqa: F401
     one_hot_pseudo_label,
     softmax,
 )
-from .losses import CombinedLoss, GradientMode, LossConfig, combined_loss
+from .losses import CombinedLoss, GradientMode, combined_loss
 from .net import (
     Activation,
     ModelParams,
@@ -204,7 +206,8 @@ class DropoutMasks:
     shape, rate).  It is held flat and packed (``np.packbits``, one bit
     per unit, read-only) in :attr:`packed`; :meth:`keep` unpacks a fresh
     float copy with inverted scaling, bit-equal to dividing the boolean
-    draw by ``1 - rate``.
+    draw by ``1 - rate``.  A seed of the desk grid of ``benchmark.spec``
+    holds about 61 KB of bits, a seed of a K = 751 grid about 0.46 MB.
     """
 
     def __init__(self):
@@ -315,10 +318,10 @@ def train(
                          seed=(cfg.seed, _SEED_INIT), scale=cfg.init_scale,
                          activation=cfg.activation)
     opt = init_optimizer(params, cfg.lr_initial, cfg.momentum)
+    gen_weight = cfg.resolved_gen_weight()
     # the diagonal gradient mode belongs to rank-weighted labels only
-    rank_weighted = cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2)
-    loss_cfg = LossConfig(n_classes, cfg.resolved_gen_weight(),
-                          cfg.gradient_mode if rank_weighted else GradientMode.ANALYTIC)
+    diagonal = (cfg.gradient_mode is GradientMode.DIAGONAL
+                and cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2))
 
     history = TrainHistory()
 
@@ -350,7 +353,7 @@ def train(
                 logits, cache, _ = forward(params, pool_feats[batch], mask)
                 classes = pool_class[batch]
                 gen = classes < 0
-                gen_weights = None  # behind a closed gate, the generated rows need none
+                gen_weights = None  # the generated rows go unscored behind a closed gate
                 if gate and gen.any():
                     if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
                         # the untrained model offers no ranking signal yet
@@ -359,8 +362,8 @@ def train(
                     else:
                         gen_weights = generated_rule(logits[gen], batch[gen] - n_real)
 
-                out: CombinedLoss = combined_loss(logits, classes, gen_weights, loss_cfg,
-                                                  gate_active=gate)
+                out: CombinedLoss = combined_loss(logits, classes, gen_weights, gen_weight,
+                                                  diagonal)
                 grads = backward(params, cache, out.grad_logits)
                 params = sgd_step(params, grads, opt)
 
@@ -377,7 +380,7 @@ def train(
         l2 = gen_sum / gen_count if gen_count else 0.0
         train_acc = _accuracy(params, real_train.features, real_train.classes, n_classes)
         history.records.append(EpochRecord(
-            epoch, l1, l2, l1 + loss_cfg.gen_weight * l2, train_acc, lr, gen_grad_norm,
+            epoch, l1, l2, l1 + gen_weight * l2, train_acc, lr, gen_grad_norm,
         ))
         if on_epoch is not None:
             on_epoch(history.records[-1], params)

@@ -16,7 +16,7 @@ from mprl.cli import main
 from mprl.experiment import Cell, RunMemo, expand_cells, parse_spec, run_cell, run_experiment
 from mprl.gradcheck import run_gradcheck
 from mprl.labels import TiePolicy, mprl_alpha, rank_weight_normalizer, softmax
-from mprl.losses import GradientMode, LossConfig, lsro_loss, mprl_generated_loss
+from mprl.losses import lsro_loss, mprl_generated_loss
 from mprl.net import init_params, load_params, save_params
 from mprl.retrieval import evaluate
 from mprl.synthgen import load_dataset, make_generated_dataset, make_real_dataset, save_dataset
@@ -65,11 +65,10 @@ def test_criterion_3_lsro_degeneracy():
     with criterion(3, "uniform probabilities + average ranks reduce the loss to LSRO"):
         rng = np.random.default_rng(1)
         for k in (2, 10, 100):
-            cfg = LossConfig(n_classes=k, gen_weight=1.0)
             for _ in range(100):
                 x = np.full(k, rng.uniform(-50.0, 50.0))
                 alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-                diff = mprl_generated_loss(x, alpha, cfg).value - lsro_loss(x).value
+                diff = mprl_generated_loss(x, alpha).value - lsro_loss(x).value
                 assert abs(diff) < 1e-12
 
 
@@ -78,10 +77,8 @@ def test_criterion_4_gradient_mode_discrepancy():
         x = np.array([0.0, math.log(2.0)])
         alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
         np.testing.assert_array_equal(alpha, [1.0, 2.0])
-        analytic = mprl_generated_loss(
-            x, alpha, LossConfig(2, 1.0, GradientMode.ANALYTIC)).grad_logits
-        diagonal = mprl_generated_loss(
-            x, alpha, LossConfig(2, 1.0, GradientMode.DIAGONAL)).grad_logits
+        analytic = mprl_generated_loss(x, alpha).grad_logits
+        diagonal = mprl_generated_loss(x, alpha, diagonal=True).grad_logits
         np.testing.assert_allclose(analytic, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(diagonal, [-2.0 / 9.0, -2.0 / 9.0], atol=1e-12)
 

@@ -412,6 +412,41 @@ class TestRunExperiment:
         rows = (out / "summary.csv").read_text().splitlines()
         assert len(rows) == 2  # header + one data row, no mean row for one seed
 
+    @pytest.mark.parametrize("jobs, strategies, workers", [
+        (5, "baseline, lsro", [2]),  # two cells: two workers, not five
+        (3, "baseline", []),  # one cell runs in this process
+        (2, "baseline, lsro, dmprl1", [2]),
+    ])
+    def test_jobs_never_start_more_workers_than_cells(self, tmp_path, monkeypatch, jobs,
+                                                      strategies, workers):
+        started = []
+
+        class StandInPool:
+            """Records its worker count and runs the jobs here, in order."""
+
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)
+        monkeypatch.setattr(experiment, "_worker_memo", None)
+        spec = parse_spec_text(
+            f"n_classes = 3\ndim = 4\nn_per_class = 6\nstrategies = {strategies}\n"
+            "counts = 6\nseeds = 1\nepochs = 1\nwarmup_epoch = 0\nhidden_sizes = 6\n"
+        )
+        results = run_experiment(spec, out_dir=tmp_path, jobs=jobs)
+        assert [r.cell for r in results] == expand_cells(spec)
+        assert started == workers
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mid_run_failure_leaves_manifest(self, tmp_path, monkeypatch, jobs):
         spec = parse_spec_text(

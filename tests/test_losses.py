@@ -21,8 +21,6 @@ from mprl.labels import (
     softmax,
 )
 from mprl.losses import (
-    GradientMode,
-    LossConfig,
     LossOutput,
     combined_loss,
     lsro_loss,
@@ -93,24 +91,21 @@ class TestLsroLoss:
 
 class TestMprlGeneratedLoss:
     def test_tie_case_equals_lsro_value(self):
-        cfg = LossConfig(n_classes=2, gen_weight=1.0)
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
-        out = mprl_generated_loss([0.0, 0.0], alpha, cfg)
+        out = mprl_generated_loss([0.0, 0.0], alpha)
         assert abs(out.value - LN2) < 1e-12
 
     def test_analytic_gradient_vanishes_at_matched_probs(self):
         # p = [1/3, 2/3] matches the normalized rank target exactly
-        cfg = LossConfig(n_classes=2, gen_weight=1.0, gradient_mode=GradientMode.ANALYTIC)
         alpha = mprl_alpha(softmax([0.0, LN2]), TiePolicy.AVERAGE_RANK)
         np.testing.assert_array_equal(alpha, [1.0, 2.0])
-        out = mprl_generated_loss([0.0, LN2], alpha, cfg)
+        out = mprl_generated_loss([0.0, LN2], alpha)
         np.testing.assert_allclose(out.grad_logits, [0.0, 0.0], atol=1e-12)
 
     def test_diagonal_gradient_differs_from_derivative(self):
         # same point as above: the diagonal formula gives [-2/9, -2/9]
-        cfg = LossConfig(n_classes=2, gen_weight=1.0, gradient_mode=GradientMode.DIAGONAL)
         alpha = mprl_alpha(softmax([0.0, LN2]), TiePolicy.AVERAGE_RANK)
-        out = mprl_generated_loss([0.0, LN2], alpha, cfg)
+        out = mprl_generated_loss([0.0, LN2], alpha, diagonal=True)
         np.testing.assert_allclose(out.grad_logits, [-2 / 9, -2 / 9], atol=1e-12)
 
     def test_diagonal_strictly_negative_analytic_sums_to_zero(self):
@@ -118,44 +113,41 @@ class TestMprlGeneratedLoss:
         for k in [2, 5, 10, 751]:
             x = rng.normal(0, 3, size=k)
             alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-            diag = mprl_generated_loss(
-                x, alpha, LossConfig(k, gradient_mode=GradientMode.DIAGONAL))
+            diag = mprl_generated_loss(x, alpha, diagonal=True)
             assert np.all(diag.grad_logits < 0.0)
-            analytic = mprl_generated_loss(
-                x, alpha, LossConfig(k, gradient_mode=GradientMode.ANALYTIC))
+            analytic = mprl_generated_loss(x, alpha)
             assert abs(analytic.grad_logits.sum()) < 1e-12
 
     def test_degenerates_to_lsro_on_uniform_probs(self):
         rng = np.random.default_rng(9)
         for k in [2, 10, 100]:
-            cfg = LossConfig(n_classes=k, gen_weight=1.0)
             for _ in range(30):
                 x = np.full(k, rng.uniform(-50.0, 50.0))
                 alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-                assert abs(
-                    mprl_generated_loss(x, alpha, cfg).value - lsro_loss(x).value
-                ) < 1e-12
+                assert abs(mprl_generated_loss(x, alpha).value - lsro_loss(x).value) < 1e-12
 
     def test_gen_weight_scales_linearly_and_doubling_is_exact(self):
-        x = np.array([0.4, -1.2, 2.0])
-        alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-        lo = mprl_generated_loss(x, alpha, LossConfig(3, gen_weight=0.35))
-        hi = mprl_generated_loss(x, alpha, LossConfig(3, gen_weight=0.70))
+        # the trade-off factor lives in the batch reduction alone
+        x = np.array([[0.4, -1.2, 2.0]])
+        alpha = mprl_alpha(softmax(x[0]), TiePolicy.AVERAGE_RANK)
+        weights = mprl_rows(alpha)[None, :]
+        lo = combined_loss(x, np.array([-1]), weights, 0.35)
+        hi = combined_loss(x, np.array([-1]), weights, 0.70)
         assert hi.value == 2.0 * lo.value
         np.testing.assert_array_equal(hi.grad_logits, 2.0 * lo.grad_logits)
+        assert lo.gen_loss == hi.gen_loss == mprl_generated_loss(x[0], alpha).value
 
     def test_dimension_mismatch(self):
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
         with pytest.raises(InvalidDimension):
-            mprl_generated_loss([0.0, 0.0, 0.0], alpha, LossConfig(3))
+            mprl_generated_loss([0.0, 0.0, 0.0], alpha)
         with pytest.raises(InvalidDimension):
-            mprl_generated_loss([0.0, 0.0], alpha[None, :], LossConfig(2))
+            mprl_generated_loss([0.0, 0.0], alpha[None, :])
 
 
 class TestShiftInvariance:
     def test_all_losses_shift_invariant(self):
         rng = np.random.default_rng(14)
-        cfg = LossConfig(n_classes=6, gen_weight=0.7)
         for _ in range(40):
             x = rng.normal(0, 3, size=6)
             shift = rng.uniform(-50, 50)
@@ -163,7 +155,7 @@ class TestShiftInvariance:
             for fn in (
                 lambda z: real_ce_loss(z, 2),
                 lsro_loss,
-                lambda z: mprl_generated_loss(z, alpha, cfg),
+                lambda z: mprl_generated_loss(z, alpha),
             ):
                 a, b = fn(x), fn(x + shift)
                 assert abs(a.value - b.value) < 1e-10
@@ -174,7 +166,6 @@ class TestFiniteDifferences:
     def test_analytic_gradients_match_central_differences(self):
         rng = np.random.default_rng(100)
         for k in [2, 5, 10]:
-            cfg = LossConfig(n_classes=k)
             for _ in range(30):
                 x = rng.normal(0, 3, size=k)
                 c = int(rng.integers(k))
@@ -183,8 +174,8 @@ class TestFiniteDifferences:
                     (real_ce_loss(x, c).grad_logits, lambda z: real_ce_loss(z, c).value),
                     (lsro_loss(x).grad_logits, lambda z: lsro_loss(z).value),
                     (
-                        mprl_generated_loss(x, alpha, cfg).grad_logits,
-                        lambda z: mprl_generated_loss(z, alpha, cfg).value,
+                        mprl_generated_loss(x, alpha).grad_logits,
+                        lambda z: mprl_generated_loss(z, alpha).value,
                     ),
                 ]
                 for analytic, fn in cases:
@@ -199,12 +190,11 @@ class TestFiniteDifferences:
         x = rng.normal(0, 3, size=k)
         c = int(rng.integers(k))
         alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-        cfg = LossConfig(n_classes=k, gen_weight=0.7)
         cases = [
             (lambda z: real_ce_loss(z, c).value, _batch_values(c)),
             (lambda z: lsro_loss(z).value, _batch_values(-1, np.full(k, 1.0 / k))),
-            (lambda z: mprl_generated_loss(z, alpha, cfg).value,
-             lambda points: cfg.gen_weight * _batch_values(-1, mprl_rows(alpha))(points)),
+            (lambda z: mprl_generated_loss(z, alpha).value,
+             _batch_values(-1, mprl_rows(alpha))),
         ]
         for scalar_fn, batch_fn in cases:
             scalar = fd_gradient(scalar_fn, x)
@@ -227,8 +217,6 @@ def kernel_case(k, seed, diagonal):
     row must equal (under ``diagonal`` both weighted rows get the diagonal
     gradient)."""
     rng = np.random.default_rng(seed)
-    cfg = LossConfig(n_classes=k, gen_weight=1.0,
-                     gradient_mode=GradientMode.DIAGONAL if diagonal else GradientMode.ANALYTIC)
     x = rng.normal(0, 4, size=(4, k))
     c = int(rng.integers(k))
     x[3, c] = x[3].max() + 60.0
@@ -238,7 +226,7 @@ def kernel_case(k, seed, diagonal):
     if diagonal:
         lsro = LossOutput(lsro.value, -weights[0] * (1.0 - softmax(x[1])))
     expected = [real_ce_loss(x[0], c), lsro,
-                mprl_generated_loss(x[2], alpha, cfg), real_ce_loss(x[3], c)]
+                mprl_generated_loss(x[2], alpha, diagonal), real_ce_loss(x[3], c)]
     return x, np.array([c, -1, -1, c]), weights, expected
 
 
@@ -279,9 +267,7 @@ class TestWeightedCeKernel:
             self, k, seed, diagonal, gen_weight):
         x, classes, weights, expected = kernel_case(k, seed, diagonal)
         generated = classes == -1
-        cfg = LossConfig(n_classes=k, gen_weight=gen_weight, gradient_mode=GradientMode.DIAGONAL
-                         if diagonal else GradientMode.ANALYTIC)
-        out = combined_loss(x, classes, weights, cfg)
+        out = combined_loss(x, classes, weights, gen_weight, diagonal)
         scale = gen_weight / 2
         np.testing.assert_allclose(out.grad_logits[0], expected[0].grad_logits / 2, atol=1e-12)
         np.testing.assert_allclose(out.grad_logits[1], scale * expected[1].grad_logits,
@@ -290,7 +276,7 @@ class TestWeightedCeKernel:
         assert_close(out.real_loss, (expected[0].value + expected[3].value) / 2)
         assert_close(out.gen_loss, (expected[1].value + expected[2].value) / 2)
 
-        gated = combined_loss(x, classes, None, cfg, gate_active=False)
+        gated = combined_loss(x, classes, None, gen_weight, diagonal)
         np.testing.assert_array_equal(gated.grad_logits[generated], 0.0)
         np.testing.assert_array_equal(gated.grad_logits[~generated],
                                       out.grad_logits[~generated])
@@ -319,7 +305,7 @@ def dense_weighted_ce(logits, weights, one_hot=None, diagonal=None):
     return values, grads
 
 
-def dense_combined_loss(logits, weights, generated, cfg, gate_active=True):
+def dense_combined_loss(logits, weights, generated, gen_weight, diagonal, gate_open=True):
     """Oracle: combined_loss as it took dense (B, width) weight rows (real
     rows one-hot at their class, generated rows all zero behind a closed
     gate) and a generated mask; returns (value, real_loss, gen_loss, grads)."""
@@ -327,17 +313,17 @@ def dense_combined_loss(logits, weights, generated, cfg, gate_active=True):
     real = ~gen
     n_real = int(real.sum())
     n_generated = gen.size - n_real
-    diagonal = gen if cfg.gradient_mode is GradientMode.DIAGONAL else None
-    values, grads = dense_weighted_ce(logits, weights, one_hot=real, diagonal=diagonal)
+    values, grads = dense_weighted_ce(logits, weights, one_hot=real,
+                                      diagonal=gen if diagonal else None)
     if n_real:
         grads[real] /= n_real
-    if gate_active and n_generated:
-        grads[gen] *= cfg.gen_weight / n_generated
+    if gate_open and n_generated:
+        grads[gen] *= gen_weight / n_generated
     else:
         grads[gen] = 0.0
     real_loss = float(np.sum(values[real])) / n_real if n_real else 0.0
-    gen_loss = float(np.sum(values[gen])) / n_generated if (n_generated and gate_active) else 0.0
-    return real_loss + cfg.gen_weight * gen_loss, real_loss, gen_loss, grads
+    gen_loss = float(np.sum(values[gen])) / n_generated if (n_generated and gate_open) else 0.0
+    return real_loss + gen_weight * gen_loss, real_loss, gen_loss, grads
 
 
 def class_form(weights, hot):
@@ -424,11 +410,9 @@ class TestClassForm:
         dense[np.flatnonzero(~gen), classes[~gen]] = 1.0
         if gate:
             dense[gen] = gen_weights
-        cfg = LossConfig(n_classes=k, gen_weight=0.35, gradient_mode=GradientMode.DIAGONAL
-                         if diagonal else GradientMode.ANALYTIC)
-
-        out = combined_loss(x, classes, gen_weights if gate else None, cfg, gate_active=gate)
-        value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, cfg, gate)
+        out = combined_loss(x, classes, gen_weights if gate else None, 0.35, diagonal)
+        value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, 0.35, diagonal,
+                                                                gate)
         assert np.array_equal(out.grad_logits, grads)
         assert (out.value, out.real_loss, out.gen_loss) == (value, real_loss, gen_loss)
         assert (out.n_real, out.n_generated) == (int((~gen).sum()), int(gen.sum()))
@@ -437,31 +421,31 @@ class TestClassForm:
     def test_class_out_of_range_raises_naming_the_row(self, bad):
         classes = np.array([0, -1, 3, bad, 1])
         weights = np.full((1, 4), 0.25)
-        cfg = LossConfig(n_classes=4)
         with pytest.raises(InvalidClass, match=rf"^row 3: class {bad} outside 0\.\.3"):
-            combined_loss(np.zeros((5, 4)), classes, weights, cfg)
+            combined_loss(np.zeros((5, 4)), classes, weights, 1.0)
         with pytest.raises(InvalidClass, match=r"^row 3: "):
             weighted_ce(np.zeros((5, 4)), classes, weights)
         with pytest.raises(InvalidClass, match=r"^row 3: "):
             weighted_ce_values(np.zeros((5, 4)), classes, weights)
 
     def test_k1_takes_class_0(self):
-        out = combined_loss(np.zeros((2, 1)), np.array([0, 0]), None, LossConfig(n_classes=1))
+        out = combined_loss(np.zeros((2, 1)), np.array([0, 0]), None, 1.0)
         assert out.value == 0.0 and out.n_real == 2
         with pytest.raises(InvalidClass, match=r"^row 1: "):
-            combined_loss(np.zeros((2, 1)), np.array([0, 1]), None, LossConfig(n_classes=1))
+            combined_loss(np.zeros((2, 1)), np.array([0, 1]), None, 1.0)
 
     def test_weights_must_match_the_weighted_rows(self):
         x = np.zeros((3, 2))
-        cfg = LossConfig(n_classes=2)
         classes = np.array([0, -1, -1])
-        for weights in (None, np.full((1, 2), 0.5), np.full((3, 2), 0.5), np.full((2, 3), 0.5)):
+        for weights in (np.full((1, 2), 0.5), np.full((3, 2), 0.5), np.full((2, 3), 0.5)):
             with pytest.raises(InvalidDimension):
-                combined_loss(x, classes, weights, cfg)
+                combined_loss(x, classes, weights, 1.0)
             with pytest.raises(InvalidDimension):
                 weighted_ce(x, classes, weights)
-        # behind a closed gate the generated rows need no weights
-        gated = combined_loss(x, classes, None, cfg, gate_active=False)
+        with pytest.raises(InvalidDimension):
+            weighted_ce(x, classes, None)
+        # combined_loss leaves generated rows without weights unscored
+        gated = combined_loss(x, classes, None, 1.0)
         np.testing.assert_array_equal(gated.grad_logits[1:], 0.0)
 
     def test_a_class_row_cannot_also_carry_weights(self):
@@ -475,24 +459,21 @@ class TestClassForm:
             weighted_ce(x, np.array([0]), w)
 
     def test_classes_must_be_integers_one_per_row(self):
-        cfg = LossConfig(n_classes=2)
         for classes in (np.array([0.0, 1.0]), np.array([0]), np.array([[0, 1]])):
             with pytest.raises(InvalidDimension):
-                combined_loss(np.zeros((2, 2)), classes, None, cfg)
+                combined_loss(np.zeros((2, 2)), classes, None, 1.0)
 
     def test_non_finite_logits_and_weights_raise(self):
-        cfg = LossConfig(n_classes=2)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidDimension, match="finite"):
                 combined_loss(np.array([[0.0, bad], [0.0, 0.0]]), np.array([0, -1]),
-                              np.full((1, 2), 0.5), cfg)
+                              np.full((1, 2), 0.5), 1.0)
             with pytest.raises(InvalidDimension, match="finite"):
-                combined_loss(np.zeros((2, 2)), np.array([0, -1]), np.array([[0.5, bad]]), cfg)
+                combined_loss(np.zeros((2, 2)), np.array([0, -1]), np.array([[0.5, bad]]), 1.0)
 
 
 class TestCombinedLoss:
     def test_real_only_batch_equals_mean_ce(self):
-        cfg = LossConfig(n_classes=3)
         rng = np.random.default_rng(21)
         items = []
         expected = []
@@ -501,37 +482,43 @@ class TestCombinedLoss:
             c = int(rng.integers(3)) + 1
             items.append((x, ground_truth_label(c, 3), False))
             expected.append(real_ce_loss(x, c - 1).value)
-        out = combined_loss(*batch(items), cfg)
+        out = combined_loss(*batch(items), 1.0)
         assert abs(out.value - np.mean(expected)) < 1e-12
         assert out.n_generated == 0 and out.gen_loss == 0.0
 
     def test_gate_inactive_zeroes_generated_contribution(self):
-        cfg = LossConfig(n_classes=2, gen_weight=0.1)
         items = [
             (np.array([0.3, -0.2]), ground_truth_label(1, 2), False),
             (np.array([1.0, 2.0]), lsro_label(2), True),
         ]
-        gated = combined_loss(*batch(items), cfg, gate_active=False)
+        logits, classes, _ = batch(items)
+        gated = combined_loss(logits, classes, None, 0.1)
         assert gated.gen_loss == 0.0
         assert gated.value == gated.real_loss
         np.testing.assert_array_equal(gated.grad_logits[1], np.zeros(2))
 
+    def test_all_generated_batch_behind_a_closed_gate_is_exactly_zero(self):
+        x = np.random.default_rng(8).normal(0.0, 3.0, size=(5, 7))
+        gated = combined_loss(x, np.full(5, -1), None, 0.1, diagonal=True)
+        assert (gated.value, gated.real_loss, gated.gen_loss) == (0.0, 0.0, 0.0)
+        assert (gated.n_real, gated.n_generated) == (0, 5)
+        assert np.array_equal(gated.grad_logits, np.zeros((5, 7)))
+        assert not np.signbit(gated.grad_logits).any()  # +0.0, never -0.0
+
     def test_hand_composed_aggregate(self):
         # one real two-class sample at the decision boundary plus one
         # tied-rank generated sample: ln2 + 0.1 * ln2
-        cfg = LossConfig(n_classes=2, gen_weight=0.1)
         alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
         items = [
             (np.array([0.0, 0.0]), ground_truth_label(2, 2), False),
             (np.array([0.0, 0.0]), rank_weight_normalizer(2) * mprl_label(alpha, 2), True),
         ]
-        out = combined_loss(*batch(items), cfg, gate_active=True)
+        out = combined_loss(*batch(items), 0.1)
         assert abs(out.value - (LN2 + 0.1 * LN2)) < 1e-12
         assert abs(out.real_loss - LN2) < 1e-15
         assert abs(out.gen_loss - LN2) < 1e-12
 
     def test_gradients_route_back_per_sample(self):
-        cfg = LossConfig(n_classes=2, gen_weight=0.5)
         x_real = np.array([0.7, -0.1])
         x_gen = np.array([0.2, 0.9])
         alpha = mprl_alpha(softmax(x_gen), TiePolicy.AVERAGE_RANK)
@@ -539,29 +526,26 @@ class TestCombinedLoss:
             (x_real, ground_truth_label(1, 2), False),
             (x_gen, rank_weight_normalizer(2) * mprl_label(alpha, 2), True),
         ]
-        out = combined_loss(*batch(items), cfg)
+        out = combined_loss(*batch(items), 0.5)
         np.testing.assert_allclose(
             out.grad_logits[0], real_ce_loss(x_real, 0).grad_logits, atol=1e-15
         )
-        expected_gen = mprl_generated_loss(x_gen, alpha, cfg).grad_logits
+        expected_gen = 0.5 * mprl_generated_loss(x_gen, alpha).grad_logits
         np.testing.assert_allclose(out.grad_logits[1], expected_gen, atol=1e-15)
 
     def test_mean_reduction_keeps_gen_weight_meaning(self):
         # duplicating the generated side must not change the aggregate
-        cfg = LossConfig(n_classes=2, gen_weight=0.1)
         real = (np.array([0.0, 0.0]), ground_truth_label(1, 2), False)
         gen = (np.array([0.3, 0.8]), lsro_label(2), True)
-        single = combined_loss(*batch([real, gen]), cfg)
-        doubled = combined_loss(*batch([real, gen, gen]), cfg)
+        single = combined_loss(*batch([real, gen]), 0.1)
+        doubled = combined_loss(*batch([real, gen, gen]), 0.1)
         assert abs(single.value - doubled.value) < 1e-15
 
     def test_mixed_width_rejected(self):
-        cfg = LossConfig(n_classes=3)
         with pytest.raises(InvalidDimension):
-            combined_loss(np.zeros((2, 3)), np.array([0, -1]), np.zeros((1, 4)), cfg)
+            combined_loss(np.zeros((2, 3)), np.array([0, -1]), np.zeros((1, 4)), 1.0)
 
     def test_real_item_requires_ground_truth_label(self):
         # a real row's label is its class, which must name a head column
-        cfg = LossConfig(n_classes=2)
         with pytest.raises(InvalidClass):
-            combined_loss(np.zeros((1, 2)), np.array([2]), None, cfg)
+            combined_loss(np.zeros((1, 2)), np.array([2]), None, 1.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mprl.errors import InvalidDimension, InvalidState
 from mprl.labels import ground_truth_label
-from mprl.losses import LossConfig, combined_loss
+from mprl.losses import combined_loss
 from mprl.net import (
     CHECKPOINT_MAGIC,
     Activation,
@@ -289,7 +289,6 @@ class TestEndToEndLossGradients:
         assert params.n_params < 500
         rng = np.random.default_rng(37)
         x = rng.normal(size=(2, 4))
-        cfg = LossConfig(n_classes=k, gen_weight=0.7)
 
         probe = softmax(rng.normal(size=width))
         labels = {
@@ -309,10 +308,10 @@ class TestEndToEndLossGradients:
 
         def loss_of(p):
             out, _, _ = forward(p, x)
-            return combined_loss(out, classes, gen_weights, cfg).value
+            return combined_loss(out, classes, gen_weights, 0.7).value
 
         logits, cache, _ = forward(params, x)
-        grad_rows = combined_loss(logits, classes, gen_weights, cfg).grad_logits
+        grad_rows = combined_loss(logits, classes, gen_weights, 0.7).grad_logits
         grads = backward(params, cache, grad_rows)
 
         step = 1e-6
