@@ -21,7 +21,6 @@ from .errors import (
     SpecError,
 )
 from .labels import (
-    TiePolicy,
     all_in_one_label,
     ground_truth_label,
     lsro_label,
@@ -45,7 +44,6 @@ from .losses import (
     weighted_ce_values,
 )
 from .net import (
-    Activation,
     ModelParams,
     OptimizerState,
     ParamGrads,
@@ -70,7 +68,6 @@ from .retrieval import (
 from .synthgen import (
     Dataset,
     convex_mix,
-    load_dataset,
     make_generated_dataset,
     make_real_dataset,
     save_dataset,

@@ -304,7 +304,7 @@ def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
     if cell.strategy is Strategy.SMPRL and generated is not None:
         if memo.baseline is None:
             _keep_baseline(memo, pretrain_baseline(real, cfg, dropout_masks=memo.masks))
-        static = assign_static_labels(memo.baseline, generated, cfg.tie_policy)
+        static = assign_static_labels(memo.baseline, generated)
     params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch,
                             dropout_masks=memo.masks)
     if cell.strategy is Strategy.BASELINE:

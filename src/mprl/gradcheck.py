@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .labels import (
-    TiePolicy,
-    lsro_label,
-    mprl_alpha,
-    mprl_rows,
-    softmax,
-)
+from .labels import lsro_label, mprl_alpha, mprl_rows, softmax
 from .losses import (
     lsro_loss,
     mprl_generated_loss,
@@ -147,7 +141,7 @@ def run_gradcheck(
         for _ in range(trials):
             x = rng.normal(0.0, LOGIT_SIGMA, size=k)
             c = int(rng.integers(k))
-            ranks = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+            ranks = mprl_alpha(softmax(x))
             mprl_out = mprl_generated_loss(x, ranks)
             # (name, analytic output, the class or weight row it differentiates)
             cases = (

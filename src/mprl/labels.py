@@ -19,13 +19,13 @@ ways to label a sample that has no ground-truth class:
 
 The rank-weighted rows of a batch come from its logits in one row-wise
 sort (:func:`row_ranks`, then :func:`mprl_rows`, which also applies the
-2/(1+K) normaliser).  Under ``TiePolicy.AVERAGE_RANK``, the default, that
-sort is numpy's default argsort; ``TiePolicy.COMPETITION_ORDER`` breaks
-ties by position and so needs the stable sort.  Softmax preserves order,
-so ranking logits gives the same ranks as ranking probabilities, except
-that logits keep apart values which softmax rounds to one probability
-(``[0, 1e-17, 5]`` ranks ``[1, 2, 3]`` as logits and ``[1.5, 1.5, 3]``
-as probabilities), and logits never underflow to a zero probability.  The per-vector builders
+2/(1+K) normaliser).  Tied entries share the mean of the positions they
+jointly occupy, so a row of equal values reduces exactly to the LSRO
+label.  Softmax preserves order, so ranking logits gives the same ranks
+as ranking probabilities, except that logits keep apart values which
+softmax rounds to one probability (``[0, 1e-17, 5]`` ranks ``[1, 2, 3]``
+as logits and ``[1.5, 1.5, 3]`` as probabilities), and logits never
+underflow to a zero probability.  The per-vector builders
 ``one_hot_pseudo_label`` and ``mprl_alpha`` keep their probability
 contract; the trainer ranks and argmaxes logits instead.
 
@@ -35,26 +35,11 @@ at row position ``c - 1``, so a one-hot row's class is ``argmax + 1``.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import InvalidDimension
 
 PROB_SUM_TOL = 1e-9
-
-
-class TiePolicy(str, Enum):
-    """How equal predicted probabilities share rank positions.
-
-    COMPETITION_ORDER breaks ties by input position (stable sort), so the
-    ranks are always a permutation of 1..K.  AVERAGE_RANK gives tied
-    entries the mean of the positions they jointly occupy, which makes a
-    uniform probability vector reduce exactly to the LSRO label.
-    """
-
-    COMPETITION_ORDER = "competition_order"
-    AVERAGE_RANK = "average_rank"
 
 
 def check_logits(logits) -> np.ndarray:
@@ -138,31 +123,29 @@ def one_hot_pseudo_label(probs) -> np.ndarray:
     return _one_hot(p.size, int(np.argmax(p)))
 
 
-def row_ranks(scores, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndarray:
+def row_ranks(scores) -> np.ndarray:
     """Ascending 1-based rank of every entry within its row of a (B, K) matrix.
 
-    The smallest entry of a row ranks 1 and the largest ranks K.  Ties
-    (exact float equality within a row) are resolved by ``tie_policy``;
-    see :class:`TiePolicy`.  One row-wise argsort covers the whole matrix:
-    COMPETITION_ORDER needs a stable sort, since the order it leaves a
-    tie run in is the ranks; AVERAGE_RANK gives every member of a run the
-    same mean, so numpy's faster default sort gives the same ranks, and
-    only rows holding a tie compute their runs.
+    The smallest entry of a row ranks 1 and the largest ranks K.  Tied
+    entries (exact float equality within a row) get the mean of the
+    positions they jointly occupy, so every row's ranks sum to K(K+1)/2
+    and a row of equal values ranks (1+K)/2 throughout.  One row-wise
+    argsort covers the whole matrix: every member of a tie run gets the
+    same mean, so numpy's default (unstable) sort gives the same ranks as
+    a stable one, and only rows holding a tie compute their runs.
     """
     x = np.asarray(scores, dtype=np.float64)
     n, k = x.shape
-    average = tie_policy is TiePolicy.AVERAGE_RANK
-    order = np.argsort(x, axis=1, kind=None if average else "stable")
+    order = np.argsort(x, axis=1)
     # the sort's positions in the flattened matrix, for one flat gather and scatter
     flat = order + np.arange(0, n * k, k)[:, None]
     sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
-    if average:
-        ordered = np.take(x, flat)
-        differs = ordered[:, 1:] != ordered[:, :-1]
-        tied = ~differs.all(axis=1)
-        if tied.any():
-            sorted_ranks = sorted_ranks.copy()
-            sorted_ranks[tied] = _average_ranks(differs[tied])
+    ordered = np.take(x, flat)
+    differs = ordered[:, 1:] != ordered[:, :-1]
+    tied = ~differs.all(axis=1)
+    if tied.any():
+        sorted_ranks = sorted_ranks.copy()
+        sorted_ranks[tied] = _average_ranks(differs[tied])
     ranks = np.empty((n, k))
     ranks.reshape(-1)[flat] = sorted_ranks
     return ranks
@@ -184,15 +167,15 @@ def _average_ranks(differs: np.ndarray) -> np.ndarray:
     return (first + last + 2) / 2.0
 
 
-def mprl_alpha(probs, tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK) -> np.ndarray:
+def mprl_alpha(probs) -> np.ndarray:
     """Rank each class's predicted probability, ascending.
 
-    The smallest probability ranks 1 and the largest ranks K.  Ties (exact
-    float equality) are resolved by ``tie_policy``; see :class:`TiePolicy`.
-    Under either policy the ranks sum to K(K+1)/2 exactly.
+    The smallest probability ranks 1 and the largest ranks K; tied
+    probabilities share their mean rank (see :func:`row_ranks`), so the
+    ranks sum to K(K+1)/2 exactly.
     """
     p = check_prob_vector(probs)
-    return row_ranks(p[None, :], tie_policy)[0]
+    return row_ranks(p[None, :])[0]
 
 
 def mprl_label(ranks, n_classes: int) -> np.ndarray:

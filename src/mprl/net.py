@@ -1,6 +1,6 @@
 """A small feed-forward classifier with manual backpropagation.
 
-The network is a plain MLP: input -> hidden layers -> logits.  The
+The network is a plain ReLU MLP: input -> hidden layers -> logits.  The
 activation of the last hidden layer is the retrieval embedding; one
 inverted-scaling dropout mask, handed in by the caller, sits between it
 and the logits head, so evaluation needs no rescale.  Everything is
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +18,8 @@ import numpy as np
 from .errors import InvalidConfig, InvalidDimension, InvalidState
 
 CHECKPOINT_MAGIC = b"MPNET001"
-
-
-class Activation(str, Enum):
-    RELU = "relu"
-    TANH = "tanh"
-
-
-_ACTIVATION_CODES = {Activation.RELU: 0, Activation.TANH: 1}
-_ACTIVATION_FROM_CODE = {code: act for act, code in _ACTIVATION_CODES.items()}
+# the checkpoint header's activation byte; ReLU is the only activation
+_RELU_CODE = 0
 
 
 @dataclass
@@ -36,7 +28,6 @@ class ModelParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: Activation
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -93,8 +84,7 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def init_params(layer_sizes, seed, scale: float = 1.0,
-                activation: Activation = Activation.RELU) -> ModelParams:
+def init_params(layer_sizes, seed, scale: float = 1.0) -> ModelParams:
     """Seeded initialization: W ~ Normal(0, scale/sqrt(fan_in)), biases zero."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
@@ -110,19 +100,7 @@ def init_params(layer_sizes, seed, scale: float = 1.0,
         std = scale / np.sqrt(fan_in)
         weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases, activation)
-
-
-def _activate(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activation_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
+    return ModelParams(weights, biases)
 
 
 def forward(params: ModelParams, features, dropout_mask=None):
@@ -180,7 +158,7 @@ def _hidden_stack(params: ModelParams, x: np.ndarray):
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = a @ w
         z += b
-        a = _activate(z, params.activation)
+        a = np.maximum(z, 0.0)
         pre_acts.append(z)
         hidden_acts.append(a)
     return pre_acts, hidden_acts, a
@@ -212,8 +190,7 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrad
         delta = delta * cache.dropout_mask
 
     for i in range(len(params.weights) - 2, -1, -1):
-        delta = delta * _activation_grad(cache.pre_acts[i], cache.hidden_acts[i],
-                                         params.activation)
+        delta = delta * (cache.pre_acts[i] > 0.0).astype(np.float64)
         prev = cache.inputs if i == 0 else cache.hidden_acts[i - 1]
         grad_w[i] = prev.T @ delta
         grad_b[i] = delta.sum(axis=0)
@@ -258,16 +235,16 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> M
             v -= state.learning_rate * g
         new_w.append(w + state.velocity_w[i])
         new_b.append(b + state.velocity_b[i])
-    return ModelParams(new_w, new_b, params.activation)
+    return ModelParams(new_w, new_b)
 
 
 def save_params(params: ModelParams, path) -> None:
-    """Write a checkpoint: magic, activation, layer sizes, then row-major
-    float64 little-endian weights and biases per layer."""
+    """Write a checkpoint: magic, activation byte (always 0, ReLU), layer
+    sizes, then row-major float64 little-endian weights and biases per layer."""
     sizes = params.layer_sizes
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<BI", _ACTIVATION_CODES[params.activation], len(sizes))
+    blob += struct.pack("<BI", _RELU_CODE, len(sizes))
     blob += struct.pack(f"<{len(sizes)}I", *sizes)
     for w, b in zip(params.weights, params.biases):
         blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
@@ -278,7 +255,7 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     """Load a checkpoint written by :func:`save_params`, bit-exactly.
 
-    A file that is not a whole checkpoint raises :class:`InvalidState`
+    A file that is not a whole ReLU checkpoint raises :class:`InvalidState`
     naming ``path``."""
     blob = Path(path).read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -287,8 +264,9 @@ def load_params(path) -> ModelParams:
     if len(blob) < offset:
         raise InvalidState(f"{path}: checkpoint ends inside its header")
     act_code, n_sizes = struct.unpack_from("<BI", blob, len(CHECKPOINT_MAGIC))
-    if act_code not in _ACTIVATION_FROM_CODE:
-        raise InvalidState(f"{path}: unknown activation code {act_code}")
+    if act_code != _RELU_CODE:
+        raise InvalidState(f"{path}: activation code {act_code}, "
+                           f"only {_RELU_CODE} (ReLU) is supported")
     if n_sizes < 2:
         raise InvalidState(f"{path}: {n_sizes} layer sizes, need input and output widths")
     if len(blob) < offset + 4 * n_sizes:
@@ -313,4 +291,4 @@ def load_params(path) -> ModelParams:
         offset += fan_out * 8
     if offset != len(blob):
         raise InvalidState(f"{path}: {len(blob) - offset} trailing bytes")
-    return ModelParams(weights, biases, _ACTIVATION_FROM_CODE[act_code])
+    return ModelParams(weights, biases)

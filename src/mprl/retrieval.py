@@ -276,19 +276,19 @@ def load_embeddings(path) -> EmbeddingSet:
                            f"got {n} and {dim}")
     if len(rows) - 1 != n:
         raise InvalidState(f"{path}: header says {n} rows, file has {len(rows) - 1}")
+    # the first row confirms the header's width before any array is sized
+    # from it, so the arrays are never larger than the file's own rows imply
+    _check_fields(path, *rows[1], dim)
     ids = np.empty(n, dtype=np.int64)
     labels = np.empty(n, dtype=np.int64)
     vectors = np.empty((n, dim))
     for i, (line_no, row) in enumerate(rows[1:]):
-        parts = row.split()
-        if len(parts) != 2 + dim:
-            raise InvalidState(
-                f"{path}:{line_no}: {len(parts)} fields, expected {2 + dim}")
+        parts = _check_fields(path, line_no, row, dim)
         try:
             ids[i] = int(parts[0])
             labels[i] = int(parts[1])
             vectors[i] = [float(v) for v in parts[2:]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
             raise InvalidState(f"{path}:{line_no}: {exc}") from None
     nonfinite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if nonfinite.size:
@@ -299,3 +299,11 @@ def load_embeddings(path) -> EmbeddingSet:
         i = repeats.min()
         raise InvalidState(f"{path}:{rows[1 + i][0]}: duplicate id {ids[i]}")
     return EmbeddingSet(ids, labels, vectors)
+
+
+def _check_fields(path, line_no: int, row: str, dim: int) -> list[str]:
+    """The fields of an embedding row, which must number ``2 + dim``."""
+    parts = row.split()
+    if len(parts) != 2 + dim:
+        raise InvalidState(f"{path}:{line_no}: {len(parts)} fields, expected {2 + dim}")
+    return parts

@@ -13,7 +13,8 @@ a diagnostics record, never shown to training code.
 A :class:`Dataset` is columnar: row-aligned arrays, no per-sample
 objects; a row's origin follows from its class (-1 marks generated).
 
-Dataset file format (plain text, locale-independent):
+Dataset file format (plain text, locale-independent), written by
+:func:`save_dataset`; the package has no reader for it:
 
     K dim n_samples
     id split origin class f1 ... fdim
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationFailure, InvalidConfig, InvalidDimension, InvalidState
+from .errors import GenerationFailure, InvalidConfig, InvalidDimension
 from .retrieval import sq_euclidean
 
 SPLIT_TAGS = ("train", "query", "gallery")
@@ -249,58 +250,3 @@ def save_dataset(dataset: Dataset, path) -> None:
         feats = " ".join(f"{v:.17g}" for v in row)
         lines.append(f"{sid} {tag} {origin} {label} {feats}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    """Read a dataset file back; feature values round-trip bit-exactly.
-
-    A malformed header or row raises InvalidState naming ``path:line``,
-    among them K < 1 or dim < 1, an origin its class contradicts,
-    a non-finite feature and a duplicate id.
-    """
-    text = Path(path).read_text()
-    rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    if not rows:
-        raise InvalidState(f"{path}: empty dataset file")
-    header_no, header = rows[0]
-    try:
-        n_classes, dim, count = (int(v) for v in header.split())
-    except ValueError:
-        raise InvalidState(f"{path}:{header_no}: header must be 'K dim n_samples', "
-                           f"got {header.strip()!r}") from None
-    if n_classes < 1 or dim < 1:
-        raise InvalidState(f"{path}:{header_no}: need K >= 1 and dim >= 1, "
-                           f"got K={n_classes} dim={dim}")
-    if len(rows) - 1 != count:
-        raise InvalidState(f"{path}: header says {count} samples, file has {len(rows) - 1}")
-    ids, splits, classes, features = [], [], [], []
-    seen = set()
-    for line_no, row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 4 + dim:
-            raise InvalidState(f"{path}:{line_no}: expected {4 + dim} fields, got {len(parts)}")
-        split_tag, origin = parts[1], parts[2]
-        if split_tag not in SPLIT_TAGS:
-            raise InvalidState(f"{path}:{line_no}: unknown split tag {split_tag!r}")
-        try:
-            sid, label = int(parts[0]), int(parts[3])
-            feats = [float(v) for v in parts[4:]]
-        except ValueError as exc:
-            raise InvalidState(f"{path}:{line_no}: {exc}") from None
-        if origin not in ("real", "generated"):
-            raise InvalidState(f"{path}:{line_no}: unknown origin {origin!r}")
-        if not (label == -1 if origin == "generated" else 1 <= label <= n_classes):
-            raise InvalidState(f"{path}:{line_no}: class {label} contradicts origin {origin!r} "
-                               f"(real needs 1..{n_classes}, generated -1)")
-        if not all(map(math.isfinite, feats)):
-            raise InvalidState(f"{path}:{line_no}: non-finite feature value")
-        if sid in seen:
-            raise InvalidState(f"{path}:{line_no}: duplicate id {sid}")
-        seen.add(sid)
-        ids.append(sid)
-        splits.append(split_tag)
-        classes.append(label)
-        features.append(feats)
-    return Dataset(np.array(ids, dtype=np.int64),
-                   np.array(features, dtype=np.float64).reshape(count, dim),
-                   np.array(classes, dtype=np.int64), np.array(splits, dtype=str), n_classes)

@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, InvalidDimension, MprlError
-from .labels import TiePolicy, all_in_one_label, lsro_label, mprl_rows, row_ranks
+from .labels import all_in_one_label, lsro_label, mprl_rows, row_ranks
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
     ground_truth_label,
@@ -68,7 +68,6 @@ from .labels import (  # noqa: F401
 )
 from .losses import CombinedLoss, GradientMode, combined_loss
 from .net import (
-    Activation,
     ModelParams,
     backward,
     embed,
@@ -114,12 +113,10 @@ class TrainSettings:
     # 0.1 for dmprl2 and 1.0 for every other strategy
     gen_weight: float | None = None
     warmup_epoch: int = 20
-    tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK
     gradient_mode: GradientMode = GradientMode.ANALYTIC
     dropout_rate: float = 0.5
     hidden_sizes: tuple[int, ...] = (32, 16)
     init_scale: float = 1.0
-    activation: Activation = Activation.RELU
 
 
 @dataclass(frozen=True)
@@ -261,7 +258,7 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
         return lambda logits, positions: eye[np.argmax(logits, axis=1)]
     if cfg.strategy is Strategy.SMPRL:
         return lambda logits, positions: static_labels[positions]
-    return lambda logits, positions: mprl_rows(row_ranks(logits, cfg.tie_policy))
+    return lambda logits, positions: mprl_rows(row_ranks(logits))
 
 
 # floating-point warnings stay silent: a diverging run fails on its
@@ -315,8 +312,7 @@ def train(
                                    f"{n_classes}), got {static_labels.shape}")
 
     params = init_params((real.feature_dim, *cfg.hidden_sizes, head_width),
-                         seed=(cfg.seed, _SEED_INIT), scale=cfg.init_scale,
-                         activation=cfg.activation)
+                         seed=(cfg.seed, _SEED_INIT), scale=cfg.init_scale)
     opt = init_optimizer(params, cfg.lr_initial, cfg.momentum)
     gen_weight = cfg.resolved_gen_weight()
     # the diagonal gradient mode belongs to rank-weighted labels only
@@ -396,11 +392,7 @@ def _accuracy(params, feats, classes, n_classes) -> float:
     return float(np.mean(predicted == classes))
 
 
-def assign_static_labels(
-    pretrained: ModelParams,
-    generated: Dataset,
-    tie_policy: TiePolicy = TiePolicy.AVERAGE_RANK,
-) -> np.ndarray:
+def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndarray:
     """One frozen rank-weighted label row per generated sample.
 
     The pretrained model (typically a baseline run over the real data)
@@ -409,7 +401,7 @@ def assign_static_labels(
     row i's label and never changes afterwards.
     """
     logits, _, _ = forward(pretrained, generated.features)
-    return mprl_rows(row_ranks(logits, tie_policy))
+    return mprl_rows(row_ranks(logits))
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:

@@ -15,11 +15,11 @@ import numpy as np
 from mprl.cli import main
 from mprl.experiment import Cell, RunMemo, expand_cells, parse_spec, run_cell, run_experiment
 from mprl.gradcheck import run_gradcheck
-from mprl.labels import TiePolicy, mprl_alpha, rank_weight_normalizer, softmax
+from mprl.labels import mprl_alpha, rank_weight_normalizer, softmax
 from mprl.losses import lsro_loss, mprl_generated_loss
 from mprl.net import init_params, load_params, save_params
 from mprl.retrieval import evaluate
-from mprl.synthgen import load_dataset, make_generated_dataset, make_real_dataset, save_dataset
+from mprl.synthgen import make_generated_dataset, make_real_dataset, save_dataset
 from mprl.trainer import Strategy, TrainConfig, train
 
 # the shipped benchmark grid: K=8, dim=16, 50 samples/class, 400
@@ -56,9 +56,8 @@ def test_criterion_2_normalization_identity():
         for k in range(1, 1001):
             p = softmax(rng.normal(0, 3, size=k))
             sigma = rank_weight_normalizer(k)
-            for policy in TiePolicy:
-                alpha = mprl_alpha(p, policy)
-                assert abs(sigma * float(np.sum(alpha / k)) - 1.0) < 1e-12
+            alpha = mprl_alpha(p)
+            assert abs(sigma * float(np.sum(alpha / k)) - 1.0) < 1e-12
 
 
 def test_criterion_3_lsro_degeneracy():
@@ -67,7 +66,7 @@ def test_criterion_3_lsro_degeneracy():
         for k in (2, 10, 100):
             for _ in range(100):
                 x = np.full(k, rng.uniform(-50.0, 50.0))
-                alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+                alpha = mprl_alpha(softmax(x))
                 diff = mprl_generated_loss(x, alpha).value - lsro_loss(x).value
                 assert abs(diff) < 1e-12
 
@@ -75,7 +74,7 @@ def test_criterion_3_lsro_degeneracy():
 def test_criterion_4_gradient_mode_discrepancy():
     with criterion(4, "analytic gradient [0,0] vs diagonal gradient [-2/9,-2/9]"):
         x = np.array([0.0, math.log(2.0)])
-        alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha(softmax(x))
         np.testing.assert_array_equal(alpha, [1.0, 2.0])
         analytic = mprl_generated_loss(x, alpha).grad_logits
         diagonal = mprl_generated_loss(x, alpha, diagonal=True).grad_logits
@@ -165,12 +164,14 @@ def test_criterion_8_desk_scale_benchmark(tmp_path):
 
 def test_criterion_9_serialization_round_trips(tmp_path):
     with criterion(9, "dataset files and checkpoints reload bit-exactly"):
+        from test_synthgen import read_dataset_text
+
         real = make_real_dataset(5, 8, 7, cluster_spread=0.9, seed=60)
         generated = make_generated_dataset(real, 12, mix_size=3, noise=0.1, seed=61)
         for ds, name in ((real, "real.txt"), (generated, "gen.txt")):
             path = tmp_path / name
             save_dataset(ds, path)
-            back = load_dataset(path)
+            back = read_dataset_text(path)
             assert len(back) == len(ds)
             assert back.features.tobytes() == ds.features.tobytes()
             for column in ("ids", "splits", "classes", "generated"):

@@ -26,9 +26,7 @@ from mprl.experiment import (
     run_experiment,
     run_trace,
 )
-from mprl.labels import TiePolicy
 from mprl.losses import GradientMode
-from mprl.net import Activation
 from mprl.trainer import Strategy, TrainConfig, TrainSettings
 
 TINY_SPEC = """\
@@ -77,7 +75,9 @@ class TestSpecParsing:
 
     def test_unknown_key_carries_line_number(self):
         # trajectories come from `mprl trace --samples`, never from a spec key
-        for line in ("bogus_key = 1", "track_trajectories = 3"):
+        # ties always take the average rank and the net is ReLU only: neither is a key
+        for line in ("bogus_key = 1", "track_trajectories = 3", "tie_policy = average_rank",
+                     "activation = relu"):
             with pytest.raises(SpecError, match="line 2: unknown key"):
                 parse_spec_text(f"n_classes = 3\n{line}\n")
 
@@ -130,12 +130,10 @@ NON_DEFAULT_SETTINGS = {
     "momentum": ("0.5", 0.5),
     "gen_weight": ("0.7", 0.7),
     "warmup_epoch": ("3", 3),
-    "tie_policy": ("competition_order", TiePolicy.COMPETITION_ORDER),
     "gradient_mode": ("diagonal", GradientMode.DIAGONAL),
     "dropout_rate": ("0.1", 0.1),
     "hidden_sizes": ("5, 4, 3", (5, 4, 3)),
     "init_scale": ("2.5", 2.5),
-    "activation": ("tanh", Activation.TANH),
 }
 
 
@@ -635,6 +633,10 @@ class TestCli:
         ("2 3\n1 1 0.5 0.5 0.5\n\n1 1 -inf 0.5 0.5\n", 4),  # non-finite value
         ("2 3\n1 1 0.5 0.5 0.5\n1 2 0.5 0.5 0.5\n", 3),  # duplicate id
         ("0 3\n", 1),  # no rows
+        ("1 3\n99999999999999999999 1 0.5 0.5 0.5\n", 2),  # id beyond int64
+        ("1 3\n7 99999999999999999999 0.5 0.5 0.5\n", 2),  # label beyond int64
+        # a width no array can hold; the row contradicts it before any allocation
+        ("1 99999999999999999999\n7 1 0.5 0.5 0.5\n", 2),
     ])
     def test_malformed_embedding_file_exits_two(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
@@ -734,15 +736,15 @@ class TestCli:
     def test_gen_data_rewrites_the_real_file(self, spec_file, tmp_path, capsys):
         # a second run into the same directory with a changed spec must not
         # leave the first run's real dataset next to the new generated files
-        from mprl.synthgen import load_dataset
+        from test_synthgen import read_dataset_text
 
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--spec", str(spec_file), "--out", str(data_dir)]) == 0
         changed = tmp_path / "changed.txt"
         changed.write_text(TINY_SPEC.replace("n_classes      = 3", "n_classes      = 4"))
         assert main(["gen-data", "--spec", str(changed), "--out", str(data_dir)]) == 0
-        real = load_dataset(data_dir / "real_seed1.txt")
-        generated = load_dataset(data_dir / "generated_n6_seed1.txt")
+        real = read_dataset_text(data_dir / "real_seed1.txt")
+        generated = read_dataset_text(data_dir / "generated_n6_seed1.txt")
         assert real.n_classes == generated.n_classes == 4
         assert real.ids.max() < generated.ids.min()
         out = capsys.readouterr().out
@@ -780,30 +782,6 @@ class TestCli:
         )
         assert result.returncode == 1
         assert "error:" in result.stderr
-
-    @pytest.mark.parametrize("text, line", [
-        ("3 2 x\n", 1),  # bad header field
-        ("3 2 1\n0 train real one 0.5 0.5\n", 2),  # bad class field
-        ("3 2 1\n0 train real 1 0.5 nan?\n", 2),  # bad feature field
-        ("2 2 1\n0 train foo 1 0.5 0.5\n", 2),  # unknown origin
-        ("2 2 1\n0 train real 7 0.5 0.5\n", 2),  # real class above K
-        ("2 2 1\n0 train real 0 0.5 0.5\n", 2),  # real class below 1
-        ("2 2 1\n0 train real -1 0.5 0.5\n", 2),  # real row with the generated class
-        ("2 2 1\n0 train generated 1 0.5 0.5\n", 2),  # generated row with a class
-        ("2 2 1\n0 train real 1 nan 0.5\n", 2),  # non-finite feature
-        ("2 2 2\n0 train real 1 0.5 0.5\n\n1 query real 2 0.5 -inf\n", 4),
-        ("2 2 2\n0 train real 1 0.5 0.5\n0 query real 2 0.5 0.5\n", 3),  # duplicate id
-        ("0 2 1\n0 train generated -1 0.5 0.5\n", 1),  # K < 1
-        ("2 0 1\n0 train real 1\n", 1),  # dim < 1
-    ])
-    def test_malformed_dataset_file_names_line(self, tmp_path, text, line):
-        from mprl.errors import InvalidState
-        from mprl.synthgen import load_dataset
-
-        bad = tmp_path / "bad.txt"
-        bad.write_text(text)
-        with pytest.raises(InvalidState, match=f"{bad}:{line}:"):
-            load_dataset(bad)
 
     def test_console_entry_point(self, tmp_path):
         # the module runs standalone as well, from the source tree under test

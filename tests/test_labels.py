@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mprl.errors import InvalidDimension
 from mprl.labels import (
-    TiePolicy,
     _average_ranks,
     all_in_one_label,
     check_prob_vector,
@@ -121,44 +120,39 @@ class TestOneHotPseudoLabel:
 class TestMprlAlpha:
     def test_argsort_oracle(self):
         p = np.array([0.2, 0.5, 0.3])
-        alpha = mprl_alpha(p, TiePolicy.COMPETITION_ORDER)
+        alpha = mprl_alpha(p)
         np.testing.assert_array_equal(alpha, ascending_position_oracle(p))
         np.testing.assert_array_equal(alpha, [1, 3, 2])
 
     def test_tie_symmetry_average(self):
-        alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.5, 0.5])
         np.testing.assert_array_equal(alpha, [1.5, 1.5])
 
     def test_uniform_all_tied(self):
-        alpha = mprl_alpha([0.2] * 5, TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.2] * 5)
         np.testing.assert_array_equal(alpha, [3.0] * 5)
-
-    def test_competition_order_keeps_input_order_on_ties(self):
-        alpha = mprl_alpha([0.25, 0.25, 0.25, 0.25], TiePolicy.COMPETITION_ORDER)
-        np.testing.assert_array_equal(alpha, [1, 2, 3, 4])
 
     def test_random_vectors_match_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             p = softmax(rng.normal(0, 3, size=rng.integers(2, 30)))
-            alpha = mprl_alpha(p, TiePolicy.COMPETITION_ORDER)
+            alpha = mprl_alpha(p)
             np.testing.assert_array_equal(alpha, ascending_position_oracle(p))
 
     @given(st.integers(min_value=1, max_value=60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_rank_sum_invariant_both_policies(self, k, seed):
+    def test_rank_sum_invariant(self, k, seed):
         rng = np.random.default_rng(seed)
         p = softmax(rng.normal(0, 3, size=k))
-        for policy in TiePolicy:
-            total = mprl_alpha(p, policy).sum()
-            assert total == k * (k + 1) / 2
+        assert mprl_alpha(p).sum() == k * (k + 1) / 2
 
     @given(st.integers(min_value=2, max_value=30), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_permutation_under_competition_order(self, k, seed):
+    def test_permutation_without_ties(self, k, seed):
         rng = np.random.default_rng(seed)
         p = softmax(rng.normal(0, 3, size=k))
-        ranks = mprl_alpha(p, TiePolicy.COMPETITION_ORDER)
+        assume(np.unique(p).size == k)
+        ranks = mprl_alpha(p)
         assert sorted(ranks.tolist()) == list(range(1, k + 1))
 
 
@@ -181,46 +175,41 @@ class TestRowRanks:
         np.testing.assert_allclose(rows[1], [1 / 3] * 3, atol=1e-15)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-15)
 
-    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
-           st.sampled_from(list(TiePolicy)))
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_equals_mprl_alpha_wherever_softmax_adds_no_tie(self, k, n, seed, policy):
+    def test_equals_mprl_alpha_wherever_softmax_adds_no_tie(self, k, n, seed):
         rng = np.random.default_rng(seed)
         # quarter-steps in a small range: exact ties occur often
         x = rng.integers(-12, 12, size=(n, k)) / 4.0
-        ranks = row_ranks(x, policy)
+        ranks = row_ranks(x)
         for row, got in zip(x, ranks):
             p = softmax(row)
             if np.unique(p).size == np.unique(row).size:
-                np.testing.assert_array_equal(got, mprl_alpha(p, policy))
+                np.testing.assert_array_equal(got, mprl_alpha(p))
 
-    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1),
-           st.sampled_from(list(TiePolicy)))
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_invariant_under_per_row_logit_shifts(self, k, n, seed, policy):
+    def test_invariant_under_per_row_logit_shifts(self, k, n, seed):
         rng = np.random.default_rng(seed)
         x = rng.integers(-12, 12, size=(n, k)) / 4.0
         shifts = rng.integers(-1000, 1000, size=(n, 1)).astype(float)  # exact in float64
-        np.testing.assert_array_equal(row_ranks(x + shifts, policy), row_ranks(x, policy))
+        np.testing.assert_array_equal(row_ranks(x + shifts), row_ranks(x))
 
 
-def stable_sort_row_ranks(scores, tie_policy):
+def stable_sort_row_ranks(scores):
     """Oracle: row ranks from one stable argsort, every run's average
     computed for every row (the implementation before the tie fast path)."""
     x = np.asarray(scores, dtype=np.float64)
     n, k = x.shape
     order = np.argsort(x, axis=1, kind="stable")
-    if tie_policy is TiePolicy.AVERAGE_RANK:
-        ordered = np.take_along_axis(x, order, axis=1)
-        pos = np.arange(k)
-        differs = ordered[:, 1:] != ordered[:, :-1]
-        edge = np.ones((n, 1), dtype=bool)
-        first = np.maximum.accumulate(np.where(np.hstack([edge, differs]), pos, 0), axis=1)
-        last = np.minimum.accumulate(
-            np.where(np.hstack([differs, edge]), pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
-        sorted_ranks = (first + last + 2) / 2.0
-    else:
-        sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
+    ordered = np.take_along_axis(x, order, axis=1)
+    pos = np.arange(k)
+    differs = ordered[:, 1:] != ordered[:, :-1]
+    edge = np.ones((n, 1), dtype=bool)
+    first = np.maximum.accumulate(np.where(np.hstack([edge, differs]), pos, 0), axis=1)
+    last = np.minimum.accumulate(
+        np.where(np.hstack([differs, edge]), pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
+    sorted_ranks = (first + last + 2) / 2.0
     ranks = np.empty((n, k))
     np.put_along_axis(ranks, order, sorted_ranks, axis=1)
     return ranks
@@ -244,19 +233,17 @@ def score_rows(kind, n, k, seed):
 
 class TestRowRanksFastPath:
     @given(st.sampled_from(["continuous", "integer", "signed_zeros", "all_equal", "one_tie"]),
-           st.sampled_from([1, 2, 3, 8, 751]), st.integers(1, 5), st.integers(0, 2**32 - 1),
-           st.sampled_from(list(TiePolicy)))
+           st.sampled_from([1, 2, 3, 8, 751]), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_equals_the_stable_sort_oracle_bit_for_bit(self, kind, k, n, seed, policy):
+    def test_equals_the_stable_sort_oracle_bit_for_bit(self, kind, k, n, seed):
         x = score_rows(kind, n, k, seed)
-        assert np.array_equal(row_ranks(x, policy), stable_sort_row_ranks(x, policy))
+        assert np.array_equal(row_ranks(x), stable_sort_row_ranks(x))
 
     def test_a_batch_mixing_tied_and_untied_rows(self):
         x = np.vstack([score_rows(kind, 3, 751, seed) for seed, kind in enumerate(
             ["continuous", "integer", "signed_zeros", "all_equal", "one_tie"])])
-        for policy in TiePolicy:
-            assert np.array_equal(row_ranks(x, policy), stable_sort_row_ranks(x, policy))
         ranks = row_ranks(x)
+        assert np.array_equal(ranks, stable_sort_row_ranks(x))
         np.testing.assert_array_equal(ranks[9:12], 376.0)  # all equal: (1 + 751) / 2
         np.testing.assert_array_equal(np.sort(ranks[:3], axis=1),
                                       np.broadcast_to(np.arange(1.0, 752.0), (3, 751)))
@@ -264,21 +251,21 @@ class TestRowRanksFastPath:
 
 class TestMprlLabel:
     def test_direct_evaluation(self):
-        alpha = mprl_alpha([0.2, 0.5, 0.3], TiePolicy.COMPETITION_ORDER)
+        alpha = mprl_alpha([0.2, 0.5, 0.3])
         np.testing.assert_allclose(mprl_label(alpha, 3), [1 / 3, 1.0, 2 / 3], atol=1e-15)
 
     def test_tie_case(self):
-        alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.5, 0.5])
         np.testing.assert_array_equal(mprl_label(alpha, 2), [0.75, 0.75])
 
     def test_normalizer_closes_the_mass(self):
-        alpha = mprl_alpha([1 / 3, 2 / 3], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([1 / 3, 2 / 3])
         label = mprl_label(alpha, 2)
         np.testing.assert_array_equal(label, [0.5, 1.0])
         assert abs(rank_weight_normalizer(2) * label.sum() - 1.0) < 1e-15
 
     def test_dimension_mismatch_rejected(self):
-        alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.5, 0.5])
         with pytest.raises(InvalidDimension):
             mprl_label(alpha, 3)
         with pytest.raises(InvalidDimension):
@@ -289,7 +276,7 @@ class TestMprlLabel:
         for _ in range(20):
             k = int(rng.integers(2, 40))
             p = softmax(rng.normal(0, 3, size=k))
-            label = mprl_label(mprl_alpha(p, TiePolicy.COMPETITION_ORDER), k)
+            label = mprl_label(mprl_alpha(p), k)
             gaps = np.diff(np.sort(label))
             np.testing.assert_allclose(gaps, 1.0 / k, atol=1e-15)
 
@@ -300,17 +287,16 @@ class TestCrossSchemeInvariants:
         for k in [1, 2, 3, 7, 10, 100, 751]:
             sigma = rank_weight_normalizer(k)
             p = softmax(rng.normal(0, 3, size=k))
-            for policy in TiePolicy:
-                alpha = mprl_alpha(p, policy)
-                assert abs(sigma * np.sum(alpha / k) - 1.0) < 1e-12
+            alpha = mprl_alpha(p)
+            assert abs(sigma * np.sum(alpha / k) - 1.0) < 1e-12
 
     def test_shift_invariance_of_ranks(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             x = rng.normal(0, 3, size=10)
             shift = rng.uniform(-100, 100)
-            a0 = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
-            a1 = mprl_alpha(softmax(x + shift), TiePolicy.AVERAGE_RANK)
+            a0 = mprl_alpha(softmax(x))
+            a1 = mprl_alpha(softmax(x + shift))
             np.testing.assert_array_equal(a0, a1)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2.0, 0.5, 7.5]))
@@ -320,16 +306,14 @@ class TestCrossSchemeInvariants:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-3.0, 3.0, size=8)
         monotone = [gain * x + 1.0, np.exp(x / 4.0), x ** 3 + 0.1 * x]
-        base = mprl_alpha(softmax(x), TiePolicy.COMPETITION_ORDER)
+        base = mprl_alpha(softmax(x))
         for fx in monotone:
-            np.testing.assert_array_equal(
-                base, mprl_alpha(softmax(fx), TiePolicy.COMPETITION_ORDER)
-            )
+            np.testing.assert_array_equal(base, mprl_alpha(softmax(fx)))
 
     def test_uniform_average_rank_degenerates_to_lsro(self):
         for k in [1, 2, 5, 10, 100]:
             p = softmax(np.zeros(k))
-            label = mprl_label(mprl_alpha(p, TiePolicy.AVERAGE_RANK), k)
+            label = mprl_label(mprl_alpha(p), k)
             scaled = rank_weight_normalizer(k) * label
             np.testing.assert_allclose(scaled, lsro_label(k), rtol=0, atol=1e-16)
 
@@ -388,21 +372,19 @@ class TestValidation:
             ground_truth_label(5, 4)
 
 
-def along_axis_row_ranks(scores, tie_policy):
+def along_axis_row_ranks(scores):
     """Oracle: ``row_ranks`` as it gathered and scattered with
     ``take_along_axis`` and ``put_along_axis`` (before the flat indices)."""
     x = np.asarray(scores, dtype=np.float64)
     n, k = x.shape
-    average = tie_policy is TiePolicy.AVERAGE_RANK
-    order = np.argsort(x, axis=1, kind=None if average else "stable")
+    order = np.argsort(x, axis=1)
     sorted_ranks = np.broadcast_to(np.arange(1.0, k + 1.0), (n, k))
-    if average:
-        ordered = np.take_along_axis(x, order, axis=1)
-        differs = ordered[:, 1:] != ordered[:, :-1]
-        tied = ~differs.all(axis=1)
-        if tied.any():
-            sorted_ranks = sorted_ranks.copy()
-            sorted_ranks[tied] = _average_ranks(differs[tied])
+    ordered = np.take_along_axis(x, order, axis=1)
+    differs = ordered[:, 1:] != ordered[:, :-1]
+    tied = ~differs.all(axis=1)
+    if tied.any():
+        sorted_ranks = sorted_ranks.copy()
+        sorted_ranks[tied] = _average_ranks(differs[tied])
     ranks = np.empty((n, k))
     np.put_along_axis(ranks, order, sorted_ranks, axis=1)
     return ranks
@@ -410,9 +392,8 @@ def along_axis_row_ranks(scores, tie_policy):
 
 class TestRowRanksFlatIndices:
     @given(st.sampled_from(["continuous", "integer", "signed_zeros", "all_equal", "one_tie"]),
-           st.sampled_from([1, 2, 751]), st.integers(1, 6), st.integers(0, 2**32 - 1),
-           st.sampled_from(list(TiePolicy)))
+           st.sampled_from([1, 2, 751]), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_equals_the_along_axis_implementation_bit_for_bit(self, kind, k, n, seed, policy):
+    def test_equals_the_along_axis_implementation_bit_for_bit(self, kind, k, n, seed):
         x = score_rows(kind, n, k, seed)
-        assert np.array_equal(row_ranks(x, policy), along_axis_row_ranks(x, policy))
+        assert np.array_equal(row_ranks(x), along_axis_row_ranks(x))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mprl.errors import InvalidClass, InvalidDimension
 from mprl.gradcheck import _batch_values, finite_difference_gradient
 from mprl.labels import (
-    TiePolicy,
     ground_truth_label,
     lsro_label,
     mprl_alpha,
@@ -91,20 +90,20 @@ class TestLsroLoss:
 
 class TestMprlGeneratedLoss:
     def test_tie_case_equals_lsro_value(self):
-        alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.5, 0.5])
         out = mprl_generated_loss([0.0, 0.0], alpha)
         assert abs(out.value - LN2) < 1e-12
 
     def test_analytic_gradient_vanishes_at_matched_probs(self):
         # p = [1/3, 2/3] matches the normalized rank target exactly
-        alpha = mprl_alpha(softmax([0.0, LN2]), TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha(softmax([0.0, LN2]))
         np.testing.assert_array_equal(alpha, [1.0, 2.0])
         out = mprl_generated_loss([0.0, LN2], alpha)
         np.testing.assert_allclose(out.grad_logits, [0.0, 0.0], atol=1e-12)
 
     def test_diagonal_gradient_differs_from_derivative(self):
         # same point as above: the diagonal formula gives [-2/9, -2/9]
-        alpha = mprl_alpha(softmax([0.0, LN2]), TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha(softmax([0.0, LN2]))
         out = mprl_generated_loss([0.0, LN2], alpha, diagonal=True)
         np.testing.assert_allclose(out.grad_logits, [-2 / 9, -2 / 9], atol=1e-12)
 
@@ -112,7 +111,7 @@ class TestMprlGeneratedLoss:
         rng = np.random.default_rng(4)
         for k in [2, 5, 10, 751]:
             x = rng.normal(0, 3, size=k)
-            alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+            alpha = mprl_alpha(softmax(x))
             diag = mprl_generated_loss(x, alpha, diagonal=True)
             assert np.all(diag.grad_logits < 0.0)
             analytic = mprl_generated_loss(x, alpha)
@@ -123,13 +122,13 @@ class TestMprlGeneratedLoss:
         for k in [2, 10, 100]:
             for _ in range(30):
                 x = np.full(k, rng.uniform(-50.0, 50.0))
-                alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+                alpha = mprl_alpha(softmax(x))
                 assert abs(mprl_generated_loss(x, alpha).value - lsro_loss(x).value) < 1e-12
 
     def test_gen_weight_scales_linearly_and_doubling_is_exact(self):
         # the trade-off factor lives in the batch reduction alone
         x = np.array([[0.4, -1.2, 2.0]])
-        alpha = mprl_alpha(softmax(x[0]), TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha(softmax(x[0]))
         weights = mprl_rows(alpha)[None, :]
         lo = combined_loss(x, np.array([-1]), weights, 0.35)
         hi = combined_loss(x, np.array([-1]), weights, 0.70)
@@ -138,7 +137,7 @@ class TestMprlGeneratedLoss:
         assert lo.gen_loss == hi.gen_loss == mprl_generated_loss(x[0], alpha).value
 
     def test_dimension_mismatch(self):
-        alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.5, 0.5])
         with pytest.raises(InvalidDimension):
             mprl_generated_loss([0.0, 0.0, 0.0], alpha)
         with pytest.raises(InvalidDimension):
@@ -151,7 +150,7 @@ class TestShiftInvariance:
         for _ in range(40):
             x = rng.normal(0, 3, size=6)
             shift = rng.uniform(-50, 50)
-            alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+            alpha = mprl_alpha(softmax(x))
             for fn in (
                 lambda z: real_ce_loss(z, 2),
                 lsro_loss,
@@ -169,7 +168,7 @@ class TestFiniteDifferences:
             for _ in range(30):
                 x = rng.normal(0, 3, size=k)
                 c = int(rng.integers(k))
-                alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+                alpha = mprl_alpha(softmax(x))
                 cases = [
                     (real_ce_loss(x, c).grad_logits, lambda z: real_ce_loss(z, c).value),
                     (lsro_loss(x).grad_logits, lambda z: lsro_loss(z).value),
@@ -189,7 +188,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(k)
         x = rng.normal(0, 3, size=k)
         c = int(rng.integers(k))
-        alpha = mprl_alpha(softmax(x), TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha(softmax(x))
         cases = [
             (lambda z: real_ce_loss(z, c).value, _batch_values(c)),
             (lambda z: lsro_loss(z).value, _batch_values(-1, np.full(k, 1.0 / k))),
@@ -220,7 +219,7 @@ def kernel_case(k, seed, diagonal):
     x = rng.normal(0, 4, size=(4, k))
     c = int(rng.integers(k))
     x[3, c] = x[3].max() + 60.0
-    alpha = mprl_alpha(softmax(x[2]), TiePolicy.AVERAGE_RANK)
+    alpha = mprl_alpha(softmax(x[2]))
     weights = np.array([np.full(k, 1.0 / k), mprl_rows(alpha)])
     lsro = lsro_loss(x[1])
     if diagonal:
@@ -508,7 +507,7 @@ class TestCombinedLoss:
     def test_hand_composed_aggregate(self):
         # one real two-class sample at the decision boundary plus one
         # tied-rank generated sample: ln2 + 0.1 * ln2
-        alpha = mprl_alpha([0.5, 0.5], TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha([0.5, 0.5])
         items = [
             (np.array([0.0, 0.0]), ground_truth_label(2, 2), False),
             (np.array([0.0, 0.0]), rank_weight_normalizer(2) * mprl_label(alpha, 2), True),
@@ -521,7 +520,7 @@ class TestCombinedLoss:
     def test_gradients_route_back_per_sample(self):
         x_real = np.array([0.7, -0.1])
         x_gen = np.array([0.2, 0.9])
-        alpha = mprl_alpha(softmax(x_gen), TiePolicy.AVERAGE_RANK)
+        alpha = mprl_alpha(softmax(x_gen))
         items = [
             (x_real, ground_truth_label(1, 2), False),
             (x_gen, rank_weight_normalizer(2) * mprl_label(alpha, 2), True),

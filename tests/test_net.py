@@ -13,7 +13,6 @@ from mprl.labels import ground_truth_label
 from mprl.losses import combined_loss
 from mprl.net import (
     CHECKPOINT_MAGIC,
-    Activation,
     ModelParams,
     backward,
     embed,
@@ -30,8 +29,7 @@ from mprl.trainer import DropoutMasks
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     return (
-        a.activation == b.activation
-        and all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+        all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
         and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
     )
 
@@ -149,12 +147,11 @@ class TestForward:
 
 
 class TestEmbed:
-    @given(st.integers(0, 3), st.integers(1, 9), st.integers(0, 2**32 - 1),
-           st.sampled_from(list(Activation)))
+    @given(st.integers(0, 3), st.integers(1, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_equals_the_forward_embedding_bit_for_bit(self, n_hidden, n, seed, activation):
+    def test_equals_the_forward_embedding_bit_for_bit(self, n_hidden, n, seed):
         sizes = (5, *(7 - i for i in range(n_hidden)), 3)
-        params = init_params(sizes, seed=seed, activation=activation)
+        params = init_params(sizes, seed=seed)
         x = np.random.default_rng(seed).normal(size=(n, 5))
         _, _, want = forward(params, x)
         assert np.array_equal(embed(params, x), want)
@@ -187,10 +184,9 @@ class TestBackward:
         np.testing.assert_allclose(grads.weights[0], x.T @ residual, atol=1e-12)
         np.testing.assert_allclose(grads.biases[0], residual.sum(axis=0), atol=1e-12)
 
-    @pytest.mark.parametrize("activation", [Activation.RELU, Activation.TANH])
-    def test_finite_difference_agreement(self, activation):
+    def test_finite_difference_agreement(self):
         # squared-error head through a 2-hidden-layer net, < 500 params
-        params = init_params((4, 7, 5, 3), seed=11, activation=activation)
+        params = init_params((4, 7, 5, 3), seed=11)
         assert params.n_params < 500
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 4))
@@ -273,7 +269,6 @@ class TestEndToEndLossGradients:
     @pytest.mark.parametrize("scheme", ["ground_truth", "lsro", "mprl", "one_hot", "all_in_one"])
     def test_every_label_scheme_backprops_correctly(self, scheme):
         from mprl.labels import (
-            TiePolicy,
             all_in_one_label,
             lsro_label,
             mprl_alpha,
@@ -295,7 +290,7 @@ class TestEndToEndLossGradients:
             "ground_truth": (ground_truth_label(2, width), False),
             "lsro": (lsro_label(k), True),
             "mprl": (mprl_label(mprl_alpha(probe[:k] / probe[:k].sum() if width != k
-                                           else probe, TiePolicy.AVERAGE_RANK), k), True),
+                                           else probe), k), True),
             "one_hot": (one_hot_pseudo_label(probe), True),
             "all_in_one": (all_in_one_label(k), True),
         }
@@ -380,12 +375,12 @@ class TestSgdStep:
 
 
 class TestInPlaceArithmetic:
-    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(list(Activation)),
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1),
            st.sampled_from([(5, 7), (5, 6, 4), (16, 32, 16, 151)]))
     @settings(max_examples=60, deadline=None)
-    def test_forward_equals_matmul_plus_bias_bit_for_bit(self, n, seed, activation, sizes):
+    def test_forward_equals_matmul_plus_bias_bit_for_bit(self, n, seed, sizes):
         rng = np.random.default_rng(seed)
-        params = init_params(sizes, seed=seed, activation=activation)
+        params = init_params(sizes, seed=seed)
         for b in params.biases:
             b[:] = rng.normal(0.0, 1.0, size=b.size)
         x = rng.normal(0.0, 2.0, size=(n, sizes[0]))
@@ -394,7 +389,7 @@ class TestInPlaceArithmetic:
         for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
             z = a @ w + b
             assert np.array_equal(cache.pre_acts[i], z)
-            a = np.maximum(z, 0.0) if activation is Activation.RELU else np.tanh(z)
+            a = np.maximum(z, 0.0)
         assert np.array_equal(logits, a @ params.weights[-1] + params.biases[-1])
 
     @given(st.integers(0, 2**32 - 1), st.floats(1e-4, 1.0), st.sampled_from([0.0, 0.5, 0.9]),
@@ -434,11 +429,11 @@ class TestInPlaceArithmetic:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params = init_params((5, 9, 4, 3), seed=123, activation=Activation.TANH)
+        params = init_params((5, 9, 4, 3), seed=123)
         path = tmp_path / "model.ckpt"
         save_params(params, path)
+        assert path.read_bytes()[len(CHECKPOINT_MAGIC)] == 0  # the ReLU activation byte
         loaded = load_params(path)
-        assert loaded.activation is Activation.TANH
         assert loaded.layer_sizes == params.layer_sizes
         for a, b in zip(params.weights, loaded.weights):
             assert a.tobytes() == b.tobytes()
@@ -460,8 +455,8 @@ class TestCheckpoint:
             load_params(path)
 
 
-def _checkpoint_header(n_sizes: int) -> bytes:
-    return CHECKPOINT_MAGIC + struct.pack("<BI", 0, n_sizes)
+def _checkpoint_header(n_sizes: int, activation: int = 0) -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<BI", activation, n_sizes)
 
 
 # a (3, 4, 2) relu checkpoint is 8 + 5 + 12 header bytes, then 26 float64s
@@ -473,6 +468,8 @@ MALFORMED_CHECKPOINTS = {
     "one_layer_size": lambda good: _checkpoint_header(1) + struct.pack("<I", 3),
     "zero_layer_size": lambda good: _checkpoint_header(2) + struct.pack("<2I", 0, 2)
     + bytes(16),
+    # a whole checkpoint whose activation byte is 1, as a tanh net once wrote
+    "tanh_activation": lambda good: _checkpoint_header(3, activation=1) + good[13:],
 }
 
 

@@ -1,7 +1,11 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its spec example
+names every spec key."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from mprl.experiment import ExperimentSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +17,16 @@ def test_python_blocks_run_in_order_in_one_namespace():
     namespace = {}
     for number, block in enumerate(blocks, start=1):
         exec(compile(block, f"{README.name}, python block {number}", "exec"), namespace)
+
+
+def test_spec_example_and_its_defaults_name_exactly_the_spec_keys():
+    text = README.read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    example = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+    paragraph = re.search(r"^Keys the example leaves at their defaults:(.*?)\n\n",
+                          text, re.MULTILINE | re.DOTALL).group(1)
+    # each default key is written as `key` (default)
+    defaults = re.findall(r"`(\w+)`\s+\(", paragraph)
+    named = example + defaults
+    assert len(named) == len(set(named)), "a key is named twice"
+    assert set(named) == {f.name for f in fields(ExperimentSpec)}

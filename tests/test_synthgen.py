@@ -1,5 +1,7 @@
 """Synthetic dataset construction and serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mprl.synthgen import (
     Dataset,
     _place_class_means,
     convex_mix,
-    load_dataset,
     make_generated_dataset,
     make_real_dataset,
     save_dataset,
@@ -32,6 +33,18 @@ def assert_same_rows(a: Dataset, b: Dataset):
     np.testing.assert_array_equal(a.classes, b.classes)
     np.testing.assert_array_equal(a.generated, b.generated)
     assert a.features.tobytes() == b.features.tobytes()
+
+
+def read_dataset_text(path) -> Dataset:
+    """A dataset file's header and columns, read with plain ``int()`` and
+    ``float()`` per field (the package writes the format and has no reader)."""
+    header, *rows = (line.split() for line in Path(path).read_text().splitlines())
+    n_classes, dim, count = (int(v) for v in header)
+    assert len(rows) == count
+    return Dataset(np.array([int(r[0]) for r in rows]),
+                   np.array([[float(v) for v in r[4:]] for r in rows]).reshape(count, dim),
+                   np.array([int(r[3]) for r in rows]), np.array([r[1] for r in rows]),
+                   n_classes)
 
 
 def reference_generated(real: Dataset, m: int, mix_size: int, noise: float, seed):
@@ -277,27 +290,30 @@ class TestSerialization:
         ds = make_real_dataset(3, 6, 5, 0.7, seed=13)
         path = tmp_path / "real.txt"
         save_dataset(ds, path)
-        back = load_dataset(path)
+        back = read_dataset_text(path)
         assert_same_rows(ds, back)
         assert not back.generated.any()
+        assert {line.split()[2] for line in path.read_text().splitlines()[1:]} == {"real"}
 
     def test_round_trip_generated(self, tmp_path):
         real = make_real_dataset(3, 6, 5, 0.7, seed=13)
         gen = make_generated_dataset(real, 7, 2, 0.2, seed=3)
         path = tmp_path / "gen.txt"
         save_dataset(gen, path)
-        back = load_dataset(path)
+        back = read_dataset_text(path)
         assert_same_rows(gen, back)
         assert back.generated.all()
-        assert "generated" in path.read_text().splitlines()[1].split()
-        # provenance is diagnostics only and never serialized
-        assert back.source_ids is None and back.source_weights is None
+        lines = path.read_text().splitlines()
+        assert {line.split()[2] for line in lines[1:]} == {"generated"}
+        # provenance is diagnostics only and never serialized: a row holds
+        # its id, split, origin, class and features, nothing more
+        assert {len(line.split()) for line in lines[1:]} == {4 + gen.feature_dim}
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         ds = make_real_dataset(2, 4, 3, 0.4, seed=17)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         save_dataset(ds, p1)
-        save_dataset(load_dataset(p1), p2)
+        save_dataset(read_dataset_text(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seventeen_digit_floats_round_trip(self):

@@ -9,7 +9,7 @@ import pytest
 
 import mprl.trainer as trainer_module
 from mprl.errors import InvalidConfig, InvalidDimension, MprlError
-from mprl.labels import TiePolicy, mprl_rows
+from mprl.labels import mprl_rows
 from mprl.net import forward, init_params
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import (
@@ -218,7 +218,7 @@ class TestStaticLabels:
         # row carries the uniform mass
         k = real.n_classes
         flat = init_params((real.feature_dim, 5, k), seed=0, scale=0.0)
-        labels = assign_static_labels(flat, generated, TiePolicy.AVERAGE_RANK)
+        labels = assign_static_labels(flat, generated)
         for row in labels:
             np.testing.assert_allclose(row, np.full(k, 1 / k), atol=1e-15)
 
