@@ -313,8 +313,9 @@ def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
 
 
 def _keep_baseline(memo: RunMemo, params: ModelParams) -> None:
-    """Hold ``params``, read-only, as the memo's baseline model for the rest of its seed."""
-    _read_only(*params.weights, *params.biases)
+    """Hold ``params``, read-only, as the memo's baseline model for the rest
+    of its seed: its flat storage and every per-layer view of it."""
+    _read_only(params.flat, *params.weights, *params.biases)
     memo.baseline = params
 
 

@@ -28,6 +28,7 @@ Two gradient modes exist for the rank-weighted generated loss:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,29 +69,43 @@ def weighted_ce(logits, classes, weights=None, diagonal: bool = False
     and strictly positive, at margins where the log-sum-exp form cancels
     to zero.  Returns the values (B,) and the gradients (B, width).
     """
-    x = np.asarray(logits, dtype=np.float64)
-    rows, cls, dense = _label_rows(classes, x.shape)
-    w = _weight_rows(weights, x.shape[0] - rows.size, x.shape[1])
-    values, grads, dense_grads = _kernel(x, rows, cls, dense, w, diagonal)
-    if dense_grads is None:
-        return values, grads
-    if not rows.size:  # every row weighted
-        return values, dense_grads
-    grads[dense] = dense_grads
-    return values, grads
+    x, rows, cls, dense, w = _batch(logits, classes, weights)
+    v_rows, v_dense, grads, dense_grads = _kernel(x, x.max(1), rows, cls, dense, w, diagonal)
+    if dense_grads is not None:
+        grads[dense] = dense_grads
+    return _row_values(rows, v_rows, dense, v_dense), grads
 
 
 def weighted_ce_values(logits, classes, weights=None) -> np.ndarray:
     """The values (B,) of :func:`weighted_ce`, bit for bit, without its gradients."""
-    x = np.asarray(logits, dtype=np.float64)
+    x, rows, cls, dense, w = _batch(logits, classes, weights)
+    v_rows, v_dense = _kernel(x, x.max(1), rows, cls, dense, w, gradients=False)
+    return _row_values(rows, v_rows, dense, v_dense)
+
+
+def _batch(logits, classes, weights):
+    """The logits as float64, the one-hot rows and their classes, the
+    weighted rows and their weights (None when no row is weighted)."""
+    x = np.asarray(logits, dtype=np.float64, order="C")
     rows, cls, dense = _label_rows(classes, x.shape)
-    w = _weight_rows(weights, x.shape[0] - rows.size, x.shape[1])
-    z, e, total = _softmax_terms(x)
-    return _values(z, e, total, rows, cls, dense, w)
+    return x, rows, cls, dense, _weight_rows(weights, dense.size, x.shape[1])
+
+
+def _row_values(rows, v_rows, dense, v_dense) -> np.ndarray:
+    """The (B,) values from the one-hot rows' and the weighted rows' values."""
+    if not dense.size:
+        return v_rows
+    if not rows.size:
+        return v_dense
+    values = np.empty(rows.size + dense.size)
+    values[rows] = v_rows
+    values[dense] = v_dense
+    return values
 
 
 def _label_rows(classes, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one-hot rows' positions and classes, and the weighted-row (-1) mask."""
+    """The positions of the one-hot rows, their classes, and the positions
+    of the weighted (-1) rows."""
     n, width = shape
     c = np.asarray(classes)
     if c.shape != (n,) or (n and c.dtype.kind not in "iu"):
@@ -100,9 +115,8 @@ def _label_rows(classes, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         row = int(np.argmax((c < -1) | (c >= width)))
         raise InvalidClass(f"row {row}: class {c[row]} outside 0..{width - 1} "
                            "(or -1 for a weighted row)")
-    dense = c < 0
-    rows = np.flatnonzero(~dense)
-    return rows, c[rows], dense
+    rows = (c >= 0).nonzero()[0]
+    return rows, c[rows], (c < 0).nonzero()[0]
 
 
 def _weight_rows(weights, n_dense: int, width: int) -> np.ndarray | None:
@@ -118,56 +132,60 @@ def _weight_rows(weights, n_dense: int, width: int) -> np.ndarray | None:
     return w if n_dense else None
 
 
-def _softmax_terms(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z = logits - row max, exp(z) and the row sums t of exp(z), (B, 1)."""
-    z = logits - np.max(logits, axis=1, keepdims=True)
+def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
+    """The one cross-entropy kernel behind every loss here.
+
+    ``x`` is the C-contiguous (B, width) batch, so its buffers are too and
+    their rows are summed the same way whatever the caller's layout, and
+    ``top`` its (B,) row maxima;
+    ``rows`` and ``cls`` are the one-hot rows and their classes, ``dense``
+    the weighted rows and ``weights`` their weights, or None to leave
+    them unscored.  Returns the one-hot rows' values (None without
+    one-hot rows) and the weighted rows' values (None without weights);
+    with ``gradients`` also the (B, width) softmax buffer holding each
+    one-hot row's gradient, and the weighted rows' gradients (None
+    without weights).
+    """
+    width = x.shape[1]
+    z = x - top[:, None]
     e = np.exp(z)
-    return z, e, np.sum(e, axis=1, keepdims=True)
-
-
-def _values(z, e, total, rows, cls, dense, weights) -> np.ndarray:
-    """Row values from the softmax terms: ``rows`` one-hot at ``cls``, the
-    ``dense`` rows against ``weights``, and 0 for a dense row without
-    weights (None, as behind a closed gate)."""
+    total = e.sum(1)
     log_total = np.log(total)
-    if not rows.size:  # every row dense: no row subsets to copy
-        if weights is None:
-            return np.zeros(z.shape[0])
-        return np.sum(weights * (log_total - z), axis=1)
-    values = np.zeros(z.shape[0])
+    v_rows = v_dense = at_class = None
+    if rows.size:
+        at_class = rows * width + cls  # each one-hot row's class in the flat buffer
+        z_class = z.ravel()[at_class]
+        v_rows = log_total[rows] - z_class
+        at_top = z_class == 0.0
+        if at_top.any():
+            # the other classes of each such row, in order, as one contiguous
+            # (n, width - 1) block, so the pairwise sum adds them as it always has
+            top_rows = rows[at_top]
+            others = np.arange(width) != cls[at_top][:, None]
+            e_others = e.take(top_rows, 0)[others].reshape(top_rows.size, width - 1)
+            v_rows[at_top] = np.log1p(e_others.sum(1))
+
+    # every row weighted: the whole buffer is theirs, no subset to gather
+    every = at_class is None
     if weights is not None:
-        values[dense] = np.sum(weights * (log_total[dense] - z[dense]), axis=1)
-    z_class = z[rows, cls]
-    values[rows] = log_total[rows, 0] - z_class
-    top = z_class == 0.0
-    if top.any():
-        rows, cls = rows[top], cls[top]
-        # the other classes of each row, in order, as one contiguous
-        # (n, width - 1) block, so the pairwise sum adds them as it always has
-        others = np.ones((rows.size, z.shape[1]), dtype=bool)
-        others[np.arange(rows.size), cls] = False
-        values[rows] = np.log1p(np.sum(e[rows][others].reshape(rows.size, -1), axis=1))
-    return values
+        z_dense = z if every else z.take(dense, 0)
+        log_dense = log_total if every else log_total[dense]
+        v_dense = (weights * (log_dense[:, None] - z_dense)).sum(1)
+    if not gradients:
+        return v_rows, v_dense
 
-
-def _kernel(x, rows, cls, dense, weights, diagonal
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The values (B,), the (B, width) softmax buffer holding each one-hot
-    row's gradient, and the dense rows' gradients (G, width), None
-    without weights; a dense row's line of the buffer holds its softmax."""
-    z, e, total = _softmax_terms(x)
-    values = _values(z, e, total, rows, cls, dense, weights)
     # p = softmax, computed over e (spent once the values are in)
-    p = np.divide(e, total, out=e)
+    p = np.divide(e, total[:, None], out=e)
     dense_grads = None
     if weights is not None:
-        p_dense = p[dense] if rows.size else p
+        p_dense = p if every else p.take(dense, 0)
         if diagonal:
             dense_grads = -weights * (1.0 - p_dense)
         else:
-            dense_grads = np.sum(weights, axis=1, keepdims=True) * p_dense - weights
-    p[rows, cls] -= 1.0
-    return values, p, dense_grads
+            dense_grads = weights.sum(1)[:, None] * p_dense - weights
+    if not every:
+        p.ravel()[at_class] -= 1.0
+    return v_rows, v_dense, p, dense_grads
 
 
 def _one_row(x: np.ndarray, cls: int = -1, w: np.ndarray | None = None,
@@ -254,17 +272,20 @@ def combined_loss(logits, classes, gen_weights, gen_weight: float,
     meaning regardless of batch composition.  A class outside
     0..width-1 (other than -1) raises ``InvalidClass`` naming its row.
     """
-    x = np.asarray(logits, dtype=np.float64)
+    x = np.asarray(logits, dtype=np.float64, order="C")
     if x.ndim != 2 or x.size == 0:
         raise InvalidDimension("batch must contain at least one item")
     rows, cls, gen = _label_rows(classes, x.shape)
     n_real = rows.size
-    n_generated = x.shape[0] - n_real
+    n_generated = gen.size
     w = None if gen_weights is None else _weight_rows(gen_weights, n_generated, x.shape[1])
-    if not (_finite(x) and (w is None or _finite(w))):
+    top = x.max(1)
+    # a NaN or +inf shows in the row maxima, a -inf only in the minimum
+    if not (math.isfinite(top.max()) and math.isfinite(x.min())
+            and (w is None or math.isfinite(w.min()) and math.isfinite(w.max()))):
         raise InvalidDimension("logits and weights must be finite")
 
-    values, grads, gen_grads = _kernel(x, rows, cls, gen, w, diagonal)
+    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, gen, w, diagonal)
     # per-row scaling in place on the (B, width) buffer; the generated
     # rows it scales are overwritten below
     if n_real:
@@ -275,12 +296,7 @@ def combined_loss(logits, classes, gen_weights, gen_weight: float,
     elif n_generated:
         grads[gen] = 0.0
 
-    real_loss = float(np.sum(values[rows])) / n_real if n_real else 0.0
-    gen_loss = float(np.sum(values[gen])) / n_generated if w is not None else 0.0
+    real_loss = float(v_real.sum()) / n_real if n_real else 0.0
+    gen_loss = float(v_gen.sum()) / n_generated if w is not None else 0.0
     value = real_loss + gen_weight * gen_loss
     return CombinedLoss(value, real_loss, gen_loss, n_real, n_generated, grads)
-
-
-def _finite(a: np.ndarray) -> bool:
-    """Every entry finite; NaN propagates through min and max."""
-    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))

@@ -5,10 +5,19 @@ activation of the last hidden layer is the retrieval embedding; one
 inverted-scaling dropout mask, handed in by the caller, sits between it
 and the logits head, so evaluation needs no rescale.  Everything is
 float64 and deterministic given explicit seeds and masks.
+
+Parameters live in one flat float64 vector per model, in checkpoint
+order: each layer's row-major weight matrix, then its bias vector,
+layer by layer.  The per-layer ``weights`` and ``biases`` of
+:class:`ModelParams` are views of that vector, and so are those of the
+gradients :func:`backward` fills and of the momentum velocity, so
+:func:`sgd_step` updates every layer with one pass over flat vectors and
+a checkpoint is a header followed by the vector's bytes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,18 +31,62 @@ CHECKPOINT_MAGIC = b"MPNET001"
 _RELU_CODE = 0
 
 
-@dataclass
-class ModelParams:
-    """Weight matrices (fan_in x fan_out) and bias vectors per layer."""
+class _FlatLayers:
+    """Per-layer weight matrices and bias vectors, all of them views of one
+    flat float64 vector, ``flat``, which is their only storage.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The flat order is the checkpoint's: each layer's row-major weights,
+    then its biases, layer by layer.  ``layout`` holds (start, mid, stop,
+    weight shape) per layer: its weights fill ``flat[start:mid]`` and its
+    biases ``flat[mid:stop]``.  Built from per-layer arrays, the values
+    are copied into a fresh flat vector.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
+    def __init__(self, weights, biases):
+        if len(weights) != len(biases) or not len(weights):
             raise InvalidDimension("need one bias vector per weight matrix")
+        if any(np.ndim(b) != 1 for b in biases):
+            raise InvalidDimension("every bias must be a vector")
+        flat = np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer],
+                              dtype=np.float64)
+        self._view(flat, _layout((np.shape(w), np.size(b)) for w, b in zip(weights, biases)))
+
+    @classmethod
+    def of(cls, flat: np.ndarray, layout):
+        """An instance over ``flat`` itself (no copy), laid out by ``layout``."""
+        self = object.__new__(cls)
+        self._view(flat, layout)
+        return self
+
+    def _view(self, flat, layout) -> None:
+        self.flat = flat
+        self.layout = layout
+        self.weights = []
+        self.biases = []
+        for start, mid, stop, shape in layout:
+            self.weights.append(flat[start:mid].reshape(shape))
+            self.biases.append(flat[mid:stop])
+
+
+def _layout(layers) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """The layout of layers given as (weight shape, bias size), back to back."""
+    layout = []
+    stop = 0
+    for shape, n_biases in layers:
+        start, mid = stop, stop + math.prod(shape)
+        stop = mid + n_biases
+        layout.append((start, mid, stop, tuple(shape)))
+    return tuple(layout)
+
+
+class ModelParams(_FlatLayers):
+    """Weight matrices (fan_in x fan_out) and bias vectors per layer, as
+    views of one flat vector (see :class:`_FlatLayers`)."""
+
+    def __init__(self, weights, biases):
+        super().__init__(weights, biases)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.size:
+            if w.ndim != 2 or w.shape[1] != b.size:
                 raise InvalidDimension(f"layer {i}: weight {w.shape} and bias {b.shape} disagree")
             if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise InvalidDimension(
@@ -43,7 +96,7 @@ class ModelParams:
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
+        return (self.weights[0].shape[0], *(b.size for b in self.biases))
 
     @property
     def embedding_dim(self) -> int:
@@ -52,21 +105,18 @@ class ModelParams:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
 
-@dataclass
-class ParamGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class ParamGrads(_FlatLayers):
+    """Gradients (or any per-parameter values) in the params' flat layout."""
 
 
 @dataclass
 class OptimizerState:
-    """Velocity buffers for classical momentum SGD."""
+    """Classical momentum SGD: the velocity, in the params' flat layout."""
 
-    velocity_w: list[np.ndarray]
-    velocity_b: list[np.ndarray]
+    velocity: ParamGrads
     learning_rate: float
     momentum: float
 
@@ -142,9 +192,9 @@ def embed(params: ModelParams, features) -> np.ndarray:
 def _batch(params: ModelParams, features) -> np.ndarray:
     """``features`` as a float64 (n, d) batch of the network's input width."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise InvalidDimension(
-            f"features have shape {x.shape}, network expects (n, {params.layer_sizes[0]})"
+            f"features have shape {x.shape}, network expects (n, {params.weights[0].shape[0]})"
         )
     return x
 
@@ -180,24 +230,23 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrad
             f"grad_logits shape {g.shape} does not match logits {cache.logits.shape}"
         )
 
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
-
-    grad_w[-1] = cache.dropped_embedding.T @ g
-    grad_b[-1] = g.sum(axis=0)
+    grads = ParamGrads.of(np.empty(params.flat.size), params.layout)
+    grad_w, grad_b = grads.weights, grads.biases
+    np.matmul(cache.dropped_embedding.T, g, out=grad_w[-1])
+    g.sum(0, out=grad_b[-1])
     delta = g @ params.weights[-1].T
     if cache.dropout_mask is not None:
-        delta = delta * cache.dropout_mask
+        delta *= cache.dropout_mask
 
     for i in range(len(params.weights) - 2, -1, -1):
-        delta = delta * (cache.pre_acts[i] > 0.0).astype(np.float64)
+        delta *= cache.pre_acts[i] > 0.0
         prev = cache.inputs if i == 0 else cache.hidden_acts[i - 1]
-        grad_w[i] = prev.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(prev.T, delta, out=grad_w[i])
+        delta.sum(0, out=grad_b[i])
         if i > 0:
             delta = delta @ params.weights[i].T
 
-    return ParamGrads(grad_w, grad_b)
+    return grads
 
 
 def init_optimizer(params: ModelParams, learning_rate: float, momentum: float) -> OptimizerState:
@@ -205,50 +254,39 @@ def init_optimizer(params: ModelParams, learning_rate: float, momentum: float) -
         raise InvalidConfig("learning_rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise InvalidConfig("momentum must be in [0, 1)")
-    return OptimizerState(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        learning_rate,
-        momentum,
-    )
+    return OptimizerState(ParamGrads.of(np.zeros(params.flat.size), params.layout),
+                          learning_rate, momentum)
 
 
 def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> ModelParams:
     """Classical momentum update: v <- m*v - lr*g; w <- w + v.
 
-    The velocity buffers of ``state`` are updated in place (``v *= m``,
-    then ``v -= lr*g``: the same float operations, in the same order).
-    The given params are never written to: the result is a fresh
-    ModelParams with fresh arrays, so stale forward caches are detectable
-    and anyone holding the old params keeps their values.
+    The velocity of ``state`` is updated in place (``v *= m``, then
+    ``v -= lr*g``), all layers at once on the flat vectors: every entry
+    gets the same float operations, in the same order, as layer by layer.
+    Neither the given params nor the grads are written to: the result is
+    a fresh ModelParams over a fresh flat vector, so stale forward caches
+    are detectable and anyone holding the old params keeps their values.
     """
-    if len(grads.weights) != len(params.weights):
-        raise InvalidDimension("gradient layer count differs from params")
-    new_w = []
-    new_b = []
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if grads.weights[i].shape != w.shape or grads.biases[i].shape != b.shape:
-            raise InvalidDimension(f"layer {i}: gradient shape mismatch")
-        for v, g in ((state.velocity_w[i], grads.weights[i]),
-                     (state.velocity_b[i], grads.biases[i])):
-            v *= state.momentum
-            v -= state.learning_rate * g
-        new_w.append(w + state.velocity_w[i])
-        new_b.append(b + state.velocity_b[i])
-    return ModelParams(new_w, new_b)
+    if not grads.layout == params.layout == state.velocity.layout:
+        raise InvalidDimension(f"gradient layers {grads.layout} and velocity layers "
+                               f"{state.velocity.layout} must match the params' {params.layout}")
+    v = state.velocity.flat
+    v *= state.momentum
+    v -= state.learning_rate * grads.flat
+    return ModelParams.of(params.flat + v, params.layout)
 
 
 def save_params(params: ModelParams, path) -> None:
     """Write a checkpoint: magic, activation byte (always 0, ReLU), layer
-    sizes, then row-major float64 little-endian weights and biases per layer."""
+    sizes, then the flat vector as float64 little-endian, which is each
+    layer's row-major weights and then its biases, layer by layer."""
     sizes = params.layer_sizes
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<BI", _RELU_CODE, len(sizes))
     blob += struct.pack(f"<{len(sizes)}I", *sizes)
-    for w, b in zip(params.weights, params.biases):
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    blob += params.flat.astype("<f8", copy=False).tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
@@ -278,17 +316,8 @@ def load_params(path) -> ModelParams:
     n_values = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) < offset + 8 * n_values:
         raise InvalidState(f"{path}: checkpoint ends inside its weights")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        n = fan_in * fan_out
-        weights.append(
-            np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-            .reshape(fan_in, fan_out).copy()
-        )
-        offset += n * 8
-        biases.append(np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset).copy())
-        offset += fan_out * 8
-    if offset != len(blob):
-        raise InvalidState(f"{path}: {len(blob) - offset} trailing bytes")
-    return ModelParams(weights, biases)
+    if len(blob) != offset + 8 * n_values:
+        raise InvalidState(f"{path}: {len(blob) - offset - 8 * n_values} trailing bytes")
+    flat = np.frombuffer(blob, dtype="<f8", count=n_values, offset=offset).copy()
+    return ModelParams.of(flat, _layout(((fan_in, fan_out), fan_out)
+                                        for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))

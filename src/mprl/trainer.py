@@ -247,15 +247,14 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
     positions in the generated set, and returns one weight row (mass 1)
     per generated row.
     """
-    if cfg.strategy is Strategy.ALL_IN_ONE:
-        row = all_in_one_label(n_classes)
-        return lambda logits, positions: np.broadcast_to(row, logits.shape)
-    if cfg.strategy is Strategy.LSRO:
-        row = lsro_label(n_classes)
-        return lambda logits, positions: np.broadcast_to(row, logits.shape)
+    if cfg.strategy in (Strategy.ALL_IN_ONE, Strategy.LSRO):
+        row = (all_in_one_label if cfg.strategy is Strategy.ALL_IN_ONE else lsro_label)(n_classes)
+        # one read-only block of a whole batch's rows, sliced to each batch
+        rows = np.broadcast_to(row, (cfg.batch_size, row.size))
+        return lambda logits, positions: rows[:len(logits)]
     if cfg.strategy is Strategy.ONE_HOT_PSEUDO:
         eye = np.eye(n_classes)
-        return lambda logits, positions: eye[np.argmax(logits, axis=1)]
+        return lambda logits, positions: eye[logits.argmax(1)]
     if cfg.strategy is Strategy.SMPRL:
         return lambda logits, positions: static_labels[positions]
     return lambda logits, positions: mprl_rows(row_ranks(logits))
@@ -336,24 +335,30 @@ def train(
         opt.learning_rate = lr
         gate = epoch >= cfg.warmup_epoch if cfg.strategy is Strategy.DMPRL2 else True
         order = epoch_shuffle_order(cfg.seed, epoch, len(pool_feats))
+        # the epoch's classes in visit order; each batch reads its slice
+        epoch_class = pool_class[order]
+        epoch_gen = epoch_class < 0
+        starts = range(0, len(order), cfg.batch_size)
+        gen_counts = np.add.reduceat(epoch_gen, starts).tolist()
 
         real_sum = real_count = 0.0
         gen_sum = gen_count = 0.0
         gen_grad_norm = 0.0
-        n_batches = math.ceil(len(order) / cfg.batch_size)
         try:
-            for batch_idx in range(n_batches):
-                batch = order[batch_idx * cfg.batch_size:(batch_idx + 1) * cfg.batch_size]
+            for batch_idx, start in enumerate(starts):
+                stop = start + cfg.batch_size
+                batch = order[start:stop]
                 mask = masks.keep(cfg.seed, epoch, batch_idx, (len(batch), embedding_dim),
                                   cfg.dropout_rate) if cfg.dropout_rate else None
-                logits, cache, _ = forward(params, pool_feats[batch], mask)
-                classes = pool_class[batch]
-                gen = classes < 0
+                logits, cache, _ = forward(params, pool_feats.take(batch, 0), mask)
+                classes = epoch_class[start:stop]
+                gen = epoch_gen[start:stop]
+                n_gen = gen_counts[batch_idx]
                 gen_weights = None  # the generated rows go unscored behind a closed gate
-                if gate and gen.any():
+                if gate and n_gen:
                     if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
                         # the untrained model offers no ranking signal yet
-                        ranks = [first_iter_rng.permutation(n_classes) for _ in range(gen.sum())]
+                        ranks = [first_iter_rng.permutation(n_classes) for _ in range(n_gen)]
                         gen_weights = mprl_rows(np.stack(ranks) + 1.0)
                     else:
                         gen_weights = generated_rule(logits[gen], batch[gen] - n_real)
@@ -367,8 +372,10 @@ def train(
                 real_count += out.n_real
                 gen_sum += out.gen_loss * out.n_generated
                 gen_count += out.n_generated
-                if out.n_generated:
-                    gen_grad_norm += float(np.linalg.norm(out.grad_logits[gen]))
+                if n_gen:
+                    # the 2-norm of the generated rows, as np.linalg.norm computes it
+                    gen_grads = out.grad_logits[gen].ravel()
+                    gen_grad_norm += math.sqrt(gen_grads.dot(gen_grads))
         except MprlError as exc:
             raise type(exc)(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
 

@@ -10,7 +10,9 @@ features passed by keyword, say) fails here and not only under
 ``perfbench/run.py --trace 1``.
 """
 
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,8 +63,8 @@ def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
     assert len(results) == 2 and report.passed
     names = {name for name, _, _, _ in tracer.spans}
     assert names <= tracing.span_names()
-    assert {"trainer.train", "net.forward", "net.backward", "losses.combined_loss",
-            "trainer.assign_static_labels", "retrieval.evaluate",
+    assert {"trainer.train", "net.forward", "net.backward", "net.sgd_step",
+            "losses.combined_loss", "trainer.assign_static_labels", "retrieval.evaluate",
             "gradcheck.finite_difference_gradient", "labels.mprl_alpha"} <= names
     assert all(end >= start for _, _, start, end in tracer.spans)
     # rows per cell and epoch: the training pool in mini-batches, then the
@@ -73,3 +75,11 @@ def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
     assert tracer.counts["losses.combined_loss.rows"] == spec.epochs * sum(pools)
     assert tracer.counts["net.forward.rows"] == (
         spec.epochs * sum(pool + real_train for pool in pools) + spec.counts[0])
+    # each training batch goes through the four traced names exactly once, so
+    # a fused step that bypassed one would show here, not as a zeroed metric;
+    # forward also runs once per epoch (accuracy) and once for smprl's labels
+    batches = spec.epochs * sum(math.ceil(pool / spec.batch_size) for pool in pools)
+    calls = Counter(name for name, _, _, _ in tracer.spans)
+    assert [calls[name] for name in ("losses.combined_loss", "net.backward", "net.sgd_step")
+            ] == [batches] * 3
+    assert calls["net.forward"] == batches + spec.epochs * len(pools) + 1

@@ -292,6 +292,24 @@ class TestRunMemo:
                 real.features[0, 0] = 0.0
         assert any(generated is not None for _, generated, _ in seen)
 
+    def test_the_baseline_model_is_read_only_through_every_handle(self, tmp_path,
+                                                                 monkeypatch):
+        # views of a read-only flat vector could still be written: all are frozen
+        baselines = []
+        original = experiment.assign_static_labels
+
+        def capturing(pretrained, generated):
+            baselines.append(pretrained)
+            return original(pretrained, generated)
+
+        monkeypatch.setattr(experiment, "assign_static_labels", capturing)
+        run_experiment(parse_spec_text(self.SPEC), out_dir=tmp_path)
+        assert baselines
+        for params in baselines:
+            for handle in (params.flat, *params.weights, *params.biases):
+                with pytest.raises(ValueError):
+                    handle[0] = 0.0
+
     def test_smprl_before_baseline_pretrains_once_per_seed(self, tmp_path, monkeypatch):
         # the pretrained model and the baseline cell's are the same bits
         run_experiment(parse_spec_text(self.SPEC.replace("counts         = 0, 6",

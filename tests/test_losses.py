@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprl.errors import InvalidClass, InvalidDimension
@@ -390,16 +390,26 @@ class TestClassForm:
 
     @given(st.sampled_from([1, 2, 8, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.4, 1.0]), st.booleans(), st.booleans(), st.booleans(),
-           st.sampled_from([0.0, 2.0, 1e3]))
+           st.sampled_from([0.0, 2.0, 1e3]), st.sampled_from([1 / 3, 1.0]), st.booleans())
+    # an all-real batch, an all-generated one, and one whose real rows all
+    # hold the top logit (every real value through log1p)
+    @example(k=8, n=12, seed=5, gen_share=0.0, gate=True, diagonal=False, broadcast=False,
+             margin=2.0, top_share=1 / 3, fortran=False)
+    @example(k=751, n=9, seed=6, gen_share=1.0, gate=True, diagonal=False, broadcast=False,
+             margin=0.0, top_share=1 / 3, fortran=False)
+    @example(k=8, n=12, seed=7, gen_share=0.4, gate=True, diagonal=True, broadcast=True,
+             margin=1e3, top_share=1.0, fortran=True)
+    @example(k=751, n=7, seed=8, gen_share=0.0, gate=True, diagonal=False, broadcast=False,
+             margin=0.0, top_share=1.0, fortran=False)
     @settings(max_examples=150, deadline=None)
     def test_combined_loss_equals_the_dense_weight_version_bit_for_bit(
-            self, k, n, seed, gen_share, gate, diagonal, broadcast, margin):
+            self, k, n, seed, gen_share, gate, diagonal, broadcast, margin, top_share, fortran):
         rng = np.random.default_rng(seed)
         x = rng.normal(0.0, 3.0, size=(n, k))
         gen = rng.random(n) < gen_share
         classes = np.where(gen, -1, rng.integers(k, size=n))
-        for i in np.flatnonzero(~gen):  # about a third of the real rows at the top logit
-            if rng.random() < 1 / 3:
+        for i in np.flatnonzero(~gen):  # this share of the real rows at the top logit
+            if rng.random() < top_share:
                 x[i, classes[i]] = x[i].max() + margin
         if broadcast:  # as the trainer passes LSRO rows
             gen_weights = np.broadcast_to(lsro_label(k), (int(gen.sum()), k))
@@ -409,7 +419,9 @@ class TestClassForm:
         dense[np.flatnonzero(~gen), classes[~gen]] = 1.0
         if gate:
             dense[gen] = gen_weights
-        out = combined_loss(x, classes, gen_weights if gate else None, 0.35, diagonal)
+        # logits in either memory layout score the same
+        logits = np.asfortranarray(x) if fortran else x
+        out = combined_loss(logits, classes, gen_weights if gate else None, 0.35, diagonal)
         value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, 0.35, diagonal,
                                                                 gate)
         assert np.array_equal(out.grad_logits, grads)

@@ -1,5 +1,6 @@
 """MLP forward/backward/optimizer: shape contracts, oracles, checkpoints."""
 
+import hashlib
 import re
 import struct
 
@@ -261,8 +262,10 @@ class TestBackward:
         opt = init_optimizer(params, 0.1, 0.0)
         grads = backward(params, cache, np.ones_like(logits))
         updated = sgd_step(params, grads, opt)
-        with pytest.raises(InvalidState):
-            backward(updated, cache, np.ones_like(logits))
+        # a cache belongs to its params object, not to the storage it views
+        for other in (updated, ModelParams.of(params.flat, params.layout)):
+            with pytest.raises(InvalidState):
+                backward(other, cache, np.ones_like(logits))
 
 
 class TestEndToEndLossGradients:
@@ -393,11 +396,14 @@ class TestInPlaceArithmetic:
         assert np.array_equal(logits, a @ params.weights[-1] + params.biases[-1])
 
     @given(st.integers(0, 2**32 - 1), st.floats(1e-4, 1.0), st.sampled_from([0.0, 0.5, 0.9]),
-           st.integers(1, 4))
+           st.integers(1, 4), st.lists(st.integers(1, 7), min_size=2, max_size=5))
     @settings(max_examples=60, deadline=None)
-    def test_sgd_step_equals_the_fresh_array_update_bit_for_bit(self, seed, lr, momentum, steps):
+    def test_sgd_step_equals_the_fresh_array_update_bit_for_bit(self, seed, lr, momentum, steps,
+                                                                sizes):
+        # per-layer reference over random layer shapes, a one-layer net included
         rng = np.random.default_rng(seed)
-        params = init_params((6, 5, 4), seed=seed)
+        params = init_params(sizes, seed=seed)
+        n_layers = len(sizes) - 1
         opt = init_optimizer(params, lr, momentum)
         velocity = [np.zeros_like(w) for w in params.weights + params.biases]
         for _ in range(steps):
@@ -406,25 +412,87 @@ class TestInPlaceArithmetic:
             for i, (w, gi) in enumerate(zip(params.weights + params.biases, g)):
                 velocity[i] = momentum * velocity[i] - lr * gi
                 want.append(w + velocity[i])
-            params = sgd_step(params, ParamGrads(g[:2], g[2:]), opt)
+            params = sgd_step(params, ParamGrads(g[:n_layers], g[n_layers:]), opt)
             for got, expected in zip(params.weights + params.biases, want):
                 assert np.array_equal(got, expected)
-            for got, expected in zip(opt.velocity_w + opt.velocity_b, velocity):
+            for got, expected in zip(opt.velocity.weights + opt.velocity.biases, velocity):
                 assert np.array_equal(got, expected)
 
     def test_sgd_step_leaves_the_given_params_untouched(self):
+        # neither the params nor the grads given to it are written
         params = init_params((6, 5, 4), seed=3)
         before = [a.copy() for a in params.weights + params.biases]
         opt = init_optimizer(params, 0.1, 0.9)
         grads = ParamGrads([np.ones_like(w) for w in params.weights],
                            [np.ones_like(b) for b in params.biases])
+        grads_before = grads.flat.copy()
         updated = sgd_step(params, grads, opt)
         updated = sgd_step(updated, grads, opt)
         for old, kept in zip(before, params.weights + params.biases):
             assert np.array_equal(old, kept)
-        fresh = updated.weights + updated.biases
-        assert not any(np.shares_memory(a, b) for a in fresh
-                       for b in params.weights + params.biases + opt.velocity_w + opt.velocity_b)
+        assert np.array_equal(grads.flat, grads_before)
+        held = (params.flat, grads.flat, opt.velocity.flat)
+        fresh = [updated.flat, *updated.weights, *updated.biases]
+        assert not any(np.shares_memory(a, b) for a in fresh for b in held)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.booleans(),
+           st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_backward_equals_the_per_layer_reference_bit_for_bit(self, seed, n, dropout, sizes):
+        rng = np.random.default_rng(seed)
+        params = init_params(sizes, seed=seed)
+        x = rng.normal(0.0, 2.0, size=(n, sizes[0]))
+        mask = DropoutMasks().keep(seed, 1, 0, (n, sizes[-2]), 0.5) if dropout else None
+        logits, cache, _ = forward(params, x, mask)
+        g = rng.normal(0.0, 1.0, size=logits.shape)
+        grads = backward(params, cache, g)
+        # the reference: every layer's gradients as fresh arrays
+        want_w = [cache.dropped_embedding.T @ g]
+        want_b = [g.sum(axis=0)]
+        delta = g @ params.weights[-1].T
+        if mask is not None:
+            delta = delta * mask
+        for i in range(len(params.weights) - 2, -1, -1):
+            delta = delta * (cache.pre_acts[i] > 0.0).astype(np.float64)
+            prev = x if i == 0 else cache.hidden_acts[i - 1]
+            want_w.insert(0, prev.T @ delta)
+            want_b.insert(0, delta.sum(axis=0))
+            delta = delta @ params.weights[i].T
+        for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert grads.layout == params.layout
+        assert not np.shares_memory(grads.flat, params.flat)
+
+
+class TestFlatLayout:
+    def test_params_built_from_per_layer_lists_copy_into_one_flat_vector(self):
+        rng = np.random.default_rng(4)
+        weights = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
+        biases = [rng.normal(size=4), rng.normal(size=2)]
+        params = ModelParams(weights, biases)
+        # each layer's row-major weights, then its biases: the checkpoint order
+        want = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
+        assert np.array_equal(params.flat, want) and params.flat.dtype == np.float64
+        assert params.n_params == want.size == 3 * 4 + 4 + 4 * 2 + 2
+        assert params.layer_sizes == (3, 4, 2) and params.embedding_dim == 4
+        for view in params.weights + params.biases:
+            assert np.shares_memory(view, params.flat)
+        assert not any(np.shares_memory(a, params.flat) for a in weights + biases)
+        params.biases[1][0] = 7.0  # a write through a view is a write to the vector
+        assert params.flat[-2] == 7.0
+        weights[0][0, 0] = 99.0  # the given arrays are copies
+        assert params.weights[0][0, 0] == want[0]
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.zeros((3, 4))], [np.zeros(3)]),
+        ([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)]),
+        ([np.zeros(4)], [np.zeros(4)]),
+        ([np.zeros((3, 4))], []),
+        ([], []),
+    ])
+    def test_params_reject_layers_that_do_not_chain(self, weights, biases):
+        with pytest.raises(InvalidDimension):
+            ModelParams(weights, biases)
 
 
 class TestCheckpoint:
@@ -447,6 +515,21 @@ class TestCheckpoint:
         save_params(params, p1)
         save_params(load_params(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        # the bytes the per-layer writer produced, before the flat vector
+        params = init_params((5, 9, 4, 3), seed=123)
+        for b in params.biases:
+            b[:] = np.random.default_rng(7).normal(size=b.size)
+        path = tmp_path / "model.ckpt"
+        save_params(params, path)
+        blob = path.read_bytes()
+        assert len(blob) == 901
+        assert hashlib.sha256(blob).hexdigest() == (
+            "25fad37ae692c91d6007fb55266541a87913d4fb63eae02305fad4d04929f12b")
+        loaded = load_params(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert loaded.layout == params.layout
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
