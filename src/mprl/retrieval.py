@@ -2,16 +2,16 @@
 
 Distances are exact brute force, computed over blocks of query rows
 (the blocked exact search of Johnson, Douze and Jegou, arXiv 1702.08734).
-A block's distances are a sum of per-coordinate (rows, n_g) planes
-``(q[:, k, None] - g.T[k])**2``, added in the order numpy's pairwise
-sum adds a length-d axis: one by one below 8 terms, eight strided
-partial sums combined as a balanced tree up to 128, and two recursive
-halves above.  Every distance is therefore the same
-``sum(diff * diff)`` the one-shot (n_q, n_g, d) broadcast gives, bit
-for bit, while the work is whole-plane elementwise passes.  A block's
-scratch planes, numpy's ufunc buffers included, hold at most
-``BLOCK_BYTES`` (one query row when a row alone is larger), so memory
-beyond the (n_q, n_g) result is bounded whatever the number of queries.
+A block accumulates one per-coordinate (rows, n_g) plane
+``(q[:, k, None] - g.T[k])**2`` at a time into its zero-initialised
+slice of the result, so every distance is its d squared differences
+added left to right from 0: bit-equal to a pure-Python ``sum`` at every
+d, while the work is whole-plane elementwise passes.  A block's result
+slice and scratch plane, numpy's ufunc buffers included, hold at most
+``BLOCK_BYTES`` (one query row when a row alone is larger): each pass
+stays in cache, and memory beyond the (n_q, n_g) result is bounded
+whatever the number of queries.  A distance beyond the float64 range
+is ``inf``, which ``evaluate`` rejects.
 
 Per query, gallery items rank by ascending distance with ties broken by
 gallery index.  The ranking is counted, not sorted out: a relevant
@@ -35,9 +35,10 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidState, ProtocolViolation
 
-# byte budget of one query block's scratch planes, numpy's buffers included
-# (at least one row of planes)
-BLOCK_BYTES = 2 * 1024 * 1024
+# byte budget of one query block's pass: its output slice and scratch plane,
+# numpy's buffers included (at least one row); a block that outgrows the
+# cache slows every pass over it
+BLOCK_BYTES = 1024 * 1024
 # numpy buffers a broadcast operand when a plane row is short (under a third
 # of its buffer size): at most one buffer for each operand of a ufunc
 _UFUNC_BUFFER_BYTES = 3 * 8 * np.getbufsize()
@@ -89,86 +90,31 @@ class EvalReport:
             raise ProtocolViolation("CMC must not exceed 1")
 
 
-def _scratch_planes(n: int) -> int:
-    """Scratch planes ``_pairwise`` needs for n terms, besides its output."""
-    if n < 8:
-        return int(n > 1)
-    if n <= 128:
-        # three finished partial sums of the 8-way tree, plus a chain's term
-        return 3 + (n >= 16)
-    n2 = n // 2 - n // 2 % 8
-    return max(_scratch_planes(n2), 1 + _scratch_planes(n - n2))
-
-
-def _square_diff(a, bt, k, dest):
-    np.subtract(a[:, k, None], bt[k], out=dest)
-    np.multiply(dest, dest, out=dest)
-
-
-def _chain(a, bt, ks, dest, spare):
-    """dest = the planes of ``ks`` added one by one, left to right."""
-    _square_diff(a, bt, ks[0], dest)
-    for k in ks[1:]:
-        _square_diff(a, bt, k, spare[0])
-        dest += spare[0]
-
-
-def _tree(a, bt, groups, dest, spare):
-    """dest = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), r_j the
-    chain of ``groups[j]``."""
-    if len(groups) == 1:
-        _chain(a, bt, groups[0], dest, spare)
-        return
-    half = len(groups) // 2
-    _tree(a, bt, groups[:half], dest, spare)
-    _tree(a, bt, groups[half:], spare[0], spare[1:])
-    dest += spare[0]
-
-
-def _pairwise(a, bt, ks, dest, spare):
-    """dest = the sum over k in ``ks`` of (a[:, k, None] - bt[k])**2, added
-    in the order numpy's pairwise sum adds an axis of len(ks) terms."""
-    n = len(ks)
-    if n < 8:
-        _chain(a, bt, ks, dest, spare)
-    elif n <= 128:
-        # eight strided partial sums over the largest multiple of 8, then
-        # the rest one by one
-        m = n - n % 8
-        _tree(a, bt, [ks[j:m:8] for j in range(8)], dest, spare)
-        for k in ks[m:]:
-            _square_diff(a, bt, k, spare[0])
-            dest += spare[0]
-    else:
-        n2 = n // 2 - n // 2 % 8
-        _pairwise(a, bt, ks[:n2], dest, spare)
-        _pairwise(a, bt, ks[n2:], spare[0], spare[1:])
-        dest += spare[0]
-
-
 def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D[i][j] = squared Euclidean distance between rows a[i] and b[j].
 
-    Exact and bit-equal to ``np.sum(diff * diff, axis=-1)`` over the full
-    (n_a, n_b, d) broadcast, which is never built.  A block of rows of
-    ``a`` writes its (rows, n_b) result slice as a sum of per-coordinate
-    planes ``(a[:, k, None] - b.T[k])**2``, added in numpy's pairwise
-    order.  A block's scratch planes and numpy's ufunc buffers hold at
-    most ``BLOCK_BYTES`` together; a block is one row when that row's
-    planes alone are larger.
+    Exact: each distance is ``sum_k (a[i, k] - b[j, k])**2`` added left to
+    right from 0, the order of a pure-Python ``sum``.  A block of rows of
+    ``a`` accumulates one plane ``(a[:, k, None] - b.T[k])**2`` per
+    coordinate into its (rows, n_b) slice of the result.  The slice, the
+    plane and numpy's ufunc buffers hold at most ``BLOCK_BYTES`` together;
+    a block is one row when that row alone is larger.  A distance beyond
+    the float64 range is ``inf``, without a warning.
     """
-    n, d = a.shape
-    if d == 0:
-        return np.zeros((n, b.shape[0]))
-    out = np.empty((n, b.shape[0]))
+    n, n_b = a.shape[0], b.shape[0]
+    out = np.zeros((n, n_b))
     bt = np.ascontiguousarray(b.T)
-    planes = _scratch_planes(d)
-    rows = max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 8 * planes * b.shape[0]))
-    scratch = np.empty((planes, min(rows, n), b.shape[0]))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        _pairwise(a[start:stop], bt, range(d), out[start:stop],
-                  [plane[:stop - start] for plane in scratch])
+    rows = max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 16 * n_b))
+    scratch = np.empty((min(rows, n), n_b))
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            block = a[start:start + rows]
+            dest = out[start:start + rows]
+            plane = scratch[:len(block)]
+            for k in range(a.shape[1]):
+                np.subtract(block[:, k, None], bt[k], out=plane)
+                np.multiply(plane, plane, out=plane)
+                dest += plane
     return out
 
 
@@ -207,9 +153,9 @@ def _relevant_positions(row: np.ndarray, is_relevant: np.ndarray) -> np.ndarray:
 def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     """Score a distance matrix: mAP, rank-1 and the full CMC curve.
 
-    Every query class must occur in the gallery, and no distance may be
-    NaN.  AP per query is the mean of (number of relevant items in the
-    top r) / r over the ranks r where a relevant item sits.
+    Every query class must occur in the gallery, and every distance must
+    be finite.  AP per query is the mean of (number of relevant items in
+    the top r) / r over the ranks r where a relevant item sits.
     """
     dist = np.asarray(distances, dtype=np.float64)
     q_labels = np.asarray(query_labels, dtype=np.int64)
@@ -222,8 +168,9 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     missing = sorted(set(q_labels.tolist()) - set(g_labels.tolist()))
     if missing:
         raise ProtocolViolation(f"query classes absent from gallery: {missing}")
-    if np.isnan(dist).any():
-        raise ProtocolViolation("distances must not be NaN")
+    if not np.isfinite(dist).all():
+        raise ProtocolViolation("distances must be finite (a NaN, or a squared "
+                                "distance beyond the float64 range)")
 
     n_q, n_g = dist.shape
     first_hit = np.zeros(n_g, dtype=np.int64)

@@ -584,6 +584,23 @@ class TestCli:
         assert manifest["failed_cell"] == "dmprl1_n3_seed0"
         assert manifest["completed"] == []
 
+    def test_overflowed_distances_fail_the_cell(self, tmp_path, capsys):
+        # finite weights of scale 1e90 and a step too small to move them:
+        # training runs, and the embeddings' squared distances exceed float64
+        spec = tmp_path / "overflow.txt"
+        spec.write_text("n_classes = 3\ndim = 4\nn_per_class = 6\nstrategies = baseline\n"
+                        "counts = 0\nseeds = 1\nepochs = 1\nhidden_sizes = 4, 4\n"
+                        "init_scale = 1e90\nlr_initial = 1e-300\nlr_after_decay = 1e-300\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cell baseline_n0_seed1 failed: ") and "finite" in err[0]
+        manifest = json.loads((out / "failure_manifest.json").read_text())
+        assert manifest["failed_cell"] == "baseline_n0_seed1"
+
     def test_very_confident_model_runs(self, tmp_path, capsys):
         # a large init_scale starts every cell from logits whose softmax
         # underflows to exact zeros (tests/test_trainer.py, TestExtremeLogits)
@@ -678,6 +695,21 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{tmp_path / 'q.txt'} against {tmp_path / 'g.txt'}: " in err[0]
+
+    def test_overflowed_distances_exit_two(self, tmp_path, capsys):
+        # finite vectors 2e200 apart: every cross-class squared distance is
+        # beyond float64, so no ranking of them is meaningful
+        (tmp_path / "q.txt").write_text("2 2\n0 1 1e200 0\n1 2 -1e200 0\n")
+        (tmp_path / "g.txt").write_text("2 2\n10 1 -1e200 0\n11 2 1e200 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--query", str(tmp_path / "q.txt"),
+                         "--gallery", str(tmp_path / "g.txt")]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{tmp_path / 'q.txt'} against {tmp_path / 'g.txt'}: " in err[0]
+        assert "finite" in err[0] and captured.out == ""
 
     def test_missing_embedding_file_exits_one(self, tmp_path, capsys):
         good = tmp_path / "g.txt"

@@ -95,24 +95,28 @@ CASE_KINDS = st.sampled_from(["ties", "duplicates", "real"])
 
 class TestSqEuclideanBlocks:
     @staticmethod
-    def one_shot(a, b):
+    def left_to_right(a, b):
+        """Each distance's squared differences added left to right from 0:
+        ``np.cumsum`` accumulates one term at a time, and its last column is
+        the whole sum."""
         diff = a[:, None, :] - b[None, :, :]
-        return np.sum(diff * diff, axis=-1)
+        return np.cumsum(diff * diff, axis=-1)[..., -1]
 
-    # every branch of numpy's pairwise sum: one by one below 8 terms, eight
-    # partial sums up to 128 (with and without a remainder mod 8), halves above
+    # one by one below 8 terms, and the lengths at which numpy's pairwise
+    # sum switches to eight partial sums (8) and to recursive halves (129)
     DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
 
     @given(st.integers(1, 23), st.integers(1, 17), DIMS,
            st.integers(1, 2000), st.integers(0, 2**32 - 1))
-    @example(5, 7, 8, 2000, 1)  # eight one-term partial sums
-    @example(5, 7, 15, 2000, 2)  # ... and seven terms one by one
+    @example(5, 7, 8, 2000, 1)
+    @example(5, 7, 15, 2000, 2)
     @example(5, 7, 128, 2000, 3)
-    @example(5, 7, 129, 2000, 4)  # halves of 128 and 1 term
-    @example(5, 7, 513, 2000, 5)  # halves of halves
+    @example(5, 7, 129, 2000, 4)
+    @example(5, 7, 300, 2000, 6)
+    @example(5, 7, 513, 2000, 5)
     @settings(max_examples=120, deadline=None)
-    def test_bit_equal_to_one_shot_across_block_boundaries(self, n_a, n_b, dim, budget,
-                                                           seed):
+    def test_bit_equal_to_left_to_right_sum_across_block_boundaries(self, n_a, n_b, dim,
+                                                                    budget, seed):
         # a small byte budget beyond the reserve for numpy's buffers makes
         # blocks of one to a few rows, so n_a is rarely a multiple of the
         # block rows
@@ -122,14 +126,14 @@ class TestSqEuclideanBlocks:
         with mock.patch.object(retrieval, "BLOCK_BYTES",
                                retrieval._UFUNC_BUFFER_BYTES + budget):
             blocked = sq_euclidean(a, b)
-        assert blocked.tobytes() == self.one_shot(a, b).tobytes()
+        assert blocked.tobytes() == self.left_to_right(a, b).tobytes()
 
     @pytest.mark.parametrize("n_a, n_b, dim", [
-        (10, 4000, 16),  # 4 rows per block: a last block of 2
+        (10, 4000, 16),  # a block of 13 rows holds every query
         (1, 4000, 16),  # a single query
         (9, 5000, 1),  # d = 1
-        (50, 3004, 64),  # the reid_751 embedding: blocks of 19 rows
-        (100, 1000, 256),  # two recursive halves of 128 terms
+        (50, 3004, 64),  # the reid_751 embedding: blocks of 17, 17 and 16 rows
+        (100, 1000, 256),  # blocks of 53 and 47 rows
         (3, 300, 1000),  # a gallery row set above the budget: one row per block
         (2, 100000, 16),  # planes of one row above the budget
     ])
@@ -138,7 +142,7 @@ class TestSqEuclideanBlocks:
         a = rng.normal(size=(n_a, dim))
         b = rng.normal(size=(n_b, dim))
         # one query row at a time: the whole broadcast would take up to 400 MB
-        expected = np.concatenate([self.one_shot(a[i:i + 1], b) for i in range(n_a)])
+        expected = np.concatenate([self.left_to_right(a[i:i + 1], b) for i in range(n_a)])
         assert sq_euclidean(a, b).tobytes() == expected.tobytes()
 
     def test_zero_dimensional_rows_are_at_distance_zero(self):
@@ -165,7 +169,7 @@ class TestSqEuclideanBlocks:
             tracemalloc.stop()
         # the output and the transposed copy of b are not scratch
         scratch = peak - out.nbytes - b.nbytes
-        one_row = 8 * retrieval._scratch_planes(dim) * n_b + retrieval._UFUNC_BUFFER_BYTES
+        one_row = 8 * n_b + retrieval._UFUNC_BUFFER_BYTES
         assert scratch <= max(retrieval.BLOCK_BYTES, one_row)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
@@ -212,14 +216,17 @@ class TestPairwiseSqEuclidean:
         np.testing.assert_allclose(d, d.T, atol=0)
 
     def test_matches_double_loop_oracle(self):
+        # bit for bit at every d, also where numpy's own sum would pair
+        # the terms up (from 8 terms) or split them in halves (from 129)
         rng = np.random.default_rng(42)
-        q = rng.normal(size=(5, 3))
-        g = rng.normal(size=(7, 3))
-        d = pairwise_sq_euclidean(self._embed(q), self._embed(g))
-        for i in range(5):
-            for j in range(7):
-                expected = sum((q[i, t] - g[j, t]) ** 2 for t in range(3))
-                assert abs(d[i, j] - expected) < 1e-12
+        for dim in (3, 16, 64, 129):
+            q = rng.normal(size=(5, dim))
+            g = rng.normal(size=(7, dim))
+            d = pairwise_sq_euclidean(self._embed(q), self._embed(g))
+            for i in range(5):
+                for j in range(7):
+                    expected = sum((q[i, t] - g[j, t]) ** 2 for t in range(dim))
+                    assert d[i, j] == expected
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidDimension):
@@ -305,8 +312,10 @@ class TestEvaluate:
         assert report.cmc_curve.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_nan_distance_rejected(self):
-        with pytest.raises(ProtocolViolation):
-            evaluate(np.array([[1.0, np.nan]]), [1], [1, 2])
+        # inf too: a squared distance beyond float64 ranks nothing
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ProtocolViolation):
+                evaluate(np.array([[1.0, bad]]), [1], [1, 2])
 
     def test_ties_break_by_gallery_index(self):
         distances = np.array([[1.0, 1.0]])
