@@ -37,11 +37,11 @@ Within a memo the cells of a seed share what they would otherwise each
 build: the real dataset, each count's generated dataset (read-only), the
 baseline model that labels an smprl cell's generated rows, which is the
 baseline cell's when it has already run there and is pretrained once
-otherwise, and the dropout masks.  A mask depends only on (seed, epoch,
-batch, rows), never on the strategy, so each is drawn once per seed and
-replayed by the seed's later cells (see
-:class:`mprl.trainer.DropoutMasks`).  Nothing is shared across seeds or
-across calls.
+otherwise, and the epoch orders and dropout masks.  An order depends
+only on (seed, epoch, pool size) and a mask only on (seed, epoch, batch,
+rows), never on the strategy, so each is drawn once per seed and
+replayed by the seed's later cells (see :class:`mprl.trainer.SeedDraws`).
+Nothing is shared across seeds or across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
 per (strategy, count) group when several seeds ran.  All cell artifacts
@@ -75,7 +75,7 @@ from .synthgen import (
     make_real_dataset,
 )
 from .trainer import (
-    DropoutMasks,
+    SeedDraws,
     Strategy,
     TrainConfig,
     TrainSettings,
@@ -214,7 +214,8 @@ class RunMemo:
     """What the cells of one seed share within one run (a
     :func:`run_experiment` call, a trace, a ``gen-data`` call): the real
     dataset, each count's generated dataset, the baseline model that
-    labels an smprl cell's generated rows and the seed's dropout masks.
+    labels an smprl cell's generated rows and the seed's epoch orders and
+    dropout masks.
     Cells run seed-major, so it holds one seed at a time.  Every array it
     holds is read-only."""
 
@@ -232,7 +233,7 @@ class RunMemo:
         self.real: Dataset | None = None
         self.generated: dict[int, Dataset | None] = {}
         self.baseline: ModelParams | None = None
-        self.masks = DropoutMasks()
+        self.draws = SeedDraws()
 
 
 # a pool worker's memo, set by the pool's initializer; it ends with its
@@ -296,17 +297,17 @@ def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
     else one pretraining per seed.  The two are the same bits: without
     generated rows, neither ``gen_weight`` nor the strategy-specific
     settings reach the trajectory.  Every training of the seed replays
-    the memo's dropout masks.
+    the memo's epoch orders and dropout masks.
     """
     cfg = spec.train_config(cell.strategy, cell.seed)
     memo.at(spec, cell.seed)
     static = None
     if cell.strategy is Strategy.SMPRL and generated is not None:
         if memo.baseline is None:
-            _keep_baseline(memo, pretrain_baseline(real, cfg, dropout_masks=memo.masks))
+            _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
         static = assign_static_labels(memo.baseline, generated)
     params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch,
-                            dropout_masks=memo.masks)
+                            draws=memo.draws)
     if cell.strategy is Strategy.BASELINE:
         _keep_baseline(memo, params)
     return params, history

@@ -10,7 +10,14 @@ i.e. the worst coordinate disagreement relative to the gradient's own
 largest component.  The diagonal gradient mode is measured against the
 analytic one and reported as a divergence, never as a failure: it is a
 different formula, not a broken implementation.  The 2K perturbed points
-of one central difference are evaluated as batches of kernel rows.
+of one central difference are evaluated as batches of kernel rows, built
+in place in one buffer.
+
+:func:`run_gradcheck` runs under :func:`mprl.retrieval.small_ufunc_buffer`:
+numpy copies a broadcast operand (each batch's (2 * FD_BLOCK, 1) row
+maxima, its weight row) into its ufunc buffer whenever two rows fit
+there, which at the default 8192 elements made every pass over a batch
+of K = 751 points about 2-3x slower.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .losses import (
     real_ce_loss,
     weighted_ce_values,
 )
+from .retrieval import small_ufunc_buffer
 
 DEFAULT_K_VALUES = (2, 5, 10, 751)
 DEFAULT_STEP = 1e-6
@@ -42,18 +50,28 @@ def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) ->
 
     ``fn`` maps an (n, K) batch of points to their n values.  The 2K
     perturbed points x +- step * e_j go through it in batches of
-    ``2 * FD_BLOCK`` rows.
+    ``2 * FD_BLOCK`` rows: the first half of a batch adds ``step`` to
+    coordinates start, start + 1, ... in turn, the second half subtracts
+    it.  Every batch is a view of one buffer of copies of ``x``, whose
+    perturbed entries are set before ``fn`` and reset after it.
     """
     x = np.array(x, dtype=np.float64)
+    k = x.size
     grad = np.empty_like(x)
-    for start in range(0, x.size, FD_BLOCK):
-        cols = np.arange(start, min(start + FD_BLOCK, x.size))
-        rows = np.arange(cols.size)
-        points = np.tile(x, (2 * cols.size, 1))
-        points[rows, cols] = x[cols] + step
-        points[rows + cols.size, cols] = x[cols] - step
-        values = fn(points)
-        grad[cols] = (values[:cols.size] - values[cols.size:]) / (2.0 * step)
+    points = np.empty((2 * min(FD_BLOCK, k), k))
+    points[:] = x
+    flat = points.reshape(-1)
+    for start in range(0, k, FD_BLOCK):
+        n = min(FD_BLOCK, k - start)
+        # row i of each half perturbs coordinate start + i: the entries
+        # one row and one column apart in the flat buffer
+        plus = slice(start, start + n * (k + 1), k + 1)
+        minus = slice(n * k + start, n * k + start + n * (k + 1), k + 1)
+        flat[plus] = x[start:start + n] + step
+        flat[minus] = x[start:start + n] - step
+        values = fn(points[:2 * n])
+        flat[plus] = flat[minus] = x[start:start + n]
+        grad[start:start + n] = (values[:n] - values[n:]) / (2.0 * step)
     return grad
 
 
@@ -63,11 +81,21 @@ def _batch_values(cls: int, weights=None):
     The label is the one-hot row at class ``cls``, or with ``cls`` -1 the
     weight row ``weights``.  These are the kernel rows the per-vector
     losses evaluate: ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the
-    uniform row and ``mprl_generated_loss`` the normalized rank row.
+    uniform row and ``mprl_generated_loss`` the normalized rank row.  The
+    class vector and the broadcast weight rows are built for the largest
+    batch seen so far and sliced to each batch.
     """
+    classes = np.full(0, cls)
+    rows = None
+
     def values(points):
-        rows = None if weights is None else np.broadcast_to(weights, points.shape)
-        return weighted_ce_values(points, np.full(points.shape[0], cls), rows)
+        nonlocal classes, rows
+        n = len(points)
+        if n > classes.size:
+            classes = np.full(n, cls)
+            if weights is not None:
+                rows = np.broadcast_to(weights, (n, weights.size))
+        return weighted_ce_values(points, classes[:n], None if rows is None else rows[:n])
     return values
 
 
@@ -113,6 +141,7 @@ class GradCheckReport:
         return out
 
 
+@small_ufunc_buffer()
 def run_gradcheck(
     k_values=DEFAULT_K_VALUES,
     trials: int = 100,
@@ -120,7 +149,8 @@ def run_gradcheck(
     step: float = DEFAULT_STEP,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Run the finite-difference suite over every loss and class count."""
+    """Run the finite-difference suite over every loss and class count,
+    under :func:`small_ufunc_buffer`."""
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
     if seed < 0:

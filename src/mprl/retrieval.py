@@ -13,6 +13,14 @@ stays in cache, and memory beyond the (n_q, n_g) result is bounded
 whatever the number of queries.  A distance beyond the float64 range
 is ``inf``, which ``evaluate`` rejects.
 
+The kernel runs under :func:`small_ufunc_buffer`.  numpy's ufunc
+iterator copies a broadcast operand into its buffer whenever two rows of
+the operation fit there (three for a plane: the column, the gallery row
+and the output), so under its default 8192 elements every plane of a
+gallery under 2731 items went through a copy and took about twice as
+long a term.  Under the 1024-element buffer only galleries under 342
+items are copied, and no result depends on the buffer size.
+
 Per query, gallery items rank by ascending distance with ties broken by
 gallery index.  The ranking is counted, not sorted out: a relevant
 item's 1-based position is the number of items strictly closer, plus
@@ -28,6 +36,7 @@ item: ``id label v1 ... vdim`` with 17-significant-digit floats.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +48,33 @@ from .errors import InvalidDimension, InvalidState, ProtocolViolation
 # numpy's buffers included (at least one row); a block that outgrows the
 # cache slows every pass over it
 BLOCK_BYTES = 1024 * 1024
+# elements of the ufunc buffer the wide-row entry points run under; rows
+# of at least half as many elements are read in place, not copied
+UFUNC_BUFFER = 1024
 # numpy buffers a broadcast operand when a plane row is short (under a third
-# of its buffer size): at most one buffer for each operand of a ufunc
-_UFUNC_BUFFER_BYTES = 3 * 8 * np.getbufsize()
+# of the buffer): at most one buffer for each operand of a ufunc
+_UFUNC_BUFFER_BYTES = 3 * 8 * UFUNC_BUFFER
+
+
+@contextmanager
+def small_ufunc_buffer():
+    """Run under a ``UFUNC_BUFFER``-element ufunc buffer, then restore the
+    caller's ``np.getbufsize()``, also on error; as a decorator, around
+    each call.
+
+    numpy copies a broadcast operand (a (B, 1) column, a bias row) into
+    its buffer whenever two rows of the operation fit there, so entry
+    points that loop over rows of hundreds to thousands of elements run
+    under this one.  Apply it once per entry point, never per batch: a
+    set and restore costs about 5 us.  numpy 2 keeps the size in a
+    context variable and numpy 1 per thread, so neither the caller nor
+    another thread sees it.
+    """
+    caller = np.setbufsize(UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(caller)
 
 
 @dataclass
@@ -90,6 +123,7 @@ class EvalReport:
             raise ProtocolViolation("CMC must not exceed 1")
 
 
+@small_ufunc_buffer()
 def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D[i][j] = squared Euclidean distance between rows a[i] and b[j].
 
@@ -99,7 +133,8 @@ def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     coordinate into its (rows, n_b) slice of the result.  The slice, the
     plane and numpy's ufunc buffers hold at most ``BLOCK_BYTES`` together;
     a block is one row when that row alone is larger.  A distance beyond
-    the float64 range is ``inf``, without a warning.
+    the float64 range is ``inf``, without a warning.  Runs under
+    :func:`small_ufunc_buffer`, whatever the caller's buffer.
     """
     n, n_b = a.shape[0], b.shape[0]
     out = np.zeros((n, n_b))

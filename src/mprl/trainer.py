@@ -30,12 +30,20 @@ never produces an invalid label.  Epoch indices are 1-based; the warm-up
 gate opens at ``epoch >= warmup_epoch``, and behind a closed gate the
 generated rows' labels are ``None``, which leaves them unscored.
 
-Dropout masks depend on nothing but (seed, epoch, batch, rows): the
-strategy never reaches them, so every cell of one seed trains under the
-same masks.  :class:`DropoutMasks` draws each mask once and replays it;
-a grid run shares one store per seed across its cells (see
-:mod:`mprl.experiment`), and a :func:`train` call without one keeps a
-private store, which draws exactly the masks it needs.
+An epoch's visit order depends on nothing but (seed, epoch, pool size)
+and a dropout mask on nothing but (seed, epoch, batch, rows): the
+strategy never reaches them, so every cell of one seed with the same
+pool visits in the same order under the same masks.  :class:`SeedDraws`
+draws each order and each mask once and replays it; a grid run shares
+one store per seed across its cells (see :mod:`mprl.experiment`), and a
+:func:`train` call without one keeps a private store, which draws
+exactly what it needs.
+
+:func:`train` and :func:`assign_static_labels` run under
+:func:`mprl.retrieval.small_ufunc_buffer`: numpy copies a broadcast
+operand (the (B, 1) row maxima of the loss, a bias row) into its ufunc
+buffer whenever two rows fit there, which at the default 8192 elements
+made every pass over K = 751 logits 2-3x slower.
 
 A :class:`TrainConfig` is the shared :class:`TrainSettings` plus a
 strategy and a seed; its ``validate`` holds every rule on their values.
@@ -76,7 +84,7 @@ from .net import (
     init_params,
     sgd_step,
 )
-from .retrieval import EmbeddingSet
+from .retrieval import EmbeddingSet, small_ufunc_buffer
 from .synthgen import Dataset
 
 
@@ -195,20 +203,35 @@ def draw_keep_mask(seed: int, epoch: int, batch_idx: int, shape: tuple[int, int]
     return np.random.default_rng((seed, _SEED_DROPOUT, epoch, batch_idx)).random(shape) >= rate
 
 
-class DropoutMasks:
-    """Dropout keep masks, each drawn once by :func:`draw_keep_mask` and
-    then replayed.
+class SeedDraws:
+    """The draws of training that depend on the seed alone, each drawn once
+    and then replayed: every epoch's visit order and every batch's
+    dropout keep mask.
 
-    A mask is keyed by everything it depends on: (seed, epoch, batch,
-    shape, rate).  It is held flat and packed (``np.packbits``, one bit
-    per unit, read-only) in :attr:`packed`; :meth:`keep` unpacks a fresh
+    An order is keyed by (seed, epoch, pool size) and held read-only in
+    :attr:`orders`, as :func:`epoch_shuffle_order` draws it.  A mask is
+    keyed by everything it depends on: (seed, epoch, batch, shape,
+    rate).  It is held flat and packed (``np.packbits``, one bit per
+    unit, read-only) in :attr:`packed`; :meth:`keep` unpacks a fresh
     float copy with inverted scaling, bit-equal to dividing the boolean
     draw by ``1 - rate``.  A seed of the desk grid of ``benchmark.spec``
-    holds about 61 KB of bits, a seed of a K = 751 grid about 0.46 MB.
+    holds about 61 KB of mask bits and 100 orders (0.32 MB), a seed of a
+    K = 751 grid about 0.46 MB of bits and 20 orders (0.76 MB).
     """
 
     def __init__(self):
+        self.orders: dict[tuple, np.ndarray] = {}
         self.packed: dict[tuple, np.ndarray] = {}
+
+    def order(self, seed: int, epoch: int, n: int) -> np.ndarray:
+        """The read-only visit order of ``epoch`` over a pool of ``n`` rows."""
+        key = (seed, epoch, n)
+        order = self.orders.get(key)
+        if order is None:
+            order = epoch_shuffle_order(seed, epoch, n)
+            order.flags.writeable = False
+            self.orders[key] = order
+        return order
 
     def keep(self, seed: int, epoch: int, batch_idx: int, shape: tuple[int, int],
              rate: float) -> np.ndarray:
@@ -263,13 +286,14 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
 # floating-point warnings stay silent: a diverging run fails on its
 # first non-finite logits, which the error names by epoch and batch
 @np.errstate(all="ignore")
+@small_ufunc_buffer()
 def train(
     real: Dataset,
     generated: Dataset | None,
     cfg: TrainConfig,
     static_labels: np.ndarray | None = None,
     on_epoch: Callable[[EpochRecord, ModelParams], None] | None = None,
-    dropout_masks: DropoutMasks | None = None,
+    draws: SeedDraws | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run one training schedule and return final params plus history.
 
@@ -284,15 +308,17 @@ def train(
     only: it must not modify ``params``, and training draws nothing from
     it, so a run with an observer equals one without bit for bit.
 
-    ``dropout_masks`` is a store shared with other runs of the same seed
-    (a grid's cells); a mask drawn there before is replayed, so a run with
-    a shared store equals one with its own bit for bit.  By default the
-    run keeps a private store.
+    ``draws`` is a store shared with other runs of the same seed (a
+    grid's cells); an order or a mask drawn there before is replayed, so a
+    run with a shared store equals one with its own bit for bit.  By
+    default the run keeps a private store.
 
     The loop runs under ``np.errstate(all="ignore")``, so a diverging run
     prints no floating-point warnings; its first non-finite logits fail
     the batch instead, and an error raised inside a batch names the epoch
-    and batch in front of its message.
+    and batch in front of its message.  It also runs under
+    :func:`small_ufunc_buffer`; the caller's buffer size and error
+    state are restored on return, also on error.
     """
     cfg.validate()
     _check_datasets(real, generated)
@@ -327,14 +353,14 @@ def train(
     pool_class = np.concatenate([real_train.classes - 1, np.full(len(gen_feats), -1)])
     generated_rule = _generated_rule(cfg, n_classes, static_labels)
     first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
-    masks = dropout_masks if dropout_masks is not None else DropoutMasks()
+    draws = draws if draws is not None else SeedDraws()
     embedding_dim = params.embedding_dim
 
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr_initial if epoch <= cfg.decay_epoch else cfg.lr_after_decay
         opt.learning_rate = lr
         gate = epoch >= cfg.warmup_epoch if cfg.strategy is Strategy.DMPRL2 else True
-        order = epoch_shuffle_order(cfg.seed, epoch, len(pool_feats))
+        order = draws.order(cfg.seed, epoch, len(pool_feats))
         # the epoch's classes in visit order; each batch reads its slice
         epoch_class = pool_class[order]
         epoch_gen = epoch_class < 0
@@ -348,7 +374,7 @@ def train(
             for batch_idx, start in enumerate(starts):
                 stop = start + cfg.batch_size
                 batch = order[start:stop]
-                mask = masks.keep(cfg.seed, epoch, batch_idx, (len(batch), embedding_dim),
+                mask = draws.keep(cfg.seed, epoch, batch_idx, (len(batch), embedding_dim),
                                   cfg.dropout_rate) if cfg.dropout_rate else None
                 logits, cache, _ = forward(params, pool_feats.take(batch, 0), mask)
                 classes = epoch_class[start:stop]
@@ -399,6 +425,7 @@ def _accuracy(params, feats, classes, n_classes) -> float:
     return float(np.mean(predicted == classes))
 
 
+@small_ufunc_buffer()
 def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndarray:
     """One frozen rank-weighted label row per generated sample.
 
@@ -421,9 +448,9 @@ def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> Emb
 
 
 def pretrain_baseline(real: Dataset, cfg: TrainConfig,
-                      dropout_masks: DropoutMasks | None = None) -> ModelParams:
+                      draws: SeedDraws | None = None) -> ModelParams:
     """Train the baseline (real-only) model used to assign static labels;
-    ``dropout_masks`` as for :func:`train`."""
+    ``draws`` as for :func:`train`."""
     base_cfg = replace(cfg, strategy=Strategy.BASELINE, gen_weight=None)
-    params, _ = train(real, None, base_cfg, dropout_masks=dropout_masks)
+    params, _ = train(real, None, base_cfg, draws=draws)
     return params

@@ -362,12 +362,30 @@ class TestRunMemo:
         assert sorted(draws) == sorted(expected)
         assert len(draws) < len(batches)
 
+    def test_each_epoch_order_is_drawn_once_per_run(self, tmp_path, monkeypatch):
+        draws = []
+        original = trainer.epoch_shuffle_order
+
+        def counting(seed, epoch, n):
+            draws.append((seed, epoch, n))
+            return original(seed, epoch, n)
+
+        monkeypatch.setattr(trainer, "epoch_shuffle_order", counting)
+        spec = parse_spec_text(self.SPEC)
+        run_experiment(spec, out_dir=tmp_path)
+        # every cell trains on the real rows alone (baseline, count 0) or
+        # with the 6 generated rows, and each cell's epochs are drawn once
+        real_train = spec.n_classes * (spec.n_per_class // 2)
+        expected = [(seed, epoch, n) for seed in spec.seeds
+                    for epoch in range(1, spec.epochs + 1) for n in (real_train, real_train + 6)]
+        assert sorted(draws) == sorted(expected)
+
     def test_masks_are_read_only_and_dropped_with_their_seed(self, tmp_path, monkeypatch):
         stores = []
         original = experiment.train
 
         def capturing(real, generated, cfg, **kwargs):
-            stores.append((cfg.seed, kwargs["dropout_masks"]))
+            stores.append((cfg.seed, kwargs["draws"]))
             return original(real, generated, cfg, **kwargs)
 
         monkeypatch.setattr(experiment, "train", capturing)
@@ -377,15 +395,16 @@ class TestRunMemo:
         assert all(len(ids) == 1 for ids in by_seed.values())
         assert len(set.union(*by_seed.values())) == len(spec.seeds)
         for _, store in stores:
-            assert store.packed
+            assert store.packed and store.orders
             assert not any(bits.flags.writeable for bits in store.packed.values())
+            assert not any(order.flags.writeable for order in store.orders.values())
 
         memo = experiment.RunMemo()
-        first = memo.at(spec, 1).masks
+        first = memo.at(spec, 1).draws
         first.keep(1, 1, 0, (8, 6), spec.dropout_rate)
-        assert memo.at(spec, 1).masks is first and len(first.packed) == 1
-        assert memo.at(spec, 2).masks.packed == {}
-        assert memo.masks is not first
+        assert memo.at(spec, 1).draws is first and len(first.packed) == 1
+        assert memo.at(spec, 2).draws.packed == {}
+        assert memo.draws is not first
 
 
 class TestRunExperiment:

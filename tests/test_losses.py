@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprl.errors import InvalidClass, InvalidDimension
-from mprl.gradcheck import _batch_values, finite_difference_gradient
+from mprl.gradcheck import FD_BLOCK, _batch_values, finite_difference_gradient
 from mprl.labels import (
     ground_truth_label,
     lsro_label,
@@ -199,6 +199,67 @@ class TestFiniteDifferences:
             scalar = fd_gradient(scalar_fn, x)
             batched = finite_difference_gradient(batch_fn, x)
             assert np.max(np.abs(batched - scalar)) <= 1e-9 * np.max(np.abs(scalar))
+
+
+def tiled_blocks(x, step):
+    """The central-difference batches as built by np.tile and fancy
+    indexing, block by block: the reference for the in-place buffer."""
+    for start in range(0, x.size, FD_BLOCK):
+        cols = np.arange(start, min(start + FD_BLOCK, x.size))
+        rows = np.arange(cols.size)
+        points = np.tile(x, (2 * cols.size, 1))
+        points[rows, cols] = x[cols] + step
+        points[rows + cols.size, cols] = x[cols] - step
+        yield cols, points
+
+
+class TestInPlaceBlocks:
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 17, 751])
+    def test_blocks_equal_the_tiled_construction(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.normal(0, 3, size=k)
+        step = 1e-6
+        seen = []
+
+        def recording(points):
+            seen.append(points.copy())
+            # a maximum is exact in any order, whatever the batch's memory
+            return (points * np.arange(1.0, k + 1.0)).max(1)
+
+        got = finite_difference_gradient(recording, x, step)
+        want = np.empty(k)
+        blocks = list(tiled_blocks(x, step))
+        assert len(seen) == len(blocks)
+        for points, (cols, expected) in zip(seen, blocks):
+            assert points.shape == expected.shape
+            assert points.tobytes() == expected.tobytes()
+            values = recording(expected)
+            want[cols] = (values[:cols.size] - values[cols.size:]) / (2.0 * step)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 9, 751])
+    def test_gradients_equal_the_tiled_construction(self, k):
+        rng = np.random.default_rng(k + 1)
+        x = rng.normal(0, 3, size=k)
+        alpha = mprl_alpha(softmax(x))
+        for fn in (_batch_values(int(rng.integers(k))), _batch_values(-1, mprl_rows(alpha))):
+            want = np.empty(k)
+            for cols, points in tiled_blocks(x, 1e-6):
+                values = fn(points)
+                want[cols] = (values[:cols.size] - values[cols.size:]) / 2e-6
+            assert finite_difference_gradient(fn, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cls", [3, -1])
+    def test_batch_values_score_a_batch_of_any_row_count(self, cls):
+        k = 12
+        rng = np.random.default_rng(cls + 2)
+        weights = mprl_rows(mprl_alpha(softmax(rng.normal(size=k))))
+        values = _batch_values(cls, None if cls >= 0 else weights)
+        for n in (3, 16, 1, 40, 16, 2):
+            points = rng.normal(0, 3, size=(n, k))
+            rows = None if cls >= 0 else np.tile(weights, (n, 1))
+            want = weighted_ce_values(points, np.full(n, cls), rows)
+            assert values(points).tobytes() == want.tobytes()
 
 
 def batch(items):

@@ -25,7 +25,7 @@ from mprl.net import (
     save_params,
     sgd_step,
 )
-from mprl.trainer import DropoutMasks
+from mprl.trainer import SeedDraws
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -96,7 +96,7 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(5, 3))
 
         def run(seed):
-            mask = DropoutMasks().keep(seed, 1, 0, (5, 8), 0.5)
+            mask = SeedDraws().keep(seed, 1, 0, (5, 8), 0.5)
             return forward(params, x, mask)[0]
 
         a, b, c = run(77), run(77), run(78)
@@ -110,7 +110,7 @@ class TestForward:
         acc = np.zeros((1, 1))
         n = 300
         for s in range(n):
-            mask = DropoutMasks().keep(s, 1, 0, (1, 400), 0.4)
+            mask = SeedDraws().keep(s, 1, 0, (1, 400), 0.4)
             assert set(np.unique(mask)) <= {0.0, 1.0 / 0.6}
             logits, _, _ = forward(params, x, mask)
             acc += logits
@@ -224,7 +224,7 @@ class TestBackward:
         params = init_params((3, 6, 2), seed=21)
         x = np.random.default_rng(3).normal(size=(2, 3))
         target = np.random.default_rng(4).normal(size=(2, 2))
-        mask = DropoutMasks().keep(99, 1, 0, (2, 6), 0.5)
+        mask = SeedDraws().keep(99, 1, 0, (2, 6), 0.5)
         assert 0 < np.count_nonzero(mask) < mask.size
 
         def loss_of(p):
@@ -442,7 +442,7 @@ class TestInPlaceArithmetic:
         rng = np.random.default_rng(seed)
         params = init_params(sizes, seed=seed)
         x = rng.normal(0.0, 2.0, size=(n, sizes[0]))
-        mask = DropoutMasks().keep(seed, 1, 0, (n, sizes[-2]), 0.5) if dropout else None
+        mask = SeedDraws().keep(seed, 1, 0, (n, sizes[-2]), 0.5) if dropout else None
         logits, cache, _ = forward(params, x, mask)
         g = rng.normal(0.0, 1.0, size=logits.shape)
         grads = backward(params, cache, g)

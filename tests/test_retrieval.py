@@ -198,6 +198,40 @@ class TestSqEuclideanBlocks:
         assert peak_mb < 300
 
 
+    def test_block_size_does_not_depend_on_the_callers_buffer(self):
+        # the buffer is set before the package is imported and is left in
+        # place for the call; the kernel's scratch plane, seen as the
+        # traced peak, holds as many rows whatever the buffer was
+        child = textwrap.dedent("""
+            import sys
+            import tracemalloc
+            import numpy as np
+            np.setbufsize(int(sys.argv[1]))
+            from mprl.retrieval import sq_euclidean
+
+            rng = np.random.default_rng(0)
+            a, b = rng.normal(size=(1000, 16)), rng.normal(size=(4000, 16))
+            sq_euclidean(a[:2], b)
+            tracemalloc.start()
+            sq_euclidean(a, b)
+            print(tracemalloc.get_traced_memory()[1], np.getbufsize())
+        """)
+        src = Path(retrieval.__file__).resolve().parents[1]
+        peaks = {}
+        for size in (8192, 65536):
+            result = subprocess.run([sys.executable, "-c", child, str(size)],
+                                    capture_output=True, text=True, timeout=120,
+                                    env={**os.environ, "PYTHONPATH": str(src)})
+            assert result.returncode == 0, result.stderr
+            peak, after = (int(v) for v in result.stdout.split())
+            assert after == size
+            peaks[size] = peak
+        rows = (retrieval.BLOCK_BYTES - retrieval._UFUNC_BUFFER_BYTES) // (16 * 4000)
+        assert rows > 1
+        # the output and b's transposed copy, then the scratch plane
+        assert peaks[65536] == peaks[8192] >= (1000 + 16 + rows) * 4000 * 8
+
+
 class TestPairwiseSqEuclidean:
     def _embed(self, vectors, labels=None):
         n = len(vectors)

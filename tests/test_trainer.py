@@ -13,7 +13,7 @@ from mprl.labels import mprl_rows
 from mprl.net import forward, init_params
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import (
-    DropoutMasks,
+    SeedDraws,
     Strategy,
     TrainConfig,
     assign_static_labels,
@@ -333,7 +333,7 @@ class TestDropoutMasks:
         # the mask forward applied when it drew its own from this stream
         rng = np.random.default_rng((5, trainer_module._SEED_DROPOUT, 3, 2))
         expected = (rng.random(shape) >= rate) / (1.0 - rate)
-        masks = DropoutMasks()
+        masks = SeedDraws()
         first = masks.keep(5, 3, 2, shape, rate)
         again = masks.keep(5, 3, 2, shape, rate)
         for got in (first, again):
@@ -349,7 +349,7 @@ class TestDropoutMasks:
             return original(*args)
 
         monkeypatch.setattr(trainer_module, "draw_keep_mask", counting)
-        masks = DropoutMasks()
+        masks = SeedDraws()
         keys = [(1, 1, 0, (8, 6)), (1, 1, 1, (8, 6)), (1, 1, 1, (5, 6)), (2, 1, 0, (8, 6))]
         for _ in range(3):
             for key in keys:
@@ -374,15 +374,15 @@ class TestDropoutMasks:
         static = None
         if strategy is Strategy.SMPRL:
             static = assign_static_labels(pretrain_baseline(real, cfg), generated)
-        shared = DropoutMasks()
+        shared = SeedDraws()
         # other trainings of the seed (and of another seed) fill the store first
-        pretrain_baseline(real, cfg, dropout_masks=shared)
-        train(real, generated, quick_config(Strategy.LSRO, epochs=5), dropout_masks=shared)
+        pretrain_baseline(real, cfg, draws=shared)
+        train(real, generated, quick_config(Strategy.LSRO, epochs=5), draws=shared)
         train(real, generated, quick_config(Strategy.LSRO, epochs=5, seed=8),
-              dropout_masks=shared)
+              draws=shared)
         held = len(shared.packed)
         p1, h1 = train(real, generated, cfg, static_labels=static)
-        p2, h2 = train(real, generated, cfg, static_labels=static, dropout_masks=shared)
+        p2, h2 = train(real, generated, cfg, static_labels=static, draws=shared)
         assert params_bitwise_equal(p1, p2)
         assert histories_equal(h1, h2)
         # the pretraining and the lsro run drew every mask of this seed
@@ -390,10 +390,32 @@ class TestDropoutMasks:
 
     def test_no_dropout_draws_nothing(self, real, generated, monkeypatch):
         monkeypatch.setattr(trainer_module, "draw_keep_mask", None)
-        masks = DropoutMasks()
+        masks = SeedDraws()
         train(real, generated, quick_config(Strategy.DMPRL1, dropout_rate=0.0),
-              dropout_masks=masks)
+              draws=masks)
         assert masks.packed == {}
+
+
+class TestEpochOrders:
+    def test_each_order_is_drawn_once_and_stored_read_only(self, monkeypatch):
+        draws = []
+
+        def counting(*args):
+            draws.append(args)
+            return epoch_shuffle_order(*args)
+
+        monkeypatch.setattr(trainer_module, "epoch_shuffle_order", counting)
+        store = SeedDraws()
+        keys = [(1, 1, 600), (1, 2, 600), (1, 1, 200), (2, 1, 600)]
+        for _ in range(3):
+            for key in keys:
+                order = store.order(*key)
+                assert order.tobytes() == epoch_shuffle_order(*key).tobytes()
+                assert not order.flags.writeable
+                with pytest.raises(ValueError):
+                    order[0] = 0
+        assert draws == keys
+        assert sorted(store.orders) == sorted(keys)
 
 
 class TestDivergence:
