@@ -4,8 +4,6 @@ Subcommands:
 
 * ``run``       -- execute an experiment grid from a spec file.
 * ``gradcheck`` -- verify analytic gradients against finite differences.
-* ``trace``     -- train the first grid cell and dump per-epoch argmax
-                   trajectories for tracked generated samples.
 * ``gen-data``  -- emit the synthetic dataset files a spec describes.
 * ``eval``      -- score saved query/gallery embedding files.
 
@@ -33,7 +31,7 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidConfig, InvalidDimension, MprlError, ProtocolViolation, SpecError
-from .experiment import RunMemo, build_datasets, parse_spec, run_experiment, run_trace
+from .experiment import RunMemo, build_datasets, parse_spec, run_experiment
 from .gradcheck import DEFAULT_K_VALUES, DEFAULT_TOLERANCE, run_gradcheck
 from .retrieval import evaluate, load_embeddings, pairwise_sq_euclidean, report_to_json
 from .synthgen import save_dataset
@@ -77,6 +75,8 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
             raise InvalidConfig(f"--k: {item.strip()!r} is not an integer") from None
         if k_values[-1] < 1:
             raise InvalidConfig(f"--k: class counts must be >= 1, got {k_values[-1]}")
+        if k_values[-1] in k_values[:-1]:
+            raise InvalidConfig(f"--k: class count {k_values[-1]} is repeated")
     return tuple(k_values)
 
 
@@ -102,19 +102,6 @@ def cmd_gradcheck(args) -> int:
         print(f"gradcheck FAILED at tolerance {args.tolerance:g}")
         return EXIT_CHECK_FAILED
     print(f"gradcheck passed at tolerance {args.tolerance:g}")
-    return EXIT_OK
-
-
-def cmd_trace(args) -> int:
-    spec = parse_spec(args.spec)
-    out_dir = args.out if args.out else spec.out_dir
-    csv_path, tracked = run_trace(spec, args.samples, out_dir)
-    if tracked < args.samples:
-        print(
-            f"warning: requested {args.samples} samples but only {tracked} generated "
-            "samples exist; clipped", file=sys.stderr,
-        )
-    _say(f"wrote {csv_path} ({tracked} tracked samples)")
     return EXIT_OK
 
 
@@ -184,13 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=cmd_gradcheck)
-
-    p_trace = sub.add_parser("trace", help="per-epoch argmax trajectories")
-    p_trace.add_argument("--spec", required=True)
-    p_trace.add_argument("--samples", type=int, required=True,
-                         help="number of generated samples to track")
-    p_trace.add_argument("--out", default=None)
-    p_trace.set_defaults(func=cmd_trace)
 
     p_gen = sub.add_parser("gen-data", help="emit synthetic dataset files")
     p_gen.add_argument("--spec", required=True)

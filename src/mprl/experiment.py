@@ -32,7 +32,7 @@ Cells run seed-major: every cell of the first seed (strategies in spec
 order, each over its counts), then the next seed.  Datasets are built
 and cells trained through a :class:`RunMemo` only: one per
 :func:`run_experiment` call, and one per worker process under ``jobs >
-1``; :func:`run_trace` and ``mprl gen-data`` each use a fresh one.
+1``; ``mprl gen-data`` uses a fresh one.
 Within a memo the cells of a seed share what they would otherwise each
 build: the real dataset, each count's generated dataset (read-only), the
 baseline model that labels an smprl cell's generated rows, which is the
@@ -65,7 +65,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import InvalidConfig, MprlError, SpecError
-from .net import ModelParams, forward
+from .net import ModelParams
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import (
     Dataset,
@@ -212,7 +212,7 @@ def expand_cells(spec: ExperimentSpec) -> list[Cell]:
 
 class RunMemo:
     """What the cells of one seed share within one run (a
-    :func:`run_experiment` call, a trace, a ``gen-data`` call): the real
+    :func:`run_experiment` call or a ``gen-data`` call): the real
     dataset, each count's generated dataset, the baseline model that
     labels an smprl cell's generated rows and the seed's epoch orders and
     dropout masks.
@@ -286,33 +286,6 @@ class CellResult:
     wall_seconds: float
 
 
-def _train_cell(spec: ExperimentSpec, cell: Cell, real: Dataset,
-                generated: Dataset | None, memo: RunMemo, on_epoch=None):
-    """Train a cell on the datasets its caller built; returns the trained
-    parameters and the history.  ``on_epoch`` observes the cell's own
-    training, never the pretraining.
-
-    smprl with generated rows labels them with its seed's baseline model
-    in ``memo``: the baseline cell's parameters when that cell has run,
-    else one pretraining per seed.  The two are the same bits: without
-    generated rows, neither ``gen_weight`` nor the strategy-specific
-    settings reach the trajectory.  Every training of the seed replays
-    the memo's epoch orders and dropout masks.
-    """
-    cfg = spec.train_config(cell.strategy, cell.seed)
-    memo.at(spec, cell.seed)
-    static = None
-    if cell.strategy is Strategy.SMPRL and generated is not None:
-        if memo.baseline is None:
-            _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
-        static = assign_static_labels(memo.baseline, generated)
-    params, history = train(real, generated, cfg, static_labels=static, on_epoch=on_epoch,
-                            draws=memo.draws)
-    if cell.strategy is Strategy.BASELINE:
-        _keep_baseline(memo, params)
-    return params, history
-
-
 def _keep_baseline(memo: RunMemo, params: ModelParams) -> None:
     """Hold ``params``, read-only, as the memo's baseline model for the rest
     of its seed: its flat storage and every per-layer view of it."""
@@ -322,10 +295,26 @@ def _keep_baseline(memo: RunMemo, params: ModelParams) -> None:
 
 def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> CellResult:
     """Train one grid cell, write its artifacts, return its summary row.
-    ``memo`` carries what the cells of one run share."""
+    ``memo`` carries what the cells of one run share.
+
+    smprl with generated rows labels them with its seed's baseline model
+    in ``memo``: the baseline cell's parameters when that cell has run,
+    else one pretraining per seed.  The two are the same bits: without
+    generated rows, neither ``gen_weight`` nor the strategy-specific
+    settings reach the trajectory.  Every training of the seed replays
+    the memo's epoch orders and dropout masks.
+    """
     start = time.perf_counter()
     real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
-    params, history = _train_cell(spec, cell, real, generated, memo)
+    cfg = spec.train_config(cell.strategy, cell.seed)
+    static = None
+    if cell.strategy is Strategy.SMPRL and generated is not None:
+        if memo.baseline is None:
+            _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
+        static = assign_static_labels(memo.baseline, generated)
+    params, history = train(real, generated, cfg, static_labels=static, draws=memo.draws)
+    if cell.strategy is Strategy.BASELINE:
+        _keep_baseline(memo, params)
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
@@ -419,45 +408,6 @@ def write_summary(results: list[CellResult], path) -> None:
             f"{np.sum([r.wall_seconds for r in rows]):.3f}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def run_trace(spec: ExperimentSpec, n_samples: int, out_dir) -> tuple[Path, int]:
-    """Train the first grid cell and write ``trajectory.csv``: for each of
-    the ``n_samples`` lowest generated ids, the eval-mode argmax over the
-    K pre-defined classes after every epoch (one ``sample_id,epoch,
-    argmax_class`` row per sample and epoch, sample by sample).
-
-    Returns the CSV path and the number of samples actually tracked
-    (clipped to the generated set size).  With zero samples requested the
-    CSV still appears, header only.
-    """
-    if n_samples < 0:
-        raise SpecError("trace sample count must be >= 0")
-    # first strategy, first count, first seed of the grid; trajectories are
-    # forward-only so even the baseline can trace generated samples
-    cell = Cell(spec.strategies[0], spec.counts[0], spec.seeds[0])
-    memo = RunMemo()
-    real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
-    tracked = min(n_samples, cell.n_generated)  # a generated set holds `count` samples
-    rows = np.argsort(generated.ids)[:tracked] if tracked else None
-    argmax_by_epoch = []
-
-    def observe(record, params):
-        logits, _, _ = forward(params, generated.features[rows])
-        argmax_by_epoch.append(np.argmax(logits[:, :real.n_classes], axis=1) + 1)
-
-    _train_cell(spec, cell, real, generated, memo, observe if tracked else None)
-
-    lines = ["sample_id,epoch,argmax_class"]
-    if tracked:
-        for sid, series in zip(generated.ids[rows].tolist(),
-                               np.transpose(argmax_by_epoch).tolist()):
-            lines += [f"{sid},{epoch},{cls}" for epoch, cls in enumerate(series, start=1)]
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    csv_path = out_path / "trajectory.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    return csv_path, tracked
 
 
 class RunFailure(MprlError):

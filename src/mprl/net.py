@@ -163,7 +163,7 @@ def forward(params: ModelParams, features, dropout_mask=None):
     logits head sees the embedding times it.  Without a mask dropout is
     the identity (eval mode).  The network draws no randomness of its own:
     the trainer's masks depend only on (seed, epoch, batch, rows) (see
-    :class:`mprl.trainer.DropoutMasks`).
+    :class:`mprl.trainer.SeedDraws`).
     """
     x = _batch(params, features)
     pre_acts, hidden_acts, embedding = _hidden_stack(params, x)

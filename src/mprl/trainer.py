@@ -49,9 +49,9 @@ A :class:`TrainConfig` is the shared :class:`TrainSettings` plus a
 strategy and a seed; its ``validate`` holds every rule on their values.
 
 Training records only its history, one :class:`EpochRecord` per epoch.
-Anything else, such as the argmax trajectories of ``mprl trace``, is an
-``on_epoch`` observer that :func:`train` calls with each record and the
-parameters at the end of that epoch.
+Anything else, such as a generated sample's per-epoch argmax trajectory
+(the README shows one), is an ``on_epoch`` observer that :func:`train`
+calls with each record and the parameters at the end of that epoch.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from mprl.experiment import (
     parse_spec_text,
     run_cell,
     run_experiment,
-    run_trace,
 )
 from mprl.losses import GradientMode
 from mprl.trainer import Strategy, TrainConfig, TrainSettings
@@ -74,7 +73,7 @@ class TestSpecParsing:
         assert tiny_spec.hidden_sizes == (8, 6)
 
     def test_unknown_key_carries_line_number(self):
-        # trajectories come from `mprl trace --samples`, never from a spec key
+        # trajectories come from a `train(on_epoch=...)` observer, never from a spec key
         # ties always take the average rank and the net is ReLU only: neither is a key
         for line in ("bogus_key = 1", "track_trajectories = 3", "tie_policy = average_rank",
                      "activation = relu"):
@@ -505,28 +504,6 @@ class TestRunExperiment:
         assert (out / "summary.csv").exists()
 
 
-class TestRunTrace:
-    def test_row_counts(self, tiny_spec, tmp_path):
-        spec = parse_spec_text(TINY_SPEC.replace("counts         = 0, 6",
-                                                 "counts         = 6"))
-        csv_path, tracked = run_trace(spec, 2, tmp_path)
-        assert tracked == 2
-        rows = csv_path.read_text().splitlines()
-        assert rows[0] == "sample_id,epoch,argmax_class"
-        assert len(rows) == 1 + 2 * spec.epochs
-
-    def test_zero_samples_header_only(self, tiny_spec, tmp_path):
-        csv_path, tracked = run_trace(tiny_spec, 0, tmp_path)
-        assert tracked == 0
-        assert csv_path.read_text() == "sample_id,epoch,argmax_class\n"
-
-    def test_clips_to_available(self, tmp_path):
-        spec = parse_spec_text(TINY_SPEC.replace("counts         = 0, 6",
-                                                 "counts         = 4"))
-        _, tracked = run_trace(spec, 50, tmp_path)
-        assert tracked == 4
-
-
 class TestSmprlWithoutGeneratedData:
     def test_count_zero_report_matches_baseline(self, tmp_path):
         # no generated rows: smprl trains exactly what the baseline trains
@@ -644,16 +621,6 @@ class TestCli:
         # an absurd tolerance cannot be met: check failure exit code
         assert main(["gradcheck", "--k", "2", "--trials", "2", "--tolerance", "1e-18"]) == 3
 
-    def test_trace_clip_warning(self, tmp_path, capsys):
-        spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC.replace("counts         = 0, 6", "counts         = 4"))
-        out = tmp_path / "traced"
-        assert main(["trace", "--spec", str(spec), "--samples", "9",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "clipped" in captured.err
-        assert (out / "trajectory.csv").exists()
-
     def test_gen_data_and_eval_round_trip(self, spec_file, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--spec", str(spec_file), "--out", str(data_dir)]) == 0
@@ -738,17 +705,20 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_gradcheck_bad_k_exits_one(self, capsys):
-        assert main(["gradcheck", "--k", "2,abc", "--trials", "1"]) == 1
+    @pytest.mark.parametrize("k, named", [("2,abc", "'abc'"), ("5,5", " 5 ")],
+                             ids=["2,abc", "5,5"])
+    def test_gradcheck_bad_k_exits_one(self, capsys, k, named):
+        # a repeated class count would run its checks twice under one INFO line
+        assert main(["gradcheck", "--k", k, "--trials", "1"]) == 1
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "'abc'" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, line", [
         # run's cases are named by the bare line, so their ids stay stable
         pytest.param(command, line, id=line if command == "run" else f"{command}-{line}")
-        for command in ("run", "trace", "gen-data") for line in REJECTED_SPEC_LINES])
+        for command in ("run", "gen-data") for line in REJECTED_SPEC_LINES])
     def test_silently_wrong_spec_values_exit_one(self, tmp_path, capsys, monkeypatch,
                                                  command, line):
         def no_work(*args, **kwargs):
@@ -763,8 +733,7 @@ class TestCli:
             rows = [new if row.startswith(key) else row for row in rows]
         spec = tmp_path / "spec.txt"
         spec.write_text("\n".join(rows) + "\n")
-        argv = [command, "--spec", str(spec), "--out", str(tmp_path / "out")]
-        assert main(argv + (["--samples", "2"] if command == "trace" else [])) == 1
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key.strip() in err[0]
         assert not (tmp_path / "out").exists()
@@ -827,6 +796,7 @@ class TestCli:
         [],  # no subcommand
         ["run", "--spec", "spec.txt", "--jobs", "0"],
         ["run", "--spec", "spec.txt", "--jobs", "-3"],
+        ["trace", "--spec", "spec.txt", "--samples", "2"],  # a retired subcommand
     ])
     def test_argument_errors_exit_one(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,23 +1,23 @@
 """Golden artifacts: the desk benchmark grid at seed 1, pinned to the byte.
 
 Every cell of ``benchmark.spec`` (seven strategies, 400 generated
-samples) is trained at seed 1 and each ``report.json`` is compared by
-SHA-256 against the digests below; so is the ``trajectory.csv`` that
-``mprl trace --samples 5`` writes with dmprl2 (dynamic labels, warm-up
-gate) and with smprl (pretrained static labels) as the first strategy.
-A small wide grid (K = 151) pins every ``report.json`` and
-``history.csv`` too: at K = 8 a row sum has at most 8 terms, which numpy
-adds one by one in any layout, so only a wide row shows a sum taken in
-another order (a generated row's value or weight sum, say).  Its three
-rank-weighted strategies are pinned again under the diagonal gradient
-mode.  The log1p value of a real row at the top logit is too small
-against its batch's mean loss to show in any grid;
-``tests/test_losses.py`` pins it bit for bit.  A small two-seed grid pins every ``report.json`` and
-``history.csv`` at ``--jobs`` 1 and 2, which covers the seed-major cell
-order and what the cells of one run share.  The stdout of ``mprl
-gradcheck --trials 5`` at the default K values is pinned for seeds 0-3,
-and so is every file ``mprl gen-data --spec benchmark.spec --seed 1``
-writes.
+samples) is trained at seed 1 and each ``report.json`` and
+``history.csv`` is compared by SHA-256 against the digests below; the
+history pins every epoch's losses and accuracies, so a change that moves
+a trajectory but lands on the same report still shows.  A small wide
+grid (K = 151) pins every ``report.json`` and ``history.csv`` too: at
+K = 8 a row sum has at most 8 terms, which numpy adds one by one in any
+layout, so only a wide row shows a sum taken in another order (a
+generated row's value or weight sum, say).  Its three rank-weighted
+strategies, smprl first so that it pretrains its own baseline, are
+pinned again under the diagonal gradient mode.  The log1p value of a
+real row at the top logit is too small against its batch's mean loss to
+show in any grid; ``tests/test_losses.py`` pins it bit for bit.  A small
+two-seed grid pins every ``report.json`` and ``history.csv`` at
+``--jobs`` 1 and 2, which covers the seed-major cell order and what the
+cells of one run share.  The stdout of ``mprl gradcheck --trials 5`` at
+the default K values is pinned for seeds 0-3, and so is every file
+``mprl gen-data --spec benchmark.spec --seed 1`` writes.
 A refactor that claims to leave the numbers alone must leave these
 digests alone; a change that moves them on purpose re-pins them and
 says why.
@@ -36,21 +36,35 @@ from mprl.trainer import Strategy
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# cell -> sha256 of report.json; rank-1 is 1.0 everywhere, mAP in the comment
-GOLDEN_REPORT_SHA256 = {
-    "all_in_one_n400_seed1":
+# cell/artifact -> sha256; rank-1 is 1.0 everywhere, mAP in the comment
+GOLDEN_BENCHMARK_SHA256 = {
+    "all_in_one_n400_seed1/history.csv":
+        "121f91688905391399f1c02f62e8e45660ffcc8f35fec9d261574b95df01412f",
+    "all_in_one_n400_seed1/report.json":
         "43ac0ff1218d46afe6edcaaf56880cfe507e18cc107ff58c9bf84ad1705139d7",  # 0.980366
-    "baseline_n0_seed1":
+    "baseline_n0_seed1/history.csv":
+        "6b4e12fe76c526fa6f1e634f92486cc0116d112beb4453b64db02c9bf1f990a9",
+    "baseline_n0_seed1/report.json":
         "a11adbb365df8029007804d09127ed6f39a72dc92594bd438198924a7ee735a5",  # 0.981592
-    "dmprl1_n400_seed1":
+    "dmprl1_n400_seed1/history.csv":
+        "5f727d8c2880b0afdf52eda3781a7e11f350cb616381dabe8350a544acd9ad8f",
+    "dmprl1_n400_seed1/report.json":
         "a3b55158d424abb08afaf2ec1ba73ea8859cf323da37bc2710f42fca43390587",  # 0.895015
-    "dmprl2_n400_seed1":
+    "dmprl2_n400_seed1/history.csv":
+        "27cf3ac5677346eb905e8a29d8c6a35f8af2e7efc3ee5fe975ef7f95d5640dc8",
+    "dmprl2_n400_seed1/report.json":
         "9861a58c065f142fffb3bc00d587facbd57f29802c691428b4eb36b28dc37234",  # 0.968647
-    "lsro_n400_seed1":
+    "lsro_n400_seed1/history.csv":
+        "c675e54cc5c162594859cb7e7b916ebb1a8b34949d752ce6bf9eecb1b2ca7ef5",
+    "lsro_n400_seed1/report.json":
         "17183ecb55b52688df18d3efe258a95cdc8cc75fc1c3eaf743ffc98115c54b88",  # 0.824079
-    "one_hot_pseudo_n400_seed1":
+    "one_hot_pseudo_n400_seed1/history.csv":
+        "d91fed5e61633e4bb73fe4697319a152f37920e2e49696f245eb944a4b1b4a0c",
+    "one_hot_pseudo_n400_seed1/report.json":
         "85155a2804a3366b7d7e428cf1ac00408dd3574b21086463062cb5d532a76cc1",  # 0.989630
-    "smprl_n400_seed1":
+    "smprl_n400_seed1/history.csv":
+        "1170d7d376d5dc95bb146153d42af8e65ffc53416d63a43e63ac19c8b2cb1e55",
+    "smprl_n400_seed1/report.json":
         "44fcd936773544e745cb01cfe9dbd87bdb4995880f0b8f06350b7f7af06faf75",  # 0.899074
 }
 
@@ -58,35 +72,10 @@ GOLDEN_REPORT_SHA256 = {
 def test_benchmark_spec_seed_1_reports_are_byte_identical(tmp_path):
     spec = replace(parse_spec(ROOT / "benchmark.spec"), seeds=(1,))
     run_experiment(spec, out_dir=tmp_path)
-    reports = sorted(tmp_path.glob("*/report.json"))
-    got = {path.parent.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in reports}
-    assert got == GOLDEN_REPORT_SHA256, [path.read_text()[:40] for path in reports]
-
-
-# first strategy of the grid -> sha256 of trajectory.csv (5 samples, 50 epochs)
-GOLDEN_TRACE_SHA256 = {
-    "dmprl2": "adc03d105acc3c6588e254ac8bab54906a72ce15b3c4677bcd0339a495956087",
-    "smprl": "19a1341a01c74ff4020ca46a0119729251de06388b9278f31093de24b120b29d",
-}
-
-
-@pytest.mark.parametrize("first", sorted(GOLDEN_TRACE_SHA256))
-def test_benchmark_spec_seed_1_traces_are_byte_identical(tmp_path, first):
-    text = (ROOT / "benchmark.spec").read_text()
-    rows = []
-    for row in text.splitlines():
-        if row.startswith("strategies"):
-            row = f"strategies = {first}, baseline"
-        elif row.startswith("seeds"):
-            row = "seeds = 1"
-        rows.append(row)
-    spec_path = tmp_path / "spec.txt"
-    spec_path.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "trace"
-    assert main(["trace", "--spec", str(spec_path), "--samples", "5", "--out", str(out)]) == 0
-    got = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-    assert got == GOLDEN_TRACE_SHA256[first]
+    got = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.glob("*/*"))
+           if path.name in ("report.json", "history.csv")}
+    assert got == GOLDEN_BENCHMARK_SHA256
 
 
 # all seven strategies at K = 151 on a few epochs: every row sum has 150

@@ -1,10 +1,14 @@
-"""The README's Python examples run as written, and its spec example
-names every spec key."""
+"""The README's Python examples run as written, its spec example names
+every spec key, and its CLI block and the ``mprl.cli`` docstring name
+every subcommand."""
 
+import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
 
+from mprl import cli
+from mprl.cli import build_parser
 from mprl.experiment import ExperimentSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,3 +34,13 @@ def test_spec_example_and_its_defaults_name_exactly_the_spec_keys():
     named = example + defaults
     assert len(named) == len(set(named)), "a key is named twice"
     assert set(named) == {f.name for f in fields(ExperimentSpec)}
+
+
+def test_cli_block_and_cli_docstring_name_exactly_the_subcommands():
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```$", README.read_text(),
+                      re.MULTILINE | re.DOTALL).group(1)
+    in_readme = re.findall(r"^mprl ([\w-]+)", block, re.MULTILINE)
+    in_docstring = re.findall(r"^\* ``([\w-]+)`` +--", cli.__doc__, re.MULTILINE)
+    assert sorted(in_readme) == sorted(in_docstring) == sorted(subparsers.choices)
