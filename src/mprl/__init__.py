@@ -73,6 +73,7 @@ from .synthgen import (
     save_dataset,
 )
 from .trainer import (
+    Cohort,
     EpochRecord,
     Strategy,
     TrainConfig,

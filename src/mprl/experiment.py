@@ -41,6 +41,12 @@ otherwise, and the epoch orders and dropout masks.  An order depends
 only on (seed, epoch, pool size) and a mask only on (seed, epoch, batch,
 rows), never on the strategy, so each is drawn once per seed and
 replayed by the seed's later cells (see :class:`mprl.trainer.SeedDraws`).
+A seed's cells that share a count and a head width, the baseline
+excepted, train as one :class:`mprl.trainer.Cohort`, up to
+:func:`mprl.trainer.stack_limit` cells each: the first of them trains
+every member in lockstep, and each later one takes the result the memo
+holds for it.  Its ``wall_seconds`` then holds the cohort's training,
+and a later member's only its own evaluation.
 Nothing is shared across seeds or across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
@@ -75,13 +81,16 @@ from .synthgen import (
     make_real_dataset,
 )
 from .trainer import (
+    Cohort,
     SeedDraws,
     Strategy,
     TrainConfig,
     TrainSettings,
     assign_static_labels,
     extract_embeddings,
+    lockstep_key,
     pretrain_baseline,
+    stack_limit,
     train,
 )
 
@@ -214,8 +223,9 @@ class RunMemo:
     """What the cells of one seed share within one run (a
     :func:`run_experiment` call or a ``gen-data`` call): the real
     dataset, each count's generated dataset, the baseline model that
-    labels an smprl cell's generated rows and the seed's epoch orders and
-    dropout masks.
+    labels an smprl cell's generated rows, the seed's epoch orders and
+    dropout masks, and its cohorts (:attr:`cohorts`, each cell that has
+    yet to take its result mapped to its :class:`mprl.trainer.Cohort`).
     Cells run seed-major, so it holds one seed at a time.  Every array it
     holds is read-only."""
 
@@ -234,6 +244,7 @@ class RunMemo:
         self.generated: dict[int, Dataset | None] = {}
         self.baseline: ModelParams | None = None
         self.draws = SeedDraws()
+        self.cohorts: dict[Cell, Cohort] = {}
 
 
 # a pool worker's memo, set by the pool's initializer; it ends with its
@@ -293,26 +304,62 @@ def _keep_baseline(memo: RunMemo, params: ModelParams) -> None:
     memo.baseline = params
 
 
+def _cohort_of(spec: ExperimentSpec, cell: Cell, memo: RunMemo, real: Dataset,
+               generated: Dataset | None) -> Cohort:
+    """The cohort that trains ``cell``: the memo's, else a new one.
+
+    A new cohort holds ``cell`` and the later cells of its seed that no
+    cohort holds yet and that train in lockstep with it: the same count
+    and :func:`mprl.trainer.lockstep_key`, up to the
+    :func:`mprl.trainer.stack_limit` of its kind.  Each smprl member
+    labels its generated rows with the seed's baseline model in ``memo``:
+    the baseline cell's parameters when that cell has run, else one
+    pretraining per seed.  The two are the same bits: without generated
+    rows, neither ``gen_weight`` nor the strategy-specific settings reach
+    the trajectory.  An smprl cell behind a baseline cell still to run
+    joins no earlier cell's cohort, so it waits for that cell's model
+    instead of pretraining a copy.
+    """
+    cohort = memo.cohorts.pop(cell, None)
+    if cohort is not None:
+        return cohort
+    cfg = spec.train_config(cell.strategy, cell.seed)
+    cells = expand_cells(spec)
+    key = (cell.seed, cell.n_generated, lockstep_key(cfg))
+    later = [c for c in cells[cells.index(cell) + 1:] if c not in memo.cohorts and key == (
+        c.seed, c.n_generated, lockstep_key(spec.train_config(c.strategy, c.seed)))]
+    baseline_cell = Cell(Strategy.BASELINE, 0, cell.seed)
+    if memo.baseline is None and baseline_cell in cells[cells.index(cell) + 1:]:
+        later = [c for c in later if c.strategy is not Strategy.SMPRL
+                 or cells.index(c) < cells.index(baseline_cell)]
+    cohort = Cohort()
+    for member in [cell, *later][:stack_limit(cfg, spec.n_classes)]:
+        static = None
+        if member.strategy is Strategy.SMPRL and generated is not None:
+            if memo.baseline is None:
+                _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
+            static = assign_static_labels(memo.baseline, generated)
+        cohort.add(spec.train_config(member.strategy, member.seed), static)
+        if member != cell:
+            memo.cohorts[member] = cohort
+    return cohort
+
+
 def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> CellResult:
     """Train one grid cell, write its artifacts, return its summary row.
     ``memo`` carries what the cells of one run share.
 
-    smprl with generated rows labels them with its seed's baseline model
-    in ``memo``: the baseline cell's parameters when that cell has run,
-    else one pretraining per seed.  The two are the same bits: without
-    generated rows, neither ``gen_weight`` nor the strategy-specific
-    settings reach the trajectory.  Every training of the seed replays
-    the memo's epoch orders and dropout masks.
+    The cell trains in its cohort (see :func:`_cohort_of`): the first
+    cell of a cohort trains every member, and each later member takes the
+    result the memo holds for it, which equals a training of its own bit
+    for bit.  Every training of the seed replays the memo's epoch orders
+    and dropout masks.
     """
     start = time.perf_counter()
     real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
     cfg = spec.train_config(cell.strategy, cell.seed)
-    static = None
-    if cell.strategy is Strategy.SMPRL and generated is not None:
-        if memo.baseline is None:
-            _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
-        static = assign_static_labels(memo.baseline, generated)
-    params, history = train(real, generated, cfg, static_labels=static, draws=memo.draws)
+    cohort = _cohort_of(spec, cell, memo, real, generated)
+    params, history = train(real, generated, cfg, draws=memo.draws, cohort=cohort)
     if cell.strategy is Strategy.BASELINE:
         _keep_baseline(memo, params)
 
@@ -331,7 +378,12 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> 
 
 
 def _run_cell_job(args):
-    return run_cell(*args, _worker_memo)
+    """A pool worker's cell: its result, or the error it raised, so the
+    cells before it in a chunk still report."""
+    try:
+        return run_cell(*args, _worker_memo)
+    except Exception as exc:
+        return exc
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
@@ -341,7 +393,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
     ``jobs > 1`` distributes cells over at most ``min(jobs, cells)``
     worker processes; each cell is internally deterministic, and the
     summary is assembled in sorted cell order, so parallelism never
-    changes any artifact except the wall_seconds timing column.
+    changes any artifact except the wall_seconds timing column.  With at
+    least as many seeds as workers a worker takes a seed's cells as one
+    chunk, so each seed's datasets are built and its cohorts trained
+    once; with fewer seeds it takes one cell at a time, so a one-seed
+    grid still runs in parallel.
     """
     spec.validate()
     out_path = Path(out_dir if out_dir is not None else spec.out_dir)
@@ -349,6 +405,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
     cells = expand_cells(spec)
     # the pool forks all of its workers at the first submit
     workers = min(jobs, len(cells))
+    # expand_cells is seed-major, with as many cells for every seed
+    chunk = len(cells) // len(spec.seeds) if len(spec.seeds) >= workers else 1
 
     results: list[CellResult] = []
     try:
@@ -360,8 +418,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
                 memo = RunMemo()
                 outcomes = (run_cell(spec, c, out_path, memo) for c in cells)
             else:
-                outcomes = pool.map(_run_cell_job, [(spec, c, out_path) for c in cells])
+                outcomes = pool.map(_run_cell_job, [(spec, c, out_path) for c in cells],
+                                    chunksize=chunk)
             for result in outcomes:
+                if isinstance(result, Exception):
+                    raise result
                 results.append(result)
                 if progress:
                     progress(result)

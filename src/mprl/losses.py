@@ -140,11 +140,13 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     ``top`` its (B,) row maxima;
     ``rows`` and ``cls`` are the one-hot rows and their classes, ``dense``
     the weighted rows and ``weights`` their weights, or None to leave
-    them unscored.  Returns the one-hot rows' values (None without
-    one-hot rows) and the weighted rows' values (None without weights);
-    with ``gradients`` also the (B, width) softmax buffer holding each
-    one-hot row's gradient, and the weighted rows' gradients (None
-    without weights).
+    them unscored.  ``diagonal`` is one flag for every weighted row or a
+    boolean per weighted row.  Returns the one-hot rows' values (None
+    without one-hot rows) and the weighted rows' values (None without
+    weights); with ``gradients`` also the (B, width) softmax buffer
+    holding each one-hot row's gradient, and the weighted rows' gradients
+    (None without weights).  Rows never mix, so a row's results do not
+    depend on the rows scored beside it.
     """
     width = x.shape[1]
     z = x - top[:, None]
@@ -166,7 +168,7 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
             v_rows[at_top] = np.log1p(e_others.sum(1))
 
     # every row weighted: the whole buffer is theirs, no subset to gather
-    every = at_class is None
+    every = dense.size == x.shape[0]
     if weights is not None:
         z_dense = z if every else z.take(dense, 0)
         log_dense = log_total if every else log_total[dense]
@@ -179,11 +181,14 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     dense_grads = None
     if weights is not None:
         p_dense = p if every else p.take(dense, 0)
-        if diagonal:
+        per_row = isinstance(diagonal, np.ndarray)
+        if not per_row and diagonal:
             dense_grads = -weights * (1.0 - p_dense)
         else:
             dense_grads = weights.sum(1)[:, None] * p_dense - weights
-    if not every:
+            if per_row and diagonal.any():
+                dense_grads[diagonal] = -weights[diagonal] * (1.0 - p_dense[diagonal])
+    if at_class is not None:
         p.ravel()[at_class] -= 1.0
     return v_rows, v_dense, p, dense_grads
 
@@ -244,19 +249,21 @@ class CombinedLoss:
     gen_weight factor (so it is 0.0 when ``gen_weights`` is None).
     ``value`` = real_loss + gen_weight * gen_loss.  Row i of
     ``grad_logits`` is d(value)/d(logits of item i), so the mean
-    reduction and gen_weight are already folded in.
+    reduction and gen_weight are already folded in.  For a stack of S
+    batches (``members`` = S) the three losses are lists of S floats, one
+    per member; ``n_real`` and ``n_generated`` count one member's rows.
     """
 
-    value: float
-    real_loss: float
-    gen_loss: float
+    value: float | list[float]
+    real_loss: float | list[float]
+    gen_loss: float | list[float]
     n_real: int
     n_generated: int
     grad_logits: np.ndarray
 
 
-def combined_loss(logits, classes, gen_weights, gen_weight: float,
-                  diagonal: bool = False) -> CombinedLoss:
+def combined_loss(logits, classes, gen_weights, gen_weight, diagonal=False,
+                  members: int | None = None) -> CombinedLoss:
     """Mini-batch loss of a (B, width) logit matrix against its rows' labels.
 
     ``classes`` (B,) holds each real row's 0-based class and -1 for a
@@ -271,32 +278,76 @@ def combined_loss(logits, classes, gen_weights, gen_weight: float,
     gen_weight * mean(generated), so the trade-off factor keeps its
     meaning regardless of batch composition.  A class outside
     0..width-1 (other than -1) raises ``InvalidClass`` naming its row.
+
+    ``members`` = S scores the batches of S models at once, as stacked
+    by :mod:`mprl.net`: ``logits`` is (S·B, width), member s's batch in
+    rows s·B to (s+1)·B, and ``classes`` (B,) is every member's.
+    ``gen_weights``, ``gen_weight`` and ``diagonal`` then hold one entry
+    per member.  Each member's means run over its own rows only, and its
+    losses and gradient rows equal a call on its batch alone bit for
+    bit.  Non-finite logits or weights anywhere in the stack raise.
     """
+    if members is None:
+        out = combined_loss(logits, classes, [gen_weights], [gen_weight], [diagonal], members=1)
+        return CombinedLoss(out.value[0], out.real_loss[0], out.gen_loss[0], out.n_real,
+                            out.n_generated, out.grad_logits)
     x = np.asarray(logits, dtype=np.float64, order="C")
     if x.ndim != 2 or x.size == 0:
         raise InvalidDimension("batch must contain at least one item")
-    rows, cls, gen = _label_rows(classes, x.shape)
+    if not members == len(gen_weights) == len(gen_weight) == len(diagonal):
+        raise InvalidDimension(f"need gen_weights, gen_weight and diagonal for each of "
+                               f"{members} members")
+    n, width = len(x) // members, x.shape[1]
+    if n * members != len(x):
+        raise InvalidDimension(f"{len(x)} logit rows do not split into {members} batches")
+    rows, cls, gen = _label_rows(classes, (n, width))
     n_real = rows.size
     n_generated = gen.size
-    w = None if gen_weights is None else _weight_rows(gen_weights, n_generated, x.shape[1])
+    weights = [None if w is None else _weight_rows(w, n_generated, width) for w in gen_weights]
+    scored = [s for s, w in enumerate(weights) if w is not None]
+    if members == 1:  # a lone batch: no stack to lay out
+        w, dense, diag = weights[0], gen, bool(diagonal[0])
+        idle = gen if w is None else gen[:0]
+    else:
+        offsets = np.arange(0, len(x), n)[:, None]
+        rows = (offsets + rows).ravel()
+        cls = np.repeat(cls[None, :], members, 0).ravel()
+        at = offsets + gen  # each member's generated rows
+        dense = at[scored].ravel()
+        idle = at[[s for s in range(members) if s not in scored]].ravel()  # left unscored
+        w = diag = None
+        if scored:
+            w = np.concatenate([weights[s] for s in scored])
+            flags = [bool(diagonal[s]) for s in scored]
+            diag = flags[0] if len(set(flags)) == 1 else np.repeat(flags, n_generated)
     top = x.max(1)
     # a NaN or +inf shows in the row maxima, a -inf only in the minimum
     if not (math.isfinite(top.max()) and math.isfinite(x.min())
             and (w is None or math.isfinite(w.min()) and math.isfinite(w.max()))):
         raise InvalidDimension("logits and weights must be finite")
 
-    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, gen, w, diagonal)
-    # per-row scaling in place on the (B, width) buffer; the generated
+    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, dense, w, diag)
+    # per-row scaling in place on the (S·B, width) buffer; the generated
     # rows it scales are overwritten below
     if n_real:
         grads /= n_real
     if w is not None:
-        gen_grads *= gen_weight / n_generated
-        grads[gen] = gen_grads
-    elif n_generated:
-        grads[gen] = 0.0
+        if members == 1:
+            gen_grads *= gen_weight[0] / n_generated
+        else:
+            gen_grads *= np.repeat([gen_weight[s] / n_generated for s in scored],
+                                   n_generated)[:, None]
+        grads[dense] = gen_grads
+    if idle.size:
+        grads[idle] = 0.0
 
-    real_loss = float(v_real.sum()) / n_real if n_real else 0.0
-    gen_loss = float(v_gen.sum()) / n_generated if w is not None else 0.0
-    value = real_loss + gen_weight * gen_loss
+    # each member's sum over its own rows, as a sum over its batch alone adds them
+    real_loss = ([total / n_real for total in np.add.reduce(v_real.reshape(members, n_real), 1)
+                  .tolist()] if n_real else [0.0] * members)
+    gen_loss = [0.0] * members
+    if w is not None:
+        for s, total in zip(scored, np.add.reduce(v_gen.reshape(len(scored), n_generated), 1)
+                            .tolist()):
+            gen_loss[s] = total / n_generated
+    value = [real + weight * gen for real, weight, gen in zip(real_loss, gen_weight, gen_loss)]
     return CombinedLoss(value, real_loss, gen_loss, n_real, n_generated, grads)

@@ -13,6 +13,17 @@ layer by layer.  The per-layer ``weights`` and ``biases`` of
 gradients :func:`backward` fills and of the momentum velocity, so
 :func:`sgd_step` updates every layer with one pass over flat vectors and
 a checkpoint is a header followed by the vector's bytes.
+
+A *stack* of S models with one layout keeps its parameters in one
+(S, n_params) block, one model per row; its per-layer views are then
+(S, fan_in, fan_out) weights and (S, fan_out) biases.  :func:`forward`,
+:func:`backward`, :func:`init_optimizer` and :func:`sgd_step` take a
+stack wherever they take a model: the S models see one shared (n, d)
+batch, and every array that is per model gains the leading axis (logits
+(S, n, K), say).  Each model's slice of a stacked matmul, bias sum and
+update is computed as the same 2-D call on that model alone would
+compute it, so a model trained in a stack equals one trained alone bit
+for bit (``tests/test_net.py`` pins this for the shapes in use).
 """
 
 from __future__ import annotations
@@ -39,7 +50,8 @@ class _FlatLayers:
     then its biases, layer by layer.  ``layout`` holds (start, mid, stop,
     weight shape) per layer: its weights fill ``flat[start:mid]`` and its
     biases ``flat[mid:stop]``.  Built from per-layer arrays, the values
-    are copied into a fresh flat vector.
+    are copied into a fresh flat vector.  A stack's ``flat`` is an
+    (S, n_params) block laid out the same way along its last axis.
     """
 
     def __init__(self, weights, biases):
@@ -64,8 +76,8 @@ class _FlatLayers:
         self.weights = []
         self.biases = []
         for start, mid, stop, shape in layout:
-            self.weights.append(flat[start:mid].reshape(shape))
-            self.biases.append(flat[mid:stop])
+            self.weights.append(flat[..., start:mid].reshape(flat.shape[:-1] + shape))
+            self.biases.append(flat[..., mid:stop])
 
 
 def _layout(layers) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
@@ -81,7 +93,8 @@ def _layout(layers) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
 
 class ModelParams(_FlatLayers):
     """Weight matrices (fan_in x fan_out) and bias vectors per layer, as
-    views of one flat vector (see :class:`_FlatLayers`)."""
+    views of one flat vector (see :class:`_FlatLayers`); built with
+    :meth:`of` over an (S, n_params) block, a stack of S models."""
 
     def __init__(self, weights, biases):
         super().__init__(weights, biases)
@@ -96,16 +109,17 @@ class ModelParams(_FlatLayers):
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0], *(b.size for b in self.biases))
+        return (self.weights[0].shape[-2], *(b.shape[-1] for b in self.biases))
 
     @property
     def embedding_dim(self) -> int:
         """Width of the penultimate layer (the retrieval embedding)."""
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
     @property
     def n_params(self) -> int:
-        return self.flat.size
+        """Parameters per model."""
+        return self.flat.shape[-1]
 
 
 class ParamGrads(_FlatLayers):
@@ -158,9 +172,10 @@ def forward(params: ModelParams, features, dropout_mask=None):
 
     Returns ``(logits, cache, embedding)``.  The embedding is the
     penultimate activation before dropout.  A ``dropout_mask`` means
-    train-mode dropout: it is the embedding-shaped inverted-scaling keep
+    train-mode dropout: it is the (n, embedding) inverted-scaling keep
     mask (0 for a dropped unit, ``1 / (1 - rate)`` for a kept one), and the
-    logits head sees the embedding times it.  Without a mask dropout is
+    logits head sees the embedding times it; every model of a stack
+    applies the same mask.  Without a mask dropout is
     the identity (eval mode).  The network draws no randomness of its own:
     the trainer's masks depend only on (seed, epoch, batch, rows) (see
     :class:`mprl.trainer.SeedDraws`).
@@ -171,14 +186,14 @@ def forward(params: ModelParams, features, dropout_mask=None):
     dropped = embedding
     if dropout_mask is not None:
         mask = np.asarray(dropout_mask, dtype=np.float64)
-        if mask.shape != embedding.shape:
+        if mask.shape != embedding.shape[-2:]:
             raise InvalidDimension(
                 f"dropout mask has shape {mask.shape}, embedding has {embedding.shape}"
             )
         dropped = embedding * mask
 
     logits = dropped @ params.weights[-1]
-    logits += params.biases[-1]
+    logits += params.biases[-1][..., None, :]
     cache = ForwardCache(params, x, pre_acts, hidden_acts, mask, dropped, logits)
     return logits, cache, embedding
 
@@ -192,10 +207,9 @@ def embed(params: ModelParams, features) -> np.ndarray:
 def _batch(params: ModelParams, features) -> np.ndarray:
     """``features`` as a float64 (n, d) batch of the network's input width."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
-        raise InvalidDimension(
-            f"features have shape {x.shape}, network expects (n, {params.weights[0].shape[0]})"
-        )
+    fan_in = params.weights[0].shape[-2]
+    if x.ndim != 2 or x.shape[1] != fan_in:
+        raise InvalidDimension(f"features have shape {x.shape}, network expects (n, {fan_in})")
     return x
 
 
@@ -207,7 +221,7 @@ def _hidden_stack(params: ModelParams, x: np.ndarray):
     a = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = a @ w
-        z += b
+        z += b[..., None, :]
         a = np.maximum(z, 0.0)
         pre_acts.append(z)
         hidden_acts.append(a)
@@ -230,21 +244,22 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrad
             f"grad_logits shape {g.shape} does not match logits {cache.logits.shape}"
         )
 
-    grads = ParamGrads.of(np.empty(params.flat.size), params.layout)
+    # .mT and axis -2: the transpose and the batch axis of a model or a stack
+    grads = ParamGrads.of(np.empty(params.flat.shape), params.layout)
     grad_w, grad_b = grads.weights, grads.biases
-    np.matmul(cache.dropped_embedding.T, g, out=grad_w[-1])
-    g.sum(0, out=grad_b[-1])
-    delta = g @ params.weights[-1].T
+    np.matmul(cache.dropped_embedding.mT, g, out=grad_w[-1])
+    g.sum(-2, out=grad_b[-1])
+    delta = g @ params.weights[-1].mT
     if cache.dropout_mask is not None:
         delta *= cache.dropout_mask
 
     for i in range(len(params.weights) - 2, -1, -1):
         delta *= cache.pre_acts[i] > 0.0
         prev = cache.inputs if i == 0 else cache.hidden_acts[i - 1]
-        np.matmul(prev.T, delta, out=grad_w[i])
-        delta.sum(0, out=grad_b[i])
+        np.matmul(prev.mT, delta, out=grad_w[i])
+        delta.sum(-2, out=grad_b[i])
         if i > 0:
-            delta = delta @ params.weights[i].T
+            delta = delta @ params.weights[i].mT
 
     return grads
 
@@ -254,7 +269,7 @@ def init_optimizer(params: ModelParams, learning_rate: float, momentum: float) -
         raise InvalidConfig("learning_rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise InvalidConfig("momentum must be in [0, 1)")
-    return OptimizerState(ParamGrads.of(np.zeros(params.flat.size), params.layout),
+    return OptimizerState(ParamGrads.of(np.zeros(params.flat.shape), params.layout),
                           learning_rate, momentum)
 
 
@@ -268,7 +283,8 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimizerState) -> M
     a fresh ModelParams over a fresh flat vector, so stale forward caches
     are detectable and anyone holding the old params keeps their values.
     """
-    if not grads.layout == params.layout == state.velocity.layout:
+    if not (grads.layout == params.layout == state.velocity.layout
+            and grads.flat.shape == params.flat.shape == state.velocity.flat.shape):
         raise InvalidDimension(f"gradient layers {grads.layout} and velocity layers "
                                f"{state.velocity.layout} must match the params' {params.layout}")
     v = state.velocity.flat

@@ -39,6 +39,22 @@ one store per seed across its cells (see :mod:`mprl.experiment`), and a
 :func:`train` call without one keeps a private store, which draws
 exactly what it needs.
 
+The initial parameters, too, depend only on the seed and the layer
+sizes, so trainings of one seed and pool that share every setting in
+:func:`lockstep_key` differ only in their generated rows' labels, the
+weight of those rows and their gradient mode.  Such trainings run in
+lockstep as a :class:`Cohort`: their parameters are one
+(S, n_params) stack (see :mod:`mprl.net`), and each batch is one
+forward, one :func:`combined_loss` call on the (S·B, width) stacked
+logits (each member reduced over its own rows), one backward and one
+momentum step for all S of them.  Each member's result equals its own
+:func:`train` call bit for bit; a member whose batch fails leaves the
+stack with the error its own call would have raised, and the others go
+on.  :data:`STACK_BYTES` bounds the stacked logits, which caps a
+cohort's size (:func:`stack_limit`).  There is one training loop: a
+:func:`train` call without a cohort trains a cohort of one, a lone
+model rather than a stack.
+
 :func:`train` and :func:`assign_static_labels` run under
 :func:`mprl.retrieval.small_ufunc_buffer`: numpy copies a broadcast
 operand (the (B, 1) row maxima of the loss, a bias row) into its ufunc
@@ -64,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDimension, MprlError
+from .errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
 from .labels import all_in_one_label, lsro_label, mprl_rows, row_ranks
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
@@ -77,6 +93,7 @@ from .labels import (  # noqa: F401
 from .losses import CombinedLoss, GradientMode, combined_loss
 from .net import (
     ModelParams,
+    ParamGrads,
     backward,
     embed,
     forward,
@@ -283,6 +300,104 @@ def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
     return lambda logits, positions: mprl_rows(row_ranks(logits))
 
 
+# the byte budget of a cohort's stacked (S·B, width) logits, the widest
+# array of a lockstep batch: a cohort holds as many members as fit in it
+STACK_BYTES = 256 * 1024
+
+
+def _head_width(strategy: Strategy, n_classes: int) -> int:
+    return n_classes + 1 if strategy is Strategy.ALL_IN_ONE else n_classes
+
+
+def lockstep_key(cfg: TrainConfig) -> tuple:
+    """What the members of one cohort share: every setting that reaches a
+    trajectory before its generated rows are labelled.  The baseline's
+    pool leaves the generated rows out and all-in-one's head is one class
+    wider, so each of them trains only beside its own kind."""
+    return (cfg.seed, cfg.epochs, cfg.batch_size, cfg.lr_initial, cfg.lr_after_decay,
+            cfg.decay_epoch, cfg.momentum, cfg.dropout_rate, cfg.hidden_sizes, cfg.init_scale,
+            cfg.strategy is Strategy.BASELINE, cfg.strategy is Strategy.ALL_IN_ONE)
+
+
+def stack_limit(cfg: TrainConfig, n_classes: int) -> int:
+    """The most members a cohort of ``cfg``'s kind holds within
+    :data:`STACK_BYTES`; at least one."""
+    return max(1, STACK_BYTES // (8 * cfg.batch_size * _head_width(cfg.strategy, n_classes)))
+
+
+class Cohort:
+    """Trainings of one seed and pool that run as one stack of models.
+
+    Members are added, each with its static labels (smprl only), before
+    the first :func:`train` call that names one of them.  That call trains
+    every member in lockstep.  From then on the cohort holds each
+    member's result (its params and history, or the error that failed
+    it) until a :func:`train` call for that member takes it, once.
+    """
+
+    def __init__(self):
+        self.members: dict[TrainConfig, np.ndarray | None] = {}
+        self.results: dict[TrainConfig, tuple[ModelParams, TrainHistory] | MprlError] | None = None
+
+    def add(self, cfg: TrainConfig, static_labels: np.ndarray | None = None) -> None:
+        if self.results is not None:
+            raise InvalidState("a cohort takes no members once it has trained")
+        if cfg in self.members:
+            raise InvalidConfig(f"the cohort already holds this {cfg.strategy.value} config")
+        first = next(iter(self.members), cfg)
+        if lockstep_key(cfg) != lockstep_key(first):
+            raise InvalidConfig(f"{cfg.strategy.value} cannot train in lockstep with "
+                                f"{first.strategy.value}: they differ in a shared setting")
+        self.members[cfg] = static_labels
+
+
+class _Member:
+    """One cohort member's own part of the lockstep loop: the labels of its
+    generated rows, their weight and gradient mode, its history and its
+    running sums of the epoch."""
+
+    def __init__(self, cfg: TrainConfig, real: Dataset, generated: Dataset | None,
+                 static_labels, on_epoch):
+        cfg.validate()
+        _check_datasets(real, generated)
+        n_generated = 0 if generated is None or cfg.strategy is Strategy.BASELINE \
+            else len(generated)
+        if cfg.strategy is Strategy.SMPRL and n_generated:
+            if static_labels is None:
+                raise InvalidConfig("smprl needs static_labels from assign_static_labels")
+            if static_labels.shape != (n_generated, real.n_classes):
+                raise InvalidDimension(f"static labels must have shape ({n_generated}, "
+                                       f"{real.n_classes}), got {static_labels.shape}")
+        self.cfg = cfg
+        self.gen_weight = cfg.resolved_gen_weight()
+        # the diagonal gradient mode belongs to rank-weighted labels only
+        self.diagonal = (cfg.gradient_mode is GradientMode.DIAGONAL
+                         and cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2))
+        self.rule = _generated_rule(cfg, real.n_classes, static_labels)
+        self.first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
+        self.history = TrainHistory()
+        self.on_epoch = on_epoch
+        self.real_sum = self.gen_sum = self.gen_grad_norm = 0.0
+
+    def labels(self, logits, positions, epoch: int, batch_idx: int):
+        """The weight rows of a batch's generated rows from their logits, or
+        None behind a closed warm-up gate (the rows go unscored)."""
+        cfg = self.cfg
+        if cfg.strategy is Strategy.DMPRL2 and epoch < cfg.warmup_epoch:
+            return None
+        if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
+            # the untrained model offers no ranking signal yet
+            k = logits.shape[1]
+            ranks = [self.first_iter_rng.permutation(k) for _ in range(len(logits))]
+            return mprl_rows(np.stack(ranks) + 1.0)
+        return self.rule(logits, positions)
+
+
+def _member(params: ModelParams, index: int) -> ModelParams:
+    """Model ``index`` of a stack, as a view; a lone model is itself."""
+    return params if params.flat.ndim == 1 else ModelParams.of(params.flat[index], params.layout)
+
+
 # floating-point warnings stay silent: a diverging run fails on its
 # first non-finite logits, which the error names by epoch and batch
 @np.errstate(all="ignore")
@@ -294,6 +409,7 @@ def train(
     static_labels: np.ndarray | None = None,
     on_epoch: Callable[[EpochRecord, ModelParams], None] | None = None,
     draws: SeedDraws | None = None,
+    cohort: Cohort | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Run one training schedule and return final params plus history.
 
@@ -313,6 +429,14 @@ def train(
     run with a shared store equals one with its own bit for bit.  By
     default the run keeps a private store.
 
+    ``cohort``, a :class:`Cohort` holding ``cfg``, trains ``cfg`` beside
+    the cohort's other members: the first call for any member trains
+    them all (under ``on_epoch``, which observes ``cfg`` only), and each
+    call returns its own member's result, which equals a call without a
+    cohort bit for bit.  The members' static labels are the cohort's, so
+    ``static_labels`` is for a call without one, which trains a cohort of
+    one.
+
     The loop runs under ``np.errstate(all="ignore")``, so a diverging run
     prints no floating-point warnings; its first non-finite logits fail
     the batch instead, and an error raised inside a batch names the epoch
@@ -320,101 +444,190 @@ def train(
     :func:`small_ufunc_buffer`; the caller's buffer size and error
     state are restored on return, also on error.
     """
-    cfg.validate()
-    _check_datasets(real, generated)
-    n_classes = real.n_classes
-    head_width = n_classes + 1 if cfg.strategy is Strategy.ALL_IN_ONE else n_classes
+    if cohort is None:
+        cohort = Cohort()
+        cohort.add(cfg, static_labels)
+    if cohort.results is None and cfg in cohort.members:
+        cohort.results = _train_cohort(real, generated, cohort.members, cfg, on_epoch,
+                                       draws if draws is not None else SeedDraws())
+        cohort.members = {}  # the static labels are spent
+    if cohort.results is None or cfg not in cohort.results:
+        raise InvalidState(f"the cohort holds no result for this {cfg.strategy.value} config: "
+                           "not a member, or taken before")
+    result = cohort.results.pop(cfg)
+    if isinstance(result, MprlError):
+        raise result
+    return result
 
+
+def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
+    """Train every member of a cohort in lockstep; return each member's
+    params and history, or the error that failed it.
+
+    The members share one visit order, one dropout mask per batch and one
+    initial model, so their parameters are one stack (see :mod:`mprl.net`)
+    and each batch is one forward, one :func:`combined_loss`, one backward
+    and one momentum step for all of them.  Only the generated rows'
+    labels, their weight and their gradient mode are a member's own.  A
+    member whose batch fails leaves the stack with its error, the others
+    redo the batch without it; a cohort of one is a lone model, not a
+    stack.
+    """
+    results = {}
+    stack: list[_Member] = []
+    for cfg, static in members.items():
+        try:
+            stack.append(_Member(cfg, real, generated, static,
+                                 on_epoch if cfg == observed else None))
+        except MprlError as exc:
+            results[cfg] = exc
+    if not stack:
+        return results
+    lead = stack[0].cfg
+    n_classes = real.n_classes
+    width = _head_width(lead.strategy, n_classes)
     real_train = real.split("train")
     gen_feats = generated.features if (
-        generated is not None and cfg.strategy is not Strategy.BASELINE
+        generated is not None and lead.strategy is not Strategy.BASELINE
     ) else np.empty((0, real.feature_dim))
-    if cfg.strategy is Strategy.SMPRL and len(gen_feats):
-        if static_labels is None:
-            raise InvalidConfig("smprl needs static_labels from assign_static_labels")
-        if static_labels.shape != (len(gen_feats), n_classes):
-            raise InvalidDimension(f"static labels must have shape ({len(gen_feats)}, "
-                                   f"{n_classes}), got {static_labels.shape}")
 
-    params = init_params((real.feature_dim, *cfg.hidden_sizes, head_width),
-                         seed=(cfg.seed, _SEED_INIT), scale=cfg.init_scale)
-    opt = init_optimizer(params, cfg.lr_initial, cfg.momentum)
-    gen_weight = cfg.resolved_gen_weight()
-    # the diagonal gradient mode belongs to rank-weighted labels only
-    diagonal = (cfg.gradient_mode is GradientMode.DIAGONAL
-                and cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2))
-
-    history = TrainHistory()
+    params = init_params((real.feature_dim, *lead.hidden_sizes, width),
+                         seed=(lead.seed, _SEED_INIT), scale=lead.init_scale)
+    if len(stack) > 1:
+        params = ModelParams.of(np.tile(params.flat, (len(stack), 1)), params.layout)
+    opt = init_optimizer(params, lead.lr_initial, lead.momentum)
 
     # the merged pool: real train rows first, then the generated rows
     # (0-based classes, -1 for a generated row)
     n_real = len(real_train)
     pool_feats = np.concatenate([real_train.features, gen_feats])
     pool_class = np.concatenate([real_train.classes - 1, np.full(len(gen_feats), -1)])
-    generated_rule = _generated_rule(cfg, n_classes, static_labels)
-    first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
-    draws = draws if draws is not None else SeedDraws()
     embedding_dim = params.embedding_dim
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr_initial if epoch <= cfg.decay_epoch else cfg.lr_after_decay
+    for epoch in range(1, lead.epochs + 1):
+        lr = lead.lr_initial if epoch <= lead.decay_epoch else lead.lr_after_decay
         opt.learning_rate = lr
-        gate = epoch >= cfg.warmup_epoch if cfg.strategy is Strategy.DMPRL2 else True
-        order = draws.order(cfg.seed, epoch, len(pool_feats))
+        order = draws.order(lead.seed, epoch, len(pool_feats))
         # the epoch's classes in visit order; each batch reads its slice
         epoch_class = pool_class[order]
         epoch_gen = epoch_class < 0
-        starts = range(0, len(order), cfg.batch_size)
+        starts = range(0, len(order), lead.batch_size)
         gen_counts = np.add.reduceat(epoch_gen, starts).tolist()
 
-        real_sum = real_count = 0.0
-        gen_sum = gen_count = 0.0
-        gen_grad_norm = 0.0
-        try:
-            for batch_idx, start in enumerate(starts):
-                stop = start + cfg.batch_size
-                batch = order[start:stop]
-                mask = draws.keep(cfg.seed, epoch, batch_idx, (len(batch), embedding_dim),
-                                  cfg.dropout_rate) if cfg.dropout_rate else None
-                logits, cache, _ = forward(params, pool_feats.take(batch, 0), mask)
-                classes = epoch_class[start:stop]
-                gen = epoch_gen[start:stop]
-                n_gen = gen_counts[batch_idx]
-                gen_weights = None  # the generated rows go unscored behind a closed gate
-                if gate and n_gen:
-                    if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
-                        # the untrained model offers no ranking signal yet
-                        ranks = [first_iter_rng.permutation(n_classes) for _ in range(n_gen)]
-                        gen_weights = mprl_rows(np.stack(ranks) + 1.0)
-                    else:
-                        gen_weights = generated_rule(logits[gen], batch[gen] - n_real)
+        real_count = gen_count = 0
+        for m in stack:
+            m.real_sum = m.gen_sum = m.gen_grad_norm = 0.0
+        for batch_idx, start in enumerate(starts):
+            stop = start + lead.batch_size
+            batch = order[start:stop]
+            mask = draws.keep(lead.seed, epoch, batch_idx, (len(batch), embedding_dim),
+                              lead.dropout_rate) if lead.dropout_rate else None
+            x = pool_feats.take(batch, 0)
+            classes = epoch_class[start:stop]
+            gen = epoch_gen[start:stop]
+            n_gen = gen_counts[batch_idx]
+            positions = batch[gen] - n_real if n_gen else None
+            labels = None  # each member's, kept if the batch is redone without a member
+            while stack:
+                params, out, labels, failed = _lockstep_batch(
+                    params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx, labels)
+                if not failed:
+                    break
+                for i, exc in failed.items():
+                    error = type(exc)(f"epoch {epoch}, batch {batch_idx}: {exc}")
+                    error.__cause__ = exc  # chained as `raise ... from exc` would
+                    results[stack[i].cfg] = error
+                keep = [i for i in range(len(stack)) if i not in failed]
+                stack = [stack[i] for i in keep]
+                labels = None if labels is None else [labels[i] for i in keep]
+                if stack:
+                    params = ModelParams.of(params.flat[keep], params.layout)
+                    opt.velocity = ParamGrads.of(opt.velocity.flat[keep], params.layout)
+            if not stack:
+                return results
 
-                out: CombinedLoss = combined_loss(logits, classes, gen_weights, gen_weight,
-                                                  diagonal)
-                grads = backward(params, cache, out.grad_logits)
-                params = sgd_step(params, grads, opt)
-
-                real_sum += out.real_loss * out.n_real
-                real_count += out.n_real
-                gen_sum += out.gen_loss * out.n_generated
-                gen_count += out.n_generated
+            real_count += out.n_real
+            gen_count += out.n_generated
+            grad_rows = out.grad_logits.reshape(len(stack), -1, width)
+            for m, real_loss, gen_loss, g in zip(stack, out.real_loss, out.gen_loss, grad_rows):
+                m.real_sum += real_loss * out.n_real
+                m.gen_sum += gen_loss * out.n_generated
                 if n_gen:
                     # the 2-norm of the generated rows, as np.linalg.norm computes it
-                    gen_grads = out.grad_logits[gen].ravel()
-                    gen_grad_norm += math.sqrt(gen_grads.dot(gen_grads))
-        except MprlError as exc:
-            raise type(exc)(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
+                    gen_grads = g[gen].ravel()
+                    m.gen_grad_norm += math.sqrt(gen_grads.dot(gen_grads))
 
-        l1 = real_sum / real_count if real_count else 0.0
-        l2 = gen_sum / gen_count if gen_count else 0.0
-        train_acc = _accuracy(params, real_train.features, real_train.classes, n_classes)
-        history.records.append(EpochRecord(
-            epoch, l1, l2, l1 + gen_weight * l2, train_acc, lr, gen_grad_norm,
-        ))
-        if on_epoch is not None:
-            on_epoch(history.records[-1], params)
+        for i, m in enumerate(stack):
+            l1 = m.real_sum / real_count if real_count else 0.0
+            l2 = m.gen_sum / gen_count if gen_count else 0.0
+            # member by member: a stacked pass over every real train row would
+            # hold S times the activations
+            member = _member(params, i)
+            train_acc = _accuracy(member, real_train.features, real_train.classes, n_classes)
+            m.history.records.append(EpochRecord(
+                epoch, l1, l2, l1 + m.gen_weight * l2, train_acc, lr, m.gen_grad_norm,
+            ))
+            if m.on_epoch is not None:
+                m.on_epoch(m.history.records[-1], member)
 
-    return params, history
+    for i, m in enumerate(stack):
+        member = _member(params, i)
+        if member is not params:  # its own storage, not a view of the stack's
+            member = ModelParams.of(member.flat.copy(), member.layout)
+        results[m.cfg] = (member, m.history)
+    return results
+
+
+def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx,
+                    labels):
+    """One training batch of every member of ``stack`` on their shared
+    features ``x`` under their shared dropout ``mask``; the batch's
+    temporaries end with the call.
+
+    ``positions`` are the generated rows' positions in the generated set
+    (None without generated rows).  ``labels`` are each member's weight
+    rows from an earlier try of this batch, or None to build them.
+    Returns the stepped params, the batch's :class:`CombinedLoss`, the
+    labels and no failures; when the batch fails, the params as given, no
+    loss, the labels as far as they were built and each failed member's
+    error (see :func:`_failures`).
+    """
+    logits = None
+    try:
+        logits, cache, _ = forward(params, x, mask)
+        width = logits.shape[-1]
+        logits = logits.reshape(-1, width)
+        if labels is None:
+            labels = [None] * len(stack) if positions is None else [
+                m.labels(g, positions, epoch, batch_idx)
+                for m, g in zip(stack, logits.reshape(len(stack), -1, width)[:, gen])]
+        out: CombinedLoss = combined_loss(logits, classes, labels,
+                                          [m.gen_weight for m in stack],
+                                          [m.diagonal for m in stack], members=len(stack))
+        grads = backward(params, cache, out.grad_logits.reshape(cache.logits.shape))
+        return sgd_step(params, grads, opt), out, labels, {}
+    except MprlError as exc:
+        return params, None, labels, _failures(exc, logits, classes, labels, stack)
+
+
+def _failures(exc: MprlError, logits, classes, labels, stack) -> dict[int, MprlError]:
+    """The members a failed lockstep batch fails, each with its own error.
+
+    A loss that failed on the stack is asked of each member alone: the
+    members it fails for are the culprits, with the errors a training of
+    their own would have raised.  Any other failure is every member's.
+    """
+    if logits is not None and labels is not None and len(stack) > 1:
+        failed = {}
+        for i, (m, rows) in enumerate(zip(stack, logits.reshape(len(stack), -1,
+                                                                logits.shape[1]))):
+            try:
+                combined_loss(rows, classes, labels[i], m.gen_weight, m.diagonal)
+            except MprlError as own:
+                failed[i] = own
+        if failed:
+            return failed
+    return dict.fromkeys(range(len(stack)), exc)
 
 
 def _accuracy(params, feats, classes, n_classes) -> float:

@@ -83,3 +83,25 @@ def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
     assert [calls[name] for name in ("losses.combined_loss", "net.backward", "net.sgd_step")
             ] == [batches] * 3
     assert calls["net.forward"] == batches + spec.epochs * len(pools) + 1
+
+
+# a 2-member cohort (lsro and dmprl2 share the pool of 6 generated rows)
+TRACED_COHORT_SPEC = TRACED_GRID_SPEC.replace("baseline, smprl", "baseline, lsro, dmprl2")
+
+
+def test_a_traced_cohort_books_every_cell_and_every_member_row(tmp_path):
+    spec = experiment.parse_spec_text(TRACED_COHORT_SPEC)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        results = tracer.span(tracing.ROOT_SPAN, experiment.run_experiment, spec,
+                              out_dir=tmp_path)
+    assert [r.cell for r in results] == experiment.expand_cells(spec)
+    calls = Counter(name for name, _, _, _ in tracer.spans)
+    assert calls["trainer.train"] == len(results) == 3
+    # the cohort's stacked batches hold both members' rows
+    real_train = spec.n_classes * (spec.n_per_class // 2)
+    pools = (real_train, real_train + spec.counts[0], real_train + spec.counts[0])
+    assert tracer.counts["losses.combined_loss.rows"] == spec.epochs * sum(pools)
+    batches = spec.epochs * sum(math.ceil(pool / spec.batch_size) for pool in pools[:2])
+    assert [calls[name] for name in ("losses.combined_loss", "net.backward", "net.sgd_step")
+            ] == [batches] * 3

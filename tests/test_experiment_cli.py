@@ -1,11 +1,13 @@
 """Spec parsing, grid expansion, artifact reproducibility, CLI exit codes."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -406,6 +408,173 @@ class TestRunMemo:
         assert memo.draws is not first
 
 
+class TestCohorts:
+    """A seed's cells that share a pool and a head width train as one cohort."""
+
+    @staticmethod
+    def record_cohorts(monkeypatch):
+        cohorts = []
+        original = trainer._train_cohort
+
+        def recording(real, generated, members, *args):
+            cohorts.append([cfg.strategy.value for cfg in members])
+            return original(real, generated, members, *args)
+
+        monkeypatch.setattr(trainer, "_train_cohort", recording)
+        return cohorts
+
+    @pytest.mark.parametrize("n_classes, expected", [
+        # the desk grid: the five lockstep strategies train together
+        (8, [["baseline"], ["all_in_one"],
+             ["one_hot_pseudo", "lsro", "smprl", "dmprl1", "dmprl2"]]),
+        # 64 x 151 x 8 bytes of logits a member: three fit the stack budget
+        (151, [["baseline"], ["all_in_one"], ["one_hot_pseudo", "lsro", "smprl"],
+               ["dmprl1", "dmprl2"]]),
+    ])
+    def test_cohorts_of_a_grid(self, tmp_path, monkeypatch, n_classes, expected):
+        cohorts = self.record_cohorts(monkeypatch)
+        spec = parse_spec_text(
+            f"n_classes = {n_classes}\ndim = 4\nn_per_class = 4\n"
+            "strategies = baseline, all_in_one, one_hot_pseudo, lsro, smprl, dmprl1, dmprl2\n"
+            "counts = 6\nseeds = 1\nepochs = 2\nwarmup_epoch = 1\nhidden_sizes = 6\n")
+        run_experiment(spec, out_dir=tmp_path)
+        assert cohorts == expected
+
+    def test_count_and_head_width_split_cohorts(self, tmp_path, monkeypatch):
+        cohorts = self.record_cohorts(monkeypatch)
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "lsro, smprl, baseline"))
+        run_experiment(spec, out_dir=tmp_path)
+        # per seed: each count's cohort; smprl's generated rows are labelled
+        # before the baseline cell runs, so one baseline is pretrained
+        assert cohorts == [["lsro", "smprl"], ["baseline"], ["lsro", "smprl"],
+                           ["baseline"]] * 2
+
+    @pytest.mark.parametrize("strategies, expected, pretrainings", [
+        # as alone: smprl comes before the baseline cell, so it pretrains
+        ("lsro, smprl, baseline", [["baseline"], ["lsro", "smprl"], ["baseline"]], 1),
+        # smprl waits for the baseline cell's model rather than pretraining
+        ("lsro, baseline, smprl, dmprl1", [["lsro", "dmprl1"], ["baseline"], ["smprl"]], 0),
+    ])
+    def test_smprl_pretrains_only_where_it_would_alone(self, tmp_path, monkeypatch, strategies,
+                                                       expected, pretrainings):
+        cohorts = self.record_cohorts(monkeypatch)
+        pretrained = TestRunMemo.count_calls(monkeypatch, "pretrain_baseline")
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", strategies)
+                               .replace("0, 6", "6").replace("1, 2", "1"))
+        run_experiment(spec, out_dir=tmp_path)
+        assert cohorts == expected
+        assert len(pretrained) == pretrainings
+
+    def test_a_failing_member_fails_its_own_cell(self, tmp_path, monkeypatch):
+        # lsro's label row turns non-finite when a batch of epoch 2 draws its
+        # dropout mask: the second member of the one_hot_pseudo, lsro, dmprl1
+        # cohort fails in epoch 2 while the others train on
+        rows = []
+        original_label, original_keep = trainer.lsro_label, trainer.SeedDraws.keep
+
+        def lsro_label(n_classes):
+            rows.append(original_label(n_classes))
+            return rows[-1]
+
+        def keep(self, seed, epoch, batch_idx, shape, rate):
+            if epoch == 2:
+                for row in rows:
+                    row[:] = float("nan")
+            return original_keep(self, seed, epoch, batch_idx, shape, rate)
+
+        monkeypatch.setattr(trainer, "lsro_label", lsro_label)
+        monkeypatch.setattr(trainer.SeedDraws, "keep", keep)
+        spec = parse_spec_text(
+            "n_classes = 3\ndim = 4\nn_per_class = 6\ncluster_spread = 0.4\n"
+            "strategies = baseline, one_hot_pseudo, lsro, dmprl1\ncounts = 6\nseeds = 1\n"
+            "epochs = 3\nbatch_size = 8\nwarmup_epoch = 1\nhidden_sizes = 8, 6\n"
+            "dropout_rate = 0.2\n")
+        with pytest.raises(RunFailure) as failure:
+            run_experiment(spec, out_dir=tmp_path)
+        # what the same grid wrote when every cell trained alone
+        assert str(failure.value) == ("cell lsro_n6_seed1 failed: epoch 2, batch 0: "
+                                      "logits and weights must be finite")
+        assert json.loads((tmp_path / "failure_manifest.json").read_text()) == {
+            "failed_cell": "lsro_n6_seed1",
+            "error": "InvalidDimension: epoch 2, batch 0: logits and weights must be finite",
+            "completed": ["baseline_n0_seed1", "one_hot_pseudo_n6_seed1"],
+        }
+        got = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*/*"))}
+        assert got == {
+            "baseline_n0_seed1/history.csv":
+                "0061c5e15c5d28ba83a36a851327230685a258f3e864e46c1189da1b7819cf0f",
+            "baseline_n0_seed1/report.json":
+                "2f3adcbb81e58c0b964226aa43d1aba61dfe315689a2716eafde3e16342f3bc1",
+            "one_hot_pseudo_n6_seed1/history.csv":
+                "95482e4d836b2faaf10c3234f5bd30ae336b6b202ac902e4ee438fd0935c721a",
+            "one_hot_pseudo_n6_seed1/report.json":
+                "2f3adcbb81e58c0b964226aa43d1aba61dfe315689a2716eafde3e16342f3bc1",
+        }
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[0] for row in summary[1:]] == [
+            "baseline,0,1,1.000000,1.000000,1.00125,0",
+            "one_hot_pseudo,6,1,1.000000,1.000000,0.771347,0.562012",
+        ]
+
+    @staticmethod
+    def log_calls(monkeypatch, owner, name, log):
+        """Append a line to ``log`` at each call, from any worker process."""
+        original = getattr(owner, name)
+
+        def logging(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{name}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, logging)
+
+    @pytest.mark.parametrize("seeds", ["1, 2", "1, 2, 3"])
+    def test_jobs_train_each_seed_once(self, tmp_path, monkeypatch, seeds):
+        # forked workers inherit the patches and append to one file
+        log = tmp_path / "calls.log"
+        for owner, name in [(experiment, "make_real_dataset"),
+                            (experiment, "make_generated_dataset"),
+                            (trainer, "_train_cohort")]:
+            self.log_calls(monkeypatch, owner, name, log)
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "baseline, lsro, smprl, dmprl1")
+                               .replace("0, 6", "6").replace("1, 2", seeds))
+        run_experiment(spec, out_dir=tmp_path / "out", jobs=2)
+        calls = Counter(log.read_text().split())
+        # per seed: one real and one generated dataset, the baseline cell
+        # and the lsro, smprl, dmprl1 cohort
+        n = len(spec.seeds)
+        assert calls == {"make_real_dataset": n, "make_generated_dataset": n,
+                         "_train_cohort": 2 * n}
+
+    @pytest.mark.parametrize("seeds, jobs, chunk", [("1, 2", 2, 4), ("1, 2, 3", 2, 4),
+                                                    ("1", 2, 1), ("1, 2", 3, 1)])
+    def test_chunks_are_whole_seeds_when_seeds_cover_the_workers(self, tmp_path, monkeypatch,
+                                                                 seeds, jobs, chunk):
+        chunks = []
+
+        class StandInPool:
+            def __init__(self, max_workers, initializer):
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, args)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)
+        monkeypatch.setattr(experiment, "_worker_memo", None)
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "baseline, lsro, smprl, dmprl1")
+                               .replace("0, 6", "6").replace("1, 2", seeds))
+        run_experiment(spec, out_dir=tmp_path, jobs=jobs)
+        assert chunks == [chunk]
+
+
 class TestRunExperiment:
     def test_artifacts_and_summary(self, tiny_spec, tmp_path):
         out = tmp_path / "out"
@@ -468,7 +637,7 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
+            def map(self, fn, args, chunksize=1):
                 return map(fn, args)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)

@@ -464,6 +464,119 @@ class TestInPlaceArithmetic:
         assert not np.shares_memory(grads.flat, params.flat)
 
 
+# (batch rows, fan_in, fan_out) of every layer the goldens and the desk_grid
+# and reid_751 specs train: full batches, each pool's short last batch and
+# the per-epoch accuracy pass over the real train rows
+STACK_SHAPES = sorted({
+    (n, fan_in, fan_out)
+    for rows, sizes in [
+        ((64, 24, 8, 200), (16, 32, 16, 8)),  # desk_grid, benchmark.spec
+        ((64, 24, 8, 200), (16, 32, 16, 9)),  # ... all-in-one
+        ((64, 49, 5, 453), (16, 32, 16, 151)),  # the wide goldens
+        ((64, 49, 5, 453), (16, 32, 16, 152)),
+        ((16, 8, 24), (8, 12, 8, 6)),  # the small golden grid
+        ((64, 59, 43, 3755), (64, 128, 64, 751)),  # reid_751
+    ]
+    for n in rows for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+})
+
+
+def one_layer_stack(members, fan_in, fan_out, rng):
+    """A stack of one-layer models and each member as a model of its own,
+    with random weights and biases."""
+    single = init_params((fan_in, fan_out), seed=0)
+    stack = ModelParams.of(rng.normal(size=(members, single.n_params)), single.layout)
+    return stack, [ModelParams.of(row.copy(), single.layout) for row in stack.flat]
+
+
+class TestStackedNumerics:
+    """A model trained in a stack equals one trained alone only while every
+    stacked matmul, bias add and batch sum gives each member the bits of the
+    2-D call on that member alone.  numpy and OpenBLAS promise no such
+    thing, so each layer shape in use is pinned here: a change of either
+    fails these tests rather than moving the goldens."""
+
+    @pytest.mark.parametrize("n, fan_in, fan_out", STACK_SHAPES)
+    @pytest.mark.parametrize("members", [2, 5])
+    def test_stacked_calls_equal_the_per_model_calls(self, members, n, fan_in, fan_out):
+        rng = np.random.default_rng((members, n, fan_in, fan_out))
+        stack, models = one_layer_stack(members, fan_in, fan_out, rng)
+        w, b = stack.weights[0], stack.biases[0]
+        shared = rng.normal(size=(n, fan_in))  # the batch every member sees
+        acts = rng.normal(size=(members, n, fan_in))  # a hidden layer's input
+        g = rng.normal(size=(members, n, fan_out))
+        z_shared = shared @ w
+        z_shared += b[..., None, :]
+        z = acts @ w
+        z += b[..., None, :]
+        grads = ParamGrads.of(np.empty(stack.flat.shape), stack.layout)
+        shared_grads = ParamGrads.of(np.empty(stack.flat.shape), stack.layout)
+        np.matmul(acts.mT, g, out=grads.weights[0])
+        np.matmul(shared.mT, g, out=shared_grads.weights[0])
+        g.sum(-2, out=grads.biases[0])
+        delta = g @ w.mT
+        for s, model in enumerate(models):
+            ws, bs = model.weights[0], model.biases[0]
+            want_shared = shared @ ws
+            want_shared += bs
+            want = acts[s] @ ws
+            want += bs
+            own = ParamGrads.of(np.empty(model.n_params), model.layout)
+            own_shared = ParamGrads.of(np.empty(model.n_params), model.layout)
+            np.matmul(acts[s].T, g[s], out=own.weights[0])
+            np.matmul(shared.T, g[s], out=own_shared.weights[0])
+            g[s].sum(0, out=own.biases[0])
+            for got, expected in [(z_shared[s], want_shared), (z[s], want),
+                                  (grads.weights[0][s], own.weights[0]),
+                                  (shared_grads.weights[0][s], own_shared.weights[0]),
+                                  (grads.biases[0][s], own.biases[0]),
+                                  (delta[s], g[s] @ ws.T)]:
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sizes, n", [((16, 32, 16, 8), 64), ((16, 32, 16, 9), 24),
+                                          ((8, 12, 8, 6), 16), ((5, 4), 7)])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_a_stack_trains_as_its_members_alone(self, sizes, n, dropout):
+        rng = np.random.default_rng(n)
+        members = [init_params(sizes, seed=s) for s in range(3)]
+        stack = ModelParams.of(np.stack([m.flat for m in members]), members[0].layout)
+        opts = [init_optimizer(m, 0.05, 0.9) for m in members]
+        stack_opt = init_optimizer(stack, 0.05, 0.9)
+        for step in range(3):
+            x = rng.normal(size=(n, sizes[0]))
+            mask = SeedDraws().keep(step, 1, 0, (n, sizes[-2]), 0.5) if dropout else None
+            logits, cache, embedding = forward(stack, x, mask)
+            g = rng.normal(size=logits.shape)
+            grads = backward(stack, cache, g)
+            stack = sgd_step(stack, grads, stack_opt)
+            for s, model in enumerate(members):
+                want_logits, own_cache, want_embedding = forward(model, x, mask)
+                own_grads = backward(model, own_cache, g[s])
+                members[s] = sgd_step(model, own_grads, opts[s])
+                assert logits[s].tobytes() == want_logits.tobytes()
+                # without hidden layers the embedding is the shared input itself
+                own_embedding = embedding if embedding.ndim == 2 else embedding[s]
+                assert own_embedding.tobytes() == want_embedding.tobytes()
+                assert grads.flat[s].tobytes() == own_grads.flat.tobytes()
+                assert stack.flat[s].tobytes() == members[s].flat.tobytes()
+                assert stack_opt.velocity.flat[s].tobytes() == opts[s].velocity.flat.tobytes()
+        assert stack.layer_sizes == members[0].layer_sizes
+        assert stack.embedding_dim == members[0].embedding_dim
+        assert stack.n_params == members[0].n_params
+
+    def test_stack_views_share_the_block(self):
+        stack = ModelParams.of(np.zeros((3, init_params((4, 5, 2), seed=0).n_params)),
+                               init_params((4, 5, 2), seed=0).layout)
+        assert [w.shape for w in stack.weights] == [(3, 4, 5), (3, 5, 2)]
+        assert [b.shape for b in stack.biases] == [(3, 5), (3, 2)]
+        for view in stack.weights + stack.biases:
+            assert np.shares_memory(view, stack.flat)
+        stack.weights[1][2] = 1.0
+        assert stack.flat[2].sum() == 10.0 and stack.flat[:2].sum() == 0.0
+        with pytest.raises(InvalidDimension, match="mask"):
+            forward(stack, np.zeros((6, 4)), np.ones((6, 4)))
+
+
 class TestFlatLayout:
     def test_params_built_from_per_layer_lists_copy_into_one_flat_vector(self):
         rng = np.random.default_rng(4)

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import mprl.trainer as trainer_module
-from mprl.errors import InvalidConfig, InvalidDimension, MprlError
+from mprl.errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
 from mprl.labels import mprl_rows
+from mprl.losses import GradientMode
 from mprl.net import forward, init_params
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import (
+    STACK_BYTES,
+    Cohort,
     SeedDraws,
     Strategy,
     TrainConfig,
@@ -20,6 +23,7 @@ from mprl.trainer import (
     epoch_shuffle_order,
     extract_embeddings,
     pretrain_baseline,
+    stack_limit,
     train,
 )
 
@@ -495,3 +499,148 @@ class TestBatchContract:
         assert all(isinstance(x, np.ndarray) and x.ndim == 2 for x in calls)
         assert {x.shape[1] for x in calls} == {real.n_classes + 1}
         assert sum(len(x) for x in calls) == cfg.epochs * pool
+
+
+# every strategy that trains beside others in one cohort
+LOCKSTEP = [Strategy.ONE_HOT_PSEUDO, Strategy.LSRO, Strategy.SMPRL, Strategy.DMPRL1,
+            Strategy.DMPRL2]
+
+
+def alone_and_together(real, generated, cfgs, static=None):
+    """Each config trained alone, and all of them as one cohort (in config
+    order); each smprl config gets ``static``."""
+    labels = {cfg: static if cfg.strategy is Strategy.SMPRL else None for cfg in cfgs}
+    alone = []
+    for cfg in cfgs:
+        try:
+            alone.append(train(real, generated, cfg, static_labels=labels[cfg]))
+        except MprlError as exc:
+            alone.append(exc)
+    cohort = Cohort()
+    for cfg in cfgs:
+        cohort.add(cfg, labels[cfg])
+    together = []
+    for cfg in cfgs:
+        try:
+            together.append(train(real, generated, cfg, cohort=cohort))
+        except MprlError as exc:
+            together.append(exc)
+    return alone, together
+
+
+def assert_same_outcomes(alone, together):
+    for one, other in zip(alone, together, strict=True):
+        if isinstance(one, MprlError):
+            assert type(other) is type(one) and str(other) == str(one)
+        else:
+            assert params_bitwise_equal(one[0], other[0])
+            assert histories_equal(one[1], other[1])
+
+
+class TestCohort:
+    @pytest.mark.parametrize("mode", list(GradientMode))
+    @pytest.mark.parametrize("dropout_rate", [0.25, 0.0])
+    @pytest.mark.parametrize("with_generated", [True, False])
+    def test_lockstep_equals_one_training_per_member(self, real, generated, mode,
+                                                     dropout_rate, with_generated):
+        data = generated if with_generated else None
+        cfgs = [quick_config(s, gradient_mode=mode, dropout_rate=dropout_rate)
+                for s in LOCKSTEP]
+        static = assign_static_labels(pretrain_baseline(real, cfgs[0]), generated)
+        alone, together = alone_and_together(real, data, cfgs, static)
+        assert_same_outcomes(alone, together)
+        # the cases this covers: a short last batch, and with generated rows
+        # dmprl1's random first ranks (its first batch holds generated rows)
+        # and dmprl2 behind its closed gate, then behind its open one
+        pool = len(real.split("train")) + (len(generated) if with_generated else 0)
+        assert pool % cfgs[0].batch_size
+        if with_generated:
+            first = epoch_shuffle_order(cfgs[0].seed, 1, pool)[:cfgs[0].batch_size]
+            assert (first >= len(real.split("train"))).any()
+            norms = [r.gen_grad_norm for r in together[-1][1].records]
+            warmup = cfgs[-1].warmup_epoch
+            assert all(n == 0.0 for n in norms[:warmup - 1])
+            assert all(n > 0.0 for n in norms[warmup - 1:])
+
+    @pytest.mark.parametrize("strategy", [Strategy.ALL_IN_ONE, Strategy.BASELINE])
+    def test_all_in_one_and_baseline_cohorts(self, real, generated, strategy):
+        # two configs of one strategy differ in gen_weight alone
+        cfgs = [quick_config(strategy), quick_config(strategy, gen_weight=0.3)]
+        assert_same_outcomes(*alone_and_together(real, generated, cfgs))
+
+    def test_a_failing_member_fails_alone(self, real, generated):
+        # dmprl1's huge generated-side weight drives its logits non-finite in
+        # epoch 2; smprl meets a non-finite static label in the first batch,
+        # where the dmprl1 beside it ranks at random (a batch redone without
+        # smprl keeps those ranks)
+        static = assign_static_labels(pretrain_baseline(real, quick_config(Strategy.SMPRL)),
+                                      generated)
+        static[0] = np.nan
+        cfgs = [quick_config(Strategy.LSRO), quick_config(Strategy.DMPRL1, gen_weight=1e100),
+                quick_config(Strategy.ONE_HOT_PSEUDO), quick_config(Strategy.SMPRL),
+                quick_config(Strategy.DMPRL1, gen_weight=0.5), quick_config(Strategy.DMPRL2)]
+        alone, together = alone_and_together(real, generated, cfgs, static)
+        assert [type(r) for r in alone] == [tuple, InvalidDimension, tuple, InvalidDimension,
+                                            tuple, tuple]
+        assert str(alone[1]) == "epoch 2, batch 0: logits and weights must be finite"
+        assert str(alone[3]) == "epoch 1, batch 0: logits and weights must be finite"
+        assert_same_outcomes(alone, together)
+
+    def test_one_stacked_call_per_batch(self, real, generated, monkeypatch):
+        calls = []
+        for name in ("forward", "combined_loss", "backward", "sgd_step"):
+            original = getattr(trainer_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, args[0]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trainer_module, name, counting)
+        cfgs = [quick_config(s, epochs=2) for s in (Strategy.LSRO, Strategy.DMPRL1)]
+        cohort = Cohort()
+        for cfg in cfgs:
+            cohort.add(cfg)
+        train(real, generated, cfgs[1], cohort=cohort)
+        # 3 batches an epoch, then each member's accuracy pass
+        assert len(calls) == 2 * (3 * 4 + 2)
+        losses = [x for name, x in calls if name == "combined_loss"]
+        assert [len(x) for x in losses] == [16, 16, 4] * 2  # two members' rows, stacked
+        assert all(x.shape[1] == real.n_classes for x in losses)
+        calls.clear()
+        train(real, generated, cfgs[0], cohort=cohort)
+        assert calls == []  # trained by the first call
+
+    def test_results_are_handed_out_once(self, real, generated):
+        cfgs = [quick_config(s, epochs=1) for s in (Strategy.LSRO, Strategy.DMPRL1)]
+        cohort = Cohort()
+        for cfg in cfgs:
+            cohort.add(cfg)
+        train(real, generated, cfgs[0], cohort=cohort)
+        assert list(cohort.results) == [cfgs[1]]
+        with pytest.raises(InvalidState, match="taken before"):
+            train(real, generated, cfgs[0], cohort=cohort)
+        with pytest.raises(InvalidState, match="once it has trained"):
+            cohort.add(quick_config(Strategy.ONE_HOT_PSEUDO, epochs=1))
+        train(real, generated, cfgs[1], cohort=cohort)
+        assert cohort.results == {}
+
+    @pytest.mark.parametrize("other", [
+        quick_config(Strategy.ALL_IN_ONE), quick_config(Strategy.BASELINE),
+        quick_config(Strategy.LSRO, seed=8), quick_config(Strategy.LSRO, epochs=5),
+        quick_config(Strategy.LSRO, hidden_sizes=(8, 5)),
+    ])
+    def test_only_lockstep_configs_join(self, other):
+        cohort = Cohort()
+        cohort.add(quick_config(Strategy.DMPRL1))
+        with pytest.raises(InvalidConfig, match="lockstep"):
+            cohort.add(other)
+        with pytest.raises(InvalidConfig, match="already"):
+            cohort.add(quick_config(Strategy.DMPRL1))
+
+    def test_the_stack_limit_keeps_the_logit_block_in_budget(self):
+        # desk members take 4 KiB of logits each, K = 751 members 376 KiB
+        desk = quick_config(Strategy.LSRO, batch_size=64)
+        assert STACK_BYTES == 256 * 1024
+        assert stack_limit(desk, 8) == 64 and stack_limit(desk, 751) == 1
+        assert stack_limit(quick_config(Strategy.ALL_IN_ONE, batch_size=64), 151) == 3
+        assert stack_limit(quick_config(Strategy.LSRO, batch_size=10_000), 8) == 1
