@@ -9,15 +9,23 @@ forward value.  The error metric per trial is
 i.e. the worst coordinate disagreement relative to the gradient's own
 largest component.  The diagonal gradient mode is measured against the
 analytic one and reported as a divergence, never as a failure: it is a
-different formula, not a broken implementation.  The 2K perturbed points
-of one central difference are evaluated as batches of kernel rows, built
-in place in one buffer.
+different formula, not a broken implementation.  A NaN or infinite
+error fails its case and prints as ``nan`` or ``inf``; a NaN divergence
+is kept as well.
+
+The 2K perturbed points of one central difference are evaluated as
+blocks of kernel rows, built in place in one buffer.  A block holds as
+many coordinates n as fit its (2n, K) points in ``FD_BLOCK_BYTES``:
+every coordinate in one call up to K = 135, and 24 at K = 751.
+The kernel's values-only pass holds two more buffers of a block's size,
+so the budget is set by peak memory, and fixed per-call costs fall with
+every coordinate a block gains.
 
 :func:`run_gradcheck` runs under :func:`mprl.retrieval.small_ufunc_buffer`:
-numpy copies a broadcast operand (each batch's (2 * FD_BLOCK, 1) row
-maxima, its weight row) into its ufunc buffer whenever two rows fit
-there, which at the default 8192 elements made every pass over a batch
-of K = 751 points about 2-3x slower.
+numpy copies a broadcast operand (each block's (2n, 1) row maxima, its
+weight row) into its ufunc buffer whenever two rows fit there, which at
+the default 8192 elements made every pass over a block of K = 751 points
+about 2-3x slower.
 """
 
 from __future__ import annotations
@@ -40,29 +48,42 @@ DEFAULT_K_VALUES = (2, 5, 10, 751)
 DEFAULT_STEP = 1e-6
 DEFAULT_TOLERANCE = 1e-6
 LOGIT_SIGMA = 3.0
-# coordinates perturbed per kernel call; larger blocks run no faster at
-# K=751 and hold (2 * FD_BLOCK, K) temporaries, which show in peak memory
-FD_BLOCK = 8
+# bytes of one block's (2n, K) perturbed points (288 KiB: 24 coordinates
+# at K = 751).  The kernel's values-only pass holds two more buffers of
+# that size; the widest budget tried whose K = 751 peak memory stayed
+# within 2% of 8-coordinate blocks.
+FD_BLOCK_BYTES = 9 << 15
+# the block run_gradcheck frees first, so that glibc keeps every buffer of
+# a block's size on its heap
+HEAP_WARMUP_BYTES = 2 * FD_BLOCK_BYTES
+
+
+def block_coordinates(k: int) -> int:
+    """Coordinates perturbed per kernel call at K = ``k``: as many as fit
+    their (2n, k) float64 points in ``FD_BLOCK_BYTES``, at least 1 and at
+    most ``k``."""
+    return min(max(FD_BLOCK_BYTES // (16 * k), 1), k)
 
 
 def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector.
 
-    ``fn`` maps an (n, K) batch of points to their n values.  The 2K
-    perturbed points x +- step * e_j go through it in batches of
-    ``2 * FD_BLOCK`` rows: the first half of a batch adds ``step`` to
-    coordinates start, start + 1, ... in turn, the second half subtracts
-    it.  Every batch is a view of one buffer of copies of ``x``, whose
-    perturbed entries are set before ``fn`` and reset after it.
+    ``fn`` maps an (m, K) batch of points to their m values.  The 2K
+    perturbed points x +- step * e_j go through it in batches of 2n rows,
+    n = :func:`block_coordinates` (K): the first half of a batch adds
+    ``step`` to coordinates start, start + 1, ... in turn, the second half
+    subtracts it.  Every batch is a view of one buffer of copies of ``x``,
+    whose perturbed entries are set before ``fn`` and reset after it.
     """
     x = np.array(x, dtype=np.float64)
     k = x.size
+    block = block_coordinates(k)
     grad = np.empty_like(x)
-    points = np.empty((2 * min(FD_BLOCK, k), k))
+    points = np.empty((2 * block, k))
     points[:] = x
     flat = points.reshape(-1)
-    for start in range(0, k, FD_BLOCK):
-        n = min(FD_BLOCK, k - start)
+    for start in range(0, k, block):
+        n = min(block, k - start)
         # row i of each half perturbs coordinate start + i: the entries
         # one row and one column apart in the flat buffer
         plus = slice(start, start + n * (k + 1), k + 1)
@@ -100,6 +121,8 @@ def _batch_values(cls: int, weights=None):
 
 
 def relative_gradient_error(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """The worst coordinate disagreement relative to the larger gradient's
+    largest component; NaN when either gradient holds a NaN."""
     denom = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))), 1e-300)
     return float(np.max(np.abs(analytic - fd))) / denom
 
@@ -157,12 +180,14 @@ def run_gradcheck(
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise InvalidConfig(f"tolerance must be finite and > 0, got {tolerance!r}")
+    if not (np.isfinite(step) and step > 0):
+        raise InvalidConfig(f"step must be finite and > 0, got {step!r}")
     # Freeing one block too large for the malloc heap makes glibc raise its
-    # heap-trim threshold.  Without it, whether the (2 * FD_BLOCK, K)
-    # temporaries of every kernel call go back to the system and fault in
-    # again depends on the heap layout, which doubled the K=751 run time in
-    # about half of the checkout paths tried.
-    np.empty(1 << 17)
+    # mmap and heap-trim thresholds past that block's size.  Without it,
+    # whether the block-sized temporaries of every kernel call go back to
+    # the system and fault in again depends on the heap layout, which
+    # doubled the K=751 run time in about half of the checkout paths tried.
+    np.empty(HEAP_WARMUP_BYTES // 8)
     report = GradCheckReport(tolerance=tolerance, step=step)
     rng = np.random.default_rng(seed)
     for k in k_values:
@@ -181,12 +206,13 @@ def run_gradcheck(
             )
             for name, out, cls, row in cases:
                 fd = finite_difference_gradient(_batch_values(cls, row), x, step)
-                worst[name] = max(worst.get(name, 0.0),
-                                  relative_gradient_error(out.grad_logits, fd))
+                # np.maximum keeps a NaN, where max would keep whichever came first
+                worst[name] = float(np.maximum(worst.get(name, 0.0),
+                                               relative_gradient_error(out.grad_logits, fd)))
 
             diag = mprl_generated_loss(x, ranks, diagonal=True)
-            diag_div = max(diag_div,
-                           float(np.max(np.abs(diag.grad_logits - mprl_out.grad_logits))))
+            diag_div = float(np.maximum(
+                diag_div, np.max(np.abs(diag.grad_logits - mprl_out.grad_logits))))
 
         for name, err in worst.items():
             report.cases.append(GradCheckCase(name, k, trials, err, err < tolerance))

@@ -146,7 +146,10 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     weights); with ``gradients`` also the (B, width) softmax buffer
     holding each one-hot row's gradient, and the weighted rows' gradients
     (None without weights).  Rows never mix, so a row's results do not
-    depend on the rows scored beside it.
+    depend on the rows scored beside it.  Up to the values, a call holds
+    two (B, width) buffers beside ``x``, z = x - top and exp(z), and the
+    top-class rows' gather of their other classes: the weighted rows'
+    terms are formed in z's buffer, and z is released before that gather.
     """
     width = x.shape[1]
     z = x - top[:, None]
@@ -158,21 +161,28 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
         at_class = rows * width + cls  # each one-hot row's class in the flat buffer
         z_class = z.ravel()[at_class]
         v_rows = log_total[rows] - z_class
+    # every row weighted: the whole buffer is theirs, no subset to gather
+    every = dense.size == x.shape[0]
+    if weights is not None:
+        # the terms W_ik (log t_i - z_ik), formed in place: in z's own buffer
+        # when every row is weighted (z is spent after them), else in the
+        # weighted rows taken from it
+        terms = z if every else z.take(dense, 0)
+        np.subtract((log_total if every else log_total[dense])[:, None], terms, out=terms)
+        terms *= weights
+        v_dense = terms.sum(1)
+        del terms
+    del z  # the rest reads e, the row totals and the classes' logits
+    if rows.size:
         at_top = z_class == 0.0
         if at_top.any():
             # the other classes of each such row, in order, as one contiguous
             # (n, width - 1) block, so the pairwise sum adds them as it always has
             top_rows = rows[at_top]
             others = np.arange(width) != cls[at_top][:, None]
-            e_others = e.take(top_rows, 0)[others].reshape(top_rows.size, width - 1)
+            e_top = e if top_rows.size == len(e) else e.take(top_rows, 0)
+            e_others = e_top[others].reshape(top_rows.size, width - 1)
             v_rows[at_top] = np.log1p(e_others.sum(1))
-
-    # every row weighted: the whole buffer is theirs, no subset to gather
-    every = dense.size == x.shape[0]
-    if weights is not None:
-        z_dense = z if every else z.take(dense, 0)
-        log_dense = log_total if every else log_total[dense]
-        v_dense = (weights * (log_dense[:, None] - z_dense)).sum(1)
     if not gradients:
         return v_rows, v_dense
 

@@ -141,7 +141,6 @@ class ForwardCache:
 
     params: ModelParams
     inputs: np.ndarray
-    pre_acts: list[np.ndarray]
     hidden_acts: list[np.ndarray]
     dropout_mask: np.ndarray | None
     dropped_embedding: np.ndarray
@@ -181,7 +180,7 @@ def forward(params: ModelParams, features, dropout_mask=None):
     :class:`mprl.trainer.SeedDraws`).
     """
     x = _batch(params, features)
-    pre_acts, hidden_acts, embedding = _hidden_stack(params, x)
+    hidden_acts, embedding = _hidden_stack(params, x)
     mask = None
     dropped = embedding
     if dropout_mask is not None:
@@ -194,14 +193,14 @@ def forward(params: ModelParams, features, dropout_mask=None):
 
     logits = dropped @ params.weights[-1]
     logits += params.biases[-1][..., None, :]
-    cache = ForwardCache(params, x, pre_acts, hidden_acts, mask, dropped, logits)
+    cache = ForwardCache(params, x, hidden_acts, mask, dropped, logits)
     return logits, cache, embedding
 
 
 def embed(params: ModelParams, features) -> np.ndarray:
     """Eval-mode embeddings of a (n, d) batch: the hidden stack of
     :func:`forward`, bit for bit, without the logits head."""
-    return _hidden_stack(params, _batch(params, features))[2]
+    return _hidden_stack(params, _batch(params, features))[1]
 
 
 def _batch(params: ModelParams, features) -> np.ndarray:
@@ -214,18 +213,19 @@ def _batch(params: ModelParams, features) -> np.ndarray:
 
 
 def _hidden_stack(params: ModelParams, x: np.ndarray):
-    """Pre-activations and activations of every hidden layer, and the
-    embedding (the last activation; the input itself without hidden layers)."""
-    pre_acts = []
+    """The activations of every hidden layer, and the embedding (the last
+    activation; the input itself without hidden layers).  Each ReLU runs
+    in place over its pre-activation, which nothing reads again:
+    ``backward`` needs only where it was positive, which is exactly where
+    the activation is."""
     hidden_acts = []
     a = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w
-        z += b[..., None, :]
-        a = np.maximum(z, 0.0)
-        pre_acts.append(z)
+        a = a @ w
+        a += b[..., None, :]
+        np.maximum(a, 0.0, out=a)
         hidden_acts.append(a)
-    return pre_acts, hidden_acts, a
+    return hidden_acts, a
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrads:
@@ -254,7 +254,7 @@ def backward(params: ModelParams, cache: ForwardCache, grad_logits) -> ParamGrad
         delta *= cache.dropout_mask
 
     for i in range(len(params.weights) - 2, -1, -1):
-        delta *= cache.pre_acts[i] > 0.0
+        delta *= cache.hidden_acts[i] > 0.0  # where the pre-activation was positive
         prev = cache.inputs if i == 0 else cache.hidden_acts[i - 1]
         np.matmul(prev.mT, delta, out=grad_w[i])
         delta.sum(-2, out=grad_b[i])

@@ -1,5 +1,6 @@
 """Loss values and gradients: hand-evaluated cases, then properties."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprl.errors import InvalidClass, InvalidDimension
-from mprl.gradcheck import FD_BLOCK, _batch_values, finite_difference_gradient
+from mprl.gradcheck import _batch_values, block_coordinates, finite_difference_gradient
 from mprl.labels import (
     ground_truth_label,
     lsro_label,
@@ -28,6 +29,7 @@ from mprl.losses import (
     weighted_ce,
     weighted_ce_values,
 )
+from mprl.retrieval import small_ufunc_buffer
 
 LN2 = math.log(2.0)
 
@@ -204,8 +206,9 @@ class TestFiniteDifferences:
 def tiled_blocks(x, step):
     """The central-difference batches as built by np.tile and fancy
     indexing, block by block: the reference for the in-place buffer."""
-    for start in range(0, x.size, FD_BLOCK):
-        cols = np.arange(start, min(start + FD_BLOCK, x.size))
+    block = block_coordinates(x.size)
+    for start in range(0, x.size, block):
+        cols = np.arange(start, min(start + block, x.size))
         rows = np.arange(cols.size)
         points = np.tile(x, (2 * cols.size, 1))
         points[rows, cols] = x[cols] + step
@@ -260,6 +263,44 @@ class TestInPlaceBlocks:
             rows = None if cls >= 0 else np.tile(weights, (n, 1))
             want = weighted_ce_values(points, np.full(n, cls), rows)
             assert values(points).tobytes() == want.tobytes()
+
+
+class TestRowsNeverMix:
+    """Each row of a batch scores as it does alone, bit for bit, at every
+    batch height: what lets a central-difference block take any width
+    without moving a gradient's byte."""
+
+    @pytest.mark.parametrize("buffer", ["default", "small"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 10, 751])
+    def test_every_row_equals_the_row_scored_alone(self, k, weighted, buffer):
+        rng = np.random.default_rng(10 * k + weighted)
+        x = rng.normal(0, 3, size=k)
+        # the first central-difference block at K = k, 2n rows
+        _, points = next(tiled_blocks(x, 1e-6))
+        height = len(points)
+        if weighted:
+            classes = np.full(height, -1)
+            weights = mprl_rows(row_ranks(rng.normal(0, 3, size=(height, k))))
+        else:
+            classes = rng.integers(k, size=height)
+            weights = None
+            # every third row's class at the top logit: the log1p rows
+            top_rows = np.arange(0, height, 3)
+            points[top_rows, classes[top_rows]] = points[top_rows].max(1) + 2.0
+        with small_ufunc_buffer() if buffer == "small" else contextlib.nullcontext():
+            alone = [weighted_ce(points[i:i + 1], classes[i:i + 1],
+                                 None if weights is None else weights[i:i + 1])
+                     for i in range(height)]
+            alone_values = np.concatenate([values for values, _ in alone])
+            alone_grads = np.concatenate([grads for _, grads in alone])
+            for h in range(1, height + 1):
+                w = None if weights is None else weights[:h]
+                values = weighted_ce_values(points[:h], classes[:h], w)
+                assert values.tobytes() == alone_values[:h].tobytes()
+                values, grads = weighted_ce(points[:h], classes[:h], w)
+                assert values.tobytes() == alone_values[:h].tobytes()
+                assert grads.tobytes() == alone_grads[:h].tobytes()
 
 
 def batch(items):

@@ -390,9 +390,8 @@ class TestInPlaceArithmetic:
         logits, cache, _ = forward(params, x)
         a = x
         for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-            z = a @ w + b
-            assert np.array_equal(cache.pre_acts[i], z)
-            a = np.maximum(z, 0.0)
+            a = np.maximum(a @ w + b, 0.0)
+            assert np.array_equal(cache.hidden_acts[i], a)
         assert np.array_equal(logits, a @ params.weights[-1] + params.biases[-1])
 
     @given(st.integers(0, 2**32 - 1), st.floats(1e-4, 1.0), st.sampled_from([0.0, 0.5, 0.9]),
@@ -453,8 +452,10 @@ class TestInPlaceArithmetic:
         if mask is not None:
             delta = delta * mask
         for i in range(len(params.weights) - 2, -1, -1):
-            delta = delta * (cache.pre_acts[i] > 0.0).astype(np.float64)
             prev = x if i == 0 else cache.hidden_acts[i - 1]
+            # the ReLU's derivative, from the pre-activation rebuilt here
+            pre_act = prev @ params.weights[i] + params.biases[i]
+            delta = delta * (pre_act > 0.0).astype(np.float64)
             want_w.insert(0, prev.T @ delta)
             want_b.insert(0, delta.sum(axis=0))
             delta = delta @ params.weights[i].T
