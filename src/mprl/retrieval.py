@@ -8,10 +8,14 @@ slice of the result, so every distance is its d squared differences
 added left to right from 0: bit-equal to a pure-Python ``sum`` at every
 d, while the work is whole-plane elementwise passes.  A block's result
 slice and scratch plane, numpy's ufunc buffers included, hold at most
-``BLOCK_BYTES`` (one query row when a row alone is larger): each pass
-stays in cache, and memory beyond the (n_q, n_g) result is bounded
-whatever the number of queries.  A distance beyond the float64 range
-is ``inf``, which ``evaluate`` rejects.
+``BLOCK_BYTES`` (one query row when a row alone is larger), so each pass
+stays in cache.  :func:`pairwise_sq_euclidean` returns the whole
+(n_q, n_g) matrix; :func:`pairwise_sq_euclidean_blocks` hands the same
+rows over one block at a time in one reused buffer, and
+:func:`evaluate` scores each block before the next is computed, so
+``mprl eval`` and every grid cell hold ``BLOCK_BYTES`` of distances
+whatever the number of queries.  A distance beyond the float64 range is
+``inf``, which ``evaluate`` rejects.
 
 The kernel runs under :func:`small_ufunc_buffer`.  numpy's ufunc
 iterator copies a broadcast operand into its buffer whenever two rows of
@@ -36,13 +40,14 @@ item: ``id label v1 ... vdim`` with 17-significant-digit floats.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidState, ProtocolViolation
+from .errors import InvalidDimension, InvalidState, ProtocolViolation, read_utf8
 
 # byte budget of one query block's pass: its output slice and scratch plane,
 # numpy's buffers included (at least one row); a block that outgrows the
@@ -123,6 +128,27 @@ class EvalReport:
             raise ProtocolViolation("CMC must not exceed 1")
 
 
+def _block_rows(n_b: int) -> int:
+    """Query rows per block against ``n_b`` items: as many as fit their
+    result slice and scratch plane in ``BLOCK_BYTES``, at least one."""
+    return max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 16 * n_b))
+
+
+def _fill_block(block: np.ndarray, bt: np.ndarray, dest: np.ndarray,
+                plane: np.ndarray) -> None:
+    """dest[i][j] = squared Euclidean distance between ``block[i]`` and
+    column j of ``bt`` (the other set, transposed), added left to right
+    from 0, one ``plane`` per coordinate.  ``dest`` and ``plane`` are
+    (rows, n_b); a distance beyond the float64 range is ``inf``, without a
+    warning.  Callers run it under :func:`small_ufunc_buffer`."""
+    dest.fill(0.0)
+    with np.errstate(over="ignore"):
+        for k in range(block.shape[1]):
+            np.subtract(block[:, k, None], bt[k], out=plane)
+            np.multiply(plane, plane, out=plane)
+            dest += plane
+
+
 @small_ufunc_buffer()
 def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D[i][j] = squared Euclidean distance between rows a[i] and b[j].
@@ -137,29 +163,57 @@ def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`small_ufunc_buffer`, whatever the caller's buffer.
     """
     n, n_b = a.shape[0], b.shape[0]
-    out = np.zeros((n, n_b))
+    out = np.empty((n, n_b))
     bt = np.ascontiguousarray(b.T)
-    rows = max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 16 * n_b))
+    rows = _block_rows(n_b)
     scratch = np.empty((min(rows, n), n_b))
-    with np.errstate(over="ignore"):
-        for start in range(0, n, rows):
-            block = a[start:start + rows]
-            dest = out[start:start + rows]
-            plane = scratch[:len(block)]
-            for k in range(a.shape[1]):
-                np.subtract(block[:, k, None], bt[k], out=plane)
-                np.multiply(plane, plane, out=plane)
-                dest += plane
+    for start in range(0, n, rows):
+        block = a[start:start + rows]
+        _fill_block(block, bt, out[start:start + rows], scratch[:len(block)])
     return out
 
 
-def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarray:
-    """D[i][j] = squared Euclidean distance between query i and gallery j."""
+def sq_euclidean_blocks(a: np.ndarray, b: np.ndarray):
+    """The rows of ``sq_euclidean(a, b)``, bit for bit, as an iterator of
+    (rows, n_b) blocks in row order, computed one block per step.
+
+    Every block is a view of one buffer, which the next step overwrites:
+    use a block before asking for the next one.  Each block is computed
+    under :func:`small_ufunc_buffer` and handed over outside it, so the
+    caller's numpy settings hold between blocks and after a consumer stops
+    early.  The buffer and its scratch plane hold ``BLOCK_BYTES``.
+    """
+    n, n_b = a.shape[0], b.shape[0]
+    bt = np.ascontiguousarray(b.T)
+    rows = _block_rows(n_b)
+    buffer = np.empty((2, min(rows, n), n_b))
+    for start in range(0, n, rows):
+        block = a[start:start + rows]
+        dest, plane = buffer[0, :len(block)], buffer[1, :len(block)]
+        with small_ufunc_buffer():
+            _fill_block(block, bt, dest, plane)
+        yield dest
+
+
+def _check_dims(queries: EmbeddingSet, gallery: EmbeddingSet) -> None:
     if queries.dim != gallery.dim:
         raise InvalidDimension(
             f"query dim {queries.dim} differs from gallery dim {gallery.dim}"
         )
+
+
+def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarray:
+    """D[i][j] = squared Euclidean distance between query i and gallery j."""
+    _check_dims(queries, gallery)
     return sq_euclidean(queries.vectors, gallery.vectors)
+
+
+def pairwise_sq_euclidean_blocks(queries: EmbeddingSet, gallery: EmbeddingSet):
+    """The rows of :func:`pairwise_sq_euclidean` as the blocks of
+    :func:`sq_euclidean_blocks`, for :func:`evaluate` to score one at a
+    time.  A dimension mismatch raises here, before any block."""
+    _check_dims(queries, gallery)
+    return sq_euclidean_blocks(queries.vectors, gallery.vectors)
 
 
 def _relevant_positions(row: np.ndarray, is_relevant: np.ndarray) -> np.ndarray:
@@ -186,35 +240,56 @@ def _relevant_positions(row: np.ndarray, is_relevant: np.ndarray) -> np.ndarray:
 
 
 def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
-    """Score a distance matrix: mAP, rank-1 and the full CMC curve.
+    """Score distances: mAP, rank-1 and the full CMC curve.
 
-    Every query class must occur in the gallery, and every distance must
-    be finite.  AP per query is the mean of (number of relevant items in
-    the top r) / r over the ranks r where a relevant item sits.
+    ``distances`` is the (n_q, n_g) matrix, or an iterator of its row
+    blocks in query order (:func:`pairwise_sq_euclidean_blocks`).  Each
+    block is checked and scored before the next one is asked for, so a
+    streamed evaluation holds one block, never the matrix, and may reuse
+    one buffer for every block.  There must be at least one query, every
+    query class must occur in the gallery (checked before any block), and
+    every distance must be finite.  AP per query is the mean of (number
+    of relevant items in the top r) / r over the ranks r where a relevant
+    item sits.
     """
-    dist = np.asarray(distances, dtype=np.float64)
     q_labels = np.asarray(query_labels, dtype=np.int64)
     g_labels = np.asarray(gallery_labels, dtype=np.int64)
-    if dist.ndim != 2 or dist.shape != (q_labels.size, g_labels.size):
-        raise InvalidDimension(
-            f"distance matrix {dist.shape} does not match {q_labels.size} queries "
-            f"x {g_labels.size} gallery items"
-        )
+    n_q, n_g = q_labels.size, g_labels.size
+    if not isinstance(distances, Iterator):
+        dist = np.asarray(distances, dtype=np.float64)
+        if dist.shape != (n_q, n_g):
+            raise InvalidDimension(
+                f"distance matrix {dist.shape} does not match {n_q} queries "
+                f"x {n_g} gallery items"
+            )
+        distances = iter((dist,))
+    if n_q == 0:
+        raise InvalidDimension("no queries to score")
     missing = sorted(set(q_labels.tolist()) - set(g_labels.tolist()))
     if missing:
         raise ProtocolViolation(f"query classes absent from gallery: {missing}")
-    if not np.isfinite(dist).all():
-        raise ProtocolViolation("distances must be finite (a NaN, or a squared "
-                                "distance beyond the float64 range)")
 
-    n_q, n_g = dist.shape
     first_hit = np.zeros(n_g, dtype=np.int64)
     aps = np.empty(n_q)
-    for i in range(n_q):
-        positions = _relevant_positions(dist[i], g_labels == q_labels[i])
-        first_hit[positions[0] - 1] += 1
-        precisions = np.arange(1, positions.size + 1) / positions
-        aps[i] = float(np.mean(precisions))
+    start = 0
+    for block in distances:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != n_g or start + block.shape[0] > n_q:
+            raise InvalidDimension(
+                f"distance block {block.shape} at query row {start} does not match "
+                f"{n_q} queries x {n_g} gallery items"
+            )
+        if not np.isfinite(block).all():
+            raise ProtocolViolation("distances must be finite (a NaN, or a squared "
+                                    "distance beyond the float64 range)")
+        for i, row in enumerate(block, start):
+            positions = _relevant_positions(row, g_labels == q_labels[i])
+            first_hit[positions[0] - 1] += 1
+            precisions = np.arange(1, positions.size + 1) / positions
+            aps[i] = float(np.mean(precisions))
+        start += block.shape[0]
+    if start != n_q:
+        raise InvalidDimension(f"distance blocks hold {start} rows for {n_q} queries")
 
     cmc = np.cumsum(first_hit) / n_q
     return EvalReport(rank1=float(cmc[0]), mean_ap=float(np.mean(aps)), cmc_curve=cmc)
@@ -241,10 +316,11 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read an embedding file; a malformed header or row, a non-finite value
-    or a repeated id raises InvalidState naming ``path:line``."""
-    rows = [(no, line) for no, line in enumerate(Path(path).read_text().splitlines(), start=1)
-            if line.strip()]
+    """Read an embedding file; bytes that are not UTF-8, a malformed header
+    or row, a non-finite value or a repeated id raise InvalidState naming
+    ``path:line``."""
+    text = read_utf8(path, InvalidState)
+    rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not rows:
         raise InvalidState(f"{path}: empty embedding file")
     header_no, header = rows[0]

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationFailure, InvalidConfig, InvalidDimension
-from .retrieval import sq_euclidean
+from .retrieval import sq_euclidean_blocks
 
 SPLIT_TAGS = ("train", "query", "gallery")
 # class means sit >= this multiple of the cluster spread apart;
@@ -92,6 +92,19 @@ def _simplex_means(n_classes, dim, edge, rng):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q = q * np.sign(np.diag(r))
     return (edge / np.sqrt(2.0)) * vertices @ q.T
+
+
+def _least_sq_separation(means: np.ndarray) -> float:
+    """Least squared distance between two distinct rows of ``means`` (inf
+    for one row), one distance block at a time."""
+    least = np.inf
+    start = 0
+    for block in sq_euclidean_blocks(means, means):
+        rows = np.arange(block.shape[0])
+        block[rows, start + rows] = np.inf
+        least = min(least, float(block.min()))
+        start += block.shape[0]
+    return least
 
 
 def _place_class_means(n_classes, dim, min_separation, rng,
@@ -162,9 +175,9 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
         means = _simplex_means(n_classes, dim, max(1.0, separation), rng)
     else:
         means = _place_class_means(n_classes, dim, separation, rng)
-    dists = np.sqrt(sq_euclidean(means, means))
-    np.fill_diagonal(dists, np.inf)
-    if np.min(dists) < MIN_SEPARATION_FACTOR * cluster_spread:
+    # sqrt is monotone and correctly rounded: the root of the least squared
+    # distance is the least distance
+    if np.sqrt(_least_sq_separation(means)) < MIN_SEPARATION_FACTOR * cluster_spread:
         raise GenerationFailure("class mean separation guarantee violated")
 
     # one draw per class, in class order

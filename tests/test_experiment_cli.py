@@ -866,6 +866,39 @@ class TestCli:
         assert f"{tmp_path / 'q.txt'} against {tmp_path / 'g.txt'}: " in err[0]
         assert "finite" in err[0] and captured.out == ""
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff1 3\n7 1 0.0 0.0 0.0\n", 1),  # the first byte
+        (b"1 3\n7 1 0.0 0.0 0.0\n\n8 1 0.5 \xe9 0.0\n", 4),  # Latin-1, after a blank line
+        (b"1 3\r\n7 1 0.0 0.0 \xc3\n", 2),  # a sequence cut short
+    ])
+    @pytest.mark.parametrize("role", ["--query", "--gallery"])
+    def test_embedding_file_not_utf8_exits_two(self, tmp_path, capsys, data, line, role):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        good = tmp_path / "good.txt"
+        good.write_text("1 3\n7 1 0.0 0.0 0.0\n")
+        files = {"--query": good, "--gallery": good, role: bad}
+        assert main(["eval", *(str(v) for pair in files.items() for v in pair)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:{line}: not valid UTF-8")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_spec_not_utf8_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an unreadable spec must not build a dataset")
+
+        monkeypatch.setattr(experiment, "make_real_dataset", no_work)
+        spec = tmp_path / "spec.txt"
+        rows = TINY_SPEC.encode().splitlines(keepends=True)
+        spec.write_bytes(b"".join(rows[:2]) + b"# caf\xe9\n" + b"".join(rows[2:]))
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {spec}:3: not valid UTF-8")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_embedding_file_exits_one(self, tmp_path, capsys):
         good = tmp_path / "g.txt"
         good.write_text("1 3\n8 1 0.0 0.0 0.0\n")

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprl import retrieval
+from mprl.cli import main
 from mprl.errors import InvalidDimension, InvalidState, MprlError, ProtocolViolation
 from mprl.retrieval import (
     EmbeddingSet,
@@ -21,6 +22,7 @@ from mprl.retrieval import (
     evaluate,
     load_embeddings,
     pairwise_sq_euclidean,
+    pairwise_sq_euclidean_blocks,
     report_to_json,
     save_embeddings,
     save_report,
@@ -411,6 +413,167 @@ class TestEvaluate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidDimension):
             evaluate(np.ones((2, 2)), [1], [1, 1])
+
+
+def same_report(a: EvalReport, b: EvalReport) -> bool:
+    return (np.float64(a.rank1).tobytes() == np.float64(b.rank1).tobytes()
+            and np.float64(a.mean_ap).tobytes() == np.float64(b.mean_ap).tobytes()
+            and a.cmc_curve.tobytes() == b.cmc_curve.tobytes())
+
+
+def embedding_case(seed, n_q, n_g, dim, kind):
+    """Query and gallery sets whose query classes all occur in the gallery;
+    "ties" puts every coordinate in {-1, 0, 1}, so most distances tie."""
+    rng = np.random.default_rng(seed)
+    g_labels = rng.integers(0, 4, size=n_g)
+    q_labels = g_labels[rng.integers(0, n_g, size=n_q)]
+
+    def draw(n):
+        if kind == "ties":
+            return rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+        return rng.normal(size=(n, dim))
+
+    return (EmbeddingSet(np.arange(n_q), q_labels, draw(n_q)),
+            EmbeddingSet(np.arange(n_g), g_labels, draw(n_g)))
+
+
+class TestStreamedEvaluate:
+    """``evaluate`` on row blocks scores each block as it comes and equals
+    ``evaluate`` on the whole matrix bit for bit."""
+
+    @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 8),
+           st.sampled_from(["ties", "real"]), st.integers(0, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_score_as_the_matrix(self, n_q, n_g, dim, kind, budget, seed):
+        # budgets under 16 * n_g bytes make one-row blocks
+        queries, gallery = embedding_case(seed, n_q, n_g, dim, kind)
+        matrix = pairwise_sq_euclidean(queries, gallery)
+        with mock.patch.object(retrieval, "BLOCK_BYTES", retrieval._UFUNC_BUFFER_BYTES + budget):
+            rows = [block.copy() for block in pairwise_sq_euclidean_blocks(queries, gallery)]
+            streamed = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+                                queries.labels, gallery.labels)
+        assert np.concatenate(rows).tobytes() == matrix.tobytes()
+        assert same_report(streamed, evaluate(matrix, queries.labels, gallery.labels))
+
+    @pytest.mark.parametrize("kind", ["ties", "real"])
+    def test_one_row_blocks(self, kind):
+        queries, gallery = embedding_case(7, 30, 200, 3, kind)
+        with mock.patch.object(retrieval, "BLOCK_BYTES", 1):
+            assert [b.shape for b in pairwise_sq_euclidean_blocks(queries, gallery)
+                    ] == [(1, 200)] * 30
+            streamed = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+                                queries.labels, gallery.labels)
+        matrix = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        assert same_report(streamed, matrix)
+
+    @given(st.integers(1, 20), st.integers(1, 40), st.integers(1, 4), CASE_KINDS,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_of_the_rows_scores_as_the_matrix(self, n_q, n_g, n_classes, kind,
+                                                        seed):
+        g_labels = np.random.default_rng(seed + 1).integers(0, n_classes, size=n_g)
+        distances, q_labels = retrieval_case(seed, n_q, g_labels, kind)
+        cuts = np.sort(np.random.default_rng(seed + 2).integers(0, n_q + 1, size=3))
+        blocks = iter(np.split(distances, cuts))  # empty blocks included
+        assert same_report(evaluate(blocks, q_labels, g_labels),
+                           evaluate(distances, q_labels, g_labels))
+
+    def test_equals_the_argsort_ranking_at_the_module_budget(self):
+        # blocks of 12 rows against 5000 items, most of them tied
+        queries, gallery = embedding_case(3, 40, 5000, 4, "ties")
+        assert len(list(pairwise_sq_euclidean_blocks(queries, gallery))) == 4
+        streamed = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+                            queries.labels, gallery.labels)
+        rank1, mean_ap, cmc = argsort_eval(pairwise_sq_euclidean(queries, gallery),
+                                           queries.labels, gallery.labels)
+        assert streamed.rank1 == rank1 and streamed.mean_ap == mean_ap
+        assert streamed.cmc_curve.tobytes() == cmc.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_distance_first_in_the_last_block(self, bad):
+        rng = np.random.default_rng(4)
+        distances = rng.uniform(size=(7, 5))
+        distances[6, 2] = bad
+        labels = [1, 2, 1, 2, 1]
+        q_labels = [1] * 7
+        with pytest.raises(ProtocolViolation) as whole:
+            evaluate(distances, q_labels, labels)
+        with pytest.raises(ProtocolViolation) as streamed:
+            evaluate(iter(np.split(distances, [3, 6])), q_labels, labels)
+        assert str(streamed.value) == str(whole.value) == (
+            "distances must be finite (a NaN, or a squared distance beyond the float64 range)")
+
+    def test_overflowed_distances_in_the_last_block(self):
+        # the last query sits 1e200 away: only its squared distances overflow
+        queries, gallery = embedding_case(5, 9, 40, 2, "real")
+        queries.vectors[-1] = 1e200
+        with mock.patch.object(retrieval, "BLOCK_BYTES", retrieval._UFUNC_BUFFER_BYTES + 1500):
+            blocks = list(b.shape[0] for b in pairwise_sq_euclidean_blocks(queries, gallery))
+            assert len(blocks) > 1
+            with pytest.raises(ProtocolViolation, match="must be finite") as streamed:
+                evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+                         gallery.labels)
+        with pytest.raises(ProtocolViolation) as whole:
+            evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_a_missing_query_class_is_reported_before_any_block(self, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block was computed")
+
+        monkeypatch.setattr(retrieval, "_fill_block", no_block)
+        queries = EmbeddingSet([0], [3], [[0.0, 1.0]])
+        gallery = EmbeddingSet([1, 2], [1, 2], [[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ProtocolViolation, match=r"absent from gallery: \[3\]"):
+            evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+                     gallery.labels)
+
+    def test_a_dimension_mismatch_raises_before_any_block(self):
+        queries = EmbeddingSet([0], [1], [[0.0, 1.0]])
+        gallery = EmbeddingSet([1], [1], [[0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidDimension, match="query dim 2 differs from gallery dim 3"):
+            pairwise_sq_euclidean_blocks(queries, gallery)
+
+    @pytest.mark.parametrize("blocks", [
+        [np.ones((1, 3))],  # too few rows
+        [np.ones((2, 3)), np.ones((1, 3))],  # too many rows
+        [np.ones((2, 2))],  # wrong width
+        [np.ones(3), np.ones(3)],  # not 2-d
+    ])
+    def test_blocks_that_do_not_match_are_rejected(self, blocks):
+        with pytest.raises(InvalidDimension):
+            evaluate(iter(blocks), [1, 1], [1, 2, 1])
+
+    @pytest.mark.parametrize("distances", [np.empty((0, 3)), iter(())], ids=["matrix", "blocks"])
+    def test_no_queries_rejected(self, distances):
+        # a divide warning fails the run (pyproject filterwarnings)
+        with pytest.raises(InvalidDimension, match="no queries"):
+            evaluate(distances, [], [1, 2, 3])
+
+    def test_eval_holds_no_distance_matrix(self, tmp_path):
+        # 2000 x 8000 float64 distances would take 128 MB; the streamed eval
+        # holds one block of about 1 MiB beyond what reading the files takes
+        rng = np.random.default_rng(11)
+        g_labels = np.repeat(np.arange(1000), 8)
+        gallery = EmbeddingSet(np.arange(8000), g_labels, rng.normal(size=(8000, 2)))
+        queries = EmbeddingSet(np.arange(2000), g_labels[::4], rng.normal(size=(2000, 2)))
+        q_path, g_path = tmp_path / "q.txt", tmp_path / "g.txt"
+        save_embeddings(queries, q_path)
+        save_embeddings(gallery, g_path)
+        out = tmp_path / "report.json"
+        args = ["eval", "--query", str(q_path), "--gallery", str(g_path), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            load_embeddings(q_path), load_embeddings(g_path)
+            loaded = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded < 8 * 2**20
+        assert peak < loaded + retrieval.BLOCK_BYTES + 2**20
 
 
 class TestSerialization:

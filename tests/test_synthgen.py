@@ -1,14 +1,19 @@
 """Synthetic dataset construction and serialization."""
 
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mprl import retrieval, synthgen
 from mprl.errors import GenerationFailure, InvalidConfig
+from mprl.retrieval import sq_euclidean
 from mprl.synthgen import (
     WEIGHT_SHRINK,
     Dataset,
+    _least_sq_separation,
     _place_class_means,
     convex_mix,
     make_generated_dataset,
@@ -166,6 +171,51 @@ class TestMakeRealDataset:
             for b in keys[i + 1:]:
                 assert np.linalg.norm(centroids[a] - centroids[b]) > 4 * spread
 
+
+    def test_coincident_means_fail_the_separation_check(self, monkeypatch):
+        def coincident(n_classes, dim, edge, rng):
+            means = np.zeros((n_classes, dim))
+            means[:, 0] = np.arange(n_classes) * 100.0
+            means[-1] = means[0]
+            return means
+
+        monkeypatch.setattr(synthgen, "_simplex_means", coincident)
+        with pytest.raises(GenerationFailure, match="separation"):
+            make_real_dataset(4, 4, 8, 1.0, seed=0)
+
+
+class TestLeastSeparation:
+    """The class-mean check's least squared distance between two distinct
+    means, taken one distance block at a time."""
+
+    @pytest.mark.parametrize("n, dim, budget", [
+        (1, 3, None), (2, 2, None), (9, 4, 0), (9, 4, 200), (40, 3, 700), (751, 16, None)])
+    def test_equals_the_off_diagonal_minimum(self, n, dim, budget):
+        rng = np.random.default_rng(n)
+        means = rng.normal(size=(n, dim))
+        if n > 3:
+            means[n - 1] = means[1] + 1e-9  # the closest pair straddles blocks
+        matrix = sq_euclidean(means, means)
+        np.fill_diagonal(matrix, np.inf)
+        bytes_ = retrieval.BLOCK_BYTES if budget is None else (
+            retrieval._UFUNC_BUFFER_BYTES + budget)
+        with mock.patch.object(retrieval, "BLOCK_BYTES", bytes_):
+            least = _least_sq_separation(means)
+        assert least == matrix.min()
+        assert np.sqrt(least) == np.min(np.sqrt(matrix))
+
+    def test_holds_one_block_at_k_751(self):
+        means = np.random.default_rng(0).normal(size=(751, 64))
+        _least_sq_separation(means[:2])
+        tracemalloc.start()
+        try:
+            _least_sq_separation(means)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block and its plane, then the transposed copy of the means;
+        # the 751 x 751 matrix alone would take 4.5 MB
+        assert peak < retrieval.BLOCK_BYTES + means.nbytes + 64 * 1024
 
 class TestConvexMix:
     def test_equal_weights_give_midpoint(self):

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 
 from mprl import gradcheck
-from mprl.errors import InvalidConfig, MprlError
+from mprl.errors import InvalidConfig, MprlError, ProtocolViolation
 from mprl.labels import mprl_rows, row_ranks
 from mprl.losses import combined_loss
 from mprl.net import backward, forward, init_params
-from mprl.retrieval import UFUNC_BUFFER, small_ufunc_buffer, sq_euclidean
+from mprl import retrieval
+from mprl.retrieval import (
+    UFUNC_BUFFER,
+    EmbeddingSet,
+    evaluate,
+    pairwise_sq_euclidean_blocks,
+    small_ufunc_buffer,
+    sq_euclidean,
+)
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import SeedDraws, Strategy, TrainConfig, assign_static_labels, train
 
@@ -111,6 +119,32 @@ class TestEntryPointsRestoreTheCaller:
         with pytest.raises((ValueError, IndexError)):
             sq_euclidean(np.ones((3, 4)), np.ones((2, 2)))
         assert np.getbufsize() == CALLER_BUFFER
+
+    def test_between_distance_blocks(self, caller_buffer, monkeypatch):
+        monkeypatch.setattr(retrieval, "BLOCK_BYTES", 1)  # one row per block
+        rng = np.random.default_rng(2)
+        queries = EmbeddingSet(np.arange(4), [1, 2, 1, 2], rng.normal(size=(4, 3)))
+        gallery = EmbeddingSet(np.arange(6), [1, 2] * 3, rng.normal(size=(6, 3)))
+        seen = [(np.getbufsize(), np.geterr()["over"])
+                for _ in pairwise_sq_euclidean_blocks(queries, gallery)]
+        assert seen == [(CALLER_BUFFER, "raise")] * 4
+        abandoned = pairwise_sq_euclidean_blocks(queries, gallery)
+        next(abandoned)
+        del abandoned
+        assert np.getbufsize() == CALLER_BUFFER
+        assert np.geterr()["over"] == "raise"
+
+    def test_evaluate_after_an_overflow_in_a_middle_block(self, caller_buffer, monkeypatch):
+        # the caller raises on overflow; the kernel's own errstate turns the
+        # second query's distances into inf, which evaluate then rejects
+        monkeypatch.setattr(retrieval, "BLOCK_BYTES", 1)
+        queries = EmbeddingSet(np.arange(3), [1, 1, 1], [[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
+        gallery = EmbeddingSet(np.arange(2), [1, 2], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ProtocolViolation, match="finite"):
+            evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+                     gallery.labels)
+        assert np.getbufsize() == CALLER_BUFFER
+        assert np.geterr()["over"] == "raise"
 
     def test_run_gradcheck_on_a_rejected_config(self, caller_buffer):
         gradcheck.run_gradcheck(k_values=(3,), trials=1)
