@@ -61,7 +61,6 @@ from .retrieval import (
     evaluate,
     load_embeddings,
     pairwise_sq_euclidean,
-    pairwise_sq_euclidean_blocks,
     report_to_json,
     save_embeddings,
     save_report,

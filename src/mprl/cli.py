@@ -35,9 +35,7 @@ from pathlib import Path
 from .errors import InvalidConfig, InvalidDimension, MprlError, ProtocolViolation, SpecError
 from .experiment import RunMemo, build_datasets, parse_spec, run_experiment
 from .gradcheck import DEFAULT_K_VALUES, DEFAULT_TOLERANCE, run_gradcheck
-from .retrieval import evaluate, load_embeddings, pairwise_sq_euclidean_blocks, report_to_json
-# not called here; the benchmark's tracer (perfbench/tracing.py) wraps this name
-from .retrieval import pairwise_sq_euclidean  # noqa: F401
+from .retrieval import evaluate, load_embeddings, pairwise_sq_euclidean, report_to_json
 from .synthgen import save_dataset
 
 EXIT_OK = 0
@@ -134,7 +132,7 @@ def cmd_eval(args) -> int:
     queries = load_embeddings(args.query)
     gallery = load_embeddings(args.gallery)
     try:
-        report = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+        report = evaluate(pairwise_sq_euclidean(queries, gallery),
                           queries.labels, gallery.labels)
     except (InvalidDimension, ProtocolViolation) as exc:
         raise type(exc)(f"{args.query} against {args.gallery}: {exc}") from None

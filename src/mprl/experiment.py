@@ -72,9 +72,7 @@ import numpy as np
 
 from .errors import InvalidConfig, MprlError, SpecError, read_utf8
 from .net import ModelParams
-from .retrieval import evaluate, pairwise_sq_euclidean_blocks, save_report
-# not called here; the benchmark's tracer (perfbench/tracing.py) wraps this name
-from .retrieval import pairwise_sq_euclidean  # noqa: F401
+from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import (
     Dataset,
     check_generated_params,
@@ -367,8 +365,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> 
 
     queries = extract_embeddings(params, real, "query")
     gallery = extract_embeddings(params, real, "gallery")
-    report = evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
-                      gallery.labels)
+    report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
 
     cell_dir = out_dir / cell.name
     cell_dir.mkdir(parents=True, exist_ok=True)

@@ -146,12 +146,18 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     weights); with ``gradients`` also the (B, width) softmax buffer
     holding each one-hot row's gradient, and the weighted rows' gradients
     (None without weights).  Rows never mix, so a row's results do not
-    depend on the rows scored beside it.  Up to the values, a call holds
+    depend on the rows scored beside it, nor on the layout of ``weights``:
+    a row is summed in its class order.  Up to the values, a call holds
     two (B, width) buffers beside ``x``, z = x - top and exp(z), and the
     top-class rows' gather of their other classes: the weighted rows'
     terms are formed in z's buffer, and z is released before that gather.
     """
     width = x.shape[1]
+    if weights is not None and weights.strides[1] != weights.itemsize:
+        # a row whose classes are not adjacent (a Fortran-ordered stack, as
+        # np.concatenate makes of broadcast blocks) would be summed one term
+        # at a time, not pairwise; broadcast rows are adjacent and stay uncopied
+        weights = np.ascontiguousarray(weights)
     z = x - top[:, None]
     e = np.exp(z)
     total = e.sum(1)

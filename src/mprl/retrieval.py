@@ -4,17 +4,16 @@ Distances are exact brute force, computed over blocks of query rows
 (the blocked exact search of Johnson, Douze and Jegou, arXiv 1702.08734).
 A block accumulates one per-coordinate (rows, n_g) plane
 ``(q[:, k, None] - g.T[k])**2`` at a time into its zero-initialised
-slice of the result, so every distance is its d squared differences
-added left to right from 0: bit-equal to a pure-Python ``sum`` at every
-d, while the work is whole-plane elementwise passes.  A block's result
-slice and scratch plane, numpy's ufunc buffers included, hold at most
-``BLOCK_BYTES`` (one query row when a row alone is larger), so each pass
-stays in cache.  :func:`pairwise_sq_euclidean` returns the whole
-(n_q, n_g) matrix; :func:`pairwise_sq_euclidean_blocks` hands the same
-rows over one block at a time in one reused buffer, and
-:func:`evaluate` scores each block before the next is computed, so
-``mprl eval`` and every grid cell hold ``BLOCK_BYTES`` of distances
-whatever the number of queries.  A distance beyond the float64 range is
+result, so every distance is its d squared differences added left to
+right from 0: bit-equal to a pure-Python ``sum`` at every d, while the
+work is whole-plane elementwise passes.  A block's result and scratch
+plane, numpy's ufunc buffers included, hold at most ``BLOCK_BYTES`` (one
+query row when a row alone is larger), so each pass stays in cache.
+:func:`pairwise_sq_euclidean` hands the (n_q, n_g) distances over one
+block at a time in one reused buffer, and :func:`evaluate` scores each
+block before the next is computed, so ``mprl eval`` and every grid cell
+hold ``BLOCK_BYTES`` of distances whatever the number of queries; the
+whole matrix is never built.  A distance beyond the float64 range is
 ``inf``, which ``evaluate`` rejects.
 
 The kernel runs under :func:`small_ufunc_buffer`.  numpy's ufunc
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidState, ProtocolViolation, read_utf8
 
-# byte budget of one query block's pass: its output slice and scratch plane,
+# byte budget of one query block's pass: its output block and scratch plane,
 # numpy's buffers included (at least one row); a block that outgrows the
 # cache slows every pass over it
 BLOCK_BYTES = 1024 * 1024
@@ -130,7 +129,7 @@ class EvalReport:
 
 def _block_rows(n_b: int) -> int:
     """Query rows per block against ``n_b`` items: as many as fit their
-    result slice and scratch plane in ``BLOCK_BYTES``, at least one."""
+    result and scratch plane in ``BLOCK_BYTES``, at least one."""
     return max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 16 * n_b))
 
 
@@ -149,39 +148,22 @@ def _fill_block(block: np.ndarray, bt: np.ndarray, dest: np.ndarray,
             dest += plane
 
 
-@small_ufunc_buffer()
-def sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """D[i][j] = squared Euclidean distance between rows a[i] and b[j].
+def sq_euclidean_blocks(a: np.ndarray, b: np.ndarray):
+    """D[i][j] = squared Euclidean distance between rows a[i] and b[j], as
+    an iterator of (rows, n_b) blocks of D in row order, computed one block
+    per step.
 
     Exact: each distance is ``sum_k (a[i, k] - b[j, k])**2`` added left to
     right from 0, the order of a pure-Python ``sum``.  A block of rows of
     ``a`` accumulates one plane ``(a[:, k, None] - b.T[k])**2`` per
-    coordinate into its (rows, n_b) slice of the result.  The slice, the
-    plane and numpy's ufunc buffers hold at most ``BLOCK_BYTES`` together;
-    a block is one row when that row alone is larger.  A distance beyond
-    the float64 range is ``inf``, without a warning.  Runs under
-    :func:`small_ufunc_buffer`, whatever the caller's buffer.
-    """
-    n, n_b = a.shape[0], b.shape[0]
-    out = np.empty((n, n_b))
-    bt = np.ascontiguousarray(b.T)
-    rows = _block_rows(n_b)
-    scratch = np.empty((min(rows, n), n_b))
-    for start in range(0, n, rows):
-        block = a[start:start + rows]
-        _fill_block(block, bt, out[start:start + rows], scratch[:len(block)])
-    return out
-
-
-def sq_euclidean_blocks(a: np.ndarray, b: np.ndarray):
-    """The rows of ``sq_euclidean(a, b)``, bit for bit, as an iterator of
-    (rows, n_b) blocks in row order, computed one block per step.
-
-    Every block is a view of one buffer, which the next step overwrites:
-    use a block before asking for the next one.  Each block is computed
-    under :func:`small_ufunc_buffer` and handed over outside it, so the
-    caller's numpy settings hold between blocks and after a consumer stops
-    early.  The buffer and its scratch plane hold ``BLOCK_BYTES``.
+    coordinate.  Every block is a view of one buffer, which the next step
+    overwrites: use a block before asking for the next one.  The buffer,
+    its scratch plane and numpy's ufunc buffers hold at most
+    ``BLOCK_BYTES``; a block is one row when that row alone is larger.  A
+    distance beyond the float64 range is ``inf``, without a warning.  Each
+    block is computed under :func:`small_ufunc_buffer` and handed over
+    outside it, so the caller's numpy settings hold between blocks and
+    after a consumer stops early.
     """
     n, n_b = a.shape[0], b.shape[0]
     bt = np.ascontiguousarray(b.T)
@@ -195,24 +177,15 @@ def sq_euclidean_blocks(a: np.ndarray, b: np.ndarray):
         yield dest
 
 
-def _check_dims(queries: EmbeddingSet, gallery: EmbeddingSet) -> None:
+def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet):
+    """D[i][j] = squared Euclidean distance between query i and gallery j,
+    as the blocks of :func:`sq_euclidean_blocks`, for :func:`evaluate` to
+    score one at a time.  A dimension mismatch raises here, before any
+    block."""
     if queries.dim != gallery.dim:
         raise InvalidDimension(
             f"query dim {queries.dim} differs from gallery dim {gallery.dim}"
         )
-
-
-def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarray:
-    """D[i][j] = squared Euclidean distance between query i and gallery j."""
-    _check_dims(queries, gallery)
-    return sq_euclidean(queries.vectors, gallery.vectors)
-
-
-def pairwise_sq_euclidean_blocks(queries: EmbeddingSet, gallery: EmbeddingSet):
-    """The rows of :func:`pairwise_sq_euclidean` as the blocks of
-    :func:`sq_euclidean_blocks`, for :func:`evaluate` to score one at a
-    time.  A dimension mismatch raises here, before any block."""
-    _check_dims(queries, gallery)
     return sq_euclidean_blocks(queries.vectors, gallery.vectors)
 
 
@@ -243,7 +216,7 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     """Score distances: mAP, rank-1 and the full CMC curve.
 
     ``distances`` is the (n_q, n_g) matrix, or an iterator of its row
-    blocks in query order (:func:`pairwise_sq_euclidean_blocks`).  Each
+    blocks in query order (:func:`pairwise_sq_euclidean`).  Each
     block is checked and scored before the next one is asked for, so a
     streamed evaluation holds one block, never the matrix, and may reuse
     one buffer for every block.  There must be at least one query, every

@@ -490,22 +490,29 @@ class TestClassForm:
     """``combined_loss`` and ``weighted_ce`` take each one-hot row as its
     class, so a real row can no longer carry weights that are not one-hot."""
 
-    @given(st.sampled_from([1, 2, 8, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
+    @given(st.sampled_from([1, 2, 8, 10, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.4, 1.0]), st.booleans(), st.booleans(), st.booleans(),
-           st.sampled_from([0.0, 2.0, 1e3]), st.sampled_from([1 / 3, 1.0]), st.booleans())
+           st.sampled_from([0.0, 2.0, 1e3]), st.sampled_from([1 / 3, 1.0]), st.booleans(),
+           st.booleans())
     # an all-real batch, an all-generated one, and one whose real rows all
     # hold the top logit (every real value through log1p)
     @example(k=8, n=12, seed=5, gen_share=0.0, gate=True, diagonal=False, broadcast=False,
-             margin=2.0, top_share=1 / 3, fortran=False)
+             margin=2.0, top_share=1 / 3, fortran=False, fortran_weights=False)
     @example(k=751, n=9, seed=6, gen_share=1.0, gate=True, diagonal=False, broadcast=False,
-             margin=0.0, top_share=1 / 3, fortran=False)
+             margin=0.0, top_share=1 / 3, fortran=False, fortran_weights=False)
     @example(k=8, n=12, seed=7, gen_share=0.4, gate=True, diagonal=True, broadcast=True,
-             margin=1e3, top_share=1.0, fortran=True)
+             margin=1e3, top_share=1.0, fortran=True, fortran_weights=False)
     @example(k=751, n=7, seed=8, gen_share=0.0, gate=True, diagonal=False, broadcast=False,
-             margin=0.0, top_share=1.0, fortran=False)
+             margin=0.0, top_share=1.0, fortran=False, fortran_weights=False)
+    # Fortran-ordered weight rows, whose sums take more than eight terms
+    @example(k=10, n=12, seed=9, gen_share=1.0, gate=True, diagonal=False, broadcast=True,
+             margin=0.0, top_share=1 / 3, fortran=False, fortran_weights=True)
+    @example(k=751, n=12, seed=10, gen_share=0.4, gate=True, diagonal=False, broadcast=False,
+             margin=0.0, top_share=1 / 3, fortran=False, fortran_weights=True)
     @settings(max_examples=150, deadline=None)
     def test_combined_loss_equals_the_dense_weight_version_bit_for_bit(
-            self, k, n, seed, gen_share, gate, diagonal, broadcast, margin, top_share, fortran):
+            self, k, n, seed, gen_share, gate, diagonal, broadcast, margin, top_share, fortran,
+            fortran_weights):
         rng = np.random.default_rng(seed)
         x = rng.normal(0.0, 3.0, size=(n, k))
         gen = rng.random(n) < gen_share
@@ -521,14 +528,22 @@ class TestClassForm:
         dense[np.flatnonzero(~gen), classes[~gen]] = 1.0
         if gate:
             dense[gen] = gen_weights
-        # logits in either memory layout score the same
+        # logits and weight rows in any memory layout score the same
         logits = np.asfortranarray(x) if fortran else x
+        if fortran_weights:
+            gen_weights = np.asfortranarray(gen_weights)
         out = combined_loss(logits, classes, gen_weights if gate else None, 0.35, diagonal)
         value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, 0.35, diagonal,
                                                                 gate)
         assert np.array_equal(out.grad_logits, grads)
         assert (out.value, out.real_loss, out.gen_loss) == (value, real_loss, gen_loss)
         assert (out.n_real, out.n_generated) == (int((~gen).sum()), int(gen.sum()))
+        if gate:
+            values, row_grads = weighted_ce(logits, classes, gen_weights, diagonal)
+            want_values, want_grads = dense_weighted_ce(x, dense, one_hot=~gen,
+                                                        diagonal=gen if diagonal else None)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(row_grads, want_grads)
 
     @pytest.mark.parametrize("bad", [4, 7, -2])
     def test_class_out_of_range_raises_naming_the_row(self, bad):

@@ -22,12 +22,17 @@ from mprl.retrieval import (
     evaluate,
     load_embeddings,
     pairwise_sq_euclidean,
-    pairwise_sq_euclidean_blocks,
     report_to_json,
     save_embeddings,
     save_report,
-    sq_euclidean,
+    sq_euclidean_blocks,
 )
+
+
+def stacked(blocks):
+    """The whole distance matrix of an iterator of row blocks, each block
+    copied out before the next step overwrites it."""
+    return np.concatenate([block.copy() for block in blocks])
 
 
 def brute_force_eval(distances, query_labels, gallery_labels):
@@ -86,7 +91,7 @@ def retrieval_case(seed, n_q, g_labels, kind):
         distinct = rng.integers(-2, 3, size=(max(1, n_g // 3), 2)).astype(np.float64)
         gallery = distinct[rng.integers(0, distinct.shape[0], size=n_g)]
         queries = rng.integers(-2, 3, size=(n_q, 2)).astype(np.float64)
-        distances = sq_euclidean(queries, gallery)
+        distances = stacked(sq_euclidean_blocks(queries, gallery))
     else:
         distances = rng.uniform(0, 10, size=(n_q, n_g))
     return distances, q_labels
@@ -127,7 +132,7 @@ class TestSqEuclideanBlocks:
         b = rng.normal(size=(n_b, dim))
         with mock.patch.object(retrieval, "BLOCK_BYTES",
                                retrieval._UFUNC_BUFFER_BYTES + budget):
-            blocked = sq_euclidean(a, b)
+            blocked = stacked(sq_euclidean_blocks(a, b))
         assert blocked.tobytes() == self.left_to_right(a, b).tobytes()
 
     @pytest.mark.parametrize("n_a, n_b, dim", [
@@ -145,10 +150,11 @@ class TestSqEuclideanBlocks:
         b = rng.normal(size=(n_b, dim))
         # one query row at a time: the whole broadcast would take up to 400 MB
         expected = np.concatenate([self.left_to_right(a[i:i + 1], b) for i in range(n_a)])
-        assert sq_euclidean(a, b).tobytes() == expected.tobytes()
+        assert stacked(sq_euclidean_blocks(a, b)).tobytes() == expected.tobytes()
 
     def test_zero_dimensional_rows_are_at_distance_zero(self):
-        assert sq_euclidean(np.empty((3, 0)), np.empty((2, 0))).tolist() == [[0.0] * 2] * 3
+        blocks = sq_euclidean_blocks(np.empty((3, 0)), np.empty((2, 0)))
+        assert stacked(blocks).tolist() == [[0.0] * 2] * 3
 
     @pytest.mark.parametrize("n_a, n_b, dim", [
         (1000, 4000, 16),  # the retrieval_eval shape
@@ -162,16 +168,18 @@ class TestSqEuclideanBlocks:
         rng = np.random.default_rng(dim)
         a = rng.normal(size=(n_a, dim))
         b = rng.normal(size=(n_b, dim))
-        sq_euclidean(a[:2], b)  # first-call set-up is not scratch
+        for _ in sq_euclidean_blocks(a[:2], b):  # first-call set-up is not scratch
+            pass
         tracemalloc.start()
         try:
-            out = sq_euclidean(a, b)
+            for _ in sq_euclidean_blocks(a, b):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the output and the transposed copy of b are not scratch
-        scratch = peak - out.nbytes - b.nbytes
-        one_row = 8 * n_b + retrieval._UFUNC_BUFFER_BYTES
+        # the transposed copy of b is not scratch; a block's result and plane are
+        scratch = peak - b.nbytes
+        one_row = 16 * n_b + retrieval._UFUNC_BUFFER_BYTES
         assert scratch <= max(retrieval.BLOCK_BYTES, one_row)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
@@ -209,13 +217,15 @@ class TestSqEuclideanBlocks:
             import tracemalloc
             import numpy as np
             np.setbufsize(int(sys.argv[1]))
-            from mprl.retrieval import sq_euclidean
+            from mprl.retrieval import sq_euclidean_blocks
 
             rng = np.random.default_rng(0)
             a, b = rng.normal(size=(1000, 16)), rng.normal(size=(4000, 16))
-            sq_euclidean(a[:2], b)
+            for _ in sq_euclidean_blocks(a[:2], b):
+                pass
             tracemalloc.start()
-            sq_euclidean(a, b)
+            for _ in sq_euclidean_blocks(a, b):
+                pass
             print(tracemalloc.get_traced_memory()[1], np.getbufsize())
         """)
         src = Path(retrieval.__file__).resolve().parents[1]
@@ -230,8 +240,8 @@ class TestSqEuclideanBlocks:
             peaks[size] = peak
         rows = (retrieval.BLOCK_BYTES - retrieval._UFUNC_BUFFER_BYTES) // (16 * 4000)
         assert rows > 1
-        # the output and b's transposed copy, then the scratch plane
-        assert peaks[65536] == peaks[8192] >= (1000 + 16 + rows) * 4000 * 8
+        # b's transposed copy, then the block's result and scratch plane
+        assert peaks[65536] == peaks[8192] >= (16 + 2 * rows) * 4000 * 8
 
 
 class TestPairwiseSqEuclidean:
@@ -240,14 +250,14 @@ class TestPairwiseSqEuclidean:
         return EmbeddingSet(np.arange(n), np.array(labels if labels else [1] * n), vectors)
 
     def test_three_four_five(self):
-        d = pairwise_sq_euclidean(
+        d = stacked(pairwise_sq_euclidean(
             self._embed(np.array([[0.0, 0.0]])), self._embed(np.array([[3.0, 4.0]]))
-        )
+        ))
         assert d.shape == (1, 1) and d[0, 0] == 25.0
 
     def test_identical_sets_zero_diagonal(self):
         vecs = np.random.default_rng(0).normal(size=(6, 4))
-        d = pairwise_sq_euclidean(self._embed(vecs), self._embed(vecs))
+        d = stacked(pairwise_sq_euclidean(self._embed(vecs), self._embed(vecs)))
         np.testing.assert_array_equal(np.diag(d), np.zeros(6))
         np.testing.assert_allclose(d, d.T, atol=0)
 
@@ -258,17 +268,11 @@ class TestPairwiseSqEuclidean:
         for dim in (3, 16, 64, 129):
             q = rng.normal(size=(5, dim))
             g = rng.normal(size=(7, dim))
-            d = pairwise_sq_euclidean(self._embed(q), self._embed(g))
+            d = stacked(pairwise_sq_euclidean(self._embed(q), self._embed(g)))
             for i in range(5):
                 for j in range(7):
                     expected = sum((q[i, t] - g[j, t]) ** 2 for t in range(dim))
                     assert d[i, j] == expected
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InvalidDimension):
-            pairwise_sq_euclidean(
-                self._embed(np.zeros((2, 3))), self._embed(np.zeros((2, 4)))
-            )
 
 
 class TestEvaluate:
@@ -447,23 +451,23 @@ class TestStreamedEvaluate:
     def test_blocks_score_as_the_matrix(self, n_q, n_g, dim, kind, budget, seed):
         # budgets under 16 * n_g bytes make one-row blocks
         queries, gallery = embedding_case(seed, n_q, n_g, dim, kind)
-        matrix = pairwise_sq_euclidean(queries, gallery)
+        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
         with mock.patch.object(retrieval, "BLOCK_BYTES", retrieval._UFUNC_BUFFER_BYTES + budget):
-            rows = [block.copy() for block in pairwise_sq_euclidean_blocks(queries, gallery)]
-            streamed = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+            rows = stacked(pairwise_sq_euclidean(queries, gallery))
+            streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                                 queries.labels, gallery.labels)
-        assert np.concatenate(rows).tobytes() == matrix.tobytes()
+        assert rows.tobytes() == matrix.tobytes()
         assert same_report(streamed, evaluate(matrix, queries.labels, gallery.labels))
 
     @pytest.mark.parametrize("kind", ["ties", "real"])
     def test_one_row_blocks(self, kind):
         queries, gallery = embedding_case(7, 30, 200, 3, kind)
         with mock.patch.object(retrieval, "BLOCK_BYTES", 1):
-            assert [b.shape for b in pairwise_sq_euclidean_blocks(queries, gallery)
+            assert [b.shape for b in pairwise_sq_euclidean(queries, gallery)
                     ] == [(1, 200)] * 30
-            streamed = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+            streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                                 queries.labels, gallery.labels)
-        matrix = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+        matrix = evaluate(stacked(pairwise_sq_euclidean(queries, gallery)), queries.labels,
                           gallery.labels)
         assert same_report(streamed, matrix)
 
@@ -482,10 +486,10 @@ class TestStreamedEvaluate:
     def test_equals_the_argsort_ranking_at_the_module_budget(self):
         # blocks of 12 rows against 5000 items, most of them tied
         queries, gallery = embedding_case(3, 40, 5000, 4, "ties")
-        assert len(list(pairwise_sq_euclidean_blocks(queries, gallery))) == 4
-        streamed = evaluate(pairwise_sq_euclidean_blocks(queries, gallery),
+        assert len(list(pairwise_sq_euclidean(queries, gallery))) == 4
+        streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                             queries.labels, gallery.labels)
-        rank1, mean_ap, cmc = argsort_eval(pairwise_sq_euclidean(queries, gallery),
+        rank1, mean_ap, cmc = argsort_eval(stacked(pairwise_sq_euclidean(queries, gallery)),
                                            queries.labels, gallery.labels)
         assert streamed.rank1 == rank1 and streamed.mean_ap == mean_ap
         assert streamed.cmc_curve.tobytes() == cmc.tobytes()
@@ -509,13 +513,15 @@ class TestStreamedEvaluate:
         queries, gallery = embedding_case(5, 9, 40, 2, "real")
         queries.vectors[-1] = 1e200
         with mock.patch.object(retrieval, "BLOCK_BYTES", retrieval._UFUNC_BUFFER_BYTES + 1500):
-            blocks = list(b.shape[0] for b in pairwise_sq_euclidean_blocks(queries, gallery))
+            blocks = list(b.shape[0] for b in pairwise_sq_euclidean(queries, gallery))
             assert len(blocks) > 1
             with pytest.raises(ProtocolViolation, match="must be finite") as streamed:
-                evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+                evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                          gallery.labels)
+        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        assert np.isinf(matrix[-1]).all() and np.isfinite(matrix[:-1]).all()
         with pytest.raises(ProtocolViolation) as whole:
-            evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels)
+            evaluate(matrix, queries.labels, gallery.labels)
         assert str(streamed.value) == str(whole.value)
 
     def test_a_missing_query_class_is_reported_before_any_block(self, monkeypatch):
@@ -526,14 +532,14 @@ class TestStreamedEvaluate:
         queries = EmbeddingSet([0], [3], [[0.0, 1.0]])
         gallery = EmbeddingSet([1, 2], [1, 2], [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ProtocolViolation, match=r"absent from gallery: \[3\]"):
-            evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+            evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                      gallery.labels)
 
     def test_a_dimension_mismatch_raises_before_any_block(self):
         queries = EmbeddingSet([0], [1], [[0.0, 1.0]])
         gallery = EmbeddingSet([1], [1], [[0.0, 0.0, 0.0]])
         with pytest.raises(InvalidDimension, match="query dim 2 differs from gallery dim 3"):
-            pairwise_sq_euclidean_blocks(queries, gallery)
+            pairwise_sq_euclidean(queries, gallery)
 
     @pytest.mark.parametrize("blocks", [
         [np.ones((1, 3))],  # too few rows

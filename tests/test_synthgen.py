@@ -9,7 +9,7 @@ import pytest
 
 from mprl import retrieval, synthgen
 from mprl.errors import GenerationFailure, InvalidConfig
-from mprl.retrieval import sq_euclidean
+from mprl.retrieval import sq_euclidean_blocks
 from mprl.synthgen import (
     WEIGHT_SHRINK,
     Dataset,
@@ -195,7 +195,7 @@ class TestLeastSeparation:
         means = rng.normal(size=(n, dim))
         if n > 3:
             means[n - 1] = means[1] + 1e-9  # the closest pair straddles blocks
-        matrix = sq_euclidean(means, means)
+        matrix = np.concatenate([block.copy() for block in sq_euclidean_blocks(means, means)])
         np.fill_diagonal(matrix, np.inf)
         bytes_ = retrieval.BLOCK_BYTES if budget is None else (
             retrieval._UFUNC_BUFFER_BYTES + budget)

@@ -568,6 +568,20 @@ class TestCohort:
         cfgs = [quick_config(strategy), quick_config(strategy, gen_weight=0.3)]
         assert_same_outcomes(*alone_and_together(real, generated, cfgs))
 
+    @pytest.mark.parametrize("strategies, gen_weights", [
+        # dmprl2 behind its closed gate (warm-up epoch 3): the LSRO rows are
+        # the only scored ones, until the gate opens
+        ((Strategy.LSRO, Strategy.DMPRL2), (1.0, 0.1)),
+        ((Strategy.LSRO, Strategy.LSRO), (1.0, 0.3)),
+    ], ids=["lsro-dmprl2", "lsro-lsro"])
+    def test_broadcast_rows_alone_in_the_stack_at_k_10(self, strategies, gen_weights):
+        # at K = 10 a weight row's sum has enough terms to show their order
+        real = make_real_dataset(10, 4, 4, cluster_spread=0.4, seed=101)
+        generated = make_generated_dataset(real, 12, mix_size=2, noise=0.05, seed=201)
+        cfgs = [quick_config(s, gen_weight=w) for s, w in zip(strategies, gen_weights)]
+        assert cfgs[-1].warmup_epoch > 1
+        assert_same_outcomes(*alone_and_together(real, generated, cfgs))
+
     def test_a_failing_member_fails_alone(self, real, generated):
         # dmprl1's huge generated-side weight drives its logits non-finite in
         # epoch 2; smprl meets a non-finite static label in the first batch,

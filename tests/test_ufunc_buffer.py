@@ -14,9 +14,9 @@ from mprl.retrieval import (
     UFUNC_BUFFER,
     EmbeddingSet,
     evaluate,
-    pairwise_sq_euclidean_blocks,
+    pairwise_sq_euclidean,
     small_ufunc_buffer,
-    sq_euclidean,
+    sq_euclidean_blocks,
 )
 from mprl.synthgen import make_generated_dataset, make_real_dataset
 from mprl.trainer import SeedDraws, Strategy, TrainConfig, assign_static_labels, train
@@ -117,7 +117,7 @@ class TestEntryPointsRestoreTheCaller:
 
     def test_sq_euclidean_on_mismatched_widths(self, caller_buffer):
         with pytest.raises((ValueError, IndexError)):
-            sq_euclidean(np.ones((3, 4)), np.ones((2, 2)))
+            list(sq_euclidean_blocks(np.ones((3, 4)), np.ones((2, 2))))
         assert np.getbufsize() == CALLER_BUFFER
 
     def test_between_distance_blocks(self, caller_buffer, monkeypatch):
@@ -126,9 +126,9 @@ class TestEntryPointsRestoreTheCaller:
         queries = EmbeddingSet(np.arange(4), [1, 2, 1, 2], rng.normal(size=(4, 3)))
         gallery = EmbeddingSet(np.arange(6), [1, 2] * 3, rng.normal(size=(6, 3)))
         seen = [(np.getbufsize(), np.geterr()["over"])
-                for _ in pairwise_sq_euclidean_blocks(queries, gallery)]
+                for _ in pairwise_sq_euclidean(queries, gallery)]
         assert seen == [(CALLER_BUFFER, "raise")] * 4
-        abandoned = pairwise_sq_euclidean_blocks(queries, gallery)
+        abandoned = pairwise_sq_euclidean(queries, gallery)
         next(abandoned)
         del abandoned
         assert np.getbufsize() == CALLER_BUFFER
@@ -141,7 +141,7 @@ class TestEntryPointsRestoreTheCaller:
         queries = EmbeddingSet(np.arange(3), [1, 1, 1], [[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
         gallery = EmbeddingSet(np.arange(2), [1, 2], [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ProtocolViolation, match="finite"):
-            evaluate(pairwise_sq_euclidean_blocks(queries, gallery), queries.labels,
+            evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                      gallery.labels)
         assert np.getbufsize() == CALLER_BUFFER
         assert np.geterr()["over"] == "raise"
@@ -203,13 +203,19 @@ class TestResultsDoNotDependOnTheBuffer:
         assert same_bits(under_helper(row_ranks, scores), at_default_buffer(row_ranks, scores))
 
     @pytest.mark.parametrize("n_a, n_b, dim", [(751, 751, 64), (2000, 2730, 16)])
-    def test_sq_euclidean(self, n_a, n_b, dim):
+    def test_sq_euclidean(self, n_a, n_b, dim, monkeypatch):
         rng = np.random.default_rng(n_b)
         a = rng.normal(size=(n_a, dim))
         b = rng.normal(size=(n_b, dim))
-        # the kernel without its decorator, at the default buffer
-        want = at_default_buffer(sq_euclidean.__wrapped__, a, b)
-        assert same_bits(sq_euclidean(a, b), want)
+
+        def matrix():
+            return np.concatenate([block.copy() for block in sq_euclidean_blocks(a, b)])
+
+        got = matrix()
+        # the kernel run at the default buffer in place of the helper's
+        monkeypatch.setattr(retrieval, "UFUNC_BUFFER", DEFAULT_BUFFER)
+        want = matrix()
+        assert same_bits(got, want)
 
     def test_run_gradcheck(self):
         def lines(run):
