@@ -274,6 +274,12 @@ class TestPairwiseSqEuclidean:
                     expected = sum((q[i, t] - g[j, t]) ** 2 for t in range(dim))
                     assert d[i, j] == expected
 
+    def test_dim_mismatch(self):
+        with pytest.raises(InvalidDimension):
+            pairwise_sq_euclidean(
+                self._embed(np.zeros((2, 3))), self._embed(np.zeros((2, 4)))
+            )
+
 
 class TestEvaluate:
     def test_hand_case_ap_five_sixths(self):
