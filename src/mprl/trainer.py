@@ -48,12 +48,12 @@ lockstep as a :class:`Cohort`: their parameters are one
 forward, one :func:`combined_loss` call on the (S·B, width) stacked
 logits (each member reduced over its own rows), one backward and one
 momentum step for all S of them.  Each member's result equals its own
-:func:`train` call bit for bit; a member whose batch fails leaves the
-stack with the error its own call would have raised, and the others go
-on.  :data:`STACK_BYTES` bounds the stacked logits, which caps a
-cohort's size (:func:`stack_limit`).  There is one training loop: a
-:func:`train` call without a cohort trains a cohort of one, a lone
-model rather than a stack.
+:func:`train` call bit for bit.  When a batch fails, a cohort of several
+trains each member again as a cohort of one, so each ends with the
+result or the error of its own call.  :data:`STACK_BYTES` bounds the
+stacked logits, which caps a cohort's size (:func:`stack_limit`).  There
+is one training loop: a :func:`train` call without a cohort trains a
+cohort of one, a stack with S = 1.
 
 :func:`train` and :func:`assign_static_labels` run under
 :func:`mprl.retrieval.small_ufunc_buffer`: numpy copies a broadcast
@@ -91,16 +91,7 @@ from .labels import (  # noqa: F401
     softmax,
 )
 from .losses import CombinedLoss, GradientMode, combined_loss
-from .net import (
-    ModelParams,
-    ParamGrads,
-    backward,
-    embed,
-    forward,
-    init_optimizer,
-    init_params,
-    sgd_step,
-)
+from .net import ModelParams, backward, embed, forward, init_optimizer, init_params, sgd_step
 from .retrieval import EmbeddingSet, small_ufunc_buffer
 from .synthgen import Dataset
 
@@ -353,8 +344,9 @@ class Cohort:
 
 class _Member:
     """One cohort member's own part of the lockstep loop: the labels of its
-    generated rows, their weight and gradient mode, its history and its
-    running sums of the epoch."""
+    generated rows, their weight and gradient mode, its history, its
+    running sums of the epoch and its model at the end of the latest
+    epoch (a view of the stack)."""
 
     def __init__(self, cfg: TrainConfig, real: Dataset, generated: Dataset | None,
                  static_labels, on_epoch):
@@ -377,6 +369,7 @@ class _Member:
         self.first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
         self.history = TrainHistory()
         self.on_epoch = on_epoch
+        self.params: ModelParams | None = None
         self.real_sum = self.gen_sum = self.gen_grad_norm = 0.0
 
     def labels(self, logits, positions, epoch: int, batch_idx: int):
@@ -391,11 +384,6 @@ class _Member:
             ranks = [self.first_iter_rng.permutation(k) for _ in range(len(logits))]
             return mprl_rows(np.stack(ranks) + 1.0)
         return self.rule(logits, positions)
-
-
-def _member(params: ModelParams, index: int) -> ModelParams:
-    """Model ``index`` of a stack, as a view; a lone model is itself."""
-    return params if params.flat.ndim == 1 else ModelParams.of(params.flat[index], params.layout)
 
 
 # floating-point warnings stay silent: a diverging run fails on its
@@ -435,7 +423,9 @@ def train(
     call returns its own member's result, which equals a call without a
     cohort bit for bit.  The members' static labels are the cohort's, so
     ``static_labels`` is for a call without one, which trains a cohort of
-    one.
+    one.  Either given where it would be ignored (``static_labels`` with
+    a cohort, ``on_epoch`` once the cohort has trained) raises
+    :class:`InvalidConfig`.
 
     The loop runs under ``np.errstate(all="ignore")``, so a diverging run
     prints no floating-point warnings; its first non-finite logits fail
@@ -447,10 +437,16 @@ def train(
     if cohort is None:
         cohort = Cohort()
         cohort.add(cfg, static_labels)
+    elif static_labels is not None:
+        raise InvalidConfig(f"this {cfg.strategy.value} config trains in a cohort, which "
+                            "holds its static labels: pass them to Cohort.add")
     if cohort.results is None and cfg in cohort.members:
         cohort.results = _train_cohort(real, generated, cohort.members, cfg, on_epoch,
                                        draws if draws is not None else SeedDraws())
         cohort.members = {}  # the static labels are spent
+    elif cohort.results is not None and on_epoch is not None:
+        raise InvalidConfig(f"the cohort of this {cfg.strategy.value} config has trained "
+                            "already, so on_epoch would observe nothing")
     if cohort.results is None or cfg not in cohort.results:
         raise InvalidState(f"the cohort holds no result for this {cfg.strategy.value} config: "
                            "not a member, or taken before")
@@ -460,18 +456,19 @@ def train(
     return result
 
 
-def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
+def _train_cohort(real, generated, members, observed, on_epoch, draws, seen=0) -> dict:
     """Train every member of a cohort in lockstep; return each member's
     params and history, or the error that failed it.
 
     The members share one visit order, one dropout mask per batch and one
-    initial model, so their parameters are one stack (see :mod:`mprl.net`)
-    and each batch is one forward, one :func:`combined_loss`, one backward
-    and one momentum step for all of them.  Only the generated rows'
-    labels, their weight and their gradient mode are a member's own.  A
-    member whose batch fails leaves the stack with its error, the others
-    redo the batch without it; a cohort of one is a lone model, not a
-    stack.
+    initial model, so their parameters are one (S, n_params) stack (see
+    :mod:`mprl.net`) and each batch is one forward, one
+    :func:`combined_loss`, one backward and one momentum step for all of
+    them.  Only the generated rows' labels, their weight and their
+    gradient mode are a member's own.  When a batch fails, a cohort of
+    several trains each member again as a cohort of one, so each ends
+    with the result or the error of its own training.  ``on_epoch``
+    observes ``observed`` after each epoch but the first ``seen``.
     """
     results = {}
     stack: list[_Member] = []
@@ -483,6 +480,23 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
             results[cfg] = exc
     if not stack:
         return results
+    error = _lockstep(real, generated, stack, draws, seen)
+    if error is None:
+        return results | {m.cfg: (m.params, m.history) for m in stack}
+    if len(stack) == 1:
+        return results | {stack[0].cfg: error}
+    trained = len(stack[0].history.records)  # the epochs on_epoch has seen
+    for m in stack:
+        results |= _train_cohort(real, generated, {m.cfg: members[m.cfg]}, observed, on_epoch,
+                                 draws, trained)
+    return results
+
+
+def _lockstep(real, generated, stack: list[_Member], draws, seen: int) -> MprlError | None:
+    """Train the members of ``stack`` as one stack, leaving each its params
+    and history; a member's ``on_epoch`` observes every epoch after the
+    first ``seen``.  Return the error of the first batch that fails, or
+    None."""
     lead = stack[0].cfg
     n_classes = real.n_classes
     width = _head_width(lead.strategy, n_classes)
@@ -493,8 +507,7 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
 
     params = init_params((real.feature_dim, *lead.hidden_sizes, width),
                          seed=(lead.seed, _SEED_INIT), scale=lead.init_scale)
-    if len(stack) > 1:
-        params = ModelParams.of(np.tile(params.flat, (len(stack), 1)), params.layout)
+    params = ModelParams.of(np.tile(params.flat, (len(stack), 1)), params.layout)
     opt = init_optimizer(params, lead.lr_initial, lead.momentum)
 
     # the merged pool: real train rows first, then the generated rows
@@ -522,29 +535,16 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
             batch = order[start:stop]
             mask = draws.keep(lead.seed, epoch, batch_idx, (len(batch), embedding_dim),
                               lead.dropout_rate) if lead.dropout_rate else None
-            x = pool_feats.take(batch, 0)
-            classes = epoch_class[start:stop]
             gen = epoch_gen[start:stop]
-            n_gen = gen_counts[batch_idx]
-            positions = batch[gen] - n_real if n_gen else None
-            labels = None  # each member's, kept if the batch is redone without a member
-            while stack:
-                params, out, labels, failed = _lockstep_batch(
-                    params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx, labels)
-                if not failed:
-                    break
-                for i, exc in failed.items():
-                    error = type(exc)(f"epoch {epoch}, batch {batch_idx}: {exc}")
-                    error.__cause__ = exc  # chained as `raise ... from exc` would
-                    results[stack[i].cfg] = error
-                keep = [i for i in range(len(stack)) if i not in failed]
-                stack = [stack[i] for i in keep]
-                labels = None if labels is None else [labels[i] for i in keep]
-                if stack:
-                    params = ModelParams.of(params.flat[keep], params.layout)
-                    opt.velocity = ParamGrads.of(opt.velocity.flat[keep], params.layout)
-            if not stack:
-                return results
+            positions = batch[gen] - n_real if gen_counts[batch_idx] else None
+            try:
+                params, out = _lockstep_batch(params, opt, stack, pool_feats.take(batch, 0), mask,
+                                              epoch_class[start:stop], gen, positions, epoch,
+                                              batch_idx)
+            except MprlError as exc:
+                error = type(exc)(f"epoch {epoch}, batch {batch_idx}: {exc}")
+                error.__cause__ = exc  # chained as `raise ... from exc` would
+                return error
 
             real_count += out.n_real
             gen_count += out.n_generated
@@ -552,7 +552,7 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
             for m, real_loss, gen_loss, g in zip(stack, out.real_loss, out.gen_loss, grad_rows):
                 m.real_sum += real_loss * out.n_real
                 m.gen_sum += gen_loss * out.n_generated
-                if n_gen:
+                if positions is not None:
                     # the 2-norm of the generated rows, as np.linalg.norm computes it
                     gen_grads = g[gen].ravel()
                     m.gen_grad_norm += math.sqrt(gen_grads.dot(gen_grads))
@@ -562,72 +562,33 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws) -> dict:
             l2 = m.gen_sum / gen_count if gen_count else 0.0
             # member by member: a stacked pass over every real train row would
             # hold S times the activations
-            member = _member(params, i)
-            train_acc = _accuracy(member, real_train.features, real_train.classes, n_classes)
+            m.params = ModelParams.of(params.flat[i], params.layout)
+            train_acc = _accuracy(m.params, real_train.features, real_train.classes, n_classes)
             m.history.records.append(EpochRecord(
                 epoch, l1, l2, l1 + m.gen_weight * l2, train_acc, lr, m.gen_grad_norm,
             ))
-            if m.on_epoch is not None:
-                m.on_epoch(m.history.records[-1], member)
-
-    for i, m in enumerate(stack):
-        member = _member(params, i)
-        if member is not params:  # its own storage, not a view of the stack's
-            member = ModelParams.of(member.flat.copy(), member.layout)
-        results[m.cfg] = (member, m.history)
-    return results
+            if m.on_epoch is not None and epoch > seen:
+                m.on_epoch(m.history.records[-1], m.params)
+    return None
 
 
-def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx,
-                    labels):
+def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx):
     """One training batch of every member of ``stack`` on their shared
-    features ``x`` under their shared dropout ``mask``; the batch's
-    temporaries end with the call.
+    features ``x`` under their shared dropout ``mask``: the stepped params
+    and the batch's :class:`CombinedLoss`.  The batch's temporaries end
+    with the call.
 
     ``positions`` are the generated rows' positions in the generated set
-    (None without generated rows).  ``labels`` are each member's weight
-    rows from an earlier try of this batch, or None to build them.
-    Returns the stepped params, the batch's :class:`CombinedLoss`, the
-    labels and no failures; when the batch fails, the params as given, no
-    loss, the labels as far as they were built and each failed member's
-    error (see :func:`_failures`).
+    (None without generated rows).
     """
-    logits = None
-    try:
-        logits, cache, _ = forward(params, x, mask)
-        width = logits.shape[-1]
-        logits = logits.reshape(-1, width)
-        if labels is None:
-            labels = [None] * len(stack) if positions is None else [
-                m.labels(g, positions, epoch, batch_idx)
-                for m, g in zip(stack, logits.reshape(len(stack), -1, width)[:, gen])]
-        out: CombinedLoss = combined_loss(logits, classes, labels,
-                                          [m.gen_weight for m in stack],
-                                          [m.diagonal for m in stack], members=len(stack))
-        grads = backward(params, cache, out.grad_logits.reshape(cache.logits.shape))
-        return sgd_step(params, grads, opt), out, labels, {}
-    except MprlError as exc:
-        return params, None, labels, _failures(exc, logits, classes, labels, stack)
-
-
-def _failures(exc: MprlError, logits, classes, labels, stack) -> dict[int, MprlError]:
-    """The members a failed lockstep batch fails, each with its own error.
-
-    A loss that failed on the stack is asked of each member alone: the
-    members it fails for are the culprits, with the errors a training of
-    their own would have raised.  Any other failure is every member's.
-    """
-    if logits is not None and labels is not None and len(stack) > 1:
-        failed = {}
-        for i, (m, rows) in enumerate(zip(stack, logits.reshape(len(stack), -1,
-                                                                logits.shape[1]))):
-            try:
-                combined_loss(rows, classes, labels[i], m.gen_weight, m.diagonal)
-            except MprlError as own:
-                failed[i] = own
-        if failed:
-            return failed
-    return dict.fromkeys(range(len(stack)), exc)
+    logits, cache, _ = forward(params, x, mask)
+    labels = [None] * len(stack) if positions is None else [
+        m.labels(g, positions, epoch, batch_idx) for m, g in zip(stack, logits[:, gen])]
+    out: CombinedLoss = combined_loss(logits.reshape(-1, logits.shape[-1]), classes, labels,
+                                      [m.gen_weight for m in stack],
+                                      [m.diagonal for m in stack], members=len(stack))
+    grads = backward(params, cache, out.grad_logits.reshape(cache.logits.shape))
+    return sgd_step(params, grads, opt), out
 
 
 def _accuracy(params, feats, classes, n_classes) -> float:

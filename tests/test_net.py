@@ -498,7 +498,8 @@ class TestStackedNumerics:
     fails these tests rather than moving the goldens."""
 
     @pytest.mark.parametrize("n, fan_in, fan_out", STACK_SHAPES)
-    @pytest.mark.parametrize("members", [2, 5])
+    # members = 1: a training without a cohort is a 1-member stack
+    @pytest.mark.parametrize("members", [1, 2, 5])
     def test_stacked_calls_equal_the_per_model_calls(self, members, n, fan_in, fan_out):
         rng = np.random.default_rng((members, n, fan_in, fan_out))
         stack, models = one_layer_stack(members, fan_in, fan_out, rng)
@@ -538,32 +539,34 @@ class TestStackedNumerics:
                                           ((8, 12, 8, 6), 16), ((5, 4), 7)])
     @pytest.mark.parametrize("dropout", [False, True])
     def test_a_stack_trains_as_its_members_alone(self, sizes, n, dropout):
-        rng = np.random.default_rng(n)
-        members = [init_params(sizes, seed=s) for s in range(3)]
-        stack = ModelParams.of(np.stack([m.flat for m in members]), members[0].layout)
-        opts = [init_optimizer(m, 0.05, 0.9) for m in members]
-        stack_opt = init_optimizer(stack, 0.05, 0.9)
-        for step in range(3):
-            x = rng.normal(size=(n, sizes[0]))
-            mask = SeedDraws().keep(step, 1, 0, (n, sizes[-2]), 0.5) if dropout else None
-            logits, cache, embedding = forward(stack, x, mask)
-            g = rng.normal(size=logits.shape)
-            grads = backward(stack, cache, g)
-            stack = sgd_step(stack, grads, stack_opt)
-            for s, model in enumerate(members):
-                want_logits, own_cache, want_embedding = forward(model, x, mask)
-                own_grads = backward(model, own_cache, g[s])
-                members[s] = sgd_step(model, own_grads, opts[s])
-                assert logits[s].tobytes() == want_logits.tobytes()
-                # without hidden layers the embedding is the shared input itself
-                own_embedding = embedding if embedding.ndim == 2 else embedding[s]
-                assert own_embedding.tobytes() == want_embedding.tobytes()
-                assert grads.flat[s].tobytes() == own_grads.flat.tobytes()
-                assert stack.flat[s].tobytes() == members[s].flat.tobytes()
-                assert stack_opt.velocity.flat[s].tobytes() == opts[s].velocity.flat.tobytes()
-        assert stack.layer_sizes == members[0].layer_sizes
-        assert stack.embedding_dim == members[0].embedding_dim
-        assert stack.n_params == members[0].n_params
+        # three members, and one: a training without a cohort
+        for n_members in (3, 1):
+            rng = np.random.default_rng(n)
+            members = [init_params(sizes, seed=s) for s in range(n_members)]
+            stack = ModelParams.of(np.stack([m.flat for m in members]), members[0].layout)
+            opts = [init_optimizer(m, 0.05, 0.9) for m in members]
+            stack_opt = init_optimizer(stack, 0.05, 0.9)
+            for step in range(3):
+                x = rng.normal(size=(n, sizes[0]))
+                mask = SeedDraws().keep(step, 1, 0, (n, sizes[-2]), 0.5) if dropout else None
+                logits, cache, embedding = forward(stack, x, mask)
+                g = rng.normal(size=logits.shape)
+                grads = backward(stack, cache, g)
+                stack = sgd_step(stack, grads, stack_opt)
+                for s, model in enumerate(members):
+                    want_logits, own_cache, want_embedding = forward(model, x, mask)
+                    own_grads = backward(model, own_cache, g[s])
+                    members[s] = sgd_step(model, own_grads, opts[s])
+                    assert logits[s].tobytes() == want_logits.tobytes()
+                    # without hidden layers the embedding is the shared input itself
+                    own_embedding = embedding if embedding.ndim == 2 else embedding[s]
+                    assert own_embedding.tobytes() == want_embedding.tobytes()
+                    assert grads.flat[s].tobytes() == own_grads.flat.tobytes()
+                    assert stack.flat[s].tobytes() == members[s].flat.tobytes()
+                    assert stack_opt.velocity.flat[s].tobytes() == opts[s].velocity.flat.tobytes()
+            assert stack.layer_sizes == members[0].layer_sizes
+            assert stack.embedding_dim == members[0].embedding_dim
+            assert stack.n_params == members[0].n_params
 
     def test_stack_views_share_the_block(self):
         stack = ModelParams.of(np.zeros((3, init_params((4, 5, 2), seed=0).n_params)),

@@ -585,8 +585,8 @@ class TestCohort:
     def test_a_failing_member_fails_alone(self, real, generated):
         # dmprl1's huge generated-side weight drives its logits non-finite in
         # epoch 2; smprl meets a non-finite static label in the first batch,
-        # where the dmprl1 beside it ranks at random (a batch redone without
-        # smprl keeps those ranks)
+        # where the dmprl1 beside it ranks at random (retrained alone, it
+        # draws those ranks afresh)
         static = assign_static_labels(pretrain_baseline(real, quick_config(Strategy.SMPRL)),
                                       generated)
         static[0] = np.nan
@@ -599,6 +599,59 @@ class TestCohort:
         assert str(alone[1]) == "epoch 2, batch 0: logits and weights must be finite"
         assert str(alone[3]) == "epoch 1, batch 0: logits and weights must be finite"
         assert_same_outcomes(alone, together)
+
+    @pytest.mark.parametrize("case", ["none_fails", "another_fails", "it_fails"])
+    def test_an_observer_sees_each_epoch_once(self, real, generated, case):
+        # the configs of test_a_failing_member_fails_alone with a finite
+        # static label, so the first failure is dmprl1's in epoch 2
+        static = assign_static_labels(pretrain_baseline(real, quick_config(Strategy.SMPRL)),
+                                      generated)
+        failing = quick_config(Strategy.DMPRL1, gen_weight=1e100)
+        cfgs = [quick_config(Strategy.LSRO), quick_config(Strategy.ONE_HOT_PSEUDO),
+                quick_config(Strategy.SMPRL), quick_config(Strategy.DMPRL1, gen_weight=0.5),
+                quick_config(Strategy.DMPRL2)]
+        if case != "none_fails":
+            cfgs.insert(0 if case == "it_fails" else 1, failing)
+        observed = cfgs[0]
+        labels = {cfg: static if cfg.strategy is Strategy.SMPRL else None for cfg in cfgs}
+
+        def run(seen, **kwargs):
+            def observe(record, params):
+                seen.append((record, params.flat.tobytes()))
+
+            if observed is failing:
+                with pytest.raises(InvalidDimension, match="^epoch 2, batch 0: "):
+                    train(real, generated, observed, on_epoch=observe, **kwargs)
+            else:
+                train(real, generated, observed, on_epoch=observe, **kwargs)
+
+        alone, together = [], []
+        run(alone, static_labels=labels[observed])
+        cohort = Cohort()
+        for cfg in cfgs:
+            cohort.add(cfg, labels[cfg])
+        run(together, cohort=cohort)
+        assert [record.epoch for record, _ in together] == (
+            [1] if case == "it_fails" else list(range(1, observed.epochs + 1)))
+        assert together == alone
+        if case == "another_fails":
+            with pytest.raises(InvalidDimension, match="^epoch 2, batch 0: "):
+                train(real, generated, failing, cohort=cohort)
+
+    def test_arguments_the_cohort_would_ignore_are_refused(self, real, generated):
+        cfgs = [quick_config(s, epochs=1) for s in (Strategy.SMPRL, Strategy.LSRO)]
+        static = assign_static_labels(pretrain_baseline(real, cfgs[0]), generated)
+        cohort = Cohort()
+        cohort.add(cfgs[0], static)
+        cohort.add(cfgs[1])
+        with pytest.raises(InvalidConfig, match="smprl config trains in a cohort"):
+            train(real, generated, cfgs[0], static_labels=static, cohort=cohort)
+        assert cohort.results is None  # nothing trained
+        train(real, generated, cfgs[0], cohort=cohort)
+        with pytest.raises(InvalidConfig, match="lsro config has trained already"):
+            train(real, generated, cfgs[1], on_epoch=lambda record, params: None, cohort=cohort)
+        train(real, generated, cfgs[1], cohort=cohort)  # its result is still held
+        assert cohort.results == {}
 
     def test_one_stacked_call_per_batch(self, real, generated, monkeypatch):
         calls = []
