@@ -31,6 +31,7 @@ from .labels import (
     rank_weight_normalizer,
     row_ranks,
     softmax,
+    virtual_labels,
 )
 from .losses import (
     CombinedLoss,

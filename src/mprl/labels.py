@@ -17,17 +17,17 @@ ways to label a sample that has no ground-truth class:
   Every class keeps a nonzero weight, and with distinct probabilities
   the gap between consecutive sorted weights is exactly 1/K.
 
-The rank-weighted rows of a batch come from its logits in one row-wise
-sort (:func:`row_ranks`, then :func:`mprl_rows`, which also applies the
-2/(1+K) normaliser).  Tied entries share the mean of the positions they
-jointly occupy, so a row of equal values reduces exactly to the LSRO
-label.  Softmax preserves order, so ranking logits gives the same ranks
-as ranking probabilities, except that logits keep apart values which
-softmax rounds to one probability (``[0, 1e-17, 5]`` ranks ``[1, 2, 3]``
-as logits and ``[1.5, 1.5, 3]`` as probabilities), and logits never
-underflow to a zero probability.  The per-vector builders
-``one_hot_pseudo_label`` and ``mprl_alpha`` keep their probability
-contract; the trainer ranks and argmaxes logits instead.
+Training and static labelling build a batch's rows from its logits with
+:func:`virtual_labels`, the one batch rule of every strategy; the builders
+above are its one-vector forms on probabilities, kept for ``gradcheck``
+and the tests.  Rank-weighted rows take one row-wise sort (:func:`row_ranks`,
+then :func:`mprl_rows` with the 2/(1+K) normaliser).  Tied entries share
+the mean of the positions they jointly occupy, so a row of equal values
+reduces exactly to the LSRO label.  Softmax preserves order, so logits
+rank as their probabilities do, except that logits keep apart values
+which softmax rounds to one probability (``[0, 1e-17, 5]`` ranks
+``[1, 2, 3]`` as logits and ``[1.5, 1.5, 3]`` as probabilities), and
+logits never underflow to a zero probability.
 
 Class identities are 1-based throughout this package: class ``c`` lives
 at row position ``c - 1``, so a one-hot row's class is ``argmax + 1``.
@@ -35,11 +35,26 @@ at row position ``c - 1``, so a one-hot row's class is ``argmax + 1``.
 
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
-from .errors import InvalidDimension
+from .errors import InvalidConfig, InvalidDimension
 
 PROB_SUM_TOL = 1e-9
+
+
+class Strategy(str, Enum):
+    BASELINE = "baseline"
+    ALL_IN_ONE = "all_in_one"
+    ONE_HOT_PSEUDO = "one_hot_pseudo"
+    LSRO = "lsro"
+    SMPRL = "smprl"
+    DMPRL1 = "dmprl1"
+    DMPRL2 = "dmprl2"
+
+
+RANK_WEIGHTED = frozenset({Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2})
 
 
 def check_logits(logits) -> np.ndarray:
@@ -202,3 +217,22 @@ def mprl_rows(ranks) -> np.ndarray:
     r = np.asarray(ranks, dtype=np.float64)
     k = r.shape[-1]
     return rank_weight_normalizer(k) * (r / k)
+
+
+def virtual_labels(strategy: Strategy, logits) -> np.ndarray:
+    """``strategy``'s rows, of mass 1, for (G, width) generated ``logits`` as
+    its builder above gives them; LSRO's and all-in-one's (extra class
+    last) are one row broadcast read-only.  The baseline raises InvalidConfig."""
+    strategy = Strategy(strategy)
+    x = np.asarray(logits, dtype=np.float64)
+    if x.ndim != 2:
+        raise InvalidDimension(f"logits must be a (G, width) matrix, got shape {x.shape}")
+    width = x.shape[1]
+    if strategy in RANK_WEIGHTED:
+        return mprl_rows(row_ranks(x))
+    if strategy is Strategy.ONE_HOT_PSEUDO:  # ties go to the lowest index
+        return (np.arange(width) == x.argmax(1)[:, None]).astype(np.float64)
+    if strategy in (Strategy.LSRO, Strategy.ALL_IN_ONE):
+        row = lsro_label(width) if strategy is Strategy.LSRO else all_in_one_label(width - 1)
+        return np.broadcast_to(row, x.shape)
+    raise InvalidConfig(f"the {strategy.value} strategy gives no virtual labels")

@@ -19,16 +19,16 @@ generated rows') with an epoch-seeded RNG, so identical configs
 reproduce identical parameter trajectories bit for bit.  Per mini-batch
 one :func:`combined_loss` call scores the whole batch from its logits,
 each row's class (0-based for a real row, -1 for a generated one) and
-the generated rows' (G, width) virtual labels, which the strategy maps
-from their logits; no real row is ever spelled out as a one-hot row.
-The call also takes the two numbers :func:`train` resolves once per
-run: the config's ``gen_weight`` and whether the generated rows get the
-diagonal gradient (``gradient_mode`` diagonal, rank-weighted strategies
-only).  Rank-weighted and one-hot pseudo labels are read off the logits
-directly (see :mod:`mprl.labels`), so an arbitrarily confident model
-never produces an invalid label.  Epoch indices are 1-based; the warm-up
-gate opens at ``epoch >= warmup_epoch``, and behind a closed gate the
-generated rows' labels are ``None``, which leaves them unscored.
+the generated rows' (G, width) virtual labels, which
+:func:`mprl.labels.virtual_labels` reads off their logits (so a confident
+model never produces an invalid label): the trainer builds no label row,
+not even a real row's one-hot, and adds only smprl's frozen rows,
+dmprl1's random first batch and dmprl2's warm-up gate, which opens at
+1-based ``epoch >= warmup_epoch`` and leaves the rows unscored (``None``)
+before.  The call also takes the two numbers :func:`train` resolves once
+per run: the config's ``gen_weight`` and whether the generated rows get
+the diagonal gradient (``gradient_mode`` diagonal, rank-weighted
+strategies only).
 
 An epoch's visit order depends on nothing but (seed, epoch, pool size)
 and a dropout mask on nothing but (seed, epoch, batch, rows): the
@@ -75,35 +75,21 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
-from .labels import all_in_one_label, lsro_label, mprl_rows, row_ranks
+from .labels import RANK_WEIGHTED, Strategy, virtual_labels
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
-    ground_truth_label,
-    mprl_alpha,
-    mprl_label,
-    one_hot_pseudo_label,
-    softmax,
+    all_in_one_label, ground_truth_label, lsro_label, mprl_alpha, mprl_label,
+    one_hot_pseudo_label, softmax,
 )
 from .losses import CombinedLoss, GradientMode, combined_loss
 from .net import ModelParams, backward, embed, forward, init_optimizer, init_params, sgd_step
 from .retrieval import EmbeddingSet, small_ufunc_buffer
 from .synthgen import Dataset
-
-
-class Strategy(str, Enum):
-    BASELINE = "baseline"
-    ALL_IN_ONE = "all_in_one"
-    ONE_HOT_PSEUDO = "one_hot_pseudo"
-    LSRO = "lsro"
-    SMPRL = "smprl"
-    DMPRL1 = "dmprl1"
-    DMPRL2 = "dmprl2"
 
 
 GENERATED_AWARE = frozenset(Strategy) - {Strategy.BASELINE}
@@ -271,26 +257,6 @@ def _check_datasets(real: Dataset, generated: Dataset | None) -> None:
             raise InvalidConfig("generated dataset contains non-generated samples")
 
 
-def _generated_rule(cfg: TrainConfig, n_classes: int, static_labels):
-    """The strategy's map from a batch's generated rows to their weight rows.
-
-    The returned function takes the generated rows' logits and their
-    positions in the generated set, and returns one weight row (mass 1)
-    per generated row.
-    """
-    if cfg.strategy in (Strategy.ALL_IN_ONE, Strategy.LSRO):
-        row = (all_in_one_label if cfg.strategy is Strategy.ALL_IN_ONE else lsro_label)(n_classes)
-        # one read-only block of a whole batch's rows, sliced to each batch
-        rows = np.broadcast_to(row, (cfg.batch_size, row.size))
-        return lambda logits, positions: rows[:len(logits)]
-    if cfg.strategy is Strategy.ONE_HOT_PSEUDO:
-        eye = np.eye(n_classes)
-        return lambda logits, positions: eye[logits.argmax(1)]
-    if cfg.strategy is Strategy.SMPRL:
-        return lambda logits, positions: static_labels[positions]
-    return lambda logits, positions: mprl_rows(row_ranks(logits))
-
-
 # the byte budget of a cohort's stacked (S·B, width) logits, the widest
 # array of a lockstep batch: a cohort holds as many members as fit in it
 STACK_BYTES = 256 * 1024
@@ -364,8 +330,8 @@ class _Member:
         self.gen_weight = cfg.resolved_gen_weight()
         # the diagonal gradient mode belongs to rank-weighted labels only
         self.diagonal = (cfg.gradient_mode is GradientMode.DIAGONAL
-                         and cfg.strategy in (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2))
-        self.rule = _generated_rule(cfg, real.n_classes, static_labels)
+                         and cfg.strategy in RANK_WEIGHTED)
+        self.static_labels = static_labels
         self.first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
         self.history = TrainHistory()
         self.on_epoch = on_epoch
@@ -373,17 +339,17 @@ class _Member:
         self.real_sum = self.gen_sum = self.gen_grad_norm = 0.0
 
     def labels(self, logits, positions, epoch: int, batch_idx: int):
-        """The weight rows of a batch's generated rows from their logits, or
-        None behind a closed warm-up gate (the rows go unscored)."""
+        """The weight rows of a batch's generated rows (smprl's frozen rows at
+        ``positions``), or None behind a closed warm-up gate (unscored)."""
         cfg = self.cfg
         if cfg.strategy is Strategy.DMPRL2 and epoch < cfg.warmup_epoch:
             return None
+        if cfg.strategy is Strategy.SMPRL:
+            return self.static_labels[positions]
         if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
-            # the untrained model offers no ranking signal yet
-            k = logits.shape[1]
-            ranks = [self.first_iter_rng.permutation(k) for _ in range(len(logits))]
-            return mprl_rows(np.stack(ranks) + 1.0)
-        return self.rule(logits, positions)
+            # no ranking signal yet: random permutations p rank to exactly p + 1
+            logits = np.stack([self.first_iter_rng.permutation(logits.shape[1]) for _ in logits])
+        return virtual_labels(cfg.strategy, logits)
 
 
 # floating-point warnings stay silent: a diverging run fails on its
@@ -605,11 +571,10 @@ def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndar
 
     The pretrained model (typically a baseline run over the real data)
     scores each generated sample once; row i of the (n_generated, K)
-    result (rank/K x 2/(1+K), ranks taken on the logits) is generated
+    result, smprl's :func:`virtual_labels` of those logits, is generated
     row i's label and never changes afterwards.
     """
-    logits, _, _ = forward(pretrained, generated.features)
-    return mprl_rows(row_ranks(logits))
+    return virtual_labels(Strategy.SMPRL, forward(pretrained, generated.features)[0])
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mprl import experiment, trainer
+from mprl import experiment, labels, trainer
 from mprl.cli import main
 from mprl.errors import GenerationFailure, SpecError
 from mprl.experiment import (
@@ -466,23 +466,21 @@ class TestCohorts:
         assert len(pretrained) == pretrainings
 
     def test_a_failing_member_fails_its_own_cell(self, tmp_path, monkeypatch):
-        # lsro's label row turns non-finite when a batch of epoch 2 draws its
-        # dropout mask: the second member of the one_hot_pseudo, lsro, dmprl1
-        # cohort fails in epoch 2 while the others train on
-        rows = []
-        original_label, original_keep = trainer.lsro_label, trainer.SeedDraws.keep
+        # lsro's label row turns non-finite once a batch of epoch 2 has drawn
+        # its dropout mask: the second member of the one_hot_pseudo, lsro,
+        # dmprl1 cohort fails in epoch 2 while the others train on
+        drawn = [0]
+        original_label, original_keep = labels.lsro_label, trainer.SeedDraws.keep
 
         def lsro_label(n_classes):
-            rows.append(original_label(n_classes))
-            return rows[-1]
+            row = original_label(n_classes)
+            return row * float("nan") if drawn[0] == 2 else row
 
         def keep(self, seed, epoch, batch_idx, shape, rate):
-            if epoch == 2:
-                for row in rows:
-                    row[:] = float("nan")
+            drawn[0] = epoch
             return original_keep(self, seed, epoch, batch_idx, shape, rate)
 
-        monkeypatch.setattr(trainer, "lsro_label", lsro_label)
+        monkeypatch.setattr(labels, "lsro_label", lsro_label)
         monkeypatch.setattr(trainer.SeedDraws, "keep", keep)
         spec = parse_spec_text(
             "n_classes = 3\ndim = 4\nn_per_class = 6\ncluster_spread = 0.4\n"
@@ -779,6 +777,18 @@ class TestCli:
         assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len((out / "summary.csv").read_text().splitlines()) == 1 + 4
+
+    def test_a_batch_size_no_array_can_hold_runs(self, tmp_path, capsys):
+        # the spec accepts any batch_size up to 2**63 - 1; every strategy then
+        # trains one batch per epoch, and no array is sized by batch_size
+        spec = tmp_path / "wide.txt"
+        spec.write_text(TINY_SPEC.replace("baseline, lsro", ", ".join(s.value for s in Strategy))
+                        .replace("= 0, 6", "= 6").replace("= 1, 2", "= 1")
+                        .replace("batch_size     = 8", "batch_size     = 9223372036854775807"))
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + len(Strategy)
 
     def test_missing_spec_exits_one(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.txt")]) == 1

@@ -16,8 +16,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mprl"
 # imported and never called: the benchmark's tracer (perfbench/tracing.py,
 # wrap_targets) wraps these names on the trainer module
 UNUSED_ON_PURPOSE = {
-    "trainer.py": {"ground_truth_label", "mprl_alpha", "mprl_label", "one_hot_pseudo_label",
-                   "softmax"},
+    "trainer.py": {"all_in_one_label", "ground_truth_label", "lsro_label", "mprl_alpha",
+                   "mprl_label", "one_hot_pseudo_label", "softmax"},
 }
 
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mprl.errors import InvalidDimension
+from mprl.errors import InvalidConfig, InvalidDimension
 from mprl.labels import (
+    RANK_WEIGHTED,
+    Strategy,
     _average_ranks,
     all_in_one_label,
     check_prob_vector,
@@ -21,6 +23,7 @@ from mprl.labels import (
     rank_weight_normalizer,
     row_ranks,
     softmax,
+    virtual_labels,
 )
 
 
@@ -397,3 +400,66 @@ class TestRowRanksFlatIndices:
     def test_equals_the_along_axis_implementation_bit_for_bit(self, kind, k, n, seed):
         x = score_rows(kind, n, k, seed)
         assert np.array_equal(row_ranks(x), along_axis_row_ranks(x))
+
+
+# a 3-class toy: rows whose softmax ties no two classes, and all-in-one's
+# logits with the extra class's column appended
+TOY = np.array([[0.3, -1.2, 2.0], [1.5, 0.2, -0.4], [-0.7, 0.9, 0.1], [0.0, 1e-3, -1e-3]])
+TOY_WITH_EXTRA = np.hstack([TOY, [[0.5], [-2.0], [1.0], [0.0]]])
+LABELLING = [s for s in Strategy if s is not Strategy.BASELINE]
+
+
+def toy_logits(strategy):
+    return TOY_WITH_EXTRA if strategy is Strategy.ALL_IN_ONE else TOY
+
+
+class TestVirtualLabels:
+    def test_rows_equal_the_per_vector_builders(self):
+        assert all(np.unique(softmax(x)).size == 3 for x in TOY)
+        expected = {
+            Strategy.ALL_IN_ONE: [all_in_one_label(3)] * len(TOY),
+            Strategy.LSRO: [lsro_label(3)] * len(TOY),
+            Strategy.ONE_HOT_PSEUDO: [one_hot_pseudo_label(softmax(x)) for x in TOY],
+        } | {s: [mprl_rows(mprl_alpha(softmax(x))) for x in TOY] for s in RANK_WEIGHTED}
+        assert set(expected) == set(LABELLING)
+        for strategy, rows in expected.items():
+            np.testing.assert_array_equal(virtual_labels(strategy, toy_logits(strategy)),
+                                          np.stack(rows), err_msg=strategy.value)
+
+    def test_equal_logits(self):
+        equal = np.full((2, 3), 0.7)
+        for strategy in RANK_WEIGHTED:
+            np.testing.assert_array_equal(virtual_labels(strategy, equal),
+                                          np.stack([lsro_label(3)] * 2))
+        np.testing.assert_array_equal(virtual_labels(Strategy.ONE_HOT_PSEUDO, equal),
+                                      [[1, 0, 0], [1, 0, 0]])
+
+    @pytest.mark.parametrize("strategy", LABELLING)
+    def test_every_row_has_mass_one_and_the_logits_width(self, strategy):
+        logits = np.random.default_rng(3).normal(0, 4, size=(6, 9))
+        rows = virtual_labels(strategy, logits)
+        assert rows.shape == logits.shape and rows.dtype == np.float64
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-15)
+        assert np.all(rows >= 0)
+
+    def test_fixed_rows_are_broadcast_read_only(self):
+        for strategy in (Strategy.LSRO, Strategy.ALL_IN_ONE):
+            rows = virtual_labels(strategy, np.zeros((5, 4)))
+            assert not rows.flags.writeable and rows.strides[0] == 0
+
+    def test_a_string_names_its_strategy(self):
+        np.testing.assert_array_equal(virtual_labels("all_in_one", TOY_WITH_EXTRA),
+                                      virtual_labels(Strategy.ALL_IN_ONE, TOY_WITH_EXTRA))
+
+    def test_baseline_and_non_matrix_logits_rejected(self):
+        with pytest.raises(InvalidConfig, match="baseline"):
+            virtual_labels(Strategy.BASELINE, TOY)
+        with pytest.raises(InvalidDimension):
+            virtual_labels(Strategy.LSRO, TOY[0])
+
+    @pytest.mark.parametrize("k", [3, 751])
+    def test_permutation_logits_rank_to_p_plus_one(self, k):
+        rng = np.random.default_rng(k)
+        perms = np.stack([rng.permutation(k) for _ in range(5)])
+        for strategy in RANK_WEIGHTED:
+            np.testing.assert_array_equal(virtual_labels(strategy, perms), mprl_rows(perms + 1.0))

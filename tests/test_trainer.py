@@ -500,6 +500,21 @@ class TestBatchContract:
         assert {x.shape[1] for x in calls} == {real.n_classes + 1}
         assert sum(len(x) for x in calls) == cfg.epochs * pool
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_batch_wider_than_any_array_trains_as_one_batch(self, real, generated, strategy):
+        # a batch_size no array can hold: nothing may be sized by batch_size,
+        # such as LSRO's and all-in-one's fixed row broadcast to a batch
+        static = None
+        if strategy is Strategy.SMPRL:
+            static = assign_static_labels(
+                pretrain_baseline(real, quick_config(Strategy.BASELINE)), generated)
+        pool = len(real.split("train")) + (0 if strategy is Strategy.BASELINE else len(generated))
+        (params, history), (wide_params, wide_history) = [
+            train(real, generated, quick_config(strategy, batch_size=size), static)
+            for size in (pool, 2**62)]  # one batch per epoch either way
+        assert params_bitwise_equal(params, wide_params)
+        assert histories_equal(history, wide_history)
+
 
 # every strategy that trains beside others in one cohort
 LOCKSTEP = [Strategy.ONE_HOT_PSEUDO, Strategy.LSRO, Strategy.SMPRL, Strategy.DMPRL1,
