@@ -11,10 +11,10 @@ plane, numpy's ufunc buffers included, hold at most ``BLOCK_BYTES`` (one
 query row when a row alone is larger), so each pass stays in cache.
 :func:`pairwise_sq_euclidean` hands the (n_q, n_g) distances over one
 block at a time in one reused buffer, and :func:`evaluate` scores each
-block before the next is computed, so ``mprl eval`` and every grid cell
-hold ``BLOCK_BYTES`` of distances whatever the number of queries; the
-whole matrix is never built.  A distance beyond the float64 range is
-``inf``, which ``evaluate`` rejects.
+block before the next is computed (or ranks from the vectors, below), so
+``mprl eval`` and every grid cell hold about ``BLOCK_BYTES`` of distances
+whatever the number of queries; the whole matrix is never built.  A
+distance beyond the float64 range is ``inf``, which ``evaluate`` rejects.
 
 The kernel runs under :func:`small_ufunc_buffer`.  numpy's ufunc
 iterator copies a broadcast operand into its buffer whenever two rows of
@@ -26,12 +26,33 @@ items are copied, and no result depends on the buffer size.
 
 Per query, gallery items rank by ascending distance with ties broken by
 gallery index.  The ranking is counted, not sorted out: a relevant
-item's 1-based position is the number of items strictly closer, plus
-the number of items at the same distance with a lower gallery index,
-plus one.  The first count is a binary search in the sorted distance
-row; the second orders only the items at a tied distance.  AP averages
+item's 1-based position is one plus the number of items ahead of it, and
+no distance row is sorted.  Only the query's relevant items are sorted,
+by (distance, gallery index); every other item is counted into the slot
+between the relevant items it falls, one binary search each, and items
+farther than every relevant item are dropped unseen.  AP averages
 precision at each relevant rank (no interpolation); CMC[k] is the
 fraction of queries with a relevant item somewhere in the top k+1.
+
+:func:`evaluate` ranks a :class:`PairwiseDistances` that has handed over
+no block straight from its vectors.  Per block of query rows one float64
+BLAS product gives ``A = |q|**2 + |g|**2 - 2 q.g``, whose rounding at any
+summation order, with the plane kernel's own and underflow, stays within
+``r = 4 (d + 3) (2**-53 (|q| + max |g|)**2 + 2**-1074)`` of the plane
+distance.  The plane distance stays the definition; ``A`` only decides
+which pairs need it (the blocked GEMM filter of Johnson, Douze and
+Jegou).  The relevant items' distances are computed exactly, pair by
+pair, in the plane kernel's order.  An item with ``A`` more than r from
+every relevant distance is surely ahead of or behind each; only the pairs
+left within r get exact values.  Identical gallery rows, found when a
+first pair is in doubt, count through one member: they are at one
+distance from any query.  A chunk with too many pairs in doubt takes its
+plane block instead, as do a matrix, an iterator that has handed over a
+block, and vectors of a norm from 2**400 on, whose squared distances may
+leave the float64 range and must show as ``inf``: all of them go through
+the same counting with r = 0.  Rows are counted in chunks whose index and
+value arrays fit ``BLOCK_BYTES`` (or hold one row), so the heaviest tie
+band stays bounded as well.
 
 Embedding file format (plain text): header ``n dim``, then one row per
 item: ``id label v1 ... vdim`` with 17-significant-digit floats.
@@ -58,6 +79,18 @@ UFUNC_BUFFER = 1024
 # numpy buffers a broadcast operand when a plane row is short (under a third
 # of the buffer): at most one buffer for each operand of a ufunc
 _UFUNC_BUFFER_BYTES = 3 * 8 * UFUNC_BUFFER
+# bytes of index, value and key arrays that ranking holds at once for one
+# relevant or candidate item, with room to spare (about 130 measured): a
+# chunk of query rows holds at most BLOCK_BYTES // _ITEM_BYTES of them (or
+# one row), which keeps its arrays within half of BLOCK_BYTES
+_ITEM_BYTES = 256
+# one pair's distance computed alone costs about as much as this many
+# distances of a plane block (7 to 8 measured at d = 16 to 64): a chunk
+# needing more pairs than its area over this takes its plane block instead
+_PAIR_COST = 8
+# vectors of a norm from here on are ranked from plane blocks, where a
+# squared distance beyond the float64 range shows as inf
+_NORM_LIMIT = 2.0 ** 400
 
 
 @contextmanager
@@ -177,7 +210,28 @@ def sq_euclidean_blocks(a: np.ndarray, b: np.ndarray):
         yield dest
 
 
-def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet):
+class PairwiseDistances(Iterator):
+    """The (n_q, n_g) squared distances between two vector sets, as an
+    iterator of the exact row blocks of :func:`sq_euclidean_blocks`, which
+    the first ``next`` starts computing.  It keeps both sets, so
+    :func:`evaluate` ranks one that has handed over no block straight from
+    the vectors."""
+
+    def __init__(self, queries: np.ndarray, gallery: np.ndarray):
+        self.queries, self.gallery = queries, gallery
+        self._blocks = None
+
+    @property
+    def started(self) -> bool:
+        return self._blocks is not None
+
+    def __next__(self) -> np.ndarray:
+        if self._blocks is None:
+            self._blocks = sq_euclidean_blocks(self.queries, self.gallery)
+        return next(self._blocks)
+
+
+def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> PairwiseDistances:
     """D[i][j] = squared Euclidean distance between query i and gallery j,
     as the blocks of :func:`sq_euclidean_blocks`, for :func:`evaluate` to
     score one at a time.  A dimension mismatch raises here, before any
@@ -186,32 +240,299 @@ def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet):
         raise InvalidDimension(
             f"query dim {queries.dim} differs from gallery dim {gallery.dim}"
         )
-    return sq_euclidean_blocks(queries.vectors, gallery.vectors)
+    return PairwiseDistances(queries.vectors, gallery.vectors)
 
 
-def _relevant_positions(row: np.ndarray, is_relevant: np.ndarray) -> np.ndarray:
-    """Ascending 1-based positions of the relevant items when ``row`` is
-    ranked by (distance, gallery index)."""
-    sorted_row = np.sort(row)
-    d = np.sort(row[is_relevant])  # ascending keys keep each binary search short
-    positions = np.searchsorted(sorted_row, d, "left")  # items strictly closer
-    # tied: the next slot of the sorted row holds the same distance
-    after = positions + 1
-    tied = (sorted_row[np.minimum(after, row.size - 1)] == d) & (after < row.size)
-    if tied.any():
-        # every item at a tied distance, ordered by (distance, index): its
-        # position is the count of items strictly closer plus the count of
-        # items before it in this order at the same distance
-        members = np.flatnonzero(np.isin(row, d[tied]))
-        order = np.lexsort((members, row[members]))
-        ranked = row[members[order]]
-        member_positions = (np.searchsorted(sorted_row, ranked, "left")
-                            + np.arange(members.size) - np.searchsorted(ranked, ranked, "left"))
-        positions = np.sort(np.concatenate(
-            (positions[~tied], member_positions[is_relevant[members[order]]])))
-    return positions + 1
+def _keys(real, imag) -> np.ndarray:
+    """Complex keys, which numpy orders by ``real``, then by ``imag``."""
+    keys = np.empty(np.shape(imag), dtype=np.complex128)
+    keys.real = real
+    keys.imag = imag
+    return keys
 
 
+def _chunk_ends(weights: np.ndarray, limit: int, max_rows: int) -> list[int]:
+    """Ends of consecutive row ranges of at most ``max_rows`` rows whose
+    ``weights`` add up to at most ``limit``; a range has at least one row."""
+    total = np.cumsum(weights)
+    ends, lo, base = [], 0, 0
+    while lo < total.size:
+        hi = int(np.searchsorted(total, base + limit, "right"))
+        hi = min(max(hi, lo + 1), lo + max_rows)
+        ends.append(hi)
+        lo, base = hi, total[hi - 1]
+    return ends
+
+
+def _first_copies(vectors: np.ndarray) -> np.ndarray:
+    """For each row, the lowest index of the rows equal to it (its own
+    index when none is, or when equal weighted sums of different rows hide
+    it), in a few passes of one column each."""
+    n, d = vectors.shape
+    # identical rows get identical weighted sums, added in one order
+    weights = np.modf(np.arange(1, d + 1) * 0.6180339887498949)[0] + 0.5
+    digest = np.zeros(n)
+    for k in range(d):
+        digest += vectors[:, k] * weights[k]
+    order = np.argsort(digest, kind="stable")
+    fresh = np.ones(n, dtype=bool)
+    fresh[1:] = digest[order[1:]] != digest[order[:-1]]
+    first = order[np.maximum.accumulate(np.where(fresh, np.arange(n), 0))]
+    # equal digests of different rows: each such row stands alone
+    same = np.ones(n, dtype=bool)
+    for k in range(d):
+        same &= vectors[order, k] == vectors[first, k]
+    copies = np.arange(n)
+    copies[order[same]] = first[same]
+    return copies
+
+
+class _Groups:
+    """Gallery items as groups of identical rows, each ranked through its
+    lowest index, the group's leader: identical rows are at one distance
+    from any query, so they share one value and one comparison."""
+
+    def __init__(self, leaders: np.ndarray):
+        n = leaders.size
+        sizes = np.bincount(leaders, minlength=n)
+        self.copies = bool((sizes > 1).any())
+        self.is_leader = sizes > 0
+        self.size = sizes[leaders]  # of each item's group
+        # members sorted by (leader, index); a group starts at its leader's slot
+        order = np.argsort(leaders, kind="stable")
+        self.members = _keys(leaders[order], order)
+        self.starts = np.searchsorted(leaders[order], np.arange(n))
+
+    def below(self, leaders: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Members of each leader's group with an index below ``cols``."""
+        return np.searchsorted(self.members, _keys(leaders, cols)) - self.starts[leaders]
+
+
+class _PlanePairs:
+    """Plane-kernel distances of listed (query, gallery) pairs: each one's
+    d squared differences added left to right from 0, the arithmetic of
+    :func:`_fill_block`, and so its bits."""
+
+    def __init__(self, queries: np.ndarray, gallery: np.ndarray):
+        self.queries, self.gallery = queries, gallery
+        self.groups = None  # found when the order of some pair is first in doubt
+        self._transposed = None  # the gallery for plane blocks
+
+    def __call__(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.empty(rows.size)
+        step = max(1, BLOCK_BYTES // (64 * self.queries.shape[1]))
+        for s in range(0, rows.size, step):
+            diff = self.queries[rows[s:s + step]] - self.gallery[cols[s:s + step]]
+            np.multiply(diff, diff, out=diff)
+            out[s:s + step] = np.cumsum(diff, axis=1)[:, -1]  # left to right from 0
+        return out
+
+    def find_groups(self) -> None:
+        self.groups = _Groups(_first_copies(self.gallery))
+
+    def fill(self, start: int, dest: np.ndarray) -> None:
+        """Plane distances of queries ``start`` on into the rows of ``dest``."""
+        if self._transposed is None:
+            self._transposed = np.ascontiguousarray(self.gallery.T)
+        _fill_block(self.queries[start:start + len(dest)], self._transposed, dest,
+                    np.empty_like(dest))
+
+
+class _Ranking:
+    """The 1-based positions of each query's relevant items, gallery items
+    ranked by (distance, gallery index), counted chunk by chunk of query
+    rows, and the report they make."""
+
+    def __init__(self, q_labels: np.ndarray, g_labels: np.ndarray):
+        self.n_g = g_labels.size
+        self.by_class = np.argsort(g_labels, kind="stable")  # index order within a class
+        sorted_labels = g_labels[self.by_class]
+        self.first = np.searchsorted(sorted_labels, q_labels, "left")
+        self.n_rel = np.searchsorted(sorted_labels, q_labels, "right") - self.first
+        self.first_hit = np.empty(q_labels.size, dtype=np.int64)
+        self.aps = np.empty(q_labels.size)
+        self.items = max(1, BLOCK_BYTES // _ITEM_BYTES)
+        self.rows = _block_rows(self.n_g)
+
+    def count(self, start: int, dist: np.ndarray, r: np.ndarray, exact=None) -> None:
+        """Rank queries ``start`` to ``start + len(dist)`` from their rows
+        ``dist``: exact distances when ``exact`` is None; else each within
+        ``r`` (one radius per row) of the plane distance, which ``exact``
+        (a :class:`_PlanePairs`) computes for the pairs whose order is in
+        doubt, or writes into ``dist`` when they are too many."""
+        if not self._count(start, dist, r, exact):
+            exact.fill(start, dist)
+            self._count(start, dist, np.zeros(len(dist)), None)
+
+    def _split(self, start, dist, r, exact, weights) -> bool:
+        lo = 0
+        for hi in _chunk_ends(weights, self.items, self.rows):
+            self.count(start + lo, dist[lo:hi], r[lo:hi], exact)
+            lo = hi
+        return True
+
+    def _count(self, start, dist, r, exact) -> bool:
+        b = len(dist)
+        m = self.n_rel[start:start + b]
+        if b > 1 and (b > self.rows or m.sum() > self.items):
+            return self._split(start, dist, r, exact, m)
+        off = np.zeros(b + 1, dtype=np.int64)
+        np.cumsum(m, out=off[1:])
+        n_pairs = int(off[-1])
+        # the relevant items of each row, in gallery order
+        rows = np.repeat(np.arange(b), m)
+        cols = self.by_class[np.arange(n_pairs)
+                             + np.repeat(self.first[start:start + b] - off[:-1], m)]
+        if exact is None:
+            values = dist[rows, cols]
+        elif _PAIR_COST * n_pairs > b * self.n_g:
+            return False
+        else:
+            values = exact(start + rows, cols)
+        # sorted by (row, distance, gallery index): a stable sort keeps the
+        # gallery order within a distance
+        keys = _keys(rows, values)
+        order = np.argsort(keys, kind="stable")
+        keys, cols = keys[order], cols[order]
+        # items farther than every relevant item take no part in any count
+        keep = dist <= (keys.imag[off[1:] - 1] + r)[:, None]
+        groups = None if exact is None else exact.groups
+        if groups is not None and groups.copies:
+            # a leader counts for its group: relevant members included, who
+            # are taken off again at their own slots
+            keep &= groups.is_leader
+            alone = groups.size[cols] == 1
+            keep[rows[alone], cols[alone]] = False
+        else:
+            keep[rows, cols] = False  # a relevant item's count is its slot
+        flat = np.flatnonzero(keep)
+        if b > 1 and flat.size > self.items:
+            return self._split(start, dist, r, exact, np.bincount(flat // self.n_g, minlength=b))
+        item_rows, item_cols = np.divmod(flat, self.n_g)
+        near = dist.ravel()[flat]
+        radius = r[item_rows]
+        # relevant items surely closer: below the item's distance less r
+        slots = np.searchsorted(keys, _keys(item_rows, near - radius))
+        # the order is in doubt when a relevant distance lies within r (a
+        # slot past the row reads the next row's first key: at most a
+        # needless doubt)
+        doubt = keys.imag[np.minimum(slots, n_pairs - 1)] <= near + radius
+        if exact is not None and groups is None and doubt.any():
+            exact.find_groups()
+            return self._count(start, dist, r, exact)
+        if groups is not None and not groups.copies:
+            groups = None  # every item its own group
+        # row i's slots are bins off[i] + i to off[i + 1] + i, the last for
+        # items after all of the row's relevant items
+        settled = ~doubt
+        bins = np.bincount((slots + item_rows)[settled],
+                           None if groups is None else groups.size[item_cols[settled]],
+                           minlength=n_pairs + b)
+        if doubt.any():
+            item_rows, item_cols, near = item_rows[doubt], item_cols[doubt], near[doubt]
+            if exact is not None:
+                if _PAIR_COST * near.size > b * self.n_g:
+                    return False
+                near = exact(start + item_rows, item_cols)
+            at, counts = _exact_counts(keys, cols, item_rows, item_cols, near, groups)
+            bins = bins + np.bincount(at, counts, minlength=n_pairs + b)
+        bins = bins.astype(np.int64, copy=False)
+        if groups is not None:
+            # a relevant member of a group landed just after its own slot
+            shared = np.flatnonzero(groups.size[cols] > 1)
+            np.subtract.at(bins, shared + rows[shared] + 1, 1)
+        before = np.cumsum(bins)
+        # the items ahead of each relevant slot, within its row
+        closer = before[np.arange(n_pairs) + rows] - np.repeat(
+            np.concatenate(([0], before[off[1:-1] + np.arange(b - 1)])), m)
+        rank = np.arange(n_pairs) - np.repeat(off[:-1], m) + 1
+        positions = rank + closer
+        self.first_hit[start:start + b] = positions[off[:-1]]
+        precisions = rank / positions
+        for size in np.unique(m):
+            at = np.flatnonzero(m == size)
+            self.aps[start + at] = precisions[off[at, None] + np.arange(size)].mean(axis=1)
+        return True
+
+    def report(self) -> EvalReport:
+        cmc = np.cumsum(np.bincount(self.first_hit - 1, minlength=self.n_g)) / self.aps.size
+        return EvalReport(rank1=float(cmc[0]), mean_ap=float(np.mean(self.aps)),
+                          cmc_curve=cmc)
+
+
+def _exact_counts(keys, cols, rows, item_cols, values, groups):
+    """Bins and counts (as in ``_Ranking._count``) of leaders ``item_cols``
+    at exact distances ``values`` in ``rows``: each member of a leader's
+    group (``groups``, or None when every item is its own) goes to the
+    slot of the first relevant item after it by (distance, gallery index)
+    in the sorted ``keys``, whose gallery indices are ``cols``."""
+    probe = _keys(rows, values)
+    left = np.searchsorted(keys, probe, "left")
+    run = np.searchsorted(keys, probe, "right") - left
+    sizes = np.ones(values.size, dtype=np.int64) if groups is None else groups.size[item_cols]
+    tied = np.flatnonzero(run)
+    if not tied.size:
+        return left + rows, sizes
+    # a group at a relevant distance splits around that run of relevant
+    # items by gallery index: count its members below each of them
+    lengths = run[tied]
+    ends = np.cumsum(lengths)
+    item = np.repeat(tied, lengths)
+    member = np.arange(ends[-1]) + np.repeat(left[tied] - ends + lengths, lengths)
+    if groups is None:
+        below = (item_cols[item] < cols[member]).astype(np.int64)
+    else:
+        below = groups.below(item_cols[item], cols[member])
+    step = np.diff(below, prepend=0)
+    step[ends[:-1]] = below[ends[:-1]]
+    untied = run == 0
+    return (np.concatenate((left[untied] + rows[untied], member + rows[item],
+                            left[tied] + lengths + rows[tied])),
+            np.concatenate((sizes[untied], step, sizes[tied] - below[ends - 1])))
+
+
+def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarray) -> bool:
+    """Rank from blocked GEMM distances ``|q|**2 + |g|**2 - 2 q.g``, each
+    within r of its plane distance; False, and nothing ranked, when a
+    vector's norm reaches 2**400, whose squared distances may leave the
+    float64 range, or the vectors are empty."""
+    n_q, d = queries.shape
+    with np.errstate(over="ignore"):
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        g_sq = np.einsum("ij,ij->i", gallery, gallery)
+        if d == 0 or not max(q_sq.max(), g_sq.max()) < _NORM_LIMIT ** 2:
+            return False
+    # bounds |GEMM - plane| at any summation order, underflow included
+    r = 4 * (d + 3) * ((np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2 * 2.0 ** -53
+                       + 2.0 ** -1074)
+    # one product per block: [-2q, 1, |q|^2] . [g, |g|^2, 1]
+    rhs = np.empty((d + 2, gallery.shape[0]))
+    rhs[:d] = gallery.T
+    rhs[d] = g_sq
+    rhs[d + 1] = 1.0
+    # a block of GEMM distances and the plane block that may replace a
+    # chunk of it take a quarter of BLOCK_BYTES each, the chunk's counting
+    # arrays the other half
+    rows = min(max(1, BLOCK_BYTES // (32 * gallery.shape[0])), n_q)
+    # BLAS packs the columns of each call: a quarter of BLOCK_BYTES of them
+    # keeps the memory it touches small and in cache
+    width = max(1, BLOCK_BYTES // (32 * (d + 2)))
+    lhs = np.empty((rows, d + 2))
+    lhs[:, d] = 1.0
+    buffer = np.empty((rows, gallery.shape[0]))
+    exact = _PlanePairs(queries, gallery)
+    for start in range(0, n_q, rows):
+        stop = min(start + rows, n_q)
+        block, factors = buffer[:stop - start], lhs[:stop - start]
+        np.multiply(queries[start:stop], -2.0, out=factors[:, :d])
+        factors[:, d + 1] = q_sq[start:stop]
+        for col in range(0, rhs.shape[1], width):
+            np.matmul(factors, rhs[:, col:col + width], out=block[:, col:col + width])
+        ranking.count(start, block, r[start:stop], exact)
+    return True
+
+
+@small_ufunc_buffer()
 def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     """Score distances: mAP, rank-1 and the full CMC curve.
 
@@ -219,16 +540,23 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     blocks in query order (:func:`pairwise_sq_euclidean`).  Each
     block is checked and scored before the next one is asked for, so a
     streamed evaluation holds one block, never the matrix, and may reuse
-    one buffer for every block.  There must be at least one query, every
-    query class must occur in the gallery (checked before any block), and
-    every distance must be finite.  AP per query is the mean of (number
-    of relevant items in the top r) / r over the ranks r where a relevant
+    one buffer for every block.  A :class:`PairwiseDistances` that has
+    handed over no block is ranked from its vectors instead, with the
+    same result.  There must be at least one query, every query class
+    must occur in the gallery (checked before any block), and every
+    distance must be finite.  AP per query is the mean of (number of
+    relevant items in the top r) / r over the ranks r where a relevant
     item sits.
     """
     q_labels = np.asarray(query_labels, dtype=np.int64)
     g_labels = np.asarray(gallery_labels, dtype=np.int64)
     n_q, n_g = q_labels.size, g_labels.size
-    if not isinstance(distances, Iterator):
+    vectors = None
+    if isinstance(distances, PairwiseDistances):
+        if not distances.started and distances.queries.shape[0] == n_q \
+                and distances.gallery.shape[0] == n_g:
+            vectors = distances.queries, distances.gallery
+    elif not isinstance(distances, Iterator):
         dist = np.asarray(distances, dtype=np.float64)
         if dist.shape != (n_q, n_g):
             raise InvalidDimension(
@@ -242,8 +570,9 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     if missing:
         raise ProtocolViolation(f"query classes absent from gallery: {missing}")
 
-    first_hit = np.zeros(n_g, dtype=np.int64)
-    aps = np.empty(n_q)
+    ranking = _Ranking(q_labels, g_labels)
+    if vectors is not None and _rank_from_vectors(ranking, *vectors):
+        return ranking.report()
     start = 0
     for block in distances:
         block = np.asarray(block, dtype=np.float64)
@@ -255,17 +584,12 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
         if not np.isfinite(block).all():
             raise ProtocolViolation("distances must be finite (a NaN, or a squared "
                                     "distance beyond the float64 range)")
-        for i, row in enumerate(block, start):
-            positions = _relevant_positions(row, g_labels == q_labels[i])
-            first_hit[positions[0] - 1] += 1
-            precisions = np.arange(1, positions.size + 1) / positions
-            aps[i] = float(np.mean(precisions))
+        if block.shape[0]:
+            ranking.count(start, block, np.zeros(block.shape[0]))
         start += block.shape[0]
     if start != n_q:
         raise InvalidDimension(f"distance blocks hold {start} rows for {n_q} queries")
-
-    cmc = np.cumsum(first_hit) / n_q
-    return EvalReport(rank1=float(cmc[0]), mean_ap=float(np.mean(aps)), cmc_curve=cmc)
+    return ranking.report()
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -563,13 +563,38 @@ class TestStreamedEvaluate:
         with pytest.raises(InvalidDimension, match="no queries"):
             evaluate(distances, [], [1, 2, 3])
 
+    @staticmethod
+    def large_sets(identical_rows=False):
+        """2000 queries and 8000 gallery items of 1000 classes in 2-d; with
+        ``identical_rows`` every other gallery row is the zero vector, so
+        half of each class sits at one tied distance from every query."""
+        rng = np.random.default_rng(11)
+        g_labels = np.repeat(np.arange(1000), 8)
+        g_vectors = rng.normal(size=(8000, 2))
+        if identical_rows:
+            g_vectors[::2] = 0.0
+        gallery = EmbeddingSet(np.arange(8000), g_labels, g_vectors)
+        queries = EmbeddingSet(np.arange(2000), g_labels[::4], rng.normal(size=(2000, 2)))
+        return queries, gallery
+
     def test_eval_holds_no_distance_matrix(self, tmp_path):
         # 2000 x 8000 float64 distances would take 128 MB; the streamed eval
         # holds one block of about 1 MiB beyond what reading the files takes
-        rng = np.random.default_rng(11)
-        g_labels = np.repeat(np.arange(1000), 8)
-        gallery = EmbeddingSet(np.arange(8000), g_labels, rng.normal(size=(8000, 2)))
-        queries = EmbeddingSet(np.arange(2000), g_labels[::4], rng.normal(size=(2000, 2)))
+        self.assert_eval_holds_no_distance_matrix(tmp_path, *self.large_sets())
+
+    def test_a_half_identical_gallery_ranks_as_its_blocks_without_the_matrix(self, tmp_path):
+        # 4000 zero rows: every query's tie band holds half the gallery
+        queries, gallery = self.large_sets(identical_rows=True)
+        self.assert_eval_holds_no_distance_matrix(tmp_path, queries, gallery)
+        blocks = evaluate(sq_euclidean_blocks(queries.vectors, gallery.vectors),
+                          queries.labels, gallery.labels)
+        assert (tmp_path / "report.json").read_text() == report_to_json(blocks)
+        vectors = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                           gallery.labels)
+        assert same_report(vectors, blocks)
+
+    @staticmethod
+    def assert_eval_holds_no_distance_matrix(tmp_path, queries, gallery):
         q_path, g_path = tmp_path / "q.txt", tmp_path / "g.txt"
         save_embeddings(queries, q_path)
         save_embeddings(gallery, g_path)
@@ -586,6 +611,136 @@ class TestStreamedEvaluate:
             tracemalloc.stop()
         assert loaded < 8 * 2**20
         assert peak < loaded + retrieval.BLOCK_BYTES + 2**20
+
+
+def vector_case(seed, kind, n_q, n_g, dim, n_classes):
+    """Query and gallery sets whose query classes all occur in the gallery.
+
+    ``kind`` picks the vectors: "offset" shares a common offset of 1e6, so
+    ``|q|**2 + |g|**2 - 2 q.g`` cancels about 12 digits; "subnormal" has
+    coordinates of 1e-160, whose products are subnormal; "lattice" has
+    integer coordinates and so many exactly tied distances; "copies" draws
+    every row, queries included, from a few rows, one of them zero;
+    "below_2_400" and "above_2_400" have one vector of norm just below or
+    just above 2**400; "normal" is standard normal.
+    """
+    rng = np.random.default_rng(seed)
+    g_labels = rng.integers(0, n_classes, size=n_g)
+    q_labels = g_labels[rng.integers(0, n_g, size=n_q)]
+    distinct = rng.normal(size=(max(1, (n_q + n_g) // 8), dim))
+    distinct[0] = 0.0
+
+    def draw(n):
+        if kind == "offset":
+            return 1e6 + rng.normal(size=(n, dim))
+        if kind == "subnormal":
+            return 1e-160 * rng.normal(size=(n, dim))
+        if kind == "lattice":
+            return rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+        if kind == "copies":
+            return distinct[rng.integers(0, distinct.shape[0], size=n)]
+        return rng.normal(size=(n, dim))
+
+    q_vectors, g_vectors = draw(n_q), draw(n_g)
+    if kind in ("below_2_400", "above_2_400"):
+        factor = 1 - 2.0**-20 if kind == "below_2_400" else 1 + 2.0**-20
+        g_vectors *= 2.0**390
+        g_vectors[0] *= 2.0**400 * factor / np.linalg.norm(g_vectors[0])
+    return (EmbeddingSet(np.arange(n_q), q_labels, q_vectors),
+            EmbeddingSet(np.arange(n_g), g_labels, g_vectors))
+
+
+class TestVectorRanking:
+    """``evaluate`` ranks a ``pairwise_sq_euclidean`` that has handed over no
+    block from its vectors: the blocked GEMM distances only pick out the
+    pairs whose order is in doubt, so the report equals that of the plane
+    blocks bit for bit."""
+
+    KINDS = ["normal", "offset", "subnormal", "lattice", "copies", "below_2_400",
+             "above_2_400"]
+
+    @staticmethod
+    def plane_blocks(monkeypatch):
+        """Count the plane blocks computed from here on."""
+        calls = []
+        fill = retrieval._fill_block
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return fill(*args)
+
+        monkeypatch.setattr(retrieval, "_fill_block", counted)
+        return calls
+
+    @given(st.integers(1, 30), st.integers(1, 200), st.integers(1, 129), st.integers(1, 12),
+           st.sampled_from(KINDS), st.sampled_from([None, 0, 3000, 30000]),
+           st.integers(0, 2**32 - 1))
+    @example(7, 150, 1, 5, "offset", None, 1)
+    @example(7, 150, 8, 5, "subnormal", None, 2)
+    @example(7, 150, 129, 5, "copies", 0, 3)
+    @example(7, 150, 3, 5, "lattice", 3000, 4)
+    @example(7, 150, 16, 5, "below_2_400", None, 5)
+    @example(7, 150, 16, 5, "above_2_400", None, 6)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_plane_blocks_and_the_argsort_ranking(self, n_q, n_g, dim, n_classes,
+                                                             kind, budget, seed):
+        # budgets under 16 * n_g bytes make one-row blocks and chunks
+        queries, gallery = vector_case(seed, kind, n_q, n_g, dim, n_classes)
+        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        block_bytes = (retrieval.BLOCK_BYTES if budget is None
+                       else retrieval._UFUNC_BUFFER_BYTES + budget)
+        with mock.patch.object(retrieval, "BLOCK_BYTES", block_bytes):
+            report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                              gallery.labels)
+        assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
+        rank1, mean_ap, cmc = argsort_eval(matrix, queries.labels, gallery.labels)
+        assert report.rank1 == rank1 and report.mean_ap == mean_ap
+        assert report.cmc_curve.tobytes() == cmc.tobytes()
+
+    @pytest.mark.parametrize("kind, planes", [
+        ("normal", False),  # every doubt settles pair by pair
+        ("copies", False),  # identical rows share one value
+        ("below_2_400", False),
+        ("above_2_400", True),  # an overflow must still show as inf
+        ("offset", True),  # a band of about 8 around every relevant distance
+    ])
+    def test_which_inputs_take_plane_blocks(self, kind, planes, monkeypatch):
+        queries, gallery = vector_case(9, kind, 40, 300, 64, 60)
+        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        calls = self.plane_blocks(monkeypatch)
+        report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        assert bool(calls) == planes
+        assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
+
+    def test_rows_share_a_group_only_when_equal(self):
+        # (w1, 0) and (0, w0) have the same weighted sum w0 * w1 but are
+        # different rows; -0.0 and 0.0 are equal
+        w = np.modf(np.arange(1, 3) * 0.6180339887498949)[0] + 0.5
+        rows = np.array([[w[1], 0.0], [0.0, w[0]], [w[1], 0.0], [0.0, w[0]],
+                         [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
+        assert retrieval._first_copies(rows).tolist() == [0, 1, 0, 3, 4, 5, 5, 4]
+        gallery = EmbeddingSet(np.arange(8), [0, 1, 1, 0, 1, 0, 1, 0], rows)
+        queries = EmbeddingSet(np.arange(3), [0, 1, 0], [[0.0, 0.0], [w[1], w[0]], [0.5, 0.5]])
+        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        assert same_report(
+            evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels),
+            evaluate(matrix, queries.labels, gallery.labels))
+
+    def test_a_started_iterator_is_scored_from_its_blocks(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "BLOCK_BYTES", 1)  # one row per block
+        queries, gallery = vector_case(4, "normal", 6, 50, 3, 4)
+        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        pairs = pairwise_sq_euclidean(queries, gallery)
+        next(pairs)
+        with pytest.raises(InvalidDimension, match="hold 5 rows for 6 queries"):
+            evaluate(pairs, queries.labels, gallery.labels)
+        pairs = pairwise_sq_euclidean(queries, gallery)
+        next(pairs)
+        calls = self.plane_blocks(monkeypatch)
+        rest = evaluate(pairs, queries.labels[1:], gallery.labels)
+        assert calls == [1] * 5
+        assert same_report(rest, evaluate(matrix[1:], queries.labels[1:], gallery.labels))
 
 
 class TestSerialization:
