@@ -55,11 +55,14 @@ value arrays fit ``BLOCK_BYTES`` (or hold one row), so the heaviest tie
 band stays bounded as well.
 
 Embedding file format (plain text): header ``n dim``, then one row per
-item: ``id label v1 ... vdim`` with 17-significant-digit floats.
+item: ``id label v1 ... vdim`` with 17-significant-digit floats, fields
+split on whitespace, blank lines skipped, numbers in Python's ``int``
+and ``float`` syntax (see :func:`load_embeddings`).
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -615,9 +618,15 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read an embedding file; bytes that are not UTF-8, a malformed header
     or row, a non-finite value or a repeated id raise InvalidState naming
-    ``path:line``."""
-    text = read_utf8(path, InvalidState)
-    rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    ``path:line``.
+
+    The rows are parsed by one ``np.loadtxt`` call, which reads a subset
+    of the format with the same values: it refuses underscores, non-ASCII
+    digits and integers beyond int64, which Python's ``int`` and ``float``
+    take or reject with their own message.  A file it refuses is read
+    again by :func:`_read_rows`, the row loop that defines the format."""
+    rows = [(no, line) for no, line in
+            enumerate(read_utf8(path, InvalidState).splitlines(), start=1) if line.strip()]
     if not rows:
         raise InvalidState(f"{path}: empty embedding file")
     header_no, header = rows[0]
@@ -634,17 +643,21 @@ def load_embeddings(path) -> EmbeddingSet:
     # the first row confirms the header's width before any array is sized
     # from it, so the arrays are never larger than the file's own rows imply
     _check_fields(path, *rows[1], dim)
-    ids = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    vectors = np.empty((n, dim))
-    for i, (line_no, row) in enumerate(rows[1:]):
-        parts = _check_fields(path, line_no, row, dim)
-        try:
-            ids[i] = int(parts[0])
-            labels[i] = int(parts[1])
-            vectors[i] = [float(v) for v in parts[2:]]
-        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
-            raise InvalidState(f"{path}:{line_no}: {exc}") from None
+    row_dtype = np.dtype([("id", np.int64), ("label", np.int64), ("v", np.float64, (dim,))])
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads an integer field it refuses as a float, with a
+            # DeprecationWarning; as an error it sends the file to the loop
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt((row for _, row in rows[1:]), dtype=row_dtype,
+                               comments=None, ndmin=1, max_rows=n)
+    except ValueError:
+        ids, labels, vectors = _read_rows(path, rows[1:], dim)
+    else:
+        # the set keeps contiguous copies; the table goes before the checks
+        ids, labels = table["id"].copy(), table["label"].copy()
+        vectors = np.ascontiguousarray(table["v"])
+        del table
     nonfinite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if nonfinite.size:
         raise InvalidState(f"{path}:{rows[1 + nonfinite[0]][0]}: non-finite vector value")
@@ -654,6 +667,24 @@ def load_embeddings(path) -> EmbeddingSet:
         i = repeats.min()
         raise InvalidState(f"{path}:{rows[1 + i][0]}: duplicate id {ids[i]}")
     return EmbeddingSet(ids, labels, vectors)
+
+
+def _read_rows(path, rows: list[tuple[int, str]], dim: int):
+    """The ids, labels and vectors of the numbered data rows, each field
+    read by Python's ``int`` or ``float``; the first malformed row raises
+    InvalidState naming its line."""
+    ids = np.empty(len(rows), dtype=np.int64)
+    labels = np.empty(len(rows), dtype=np.int64)
+    vectors = np.empty((len(rows), dim))
+    for i, (line_no, row) in enumerate(rows):
+        parts = _check_fields(path, line_no, row, dim)
+        try:
+            ids[i] = int(parts[0])
+            labels[i] = int(parts[1])
+            vectors[i] = [float(v) for v in parts[2:]]
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
+            raise InvalidState(f"{path}:{line_no}: {exc}") from None
+    return ids, labels, vectors
 
 
 def _check_fields(path, line_no: int, row: str, dim: int) -> list[str]:

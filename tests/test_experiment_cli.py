@@ -713,6 +713,12 @@ REJECTED_SPEC_LINES = [
 ]
 
 
+def malformed(text, line, message):
+    """A malformed embedding file, the line its error names (None for the
+    whole file) and the rest of the message, with the id ``text-line``."""
+    return pytest.param(text, line, message, id=f"{text}-{line}")
+
+
 class TestCli:
     def test_run_and_determinism(self, spec_file, tmp_path, capsys):
         out1 = tmp_path / "r1"
@@ -823,30 +829,74 @@ class TestCli:
         text = report_path.read_text()
         assert '"rank1":' in text and '"mAP":' in text
 
-    @pytest.mark.parametrize("text, line", [
-        ("2 three\n1 1 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 1),  # bad header field
-        ("2 3\n1 1 0.5 0.5 0.5\n\n2 1 0.5 oops 0.5\n", 4),  # bad feature field
-        ("2 3\n1 x 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 2),  # bad label field
-        ("1 -1\n7 1\n", 1),  # impossible dimension
-        ("1 3 9\n7 1 0.5 0.5 0.5\n", 1),  # extra header field
-        ("2 3\n1 1 0.5 0.5 0.5\n2 1 0.5 nan 0.5\n", 3),  # non-finite value
-        ("2 3\n1 1 0.5 0.5 0.5\n\n1 1 -inf 0.5 0.5\n", 4),  # non-finite value
-        ("2 3\n1 1 0.5 0.5 0.5\n1 2 0.5 0.5 0.5\n", 3),  # duplicate id
-        ("0 3\n", 1),  # no rows
-        ("1 3\n99999999999999999999 1 0.5 0.5 0.5\n", 2),  # id beyond int64
-        ("1 3\n7 99999999999999999999 0.5 0.5 0.5\n", 2),  # label beyond int64
+    @pytest.mark.parametrize("text, line, message", [
+        malformed("2 three\n1 1 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 1,
+                  "header must be 'n dim', got '2 three'"),  # bad header field
+        malformed("2 3\n1 1 0.5 0.5 0.5\n\n2 1 0.5 oops 0.5\n", 4,
+                  "could not convert string to float: 'oops'"),  # bad feature field
+        malformed("2 3\n1 x 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", 2,
+                  "invalid literal for int() with base 10: 'x'"),  # bad label field
+        malformed("1 -1\n7 1\n", 1,
+                  "header needs n >= 1 and dim >= 1, got 1 and -1"),  # impossible dimension
+        malformed("1 3 9\n7 1 0.5 0.5 0.5\n", 1,
+                  "header must be 'n dim', got '1 3 9'"),  # extra header field
+        malformed("2 3\n1 1 0.5 0.5 0.5\n2 1 0.5 nan 0.5\n", 3, "non-finite vector value"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n\n1 1 -inf 0.5 0.5\n", 4, "non-finite vector value"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n1 2 0.5 0.5 0.5\n", 3, "duplicate id 1"),
+        malformed("0 3\n", 1, "header needs n >= 1 and dim >= 1, got 0 and 3"),  # no rows
+        malformed("1 3\n99999999999999999999 1 0.5 0.5 0.5\n", 2,
+                  "Python int too large to convert to C long"),  # id beyond int64
+        malformed("1 3\n7 99999999999999999999 0.5 0.5 0.5\n", 2,
+                  "Python int too large to convert to C long"),  # label beyond int64
         # a width no array can hold; the row contradicts it before any allocation
-        ("1 99999999999999999999\n7 1 0.5 0.5 0.5\n", 2),
+        malformed("1 99999999999999999999\n7 1 0.5 0.5 0.5\n", 2,
+                  "5 fields, expected 100000000000000000001"),
+        malformed("", None, "empty embedding file"),
+        malformed("3 3\n1 1 0.5 0.5 0.5\n2 1 0.5 0.5 0.5\n", None,
+                  "header says 3 rows, file has 2"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n2 1 1e999 0.5 0.5\n", 3, "non-finite vector value"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n2 1 0.5 0.5\n", 3, "4 fields, expected 5"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n2 1 0.5 0.5 0.5 # note\n", 3,
+                  "7 fields, expected 5"),  # no comment syntax
+        malformed("2 3\n1 1 0.5 0.5 0.5\n1.0 1 0.5 0.5 0.5\n", 3,
+                  "invalid literal for int() with base 10: '1.0'"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n2 1 0x1 0.5 0.5\n", 3,
+                  "could not convert string to float: '0x1'"),
+        malformed("2 3\n1 1 0.5 0.5 0.5\n2 1 1__0 0.5 0.5\n", 3,
+                  "could not convert string to float: '1__0'"),
     ])
-    def test_malformed_embedding_file_exits_two(self, tmp_path, capsys, text, line):
+    def test_malformed_embedding_file_exits_two(self, tmp_path, capsys, text, line, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         good = tmp_path / "good.txt"
         good.write_text("1 3\n7 1 0.0 0.0 0.0\n")
         assert main(["eval", "--query", str(bad), "--gallery", str(good)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert f"{bad}:{line}:" in err[0]
+        captured = capsys.readouterr()
+        where = f"{bad}:{line}" if line else f"{bad}"
+        assert captured.err.splitlines() == [f"error: {where}: {message}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("row", [
+        "7 1 1_0.5 0.25 0.0",  # an underscore in a float
+        "7 1 \u0661\u0660.5 0.25 0.0",  # Arabic-Indic digits
+        "+7 001 10.5 0.25 0.0",  # a signed id, a label with leading zeros
+        "7\xa01\xa010.5\xa00.25\u30000.0",  # NBSP and ideographic space between fields
+    ])
+    def test_python_number_forms_evaluate_as_their_values(self, tmp_path, capsys, row):
+        gallery = tmp_path / "g.txt"
+        # the query sits on a wrong-class item; the value 10.5 puts item 12
+        # second and item 11 third
+        gallery.write_text("3 3\n10 2 10.5 0.25 0.0\n11 1 0.0 0.0 0.0\n12 1 10.0 0.25 0.0\n")
+        reports = []
+        for name, query_row in (("plain", "7 1 10.5 0.25 0.0"), ("form", row)):
+            query = tmp_path / f"{name}.txt"
+            query.write_text(f"1 3\n{query_row}\n", encoding="utf-8")
+            out = tmp_path / f"{name}.json"
+            assert main(["eval", "--query", str(query), "--gallery", str(gallery),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        assert reports[0].startswith('{"rank1": 0.000000, "mAP": 0.583333, ')
 
     @pytest.mark.parametrize("query, gallery", [
         ("1 3\n7 1 0.0 0.0 0.0\n", "1 2\n8 1 0.0 0.0\n"),  # dimension mismatch

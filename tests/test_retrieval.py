@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from mprl import retrieval
 from mprl.cli import main
-from mprl.errors import InvalidDimension, InvalidState, MprlError, ProtocolViolation
+from mprl.errors import (
+    InvalidDimension,
+    InvalidState,
+    MprlError,
+    ProtocolViolation,
+    read_utf8,
+)
 from mprl.retrieval import (
     EmbeddingSet,
     EvalReport,
@@ -743,6 +749,111 @@ class TestVectorRanking:
         assert same_report(rest, evaluate(matrix[1:], queries.labels[1:], gallery.labels))
 
 
+def row_loop_loader(path) -> EmbeddingSet:
+    """The embedding file format as a row-by-row loader, every field read
+    by Python's ``int`` or ``float``: the oracle that ``load_embeddings``
+    must equal in arrays and in messages."""
+    text = read_utf8(path, InvalidState)
+    rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not rows:
+        raise InvalidState(f"{path}: empty embedding file")
+    header_no, header = rows[0]
+    try:
+        n, dim = (int(v) for v in header.split())
+    except ValueError:
+        raise InvalidState(f"{path}:{header_no}: header must be 'n dim', "
+                           f"got {header.strip()!r}") from None
+    if n < 1 or dim < 1:
+        raise InvalidState(f"{path}:{header_no}: header needs n >= 1 and dim >= 1, "
+                           f"got {n} and {dim}")
+    if len(rows) - 1 != n:
+        raise InvalidState(f"{path}: header says {n} rows, file has {len(rows) - 1}")
+
+    def check_fields(line_no, row):
+        parts = row.split()
+        if len(parts) != 2 + dim:
+            raise InvalidState(f"{path}:{line_no}: {len(parts)} fields, expected {2 + dim}")
+        return parts
+
+    check_fields(*rows[1])
+    ids = np.empty(n, dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
+    vectors = np.empty((n, dim))
+    for i, (line_no, row) in enumerate(rows[1:]):
+        parts = check_fields(line_no, row)
+        try:
+            ids[i] = int(parts[0])
+            labels[i] = int(parts[1])
+            vectors[i] = [float(v) for v in parts[2:]]
+        except (ValueError, OverflowError) as exc:
+            raise InvalidState(f"{path}:{line_no}: {exc}") from None
+    nonfinite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if nonfinite.size:
+        raise InvalidState(f"{path}:{rows[1 + nonfinite[0]][0]}: non-finite vector value")
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        i = repeats.min()
+        raise InvalidState(f"{path}:{rows[1 + i][0]}: duplicate id {ids[i]}")
+    return EmbeddingSet(ids, labels, vectors)
+
+
+def load_outcome(loader, path):
+    """The arrays' bytes a loader returns, or its InvalidState message."""
+    try:
+        emb = loader(path)
+    except InvalidState as exc:
+        return str(exc)
+    return (emb.ids.dtype.str, emb.ids.tobytes(), emb.labels.dtype.str, emb.labels.tobytes(),
+            emb.vectors.dtype.str, emb.vectors.shape, emb.vectors.tobytes())
+
+
+# field separators: whitespace to Python's str.split, of which some also
+# end a line for splitlines, and characters that are not whitespace
+WHITESPACE = [" ", "\t", "\xa0", "\u2000", "\u3000", "\x1f"]
+LINE_BREAKS = ["\x1c", "\x85", "\v", "\f", "\r"]
+NOT_WHITESPACE = ["\ufeff", "\x00"]
+# number forms that both numpy's parser and Python read, and forms that
+# numpy refuses, which Python reads or rejects with its own message
+INT_EDGES = ["+7", "007", "-0", str(2**63 - 1), str(-2**63)]
+INT_REFUSED = ["1_0", "\u0661\u0662", str(2**63), str(-2**63 - 1), "99999999999999999999",
+               "1.0", "1e3", "+", "-", "0x1", "x"]
+FLOAT_EDGES = ["+.5", "5.", ".5", "-0.0", "00.25", "1e999", "-1e999", "nan", "-inf",
+               "Infinity", "5e-324", "1.7976931348623157e308", "1e-400", "+7", "007"]
+FLOAT_REFUSED = ["1_0.5", "\u0661.5", "0x1", "#", "0.5#", "1__0", "_1", "+-1", "1e"]
+
+
+@st.composite
+def embedding_texts(draw):
+    """Embedding file text: a header, rows of ids, labels and values in
+    plain or edge forms between whitespace or other separators, blank
+    lines and LF or CRLF endings.  Half the files use only forms and
+    separators that numpy's parser reads too; the others may refuse forms
+    and use one separator that is not plain whitespace."""
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    plain = draw(st.booleans())
+    int_forms = INT_EDGES + ([] if plain else INT_REFUSED)
+    float_forms = FLOAT_EDGES + ([] if plain else FLOAT_REFUSED)
+    ints = st.one_of(st.integers(-6, 6).map(str), st.sampled_from(int_forms))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    floats = st.one_of(finite.map(lambda v: f"{v:.17g}"), finite.map(repr),
+                       st.sampled_from(float_forms))
+    odd = [] if plain else draw(st.sampled_from([[], []] + [[c] for c in LINE_BREAKS
+                                                           + NOT_WHITESPACE]))
+    gap = st.sampled_from([" "] * 6 + WHITESPACE + odd)
+    lines = [draw(st.sampled_from([f"{n} {dim}"] * 20 + [f"{n + 1} {dim}", f"{n} {dim} 1",
+                                                          f"{n} x", f"{n} 0"]))]
+    for _ in range(n):
+        width = 2 + dim + (0 if plain else draw(st.sampled_from([0] * 8 + [-1, 1])))
+        fields = [draw(ints), draw(ints)] + [draw(floats) for _ in range(width - 2)]
+        row = "".join(draw(gap) + f for f in fields)
+        lines.append(row[1:] if draw(st.booleans()) else row)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t \xa0"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
 class TestSerialization:
     def test_report_json_six_decimals(self, tmp_path):
         report = evaluate(np.array([[1.0, 2.0, 3.0]]), [7], [7, 5, 7])
@@ -758,15 +869,60 @@ class TestSerialization:
         save_report(report, path)
         assert path.read_text() == text
 
-    def test_embeddings_round_trip_bit_exact(self, tmp_path):
+    def test_embeddings_round_trip_bit_exact(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
-        emb = EmbeddingSet(np.arange(5), rng.integers(1, 4, size=5), rng.normal(size=(5, 6)))
+        ids = np.array([0, 2**63 - 1, -(2**63 - 1), -(2**63), 4])
+        vectors = rng.normal(size=(5, 6))
+        vectors[1:4, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        emb = EmbeddingSet(ids, rng.integers(1, 4, size=5), vectors)
         path = tmp_path / "emb.txt"
         save_embeddings(emb, path)
+
+        def no_row_loop(*args):
+            raise AssertionError("a saved file is read by one loadtxt call")
+
+        monkeypatch.setattr(retrieval, "_read_rows", no_row_loop)
         back = load_embeddings(path)
         assert back.vectors.tobytes() == emb.vectors.tobytes()
+        assert back.vectors.flags.c_contiguous
         np.testing.assert_array_equal(back.ids, emb.ids)
         np.testing.assert_array_equal(back.labels, emb.labels)
+
+    @given(embedding_texts())
+    @example("1 2\n+7 007 1_0.5 \u0661.5\n")
+    @example("2 1\r\n\r\n9223372036854775807\xa01 -0.0\r\n-9223372036854775808 1 5e-324\r\n")
+    @example("2 1\n1 1 0.5\n1.0 1 1e999\n")  # the bad id is reported, not the inf
+    @example("2 1\n1 1 0.5\n1 1 0.5 # a comment\n")
+    @example("1 1\n7 1 0.5\x1c\n")  # \x1c ends a line for splitlines
+    @settings(max_examples=400, deadline=None)
+    def test_loader_equals_the_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_embeddings.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(load_embeddings, path) == load_outcome(row_loop_loader, path)
+
+    @pytest.mark.parametrize("row, values, row_loop", [
+        ("7 1 1_0.5 0.25", (7, 1, [10.5, 0.25]), True),
+        ("7 1 \u0661.5 0.25", (7, 1, [1.5, 0.25]), True),
+        ("7 1_2 0.5 0.25", (7, 12, [0.5, 0.25]), True),
+        ("+7 007 0.5 0.25", (7, 7, [0.5, 0.25]), False),
+        ("7\xa01\u30000.5\x1f0.25", (7, 1, [0.5, 0.25]), False),
+    ])
+    def test_forms_numpy_refuses_take_the_row_loop(self, tmp_path, monkeypatch, row, values,
+                                                  row_loop):
+        calls = []
+        read_rows = retrieval._read_rows
+
+        def spy(*args):
+            calls.append(args)
+            return read_rows(*args)
+
+        monkeypatch.setattr(retrieval, "_read_rows", spy)
+        path = tmp_path / "emb.txt"
+        path.write_text(f"1 2\n{row}\n", encoding="utf-8")
+        emb = load_embeddings(path)
+        assert (emb.ids.tolist(), emb.labels.tolist(), emb.vectors.tolist()) == (
+            [values[0]], [values[1]], [values[2]])
+        assert bool(calls) == row_loop
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_names_line(self, tmp_path, value):
