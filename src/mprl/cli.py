@@ -18,8 +18,8 @@ Exit codes (every failure prints one ``error:`` line to stderr):
   path that is an existing file).
 * 2 -- an input file whose content is rejected (bytes that are not
   UTF-8, malformed line, non-finite value, duplicate id, dimension
-  mismatch, query class absent from the gallery), or a failure during a
-  run.
+  mismatch, query class absent from the gallery), a failure during a
+  run, or an array too large for memory.
 * 3 -- ``gradcheck`` ran and a gradient missed its tolerance.
 
 ``MPRL_VERBOSE=0`` silences per-cell progress lines.
@@ -198,8 +198,9 @@ def main(argv=None) -> int:
     except (SpecError, InvalidConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MprlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MprlError, MemoryError) as exc:
+        # Python's own MemoryError may carry no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

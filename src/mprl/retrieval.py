@@ -9,12 +9,13 @@ right from 0: bit-equal to a pure-Python ``sum`` at every d, while the
 work is whole-plane elementwise passes.  A block's result and scratch
 plane, numpy's ufunc buffers included, hold at most ``BLOCK_BYTES`` (one
 query row when a row alone is larger), so each pass stays in cache.
-:func:`pairwise_sq_euclidean` hands the (n_q, n_g) distances over one
-block at a time in one reused buffer, and :func:`evaluate` scores each
-block before the next is computed (or ranks from the vectors, below), so
-``mprl eval`` and every grid cell hold about ``BLOCK_BYTES`` of distances
-whatever the number of queries; the whole matrix is never built.  A
-distance beyond the float64 range is ``inf``, which ``evaluate`` rejects.
+:func:`sq_euclidean_blocks` hands the (n_q, n_g) distances over one
+block at a time in one reused buffer.  :func:`pairwise_sq_euclidean`
+keeps the two vector sets, which :func:`evaluate` ranks one block of
+query rows at a time (below), so ``mprl eval`` and every grid cell hold
+about ``BLOCK_BYTES`` of distances whatever the number of queries; the
+whole matrix is never built.  A distance beyond the float64 range is
+``inf``, which ``evaluate`` rejects.
 
 The kernel runs under :func:`small_ufunc_buffer`.  numpy's ufunc
 iterator copies a broadcast operand into its buffer whenever two rows of
@@ -34,8 +35,8 @@ farther than every relevant item are dropped unseen.  AP averages
 precision at each relevant rank (no interpolation); CMC[k] is the
 fraction of queries with a relevant item somewhere in the top k+1.
 
-:func:`evaluate` ranks a :class:`PairwiseDistances` that has handed over
-no block straight from its vectors.  Per block of query rows one float64
+:func:`evaluate` ranks a :class:`PairwiseDistances` from its vectors.
+Per block of query rows one float64
 BLAS product gives ``A = |q|**2 + |g|**2 - 2 q.g``, whose rounding at any
 summation order, with the plane kernel's own and underflow, stays within
 ``r = 4 (d + 3) (2**-53 (|q| + max |g|)**2 + 2**-1074)`` of the plane
@@ -47,12 +48,12 @@ every relevant distance is surely ahead of or behind each; only the pairs
 left within r get exact values.  Identical gallery rows, found when a
 first pair is in doubt, count through one member: they are at one
 distance from any query.  A chunk with too many pairs in doubt takes its
-plane block instead, as do a matrix, an iterator that has handed over a
-block, and vectors of a norm from 2**400 on, whose squared distances may
-leave the float64 range and must show as ``inf``: all of them go through
-the same counting with r = 0.  Rows are counted in chunks whose index and
-value arrays fit ``BLOCK_BYTES`` (or hold one row), so the heaviest tie
-band stays bounded as well.
+plane block instead.  Vectors of a norm from 2**400 on, whose squared
+distances may leave the float64 range and must show as ``inf``, take
+plane blocks throughout; they and a distance matrix go through the same
+counting with r = 0.  Rows are counted in chunks whose index and value
+arrays fit ``BLOCK_BYTES`` (or hold one row), so the heaviest tie band
+stays bounded as well.
 
 Embedding file format (plain text): header ``n dim``, then one row per
 item: ``id label v1 ... vdim`` with 17-significant-digit floats, fields
@@ -63,7 +64,6 @@ and ``float`` syntax (see :func:`load_embeddings`).
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,6 +132,8 @@ class EmbeddingSet:
             raise InvalidDimension("ids, labels and vectors must agree on the item count")
         if n == 0:
             raise InvalidDimension("embedding set must be non-empty")
+        if self.vectors.shape[1] == 0:  # the file format needs dim >= 1
+            raise InvalidDimension("embedding vectors must have at least one coordinate")
         if np.unique(self.ids).size != n:
             raise InvalidDimension("embedding ids must be unique")
         if not np.all(np.isfinite(self.vectors)):
@@ -213,32 +215,20 @@ def sq_euclidean_blocks(a: np.ndarray, b: np.ndarray):
         yield dest
 
 
-class PairwiseDistances(Iterator):
-    """The (n_q, n_g) squared distances between two vector sets, as an
-    iterator of the exact row blocks of :func:`sq_euclidean_blocks`, which
-    the first ``next`` starts computing.  It keeps both sets, so
-    :func:`evaluate` ranks one that has handed over no block straight from
-    the vectors."""
+@dataclass(frozen=True)
+class PairwiseDistances:
+    """The (n_q, n_g) squared distances between two vector sets, held as
+    the sets: :func:`evaluate` ranks them block by block of query rows,
+    and :func:`sq_euclidean_blocks` gives their exact row blocks."""
 
-    def __init__(self, queries: np.ndarray, gallery: np.ndarray):
-        self.queries, self.gallery = queries, gallery
-        self._blocks = None
-
-    @property
-    def started(self) -> bool:
-        return self._blocks is not None
-
-    def __next__(self) -> np.ndarray:
-        if self._blocks is None:
-            self._blocks = sq_euclidean_blocks(self.queries, self.gallery)
-        return next(self._blocks)
+    queries: np.ndarray
+    gallery: np.ndarray
 
 
 def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> PairwiseDistances:
     """D[i][j] = squared Euclidean distance between query i and gallery j,
-    as the blocks of :func:`sq_euclidean_blocks`, for :func:`evaluate` to
-    score one at a time.  A dimension mismatch raises here, before any
-    block."""
+    as the two vector sets, for :func:`evaluate` to rank without building
+    the matrix.  A dimension mismatch raises here, before any distance."""
     if queries.dim != gallery.dim:
         raise InvalidDimension(
             f"query dim {queries.dim} differs from gallery dim {gallery.dim}"
@@ -494,79 +484,82 @@ def _exact_counts(keys, cols, rows, item_cols, values, groups):
             np.concatenate((sizes[untied], step, sizes[tied] - below[ends - 1])))
 
 
-def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarray) -> bool:
-    """Rank from blocked GEMM distances ``|q|**2 + |g|**2 - 2 q.g``, each
-    within r of its plane distance; False, and nothing ranked, when a
-    vector's norm reaches 2**400, whose squared distances may leave the
-    float64 range, or the vectors are empty."""
+def _check_finite(dist: np.ndarray) -> None:
+    if not np.isfinite(dist).all():
+        raise ProtocolViolation("distances must be finite (a NaN, or a squared "
+                                "distance beyond the float64 range)")
+
+
+def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarray) -> None:
+    """Rank one block of query rows at a time.  A block holds GEMM
+    distances ``|q|**2 + |g|**2 - 2 q.g``, each within r of its plane
+    distance; once a vector's norm reaches 2**400, whose squared distances
+    may leave the float64 range, every block holds plane distances (r = 0),
+    which must be finite."""
     n_q, d = queries.shape
+    n_g = gallery.shape[0]
     with np.errstate(over="ignore"):
         q_sq = np.einsum("ij,ij->i", queries, queries)
         g_sq = np.einsum("ij,ij->i", gallery, gallery)
-        if d == 0 or not max(q_sq.max(), g_sq.max()) < _NORM_LIMIT ** 2:
-            return False
-    # bounds |GEMM - plane| at any summation order, underflow included
-    r = 4 * (d + 3) * ((np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2 * 2.0 ** -53
-                       + 2.0 ** -1074)
-    # one product per block: [-2q, 1, |q|^2] . [g, |g|^2, 1]
-    rhs = np.empty((d + 2, gallery.shape[0]))
-    rhs[:d] = gallery.T
-    rhs[d] = g_sq
-    rhs[d + 1] = 1.0
-    # a block of GEMM distances and the plane block that may replace a
-    # chunk of it take a quarter of BLOCK_BYTES each, the chunk's counting
-    # arrays the other half
-    rows = min(max(1, BLOCK_BYTES // (32 * gallery.shape[0])), n_q)
-    # BLAS packs the columns of each call: a quarter of BLOCK_BYTES of them
-    # keeps the memory it touches small and in cache
-    width = max(1, BLOCK_BYTES // (32 * (d + 2)))
-    lhs = np.empty((rows, d + 2))
-    lhs[:, d] = 1.0
-    buffer = np.empty((rows, gallery.shape[0]))
+        gemm = max(q_sq.max(), g_sq.max()) < _NORM_LIMIT ** 2
+    # a block of distances and the plane block that may replace a chunk of
+    # it take a quarter of BLOCK_BYTES each, the chunk's counting arrays the
+    # other half
+    rows = min(max(1, BLOCK_BYTES // (32 * n_g)), n_q)
     exact = _PlanePairs(queries, gallery)
+    if gemm:
+        # bounds |GEMM - plane| at any summation order, underflow included
+        r = 4 * (d + 3) * ((np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2 * 2.0 ** -53
+                           + 2.0 ** -1074)
+        # one product per block: [-2q, 1, |q|^2] . [g, |g|^2, 1]
+        rhs = np.empty((d + 2, n_g))
+        rhs[:d] = gallery.T
+        rhs[d] = g_sq
+        rhs[d + 1] = 1.0
+        # BLAS packs the columns of each call: a quarter of BLOCK_BYTES of
+        # them keeps the memory it touches small and in cache
+        width = max(1, BLOCK_BYTES // (32 * (d + 2)))
+        lhs = np.empty((rows, d + 2))
+        lhs[:, d] = 1.0
+    else:
+        r = np.zeros(n_q)
+    buffer = np.empty((rows, n_g))
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
-        block, factors = buffer[:stop - start], lhs[:stop - start]
-        np.multiply(queries[start:stop], -2.0, out=factors[:, :d])
-        factors[:, d + 1] = q_sq[start:stop]
-        for col in range(0, rhs.shape[1], width):
-            np.matmul(factors, rhs[:, col:col + width], out=block[:, col:col + width])
-        ranking.count(start, block, r[start:stop], exact)
-    return True
+        block = buffer[:stop - start]
+        if gemm:
+            factors = lhs[:stop - start]
+            np.multiply(queries[start:stop], -2.0, out=factors[:, :d])
+            factors[:, d + 1] = q_sq[start:stop]
+            for col in range(0, n_g, width):
+                np.matmul(factors, rhs[:, col:col + width], out=block[:, col:col + width])
+            ranking.count(start, block, r[start:stop], exact)
+        else:
+            exact.fill(start, block)
+            _check_finite(block)
+            ranking.count(start, block, r[start:stop])
 
 
 @small_ufunc_buffer()
 def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     """Score distances: mAP, rank-1 and the full CMC curve.
 
-    ``distances`` is the (n_q, n_g) matrix, or an iterator of its row
-    blocks in query order (:func:`pairwise_sq_euclidean`).  Each
-    block is checked and scored before the next one is asked for, so a
-    streamed evaluation holds one block, never the matrix, and may reuse
-    one buffer for every block.  A :class:`PairwiseDistances` that has
-    handed over no block is ranked from its vectors instead, with the
-    same result.  There must be at least one query, every query class
-    must occur in the gallery (checked before any block), and every
-    distance must be finite.  AP per query is the mean of (number of
-    relevant items in the top r) / r over the ranks r where a relevant
-    item sits.
+    ``distances`` is the (n_q, n_g) matrix, or a :class:`PairwiseDistances`
+    (:func:`pairwise_sq_euclidean`), which is ranked from its two vector
+    sets one block of query rows at a time, with the report of the matrix
+    of its plane distances.  Both label arrays must be 1-d, there must be
+    at least one query, every query class must occur in the gallery and
+    the input must match the label counts, all checked before any distance
+    is computed; every distance must be finite.  AP per query is the mean
+    of (number of relevant items in the top r) / r over the ranks r where
+    a relevant item sits.
     """
     q_labels = np.asarray(query_labels, dtype=np.int64)
     g_labels = np.asarray(gallery_labels, dtype=np.int64)
+    if q_labels.ndim != 1 or g_labels.ndim != 1:
+        raise InvalidDimension(f"labels must be 1-d, got {q_labels.ndim}-d query and "
+                               f"{g_labels.ndim}-d gallery labels")
     n_q, n_g = q_labels.size, g_labels.size
-    vectors = None
-    if isinstance(distances, PairwiseDistances):
-        if not distances.started and distances.queries.shape[0] == n_q \
-                and distances.gallery.shape[0] == n_g:
-            vectors = distances.queries, distances.gallery
-    elif not isinstance(distances, Iterator):
-        dist = np.asarray(distances, dtype=np.float64)
-        if dist.shape != (n_q, n_g):
-            raise InvalidDimension(
-                f"distance matrix {dist.shape} does not match {n_q} queries "
-                f"x {n_g} gallery items"
-            )
-        distances = iter((dist,))
     if n_q == 0:
         raise InvalidDimension("no queries to score")
     missing = sorted(set(q_labels.tolist()) - set(g_labels.tolist()))
@@ -574,24 +567,19 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
         raise ProtocolViolation(f"query classes absent from gallery: {missing}")
 
     ranking = _Ranking(q_labels, g_labels)
-    if vectors is not None and _rank_from_vectors(ranking, *vectors):
-        return ranking.report()
-    start = 0
-    for block in distances:
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[1] != n_g or start + block.shape[0] > n_q:
-            raise InvalidDimension(
-                f"distance block {block.shape} at query row {start} does not match "
-                f"{n_q} queries x {n_g} gallery items"
-            )
-        if not np.isfinite(block).all():
-            raise ProtocolViolation("distances must be finite (a NaN, or a squared "
-                                    "distance beyond the float64 range)")
-        if block.shape[0]:
-            ranking.count(start, block, np.zeros(block.shape[0]))
-        start += block.shape[0]
-    if start != n_q:
-        raise InvalidDimension(f"distance blocks hold {start} rows for {n_q} queries")
+    if isinstance(distances, PairwiseDistances):
+        shape = distances.queries.shape[0], distances.gallery.shape[0]
+        if shape != (n_q, n_g):
+            raise InvalidDimension(f"{shape[0]} query and {shape[1]} gallery vectors do not "
+                                   f"match {n_q} query and {n_g} gallery labels")
+        _rank_from_vectors(ranking, distances.queries, distances.gallery)
+    else:
+        dist = np.asarray(distances, dtype=np.float64)
+        if dist.shape != (n_q, n_g):
+            raise InvalidDimension(f"distance matrix {dist.shape} does not match {n_q} "
+                                   f"queries x {n_g} gallery items")
+        _check_finite(dist)
+        ranking.count(0, dist, np.zeros(n_q))
     return ranking.report()
 
 

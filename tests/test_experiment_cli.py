@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mprl import experiment, labels, trainer
+from mprl import cli, experiment, labels, trainer
 from mprl.cli import main
 from mprl.errors import GenerationFailure, SpecError
 from mprl.experiment import (
@@ -795,6 +795,27 @@ class TestCli:
         assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len((out / "summary.csv").read_text().splitlines()) == 1 + len(Strategy)
+
+    @pytest.mark.parametrize("command", ["run", "gen-data", "gradcheck"])
+    def test_an_array_too_large_for_memory_exits_two(self, tmp_path, capsys, command):
+        # numpy refuses these sizes (petabytes) before it allocates anything
+        spec = tmp_path / "huge.txt"
+        spec.write_text("n_classes = 3\ndim = 4\nn_per_class = 1000000000000000\n"
+                        "strategies = baseline\ncounts = 0\nseeds = 1\n")
+        argv = {"run": ["run", "--spec", str(spec), "--out", str(tmp_path / "out")],
+                "gen-data": ["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")],
+                "gradcheck": ["gradcheck", "--k", "1000000000000000", "--trials", "1"]}
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "allocate" in err[0]
+
+    def test_a_memory_error_without_a_message_is_named(self, capsys, monkeypatch):
+        def no_memory(**kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_gradcheck", no_memory)
+        assert main(["gradcheck", "--k", "2", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_missing_spec_exits_one(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.txt")]) == 1

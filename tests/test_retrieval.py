@@ -25,6 +25,7 @@ from mprl.errors import (
 from mprl.retrieval import (
     EmbeddingSet,
     EvalReport,
+    PairwiseDistances,
     evaluate,
     load_embeddings,
     pairwise_sq_euclidean,
@@ -256,14 +257,12 @@ class TestPairwiseSqEuclidean:
         return EmbeddingSet(np.arange(n), np.array(labels if labels else [1] * n), vectors)
 
     def test_three_four_five(self):
-        d = stacked(pairwise_sq_euclidean(
-            self._embed(np.array([[0.0, 0.0]])), self._embed(np.array([[3.0, 4.0]]))
-        ))
+        d = stacked(sq_euclidean_blocks(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])))
         assert d.shape == (1, 1) and d[0, 0] == 25.0
 
     def test_identical_sets_zero_diagonal(self):
         vecs = np.random.default_rng(0).normal(size=(6, 4))
-        d = stacked(pairwise_sq_euclidean(self._embed(vecs), self._embed(vecs)))
+        d = stacked(sq_euclidean_blocks(vecs, vecs))
         np.testing.assert_array_equal(np.diag(d), np.zeros(6))
         np.testing.assert_allclose(d, d.T, atol=0)
 
@@ -274,7 +273,7 @@ class TestPairwiseSqEuclidean:
         for dim in (3, 16, 64, 129):
             q = rng.normal(size=(5, dim))
             g = rng.normal(size=(7, dim))
-            d = stacked(pairwise_sq_euclidean(self._embed(q), self._embed(g)))
+            d = stacked(sq_euclidean_blocks(q, g))
             for i in range(5):
                 for j in range(7):
                     expected = sum((q[i, t] - g[j, t]) ** 2 for t in range(dim))
@@ -430,6 +429,12 @@ class TestEvaluate:
         with pytest.raises(InvalidDimension):
             evaluate(np.ones((2, 2)), [1], [1, 1])
 
+    @pytest.mark.parametrize("q_labels, g_labels", [
+        ([[1], [2]], [1, 2]), ([1, 2], [[1, 2]]), (1, [1, 2])])
+    def test_labels_that_are_not_1d_rejected(self, q_labels, g_labels):
+        with pytest.raises(InvalidDimension, match="labels must be 1-d"):
+            evaluate(np.zeros((2, 2)), q_labels, g_labels)
+
 
 def same_report(a: EvalReport, b: EvalReport) -> bool:
     return (np.float64(a.rank1).tobytes() == np.float64(b.rank1).tobytes()
@@ -454,8 +459,9 @@ def embedding_case(seed, n_q, n_g, dim, kind):
 
 
 class TestStreamedEvaluate:
-    """``evaluate`` on row blocks scores each block as it comes and equals
-    ``evaluate`` on the whole matrix bit for bit."""
+    """``evaluate`` on a ``pairwise_sq_euclidean`` ranks one block of query
+    rows at a time and equals ``evaluate`` on the whole matrix bit for
+    bit."""
 
     @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 8),
            st.sampled_from(["ties", "real"]), st.integers(0, 3000), st.integers(0, 2**32 - 1))
@@ -463,9 +469,9 @@ class TestStreamedEvaluate:
     def test_blocks_score_as_the_matrix(self, n_q, n_g, dim, kind, budget, seed):
         # budgets under 16 * n_g bytes make one-row blocks
         queries, gallery = embedding_case(seed, n_q, n_g, dim, kind)
-        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         with mock.patch.object(retrieval, "BLOCK_BYTES", retrieval._UFUNC_BUFFER_BYTES + budget):
-            rows = stacked(pairwise_sq_euclidean(queries, gallery))
+            rows = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
             streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                                 queries.labels, gallery.labels)
         assert rows.tobytes() == matrix.tobytes()
@@ -475,34 +481,21 @@ class TestStreamedEvaluate:
     def test_one_row_blocks(self, kind):
         queries, gallery = embedding_case(7, 30, 200, 3, kind)
         with mock.patch.object(retrieval, "BLOCK_BYTES", 1):
-            assert [b.shape for b in pairwise_sq_euclidean(queries, gallery)
+            assert [b.shape for b in sq_euclidean_blocks(queries.vectors, gallery.vectors)
                     ] == [(1, 200)] * 30
             streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                                 queries.labels, gallery.labels)
-        matrix = evaluate(stacked(pairwise_sq_euclidean(queries, gallery)), queries.labels,
-                          gallery.labels)
-        assert same_report(streamed, matrix)
-
-    @given(st.integers(1, 20), st.integers(1, 40), st.integers(1, 4), CASE_KINDS,
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_any_split_of_the_rows_scores_as_the_matrix(self, n_q, n_g, n_classes, kind,
-                                                        seed):
-        g_labels = np.random.default_rng(seed + 1).integers(0, n_classes, size=n_g)
-        distances, q_labels = retrieval_case(seed, n_q, g_labels, kind)
-        cuts = np.sort(np.random.default_rng(seed + 2).integers(0, n_q + 1, size=3))
-        blocks = iter(np.split(distances, cuts))  # empty blocks included
-        assert same_report(evaluate(blocks, q_labels, g_labels),
-                           evaluate(distances, q_labels, g_labels))
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        assert same_report(streamed, evaluate(matrix, queries.labels, gallery.labels))
 
     def test_equals_the_argsort_ranking_at_the_module_budget(self):
         # blocks of 12 rows against 5000 items, most of them tied
         queries, gallery = embedding_case(3, 40, 5000, 4, "ties")
-        assert len(list(pairwise_sq_euclidean(queries, gallery))) == 4
+        assert len(list(sq_euclidean_blocks(queries.vectors, gallery.vectors))) == 4
         streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                             queries.labels, gallery.labels)
-        rank1, mean_ap, cmc = argsort_eval(stacked(pairwise_sq_euclidean(queries, gallery)),
-                                           queries.labels, gallery.labels)
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        rank1, mean_ap, cmc = argsort_eval(matrix, queries.labels, gallery.labels)
         assert streamed.rank1 == rank1 and streamed.mean_ap == mean_ap
         assert streamed.cmc_curve.tobytes() == cmc.tobytes()
 
@@ -515,9 +508,7 @@ class TestStreamedEvaluate:
         q_labels = [1] * 7
         with pytest.raises(ProtocolViolation) as whole:
             evaluate(distances, q_labels, labels)
-        with pytest.raises(ProtocolViolation) as streamed:
-            evaluate(iter(np.split(distances, [3, 6])), q_labels, labels)
-        assert str(streamed.value) == str(whole.value) == (
+        assert str(whole.value) == (
             "distances must be finite (a NaN, or a squared distance beyond the float64 range)")
 
     def test_overflowed_distances_in_the_last_block(self):
@@ -525,12 +516,12 @@ class TestStreamedEvaluate:
         queries, gallery = embedding_case(5, 9, 40, 2, "real")
         queries.vectors[-1] = 1e200
         with mock.patch.object(retrieval, "BLOCK_BYTES", retrieval._UFUNC_BUFFER_BYTES + 1500):
-            blocks = list(b.shape[0] for b in pairwise_sq_euclidean(queries, gallery))
+            blocks = [b.shape[0] for b in sq_euclidean_blocks(queries.vectors, gallery.vectors)]
             assert len(blocks) > 1
             with pytest.raises(ProtocolViolation, match="must be finite") as streamed:
                 evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                          gallery.labels)
-        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         assert np.isinf(matrix[-1]).all() and np.isfinite(matrix[:-1]).all()
         with pytest.raises(ProtocolViolation) as whole:
             evaluate(matrix, queries.labels, gallery.labels)
@@ -553,21 +544,25 @@ class TestStreamedEvaluate:
         with pytest.raises(InvalidDimension, match="query dim 2 differs from gallery dim 3"):
             pairwise_sq_euclidean(queries, gallery)
 
-    @pytest.mark.parametrize("blocks", [
-        [np.ones((1, 3))],  # too few rows
-        [np.ones((2, 3)), np.ones((1, 3))],  # too many rows
-        [np.ones((2, 2))],  # wrong width
-        [np.ones(3), np.ones(3)],  # not 2-d
-    ])
-    def test_blocks_that_do_not_match_are_rejected(self, blocks):
-        with pytest.raises(InvalidDimension):
-            evaluate(iter(blocks), [1, 1], [1, 2, 1])
-
-    @pytest.mark.parametrize("distances", [np.empty((0, 3)), iter(())], ids=["matrix", "blocks"])
+    @pytest.mark.parametrize("distances", [
+        np.empty((0, 3)), PairwiseDistances(np.empty((0, 2)), np.ones((3, 2)))],
+        ids=["matrix", "vectors"])
     def test_no_queries_rejected(self, distances):
         # a divide warning fails the run (pyproject filterwarnings)
         with pytest.raises(InvalidDimension, match="no queries"):
             evaluate(distances, [], [1, 2, 3])
+
+    @pytest.mark.parametrize("q_labels, g_labels", [([1], [1, 2, 1]), ([1, 1], [1, 2])])
+    def test_labels_that_do_not_match_the_vectors_raise_before_any_distance(
+            self, q_labels, g_labels, monkeypatch):
+        calls = []
+        monkeypatch.setattr(retrieval, "_fill_block", lambda *args: calls.append(args))
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(args))
+        distances = PairwiseDistances(np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(InvalidDimension,
+                           match="2 query and 3 gallery vectors do not match"):
+            evaluate(distances, q_labels, g_labels)
+        assert calls == []
 
     @staticmethod
     def large_sets(identical_rows=False):
@@ -588,15 +583,17 @@ class TestStreamedEvaluate:
         # holds one block of about 1 MiB beyond what reading the files takes
         self.assert_eval_holds_no_distance_matrix(tmp_path, *self.large_sets())
 
-    def test_a_half_identical_gallery_ranks_as_its_blocks_without_the_matrix(self, tmp_path):
+    def test_a_half_identical_gallery_ranks_as_its_blocks_without_the_matrix(self, tmp_path,
+                                                                             monkeypatch):
         # 4000 zero rows: every query's tie band holds half the gallery
         queries, gallery = self.large_sets(identical_rows=True)
         self.assert_eval_holds_no_distance_matrix(tmp_path, queries, gallery)
-        blocks = evaluate(sq_euclidean_blocks(queries.vectors, gallery.vectors),
-                          queries.labels, gallery.labels)
-        assert (tmp_path / "report.json").read_text() == report_to_json(blocks)
         vectors = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                            gallery.labels)
+        monkeypatch.setattr(retrieval, "_NORM_LIMIT", 0.0)  # plane blocks throughout
+        blocks = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        assert (tmp_path / "report.json").read_text() == report_to_json(blocks)
         assert same_report(vectors, blocks)
 
     @staticmethod
@@ -657,8 +654,8 @@ def vector_case(seed, kind, n_q, n_g, dim, n_classes):
 
 
 class TestVectorRanking:
-    """``evaluate`` ranks a ``pairwise_sq_euclidean`` that has handed over no
-    block from its vectors: the blocked GEMM distances only pick out the
+    """``evaluate`` ranks a ``pairwise_sq_euclidean`` from its vectors: the
+    blocked GEMM distances only pick out the
     pairs whose order is in doubt, so the report equals that of the plane
     blocks bit for bit."""
 
@@ -692,7 +689,7 @@ class TestVectorRanking:
                                                              kind, budget, seed):
         # budgets under 16 * n_g bytes make one-row blocks and chunks
         queries, gallery = vector_case(seed, kind, n_q, n_g, dim, n_classes)
-        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         block_bytes = (retrieval.BLOCK_BYTES if budget is None
                        else retrieval._UFUNC_BUFFER_BYTES + budget)
         with mock.patch.object(retrieval, "BLOCK_BYTES", block_bytes):
@@ -712,7 +709,7 @@ class TestVectorRanking:
     ])
     def test_which_inputs_take_plane_blocks(self, kind, planes, monkeypatch):
         queries, gallery = vector_case(9, kind, 40, 300, 64, 60)
-        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         calls = self.plane_blocks(monkeypatch)
         report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                           gallery.labels)
@@ -728,25 +725,10 @@ class TestVectorRanking:
         assert retrieval._first_copies(rows).tolist() == [0, 1, 0, 3, 4, 5, 5, 4]
         gallery = EmbeddingSet(np.arange(8), [0, 1, 1, 0, 1, 0, 1, 0], rows)
         queries = EmbeddingSet(np.arange(3), [0, 1, 0], [[0.0, 0.0], [w[1], w[0]], [0.5, 0.5]])
-        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         assert same_report(
             evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels, gallery.labels),
             evaluate(matrix, queries.labels, gallery.labels))
-
-    def test_a_started_iterator_is_scored_from_its_blocks(self, monkeypatch):
-        monkeypatch.setattr(retrieval, "BLOCK_BYTES", 1)  # one row per block
-        queries, gallery = vector_case(4, "normal", 6, 50, 3, 4)
-        matrix = stacked(pairwise_sq_euclidean(queries, gallery))
-        pairs = pairwise_sq_euclidean(queries, gallery)
-        next(pairs)
-        with pytest.raises(InvalidDimension, match="hold 5 rows for 6 queries"):
-            evaluate(pairs, queries.labels, gallery.labels)
-        pairs = pairwise_sq_euclidean(queries, gallery)
-        next(pairs)
-        calls = self.plane_blocks(monkeypatch)
-        rest = evaluate(pairs, queries.labels[1:], gallery.labels)
-        assert calls == [1] * 5
-        assert same_report(rest, evaluate(matrix[1:], queries.labels[1:], gallery.labels))
 
 
 def row_loop_loader(path) -> EmbeddingSet:
@@ -940,3 +922,8 @@ class TestSerialization:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidDimension):
             EmbeddingSet(np.array([1, 1]), np.array([1, 2]), np.zeros((2, 3)))
+
+    def test_zero_wide_vectors_rejected(self):
+        # a file of them would say dim 0, which the loader refuses
+        with pytest.raises(InvalidDimension, match="at least one coordinate"):
+            EmbeddingSet(np.arange(2), [1, 2], np.empty((2, 0)))

@@ -126,9 +126,9 @@ class TestEntryPointsRestoreTheCaller:
         queries = EmbeddingSet(np.arange(4), [1, 2, 1, 2], rng.normal(size=(4, 3)))
         gallery = EmbeddingSet(np.arange(6), [1, 2] * 3, rng.normal(size=(6, 3)))
         seen = [(np.getbufsize(), np.geterr()["over"])
-                for _ in pairwise_sq_euclidean(queries, gallery)]
+                for _ in sq_euclidean_blocks(queries.vectors, gallery.vectors)]
         assert seen == [(CALLER_BUFFER, "raise")] * 4
-        abandoned = pairwise_sq_euclidean(queries, gallery)
+        abandoned = sq_euclidean_blocks(queries.vectors, gallery.vectors)
         next(abandoned)
         del abandoned
         assert np.getbufsize() == CALLER_BUFFER
