@@ -112,18 +112,20 @@ def cmd_gen_data(args) -> int:
     seed = args.seed if args.seed is not None else spec.seeds[0]
     if seed < 0:
         raise InvalidConfig(f"--seed must be >= 0, got {seed}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every dataset is built before --out is made, so a spec whose data
+    # cannot be generated leaves no directory behind
     memo = RunMemo()
     real, _ = build_datasets(spec, seed, 0, memo)
+    generated = {count: build_datasets(spec, seed, count, memo)[1] for count in spec.counts}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     real_path = out / f"real_seed{seed}.txt"
     save_dataset(real, real_path)
     _say(f"wrote {real_path}")
-    for count in spec.counts:
-        _, generated = build_datasets(spec, seed, count, memo)
-        if generated is not None:
+    for count, dataset in generated.items():
+        if dataset is not None:
             gen_path = out / f"generated_n{count}_seed{seed}.txt"
-            save_dataset(generated, gen_path)
+            save_dataset(dataset, gen_path)
             _say(f"wrote {gen_path}")
     return EXIT_OK
 

@@ -224,15 +224,21 @@ class PairwiseDistances:
     queries: np.ndarray
     gallery: np.ndarray
 
+    def __post_init__(self):
+        """Sets that are not (n, d) matrices of one width d raise
+        InvalidDimension."""
+        if np.ndim(self.queries) != 2 or np.ndim(self.gallery) != 2:
+            raise InvalidDimension(f"vector sets must be 2-d, got {np.ndim(self.queries)}-d "
+                                   f"queries and {np.ndim(self.gallery)}-d gallery")
+        q_dim, g_dim = np.shape(self.queries)[1], np.shape(self.gallery)[1]
+        if q_dim != g_dim:
+            raise InvalidDimension(f"query dim {q_dim} differs from gallery dim {g_dim}")
+
 
 def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> PairwiseDistances:
     """D[i][j] = squared Euclidean distance between query i and gallery j,
     as the two vector sets, for :func:`evaluate` to rank without building
     the matrix.  A dimension mismatch raises here, before any distance."""
-    if queries.dim != gallery.dim:
-        raise InvalidDimension(
-            f"query dim {queries.dim} differs from gallery dim {gallery.dim}"
-        )
     return PairwiseDistances(queries.vectors, gallery.vectors)
 
 

@@ -167,6 +167,11 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
     host one, the means form a randomly rotated regular simplex, whose
     symmetric geometry keeps class mixtures nearer their sources than any
     third class; otherwise means fall back to box rejection sampling.
+
+    The features are one standard normal (K * n_per_class, dim) draw,
+    scaled by ``cluster_spread`` and shifted by each class's mean in
+    place, so building them holds no second array of their size.  The
+    draw consumes the stream as one draw per class, in class order, does.
     """
     check_real_params(n_classes, n_per_class, dim, cluster_spread)
     rng = np.random.default_rng(seed)
@@ -180,9 +185,10 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
     if np.sqrt(_least_sq_separation(means)) < MIN_SEPARATION_FACTOR * cluster_spread:
         raise GenerationFailure("class mean separation guarantee violated")
 
-    # one draw per class, in class order
-    draws = np.concatenate([rng.standard_normal((n_per_class, dim)) for _ in range(n_classes)])
-    features = np.repeat(means, n_per_class, axis=0) + cluster_spread * draws
+    features = rng.standard_normal((n_classes * n_per_class, dim))
+    features *= cluster_spread
+    by_class = features.reshape(n_classes, n_per_class, dim)
+    by_class += means[:, None, :]
     n_train = n_per_class // 2
     tags = ["train"] * n_train + ["query"] + ["gallery"] * (n_per_class - n_train - 1)
     return Dataset(np.arange(n_classes * n_per_class), features,

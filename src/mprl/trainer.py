@@ -262,6 +262,19 @@ def _check_datasets(real: Dataset, generated: Dataset | None) -> None:
 STACK_BYTES = 256 * 1024
 
 
+# the byte budget of one block of logits in a pass that scores a whole
+# split or the whole generated set (about 350 rows at K = 751): such a
+# pass holds blocks of its (rows, width) matrices, never the whole
+PASS_BYTES = 2 * 1024 * 1024
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Slices of consecutive rows of an (n_rows, width) float64 pass, each
+    within :data:`PASS_BYTES` (at least one row)."""
+    step = max(1, PASS_BYTES // (8 * width))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
 def _head_width(strategy: Strategy, n_classes: int) -> int:
     return n_classes + 1 if strategy is Strategy.ALL_IN_ONE else n_classes
 
@@ -559,10 +572,20 @@ def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch,
 
 def _accuracy(params, feats, classes, n_classes) -> float:
     """Eval-mode accuracy on the pre-defined classes (the extra head
-    column, when present, is excluded so strategies stay comparable)."""
-    logits, _, _ = forward(params, feats)
-    predicted = np.argmax(logits[:, :n_classes], axis=1) + 1
-    return float(np.mean(predicted == classes))
+    column, when present, is excluded so strategies stay comparable).
+
+    The rows are scored one :func:`_row_blocks` block at a time, so the
+    pass holds one block of logits, and the hits are counted as an
+    integer: ``hits / rows`` is ``np.mean`` of the hit mask exactly.  A
+    block's logits can differ from the whole split's in the last bits
+    (BLAS takes another path for fewer rows), so a row whose top two
+    logits tie within rounding could change its argmax."""
+    hits = 0
+    for rows in _row_blocks(len(feats), params.biases[-1].shape[-1]):
+        # the block's logits and activations end with its argmax
+        predicted = np.argmax(forward(params, feats[rows])[0][:, :n_classes], axis=1) + 1
+        hits += int(np.count_nonzero(predicted == classes[rows]))
+    return hits / len(feats)
 
 
 @small_ufunc_buffer()
@@ -572,9 +595,17 @@ def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndar
     The pretrained model (typically a baseline run over the real data)
     scores each generated sample once; row i of the (n_generated, K)
     result, smprl's :func:`virtual_labels` of those logits, is generated
-    row i's label and never changes afterwards.
+    row i's label and never changes afterwards.  The logits come from one
+    forward pass over every generated row; their labels are written into
+    the result one :func:`_row_blocks` block at a time, so the rank
+    sort's (n_generated, K) temporaries are never whole.  Ranks are per
+    row, so the rows equal those of one call on every row.
     """
-    return virtual_labels(Strategy.SMPRL, forward(pretrained, generated.features)[0])
+    logits = forward(pretrained, generated.features)[0]
+    labels = np.empty(logits.shape)
+    for rows in _row_blocks(*logits.shape):
+        labels[rows] = virtual_labels(Strategy.SMPRL, logits[rows])
+    return labels
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:

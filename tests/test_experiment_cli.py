@@ -809,6 +809,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "allocate" in err[0]
 
+    def test_gen_data_that_cannot_be_generated_leaves_no_directory(self, tmp_path, capsys):
+        spec = tmp_path / "huge.txt"
+        spec.write_text("n_classes = 3\ndim = 4\nn_per_class = 1000000000000000\n"
+                        "strategies = baseline\ncounts = 0, 6\nseeds = 1\n")
+        out = tmp_path / "data" / "seed1"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "allocate" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_a_memory_error_without_a_message_is_named(self, capsys, monkeypatch):
         def no_memory(**kwargs):
             raise MemoryError

@@ -564,6 +564,16 @@ class TestStreamedEvaluate:
             evaluate(distances, q_labels, g_labels)
         assert calls == []
 
+    @pytest.mark.parametrize("queries, gallery, message", [
+        (np.ones(3), np.ones((3, 2)), "must be 2-d, got 1-d queries and 2-d gallery"),
+        (np.ones((3, 2)), np.ones((1, 3, 2)), "must be 2-d, got 2-d queries and 3-d gallery"),
+        (np.ones((3, 2)), np.ones((3, 3)), "query dim 2 differs from gallery dim 3")],
+        ids=["1-d_queries", "3-d_gallery", "widths_differ"])
+    def test_vector_sets_that_are_not_matrices_of_one_width_are_refused(self, queries,
+                                                                        gallery, message):
+        with pytest.raises(InvalidDimension, match=message):
+            evaluate(PairwiseDistances(queries, gallery), [1, 2, 1], [1, 2, 1])
+
     @staticmethod
     def large_sets(identical_rows=False):
         """2000 queries and 8000 gallery items of 1000 classes in 2-d; with

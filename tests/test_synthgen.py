@@ -101,6 +101,33 @@ class TestMakeRealDataset:
         b = make_real_dataset(2, 4, 2, 0.5, seed=2)
         assert not np.array_equal(a.features[0], b.features[0])
 
+    @pytest.mark.parametrize("n_classes, n_per_class, dim, spread", [
+        (8, 50, 16, 1.0), (5, 7, 5, 0.37), (20, 6, 4, 0.4), (751, 10, 64, 1.0)],
+        ids=["simplex", "simplex_k_equals_dim", "rejection", "rejection_k_751"])
+    def test_features_equal_one_draw_per_class(self, n_classes, n_per_class, dim, spread):
+        rng = np.random.default_rng((9, 1))
+        separation = synthgen.MEAN_SEPARATION_FACTOR * spread
+        means = (synthgen._simplex_means(n_classes, dim, max(1.0, separation), rng)
+                 if n_classes <= dim else _place_class_means(n_classes, dim, separation, rng))
+        draws = np.concatenate([rng.standard_normal((n_per_class, dim))
+                                for _ in range(n_classes)])
+        expected = np.repeat(means, n_per_class, axis=0) + spread * draws
+        ds = make_real_dataset(n_classes, n_per_class, dim, spread, seed=(9, 1))
+        assert ds.features.tobytes() == expected.tobytes()
+
+    def test_holds_one_feature_matrix_at_k_751(self):
+        make_real_dataset(8, 4, 16, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            ds = make_real_dataset(751, 10, 64, 1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the features (3.8 MB), the means (0.4 MB) and the small columns;
+        # per-class draws, their concatenation, the repeated means and the
+        # sum took about three feature matrices
+        assert peak < 1.5 * ds.features.nbytes
+
     def test_zero_spread_collapses_to_means(self):
         ds = make_real_dataset(3, 5, 4, cluster_spread=0.0, seed=7)
         for c in range(1, 4):

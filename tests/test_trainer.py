@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 
 import mprl.trainer as trainer_module
 from mprl.errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
-from mprl.labels import mprl_rows
+from mprl.labels import mprl_rows, virtual_labels
 from mprl.losses import GradientMode
 from mprl.net import forward, init_params
-from mprl.synthgen import make_generated_dataset, make_real_dataset
+from mprl.synthgen import Dataset, make_generated_dataset, make_real_dataset
 from mprl.trainer import (
     STACK_BYTES,
     Cohort,
@@ -242,6 +243,85 @@ class TestStaticLabels:
         before = static.tobytes()
         train(real, generated, cfg, static_labels=static)
         assert static.tobytes() == before
+
+
+class TestWholePasses:
+    """The passes that score every real train row (``train_acc``) or every
+    generated row (static labels) hold blocks of their (rows, K) matrices.
+
+    A K = 200 toy whose block budget is patched to 48 KiB, 30 rows of
+    logits: the 2000 train rows and 2000 generated rows take 67 blocks,
+    the last one ragged."""
+
+    K = 200
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        real = make_real_dataset(self.K, 20, 6, cluster_spread=0.1, seed=3)
+        rng = np.random.default_rng(4)
+        n = 2000
+        generated = Dataset(np.arange(10**6, 10**6 + n), rng.normal(size=(n, 6)),
+                            np.full(n, -1), np.full(n, "train"), self.K)
+        return real, generated
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(trainer_module, "PASS_BYTES", 48 * 1024)
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        call()  # warm-up: first-call allocations are not the pass's own
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def wide_config(strategy, epochs=1):
+        return quick_config(strategy, epochs=epochs, batch_size=64, hidden_sizes=(8,),
+                            lr_initial=0.3, lr_after_decay=0.03, decay_epoch=1)
+
+    def test_train_holds_no_whole_logits(self, wide):
+        real, _ = wide
+        rows = len(real.split("train"))
+        whole = rows * self.K * 8  # the split's logits, 3.2 MB
+        peak = self.traced_peak(lambda: train(real, None, self.wide_config(Strategy.BASELINE)))
+        assert peak < whole / 2
+
+    def test_static_labels_hold_the_logits_and_the_result_alone(self, wide):
+        real, generated = wide
+        params = init_params((real.feature_dim, 8, self.K), seed=5)
+        whole = len(generated) * self.K * 8
+        peak = self.traced_peak(lambda: assign_static_labels(params, generated))
+        # the logits and the result, plus blocks; one rank sort of every
+        # row would hold about four more whole matrices
+        assert peak < 2.5 * whole
+
+    def test_static_labels_equal_one_call_on_every_row(self, wide):
+        real, generated = wide
+        params = init_params((real.feature_dim, 8, self.K), seed=5)
+        expected = virtual_labels(Strategy.SMPRL, forward(params, generated.features)[0])
+        assert assign_static_labels(params, generated).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("strategy", [Strategy.BASELINE, Strategy.ALL_IN_ONE])
+    def test_train_acc_equals_one_call_on_every_row(self, wide, strategy):
+        real, generated = wide
+        train_rows = real.split("train")
+        seen = []
+
+        def one_call(record, params):
+            # all-in-one's extra head column is out of the argmax
+            logits, _, _ = forward(params, train_rows.features)
+            predicted = np.argmax(logits[:, :self.K], axis=1) + 1
+            seen.append((record.train_acc, float(np.mean(predicted == train_rows.classes))))
+
+        train(real, generated if strategy is Strategy.ALL_IN_ONE else None,
+              self.wide_config(strategy, epochs=2), on_epoch=one_call)
+        assert len(seen) == 2
+        for blocked, whole in seen:
+            assert blocked == whole and 0 < blocked < 1
 
 
 class TestTrajectories:
