@@ -37,16 +37,19 @@ Within a memo the cells of a seed share what they would otherwise each
 build: the real dataset, each count's generated dataset (read-only), the
 baseline model that labels an smprl cell's generated rows, which is the
 baseline cell's when it has already run there and is pretrained once
-otherwise, and the epoch orders and dropout masks.  An order depends
-only on (seed, epoch, pool size) and a mask only on (seed, epoch, batch,
-rows), never on the strategy, so each is drawn once per seed and
+otherwise, and the dropout masks.  A mask depends only on (seed, epoch,
+batch, rows), never on the strategy, so each is drawn once per seed and
 replayed by the seed's later cells (see :class:`mprl.trainer.SeedDraws`).
-A seed's cells that share a count and a head width, the baseline
-excepted, train as one :class:`mprl.trainer.Cohort`, up to
-:func:`mprl.trainer.stack_limit` cells each: the first of them trains
-every member in lockstep, and each later one takes the result the memo
-holds for it.  Its ``wall_seconds`` then holds the cohort's training,
-and a later member's only its own evaluation.
+A seed's cells that share a count, a head width and a gradient rule
+(:func:`mprl.trainer.lockstep_key`), the baseline excepted, train as one
+:class:`mprl.trainer.Cohort`, up to :func:`mprl.trainer.stack_limit`
+cells each.  The cells of a cohort differ only in their generated rows'
+labels and the settings a member holds as its own
+(:data:`mprl.trainer.MEMBER_SETTINGS`), and the cohort draws each
+epoch's visit order once for all of them.  The first cell of a cohort
+trains every member in lockstep, and each later one takes the result
+the memo holds for it.  Its ``wall_seconds`` then holds the cohort's
+training, and a later member's only its own evaluation.
 Nothing is shared across seeds or across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
@@ -223,9 +226,9 @@ class RunMemo:
     """What the cells of one seed share within one run (a
     :func:`run_experiment` call or a ``gen-data`` call): the real
     dataset, each count's generated dataset, the baseline model that
-    labels an smprl cell's generated rows, the seed's epoch orders and
-    dropout masks, and its cohorts (:attr:`cohorts`, each cell that has
-    yet to take its result mapped to its :class:`mprl.trainer.Cohort`).
+    labels an smprl cell's generated rows, the seed's dropout masks, and
+    its cohorts (:attr:`cohorts`, each cell that has yet to take its
+    result mapped to its :class:`mprl.trainer.Cohort`).
     Cells run seed-major, so it holds one seed at a time.  Every array it
     holds is read-only."""
 
@@ -352,8 +355,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> 
     The cell trains in its cohort (see :func:`_cohort_of`): the first
     cell of a cohort trains every member, and each later member takes the
     result the memo holds for it, which equals a training of its own bit
-    for bit.  Every training of the seed replays the memo's epoch orders
-    and dropout masks.
+    for bit.  Every training of the seed replays the memo's dropout masks.
     """
     start = time.perf_counter()
     real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)

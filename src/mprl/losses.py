@@ -140,12 +140,12 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     ``top`` its (B,) row maxima;
     ``rows`` and ``cls`` are the one-hot rows and their classes, ``dense``
     the weighted rows and ``weights`` their weights, or None to leave
-    them unscored.  ``diagonal`` is one flag for every weighted row or a
-    boolean per weighted row.  Returns the one-hot rows' values (None
-    without one-hot rows) and the weighted rows' values (None without
-    weights); with ``gradients`` also the (B, width) softmax buffer
-    holding each one-hot row's gradient, and the weighted rows' gradients
-    (None without weights).  Rows never mix, so a row's results do not
+    them unscored; ``diagonal`` gives every weighted row the diagonal
+    gradient.  Returns the one-hot rows' values (None without one-hot
+    rows) and the weighted rows' values (None without weights); with
+    ``gradients`` also the (B, width) softmax buffer holding each one-hot
+    row's gradient, and the weighted rows' gradients (None without
+    weights).  Rows never mix, so a row's results do not
     depend on the rows scored beside it, nor on the layout of ``weights``:
     a row is summed in its class order.  Up to the values, a call holds
     two (B, width) buffers beside ``x``, z = x - top and exp(z), and the
@@ -197,13 +197,10 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     dense_grads = None
     if weights is not None:
         p_dense = p if every else p.take(dense, 0)
-        per_row = isinstance(diagonal, np.ndarray)
-        if not per_row and diagonal:
+        if diagonal:
             dense_grads = -weights * (1.0 - p_dense)
         else:
             dense_grads = weights.sum(1)[:, None] * p_dense - weights
-            if per_row and diagonal.any():
-                dense_grads[diagonal] = -weights[diagonal] * (1.0 - p_dense[diagonal])
     if at_class is not None:
         p.ravel()[at_class] -= 1.0
     return v_rows, v_dense, p, dense_grads
@@ -278,7 +275,7 @@ class CombinedLoss:
     grad_logits: np.ndarray
 
 
-def combined_loss(logits, classes, gen_weights, gen_weight, diagonal=False,
+def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = False,
                   members: int | None = None) -> CombinedLoss:
     """Mini-batch loss of a (B, width) logit matrix against its rows' labels.
 
@@ -298,21 +295,20 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal=False,
     ``members`` = S scores the batches of S models at once, as stacked
     by :mod:`mprl.net`: ``logits`` is (S·B, width), member s's batch in
     rows s·B to (s+1)·B, and ``classes`` (B,) is every member's.
-    ``gen_weights``, ``gen_weight`` and ``diagonal`` then hold one entry
-    per member.  Each member's means run over its own rows only, and its
-    losses and gradient rows equal a call on its batch alone bit for
-    bit.  Non-finite logits or weights anywhere in the stack raise.
+    ``gen_weights`` and ``gen_weight`` then hold one entry per member,
+    and ``diagonal`` holds for all of them.  Each member's means run over
+    its own rows only, and its losses and gradient rows equal a call on
+    its batch alone bit for bit.  Non-finite logits or weights anywhere in the stack raise.
     """
     if members is None:
-        out = combined_loss(logits, classes, [gen_weights], [gen_weight], [diagonal], members=1)
+        out = combined_loss(logits, classes, [gen_weights], [gen_weight], diagonal, members=1)
         return CombinedLoss(out.value[0], out.real_loss[0], out.gen_loss[0], out.n_real,
                             out.n_generated, out.grad_logits)
     x = np.asarray(logits, dtype=np.float64, order="C")
     if x.ndim != 2 or x.size == 0:
         raise InvalidDimension("batch must contain at least one item")
-    if not members == len(gen_weights) == len(gen_weight) == len(diagonal):
-        raise InvalidDimension(f"need gen_weights, gen_weight and diagonal for each of "
-                               f"{members} members")
+    if not members == len(gen_weights) == len(gen_weight):
+        raise InvalidDimension(f"need gen_weights and gen_weight for each of {members} members")
     n, width = len(x) // members, x.shape[1]
     if n * members != len(x):
         raise InvalidDimension(f"{len(x)} logit rows do not split into {members} batches")
@@ -322,7 +318,7 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal=False,
     weights = [None if w is None else _weight_rows(w, n_generated, width) for w in gen_weights]
     scored = [s for s, w in enumerate(weights) if w is not None]
     if members == 1:  # a lone batch: no stack to lay out
-        w, dense, diag = weights[0], gen, bool(diagonal[0])
+        w, dense = weights[0], gen
         idle = gen if w is None else gen[:0]
     else:
         offsets = np.arange(0, len(x), n)[:, None]
@@ -331,18 +327,14 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal=False,
         at = offsets + gen  # each member's generated rows
         dense = at[scored].ravel()
         idle = at[[s for s in range(members) if s not in scored]].ravel()  # left unscored
-        w = diag = None
-        if scored:
-            w = np.concatenate([weights[s] for s in scored])
-            flags = [bool(diagonal[s]) for s in scored]
-            diag = flags[0] if len(set(flags)) == 1 else np.repeat(flags, n_generated)
+        w = np.concatenate([weights[s] for s in scored]) if scored else None
     top = x.max(1)
     # a NaN or +inf shows in the row maxima, a -inf only in the minimum
     if not (math.isfinite(top.max()) and math.isfinite(x.min())
             and (w is None or math.isfinite(w.min()) and math.isfinite(w.max()))):
         raise InvalidDimension("logits and weights must be finite")
 
-    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, dense, w, diag)
+    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, dense, w, diagonal)
     # per-row scaling in place on the (S·B, width) buffer; the generated
     # rows it scales are overwritten below
     if n_real:

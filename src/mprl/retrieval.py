@@ -117,6 +117,15 @@ def small_ufunc_buffer():
         np.setbufsize(caller)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64, without a copy when they are already; values
+    of a non-integer type raise, where a cast would truncate them."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidDimension(f"{what} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class EmbeddingSet:
     ids: np.ndarray
@@ -124,8 +133,8 @@ class EmbeddingSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.ids = _integers(self.ids, "embedding ids")
+        self.labels = _integers(self.labels, "embedding labels")
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         n = self.ids.size
         if self.labels.size != n or self.vectors.ndim != 2 or self.vectors.shape[0] != n:
@@ -265,24 +274,17 @@ def _chunk_ends(weights: np.ndarray, limit: int, max_rows: int) -> list[int]:
 
 def _first_copies(vectors: np.ndarray) -> np.ndarray:
     """For each row, the lowest index of the rows equal to it (its own
-    index when none is, or when equal weighted sums of different rows hide
-    it), in a few passes of one column each."""
-    n, d = vectors.shape
-    # identical rows get identical weighted sums, added in one order
-    weights = np.modf(np.arange(1, d + 1) * 0.6180339887498949)[0] + 0.5
-    digest = np.zeros(n)
-    for k in range(d):
-        digest += vectors[:, k] * weights[k]
-    order = np.argsort(digest, kind="stable")
-    fresh = np.ones(n, dtype=bool)
-    fresh[1:] = digest[order[1:]] != digest[order[:-1]]
-    first = order[np.maximum.accumulate(np.where(fresh, np.arange(n), 0))]
-    # equal digests of different rows: each such row stands alone
-    same = np.ones(n, dtype=bool)
-    for k in range(d):
-        same &= vectors[order, k] == vectors[first, k]
-    copies = np.arange(n)
-    copies[order[same]] = first[same]
+    index when none is; -0.0 equals 0.0), in passes of one column each:
+    ``np.unique`` over the rows' bytes would hold several copies of them."""
+    n = len(vectors)
+    # lexicographic order, stable: equal rows sit together, in index order
+    order = np.lexsort(vectors.T)
+    fresh = np.arange(n) == 0  # where a row differs from the one before it
+    for column in vectors.T:
+        values = column[order]
+        fresh[1:] |= values[1:] != values[:-1]
+    copies = np.empty_like(order)
+    copies[order] = order[np.maximum.accumulate(np.where(fresh, np.arange(n), 0))]
     return copies
 
 
@@ -553,15 +555,16 @@ def evaluate(distances, query_labels, gallery_labels) -> EvalReport:
     ``distances`` is the (n_q, n_g) matrix, or a :class:`PairwiseDistances`
     (:func:`pairwise_sq_euclidean`), which is ranked from its two vector
     sets one block of query rows at a time, with the report of the matrix
-    of its plane distances.  Both label arrays must be 1-d, there must be
-    at least one query, every query class must occur in the gallery and
-    the input must match the label counts, all checked before any distance
-    is computed; every distance must be finite.  AP per query is the mean
+    of its plane distances.  Both label arrays must be 1-d and of an
+    integer type, there must be at least one query, every query class
+    must occur in the gallery and the input must match the label counts,
+    all checked before any distance is computed; every distance must be
+    finite.  AP per query is the mean
     of (number of relevant items in the top r) / r over the ranks r where
     a relevant item sits.
     """
-    q_labels = np.asarray(query_labels, dtype=np.int64)
-    g_labels = np.asarray(gallery_labels, dtype=np.int64)
+    q_labels = _integers(query_labels, "query labels")
+    g_labels = _integers(gallery_labels, "gallery labels")
     if q_labels.ndim != 1 or g_labels.ndim != 1:
         raise InvalidDimension(f"labels must be 1-d, got {q_labels.ndim}-d query and "
                                f"{g_labels.ndim}-d gallery labels")

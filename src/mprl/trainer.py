@@ -25,35 +25,35 @@ model never produces an invalid label): the trainer builds no label row,
 not even a real row's one-hot, and adds only smprl's frozen rows,
 dmprl1's random first batch and dmprl2's warm-up gate, which opens at
 1-based ``epoch >= warmup_epoch`` and leaves the rows unscored (``None``)
-before.  The call also takes the two numbers :func:`train` resolves once
-per run: the config's ``gen_weight`` and whether the generated rows get
-the diagonal gradient (``gradient_mode`` diagonal, rank-weighted
-strategies only).
+before.  The call also takes the two values :func:`train` resolves once
+per run: the config's ``gen_weight`` and its gradient rule
+(:meth:`TrainConfig.diagonal`).
 
 An epoch's visit order depends on nothing but (seed, epoch, pool size)
 and a dropout mask on nothing but (seed, epoch, batch, rows): the
 strategy never reaches them, so every cell of one seed with the same
 pool visits in the same order under the same masks.  :class:`SeedDraws`
-draws each order and each mask once and replays it; a grid run shares
-one store per seed across its cells (see :mod:`mprl.experiment`), and a
-:func:`train` call without one keeps a private store, which draws
-exactly what it needs.
+draws each mask once and replays it; a grid run shares one store per
+seed across its cells (see :mod:`mprl.experiment`), and a :func:`train`
+call without one keeps a private store, which draws exactly what it
+needs.  Orders are not stored: a cohort draws each epoch's order once,
+for all its members.
 
 The initial parameters, too, depend only on the seed and the layer
-sizes, so trainings of one seed and pool that share every setting in
-:func:`lockstep_key` differ only in their generated rows' labels, the
-weight of those rows and their gradient mode.  Such trainings run in
-lockstep as a :class:`Cohort`: their parameters are one
-(S, n_params) stack (see :mod:`mprl.net`), and each batch is one
-forward, one :func:`combined_loss` call on the (S·B, width) stacked
-logits (each member reduced over its own rows), one backward and one
-momentum step for all S of them.  Each member's result equals its own
-:func:`train` call bit for bit.  When a batch fails, a cohort of several
-trains each member again as a cohort of one, so each ends with the
-result or the error of its own call.  :data:`STACK_BYTES` bounds the
-stacked logits, which caps a cohort's size (:func:`stack_limit`).  There
-is one training loop: a :func:`train` call without a cohort trains a
-cohort of one, a stack with S = 1.
+sizes, so trainings of one seed and pool that share :func:`lockstep_key`
+(every setting but the :data:`MEMBER_SETTINGS`, and the gradient rule)
+differ only in their generated rows' labels, their weight and dmprl2's
+warm-up gate.  Such trainings run in lockstep as a :class:`Cohort`:
+their parameters are one (S, n_params) stack (see :mod:`mprl.net`), and
+each batch is one forward, one :func:`combined_loss` call on the
+(S·B, width) stacked logits (each member reduced over its own rows), one
+backward and one momentum step for all S of them.  Each member's result
+equals its own :func:`train` call bit for bit.  When a batch fails, a
+cohort of several trains each member again as a cohort of one, so each
+ends with the result or the error of its own call.  :data:`STACK_BYTES`
+bounds the stacked logits, which caps a cohort's size
+(:func:`stack_limit`).  There is one training loop: a :func:`train` call
+without a cohort trains a cohort of one, a stack with S = 1.
 
 :func:`train` and :func:`assign_static_labels` run under
 :func:`mprl.retrieval.small_ufunc_buffer`: numpy copies a broadcast
@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +121,11 @@ class TrainSettings:
     init_scale: float = 1.0
 
 
+# the settings a cohort member holds for its own generated rows; a cohort's
+# members share every other setting (see lockstep_key)
+MEMBER_SETTINGS = frozenset({"gen_weight", "warmup_epoch", "gradient_mode"})
+
+
 @dataclass(frozen=True)
 class TrainConfig(TrainSettings):
     strategy: Strategy
@@ -130,6 +135,10 @@ class TrainConfig(TrainSettings):
         if self.gen_weight is not None:
             return self.gen_weight
         return 0.1 if self.strategy is Strategy.DMPRL2 else 1.0
+
+    def diagonal(self) -> bool:
+        """The gradient rule: diagonal mode reaches rank-weighted labels only."""
+        return self.gradient_mode is GradientMode.DIAGONAL and self.strategy in RANK_WEIGHTED
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -198,34 +207,20 @@ def draw_keep_mask(seed: int, epoch: int, batch_idx: int, shape: tuple[int, int]
 
 
 class SeedDraws:
-    """The draws of training that depend on the seed alone, each drawn once
-    and then replayed: every epoch's visit order and every batch's
-    dropout keep mask.
+    """The dropout keep masks of training, which depend on the seed alone,
+    each drawn once and then replayed.
 
-    An order is keyed by (seed, epoch, pool size) and held read-only in
-    :attr:`orders`, as :func:`epoch_shuffle_order` draws it.  A mask is
-    keyed by everything it depends on: (seed, epoch, batch, shape,
-    rate).  It is held flat and packed (``np.packbits``, one bit per
-    unit, read-only) in :attr:`packed`; :meth:`keep` unpacks a fresh
+    A mask is keyed by everything it depends on: (seed, epoch, batch,
+    shape, rate).  It is held flat and packed (``np.packbits``, one bit
+    per unit, read-only) in :attr:`packed`; :meth:`keep` unpacks a fresh
     float copy with inverted scaling, bit-equal to dividing the boolean
     draw by ``1 - rate``.  A seed of the desk grid of ``benchmark.spec``
-    holds about 61 KB of mask bits and 100 orders (0.32 MB), a seed of a
-    K = 751 grid about 0.46 MB of bits and 20 orders (0.76 MB).
+    holds about 61 KB of mask bits, a seed of a K = 751 grid about
+    0.46 MB.
     """
 
     def __init__(self):
-        self.orders: dict[tuple, np.ndarray] = {}
         self.packed: dict[tuple, np.ndarray] = {}
-
-    def order(self, seed: int, epoch: int, n: int) -> np.ndarray:
-        """The read-only visit order of ``epoch`` over a pool of ``n`` rows."""
-        key = (seed, epoch, n)
-        order = self.orders.get(key)
-        if order is None:
-            order = epoch_shuffle_order(seed, epoch, n)
-            order.flags.writeable = False
-            self.orders[key] = order
-        return order
 
     def keep(self, seed: int, epoch: int, batch_idx: int, shape: tuple[int, int],
              rate: float) -> np.ndarray:
@@ -280,13 +275,16 @@ def _head_width(strategy: Strategy, n_classes: int) -> int:
 
 
 def lockstep_key(cfg: TrainConfig) -> tuple:
-    """What the members of one cohort share: every setting that reaches a
-    trajectory before its generated rows are labelled.  The baseline's
-    pool leaves the generated rows out and all-in-one's head is one class
-    wider, so each of them trains only beside its own kind."""
-    return (cfg.seed, cfg.epochs, cfg.batch_size, cfg.lr_initial, cfg.lr_after_decay,
-            cfg.decay_epoch, cfg.momentum, cfg.dropout_rate, cfg.hidden_sizes, cfg.init_scale,
-            cfg.strategy is Strategy.BASELINE, cfg.strategy is Strategy.ALL_IN_ONE)
+    """What the members of one cohort share: the seed and every setting
+    but the :data:`MEMBER_SETTINGS`, so a setting added later splits
+    cohorts unless it is declared a member's own.  The baseline's pool
+    leaves the generated rows out and all-in-one's head is one class
+    wider, so each of them trains only beside its own kind, and a stack
+    has one gradient rule (:meth:`TrainConfig.diagonal`)."""
+    return (cfg.seed, *(getattr(cfg, f.name) for f in fields(TrainSettings)
+                        if f.name not in MEMBER_SETTINGS),
+            cfg.strategy is Strategy.BASELINE, cfg.strategy is Strategy.ALL_IN_ONE,
+            cfg.diagonal())
 
 
 def stack_limit(cfg: TrainConfig, n_classes: int) -> int:
@@ -317,15 +315,16 @@ class Cohort:
         first = next(iter(self.members), cfg)
         if lockstep_key(cfg) != lockstep_key(first):
             raise InvalidConfig(f"{cfg.strategy.value} cannot train in lockstep with "
-                                f"{first.strategy.value}: they differ in a shared setting")
+                                f"{first.strategy.value}: they differ in a shared setting "
+                                "or in the gradient rule")
         self.members[cfg] = static_labels
 
 
 class _Member:
     """One cohort member's own part of the lockstep loop: the labels of its
-    generated rows, their weight and gradient mode, its history, its
-    running sums of the epoch and its model at the end of the latest
-    epoch (a view of the stack)."""
+    generated rows and their weight, its history, its running sums of the
+    epoch and its model at the end of the latest epoch (a view of the
+    stack)."""
 
     def __init__(self, cfg: TrainConfig, real: Dataset, generated: Dataset | None,
                  static_labels, on_epoch):
@@ -341,9 +340,6 @@ class _Member:
                                        f"{real.n_classes}), got {static_labels.shape}")
         self.cfg = cfg
         self.gen_weight = cfg.resolved_gen_weight()
-        # the diagonal gradient mode belongs to rank-weighted labels only
-        self.diagonal = (cfg.gradient_mode is GradientMode.DIAGONAL
-                         and cfg.strategy in RANK_WEIGHTED)
         self.static_labels = static_labels
         self.first_iter_rng = np.random.default_rng((cfg.seed, _SEED_FIRST_ITER))
         self.history = TrainHistory()
@@ -392,7 +388,7 @@ def train(
     it, so a run with an observer equals one without bit for bit.
 
     ``draws`` is a store shared with other runs of the same seed (a
-    grid's cells); an order or a mask drawn there before is replayed, so a
+    grid's cells); a mask drawn there before is replayed, so a
     run with a shared store equals one with its own bit for bit.  By
     default the run keeps a private store.
 
@@ -439,13 +435,13 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws, seen=0) -
     """Train every member of a cohort in lockstep; return each member's
     params and history, or the error that failed it.
 
-    The members share one visit order, one dropout mask per batch and one
-    initial model, so their parameters are one (S, n_params) stack (see
-    :mod:`mprl.net`) and each batch is one forward, one
-    :func:`combined_loss`, one backward and one momentum step for all of
-    them.  Only the generated rows' labels, their weight and their
-    gradient mode are a member's own.  When a batch fails, a cohort of
-    several trains each member again as a cohort of one, so each ends
+    The members share one visit order, one dropout mask per batch, one
+    initial model and one gradient rule, so their parameters are one
+    (S, n_params) stack (see :mod:`mprl.net`) and each batch is one
+    forward, one :func:`combined_loss`, one backward and one momentum step
+    for all of them.  Only the generated rows' labels, their weight and
+    dmprl2's warm-up gate are a member's own.  When a batch fails, a
+    cohort of several trains each member again as a cohort of one, so each ends
     with the result or the error of its own training.  ``on_epoch``
     observes ``observed`` after each epoch but the first ``seen``.
     """
@@ -499,7 +495,7 @@ def _lockstep(real, generated, stack: list[_Member], draws, seen: int) -> MprlEr
     for epoch in range(1, lead.epochs + 1):
         lr = lead.lr_initial if epoch <= lead.decay_epoch else lead.lr_after_decay
         opt.learning_rate = lr
-        order = draws.order(lead.seed, epoch, len(pool_feats))
+        order = epoch_shuffle_order(lead.seed, epoch, len(pool_feats))
         # the epoch's classes in visit order; each batch reads its slice
         epoch_class = pool_class[order]
         epoch_gen = epoch_class < 0
@@ -553,9 +549,9 @@ def _lockstep(real, generated, stack: list[_Member], draws, seen: int) -> MprlEr
 
 def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx):
     """One training batch of every member of ``stack`` on their shared
-    features ``x`` under their shared dropout ``mask``: the stepped params
-    and the batch's :class:`CombinedLoss`.  The batch's temporaries end
-    with the call.
+    features ``x`` under their shared dropout ``mask`` and gradient rule:
+    the stepped params and the batch's :class:`CombinedLoss`.  The batch's
+    temporaries end with the call.
 
     ``positions`` are the generated rows' positions in the generated set
     (None without generated rows).
@@ -564,8 +560,8 @@ def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch,
     labels = [None] * len(stack) if positions is None else [
         m.labels(g, positions, epoch, batch_idx) for m, g in zip(stack, logits[:, gen])]
     out: CombinedLoss = combined_loss(logits.reshape(-1, logits.shape[-1]), classes, labels,
-                                      [m.gen_weight for m in stack],
-                                      [m.diagonal for m in stack], members=len(stack))
+                                      [m.gen_weight for m in stack], stack[0].cfg.diagonal(),
+                                      members=len(stack))
     grads = backward(params, cache, out.grad_logits.reshape(cache.logits.shape))
     return sgd_step(params, grads, opt), out
 
@@ -599,9 +595,14 @@ def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndar
     forward pass over every generated row; their labels are written into
     the result one :func:`_row_blocks` block at a time, so the rank
     sort's (n_generated, K) temporaries are never whole.  Ranks are per
-    row, so the rows equal those of one call on every row.
+    row, so the rows equal those of one call on every row.  Non-finite
+    logits (a diverged model) raise :class:`InvalidDimension`, as they
+    would rank to arbitrary labels.
     """
     logits = forward(pretrained, generated.features)[0]
+    # a NaN or +inf shows in the maximum, a -inf only in the minimum
+    if logits.size and not (math.isfinite(logits.max()) and math.isfinite(logits.min())):
+        raise InvalidDimension("the pretrained model's logits must be finite")
     labels = np.empty(logits.shape)
     for rows in _row_blocks(*logits.shape):
         labels[rows] = virtual_labels(Strategy.SMPRL, logits[rows])

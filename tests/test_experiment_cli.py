@@ -363,7 +363,7 @@ class TestRunMemo:
         assert sorted(draws) == sorted(expected)
         assert len(draws) < len(batches)
 
-    def test_each_epoch_order_is_drawn_once_per_run(self, tmp_path, monkeypatch):
+    def test_each_epoch_order_is_drawn_once_per_cohort(self, tmp_path, monkeypatch):
         draws = []
         original = trainer.epoch_shuffle_order
 
@@ -374,12 +374,14 @@ class TestRunMemo:
         monkeypatch.setattr(trainer, "epoch_shuffle_order", counting)
         spec = parse_spec_text(self.SPEC)
         run_experiment(spec, out_dir=tmp_path)
-        # every cell trains on the real rows alone (baseline, count 0) or
-        # with the 6 generated rows, and each cell's epochs are drawn once
+        # per seed three cohorts: the baseline, then lsro and smprl at count
+        # 0 (the real rows alone), then lsro and smprl at count 6 (6
+        # generated rows more); each draws its epochs once for all members
         real_train = spec.n_classes * (spec.n_per_class // 2)
-        expected = [(seed, epoch, n) for seed in spec.seeds
-                    for epoch in range(1, spec.epochs + 1) for n in (real_train, real_train + 6)]
-        assert sorted(draws) == sorted(expected)
+        expected = [(seed, epoch, n) for seed in spec.seeds for n in
+                    (real_train, real_train, real_train + 6)
+                    for epoch in range(1, spec.epochs + 1)]
+        assert draws == expected
 
     def test_masks_are_read_only_and_dropped_with_their_seed(self, tmp_path, monkeypatch):
         stores = []
@@ -396,9 +398,8 @@ class TestRunMemo:
         assert all(len(ids) == 1 for ids in by_seed.values())
         assert len(set.union(*by_seed.values())) == len(spec.seeds)
         for _, store in stores:
-            assert store.packed and store.orders
+            assert store.packed
             assert not any(bits.flags.writeable for bits in store.packed.values())
-            assert not any(order.flags.writeable for order in store.orders.values())
 
         memo = experiment.RunMemo()
         first = memo.at(spec, 1).draws
@@ -439,6 +440,22 @@ class TestCohorts:
             "counts = 6\nseeds = 1\nepochs = 2\nwarmup_epoch = 1\nhidden_sizes = 6\n")
         run_experiment(spec, out_dir=tmp_path)
         assert cohorts == expected
+
+    def test_the_gradient_rule_splits_cohorts(self, tmp_path, monkeypatch):
+        # under the diagonal mode smprl's rule is diagonal and LSRO's analytic
+        cohorts = self.record_cohorts(monkeypatch)
+        grid = (TINY_SPEC.replace("0, 6", "6").replace("1, 2", "1")
+                + "gradient_mode  = diagonal\n")
+        spec = parse_spec_text(grid.replace("baseline, lsro", "baseline, lsro, smprl"))
+        run_experiment(spec, out_dir=tmp_path / "grid")
+        assert cohorts == [["baseline"], ["lsro"], ["smprl"]]
+        for strategy in ("lsro", "smprl"):
+            run_experiment(parse_spec_text(grid.replace("baseline, lsro", f"baseline, {strategy}")),
+                           out_dir=tmp_path / strategy)
+            for artifact in ("report.json", "history.csv"):
+                cell = f"{strategy}_n6_seed1/{artifact}"
+                assert (tmp_path / "grid" / cell).read_bytes() == \
+                    (tmp_path / strategy / cell).read_bytes()
 
     def test_count_and_head_width_split_cohorts(self, tmp_path, monkeypatch):
         cohorts = self.record_cohorts(monkeypatch)

@@ -435,6 +435,27 @@ class TestEvaluate:
         with pytest.raises(InvalidDimension, match="labels must be 1-d"):
             evaluate(np.zeros((2, 2)), q_labels, g_labels)
 
+    @pytest.mark.parametrize("q_labels, g_labels", [([1.9], [1, 2]), ([1], [1.0, 2.0])])
+    def test_labels_that_are_not_integers_rejected(self, q_labels, g_labels):
+        # a cast would truncate 1.9 and score the query as class 1
+        with pytest.raises(InvalidDimension, match="labels must be integers"):
+            evaluate(np.zeros((1, 2)), q_labels, g_labels)
+
+    @pytest.mark.parametrize("ids, labels, match", [
+        ([0.1, 0.2], [1, 2], "ids must be integers"),
+        ([0, 1], [1.5, 2.0], "labels must be integers")])
+    def test_embedding_ids_and_labels_that_are_not_integers_rejected(self, ids, labels, match):
+        # a cast would truncate both ids to 0 and refuse them as repeated
+        with pytest.raises(InvalidDimension, match=match):
+            EmbeddingSet(ids, labels, [[0.0], [1.0]])
+
+    def test_int64_ids_and_labels_are_kept_without_a_copy(self):
+        ids, labels = np.arange(2), np.array([1, 2])
+        embeddings = EmbeddingSet(ids, labels, [[0.0], [1.0]])
+        assert embeddings.ids is ids and embeddings.labels is labels
+        assert EmbeddingSet(np.arange(2, dtype=np.uint8), [1, 2], [[0.0], [1.0]]).ids.dtype \
+            == np.int64
+
 
 def same_report(a: EvalReport, b: EvalReport) -> bool:
     return (np.float64(a.rank1).tobytes() == np.float64(b.rank1).tobytes()
@@ -726,13 +747,22 @@ class TestVectorRanking:
         assert bool(calls) == planes
         assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
 
+    @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_joins_the_first_row_equal_to_it(self, n, dim, seed):
+        # few distinct values, signed zeros among them, so most rows repeat
+        rows = np.random.default_rng(seed).choice([-0.0, 0.0, 1.0, -2.5], size=(n, dim))
+        expected = [next(j for j in range(n) if (rows[j] == rows[i]).all()) for i in range(n)]
+        assert retrieval._first_copies(rows).tolist() == expected
+
     def test_rows_share_a_group_only_when_equal(self):
-        # (w1, 0) and (0, w0) have the same weighted sum w0 * w1 but are
-        # different rows; -0.0 and 0.0 are equal
+        # (w1, 0) and (0, w0) are different rows with the same weighted sum
+        # w0 * w1; each row joins the group of the first row equal to it,
+        # and -0.0 and 0.0 are equal
         w = np.modf(np.arange(1, 3) * 0.6180339887498949)[0] + 0.5
         rows = np.array([[w[1], 0.0], [0.0, w[0]], [w[1], 0.0], [0.0, w[0]],
                          [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
-        assert retrieval._first_copies(rows).tolist() == [0, 1, 0, 3, 4, 5, 5, 4]
+        assert retrieval._first_copies(rows).tolist() == [0, 1, 0, 1, 4, 5, 5, 4]
         gallery = EmbeddingSet(np.arange(8), [0, 1, 1, 0, 1, 0, 1, 0], rows)
         queries = EmbeddingSet(np.arange(3), [0, 1, 0], [[0.0, 0.0], [w[1], w[0]], [0.5, 0.5]])
         matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))

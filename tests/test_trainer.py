@@ -4,6 +4,7 @@ import copy
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from mprl.trainer import (
     SeedDraws,
     Strategy,
     TrainConfig,
+    TrainSettings,
     assign_static_labels,
     epoch_shuffle_order,
     extract_embeddings,
+    lockstep_key,
     pretrain_baseline,
     stack_limit,
     train,
@@ -226,6 +229,17 @@ class TestStaticLabels:
         labels = assign_static_labels(flat, generated)
         for row in labels:
             np.testing.assert_allclose(row, np.full(k, 1 / k), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_model_with_non_finite_logits_is_refused(self, real, generated, bad):
+        # an all-NaN model ranked to one finite row for every generated sample
+        params = init_params((real.feature_dim, 5, real.n_classes), seed=0)
+        params.biases[-1][0] = bad
+        with pytest.raises(InvalidDimension, match="logits must be finite"):
+            assign_static_labels(params, generated)
+        params.flat[:] = math.nan
+        with pytest.raises(InvalidDimension, match="logits must be finite"):
+            assign_static_labels(params, generated)
 
     def test_nontrivial_model_gives_rank_scaled_weights(self, real, generated):
         params = pretrain_baseline(real, quick_config(Strategy.BASELINE, epochs=6))
@@ -481,7 +495,7 @@ class TestDropoutMasks:
 
 
 class TestEpochOrders:
-    def test_each_order_is_drawn_once_and_stored_read_only(self, monkeypatch):
+    def test_a_cohort_draws_each_epoch_order_once(self, real, generated, monkeypatch):
         draws = []
 
         def counting(*args):
@@ -489,17 +503,15 @@ class TestEpochOrders:
             return epoch_shuffle_order(*args)
 
         monkeypatch.setattr(trainer_module, "epoch_shuffle_order", counting)
-        store = SeedDraws()
-        keys = [(1, 1, 600), (1, 2, 600), (1, 1, 200), (2, 1, 600)]
-        for _ in range(3):
-            for key in keys:
-                order = store.order(*key)
-                assert order.tobytes() == epoch_shuffle_order(*key).tobytes()
-                assert not order.flags.writeable
-                with pytest.raises(ValueError):
-                    order[0] = 0
-        assert draws == keys
-        assert sorted(store.orders) == sorted(keys)
+        cfgs = [quick_config(s) for s in (Strategy.LSRO, Strategy.DMPRL1, Strategy.DMPRL2)]
+        cohort = Cohort()
+        for cfg in cfgs:
+            cohort.add(cfg)
+        for cfg in cfgs:
+            train(real, generated, cfg, cohort=cohort)
+        # once per epoch for all three members, not once per member
+        pool = len(real.split("train")) + len(generated)
+        assert draws == [(cfgs[0].seed, epoch, pool) for epoch in range(1, cfgs[0].epochs + 1)]
 
 
 class TestDivergence:
@@ -601,9 +613,10 @@ LOCKSTEP = [Strategy.ONE_HOT_PSEUDO, Strategy.LSRO, Strategy.SMPRL, Strategy.DMP
             Strategy.DMPRL2]
 
 
-def alone_and_together(real, generated, cfgs, static=None):
-    """Each config trained alone, and all of them as one cohort (in config
-    order); each smprl config gets ``static``."""
+def alone_and_together(real, generated, cfgs, static=None, cohorts=1):
+    """Each config trained alone, and all of them in ``cohorts`` cohorts,
+    one per :func:`lockstep_key` (each in config order); each smprl config
+    gets ``static``."""
     labels = {cfg: static if cfg.strategy is Strategy.SMPRL else None for cfg in cfgs}
     alone = []
     for cfg in cfgs:
@@ -611,13 +624,14 @@ def alone_and_together(real, generated, cfgs, static=None):
             alone.append(train(real, generated, cfg, static_labels=labels[cfg]))
         except MprlError as exc:
             alone.append(exc)
-    cohort = Cohort()
+    by_key = {}
     for cfg in cfgs:
-        cohort.add(cfg, labels[cfg])
+        by_key.setdefault(lockstep_key(cfg), Cohort()).add(cfg, labels[cfg])
+    assert len(by_key) == cohorts
     together = []
     for cfg in cfgs:
         try:
-            together.append(train(real, generated, cfg, cohort=cohort))
+            together.append(train(real, generated, cfg, cohort=by_key[lockstep_key(cfg)]))
         except MprlError as exc:
             together.append(exc)
     return alone, together
@@ -642,7 +656,10 @@ class TestCohort:
         cfgs = [quick_config(s, gradient_mode=mode, dropout_rate=dropout_rate)
                 for s in LOCKSTEP]
         static = assign_static_labels(pretrain_baseline(real, cfgs[0]), generated)
-        alone, together = alone_and_together(real, data, cfgs, static)
+        # under the diagonal mode the rank-weighted strategies train beside
+        # each other, and one-hot pseudo and LSRO (analytic) beside each other
+        alone, together = alone_and_together(real, data, cfgs, static,
+                                             cohorts=2 if mode is GradientMode.DIAGONAL else 1)
         assert_same_outcomes(alone, together)
         # the cases this covers: a short last batch, and with generated rows
         # dmprl1's random first ranks (its first batch holds generated rows)
@@ -661,6 +678,11 @@ class TestCohort:
     def test_all_in_one_and_baseline_cohorts(self, real, generated, strategy):
         # two configs of one strategy differ in gen_weight alone
         cfgs = [quick_config(strategy), quick_config(strategy, gen_weight=0.3)]
+        assert_same_outcomes(*alone_and_together(real, generated, cfgs))
+
+    def test_members_with_gates_of_their_own(self, real, generated):
+        # warmup_epoch is a member's own: each dmprl2 gate opens on its epoch
+        cfgs = [quick_config(Strategy.DMPRL2, warmup_epoch=w) for w in (1, 2, 3)]
         assert_same_outcomes(*alone_and_together(real, generated, cfgs))
 
     @pytest.mark.parametrize("strategies, gen_weights", [
@@ -798,6 +820,33 @@ class TestCohort:
             cohort.add(other)
         with pytest.raises(InvalidConfig, match="already"):
             cohort.add(quick_config(Strategy.DMPRL1))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainSettings)])
+    def test_a_member_differs_from_the_others_only_in_its_own_settings(self, name):
+        # another value than quick_config's for every setting: a setting
+        # added to TrainSettings needs one here, and splits cohorts unless
+        # it is declared in trainer.MEMBER_SETTINGS and here
+        other = {"epochs": 5, "batch_size": 9, "lr_initial": 0.06, "lr_after_decay": 0.004,
+                 "decay_epoch": 2, "momentum": 0.8, "gen_weight": 0.3, "warmup_epoch": 2,
+                 "gradient_mode": GradientMode.DIAGONAL, "dropout_rate": 0.5,
+                 "hidden_sizes": (8, 5), "init_scale": 0.5}[name]
+        first = quick_config(Strategy.LSRO)
+        assert getattr(first, name) != other
+        cohort = Cohort()
+        cohort.add(first)
+        if name in {"gen_weight", "warmup_epoch", "gradient_mode"}:
+            cohort.add(quick_config(Strategy.LSRO, **{name: other}))
+        else:
+            with pytest.raises(InvalidConfig, match="lockstep"):
+                cohort.add(quick_config(Strategy.LSRO, **{name: other}))
+
+    def test_the_gradient_rule_splits_rank_weighted_members(self):
+        cohort = Cohort()
+        # the mode reaches rank-weighted labels only: LSRO's rule is analytic
+        cohort.add(quick_config(Strategy.LSRO, gradient_mode=GradientMode.DIAGONAL))
+        cohort.add(quick_config(Strategy.SMPRL))
+        with pytest.raises(InvalidConfig, match="gradient rule"):
+            cohort.add(quick_config(Strategy.DMPRL1, gradient_mode=GradientMode.DIAGONAL))
 
     def test_the_stack_limit_keeps_the_logit_block_in_budget(self):
         # desk members take 4 KiB of logits each, K = 751 members 376 KiB
