@@ -43,6 +43,7 @@ from .losses import (
     real_ce_loss,
     weighted_ce,
     weighted_ce_values,
+    weighted_ce_values_by_label,
 )
 from .net import (
     ModelParams,

@@ -1,8 +1,10 @@
 """Central finite-difference verification of the analytic loss gradients.
 
 Each trial draws logits from Normal(0, 3), evaluates the analytic
-gradient of one loss, and compares it against central differences of the
-forward value.  The error metric per trial is
+gradients of the three checked losses (``CASES``: the real sample's
+cross-entropy, LSRO's and the rank-weighted one), and compares each
+against central differences of its forward value.  The error metric per
+trial is
 
     max_k |analytic_k - fd_k| / max(max_k |analytic_k|, max_k |fd_k|)
 
@@ -13,13 +15,18 @@ different formula, not a broken implementation.  A NaN or infinite
 error fails its case and prints as ``nan`` or ``inf``; a NaN divergence
 is kept as well.
 
-The 2K perturbed points of one central difference are evaluated as
-blocks of kernel rows, built in place in one buffer.  A block holds as
-many coordinates n as fit its (2n, K) points in ``FD_BLOCK_BYTES``:
-every coordinate in one call up to K = 135, and 24 at K = 751.
-The kernel's values-only pass holds two more buffers of a block's size,
-so the budget is set by peak memory, and fixed per-call costs fall with
-every coordinate a block gains.
+One sweep per trial serves all three cases: the 2K perturbed points of
+one central difference are evaluated as blocks of kernel rows, built in
+place in one buffer, and :func:`mprl.losses.weighted_ce_values_by_label`
+scores each block against the trial's one-hot, LSRO and rank-weighted
+labels at once, with one softmax per point.  A block holds as many
+coordinates n as fit its (2n, K) points in ``FD_BLOCK_BYTES``: every
+coordinate in one call up to K = 135, and 24 at K = 751, so 32 kernel
+calls per K = 751 trial.  A call holds two more buffers of a block's
+size, z = x - max and exp(z), and each weighted label's terms reuse
+exp(z)'s buffer once the one-hot label has read it.  So the budget is set
+by peak memory, and fixed per-call costs fall with every coordinate a
+block gains.
 
 :func:`run_gradcheck` runs under :func:`mprl.retrieval.small_ufunc_buffer`:
 numpy copies a broadcast operand (each block's (2n, 1) row maxima, its
@@ -40,7 +47,7 @@ from .losses import (
     lsro_loss,
     mprl_generated_loss,
     real_ce_loss,
-    weighted_ce_values,
+    weighted_ce_values_by_label,
 )
 from .retrieval import small_ufunc_buffer
 
@@ -56,6 +63,9 @@ FD_BLOCK_BYTES = 9 << 15
 # the block run_gradcheck frees first, so that glibc keeps every buffer of
 # a block's size on its heap
 HEAP_WARMUP_BYTES = 2 * FD_BLOCK_BYTES
+# the checked losses, in the order of each trial's labels: the one-hot row
+# at the trial's class, LSRO's uniform row and the normalized rank row
+CASES = ("real_ce", "lsro", "mprl_analytic")
 
 
 def block_coordinates(k: int) -> int:
@@ -66,19 +76,22 @@ def block_coordinates(k: int) -> int:
 
 
 def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector.
+    """Central-difference gradient of a scalar function of a vector, or
+    the gradients of L such functions at once.
 
-    ``fn`` maps an (m, K) batch of points to their m values.  The 2K
-    perturbed points x +- step * e_j go through it in batches of 2n rows,
-    n = :func:`block_coordinates` (K): the first half of a batch adds
-    ``step`` to coordinates start, start + 1, ... in turn, the second half
-    subtracts it.  Every batch is a view of one buffer of copies of ``x``,
-    whose perturbed entries are set before ``fn`` and reset after it.
+    ``fn`` maps an (m, K) batch of points to their m values, or to (m, L)
+    values, one column per function; the result is then (L, K), one
+    gradient per row.  The 2K perturbed points x +- step * e_j go through
+    it in batches of 2n rows, n = :func:`block_coordinates` (K): the first
+    half of a batch adds ``step`` to coordinates start, start + 1, ... in
+    turn, the second half subtracts it.  Every batch is a view of one
+    buffer of copies of ``x``, whose perturbed entries are set before
+    ``fn`` and reset after it.
     """
     x = np.array(x, dtype=np.float64)
     k = x.size
     block = block_coordinates(k)
-    grad = np.empty_like(x)
+    grad = None
     points = np.empty((2 * block, k))
     points[:] = x
     flat = points.reshape(-1)
@@ -92,32 +105,10 @@ def finite_difference_gradient(fn, x: np.ndarray, step: float = DEFAULT_STEP) ->
         flat[minus] = x[start:start + n] - step
         values = fn(points[:2 * n])
         flat[plus] = flat[minus] = x[start:start + n]
-        grad[start:start + n] = (values[:n] - values[n:]) / (2.0 * step)
+        if grad is None:
+            grad = np.empty(values.shape[1:] + (k,))
+        grad[..., start:start + n] = ((values[:n] - values[n:]) / (2.0 * step)).T
     return grad
-
-
-def _batch_values(cls: int, weights=None):
-    """The forward value of one label's loss, at every point of a batch.
-
-    The label is the one-hot row at class ``cls``, or with ``cls`` -1 the
-    weight row ``weights``.  These are the kernel rows the per-vector
-    losses evaluate: ``real_ce_loss`` is a one-hot row, ``lsro_loss`` the
-    uniform row and ``mprl_generated_loss`` the normalized rank row.  The
-    class vector and the broadcast weight rows are built for the largest
-    batch seen so far and sliced to each batch.
-    """
-    classes = np.full(0, cls)
-    rows = None
-
-    def values(points):
-        nonlocal classes, rows
-        n = len(points)
-        if n > classes.size:
-            classes = np.full(n, cls)
-            if weights is not None:
-                rows = np.broadcast_to(weights, (n, weights.size))
-        return weighted_ce_values(points, classes[:n], None if rows is None else rows[:n])
-    return values
 
 
 def relative_gradient_error(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -198,14 +189,12 @@ def run_gradcheck(
             c = int(rng.integers(k))
             ranks = mprl_alpha(softmax(x))
             mprl_out = mprl_generated_loss(x, ranks)
-            # (name, analytic output, the class or weight row it differentiates)
-            cases = (
-                ("real_ce", real_ce_loss(x, c), c, None),
-                ("lsro", lsro_loss(x), -1, lsro_label(k)),
-                ("mprl_analytic", mprl_out, -1, mprl_rows(ranks)),
-            )
-            for name, out, cls, row in cases:
-                fd = finite_difference_gradient(_batch_values(cls, row), x, step)
+            labels = (c, lsro_label(k), mprl_rows(ranks))
+            # one sweep: the differences of all three losses, in CASES order
+            fds = finite_difference_gradient(
+                lambda points: weighted_ce_values_by_label(points, labels), x, step)
+            analytic = (real_ce_loss(x, c), lsro_loss(x), mprl_out)
+            for name, out, fd in zip(CASES, analytic, fds):
                 # np.maximum keeps a NaN, where max would keep whichever came first
                 worst[name] = float(np.maximum(worst.get(name, 0.0),
                                                relative_gradient_error(out.grad_logits, fd)))

@@ -6,13 +6,14 @@ of a logit row against a weight row, -sum_k w_k log softmax(x)_k.
 :func:`weighted_ce` evaluates it for a whole (B, width) batch at once;
 :func:`combined_loss` reduces a mini-batch with it, and the per-vector
 losses (``real_ce_loss``, ``lsro_loss``, ``mprl_generated_loss``) are
-one-row calls into it.  A real sample is given by its class, whose
-one-hot row is scored without ever being built; a generated sample
-carries its virtual label's weight row, which for multi-pseudo
-(rank-weighted) labels is normalized by 2/(1+K).  Only the batch
-reduction scales the generated-sample loss, by the trade-off factor
-``gen_weight`` against the real-sample loss; ``gen_weights=None`` leaves
-the generated rows unscored, as behind a closed warm-up gate.
+one-row calls into it.  :func:`weighted_ce_values_by_label` scores a
+batch against several labels from one softmax per row.  A real sample
+is given by its class, whose one-hot row is scored without ever being
+built; a generated sample carries its virtual label's weight row, which
+for multi-pseudo (rank-weighted) labels is normalized by 2/(1+K).  Only
+the batch reduction scales the generated-sample loss, by the trade-off
+factor ``gen_weight`` against the real-sample loss; ``gen_weights=None``
+leaves the generated rows unscored, as behind a closed warm-up gate.
 
 Two gradient modes exist for the rank-weighted generated loss:
 
@@ -81,6 +82,50 @@ def weighted_ce_values(logits, classes, weights=None) -> np.ndarray:
     x, rows, cls, dense, w = _batch(logits, classes, weights)
     v_rows, v_dense = _kernel(x, x.max(1), rows, cls, dense, w, gradients=False)
     return _row_values(rows, v_rows, dense, v_dense)
+
+
+def weighted_ce_values_by_label(logits, labels) -> np.ndarray:
+    """The values (B, L) of every logit row against each of L labels.
+
+    Label j is a class c in 0..width-1, scored as the one-hot row at c, or
+    a (width,) weight row, and every row of ``logits`` (B, width) is
+    scored against it.  Column j equals :func:`weighted_ce_values` of
+    ``logits`` with every row labelled j, bit for bit: it runs the same
+    one-hot and weighted tails, but the row maxima, exp, row totals and
+    their logs are computed once for all L labels.  Beside ``logits`` a
+    call holds two (B, width) buffers, z = x - max and exp(z).  The
+    one-hot labels are scored first, since a class that holds a row's top
+    logit reads the other classes' exp (a gather of those rows while it
+    is summed); then each weighted label's terms are formed in exp(z)'s
+    buffer.
+    """
+    x = np.asarray(logits, dtype=np.float64, order="C")
+    if x.ndim != 2 or not x.shape[1]:
+        raise InvalidDimension(f"logits must be (B, width) with width >= 1, got {x.shape}")
+    n, width = x.shape
+    one_hot, weighted = [], []
+    for j, label in enumerate(labels):
+        if np.ndim(label) == 0:
+            c = np.asarray(label)
+            if c.dtype.kind not in "iu":
+                raise InvalidDimension(f"label {j}: a class must be an integer, got {c.dtype}")
+            if not 0 <= c < width:
+                raise InvalidClass(f"label {j}: class {c} outside 0..{width - 1}")
+            one_hot.append((j, int(c)))
+        else:
+            w = np.ascontiguousarray(label, dtype=np.float64)
+            if w.shape != (width,):
+                raise InvalidDimension(f"label {j}: weight row {w.shape} does not match "
+                                       f"logits of width {width}")
+            weighted.append((j, w))
+    z, e, _, log_total = _exp_rows(x, x.max(1))
+    values = np.empty((n, len(one_hot) + len(weighted)))
+    every_row = np.arange(n)
+    for j, c in one_hot:
+        values[:, j] = _one_hot_values(z[:, c], log_total, e, every_row, np.full(n, c))
+    for j, w in weighted:
+        values[:, j] = _weighted_values(z, log_total, w, out=e)
+    return values
 
 
 def _batch(logits, classes, weights):
@@ -158,37 +203,23 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
         # np.concatenate makes of broadcast blocks) would be summed one term
         # at a time, not pairwise; broadcast rows are adjacent and stay uncopied
         weights = np.ascontiguousarray(weights)
-    z = x - top[:, None]
-    e = np.exp(z)
-    total = e.sum(1)
-    log_total = np.log(total)
+    z, e, total, log_total = _exp_rows(x, top)
     v_rows = v_dense = at_class = None
     if rows.size:
         at_class = rows * width + cls  # each one-hot row's class in the flat buffer
         z_class = z.ravel()[at_class]
-        v_rows = log_total[rows] - z_class
     # every row weighted: the whole buffer is theirs, no subset to gather
     every = dense.size == x.shape[0]
     if weights is not None:
-        # the terms W_ik (log t_i - z_ik), formed in place: in z's own buffer
-        # when every row is weighted (z is spent after them), else in the
-        # weighted rows taken from it
+        # the terms go in z's own buffer when every row is weighted (z is
+        # spent after them), else in the weighted rows taken from it
         terms = z if every else z.take(dense, 0)
-        np.subtract((log_total if every else log_total[dense])[:, None], terms, out=terms)
-        terms *= weights
-        v_dense = terms.sum(1)
+        v_dense = _weighted_values(terms, log_total if every else log_total[dense], weights,
+                                   out=terms)
         del terms
     del z  # the rest reads e, the row totals and the classes' logits
     if rows.size:
-        at_top = z_class == 0.0
-        if at_top.any():
-            # the other classes of each such row, in order, as one contiguous
-            # (n, width - 1) block, so the pairwise sum adds them as it always has
-            top_rows = rows[at_top]
-            others = np.arange(width) != cls[at_top][:, None]
-            e_top = e if top_rows.size == len(e) else e.take(top_rows, 0)
-            e_others = e_top[others].reshape(top_rows.size, width - 1)
-            v_rows[at_top] = np.log1p(e_others.sum(1))
+        v_rows = _one_hot_values(z_class, log_total[rows], e, rows, cls)
     if not gradients:
         return v_rows, v_dense
 
@@ -204,6 +235,43 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     if at_class is not None:
         p.ravel()[at_class] -= 1.0
     return v_rows, v_dense, p, dense_grads
+
+
+def _exp_rows(x, top):
+    """The passes every label of a row shares: z = x - top, e = exp(z),
+    the row totals t of e and log t."""
+    z = x - top[:, None]
+    e = np.exp(z)
+    total = e.sum(1)
+    return z, e, total, np.log(total)
+
+
+def _one_hot_values(z_class, log_total, e, rows, cls) -> np.ndarray:
+    """The values log t - z_c of the one-hot rows ``rows`` at classes
+    ``cls``, from their classes' z and their log totals, and the batch's
+    exp buffer ``e``.  Where c holds the top logit (z_c == 0) the value is
+    log1p of the other classes' sum instead."""
+    values = log_total - z_class
+    at_top = z_class == 0.0
+    if at_top.any():
+        # the other classes of each such row, in order, as one contiguous
+        # (n, width - 1) block, so the pairwise sum adds them as it always has
+        width = e.shape[1]
+        top_rows = rows[at_top]
+        others = np.arange(width) != cls[at_top][:, None]
+        e_top = e if top_rows.size == len(e) else e.take(top_rows, 0)
+        e_others = e_top[others].reshape(top_rows.size, width - 1)
+        values[at_top] = np.log1p(e_others.sum(1))
+    return values
+
+
+def _weighted_values(z, log_total, weights, out) -> np.ndarray:
+    """Each row's value sum_k W_k (log t - z_k), its terms formed in ``out``
+    (z's own buffer, or one of its size); ``weights`` is one row per row
+    of z, or one row for all of them."""
+    np.subtract(log_total[:, None], z, out=out)
+    out *= weights
+    return out.sum(1)
 
 
 def _one_row(x: np.ndarray, cls: int = -1, w: np.ndarray | None = None,

@@ -119,10 +119,15 @@ def small_ufunc_buffer():
 
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as int64, without a copy when they are already; values
-    of a non-integer type raise, where a cast would truncate them."""
+    of a non-integer type raise, where a cast would truncate them, and so
+    do uint64 values above the int64 range, where it would wrap them."""
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
         raise InvalidDimension(f"{what} must be integers, got {values.dtype}")
+    top = np.iinfo(np.int64).max
+    if values.dtype == np.uint64 and values.size and values.max() > top:
+        big = values[values > top][0]
+        raise InvalidDimension(f"{what} must fit in int64, got {big}")
     return values.astype(np.int64, copy=False)
 
 

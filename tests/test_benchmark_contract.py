@@ -66,6 +66,17 @@ def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
     assert {"trainer.train", "net.forward", "net.backward", "net.sgd_step",
             "losses.combined_loss", "trainer.assign_static_labels", "retrieval.evaluate",
             "gradcheck.finite_difference_gradient", "labels.mprl_alpha"} <= names
+    # gradcheck's analytic side still goes through the per-vector losses,
+    # the API whose speed gradcheck_751 guards, inside each traced run
+    run = [i for i, (name, _, _, _) in enumerate(tracer.spans)
+           if name == "gradcheck.run_gradcheck"]
+    assert len(run) == 1
+    inside = Counter(name for name, parent, _, _ in tracer.spans if parent == run[0])
+    assert {"losses.per_vector", "gradcheck.finite_difference_gradient",
+            "labels.mprl_alpha"} <= set(inside)
+    # three losses and one diagonal-mode call per trial, one sweep per trial
+    assert inside["losses.per_vector"] == 2 * 4
+    assert inside["gradcheck.finite_difference_gradient"] == 2
     assert all(end >= start for _, _, start, end in tracer.spans)
     # rows per cell and epoch: the training pool in mini-batches, then the
     # real train rows for the epoch's accuracy; smprl also scores its

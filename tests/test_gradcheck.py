@@ -47,26 +47,44 @@ class TestBlockRule:
         assert len(heights) == math.ceil(k / n)
         assert max(heights) == 2 * n and sum(heights) == 2 * k
 
+    @pytest.mark.parametrize("k", [3, 751])
+    def test_one_sweep_per_trial_scores_all_three_cases(self, monkeypatch, k):
+        # 32 kernel calls per K = 751 trial, each against the three labels
+        real = gradcheck.weighted_ce_values_by_label
+        calls = []
+
+        def counting(points, labels):
+            calls.append([case_of(label) for label in labels])
+            return real(points, labels)
+
+        monkeypatch.setattr(gradcheck, "weighted_ce_values_by_label", counting)
+        assert run_gradcheck(k_values=(k,), trials=2).passed
+        assert len(calls) == 2 * math.ceil(k / block_coordinates(k))
+        assert all(cases == list(gradcheck.CASES) for cases in calls)
+
+
+def case_of(label):
+    """The checked loss a label of a gradcheck sweep differentiates."""
+    if np.ndim(label) == 0:
+        return "real_ce"
+    return "lsro" if np.all(label == label[0]) else "mprl_analytic"
+
 
 def nan_on_call(calls, name):
-    """A stand-in for ``gradcheck._batch_values`` whose value function for
-    the loss ``name`` returns NaN on its ``calls``-th central difference."""
-    real = gradcheck._batch_values
-    seen = {"real_ce": 0, "lsro": 0, "mprl_analytic": 0}
+    """A stand-in for ``gradcheck.weighted_ce_values_by_label`` whose values
+    for the loss ``name`` are NaN throughout its ``calls``-th sweep (one
+    sweep per trial, one labels tuple per sweep)."""
+    real = gradcheck.weighted_ce_values_by_label
+    sweeps = []
 
-    def batch_values(cls, weights=None):
-        if cls >= 0:
-            case = "real_ce"
-        elif np.all(weights == weights[0]):
-            case = "lsro"
-        else:
-            case = "mprl_analytic"
-        seen[case] += 1
-        fn = real(cls, weights)
-        if case != name or seen[case] != calls:
-            return fn
-        return lambda points: np.full(len(points), np.nan)
-    return batch_values
+    def values_by_label(points, labels):
+        if not sweeps or sweeps[-1] is not labels:
+            sweeps.append(labels)
+        values = real(points, labels)
+        if len(sweeps) == calls:
+            values[:, [case_of(label) == name for label in labels]] = np.nan
+        return values
+    return values_by_label
 
 
 class TestNonFiniteErrors:
@@ -75,7 +93,8 @@ class TestNonFiniteErrors:
     def test_a_nan_gradient_fails_its_case(self, monkeypatch, name, trial):
         # a NaN in the first trial stays the worst error through later
         # finite ones, as it does in the last trial
-        monkeypatch.setattr(gradcheck, "_batch_values", nan_on_call(trial, name))
+        monkeypatch.setattr(gradcheck, "weighted_ce_values_by_label",
+                            nan_on_call(trial, name))
         report = run_gradcheck(k_values=(3,), trials=3)
         assert not report.passed
         for case in report.cases:
@@ -86,7 +105,7 @@ class TestNonFiniteErrors:
         assert failing[0].endswith("max_rel_error=nan")
 
     def test_the_cli_exits_three_and_prints_nan(self, monkeypatch, capsys):
-        monkeypatch.setattr(gradcheck, "_batch_values", nan_on_call(1, "lsro"))
+        monkeypatch.setattr(gradcheck, "weighted_ce_values_by_label", nan_on_call(1, "lsro"))
         assert main(["gradcheck", "--k", "3", "--trials", "2"]) == 3
         out = capsys.readouterr().out
         assert "FAIL lsro" in out and "max_rel_error=nan" in out

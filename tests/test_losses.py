@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mprl.errors import InvalidClass, InvalidDimension
-from mprl.gradcheck import _batch_values, block_coordinates, finite_difference_gradient
+from mprl.gradcheck import block_coordinates, finite_difference_gradient
 from mprl.labels import (
     ground_truth_label,
     lsro_label,
@@ -28,6 +28,7 @@ from mprl.losses import (
     real_ce_loss,
     weighted_ce,
     weighted_ce_values,
+    weighted_ce_values_by_label,
 )
 from mprl.retrieval import small_ufunc_buffer
 
@@ -191,16 +192,40 @@ class TestFiniteDifferences:
         x = rng.normal(0, 3, size=k)
         c = int(rng.integers(k))
         alpha = mprl_alpha(softmax(x))
-        cases = [
-            (lambda z: real_ce_loss(z, c).value, _batch_values(c)),
-            (lambda z: lsro_loss(z).value, _batch_values(-1, np.full(k, 1.0 / k))),
-            (lambda z: mprl_generated_loss(z, alpha).value,
-             _batch_values(-1, mprl_rows(alpha))),
+        labels = (c, np.full(k, 1.0 / k), mprl_rows(alpha))
+        scalar_fns = [
+            lambda z: real_ce_loss(z, c).value,
+            lambda z: lsro_loss(z).value,
+            lambda z: mprl_generated_loss(z, alpha).value,
         ]
-        for scalar_fn, batch_fn in cases:
+        # one sweep gives all three gradients, one row per label
+        swept = finite_difference_gradient(
+            lambda points: weighted_ce_values_by_label(points, labels), x)
+        assert swept.shape == (3, k)
+        for scalar_fn, batched in zip(scalar_fns, swept):
             scalar = fd_gradient(scalar_fn, x)
-            batched = finite_difference_gradient(batch_fn, x)
             assert np.max(np.abs(batched - scalar)) <= 1e-9 * np.max(np.abs(scalar))
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 751])
+    def test_a_sweep_of_several_outputs_equals_one_sweep_per_output(self, k):
+        # the (m, L) form's L gradients equal L single-output sweeps, bit for
+        # bit, for the losses gradcheck sweeps and for an arbitrary function
+        rng = np.random.default_rng(k + 7)
+        x = rng.normal(0, 3, size=k)
+        labels = (int(rng.integers(k)), lsro_label(k), mprl_rows(mprl_alpha(softmax(x))))
+        swept = finite_difference_gradient(
+            lambda points: weighted_ce_values_by_label(points, labels), x)
+        for label, got in zip(labels, swept):
+            cls, row = (label, None) if np.ndim(label) == 0 else (-1, label)
+            want = finite_difference_gradient(
+                lambda p: weighted_ce_values(p, np.full(len(p), cls),
+                                             None if row is None else np.tile(row, (len(p), 1))),
+                x)
+            assert got.tobytes() == want.tobytes()
+        outputs = (lambda p: np.sin(p).sum(1), lambda p: (p * p).max(1))
+        swept = finite_difference_gradient(lambda p: np.stack([f(p) for f in outputs], 1), x)
+        for f, got in zip(outputs, swept):
+            assert got.tobytes() == finite_difference_gradient(f, x).tobytes()
 
 
 def tiled_blocks(x, step):
@@ -245,24 +270,30 @@ class TestInPlaceBlocks:
         rng = np.random.default_rng(k + 1)
         x = rng.normal(0, 3, size=k)
         alpha = mprl_alpha(softmax(x))
-        for fn in (_batch_values(int(rng.integers(k))), _batch_values(-1, mprl_rows(alpha))):
-            want = np.empty(k)
-            for cols, points in tiled_blocks(x, 1e-6):
-                values = fn(points)
-                want[cols] = (values[:cols.size] - values[cols.size:]) / 2e-6
-            assert finite_difference_gradient(fn, x).tobytes() == want.tobytes()
+        labels = (int(rng.integers(k)), mprl_rows(alpha))
+
+        def fn(points):
+            return weighted_ce_values_by_label(points, labels)
+
+        want = np.empty((2, k))
+        for cols, points in tiled_blocks(x, 1e-6):
+            values = fn(points)
+            want[:, cols] = ((values[:cols.size] - values[cols.size:]) / 2e-6).T
+        assert finite_difference_gradient(fn, x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cls", [3, -1])
     def test_batch_values_score_a_batch_of_any_row_count(self, cls):
         k = 12
         rng = np.random.default_rng(cls + 2)
         weights = mprl_rows(mprl_alpha(softmax(rng.normal(size=k))))
-        values = _batch_values(cls, None if cls >= 0 else weights)
+        label = cls if cls >= 0 else weights
         for n in (3, 16, 1, 40, 16, 2):
             points = rng.normal(0, 3, size=(n, k))
             rows = None if cls >= 0 else np.tile(weights, (n, 1))
             want = weighted_ce_values(points, np.full(n, cls), rows)
-            assert values(points).tobytes() == want.tobytes()
+            got = weighted_ce_values_by_label(points, [label])
+            assert got.shape == (n, 1)
+            assert got[:, 0].tobytes() == want.tobytes()
 
 
 class TestRowsNeverMix:
@@ -484,6 +515,78 @@ class TestCollapsedOneHotRows:
             got = weighted_ce(x, *class_form(weights, hot))
             want = dense_weighted_ce(x, weights, one_hot=hot)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def shared_labels(k, n_labels, rng):
+    """Classes and weight rows over k classes: LSRO's row, rank rows and
+    nonnegative rows with zeros, in a random order."""
+    labels = []
+    for kind in rng.integers(4, size=n_labels):
+        if kind == 0:
+            labels.append(int(rng.integers(k)))
+        elif kind == 1:
+            labels.append(lsro_label(k))
+        elif kind == 2:
+            labels.append(mprl_rows(mprl_alpha(softmax(rng.normal(0, 3, size=k)))))
+        else:
+            labels.append(rng.random(k) * (rng.random(k) < 0.5))
+    return labels
+
+
+class TestValuesByLabel:
+    """``weighted_ce_values_by_label`` scores a batch against several labels
+    from one softmax per row, and each label's column is
+    ``weighted_ce_values`` of that label alone, bit for bit."""
+
+    @given(st.sampled_from([1, 2, 3, 8, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-3, 2.0, 40.0, 1e3]), st.booleans(), st.integers(1, 5),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(751, 12, 5, 40.0, False, 4, True)
+    @example(1, 3, 0, 0.0, False, 3, False)
+    @example(2, 8, 1, 0.0, True, 4, False)
+    def test_each_label_equals_weighted_ce_values_bit_for_bit(self, k, n, seed, margin, ties,
+                                                             n_labels, small_buffer):
+        rng = np.random.default_rng(seed)
+        labels = shared_labels(k, n_labels, rng)
+        # ties: logits in {-1, 0, 1}, so a class often shares the top logit
+        x = (rng.integers(-1, 2, size=(n, k)).astype(np.float64) if ties
+             else rng.normal(0, 3, size=(n, k)))
+        classes = [label for label in labels if np.ndim(label) == 0]
+        for i in range(0, n, 2):  # every other row: a class at the top by the margin
+            if classes and margin:
+                c = classes[i % len(classes)]
+                x[i, c] = x[i].max() + margin
+        with small_ufunc_buffer() if small_buffer else contextlib.nullcontext():
+            got = weighted_ce_values_by_label(x, labels)
+            assert got.shape == (n, len(labels))
+            for j, label in enumerate(labels):
+                if np.ndim(label) == 0:
+                    want = weighted_ce_values(x, np.full(n, label))
+                else:
+                    want = weighted_ce_values(x, np.full(n, -1), np.tile(label, (n, 1)))
+                assert got[:, j].tobytes() == want.tobytes()
+
+    def test_a_class_at_the_top_keeps_the_log1p_value(self):
+        x = np.zeros((2, 751))
+        x[:, 7] = 60.0
+        values = weighted_ce_values_by_label(x, [7, lsro_label(751), 7])
+        # log t - z_c rounds to 0 at a margin of 60; log1p keeps the value
+        assert np.all(values[:, 0] > 0.0)
+        assert values[:, 0].tobytes() == values[:, 2].tobytes()
+
+    def test_bad_labels_and_logits_raise(self):
+        x = np.zeros((2, 4))
+        for bad in (4, -1):
+            with pytest.raises(InvalidClass, match=rf"^label 1: class {bad} outside 0\.\.3"):
+                weighted_ce_values_by_label(x, [0, bad])
+        with pytest.raises(InvalidDimension, match="^label 0: a class must be an integer"):
+            weighted_ce_values_by_label(x, [1.0])
+        with pytest.raises(InvalidDimension, match=r"^label 0: weight row \(3,\)"):
+            weighted_ce_values_by_label(x, [np.ones(3)])
+        for logits in (np.zeros(4), np.zeros((2, 0))):
+            with pytest.raises(InvalidDimension, match="logits must be"):
+                weighted_ce_values_by_label(logits, [0])
 
 
 class TestClassForm:

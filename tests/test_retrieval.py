@@ -449,6 +449,21 @@ class TestEvaluate:
         with pytest.raises(InvalidDimension, match=match):
             EmbeddingSet(ids, labels, [[0.0], [1.0]])
 
+    def test_uint64_values_beyond_int64_rejected(self):
+        # a cast would wrap 2**63 to -2**63
+        big = np.array([2**63, 0], dtype=np.uint64)
+        with pytest.raises(InvalidDimension, match=f"ids must fit in int64, got {2**63}$"):
+            EmbeddingSet(big, [1, 2], [[0.0], [1.0]])
+        with pytest.raises(InvalidDimension, match=f"labels must fit in int64, got {2**64 - 1}$"):
+            EmbeddingSet([1, 2], np.array([3, 2**64 - 1], dtype=np.uint64), [[0.0], [1.0]])
+        with pytest.raises(InvalidDimension, match="query labels must fit in int64"):
+            evaluate(np.zeros((1, 2)), [2**63], [1, 2])
+        with pytest.raises(InvalidDimension, match="gallery labels must fit in int64"):
+            evaluate(np.zeros((1, 2)), [1], big)
+        # the largest int64 still passes
+        fits = np.array([2**63 - 1, 0], dtype=np.uint64)
+        assert EmbeddingSet(fits, [1, 2], [[0.0], [1.0]]).ids.tolist() == [2**63 - 1, 0]
+
     def test_int64_ids_and_labels_are_kept_without_a_copy(self):
         ids, labels = np.arange(2), np.array([1, 2])
         embeddings = EmbeddingSet(ids, labels, [[0.0], [1.0]])
