@@ -69,7 +69,6 @@ from .retrieval import (
 )
 from .synthgen import (
     Dataset,
-    convex_mix,
     make_generated_dataset,
     make_real_dataset,
     save_dataset,

@@ -61,11 +61,11 @@ non-reproducible) field anywhere.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import UnionType
@@ -255,9 +255,53 @@ class RunMemo:
 _worker_memo: RunMemo | None = None
 
 
+def _blas_threads():
+    """numpy's BLAS thread-count calls ``(get, set)``: those of the OpenBLAS
+    bundled in numpy's wheels, or None where numpy does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body under one BLAS thread, then restore the caller's count.
+    Where numpy exports no known thread call the count is left alone."""
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _start_worker_memo() -> None:
+    """A pool worker's start: a memo of its own and one BLAS thread, which a
+    forked worker inherits and a spawned one would not."""
     global _worker_memo
     _worker_memo = RunMemo()
+    calls = _blas_threads()
+    if calls is not None:
+        calls[1](1)
+
+
+def _worker_pool(workers: int):
+    """A pool of ``workers`` processes, each started by :func:`_start_worker_memo`."""
+    # imported here: it loads multiprocessing, socket and subprocess, which a
+    # run in this process alone never uses
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers, initializer=_start_worker_memo)
 
 
 def _read_only(*arrays) -> None:
@@ -400,6 +444,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
     chunk, so each seed's datasets are built and its cohorts trained
     once; with fewer seeds it takes one cell at a time, so a one-seed
     grid still runs in parallel.
+
+    Every process of the run computes under one BLAS thread, so the
+    artifacts do not depend on ``jobs`` or on the host's core count, and
+    workers do not share cores with each other's BLAS threads.  The
+    caller's thread count is back when the call returns or raises.
     """
     spec.validate()
     out_path = Path(out_dir if out_dir is not None else spec.out_dir)
@@ -414,8 +463,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
     try:
         # one worker's work stays in this process, so patched module globals
         # apply; each worker process starts a memo of its own
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker_memo
-                                 ) if workers > 1 else nullcontext() as pool:
+        with _one_blas_thread(), _worker_pool(workers) if workers > 1 else nullcontext() as pool:
             if pool is None:
                 memo = RunMemo()
                 outcomes = (run_cell(spec, c, out_path, memo) for c in cells)

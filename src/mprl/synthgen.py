@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationFailure, InvalidConfig, InvalidDimension
+from .errors import GenerationFailure, InvalidConfig
 from .retrieval import sq_euclidean_blocks
 
 SPLIT_TAGS = ("train", "query", "gallery")
@@ -196,16 +196,6 @@ def make_real_dataset(n_classes: int, n_per_class: int, dim: int,
                    np.tile(tags, n_classes), n_classes)
 
 
-def convex_mix(features: np.ndarray, weights) -> np.ndarray:
-    """Convex combination of the rows of ``features``."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or features.shape[0] != w.size:
-        raise InvalidDimension("need one weight per feature row")
-    if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-9:
-        raise InvalidConfig("weights must be nonnegative and sum to 1")
-    return w @ features
-
-
 def check_generated_params(n_classes: int, mix_size: int | None, noise: float) -> None:
     """The rules :func:`make_generated_dataset` holds ``mix_size`` and
     ``noise`` to, given a real dataset of ``n_classes`` classes; with
@@ -244,16 +234,23 @@ def make_generated_dataset(real: Dataset, m: int, mix_size: int, noise: float,
     rng = np.random.default_rng(seed)
     sources = np.empty((m, mix_size), dtype=np.int64)
     weights = np.empty((m, mix_size))
-    features = np.empty((m, real.feature_dim))
+    clipped = np.empty((m, real.feature_dim)) if noise > 0 else None
     # the random stream per sample: class choice, source picks, weights, noise
     for i in range(m):
         chosen = rng.choice(class_ids.size, size=mix_size, replace=False)
         sources[i] = [members[idx][rng.integers(members[idx].size)] for idx in chosen]
-        weights[i] = (1.0 - WEIGHT_SHRINK) * rng.dirichlet(np.ones(mix_size)) \
-            + WEIGHT_SHRINK / mix_size
-        features[i] = convex_mix(train.features[sources[i]], weights[i])
-        if noise > 0:
-            features[i] += noise * np.clip(rng.standard_normal(real.feature_dim), -3.0, 3.0)
+        weights[i] = rng.dirichlet(np.ones(mix_size))
+        if clipped is not None:
+            clipped[i] = rng.standard_normal(real.feature_dim)
+    weights *= 1.0 - WEIGHT_SHRINK
+    weights += WEIGHT_SHRINK / mix_size
+    # one (1, mix_size) @ (mix_size, dim) product per row, stacked: the
+    # same kernel, so the same bits, as each row's own product
+    features = np.matmul(weights[:, None, :], train.features[sources])[:, 0]
+    if clipped is not None:
+        np.clip(clipped, -3.0, 3.0, out=clipped)
+        clipped *= noise
+        features += clipped
     first_id = int(real.ids.max()) + 1
     return Dataset(np.arange(first_id, first_id + m), features, np.full(m, -1),
                    np.full(m, "train"), real.n_classes,

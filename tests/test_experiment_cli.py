@@ -53,6 +53,13 @@ hidden_sizes   = 8, 6
 out_dir        = results
 """
 
+# a legal grid of a baseline cell, then an lsro cell that mixes samples
+FAILING_SPEC = (
+    "n_classes = 3\ndim = 4\nn_per_class = 6\n"
+    "strategies = baseline, lsro\ncounts = 6\nseeds = 1\nepochs = 2\n"
+    "warmup_epoch = 1\nhidden_sizes = 6\n"
+)
+
 
 @pytest.fixture()
 def tiny_spec():
@@ -569,8 +576,8 @@ class TestCohorts:
         chunks = []
 
         class StandInPool:
-            def __init__(self, max_workers, initializer):
-                initializer()
+            def __init__(self, workers):
+                experiment._start_worker_memo()
 
             def __enter__(self):
                 return self
@@ -582,7 +589,7 @@ class TestCohorts:
                 chunks.append(chunksize)
                 return map(fn, args)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)
+        monkeypatch.setattr(experiment, "_worker_pool", StandInPool)
         monkeypatch.setattr(experiment, "_worker_memo", None)
         spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "baseline, lsro, smprl, dmprl1")
                                .replace("0, 6", "6").replace("1, 2", seeds))
@@ -642,9 +649,9 @@ class TestRunExperiment:
         class StandInPool:
             """Records its worker count and runs the jobs here, in order."""
 
-            def __init__(self, max_workers, initializer):
-                started.append(max_workers)
-                initializer()
+            def __init__(self, workers):
+                started.append(workers)
+                experiment._start_worker_memo()
 
             def __enter__(self):
                 return self
@@ -655,7 +662,7 @@ class TestRunExperiment:
             def map(self, fn, args, chunksize=1):
                 return map(fn, args)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", StandInPool)
+        monkeypatch.setattr(experiment, "_worker_pool", StandInPool)
         monkeypatch.setattr(experiment, "_worker_memo", None)
         spec = parse_spec_text(
             f"n_classes = 3\ndim = 4\nn_per_class = 6\nstrategies = {strategies}\n"
@@ -667,11 +674,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mid_run_failure_leaves_manifest(self, tmp_path, monkeypatch, jobs):
-        spec = parse_spec_text(
-            "n_classes = 3\ndim = 4\nn_per_class = 6\n"
-            "strategies = baseline, lsro\ncounts = 6\nseeds = 1\nepochs = 2\n"
-            "warmup_epoch = 1\nhidden_sizes = 6\n"
-        )
+        spec = parse_spec_text(FAILING_SPEC)
 
         def fail(*args, **kwargs):
             raise GenerationFailure("no mixture found")
@@ -686,6 +689,72 @@ class TestRunExperiment:
         assert "lsro_n6_seed1" in (out / "failure_manifest.json").read_text()
         # the baseline cell completed before it
         assert (out / "summary.csv").exists()
+
+
+class TestBlasThreads:
+    @pytest.fixture()
+    def blas(self):
+        """numpy's BLAS thread calls with the count set to 2, then restored."""
+        calls = experiment._blas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS exports no known thread call")
+        get, put = calls
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        src = Path(experiment.__file__).resolve().parents[1]
+        probe = ("import sys, mprl.cli; print(sorted({'multiprocessing', "
+                 "'concurrent.futures.process'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_train_under_one_thread(self, tmp_path, monkeypatch, blas, tiny_spec, jobs):
+        # forked workers inherit the patch and append to one file
+        log = tmp_path / "threads.log"
+        original = experiment.train
+
+        def counting(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{blas()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", counting)
+        run_experiment(tiny_spec, out_dir=tmp_path / "out", jobs=jobs)
+        assert Counter(log.read_text().split()) == {"1": len(expand_cells(tiny_spec))}
+        assert blas() == 2
+
+    def test_worker_initializer_sets_one_thread(self, monkeypatch, blas):
+        monkeypatch.setattr(experiment, "_worker_memo", None)
+        experiment._start_worker_memo()
+        assert blas() == 1
+        assert isinstance(experiment._worker_memo, experiment.RunMemo)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_caller_count_is_back_after_a_failed_run(self, tmp_path, monkeypatch, blas, jobs):
+        def fail(*args, **kwargs):
+            raise GenerationFailure("no mixture found")
+
+        monkeypatch.setattr(experiment, "make_generated_dataset", fail)
+        with pytest.raises(RunFailure):
+            run_experiment(parse_spec_text(FAILING_SPEC), out_dir=tmp_path, jobs=jobs)
+        assert blas() == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_missing_thread_call_changes_no_artifact(self, tmp_path, monkeypatch, tiny_spec,
+                                                       jobs):
+        run_experiment(tiny_spec, out_dir=tmp_path / "pinned")
+        monkeypatch.setattr(experiment, "_blas_threads", lambda: None)
+        run_experiment(tiny_spec, out_dir=tmp_path / "unpinned", jobs=jobs)
+        for cell in expand_cells(tiny_spec):
+            for artifact in ("history.csv", "report.json"):
+                assert (tmp_path / "unpinned" / cell.name / artifact).read_bytes() == \
+                    (tmp_path / "pinned" / cell.name / artifact).read_bytes()
 
 
 class TestSmprlWithoutGeneratedData:

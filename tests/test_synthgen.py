@@ -15,7 +15,6 @@ from mprl.synthgen import (
     Dataset,
     _least_sq_separation,
     _place_class_means,
-    convex_mix,
     make_generated_dataset,
     make_real_dataset,
     save_dataset,
@@ -243,20 +242,6 @@ class TestLeastSeparation:
         # the block and its plane, then the transposed copy of the means;
         # the 751 x 751 matrix alone would take 4.5 MB
         assert peak < retrieval.BLOCK_BYTES + means.nbytes + 64 * 1024
-
-class TestConvexMix:
-    def test_equal_weights_give_midpoint(self):
-        a = np.array([0.0, 2.0, 4.0])
-        b = np.array([2.0, 0.0, 0.0])
-        mid = convex_mix(np.stack([a, b]), [0.5, 0.5])
-        np.testing.assert_array_equal(mid, (a + b) / 2)
-
-    def test_rejects_non_simplex_weights(self):
-        rows = np.zeros((2, 3))
-        with pytest.raises(InvalidConfig):
-            convex_mix(rows, [0.7, 0.7])
-        with pytest.raises(InvalidConfig):
-            convex_mix(rows, [1.5, -0.5])
 
 
 class TestMakeGeneratedDataset:
