@@ -42,7 +42,6 @@ from .losses import (
     mprl_generated_loss,
     real_ce_loss,
     weighted_ce,
-    weighted_ce_values,
     weighted_ce_values_by_label,
 )
 from .net import (

@@ -19,7 +19,8 @@ Exit codes (every failure prints one ``error:`` line to stderr):
 * 2 -- an input file whose content is rejected (bytes that are not
   UTF-8, malformed line, non-finite value, duplicate id, dimension
   mismatch, query class absent from the gallery), a failure during a
-  run, or an array too large for memory.
+  run, or an array too large for memory (a size numpy refuses outright,
+  beyond its index range, included).
 * 3 -- ``gradcheck`` ran and a gradient missed its tolerance.
 
 ``MPRL_VERBOSE=0`` silences per-cell progress lines.
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
+
+# the starts of numpy's ValueError messages for an array size beyond its
+# index range, raised before anything is allocated
+_NUMPY_SIZE_REFUSALS = ("Maximum allowed dimension exceeded", "array is too big")
 
 
 def _verbose() -> bool:
@@ -203,6 +208,12 @@ def main(argv=None) -> int:
     except (MprlError, MemoryError) as exc:
         # Python's own MemoryError may carry no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ValueError as exc:
+        # any other ValueError is a bug, and keeps its traceback
+        if not str(exc).startswith(_NUMPY_SIZE_REFUSALS):
+            raise
+        print(f"error: numpy refused an array size: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -18,15 +18,17 @@ is kept as well.
 One sweep per trial serves all three cases: the 2K perturbed points of
 one central difference are evaluated as blocks of kernel rows, built in
 place in one buffer, and :func:`mprl.losses.weighted_ce_values_by_label`
-scores each block against the trial's one-hot, LSRO and rank-weighted
-labels at once, with one softmax per point.  A block holds as many
-coordinates n as fit its (2n, K) points in ``FD_BLOCK_BYTES``: every
-coordinate in one call up to K = 135, and 24 at K = 751, so 32 kernel
-calls per K = 751 trial.  A call holds two more buffers of a block's
-size, z = x - max and exp(z), and each weighted label's terms reuse
-exp(z)'s buffer once the one-hot label has read it.  So the budget is set
-by peak memory, and fixed per-call costs fall with every coordinate a
-block gains.
+scores each block against the trial's three labels at once, with one
+softmax per point.  The labels come in :func:`mprl.losses.weighted_ce`'s
+form: classes (c, -1, -1), the one-hot row at the trial's class c, then
+two weight rows, LSRO's and the rank-weighted one.  A block holds as
+many coordinates n as fit its (2n, K) points in ``FD_BLOCK_BYTES``:
+every coordinate in one call up to K = 135, and 24 at K = 751, so 32
+kernel calls per K = 751 trial.  A call holds two more buffers of a
+block's size, z = x - max and exp(z), and each weighted label's terms
+reuse exp(z)'s buffer once the one-hot label has read it.  So the budget
+is set by peak memory, and fixed per-call costs fall with every
+coordinate a block gains.
 
 :func:`run_gradcheck` runs under :func:`mprl.retrieval.small_ufunc_buffer`:
 numpy copies a broadcast operand (each block's (2n, 1) row maxima, its
@@ -64,7 +66,7 @@ FD_BLOCK_BYTES = 9 << 15
 # a block's size on its heap
 HEAP_WARMUP_BYTES = 2 * FD_BLOCK_BYTES
 # the checked losses, in the order of each trial's labels: the one-hot row
-# at the trial's class, LSRO's uniform row and the normalized rank row
+# at the trial's class, then the weight rows of LSRO and of the ranks
 CASES = ("real_ce", "lsro", "mprl_analytic")
 
 
@@ -189,10 +191,11 @@ def run_gradcheck(
             c = int(rng.integers(k))
             ranks = mprl_alpha(softmax(x))
             mprl_out = mprl_generated_loss(x, ranks)
-            labels = (c, lsro_label(k), mprl_rows(ranks))
+            classes = np.array([c, -1, -1])
+            weights = np.stack([lsro_label(k), mprl_rows(ranks)])
             # one sweep: the differences of all three losses, in CASES order
             fds = finite_difference_gradient(
-                lambda points: weighted_ce_values_by_label(points, labels), x, step)
+                lambda points: weighted_ce_values_by_label(points, classes, weights), x, step)
             analytic = (real_ce_loss(x, c), lsro_loss(x), mprl_out)
             for name, out, fd in zip(CASES, analytic, fds):
                 # np.maximum keeps a NaN, where max would keep whichever came first

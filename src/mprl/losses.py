@@ -7,9 +7,10 @@ of a logit row against a weight row, -sum_k w_k log softmax(x)_k.
 :func:`combined_loss` reduces a mini-batch with it, and the per-vector
 losses (``real_ce_loss``, ``lsro_loss``, ``mprl_generated_loss``) are
 one-row calls into it.  :func:`weighted_ce_values_by_label` scores a
-batch against several labels from one softmax per row.  A real sample
-is given by its class, whose one-hot row is scored without ever being
-built; a generated sample carries its virtual label's weight row, which
+batch against several labels, given in the same classes-and-weights
+form, from one softmax per row.  A real sample is given by its class,
+whose one-hot row is scored without ever being built; a generated
+sample carries its virtual label's weight row, which
 for multi-pseudo (rank-weighted) labels is normalized by 2/(1+K).  Only
 the batch reduction scales the generated-sample loss, by the trade-off
 factor ``gen_weight`` against the real-sample loss; ``gen_weights=None``
@@ -70,114 +71,87 @@ def weighted_ce(logits, classes, weights=None, diagonal: bool = False
     and strictly positive, at margins where the log-sum-exp form cancels
     to zero.  Returns the values (B,) and the gradients (B, width).
     """
-    x, rows, cls, dense, w = _batch(logits, classes, weights)
+    x = np.asarray(logits, dtype=np.float64, order="C")
+    rows, cls, dense = _label_rows(classes, x.shape)
+    w = _weight_rows(weights, dense.size, x.shape[1])
     v_rows, v_dense, grads, dense_grads = _kernel(x, x.max(1), rows, cls, dense, w, diagonal)
     if dense_grads is not None:
         grads[dense] = dense_grads
-    return _row_values(rows, v_rows, dense, v_dense), grads
+    if not dense.size:
+        return v_rows, grads
+    if not rows.size:
+        return v_dense, grads
+    values = np.empty(len(x))
+    values[rows] = v_rows
+    values[dense] = v_dense
+    return values, grads
 
 
-def weighted_ce_values(logits, classes, weights=None) -> np.ndarray:
-    """The values (B,) of :func:`weighted_ce`, bit for bit, without its gradients."""
-    x, rows, cls, dense, w = _batch(logits, classes, weights)
-    v_rows, v_dense = _kernel(x, x.max(1), rows, cls, dense, w, gradients=False)
-    return _row_values(rows, v_rows, dense, v_dense)
-
-
-def weighted_ce_values_by_label(logits, labels) -> np.ndarray:
+def weighted_ce_values_by_label(logits, classes, weights=None) -> np.ndarray:
     """The values (B, L) of every logit row against each of L labels.
 
-    Label j is a class c in 0..width-1, scored as the one-hot row at c, or
-    a (width,) weight row, and every row of ``logits`` (B, width) is
-    scored against it.  Column j equals :func:`weighted_ce_values` of
-    ``logits`` with every row labelled j, bit for bit: it runs the same
-    one-hot and weighted tails, but the row maxima, exp, row totals and
-    their logs are computed once for all L labels.  Beside ``logits`` a
-    call holds two (B, width) buffers, z = x - max and exp(z).  The
-    one-hot labels are scored first, since a class that holds a row's top
-    logit reads the other classes' exp (a gather of those rows while it
-    is summed); then each weighted label's terms are formed in exp(z)'s
-    buffer.
+    The labels are given as :func:`weighted_ce` gives its rows' labels:
+    ``classes`` (L,) holds a class c in 0..width-1 for the one-hot row at
+    c, or -1 for the next row of ``weights`` (G, width), one row per -1
+    in label order and None when there is no -1.  Every row of
+    ``logits`` (B, width) is scored against every label, and column j
+    equals the values of :func:`weighted_ce` with every row labelled j,
+    bit for bit: it runs the same one-hot and weighted tails, but the row
+    maxima, exp, row totals and their logs are computed once for all L
+    labels.  Beside ``logits`` a call holds two (B, width) buffers,
+    z = x - max and exp(z).  The one-hot labels are scored first, since a
+    class that holds a row's top logit reads the other classes' exp (a
+    gather of those rows while it is summed); then each weighted label's
+    terms are formed in exp(z)'s buffer.
     """
     x = np.asarray(logits, dtype=np.float64, order="C")
     if x.ndim != 2 or not x.shape[1]:
         raise InvalidDimension(f"logits must be (B, width) with width >= 1, got {x.shape}")
     n, width = x.shape
-    one_hot, weighted = [], []
-    for j, label in enumerate(labels):
-        if np.ndim(label) == 0:
-            c = np.asarray(label)
-            if c.dtype.kind not in "iu":
-                raise InvalidDimension(f"label {j}: a class must be an integer, got {c.dtype}")
-            if not 0 <= c < width:
-                raise InvalidClass(f"label {j}: class {c} outside 0..{width - 1}")
-            one_hot.append((j, int(c)))
-        else:
-            w = np.ascontiguousarray(label, dtype=np.float64)
-            if w.shape != (width,):
-                raise InvalidDimension(f"label {j}: weight row {w.shape} does not match "
-                                       f"logits of width {width}")
-            weighted.append((j, w))
+    one_hot, cls, dense = _label_rows(classes, (np.size(classes), width), "label")
+    w = _weight_rows(weights, dense.size, width)
     z, e, _, log_total = _exp_rows(x, x.max(1))
-    values = np.empty((n, len(one_hot) + len(weighted)))
+    values = np.empty((n, one_hot.size + dense.size))
     every_row = np.arange(n)
-    for j, c in one_hot:
+    for j, c in zip(one_hot.tolist(), cls.tolist()):
         values[:, j] = _one_hot_values(z[:, c], log_total, e, every_row, np.full(n, c))
-    for j, w in weighted:
-        values[:, j] = _weighted_values(z, log_total, w, out=e)
+    for j, row in zip(dense.tolist(), () if w is None else w):
+        values[:, j] = _weighted_values(z, log_total, row, out=e)
     return values
 
 
-def _batch(logits, classes, weights):
-    """The logits as float64, the one-hot rows and their classes, the
-    weighted rows and their weights (None when no row is weighted)."""
-    x = np.asarray(logits, dtype=np.float64, order="C")
-    rows, cls, dense = _label_rows(classes, x.shape)
-    return x, rows, cls, dense, _weight_rows(weights, dense.size, x.shape[1])
-
-
-def _row_values(rows, v_rows, dense, v_dense) -> np.ndarray:
-    """The (B,) values from the one-hot rows' and the weighted rows' values."""
-    if not dense.size:
-        return v_rows
-    if not rows.size:
-        return v_dense
-    values = np.empty(rows.size + dense.size)
-    values[rows] = v_rows
-    values[dense] = v_dense
-    return values
-
-
-def _label_rows(classes, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _label_rows(classes, shape, item="row") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions of the one-hot rows, their classes, and the positions
-    of the weighted (-1) rows."""
+    of the weighted (-1) rows.  ``shape`` is (n, width) for n classes of
+    width ``width``; messages name a class's ``item`` (a row, or a label)."""
     n, width = shape
     c = np.asarray(classes)
     if c.shape != (n,) or (n and c.dtype.kind not in "iu"):
-        raise InvalidDimension(f"classes must be {n} integers, one per logit row, "
+        raise InvalidDimension(f"classes must be {n} integers, one per {item}, "
                                f"got {c.dtype} of shape {c.shape}")
     if n and (c.min() < -1 or c.max() >= width):
-        row = int(np.argmax((c < -1) | (c >= width)))
-        raise InvalidClass(f"row {row}: class {c[row]} outside 0..{width - 1} "
-                           "(or -1 for a weighted row)")
+        at = int(np.argmax((c < -1) | (c >= width)))
+        raise InvalidClass(f"{item} {at}: class {c[at]} outside 0..{width - 1} "
+                           f"(or -1 for a weighted {item})")
     rows = (c >= 0).nonzero()[0]
     return rows, c[rows], (c < 0).nonzero()[0]
 
 
 def _weight_rows(weights, n_dense: int, width: int) -> np.ndarray | None:
-    """The weighted rows' (n_dense, width) weights; None when no row is weighted."""
+    """The (n_dense, width) weights of the n_dense classes of -1; None when
+    there is none."""
     if weights is None:
         if n_dense:
-            raise InvalidDimension(f"{n_dense} weighted rows (class -1) need weight rows")
+            raise InvalidDimension(f"{n_dense} classes of -1 need weight rows")
         return None
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n_dense, width):
-        raise InvalidDimension(f"weights {w.shape} do not match the {n_dense} weighted "
-                               f"rows of width {width}")
+        raise InvalidDimension(f"weights {w.shape} do not match the {n_dense} classes "
+                               f"of -1 at width {width}")
     return w if n_dense else None
 
 
-def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
+def _kernel(x, top, rows, cls, dense, weights, diagonal=False):
     """The one cross-entropy kernel behind every loss here.
 
     ``x`` is the C-contiguous (B, width) batch, so its buffers are too and
@@ -187,11 +161,11 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     the weighted rows and ``weights`` their weights, or None to leave
     them unscored; ``diagonal`` gives every weighted row the diagonal
     gradient.  Returns the one-hot rows' values (None without one-hot
-    rows) and the weighted rows' values (None without weights); with
-    ``gradients`` also the (B, width) softmax buffer holding each one-hot
-    row's gradient, and the weighted rows' gradients (None without
-    weights).  Rows never mix, so a row's results do not
-    depend on the rows scored beside it, nor on the layout of ``weights``:
+    rows), the weighted rows' values (None without weights), the
+    (B, width) softmax buffer holding each one-hot row's gradient, and the
+    weighted rows' gradients (None without weights).  Rows never mix, so
+    a row's results do not depend on the rows scored beside it, nor on
+    the layout of ``weights``:
     a row is summed in its class order.  Up to the values, a call holds
     two (B, width) buffers beside ``x``, z = x - top and exp(z), and the
     top-class rows' gather of their other classes: the weighted rows'
@@ -220,8 +194,6 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False, gradients=True):
     del z  # the rest reads e, the row totals and the classes' logits
     if rows.size:
         v_rows = _one_hot_values(z_class, log_total[rows], e, rows, cls)
-    if not gradients:
-        return v_rows, v_dense
 
     # p = softmax, computed over e (spent once the values are in)
     p = np.divide(e, total[:, None], out=e)

@@ -895,6 +895,37 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "allocate" in err[0]
 
+    @pytest.mark.parametrize("argv", [["gen-data", "counts"], ["gen-data", "n_per_class"],
+                                      ["gen-data", "dim"], ["run", "dim"],
+                                      ["gradcheck", "--k", str(10**23), "--trials", "1"]],
+                             ids=["gen-data-counts", "gen-data-n_per_class", "gen-data-dim",
+                                  "run-dim", "gradcheck-k"])
+    def test_a_size_numpy_refuses_exits_two(self, tmp_path, capsys, argv):
+        # 10**30 and 10**23 lie beyond numpy's index range (2**63): numpy
+        # refuses them with a ValueError before it allocates anything
+        sizes = {"counts": 6, "n_per_class": 10, "dim": 4}
+        if argv[0] != "gradcheck":
+            sizes[argv[1]] = 10**30
+            spec = tmp_path / "huge.txt"
+            spec.write_text(f"n_classes = 3\ndim = {sizes['dim']}\n"
+                            f"n_per_class = {sizes['n_per_class']}\nstrategies = lsro\n"
+                            f"counts = {sizes['counts']}\nseeds = 1\n")
+            argv = [argv[0], "--spec", str(spec), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Maximum allowed dimension exceeded" in err[0]
+        if argv[0] == "gen-data":
+            assert not (tmp_path / "out").exists()
+
+    def test_any_other_value_error_keeps_its_traceback(self, monkeypatch):
+        def broken(**kwargs):
+            raise ValueError("a bug, not a size")
+
+        monkeypatch.setattr(cli, "run_gradcheck", broken)
+        with pytest.raises(ValueError, match="a bug, not a size"):
+            main(["gradcheck", "--k", "2", "--trials", "1"])
+
     def test_gen_data_that_cannot_be_generated_leaves_no_directory(self, tmp_path, capsys):
         spec = tmp_path / "huge.txt"
         spec.write_text("n_classes = 3\ndim = 4\nn_per_class = 1000000000000000\n"

@@ -53,9 +53,9 @@ class TestBlockRule:
         real = gradcheck.weighted_ce_values_by_label
         calls = []
 
-        def counting(points, labels):
-            calls.append([case_of(label) for label in labels])
-            return real(points, labels)
+        def counting(points, classes, weights):
+            calls.append(cases_of(classes, weights))
+            return real(points, classes, weights)
 
         monkeypatch.setattr(gradcheck, "weighted_ce_values_by_label", counting)
         assert run_gradcheck(k_values=(k,), trials=2).passed
@@ -63,26 +63,34 @@ class TestBlockRule:
         assert all(cases == list(gradcheck.CASES) for cases in calls)
 
 
-def case_of(label):
-    """The checked loss a label of a gradcheck sweep differentiates."""
-    if np.ndim(label) == 0:
-        return "real_ce"
-    return "lsro" if np.all(label == label[0]) else "mprl_analytic"
+def cases_of(classes, weights):
+    """The checked loss each label of a gradcheck sweep differentiates: a
+    class is ``real_ce``, a uniform weight row ``lsro``, any other row
+    ``mprl_analytic``."""
+    rows = iter(weights)
+    cases = []
+    for cls in classes:
+        if cls >= 0:
+            cases.append("real_ce")
+        else:
+            row = next(rows)
+            cases.append("lsro" if np.all(row == row[0]) else "mprl_analytic")
+    return cases
 
 
 def nan_on_call(calls, name):
     """A stand-in for ``gradcheck.weighted_ce_values_by_label`` whose values
     for the loss ``name`` are NaN throughout its ``calls``-th sweep (one
-    sweep per trial, one labels tuple per sweep)."""
+    sweep per trial, one weights array per sweep)."""
     real = gradcheck.weighted_ce_values_by_label
     sweeps = []
 
-    def values_by_label(points, labels):
-        if not sweeps or sweeps[-1] is not labels:
-            sweeps.append(labels)
-        values = real(points, labels)
+    def values_by_label(points, classes, weights):
+        if not sweeps or sweeps[-1] is not weights:
+            sweeps.append(weights)
+        values = real(points, classes, weights)
         if len(sweeps) == calls:
-            values[:, [case_of(label) == name for label in labels]] = np.nan
+            values[:, [case == name for case in cases_of(classes, weights)]] = np.nan
         return values
     return values_by_label
 

@@ -27,7 +27,6 @@ from mprl.losses import (
     mprl_generated_loss,
     real_ce_loss,
     weighted_ce,
-    weighted_ce_values,
     weighted_ce_values_by_label,
 )
 from mprl.retrieval import small_ufunc_buffer
@@ -192,7 +191,7 @@ class TestFiniteDifferences:
         x = rng.normal(0, 3, size=k)
         c = int(rng.integers(k))
         alpha = mprl_alpha(softmax(x))
-        labels = (c, np.full(k, 1.0 / k), mprl_rows(alpha))
+        classes, weights = np.array([c, -1, -1]), np.stack([np.full(k, 1.0 / k), mprl_rows(alpha)])
         scalar_fns = [
             lambda z: real_ce_loss(z, c).value,
             lambda z: lsro_loss(z).value,
@@ -200,7 +199,7 @@ class TestFiniteDifferences:
         ]
         # one sweep gives all three gradients, one row per label
         swept = finite_difference_gradient(
-            lambda points: weighted_ce_values_by_label(points, labels), x)
+            lambda points: weighted_ce_values_by_label(points, classes, weights), x)
         assert swept.shape == (3, k)
         for scalar_fn, batched in zip(scalar_fns, swept):
             scalar = fd_gradient(scalar_fn, x)
@@ -212,14 +211,14 @@ class TestFiniteDifferences:
         # bit, for the losses gradcheck sweeps and for an arbitrary function
         rng = np.random.default_rng(k + 7)
         x = rng.normal(0, 3, size=k)
-        labels = (int(rng.integers(k)), lsro_label(k), mprl_rows(mprl_alpha(softmax(x))))
+        classes = np.array([int(rng.integers(k)), -1, -1])
+        weights = np.stack([lsro_label(k), mprl_rows(mprl_alpha(softmax(x)))])
         swept = finite_difference_gradient(
-            lambda points: weighted_ce_values_by_label(points, labels), x)
-        for label, got in zip(labels, swept):
-            cls, row = (label, None) if np.ndim(label) == 0 else (-1, label)
+            lambda points: weighted_ce_values_by_label(points, classes, weights), x)
+        for cls, row, got in zip(classes, (None, *weights), swept):
             want = finite_difference_gradient(
-                lambda p: weighted_ce_values(p, np.full(len(p), cls),
-                                             None if row is None else np.tile(row, (len(p), 1))),
+                lambda p: weighted_ce(p, np.full(len(p), cls),
+                                      None if row is None else np.tile(row, (len(p), 1)))[0],
                 x)
             assert got.tobytes() == want.tobytes()
         outputs = (lambda p: np.sin(p).sum(1), lambda p: (p * p).max(1))
@@ -270,10 +269,10 @@ class TestInPlaceBlocks:
         rng = np.random.default_rng(k + 1)
         x = rng.normal(0, 3, size=k)
         alpha = mprl_alpha(softmax(x))
-        labels = (int(rng.integers(k)), mprl_rows(alpha))
+        classes, weights = np.array([int(rng.integers(k)), -1]), mprl_rows(alpha)[None]
 
         def fn(points):
-            return weighted_ce_values_by_label(points, labels)
+            return weighted_ce_values_by_label(points, classes, weights)
 
         want = np.empty((2, k))
         for cols, points in tiled_blocks(x, 1e-6):
@@ -286,12 +285,12 @@ class TestInPlaceBlocks:
         k = 12
         rng = np.random.default_rng(cls + 2)
         weights = mprl_rows(mprl_alpha(softmax(rng.normal(size=k))))
-        label = cls if cls >= 0 else weights
+        label = None if cls >= 0 else weights[None]
         for n in (3, 16, 1, 40, 16, 2):
             points = rng.normal(0, 3, size=(n, k))
             rows = None if cls >= 0 else np.tile(weights, (n, 1))
-            want = weighted_ce_values(points, np.full(n, cls), rows)
-            got = weighted_ce_values_by_label(points, [label])
+            want = weighted_ce(points, np.full(n, cls), rows)[0]
+            got = weighted_ce_values_by_label(points, [cls], label)
             assert got.shape == (n, 1)
             assert got[:, 0].tobytes() == want.tobytes()
 
@@ -327,8 +326,6 @@ class TestRowsNeverMix:
             alone_grads = np.concatenate([grads for _, grads in alone])
             for h in range(1, height + 1):
                 w = None if weights is None else weights[:h]
-                values = weighted_ce_values(points[:h], classes[:h], w)
-                assert values.tobytes() == alone_values[:h].tobytes()
                 values, grads = weighted_ce(points[:h], classes[:h], w)
                 assert values.tobytes() == alone_values[:h].tobytes()
                 assert grads.tobytes() == alone_grads[:h].tobytes()
@@ -496,7 +493,7 @@ class TestCollapsedOneHotRows:
         want_values, want_grads = dense_weighted_ce(x, weights, one_hot=hot, diagonal=flags)
         assert np.array_equal(values, want_values)
         assert np.array_equal(grads, want_grads)
-        assert np.array_equal(weighted_ce_values(x, classes, rows), want_values)
+        assert np.array_equal(weighted_ce(x, classes, rows)[0], want_values)
 
     def test_top_logit_rows_keep_the_log1p_value(self):
         x, weights, hot = mixed_batch(751, 12, 3, 40.0)
@@ -518,25 +515,29 @@ class TestCollapsedOneHotRows:
 
 
 def shared_labels(k, n_labels, rng):
-    """Classes and weight rows over k classes: LSRO's row, rank rows and
-    nonnegative rows with zeros, in a random order."""
-    labels = []
+    """L labels over k classes in weighted_ce's form, in a random order:
+    classes (L,), a class or -1 apiece, and the weight rows of the -1s
+    (None without one): LSRO's row, rank rows and nonnegative rows with
+    zeros."""
+    classes, rows = [], []
     for kind in rng.integers(4, size=n_labels):
         if kind == 0:
-            labels.append(int(rng.integers(k)))
-        elif kind == 1:
-            labels.append(lsro_label(k))
+            classes.append(int(rng.integers(k)))
+            continue
+        classes.append(-1)
+        if kind == 1:
+            rows.append(lsro_label(k))
         elif kind == 2:
-            labels.append(mprl_rows(mprl_alpha(softmax(rng.normal(0, 3, size=k)))))
+            rows.append(mprl_rows(mprl_alpha(softmax(rng.normal(0, 3, size=k)))))
         else:
-            labels.append(rng.random(k) * (rng.random(k) < 0.5))
-    return labels
+            rows.append(rng.random(k) * (rng.random(k) < 0.5))
+    return np.array(classes), np.array(rows) if rows else None
 
 
 class TestValuesByLabel:
     """``weighted_ce_values_by_label`` scores a batch against several labels
-    from one softmax per row, and each label's column is
-    ``weighted_ce_values`` of that label alone, bit for bit."""
+    from one softmax per row, and each label's column is the values of
+    ``weighted_ce`` with every row labelled so, bit for bit."""
 
     @given(st.sampled_from([1, 2, 3, 8, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 1e-3, 2.0, 40.0, 1e3]), st.booleans(), st.integers(1, 5),
@@ -545,45 +546,64 @@ class TestValuesByLabel:
     @example(751, 12, 5, 40.0, False, 4, True)
     @example(1, 3, 0, 0.0, False, 3, False)
     @example(2, 8, 1, 0.0, True, 4, False)
-    def test_each_label_equals_weighted_ce_values_bit_for_bit(self, k, n, seed, margin, ties,
-                                                             n_labels, small_buffer):
+    def test_each_label_equals_weighted_ce_bit_for_bit(self, k, n, seed, margin, ties,
+                                                      n_labels, small_buffer):
         rng = np.random.default_rng(seed)
-        labels = shared_labels(k, n_labels, rng)
+        classes, weights = shared_labels(k, n_labels, rng)
         # ties: logits in {-1, 0, 1}, so a class often shares the top logit
         x = (rng.integers(-1, 2, size=(n, k)).astype(np.float64) if ties
              else rng.normal(0, 3, size=(n, k)))
-        classes = [label for label in labels if np.ndim(label) == 0]
+        hot = classes[classes >= 0]
         for i in range(0, n, 2):  # every other row: a class at the top by the margin
-            if classes and margin:
-                c = classes[i % len(classes)]
+            if hot.size and margin:
+                c = hot[i % hot.size]
                 x[i, c] = x[i].max() + margin
         with small_ufunc_buffer() if small_buffer else contextlib.nullcontext():
-            got = weighted_ce_values_by_label(x, labels)
-            assert got.shape == (n, len(labels))
-            for j, label in enumerate(labels):
-                if np.ndim(label) == 0:
-                    want = weighted_ce_values(x, np.full(n, label))
-                else:
-                    want = weighted_ce_values(x, np.full(n, -1), np.tile(label, (n, 1)))
+            got = weighted_ce_values_by_label(x, classes, weights)
+            assert got.shape == (n, n_labels)
+            rows = iter(() if weights is None else weights)
+            for j, cls in enumerate(classes):
+                row = None if cls >= 0 else np.tile(next(rows), (n, 1))
+                want = weighted_ce(x, np.full(n, cls), row)[0]
                 assert got[:, j].tobytes() == want.tobytes()
 
     def test_a_class_at_the_top_keeps_the_log1p_value(self):
         x = np.zeros((2, 751))
         x[:, 7] = 60.0
-        values = weighted_ce_values_by_label(x, [7, lsro_label(751), 7])
+        values = weighted_ce_values_by_label(x, [7, -1, 7], lsro_label(751)[None])
         # log t - z_c rounds to 0 at a margin of 60; log1p keeps the value
         assert np.all(values[:, 0] > 0.0)
         assert values[:, 0].tobytes() == values[:, 2].tobytes()
 
+    def test_classes_alone_need_no_weights(self):
+        x = np.random.default_rng(3).normal(0, 3, size=(5, 6))
+        values = weighted_ce_values_by_label(x, np.array([4, 0, 4]))
+        assert values.shape == (5, 3)
+        for j, cls in enumerate((4, 0, 4)):
+            assert values[:, j].tobytes() == weighted_ce(x, np.full(5, cls))[0].tobytes()
+
+    def test_no_labels_give_no_columns(self):
+        for classes in ([], np.array([], dtype=np.int64)):
+            values = weighted_ce_values_by_label(np.zeros((3, 4)), classes)
+            assert values.shape == (3, 0)
+
+    def test_weights_must_match_the_weighted_labels(self):
+        x = np.zeros((2, 4))
+        for classes, weights in (([0, -1, -1], np.ones((1, 4))), ([0, -1], np.ones((2, 4))),
+                                 ([0, 1], np.ones((1, 4))), ([-1, -1], None)):
+            with pytest.raises(InvalidDimension, match="-1"):
+                weighted_ce_values_by_label(x, classes, weights)
+
     def test_bad_labels_and_logits_raise(self):
         x = np.zeros((2, 4))
-        for bad in (4, -1):
+        # -1 marks a weighted label, so the class below the range is -2
+        for bad in (4, -2):
             with pytest.raises(InvalidClass, match=rf"^label 1: class {bad} outside 0\.\.3"):
                 weighted_ce_values_by_label(x, [0, bad])
-        with pytest.raises(InvalidDimension, match="^label 0: a class must be an integer"):
+        with pytest.raises(InvalidDimension, match="^classes must be 1 integers, one per label"):
             weighted_ce_values_by_label(x, [1.0])
-        with pytest.raises(InvalidDimension, match=r"^label 0: weight row \(3,\)"):
-            weighted_ce_values_by_label(x, [np.ones(3)])
+        with pytest.raises(InvalidDimension, match=r"^weights \(1, 3\) do not match"):
+            weighted_ce_values_by_label(x, [-1], np.ones((1, 3)))
         for logits in (np.zeros(4), np.zeros((2, 0))):
             with pytest.raises(InvalidDimension, match="logits must be"):
                 weighted_ce_values_by_label(logits, [0])
@@ -656,8 +676,8 @@ class TestClassForm:
             combined_loss(np.zeros((5, 4)), classes, weights, 1.0)
         with pytest.raises(InvalidClass, match=r"^row 3: "):
             weighted_ce(np.zeros((5, 4)), classes, weights)
-        with pytest.raises(InvalidClass, match=r"^row 3: "):
-            weighted_ce_values(np.zeros((5, 4)), classes, weights)
+        with pytest.raises(InvalidClass, match=rf"^label 3: class {bad} outside 0\.\.3"):
+            weighted_ce_values_by_label(np.zeros((2, 4)), classes, weights)
 
     def test_k1_takes_class_0(self):
         out = combined_loss(np.zeros((2, 1)), np.array([0, 0]), None, 1.0)
@@ -684,8 +704,8 @@ class TestClassForm:
         # at its argmax, as a one-hot flag on weights once did, gives 2.408
         x = np.array([[0.0, 1.0, 2.0]])
         w = np.array([[0.5, 0.5, 0.0]])
-        assert abs(weighted_ce_values(x, np.array([-1]), w)[0] - 1.9076) < 1e-4
-        assert abs(weighted_ce_values(x, np.array([0]))[0] - 2.4076) < 1e-4
+        assert abs(weighted_ce(x, np.array([-1]), w)[0][0] - 1.9076) < 1e-4
+        assert abs(weighted_ce(x, np.array([0]))[0][0] - 2.4076) < 1e-4
         with pytest.raises(InvalidDimension):
             weighted_ce(x, np.array([0]), w)
 

@@ -1,6 +1,7 @@
 """The README's Python examples run as written, its spec example names
-every spec key, and its CLI block and the ``mprl.cli`` docstring name
-every subcommand."""
+every spec key, its CLI block and the ``mprl.cli`` docstring name every
+subcommand, and its exit-code table, that docstring and the ``EXIT_*``
+constants name the same codes."""
 
 import argparse
 import re
@@ -44,3 +45,26 @@ def test_cli_block_and_cli_docstring_name_exactly_the_subcommands():
     in_readme = re.findall(r"^mprl ([\w-]+)", block, re.MULTILINE)
     in_docstring = re.findall(r"^\* ``([\w-]+)`` +--", cli.__doc__, re.MULTILINE)
     assert sorted(in_readme) == sorted(in_docstring) == sorted(subparsers.choices)
+
+
+def outside_parentheses(text):
+    """``text`` without its parenthesized asides, nested ones included,
+    with code marks and whitespace normalized and no final period."""
+    while True:
+        shorter = re.sub(r" ?\([^()]*\)", "", text)
+        if shorter == text:
+            break
+        text = shorter
+    return " ".join(text.replace("``", "`").split()).rstrip(".")
+
+
+def test_exit_code_table_docstring_and_constants_agree():
+    table = re.findall(r"^\| (\d+) \| (.*) \|$", README.read_text(), re.MULTILINE)
+    listed = re.findall(r"^\* (\d+) -- (.*?)(?=^\* |\n\n|\Z)", cli.__doc__,
+                        re.MULTILINE | re.DOTALL)
+    constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(int(code) for code, _ in table) == sorted(constants)
+    assert [code for code, _ in table] == [code for code, _ in listed]
+    # the two descriptions of a code agree but for their asides
+    for (code, in_readme), (_, in_docstring) in zip(table, listed):
+        assert outside_parentheses(in_readme) == outside_parentheses(in_docstring), code
