@@ -26,37 +26,23 @@ keys to the generators' own rules (``synthgen.check_real_params`` and
 ``check_generated_params``) and the training keys to
 ``TrainConfig.validate``, so no cell meets a value they would refuse.
 
-The grid expands to one cell per (strategy, count, seed), except that
-the baseline ignores the generated-data counts and runs once per seed.
-Cells run seed-major: every cell of the first seed (strategies in spec
-order, each over its counts), then the next seed.  Datasets are built
-and cells trained through a :class:`RunMemo` only: one per
-:func:`run_experiment` call, and one per worker process under ``jobs >
-1``; ``mprl gen-data`` uses a fresh one.
-Within a memo the cells of a seed share what they would otherwise each
-build: the real dataset, each count's generated dataset (read-only), the
-baseline model that labels an smprl cell's generated rows, which is the
-baseline cell's when it has already run there and is pretrained once
-otherwise, and the dropout masks.  A mask depends only on (seed, epoch,
-batch, rows), never on the strategy, so each is drawn once per seed and
-replayed by the seed's later cells (see :class:`mprl.trainer.SeedDraws`).
-A seed's cells that share a count, a head width and a gradient rule
-(:func:`mprl.trainer.lockstep_key`), the baseline excepted, train as one
-:class:`mprl.trainer.Cohort`, up to :func:`mprl.trainer.stack_limit`
-cells each.  The cells of a cohort differ only in their generated rows'
-labels and the settings a member holds as its own
-(:data:`mprl.trainer.MEMBER_SETTINGS`), and the cohort draws each
-epoch's visit order once for all of them.  The first cell of a cohort
-trains every member in lockstep, and each later one takes the result
-the memo holds for it.  Its ``wall_seconds`` then holds the cohort's
-training, and a later member's only its own evaluation.
-Nothing is shared across seeds or across calls.
+The grid expands to one cell per (strategy, count, seed), except that a
+real-only strategy (the baseline) ignores the generated-data counts and
+runs once per seed: this module reads :data:`mprl.labels.SCHEMES`, never
+a strategy's name.  Cells run seed-major: every cell of the first seed
+(strategies in spec order, each over its counts), then the next seed.
+Through a :class:`RunMemo` (one per :func:`run_experiment` call, worker
+process or ``mprl gen-data`` call) the cells of a seed share what they
+would otherwise each build: the datasets, the baseline model, the
+dropout masks and their cohorts (see :func:`_cohort_of`).  Nothing is
+shared across seeds or across calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
 per (strategy, count) group when several seeds ran.  All cell artifacts
 are byte-reproducible from the spec, whatever ran before them; the
 summary's wall_seconds column is the only timing (hence
-non-reproducible) field anywhere.
+non-reproducible) field anywhere, and a cohort's first cell holds the
+whole cohort's training.
 """
 
 from __future__ import annotations
@@ -74,6 +60,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import InvalidConfig, MprlError, SpecError, read_utf8
+from .labels import SCHEMES, Schedule
 from .net import ModelParams
 from .retrieval import evaluate, pairwise_sq_euclidean, save_report
 from .synthgen import (
@@ -133,7 +120,7 @@ class ExperimentSpec(TrainSettings):
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise SpecError(f"{key} must not repeat a value")
-        mixes = (any(s is not Strategy.BASELINE for s in self.strategies)
+        mixes = (any(not SCHEMES[s].real_only for s in self.strategies)
                  and any(c > 0 for c in self.counts))
         try:
             # what dataset generation would reject inside a cell, before any
@@ -211,22 +198,17 @@ class Cell:
 
 def expand_cells(spec: ExperimentSpec) -> list[Cell]:
     """Grid expansion, seed-major: every cell of one seed (strategies in
-    spec order, each over its counts) before the next seed; the baseline
-    collapses over the count axis."""
-    cells = []
-    for seed in spec.seeds:
-        for strategy in spec.strategies:
-            counts = (0,) if strategy is Strategy.BASELINE else spec.counts
-            for count in counts:
-                cells.append(Cell(strategy, count, seed))
-    return cells
+    spec order, each over its counts) before the next seed; a real-only
+    strategy collapses over the count axis."""
+    return [Cell(strategy, count, seed) for seed in spec.seeds for strategy in spec.strategies
+            for count in ((0,) if SCHEMES[strategy].real_only else spec.counts)]
 
 
 class RunMemo:
     """What the cells of one seed share within one run (a
     :func:`run_experiment` call or a ``gen-data`` call): the real
     dataset, each count's generated dataset, the baseline model that
-    labels an smprl cell's generated rows, the seed's dropout masks, and
+    labels a static cell's generated rows, the seed's dropout masks, and
     its cohorts (:attr:`cohorts`, each cell that has yet to take its
     result mapped to its :class:`mprl.trainer.Cohort`).
     Cells run seed-major, so it holds one seed at a time.  Every array it
@@ -358,31 +340,33 @@ def _cohort_of(spec: ExperimentSpec, cell: Cell, memo: RunMemo, real: Dataset,
     A new cohort holds ``cell`` and the later cells of its seed that no
     cohort holds yet and that train in lockstep with it: the same count
     and :func:`mprl.trainer.lockstep_key`, up to the
-    :func:`mprl.trainer.stack_limit` of its kind.  Each smprl member
-    labels its generated rows with the seed's baseline model in ``memo``:
-    the baseline cell's parameters when that cell has run, else one
-    pretraining per seed.  The two are the same bits: without generated
-    rows, neither ``gen_weight`` nor the strategy-specific settings reach
-    the trajectory.  An smprl cell behind a baseline cell still to run
-    joins no earlier cell's cohort, so it waits for that cell's model
-    instead of pretraining a copy.
+    :func:`mprl.trainer.stack_limit` of its kind.  Each member of a
+    static schedule labels its generated rows with the seed's baseline
+    model in ``memo``: the real-only cell's parameters when that cell has
+    run, else one pretraining per seed.  The two are the same bits:
+    without generated rows, neither ``gen_weight`` nor the
+    strategy-specific settings reach the trajectory.  A static cell behind
+    a real-only cell still to run joins no earlier cell's cohort, so it
+    waits for that cell's model instead of pretraining a copy.
     """
     cohort = memo.cohorts.pop(cell, None)
     if cohort is not None:
         return cohort
     cfg = spec.train_config(cell.strategy, cell.seed)
     cells = expand_cells(spec)
+    rest = cells[cells.index(cell) + 1:]
     key = (cell.seed, cell.n_generated, lockstep_key(cfg))
-    later = [c for c in cells[cells.index(cell) + 1:] if c not in memo.cohorts and key == (
+    later = [c for c in rest if c not in memo.cohorts and key == (
         c.seed, c.n_generated, lockstep_key(spec.train_config(c.strategy, c.seed)))]
-    baseline_cell = Cell(Strategy.BASELINE, 0, cell.seed)
-    if memo.baseline is None and baseline_cell in cells[cells.index(cell) + 1:]:
-        later = [c for c in later if c.strategy is not Strategy.SMPRL
-                 or cells.index(c) < cells.index(baseline_cell)]
+    if memo.baseline is None:  # static members wait for the seed's real-only cell
+        wait = next((i for i, c in enumerate(rest)
+                     if c.seed == cell.seed and SCHEMES[c.strategy].real_only), len(rest))
+        later = [c for c in later if SCHEMES[c.strategy].schedule is not Schedule.STATIC
+                 or rest.index(c) < wait]
     cohort = Cohort()
     for member in [cell, *later][:stack_limit(cfg, spec.n_classes)]:
         static = None
-        if member.strategy is Strategy.SMPRL and generated is not None:
+        if SCHEMES[member.strategy].schedule is Schedule.STATIC and generated is not None:
             if memo.baseline is None:
                 _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
             static = assign_static_labels(memo.baseline, generated)
@@ -406,7 +390,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> 
     cfg = spec.train_config(cell.strategy, cell.seed)
     cohort = _cohort_of(spec, cell, memo, real, generated)
     params, history = train(real, generated, cfg, draws=memo.draws, cohort=cohort)
-    if cell.strategy is Strategy.BASELINE:
+    if cfg.scheme.real_only:
         _keep_baseline(memo, params)
 
     queries = extract_embeddings(params, real, "query")

@@ -3,19 +3,22 @@
 Every label is a plain float64 weight row over the classifier head,
 and a mini-batch's labels are the rows of one (B, width) matrix.  A
 softmax classifier over K pre-defined training classes induces several
-ways to label a sample that has no ground-truth class:
+ways, each a :class:`Rule`, to label a sample that has no ground-truth class:
 
-* ``all_in_one_label``: one-hot at a single extra class K+1 shared by
-  every generated sample (the row, and the classifier head, has K+1
+* extra class (``all_in_one_label``): one-hot at a single extra class
+  K+1 shared by every generated sample (the row, and the head, has K+1
   entries).
-* ``one_hot_pseudo_label``: one-hot at the argmax predicted class,
-  recomputed each time the sample is visited.
-* ``lsro_label``: the uniform row 1/K over all pre-defined classes,
-  identical for every generated sample.
-* ``mprl_label``: a multi-pseudo row whose per-class weight is the rank
-  (``mprl_alpha``) of that class's predicted probability divided by K.
-  Every class keeps a nonzero weight, and with distinct probabilities
+* top-1 (``one_hot_pseudo_label``): one-hot at the argmax predicted class.
+* uniform (``lsro_label``): the row 1/K over all pre-defined classes.
+* rank (``mprl_label``): a multi-pseudo row whose per-class weight is the
+  rank (``mprl_alpha``) of that class's predicted probability divided by
+  K.  Every class keeps a nonzero weight, and with distinct probabilities
   the gap between consecutive sorted weights is exactly 1/K.
+
+A strategy, named in a spec, is one row of :data:`SCHEMES`: its rule,
+the :class:`Schedule` of when its generated rows are labelled, its head's
+extra classes and its default ``gen_weight``.  Code outside this module
+reads the table and never branches on a name.
 
 Training and static labelling build a batch's rows from its logits with
 :func:`virtual_labels`, the one batch rule of every strategy; the builders
@@ -35,7 +38,9 @@ at row position ``c - 1``, so a one-hot row's class is ``argmax + 1``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,7 +59,49 @@ class Strategy(str, Enum):
     DMPRL2 = "dmprl2"
 
 
-RANK_WEIGHTED = frozenset({Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2})
+class Rule(Enum):
+    """The label a generated row gets."""
+
+    NONE = "none"  # the strategy labels nothing
+    EXTRA_CLASS = "extra class"  # one-hot at the extra class K+1
+    TOP1 = "top-1"  # one-hot at the top logit
+    UNIFORM = "uniform"  # LSRO's 1/K row
+    RANK = "rank"  # multi-pseudo rank weights
+
+
+class Schedule(Enum):
+    """When a generated row gets its label."""
+
+    REAL_ONLY = "real only"  # never: the training pool holds no generated row
+    DYNAMIC = "dynamic"  # from the current logits at every visit
+    RANDOM_START = "dynamic, random first batch"  # epoch 1's batch 0 ranks permutations
+    STATIC = "static"  # once, from a pretrained real-only model's logits
+    GATED = "gated"  # dynamic, and unscored before epoch warmup_epoch
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One strategy's row of :data:`SCHEMES`."""
+
+    rule: Rule
+    schedule: Schedule
+    extra_classes: int = 0  # head columns beyond the K pre-defined classes
+    gen_weight: float = 1.0  # the trade-off factor when the spec leaves it unset
+
+    @property
+    def real_only(self) -> bool:  # the training pool leaves the generated rows out
+        return self.schedule is Schedule.REAL_ONLY
+
+
+SCHEMES = MappingProxyType({
+    Strategy.BASELINE: Scheme(Rule.NONE, Schedule.REAL_ONLY),
+    Strategy.ALL_IN_ONE: Scheme(Rule.EXTRA_CLASS, Schedule.DYNAMIC, extra_classes=1),
+    Strategy.ONE_HOT_PSEUDO: Scheme(Rule.TOP1, Schedule.DYNAMIC),
+    Strategy.LSRO: Scheme(Rule.UNIFORM, Schedule.DYNAMIC),
+    Strategy.SMPRL: Scheme(Rule.RANK, Schedule.STATIC),
+    Strategy.DMPRL1: Scheme(Rule.RANK, Schedule.RANDOM_START),
+    Strategy.DMPRL2: Scheme(Rule.RANK, Schedule.GATED, gen_weight=0.1),
+})
 
 
 def check_logits(logits) -> np.ndarray:
@@ -220,19 +267,21 @@ def mprl_rows(ranks) -> np.ndarray:
 
 
 def virtual_labels(strategy: Strategy, logits) -> np.ndarray:
-    """``strategy``'s rows, of mass 1, for (G, width) generated ``logits`` as
-    its builder above gives them; LSRO's and all-in-one's (extra class
-    last) are one row broadcast read-only.  The baseline raises InvalidConfig."""
+    """The rows, of mass 1, that ``strategy``'s rule gives (G, width)
+    generated ``logits``, as its builder above gives them; the uniform and
+    extra-class rows (extra class last) are one row broadcast read-only.
+    A strategy without a rule (the baseline) raises InvalidConfig."""
     strategy = Strategy(strategy)
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidDimension(f"logits must be a (G, width) matrix, got shape {x.shape}")
     width = x.shape[1]
-    if strategy in RANK_WEIGHTED:
+    rule = SCHEMES[strategy].rule
+    if rule is Rule.RANK:
         return mprl_rows(row_ranks(x))
-    if strategy is Strategy.ONE_HOT_PSEUDO:  # ties go to the lowest index
+    if rule is Rule.TOP1:  # ties go to the lowest index
         return (np.arange(width) == x.argmax(1)[:, None]).astype(np.float64)
-    if strategy in (Strategy.LSRO, Strategy.ALL_IN_ONE):
-        row = lsro_label(width) if strategy is Strategy.LSRO else all_in_one_label(width - 1)
+    if rule in (Rule.UNIFORM, Rule.EXTRA_CLASS):
+        row = lsro_label(width) if rule is Rule.UNIFORM else all_in_one_label(width - 1)
         return np.broadcast_to(row, x.shape)
     raise InvalidConfig(f"the {strategy.value} strategy gives no virtual labels")

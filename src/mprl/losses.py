@@ -71,7 +71,7 @@ def weighted_ce(logits, classes, weights=None, diagonal: bool = False
     and strictly positive, at margins where the log-sum-exp form cancels
     to zero.  Returns the values (B,) and the gradients (B, width).
     """
-    x = np.asarray(logits, dtype=np.float64, order="C")
+    x = _logit_rows(logits)
     rows, cls, dense = _label_rows(classes, x.shape)
     w = _weight_rows(weights, dense.size, x.shape[1])
     v_rows, v_dense, grads, dense_grads = _kernel(x, x.max(1), rows, cls, dense, w, diagonal)
@@ -104,9 +104,7 @@ def weighted_ce_values_by_label(logits, classes, weights=None) -> np.ndarray:
     gather of those rows while it is summed); then each weighted label's
     terms are formed in exp(z)'s buffer.
     """
-    x = np.asarray(logits, dtype=np.float64, order="C")
-    if x.ndim != 2 or not x.shape[1]:
-        raise InvalidDimension(f"logits must be (B, width) with width >= 1, got {x.shape}")
+    x = _logit_rows(logits)
     n, width = x.shape
     one_hot, cls, dense = _label_rows(classes, (np.size(classes), width), "label")
     w = _weight_rows(weights, dense.size, width)
@@ -120,6 +118,14 @@ def weighted_ce_values_by_label(logits, classes, weights=None) -> np.ndarray:
     return values
 
 
+def _logit_rows(logits) -> np.ndarray:
+    """``logits`` as a C-contiguous float64 (B, width) batch, width >= 1."""
+    x = np.asarray(logits, dtype=np.float64, order="C")
+    if x.ndim != 2 or not x.shape[1]:
+        raise InvalidDimension(f"logits must be (B, width) with width >= 1, got {x.shape}")
+    return x
+
+
 def _label_rows(classes, shape, item="row") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions of the one-hot rows, their classes, and the positions
     of the weighted (-1) rows.  ``shape`` is (n, width) for n classes of
@@ -129,12 +135,14 @@ def _label_rows(classes, shape, item="row") -> tuple[np.ndarray, np.ndarray, np.
     if c.shape != (n,) or (n and c.dtype.kind not in "iu"):
         raise InvalidDimension(f"classes must be {n} integers, one per {item}, "
                                f"got {c.dtype} of shape {c.shape}")
-    if n and (c.min() < -1 or c.max() >= width):
+    # argmin and argmax skip min and max's ufunc reduction overhead
+    if n and (c[c.argmin()] < -1 or c[c.argmax()] >= width):
         at = int(np.argmax((c < -1) | (c >= width)))
         raise InvalidClass(f"{item} {at}: class {c[at]} outside 0..{width - 1} "
                            f"(or -1 for a weighted {item})")
-    rows = (c >= 0).nonzero()[0]
-    return rows, c[rows], (c < 0).nonzero()[0]
+    weighted = c < 0
+    rows = (~weighted).nonzero()[0]
+    return rows, c[rows], weighted.nonzero()[0]
 
 
 def _weight_rows(weights, n_dense: int, width: int) -> np.ndarray | None:
@@ -344,8 +352,8 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = Fal
         out = combined_loss(logits, classes, [gen_weights], [gen_weight], diagonal, members=1)
         return CombinedLoss(out.value[0], out.real_loss[0], out.gen_loss[0], out.n_real,
                             out.n_generated, out.grad_logits)
-    x = np.asarray(logits, dtype=np.float64, order="C")
-    if x.ndim != 2 or x.size == 0:
+    x = _logit_rows(logits)
+    if not len(x):
         raise InvalidDimension("batch must contain at least one item")
     if not members == len(gen_weights) == len(gen_weight):
         raise InvalidDimension(f"need gen_weights and gen_weight for each of {members} members")

@@ -1,17 +1,7 @@
-"""Training strategies over merged real + generated data.
+"""Training over merged real + generated data.
 
-Seven strategies cover a real-only baseline, three comparison virtual
-labels (all-in-one extra class, one-hot pseudo, uniform LSRO) and the
-three rank-weighted multi-pseudo variants:
-
-* ``smprl``: labels assigned once by a pretrained model, frozen as one
-  (n_generated, K) weight matrix.
-* ``dmprl1``: labels recomputed from the current forward pass at every
-  visit, starting from the very first iteration (which uses random rank
-  permutations, since the untrained model offers no signal).
-* ``dmprl2``: like dmprl1 but generated samples contribute no gradient
-  until a warm-up epoch is reached, and the generated-side loss weight
-  defaults to 0.1.
+A strategy is its row of :data:`mprl.labels.SCHEMES` (a label rule, a
+schedule and a head), which this module reads; it never branches on a name.
 
 Training is batch-first over the columnar datasets of :mod:`mprl.synthgen`.
 Each epoch shuffles the pool (the real train rows' features, then the
@@ -21,53 +11,34 @@ one :func:`combined_loss` call scores the whole batch from its logits,
 each row's class (0-based for a real row, -1 for a generated one) and
 the generated rows' (G, width) virtual labels, which
 :func:`mprl.labels.virtual_labels` reads off their logits (so a confident
-model never produces an invalid label): the trainer builds no label row,
-not even a real row's one-hot, and adds only smprl's frozen rows,
-dmprl1's random first batch and dmprl2's warm-up gate, which opens at
-1-based ``epoch >= warmup_epoch`` and leaves the rows unscored (``None``)
-before.  The call also takes the two values :func:`train` resolves once
-per run: the config's ``gen_weight`` and its gradient rule
-(:meth:`TrainConfig.diagonal`).
+model never produces an invalid label) under the schedule: a static
+row's frozen labels, a random start's permuted first batch, and a
+warm-up gate that opens at 1-based ``epoch >= warmup_epoch`` and leaves
+the rows unscored (``None``) before.  The call also takes the config's
+``gen_weight`` and gradient rule (:meth:`TrainConfig.diagonal`), which
+:func:`train` resolves once per run.
 
-An epoch's visit order depends on nothing but (seed, epoch, pool size)
-and a dropout mask on nothing but (seed, epoch, batch, rows): the
-strategy never reaches them, so every cell of one seed with the same
-pool visits in the same order under the same masks.  :class:`SeedDraws`
-draws each mask once and replays it; a grid run shares one store per
-seed across its cells (see :mod:`mprl.experiment`), and a :func:`train`
-call without one keeps a private store, which draws exactly what it
-needs.  Orders are not stored: a cohort draws each epoch's order once,
-for all its members.
-
-The initial parameters, too, depend only on the seed and the layer
-sizes, so trainings of one seed and pool that share :func:`lockstep_key`
-(every setting but the :data:`MEMBER_SETTINGS`, and the gradient rule)
-differ only in their generated rows' labels, their weight and dmprl2's
-warm-up gate.  Such trainings run in lockstep as a :class:`Cohort`:
-their parameters are one (S, n_params) stack (see :mod:`mprl.net`), and
-each batch is one forward, one :func:`combined_loss` call on the
-(S·B, width) stacked logits (each member reduced over its own rows), one
-backward and one momentum step for all S of them.  Each member's result
-equals its own :func:`train` call bit for bit.  When a batch fails, a
-cohort of several trains each member again as a cohort of one, so each
-ends with the result or the error of its own call.  :data:`STACK_BYTES`
-bounds the stacked logits, which caps a cohort's size
-(:func:`stack_limit`).  There is one training loop: a :func:`train` call
-without a cohort trains a cohort of one, a stack with S = 1.
+An epoch's visit order depends on nothing but (seed, epoch, pool size),
+a dropout mask on nothing but (seed, epoch, batch, rows) and the initial
+parameters on nothing but the seed and the layer sizes: the strategy
+never reaches them.  So :class:`SeedDraws` draws each mask once and
+replays it across a seed's trainings, and trainings of one seed and pool
+that share :func:`lockstep_key` run in lockstep as a :class:`Cohort`,
+one (S, n_params) stack of models (see :mod:`mprl.net`) whose members
+differ only in their generated rows' labels, their weight and their
+warm-up gate; each member's result equals its own :func:`train` call bit
+for bit.  There is one training loop: a :func:`train` call without a
+cohort trains a cohort of one.
 
 :func:`train` and :func:`assign_static_labels` run under
-:func:`mprl.retrieval.small_ufunc_buffer`: numpy copies a broadcast
-operand (the (B, 1) row maxima of the loss, a bias row) into its ufunc
-buffer whenever two rows fit there, which at the default 8192 elements
-made every pass over K = 751 logits 2-3x slower.
+:func:`mprl.retrieval.small_ufunc_buffer`, without which numpy's default
+ufunc buffer made every pass over K = 751 logits 2-3x slower.
 
 A :class:`TrainConfig` is the shared :class:`TrainSettings` plus a
 strategy and a seed; its ``validate`` holds every rule on their values.
-
-Training records only its history, one :class:`EpochRecord` per epoch.
-Anything else, such as a generated sample's per-epoch argmax trajectory
-(the README shows one), is an ``on_epoch`` observer that :func:`train`
-calls with each record and the parameters at the end of that epoch.
+Training records only its history, one :class:`EpochRecord` per epoch;
+anything else, such as a generated sample's per-epoch argmax trajectory
+(the README shows one), is an ``on_epoch`` observer of :func:`train`.
 """
 
 from __future__ import annotations
@@ -80,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
-from .labels import RANK_WEIGHTED, Strategy, virtual_labels
+from .labels import SCHEMES, Rule, Schedule, Scheme, Strategy, virtual_labels
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
     all_in_one_label, ground_truth_label, lsro_label, mprl_alpha, mprl_label,
@@ -91,8 +62,6 @@ from .net import ModelParams, backward, embed, forward, init_optimizer, init_par
 from .retrieval import EmbeddingSet, small_ufunc_buffer
 from .synthgen import Dataset
 
-
-GENERATED_AWARE = frozenset(Strategy) - {Strategy.BASELINE}
 
 # sub-stream tags for deriving per-purpose RNG seeds from the run seed
 _SEED_INIT = 0
@@ -111,8 +80,7 @@ class TrainSettings:
     lr_after_decay: float = 0.01
     decay_epoch: int = 40
     momentum: float = 0.9
-    # trade-off between generated- and real-sample loss; None resolves to
-    # 0.1 for dmprl2 and 1.0 for every other strategy
+    # trade-off between generated- and real-sample loss; None: Scheme.gen_weight
     gen_weight: float | None = None
     warmup_epoch: int = 20
     gradient_mode: GradientMode = GradientMode.ANALYTIC
@@ -131,14 +99,16 @@ class TrainConfig(TrainSettings):
     strategy: Strategy
     seed: int = field(default=0, kw_only=True)
 
+    @property
+    def scheme(self) -> Scheme:
+        return SCHEMES[self.strategy]
+
     def resolved_gen_weight(self) -> float:
-        if self.gen_weight is not None:
-            return self.gen_weight
-        return 0.1 if self.strategy is Strategy.DMPRL2 else 1.0
+        return self.scheme.gen_weight if self.gen_weight is None else self.gen_weight
 
     def diagonal(self) -> bool:
         """The gradient rule: diagonal mode reaches rank-weighted labels only."""
-        return self.gradient_mode is GradientMode.DIAGONAL and self.strategy in RANK_WEIGHTED
+        return self.gradient_mode is GradientMode.DIAGONAL and self.scheme.rule is Rule.RANK
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -159,12 +129,10 @@ class TrainConfig(TrainSettings):
                                 f"{self.decay_epoch} and {self.warmup_epoch}")
         if self.gen_weight is not None and not 0 <= self.gen_weight < math.inf:
             raise InvalidConfig(f"gen_weight must be finite and >= 0, got {self.gen_weight!r}")
-        if self.strategy is Strategy.DMPRL2 and not self.warmup_epoch < self.epochs:
-            raise InvalidConfig(
-                f"warmup_epoch ({self.warmup_epoch}) must be < epochs ({self.epochs}) "
-                "or the warm-up gate never opens"
-            )
-        if self.strategy in GENERATED_AWARE and self.resolved_gen_weight() <= 0:
+        if self.scheme.schedule is Schedule.GATED and not self.warmup_epoch < self.epochs:
+            raise InvalidConfig(f"warmup_epoch ({self.warmup_epoch}) must be < epochs "
+                                f"({self.epochs}) or the warm-up gate never opens")
+        if self.scheme.rule is not Rule.NONE and self.resolved_gen_weight() <= 0:
             raise InvalidConfig("generated-aware strategies need gen_weight > 0")
 
 
@@ -270,33 +238,26 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def _head_width(strategy: Strategy, n_classes: int) -> int:
-    return n_classes + 1 if strategy is Strategy.ALL_IN_ONE else n_classes
-
-
 def lockstep_key(cfg: TrainConfig) -> tuple:
     """What the members of one cohort share: the seed and every setting
     but the :data:`MEMBER_SETTINGS`, so a setting added later splits
-    cohorts unless it is declared a member's own.  The baseline's pool
-    leaves the generated rows out and all-in-one's head is one class
-    wider, so each of them trains only beside its own kind, and a stack
-    has one gradient rule (:meth:`TrainConfig.diagonal`)."""
+    cohorts unless it is declared a member's own.  Members also share their
+    pool, their head width and their gradient rule (:meth:`TrainConfig.diagonal`)."""
     return (cfg.seed, *(getattr(cfg, f.name) for f in fields(TrainSettings)
                         if f.name not in MEMBER_SETTINGS),
-            cfg.strategy is Strategy.BASELINE, cfg.strategy is Strategy.ALL_IN_ONE,
-            cfg.diagonal())
+            cfg.scheme.real_only, cfg.scheme.extra_classes, cfg.diagonal())
 
 
 def stack_limit(cfg: TrainConfig, n_classes: int) -> int:
     """The most members a cohort of ``cfg``'s kind holds within
     :data:`STACK_BYTES`; at least one."""
-    return max(1, STACK_BYTES // (8 * cfg.batch_size * _head_width(cfg.strategy, n_classes)))
+    return max(1, STACK_BYTES // (8 * cfg.batch_size * (n_classes + cfg.scheme.extra_classes)))
 
 
 class Cohort:
     """Trainings of one seed and pool that run as one stack of models.
 
-    Members are added, each with its static labels (smprl only), before
+    Members are added, each with its static labels (static schedules only), before
     the first :func:`train` call that names one of them.  That call trains
     every member in lockstep.  From then on the cohort holds each
     member's result (its params and history, or the error that failed
@@ -322,21 +283,21 @@ class Cohort:
 
 class _Member:
     """One cohort member's own part of the lockstep loop: the labels of its
-    generated rows and their weight, its history, its running sums of the
-    epoch and its model at the end of the latest epoch (a view of the
-    stack)."""
+    generated rows (``n_generated`` of them in its pool) and their weight,
+    its history, its running sums of the epoch and its model at the end of
+    the latest epoch (a view of the stack)."""
 
     def __init__(self, cfg: TrainConfig, real: Dataset, generated: Dataset | None,
                  static_labels, on_epoch):
         cfg.validate()
         _check_datasets(real, generated)
-        n_generated = 0 if generated is None or cfg.strategy is Strategy.BASELINE \
-            else len(generated)
-        if cfg.strategy is Strategy.SMPRL and n_generated:
+        self.n_generated = 0 if generated is None or cfg.scheme.real_only else len(generated)
+        if cfg.scheme.schedule is Schedule.STATIC and self.n_generated:
             if static_labels is None:
-                raise InvalidConfig("smprl needs static_labels from assign_static_labels")
-            if static_labels.shape != (n_generated, real.n_classes):
-                raise InvalidDimension(f"static labels must have shape ({n_generated}, "
+                raise InvalidConfig(f"{cfg.strategy.value} needs static_labels "
+                                    "from assign_static_labels")
+            if static_labels.shape != (self.n_generated, real.n_classes):
+                raise InvalidDimension(f"static labels must have shape ({self.n_generated}, "
                                        f"{real.n_classes}), got {static_labels.shape}")
         self.cfg = cfg
         self.gen_weight = cfg.resolved_gen_weight()
@@ -348,17 +309,17 @@ class _Member:
         self.real_sum = self.gen_sum = self.gen_grad_norm = 0.0
 
     def labels(self, logits, positions, epoch: int, batch_idx: int):
-        """The weight rows of a batch's generated rows (smprl's frozen rows at
-        ``positions``), or None behind a closed warm-up gate (unscored)."""
-        cfg = self.cfg
-        if cfg.strategy is Strategy.DMPRL2 and epoch < cfg.warmup_epoch:
+        """The weight rows of a batch's generated rows (static rows: the frozen
+        rows at ``positions``), or None behind a closed warm-up gate (unscored)."""
+        schedule = self.cfg.scheme.schedule
+        if schedule is Schedule.GATED and epoch < self.cfg.warmup_epoch:
             return None
-        if cfg.strategy is Strategy.SMPRL:
+        if schedule is Schedule.STATIC:
             return self.static_labels[positions]
-        if epoch == 1 and batch_idx == 0 and cfg.strategy is Strategy.DMPRL1:
+        if epoch == 1 and batch_idx == 0 and schedule is Schedule.RANDOM_START:
             # no ranking signal yet: random permutations p rank to exactly p + 1
             logits = np.stack([self.first_iter_rng.permutation(logits.shape[1]) for _ in logits])
-        return virtual_labels(cfg.strategy, logits)
+        return virtual_labels(self.cfg.strategy, logits)
 
 
 # floating-point warnings stay silent: a diverging run fails on its
@@ -377,7 +338,7 @@ def train(
     """Run one training schedule and return final params plus history.
 
     ``static_labels`` (the (n_generated, K) rows of :func:`assign_static_labels`)
-    is required for smprl with generated rows and ignored otherwise.
+    is required for a static schedule with generated rows and ignored otherwise.
     Parameters are initialized from the config seed at ``cfg.init_scale``.
     All validation happens before the first epoch.
 
@@ -440,7 +401,7 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws, seen=0) -
     (S, n_params) stack (see :mod:`mprl.net`) and each batch is one
     forward, one :func:`combined_loss`, one backward and one momentum step
     for all of them.  Only the generated rows' labels, their weight and
-    dmprl2's warm-up gate are a member's own.  When a batch fails, a
+    their warm-up gate are a member's own.  When a batch fails, a
     cohort of several trains each member again as a cohort of one, so each ends
     with the result or the error of its own training.  ``on_epoch``
     observes ``observed`` after each epoch but the first ``seen``.
@@ -474,11 +435,9 @@ def _lockstep(real, generated, stack: list[_Member], draws, seen: int) -> MprlEr
     None."""
     lead = stack[0].cfg
     n_classes = real.n_classes
-    width = _head_width(lead.strategy, n_classes)
+    width = n_classes + lead.scheme.extra_classes
     real_train = real.split("train")
-    gen_feats = generated.features if (
-        generated is not None and lead.strategy is not Strategy.BASELINE
-    ) else np.empty((0, real.feature_dim))
+    gen_feats = generated.features if stack[0].n_generated else np.empty((0, real.feature_dim))
 
     params = init_params((real.feature_dim, *lead.hidden_sizes, width),
                          seed=(lead.seed, _SEED_INIT), scale=lead.init_scale)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mprl.errors import InvalidConfig, InvalidDimension
 from mprl.labels import (
-    RANK_WEIGHTED,
+    SCHEMES,
+    Rule,
     Strategy,
     _average_ranks,
     all_in_one_label,
@@ -407,6 +408,7 @@ class TestRowRanksFlatIndices:
 TOY = np.array([[0.3, -1.2, 2.0], [1.5, 0.2, -0.4], [-0.7, 0.9, 0.1], [0.0, 1e-3, -1e-3]])
 TOY_WITH_EXTRA = np.hstack([TOY, [[0.5], [-2.0], [1.0], [0.0]]])
 LABELLING = [s for s in Strategy if s is not Strategy.BASELINE]
+RANK_WEIGHTED = [s for s, scheme in SCHEMES.items() if scheme.rule is Rule.RANK]
 
 
 def toy_logits(strategy):

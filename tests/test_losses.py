@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,33 @@ def kernel_case(k, seed, diagonal):
 
 def assert_close(got, want):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestLogitShapes:
+    """``weighted_ce``, ``weighted_ce_values_by_label`` and ``combined_loss``
+    share one logits check: logits that are not (B, width) with width >= 1
+    raise InvalidDimension naming their shape, never numpy's bare errors."""
+
+    @staticmethod
+    def refused(x, classes):
+        classes = np.array(classes)
+        weights = np.zeros((np.count_nonzero(classes < 0), x.shape[-1])) if x.ndim == 2 else None
+        message = re.escape(f"got {x.shape}")
+        with pytest.raises(InvalidDimension, match=message):
+            weighted_ce(x, classes, weights)
+        with pytest.raises(InvalidDimension, match=message):
+            weighted_ce_values_by_label(x, classes, weights)
+        with pytest.raises(InvalidDimension, match=message):
+            combined_loss(x, classes, weights, 1.0)
+
+    def test_a_vector(self):
+        self.refused(np.zeros(3), [0])
+
+    def test_three_dimensions(self):
+        self.refused(np.zeros((1, 2, 3)), [0])
+
+    def test_no_columns_with_weighted_rows(self):
+        self.refused(np.zeros((2, 0)), [-1, -1])
 
 
 class TestWeightedCeKernel:

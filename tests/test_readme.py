@@ -1,7 +1,8 @@
 """The README's Python examples run as written, its spec example names
 every spec key, its CLI block and the ``mprl.cli`` docstring name every
-subcommand, and its exit-code table, that docstring and the ``EXIT_*``
-constants name the same codes."""
+subcommand, its exit-code table, that docstring and the ``EXIT_*``
+constants name the same codes, and its strategy table is
+``mprl.labels.SCHEMES``."""
 
 import argparse
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 from mprl import cli
 from mprl.cli import build_parser
 from mprl.experiment import ExperimentSpec
+from mprl.labels import SCHEMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,3 +70,14 @@ def test_exit_code_table_docstring_and_constants_agree():
     # the two descriptions of a code agree but for their asides
     for (code, in_readme), (_, in_docstring) in zip(table, listed):
         assert outside_parentheses(in_readme) == outside_parentheses(in_docstring), code
+
+
+def test_strategy_table_is_the_code_table():
+    section = re.search(r"^## Training strategies\n(.*?)^## ", README.read_text(),
+                        re.MULTILINE | re.DOTALL).group(1)
+    table = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.MULTILINE)
+    in_code = [(strategy.value, " | ".join([
+        scheme.rule.value, scheme.schedule.value,
+        f"K + {scheme.extra_classes}" if scheme.extra_classes else "K", repr(scheme.gen_weight)]))
+        for strategy, scheme in SCHEMES.items()]
+    assert table == in_code
