@@ -13,9 +13,16 @@ query row when a row alone is larger), so each pass stays in cache.
 block at a time in one reused buffer.  :func:`pairwise_sq_euclidean`
 keeps the two vector sets, which :func:`evaluate` ranks one block of
 query rows at a time (below), so ``mprl eval`` and every grid cell hold
-about ``BLOCK_BYTES`` of distances whatever the number of queries; the
+one ranking block of distances whatever the number of queries; the
 whole matrix is never built.  A distance beyond the float64 range is
 ``inf``, which ``evaluate`` rejects.
+
+Two budgets size the blocks.  The plane kernel's, ``BLOCK_BYTES`` (1 MiB),
+keeps each pass over a block and its plane in cache.  The ranker's,
+``RANK_BLOCKS`` times that (4 MiB), holds a ranking block of distances
+(a quarter of it), its chunks' counting arrays (half) and a plane slice
+of a fallback: counting pays fixed numpy calls per chunk, which
+plane-sized blocks of a few rows repeat too often.
 
 The kernel runs under :func:`small_ufunc_buffer`.  numpy's ufunc
 iterator copies a broadcast operand into its buffer whenever two rows of
@@ -47,13 +54,16 @@ pair, in the plane kernel's order.  An item with ``A`` more than r from
 every relevant distance is surely ahead of or behind each; only the pairs
 left within r get exact values.  Identical gallery rows, found when a
 first pair is in doubt, count through one member: they are at one
-distance from any query.  A chunk with too many pairs in doubt takes its
-plane block instead.  Vectors of a norm from 2**400 on, whose squared
+distance from any query.  A block or chunk with too many pairs in doubt
+takes its plane block instead, filled in slices of the plane kernel's
+budget.  A block with so many items to count that this may be so lets a
+sample of them decide first, before it is split into chunks or any pair
+in doubt is computed.  Vectors of a norm from 2**400 on, whose squared
 distances may leave the float64 range and must show as ``inf``, take
 plane blocks throughout; they and a distance matrix go through the same
 counting with r = 0.  Rows are counted in chunks whose index and value
-arrays fit ``BLOCK_BYTES`` (or hold one row), so the heaviest tie band
-stays bounded as well.
+arrays fit half the ranker's budget (or hold one row), so the heaviest
+tie band stays bounded as well.
 
 Embedding file format (plain text): header ``n dim``, then one row per
 item: ``id label v1 ... vdim`` with 17-significant-digit floats, fields
@@ -76,6 +86,11 @@ from .errors import InvalidDimension, InvalidState, ProtocolViolation, read_utf8
 # numpy's buffers included (at least one row); a block that outgrows the
 # cache slows every pass over it
 BLOCK_BYTES = 1024 * 1024
+# the ranker's budget in plane budgets: a block of GEMM distances, its
+# chunks' counting arrays and a plane slice of a fallback.  Each chunk pays
+# about 70 us of fixed numpy calls, which plane-sized blocks (8 rows against
+# 4000 items) repeat 125 times in a 1000 x 4000 evaluate
+RANK_BLOCKS = 4
 # elements of the ufunc buffer the wide-row entry points run under; rows
 # of at least half as many elements are read in place, not copied
 UFUNC_BUFFER = 1024
@@ -84,13 +99,17 @@ UFUNC_BUFFER = 1024
 _UFUNC_BUFFER_BYTES = 3 * 8 * UFUNC_BUFFER
 # bytes of index, value and key arrays that ranking holds at once for one
 # relevant or candidate item, with room to spare (about 130 measured): a
-# chunk of query rows holds at most BLOCK_BYTES // _ITEM_BYTES of them (or
-# one row), which keeps its arrays within half of BLOCK_BYTES
+# chunk of query rows holds at most _rank_bytes() // _ITEM_BYTES of them (or
+# one row), which keeps its arrays within half of the ranker's budget
 _ITEM_BYTES = 256
 # one pair's distance computed alone costs about as much as this many
 # distances of a plane block (7 to 8 measured at d = 16 to 64): a chunk
 # needing more pairs than its area over this takes its plane block instead
 _PAIR_COST = 8
+# items of a ranking block with many candidates whose order is checked
+# first: too many in doubt among them, and the block takes its plane block
+# before it is split into chunks or any pair in doubt is computed
+_SAMPLE = 1024
 # vectors of a norm from here on are ranked from plane blocks, where a
 # squared distance beyond the float64 range shows as inf
 _NORM_LIMIT = 2.0 ** 400
@@ -183,6 +202,12 @@ def _block_rows(n_b: int) -> int:
     """Query rows per block against ``n_b`` items: as many as fit their
     result and scratch plane in ``BLOCK_BYTES``, at least one."""
     return max(1, (BLOCK_BYTES - _UFUNC_BUFFER_BYTES) // max(1, 16 * n_b))
+
+
+def _rank_bytes() -> int:
+    """The ranker's byte budget, read when a ranking starts, so that it
+    follows ``BLOCK_BYTES``."""
+    return RANK_BLOCKS * BLOCK_BYTES
 
 
 def _fill_block(block: np.ndarray, bt: np.ndarray, dest: np.ndarray,
@@ -337,11 +362,17 @@ class _PlanePairs:
         self.groups = _Groups(_first_copies(self.gallery))
 
     def fill(self, start: int, dest: np.ndarray) -> None:
-        """Plane distances of queries ``start`` on into the rows of ``dest``."""
+        """Plane distances of queries ``start`` on into the rows of ``dest``,
+        in slices of as many rows as the plane kernel's budget holds, so
+        each pass stays in cache however large the ranking block."""
         if self._transposed is None:
             self._transposed = np.ascontiguousarray(self.gallery.T)
-        _fill_block(self.queries[start:start + len(dest)], self._transposed, dest,
-                    np.empty_like(dest))
+        rows = _block_rows(dest.shape[1])
+        plane = np.empty((min(rows, len(dest)), dest.shape[1]))
+        for lo in range(0, len(dest), rows):
+            part = dest[lo:lo + rows]
+            _fill_block(self.queries[start + lo:start + lo + len(part)], self._transposed,
+                        part, plane[:len(part)])
 
 
 class _Ranking:
@@ -357,8 +388,12 @@ class _Ranking:
         self.n_rel = np.searchsorted(sorted_labels, q_labels, "right") - self.first
         self.first_hit = np.empty(q_labels.size, dtype=np.int64)
         self.aps = np.empty(q_labels.size)
-        self.items = max(1, BLOCK_BYTES // _ITEM_BYTES)
-        self.rows = _block_rows(self.n_g)
+        # a chunk's items and rows: its counting arrays and its (rows, n_g)
+        # masks and comparisons stay within the ranker's budget
+        budget = _rank_bytes()
+        self.items = max(1, budget // _ITEM_BYTES)
+        self.rows = max(1, budget // (16 * self.n_g))
+        self.sampled = 0  # queries before this one were judged by a sample
 
     def count(self, start: int, dist: np.ndarray, r: np.ndarray, exact=None) -> None:
         """Rank queries ``start`` to ``start + len(dist)`` from their rows
@@ -412,17 +447,21 @@ class _Ranking:
         else:
             keep[rows, cols] = False  # a relevant item's count is its slot
         flat = np.flatnonzero(keep)
+        if (exact is not None and start + b > self.sampled
+                and _PAIR_COST * flat.size > b * self.n_g):
+            # so many items that their pairs in doubt may cost more than the
+            # plane block: a sample of them decides first, before any split
+            # or pair is paid for, once for the rows of a block
+            sample = _doubt(keys, dist, r, flat[::max(1, flat.size // _SAMPLE)])[-1]
+            if groups is None and sample.any():
+                exact.find_groups()
+                return self._count(start, dist, r, exact)
+            if _PAIR_COST * flat.size * sample.mean() > b * self.n_g:
+                return False
+            self.sampled = start + b
         if b > 1 and flat.size > self.items:
             return self._split(start, dist, r, exact, np.bincount(flat // self.n_g, minlength=b))
-        item_rows, item_cols = np.divmod(flat, self.n_g)
-        near = dist.ravel()[flat]
-        radius = r[item_rows]
-        # relevant items surely closer: below the item's distance less r
-        slots = np.searchsorted(keys, _keys(item_rows, near - radius))
-        # the order is in doubt when a relevant distance lies within r (a
-        # slot past the row reads the next row's first key: at most a
-        # needless doubt)
-        doubt = keys.imag[np.minimum(slots, n_pairs - 1)] <= near + radius
+        item_rows, item_cols, near, slots, doubt = _doubt(keys, dist, r, flat)
         if exact is not None and groups is None and doubt.any():
             exact.find_groups()
             return self._count(start, dist, r, exact)
@@ -464,6 +503,22 @@ class _Ranking:
         cmc = np.cumsum(np.bincount(self.first_hit - 1, minlength=self.n_g)) / self.aps.size
         return EvalReport(rank1=float(cmc[0]), mean_ap=float(np.mean(self.aps)),
                           cmc_curve=cmc)
+
+
+def _doubt(keys, dist, r, flat):
+    """The rows, columns and distances of the items at flat indices
+    ``flat`` of ``dist``, the slot of the first relevant item not surely
+    closer than each in the sorted ``keys``, and whether its order is in
+    doubt: whether a relevant distance lies within r of it."""
+    item_rows, item_cols = np.divmod(flat, dist.shape[1])
+    near = dist.ravel()[flat]
+    radius = r[item_rows]
+    # relevant items surely closer: below the item's distance less r
+    slots = np.searchsorted(keys, _keys(item_rows, near - radius))
+    # a slot past the row reads the next row's first key: at most a
+    # needless doubt
+    doubt = keys.imag[np.minimum(slots, keys.size - 1)] <= near + radius
+    return item_rows, item_cols, near, slots, doubt
 
 
 def _exact_counts(keys, cols, rows, item_cols, values, groups):
@@ -515,10 +570,10 @@ def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarr
         q_sq = np.einsum("ij,ij->i", queries, queries)
         g_sq = np.einsum("ij,ij->i", gallery, gallery)
         gemm = max(q_sq.max(), g_sq.max()) < _NORM_LIMIT ** 2
-    # a block of distances and the plane block that may replace a chunk of
-    # it take a quarter of BLOCK_BYTES each, the chunk's counting arrays the
-    # other half
-    rows = min(max(1, BLOCK_BYTES // (32 * n_g)), n_q)
+    # a block of distances takes a quarter of the ranker's budget, its
+    # chunks' counting arrays half, and the plane slices that may replace a
+    # chunk of it (at most half of BLOCK_BYTES) fit in the rest
+    rows = min(max(1, _rank_bytes() // (32 * n_g)), n_q)
     exact = _PlanePairs(queries, gallery)
     if gemm:
         # bounds |GEMM - plane| at any summation order, underflow included
@@ -529,8 +584,9 @@ def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarr
         rhs[:d] = gallery.T
         rhs[d] = g_sq
         rhs[d + 1] = 1.0
-        # BLAS packs the columns of each call: a quarter of BLOCK_BYTES of
-        # them keeps the memory it touches small and in cache
+        # BLAS packs the columns of each call: a quarter of BLOCK_BYTES (the
+        # plane kernel's budget, not the ranker's) of them keeps the memory
+        # it touches small and in cache
         width = max(1, BLOCK_BYTES // (32 * (d + 2)))
         lhs = np.empty((rows, d + 2))
         lhs[:, d] = 1.0

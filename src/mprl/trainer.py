@@ -99,6 +99,17 @@ class TrainConfig(TrainSettings):
     strategy: Strategy
     seed: int = field(default=0, kw_only=True)
 
+    def __post_init__(self):
+        """A strategy given by its spec name becomes its :class:`Strategy`,
+        so configs built either way are equal; an unknown name raises
+        InvalidConfig naming it."""
+        try:
+            strategy = Strategy(self.strategy)
+        except ValueError:
+            raise InvalidConfig(f"unknown strategy {self.strategy!r}; expected one of "
+                                f"{', '.join(s.value for s in Strategy)}") from None
+        object.__setattr__(self, "strategy", strategy)
+
     @property
     def scheme(self) -> Scheme:
         return SCHEMES[self.strategy]

@@ -1,15 +1,16 @@
 """The README's Python examples run as written, its spec example names
 every spec key, its CLI block and the ``mprl.cli`` docstring name every
 subcommand, its exit-code table, that docstring and the ``EXIT_*``
-constants name the same codes, and its strategy table is
-``mprl.labels.SCHEMES``."""
+constants name the same codes, its strategy table is
+``mprl.labels.SCHEMES``, and the byte budgets it states for retrieval are
+the ``mprl.retrieval`` ones."""
 
 import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from mprl import cli
+from mprl import cli, retrieval
 from mprl.cli import build_parser
 from mprl.experiment import ExperimentSpec
 from mprl.labels import SCHEMES
@@ -81,3 +82,13 @@ def test_strategy_table_is_the_code_table():
         f"K + {scheme.extra_classes}" if scheme.extra_classes else "K", repr(scheme.gen_weight)]))
         for strategy, scheme in SCHEMES.items()]
     assert table == in_code
+
+
+def test_retrieval_budgets_are_the_code_budgets():
+    section = re.search(r"^## Retrieval\n(.*?)^#", README.read_text(),
+                        re.MULTILINE | re.DOTALL).group(1)
+    stated = re.findall(r"(plane|ranking) budget, (\d+) MiB", section)
+    in_code = {"plane": retrieval.BLOCK_BYTES, "ranking": retrieval._rank_bytes()}
+    assert {kind for kind, _ in stated} == set(in_code)
+    for kind, mib in stated:
+        assert int(mib) * 2**20 == in_code[kind], kind

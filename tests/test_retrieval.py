@@ -42,6 +42,25 @@ def stacked(blocks):
     return np.concatenate([block.copy() for block in blocks])
 
 
+def ranking_blocks(monkeypatch, top_level=False):
+    """The row counts of the ``_Ranking.count`` calls made from here on:
+    every call, or only those not made from another (the ranking blocks)."""
+    calls, depth = [], [0]
+    count = retrieval._Ranking.count
+
+    def counted(self, start, dist, r, exact=None):
+        if not (top_level and depth[0]):
+            calls.append(len(dist))
+        depth[0] += 1
+        try:
+            return count(self, start, dist, r, exact)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(retrieval._Ranking, "count", counted)
+    return calls
+
+
 def brute_force_eval(distances, query_labels, gallery_labels):
     """Independent CMC/mAP: explicit sort with (distance, index) keys and a
     literal walk over every ranked position."""
@@ -514,15 +533,41 @@ class TestStreamedEvaluate:
         assert same_report(streamed, evaluate(matrix, queries.labels, gallery.labels))
 
     @pytest.mark.parametrize("kind", ["ties", "real"])
-    def test_one_row_blocks(self, kind):
+    def test_one_row_blocks(self, kind, monkeypatch):
+        # the ranker's budget follows BLOCK_BYTES: one-row ranking blocks,
+        # each counted as one chunk
         queries, gallery = embedding_case(7, 30, 200, 3, kind)
         with mock.patch.object(retrieval, "BLOCK_BYTES", 1):
             assert [b.shape for b in sq_euclidean_blocks(queries.vectors, gallery.vectors)
                     ] == [(1, 200)] * 30
+            calls = ranking_blocks(monkeypatch)
             streamed = evaluate(pairwise_sq_euclidean(queries, gallery),
                                 queries.labels, gallery.labels)
+        assert calls == [1] * 30
         matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         assert same_report(streamed, evaluate(matrix, queries.labels, gallery.labels))
+
+    def test_ranking_blocks_are_larger_than_plane_blocks(self, monkeypatch):
+        # retrieval_eval's shape: 1000 queries against 4000 items of 500
+        # identities, d = 16.  Ranking blocks of a quarter of the ranker's
+        # 4 MiB take 32 rows; plane blocks keep to 1 MiB.
+        rng = np.random.default_rng(1)
+        centres = rng.normal(size=(500, 16))
+        q_labels, g_labels = np.repeat(np.arange(500), 2), np.repeat(np.arange(500), 8)
+        queries = EmbeddingSet(np.arange(1000), q_labels,
+                               centres[q_labels] + 0.6 * rng.normal(size=(1000, 16)))
+        gallery = EmbeddingSet(np.arange(4000), g_labels,
+                               centres[g_labels] + 0.6 * rng.normal(size=(4000, 16)))
+        plane_rows = retrieval._block_rows(4000)
+        assert [len(b) for b in sq_euclidean_blocks(queries.vectors, gallery.vectors)] == (
+            [plane_rows] * (1000 // plane_rows) + [1000 % plane_rows])
+        blocks = ranking_blocks(monkeypatch, top_level=True)
+        streamed = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                            gallery.labels)
+        assert len(blocks) <= 32 and sum(blocks) == 1000
+        assert blocks[0] >= 2 * plane_rows
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        assert same_report(streamed, evaluate(matrix, q_labels, g_labels))
 
     def test_equals_the_argsort_ranking_at_the_module_budget(self):
         # blocks of 12 rows against 5000 items, most of them tied
@@ -626,7 +671,8 @@ class TestStreamedEvaluate:
 
     def test_eval_holds_no_distance_matrix(self, tmp_path):
         # 2000 x 8000 float64 distances would take 128 MB; the streamed eval
-        # holds one block of about 1 MiB beyond what reading the files takes
+        # holds one ranking block, within the ranker's 4 MiB budget, beyond
+        # what reading the files takes
         self.assert_eval_holds_no_distance_matrix(tmp_path, *self.large_sets())
 
     def test_a_half_identical_gallery_ranks_as_its_blocks_without_the_matrix(self, tmp_path,
@@ -659,7 +705,7 @@ class TestStreamedEvaluate:
         finally:
             tracemalloc.stop()
         assert loaded < 8 * 2**20
-        assert peak < loaded + retrieval.BLOCK_BYTES + 2**20
+        assert peak < loaded + retrieval._rank_bytes() + 2**20
 
 
 def vector_case(seed, kind, n_q, n_g, dim, n_classes):
@@ -760,6 +806,53 @@ class TestVectorRanking:
         report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                           gallery.labels)
         assert bool(calls) == planes
+        assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
+
+    @pytest.mark.parametrize("kind", ["normal", "lattice", "copies"])
+    def test_a_fallback_fills_its_ranking_block_in_plane_slices(self, kind, monkeypatch):
+        # every block falls back at once; a ranking block of 26 rows
+        # against 5000 items fills in plane slices of 12, 12 and 2 rows
+        queries, gallery = vector_case(12, kind, 40, 5000, 4, 30)
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        plane_rows = retrieval._block_rows(5000)
+        block_rows = retrieval._rank_bytes() // (32 * 5000)
+        assert (plane_rows, block_rows) == (12, 26)
+        monkeypatch.setattr(retrieval, "_PAIR_COST", 10**18)  # no pair is worth it
+        calls = self.plane_blocks(monkeypatch)
+        report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        assert calls == [12, 12, 2, 12, 2]
+        rank1, mean_ap, cmc = argsort_eval(matrix, queries.labels, gallery.labels)
+        assert report.rank1 == rank1 and report.mean_ap == mean_ap
+        assert report.cmc_curve.tobytes() == cmc.tobytes()
+
+    @pytest.mark.parametrize("kind, planes", [("normal", False), ("offset", True),
+                                              ("lattice", True)])
+    def test_a_sample_decides_the_fallback_before_any_chunk(self, kind, planes, monkeypatch):
+        # offset and lattice inputs hold a pair in doubt for most items: a
+        # sample sends the whole 40-row ranking block to plane slices of
+        # 21 and 19 rows before it is split into chunks, and no pair but
+        # the relevant ones (once more after the search for identical
+        # rows) is computed; normal inputs settle their doubts pair by pair
+        queries, gallery = vector_case(13, kind, 40, 3000, 64, 20)
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        pairs = []
+        pair_values = retrieval._PlanePairs.__call__
+
+        def counted(self, rows, cols):
+            pairs.append(rows.size)
+            return pair_values(self, rows, cols)
+
+        monkeypatch.setattr(retrieval._PlanePairs, "__call__", counted)
+        calls = self.plane_blocks(monkeypatch)
+        report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        relevant = int(sum((gallery.labels == label).sum() for label in queries.labels))
+        if planes:
+            assert calls == [21, 19]
+            assert pairs == [relevant] * 2
+        else:
+            assert calls == [] and len(pairs) > 2
         assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
 
     @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))

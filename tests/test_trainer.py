@@ -170,6 +170,25 @@ class TestStrategyContracts:
         quick_config(Strategy.DMPRL2, decay_epoch=0, warmup_epoch=0).validate()
         quick_config(Strategy.BASELINE, gen_weight=0.0).validate()
 
+    def test_a_strategy_given_by_name_is_the_strategy(self, real, generated):
+        by_name = quick_config("smprl")
+        assert by_name.strategy is Strategy.SMPRL
+        assert by_name == quick_config(Strategy.SMPRL)
+        assert hash(by_name) == hash(quick_config(Strategy.SMPRL))
+        with pytest.raises(InvalidConfig, match="smprl needs static_labels"):
+            train(real, generated, by_name)
+
+    def test_a_dmprl2_given_by_name_keeps_its_weight_and_gate(self, real, generated):
+        cfg = quick_config("dmprl2", epochs=6, warmup_epoch=4)
+        assert cfg.resolved_gen_weight() == 0.1
+        _, history = train(real, generated, cfg)
+        assert [r.gen_loss > 0.0 for r in history.records] == [False] * 3 + [True] * 3
+
+    @pytest.mark.parametrize("name", ["mprl", "SMPRL", "", None])
+    def test_an_unknown_strategy_is_named(self, name):
+        with pytest.raises(InvalidConfig, match=f"unknown strategy {name!r}"):
+            quick_config(name)
+
     def test_gen_weight_default_resolution(self):
         assert quick_config(Strategy.DMPRL2, epochs=30).resolved_gen_weight() == 0.1
         assert quick_config(Strategy.LSRO).resolved_gen_weight() == 1.0

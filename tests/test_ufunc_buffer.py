@@ -138,11 +138,19 @@ class TestEntryPointsRestoreTheCaller:
         # the caller raises on overflow; the kernel's own errstate turns the
         # second query's distances into inf, which evaluate then rejects
         monkeypatch.setattr(retrieval, "BLOCK_BYTES", 1)
+        fill, rows = retrieval._fill_block, []
+
+        def counted(block, *args):
+            rows.append(len(block))
+            fill(block, *args)
+
+        monkeypatch.setattr(retrieval, "_fill_block", counted)
         queries = EmbeddingSet(np.arange(3), [1, 1, 1], [[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
         gallery = EmbeddingSet(np.arange(2), [1, 2], [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ProtocolViolation, match="finite"):
             evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                      gallery.labels)
+        assert rows == [1, 1]  # the ranking blocks follow BLOCK_BYTES to one row
         assert np.getbufsize() == CALLER_BUFFER
         assert np.geterr()["over"] == "raise"
 
