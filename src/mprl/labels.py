@@ -114,6 +114,14 @@ def check_logits(logits) -> np.ndarray:
     return x
 
 
+def logit_rows(logits) -> np.ndarray:
+    """``logits`` as a C-contiguous float64 (B, width) batch, width >= 1."""
+    x = np.asarray(logits, dtype=np.float64, order="C")
+    if x.ndim != 2 or not x.shape[1]:
+        raise InvalidDimension(f"logits must be (B, width) with width >= 1, got {x.shape}")
+    return x
+
+
 def check_prob_vector(p) -> np.ndarray:
     """Validate a probability vector: strictly positive, summing to 1."""
     q = np.asarray(p, dtype=np.float64)
@@ -272,9 +280,7 @@ def virtual_labels(strategy: Strategy, logits) -> np.ndarray:
     extra-class rows (extra class last) are one row broadcast read-only.
     A strategy without a rule (the baseline) raises InvalidConfig."""
     strategy = Strategy(strategy)
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidDimension(f"logits must be a (G, width) matrix, got shape {x.shape}")
+    x = logit_rows(logits)
     width = x.shape[1]
     rule = SCHEMES[strategy].rule
     if rule is Rule.RANK:

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidClass, InvalidDimension
-from .labels import check_logits, mprl_rows
+from .labels import check_logits, logit_rows, mprl_rows
 
 
 class GradientMode(str, Enum):
@@ -71,7 +71,7 @@ def weighted_ce(logits, classes, weights=None, diagonal: bool = False
     and strictly positive, at margins where the log-sum-exp form cancels
     to zero.  Returns the values (B,) and the gradients (B, width).
     """
-    x = _logit_rows(logits)
+    x = logit_rows(logits)
     rows, cls, dense = _label_rows(classes, x.shape)
     w = _weight_rows(weights, dense.size, x.shape[1])
     v_rows, v_dense, grads, dense_grads = _kernel(x, x.max(1), rows, cls, dense, w, diagonal)
@@ -104,7 +104,7 @@ def weighted_ce_values_by_label(logits, classes, weights=None) -> np.ndarray:
     gather of those rows while it is summed); then each weighted label's
     terms are formed in exp(z)'s buffer.
     """
-    x = _logit_rows(logits)
+    x = logit_rows(logits)
     n, width = x.shape
     one_hot, cls, dense = _label_rows(classes, (np.size(classes), width), "label")
     w = _weight_rows(weights, dense.size, width)
@@ -116,14 +116,6 @@ def weighted_ce_values_by_label(logits, classes, weights=None) -> np.ndarray:
     for j, row in zip(dense.tolist(), () if w is None else w):
         values[:, j] = _weighted_values(z, log_total, row, out=e)
     return values
-
-
-def _logit_rows(logits) -> np.ndarray:
-    """``logits`` as a C-contiguous float64 (B, width) batch, width >= 1."""
-    x = np.asarray(logits, dtype=np.float64, order="C")
-    if x.ndim != 2 or not x.shape[1]:
-        raise InvalidDimension(f"logits must be (B, width) with width >= 1, got {x.shape}")
-    return x
 
 
 def _label_rows(classes, shape, item="row") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,7 +344,7 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = Fal
         out = combined_loss(logits, classes, [gen_weights], [gen_weight], diagonal, members=1)
         return CombinedLoss(out.value[0], out.real_loss[0], out.gen_loss[0], out.n_real,
                             out.n_generated, out.grad_logits)
-    x = _logit_rows(logits)
+    x = logit_rows(logits)
     if not len(x):
         raise InvalidDimension("batch must contain at least one item")
     if not members == len(gen_weights) == len(gen_weight):

@@ -52,8 +52,8 @@ which pairs need it (the blocked GEMM filter of Johnson, Douze and
 Jegou).  The relevant items' distances are computed exactly, pair by
 pair, in the plane kernel's order.  An item with ``A`` more than r from
 every relevant distance is surely ahead of or behind each; only the pairs
-left within r get exact values.  Identical gallery rows, found when a
-first pair is in doubt, count through one member: they are at one
+left within r get exact values.  Identical gallery rows, sought once
+when some ``|g|**2`` repeats, count through one member: they are at one
 distance from any query.  A block or chunk with too many pairs in doubt
 takes its plane block instead, filled in slices of the plane kernel's
 budget.  A block with so many items to count that this may be so lets a
@@ -160,6 +160,9 @@ class EmbeddingSet:
         self.ids = _integers(self.ids, "embedding ids")
         self.labels = _integers(self.labels, "embedding labels")
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if self.ids.ndim != 1 or self.labels.ndim != 1:  # a row holds one id and one label
+            raise InvalidDimension(f"embedding ids and labels must be 1-d, got "
+                                   f"{self.ids.ndim}-d ids and {self.labels.ndim}-d labels")
         n = self.ids.size
         if self.labels.size != n or self.vectors.ndim != 2 or self.vectors.shape[0] != n:
             raise InvalidDimension("ids, labels and vectors must agree on the item count")
@@ -264,7 +267,7 @@ class PairwiseDistances:
     gallery: np.ndarray
 
     def __post_init__(self):
-        """Sets that are not (n, d) matrices of one width d raise
+        """Sets that are not (n, d) matrices of one width d >= 1 raise
         InvalidDimension."""
         if np.ndim(self.queries) != 2 or np.ndim(self.gallery) != 2:
             raise InvalidDimension(f"vector sets must be 2-d, got {np.ndim(self.queries)}-d "
@@ -272,6 +275,8 @@ class PairwiseDistances:
         q_dim, g_dim = np.shape(self.queries)[1], np.shape(self.gallery)[1]
         if q_dim != g_dim:
             raise InvalidDimension(f"query dim {q_dim} differs from gallery dim {g_dim}")
+        if q_dim == 0:
+            raise InvalidDimension("vectors must have at least one coordinate, got width 0")
 
 
 def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> PairwiseDistances:
@@ -326,7 +331,6 @@ class _Groups:
     def __init__(self, leaders: np.ndarray):
         n = leaders.size
         sizes = np.bincount(leaders, minlength=n)
-        self.copies = bool((sizes > 1).any())
         self.is_leader = sizes > 0
         self.size = sizes[leaders]  # of each item's group
         # members sorted by (leader, index); a group starts at its leader's slot
@@ -339,15 +343,25 @@ class _Groups:
         return np.searchsorted(self.members, _keys(leaders, cols)) - self.starts[leaders]
 
 
+def _groups(gallery: np.ndarray, g_sq: np.ndarray) -> _Groups | None:
+    """Groups of identical gallery rows, or None when each row is alone.
+    Identical rows have bit-equal squared norms ``g_sq``: rows are compared
+    only when a norm repeats, and a group missed costs time, never a rank."""
+    if np.unique(g_sq).size == g_sq.size:
+        return None
+    leaders = _first_copies(gallery)
+    return None if (leaders == np.arange(leaders.size)).all() else _Groups(leaders)
+
+
 class _PlanePairs:
     """Plane-kernel distances of listed (query, gallery) pairs: each one's
     d squared differences added left to right from 0, the arithmetic of
     :func:`_fill_block`, and so its bits."""
 
-    def __init__(self, queries: np.ndarray, gallery: np.ndarray):
-        self.queries, self.gallery = queries, gallery
-        self.groups = None  # found when the order of some pair is first in doubt
-        self._transposed = None  # the gallery for plane blocks
+    def __init__(self, queries: np.ndarray, gallery: np.ndarray, transposed: np.ndarray,
+                 groups: _Groups | None):
+        self.queries, self.gallery, self.transposed = queries, gallery, transposed
+        self.groups = groups  # None when every gallery row is its own group
 
     def __call__(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         out = np.empty(rows.size)
@@ -358,20 +372,15 @@ class _PlanePairs:
             out[s:s + step] = np.cumsum(diff, axis=1)[:, -1]  # left to right from 0
         return out
 
-    def find_groups(self) -> None:
-        self.groups = _Groups(_first_copies(self.gallery))
-
     def fill(self, start: int, dest: np.ndarray) -> None:
         """Plane distances of queries ``start`` on into the rows of ``dest``,
         in slices of as many rows as the plane kernel's budget holds, so
         each pass stays in cache however large the ranking block."""
-        if self._transposed is None:
-            self._transposed = np.ascontiguousarray(self.gallery.T)
         rows = _block_rows(dest.shape[1])
         plane = np.empty((min(rows, len(dest)), dest.shape[1]))
         for lo in range(0, len(dest), rows):
             part = dest[lo:lo + rows]
-            _fill_block(self.queries[start + lo:start + lo + len(part)], self._transposed,
+            _fill_block(self.queries[start + lo:start + lo + len(part)], self.transposed,
                         part, plane[:len(part)])
 
 
@@ -438,7 +447,7 @@ class _Ranking:
         # items farther than every relevant item take no part in any count
         keep = dist <= (keys.imag[off[1:] - 1] + r)[:, None]
         groups = None if exact is None else exact.groups
-        if groups is not None and groups.copies:
+        if groups is not None:
             # a leader counts for its group: relevant members included, who
             # are taken off again at their own slots
             keep &= groups.is_leader
@@ -453,20 +462,12 @@ class _Ranking:
             # plane block: a sample of them decides first, before any split
             # or pair is paid for, once for the rows of a block
             sample = _doubt(keys, dist, r, flat[::max(1, flat.size // _SAMPLE)])[-1]
-            if groups is None and sample.any():
-                exact.find_groups()
-                return self._count(start, dist, r, exact)
             if _PAIR_COST * flat.size * sample.mean() > b * self.n_g:
                 return False
             self.sampled = start + b
         if b > 1 and flat.size > self.items:
             return self._split(start, dist, r, exact, np.bincount(flat // self.n_g, minlength=b))
         item_rows, item_cols, near, slots, doubt = _doubt(keys, dist, r, flat)
-        if exact is not None and groups is None and doubt.any():
-            exact.find_groups()
-            return self._count(start, dist, r, exact)
-        if groups is not None and not groups.copies:
-            groups = None  # every item its own group
         # row i's slots are bins off[i] + i to off[i + 1] + i, the last for
         # items after all of the row's relevant items
         settled = ~doubt
@@ -574,7 +575,6 @@ def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarr
     # chunks' counting arrays half, and the plane slices that may replace a
     # chunk of it (at most half of BLOCK_BYTES) fit in the rest
     rows = min(max(1, _rank_bytes() // (32 * n_g)), n_q)
-    exact = _PlanePairs(queries, gallery)
     if gemm:
         # bounds |GEMM - plane| at any summation order, underflow included
         r = 4 * (d + 3) * ((np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2 * 2.0 ** -53
@@ -584,6 +584,7 @@ def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarr
         rhs[:d] = gallery.T
         rhs[d] = g_sq
         rhs[d + 1] = 1.0
+        exact = _PlanePairs(queries, gallery, rhs[:d], _groups(gallery, g_sq))
         # BLAS packs the columns of each call: a quarter of BLOCK_BYTES (the
         # plane kernel's budget, not the ranker's) of them keeps the memory
         # it touches small and in cache
@@ -592,6 +593,7 @@ def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarr
         lhs[:, d] = 1.0
     else:
         r = np.zeros(n_q)
+        exact = _PlanePairs(queries, gallery, np.ascontiguousarray(gallery.T), None)
     buffer = np.empty((rows, n_g))
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mprl.errors import InvalidClass, InvalidDimension
 from mprl.gradcheck import block_coordinates, finite_difference_gradient
 from mprl.labels import (
+    SCHEMES,
     ground_truth_label,
     lsro_label,
     mprl_alpha,
@@ -20,6 +21,7 @@ from mprl.labels import (
     rank_weight_normalizer,
     row_ranks,
     softmax,
+    virtual_labels,
 )
 from mprl.losses import (
     LossOutput,
@@ -365,9 +367,10 @@ def assert_close(got, want):
 
 
 class TestLogitShapes:
-    """``weighted_ce``, ``weighted_ce_values_by_label`` and ``combined_loss``
-    share one logits check: logits that are not (B, width) with width >= 1
-    raise InvalidDimension naming their shape, never numpy's bare errors."""
+    """``weighted_ce``, ``weighted_ce_values_by_label``, ``combined_loss``
+    and ``virtual_labels`` share one logits check: logits that are not
+    (B, width) with width >= 1 raise InvalidDimension naming their shape,
+    never numpy's bare errors."""
 
     @staticmethod
     def refused(x, classes):
@@ -380,6 +383,9 @@ class TestLogitShapes:
             weighted_ce_values_by_label(x, classes, weights)
         with pytest.raises(InvalidDimension, match=message):
             combined_loss(x, classes, weights, 1.0)
+        for strategy in {scheme.rule: name for name, scheme in SCHEMES.items()}.values():
+            with pytest.raises(InvalidDimension, match=message):
+                virtual_labels(strategy, x)
 
     def test_a_vector(self):
         self.refused(np.zeros(3), [0])

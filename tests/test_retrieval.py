@@ -648,8 +648,9 @@ class TestStreamedEvaluate:
     @pytest.mark.parametrize("queries, gallery, message", [
         (np.ones(3), np.ones((3, 2)), "must be 2-d, got 1-d queries and 2-d gallery"),
         (np.ones((3, 2)), np.ones((1, 3, 2)), "must be 2-d, got 2-d queries and 3-d gallery"),
-        (np.ones((3, 2)), np.ones((3, 3)), "query dim 2 differs from gallery dim 3")],
-        ids=["1-d_queries", "3-d_gallery", "widths_differ"])
+        (np.ones((3, 2)), np.ones((3, 3)), "query dim 2 differs from gallery dim 3"),
+        (np.empty((2, 0)), np.empty((100, 0)), "at least one coordinate, got width 0")],
+        ids=["1-d_queries", "3-d_gallery", "widths_differ", "zero_width"])
     def test_vector_sets_that_are_not_matrices_of_one_width_are_refused(self, queries,
                                                                         gallery, message):
         with pytest.raises(InvalidDimension, match=message):
@@ -832,8 +833,8 @@ class TestVectorRanking:
         # offset and lattice inputs hold a pair in doubt for most items: a
         # sample sends the whole 40-row ranking block to plane slices of
         # 21 and 19 rows before it is split into chunks, and no pair but
-        # the relevant ones (once more after the search for identical
-        # rows) is computed; normal inputs settle their doubts pair by pair
+        # the relevant ones, computed once, is; normal inputs settle their
+        # doubts pair by pair
         queries, gallery = vector_case(13, kind, 40, 3000, 64, 20)
         matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
         pairs = []
@@ -850,10 +851,60 @@ class TestVectorRanking:
         relevant = int(sum((gallery.labels == label).sum() for label in queries.labels))
         if planes:
             assert calls == [21, 19]
-            assert pairs == [relevant] * 2
+            assert pairs == [relevant]
         else:
             assert calls == [] and len(pairs) > 2
         assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
+
+    @pytest.mark.parametrize("kind, searched", [
+        ("normal", False),
+        ("offset", False),  # pairs in doubt, but no squared norm repeats
+        ("copies", True),
+        ("lattice", True),  # integer norms repeat, though no row does
+    ])
+    def test_identical_rows_are_searched_for_once_before_any_pair(self, kind, searched,
+                                                                  monkeypatch):
+        queries, gallery = vector_case(9, kind, 40, 300, 64, 60)
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        events = []
+        first_copies, pair_values = retrieval._first_copies, retrieval._PlanePairs.__call__
+
+        def searched_rows(vectors):
+            events.append("search")
+            return first_copies(vectors)
+
+        def counted(self, rows, cols):
+            events.append("pairs")
+            return pair_values(self, rows, cols)
+
+        monkeypatch.setattr(retrieval, "_first_copies", searched_rows)
+        monkeypatch.setattr(retrieval._PlanePairs, "__call__", counted)
+        report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        assert events.count("search") == searched and "pairs" in events
+        assert events[0] == ("search" if searched else "pairs")
+        assert same_report(report, evaluate(matrix, queries.labels, gallery.labels))
+
+    @given(st.integers(1, 129), st.integers(2, 20), st.sampled_from(["C", "F", "strided"]),
+           st.integers(-60, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_identical_rows_have_bit_equal_squared_norms(self, dim, n, layout, scale, seed):
+        # the search for identical rows runs only when a squared norm
+        # repeats: a copy of a row must repeat its norm at any position,
+        # and so at any alignment, in any layout the gallery may come in
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, dim)) * 2.0 ** scale
+        copies = rng.random(n) < 0.5
+        copies[0] = copies[1 + rng.integers(n - 1)] = True
+        rows[copies] = rows[0]
+        if layout == "F":
+            rows = np.asfortranarray(rows)
+        elif layout == "strided":
+            wide = np.empty((2 * n + 1, 2 * dim + 1))
+            wide[1::2, 1::2] = rows
+            rows = wide[1::2, 1::2]
+        norms = np.einsum("ij,ij->i", rows, rows)
+        assert len({value.tobytes() for value in norms[copies]}) == 1
 
     @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -1070,6 +1121,14 @@ class TestSerialization:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidDimension):
             EmbeddingSet(np.array([1, 1]), np.array([1, 2]), np.zeros((2, 3)))
+
+    def test_ids_and_labels_of_one_column_rejected(self):
+        # a file row would read "[0] [0] 0 0", which the loader refuses
+        column = np.arange(3)[:, None]
+        with pytest.raises(InvalidDimension, match="must be 1-d, got 2-d ids and 1-d labels"):
+            EmbeddingSet(column, [0, 1, 2], np.zeros((3, 2)))
+        with pytest.raises(InvalidDimension, match="must be 1-d, got 2-d ids and 2-d labels"):
+            EmbeddingSet(column, [[0], [1], [2]], np.zeros((3, 2)))
 
     def test_zero_wide_vectors_rejected(self):
         # a file of them would say dim 0, which the loader refuses
