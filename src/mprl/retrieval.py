@@ -58,12 +58,14 @@ distance from any query.  A block or chunk with too many pairs in doubt
 takes its plane block instead, filled in slices of the plane kernel's
 budget.  A block with so many items to count that this may be so lets a
 sample of them decide first, before it is split into chunks or any pair
-in doubt is computed.  Vectors of a norm from 2**400 on, whose squared
-distances may leave the float64 range and must show as ``inf``, take
-plane blocks throughout; they and a distance matrix go through the same
-counting with r = 0.  Rows are counted in chunks whose index and value
-arrays fit half the ranker's budget (or hold one row), so the heaviest
-tie band stays bounded as well.
+in doubt is computed.  A row whose ``4 (d + 3) (|q| + max |g|)**2``
+overflows gets r = inf, and its block takes its plane block, where a
+squared distance beyond the float64 range shows as ``inf``: only such
+rows can leave the range, as their GEMM partial sums and plane distances
+are at most ``(|q| + |g|)**2``.  Plane blocks and a distance matrix go
+through the same counting with r = 0.  Rows are counted in chunks whose
+index and value arrays fit half the ranker's budget (or hold one row), so
+the heaviest tie band stays bounded as well.
 
 Embedding file format (plain text): header ``n dim``, then one row per
 item: ``id label v1 ... vdim`` with 17-significant-digit floats, fields
@@ -110,9 +112,6 @@ _PAIR_COST = 8
 # first: too many in doubt among them, and the block takes its plane block
 # before it is split into chunks or any pair in doubt is computed
 _SAMPLE = 1024
-# vectors of a norm from here on are ranked from plane blocks, where a
-# squared distance beyond the float64 range shows as inf
-_NORM_LIMIT = 2.0 ** 400
 
 
 @contextmanager
@@ -125,9 +124,8 @@ def small_ufunc_buffer():
     its buffer whenever two rows of the operation fit there, so entry
     points that loop over rows of hundreds to thousands of elements run
     under this one.  Apply it once per entry point, never per batch: a
-    set and restore costs about 5 us.  numpy 2 keeps the size in a
-    context variable and numpy 1 per thread, so neither the caller nor
-    another thread sees it.
+    set and restore costs about 5 us.  numpy keeps the size in a context
+    variable, so neither the caller nor another thread sees it.
     """
     caller = np.setbufsize(UFUNC_BUFFER)
     try:
@@ -268,7 +266,8 @@ class PairwiseDistances:
 
     def __post_init__(self):
         """Sets that are not (n, d) matrices of one width d >= 1 raise
-        InvalidDimension."""
+        InvalidDimension; the sets are kept as C-contiguous float64, which
+        the bound r of :func:`evaluate` assumes."""
         if np.ndim(self.queries) != 2 or np.ndim(self.gallery) != 2:
             raise InvalidDimension(f"vector sets must be 2-d, got {np.ndim(self.queries)}-d "
                                    f"queries and {np.ndim(self.gallery)}-d gallery")
@@ -277,6 +276,9 @@ class PairwiseDistances:
             raise InvalidDimension(f"query dim {q_dim} differs from gallery dim {g_dim}")
         if q_dim == 0:
             raise InvalidDimension("vectors must have at least one coordinate, got width 0")
+        for name in ("queries", "gallery"):  # frozen: set past __setattr__
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name),
+                                                                dtype=np.float64))
 
 
 def pairwise_sq_euclidean(queries: EmbeddingSet, gallery: EmbeddingSet) -> PairwiseDistances:
@@ -409,9 +411,11 @@ class _Ranking:
         ``dist``: exact distances when ``exact`` is None; else each within
         ``r`` (one radius per row) of the plane distance, which ``exact``
         (a :class:`_PlanePairs`) computes for the pairs whose order is in
-        doubt, or writes into ``dist`` when they are too many."""
-        if not self._count(start, dist, r, exact):
+        doubt, or writes into ``dist`` when they are too many or some r is
+        inf; a plane distance that is not finite raises ProtocolViolation."""
+        if not (np.isfinite(r).all() and self._count(start, dist, r, exact)):
             exact.fill(start, dist)
+            _check_finite(dist)
             self._count(start, dist, np.zeros(len(dist)), None)
 
     def _split(self, start, dist, r, exact, weights) -> bool:
@@ -560,55 +564,48 @@ def _check_finite(dist: np.ndarray) -> None:
 
 
 def _rank_from_vectors(ranking: _Ranking, queries: np.ndarray, gallery: np.ndarray) -> None:
-    """Rank one block of query rows at a time.  A block holds GEMM
-    distances ``|q|**2 + |g|**2 - 2 q.g``, each within r of its plane
-    distance; once a vector's norm reaches 2**400, whose squared distances
-    may leave the float64 range, every block holds plane distances (r = 0),
-    which must be finite."""
+    """Rank one block of query rows at a time from its GEMM distances
+    ``|q|**2 + |g|**2 - 2 q.g``, each within r of its plane distance.  A
+    row whose bound overflows gets r = inf: :meth:`_Ranking.count` ranks
+    its block from plane distances, which must be finite."""
     n_q, d = queries.shape
     n_g = gallery.shape[0]
     with np.errstate(over="ignore"):
         q_sq = np.einsum("ij,ij->i", queries, queries)
         g_sq = np.einsum("ij,ij->i", gallery, gallery)
-        gemm = max(q_sq.max(), g_sq.max()) < _NORM_LIMIT ** 2
+        # bounds |GEMM - plane| at any summation order, underflow included;
+        # both are at most reach, so a finite 4 (d + 3) reach keeps every
+        # partial sum and plane distance of the row in the float64 range
+        reach = (np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2
+        r = 4 * (d + 3) * (reach * 2.0 ** -53 + 2.0 ** -1074)
+        r[~np.isfinite(4 * (d + 3) * reach)] = np.inf
     # a block of distances takes a quarter of the ranker's budget, its
     # chunks' counting arrays half, and the plane slices that may replace a
     # chunk of it (at most half of BLOCK_BYTES) fit in the rest
     rows = min(max(1, _rank_bytes() // (32 * n_g)), n_q)
-    if gemm:
-        # bounds |GEMM - plane| at any summation order, underflow included
-        r = 4 * (d + 3) * ((np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2 * 2.0 ** -53
-                           + 2.0 ** -1074)
-        # one product per block: [-2q, 1, |q|^2] . [g, |g|^2, 1]
-        rhs = np.empty((d + 2, n_g))
-        rhs[:d] = gallery.T
-        rhs[d] = g_sq
-        rhs[d + 1] = 1.0
-        exact = _PlanePairs(queries, gallery, rhs[:d], _groups(gallery, g_sq))
-        # BLAS packs the columns of each call: a quarter of BLOCK_BYTES (the
-        # plane kernel's budget, not the ranker's) of them keeps the memory
-        # it touches small and in cache
-        width = max(1, BLOCK_BYTES // (32 * (d + 2)))
-        lhs = np.empty((rows, d + 2))
-        lhs[:, d] = 1.0
-    else:
-        r = np.zeros(n_q)
-        exact = _PlanePairs(queries, gallery, np.ascontiguousarray(gallery.T), None)
+    # one product per block: [-2q, 1, |q|^2] . [g, |g|^2, 1]
+    rhs = np.empty((d + 2, n_g))
+    rhs[:d] = gallery.T
+    rhs[d] = g_sq
+    rhs[d + 1] = 1.0
+    exact = _PlanePairs(queries, gallery, rhs[:d], _groups(gallery, g_sq))
+    # BLAS packs the columns of each call: a quarter of BLOCK_BYTES (the
+    # plane kernel's budget, not the ranker's) of them keeps the memory
+    # it touches small and in cache
+    width = max(1, BLOCK_BYTES // (32 * (d + 2)))
+    lhs = np.empty((rows, d + 2))
+    lhs[:, d] = 1.0
     buffer = np.empty((rows, n_g))
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
-        block = buffer[:stop - start]
-        if gemm:
-            factors = lhs[:stop - start]
+        block, factors = buffer[:stop - start], lhs[:stop - start]
+        # a row beyond its bound may overflow here; count discards its product
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(queries[start:stop], -2.0, out=factors[:, :d])
             factors[:, d + 1] = q_sq[start:stop]
             for col in range(0, n_g, width):
                 np.matmul(factors, rhs[:, col:col + width], out=block[:, col:col + width])
-            ranking.count(start, block, r[start:stop], exact)
-        else:
-            exact.fill(start, block)
-            _check_finite(block)
-            ranking.count(start, block, r[start:stop])
+        ranking.count(start, block, r[start:stop], exact)
 
 
 @small_ufunc_buffer()

@@ -562,21 +562,20 @@ def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndar
     scores each generated sample once; row i of the (n_generated, K)
     result, smprl's :func:`virtual_labels` of those logits, is generated
     row i's label and never changes afterwards.  The logits come from one
-    forward pass over every generated row; their labels are written into
-    the result one :func:`_row_blocks` block at a time, so the rank
-    sort's (n_generated, K) temporaries are never whole.  Ranks are per
-    row, so the rows equal those of one call on every row.  Non-finite
-    logits (a diverged model) raise :class:`InvalidDimension`, as they
-    would rank to arbitrary labels.
+    forward pass over every generated row; their labels overwrite them one
+    :func:`_row_blocks` block at a time, so the result is the logits'
+    array and the rank sort's (n_generated, K) temporaries are never
+    whole.  Ranks are per row, so the rows equal those of one call on
+    every row.  Non-finite logits (a diverged model) raise
+    :class:`InvalidDimension`, as they would rank to arbitrary labels.
     """
     logits = forward(pretrained, generated.features)[0]
     # a NaN or +inf shows in the maximum, a -inf only in the minimum
     if logits.size and not (math.isfinite(logits.max()) and math.isfinite(logits.min())):
         raise InvalidDimension("the pretrained model's logits must be finite")
-    labels = np.empty(logits.shape)
     for rows in _row_blocks(*logits.shape):
-        labels[rows] = virtual_labels(Strategy.SMPRL, logits[rows])
-    return labels
+        logits[rows] = virtual_labels(Strategy.SMPRL, logits[rows])
+    return logits
 
 
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:

@@ -150,6 +150,13 @@ class TestSpecConfigContract:
     def test_default_spec_gives_the_default_config(self, strategy):
         assert ExperimentSpec().train_config(strategy, 1) == TrainConfig(strategy, seed=1)
 
+    @pytest.mark.parametrize("raw", ["none", "AUTO"])
+    def test_an_unset_gen_weight_takes_each_strategy_default(self, raw):
+        spec = parse_spec_text(f"strategies = dmprl2, lsro\ngen_weight = {raw}\n")
+        assert spec.gen_weight is None
+        assert spec.train_config(Strategy.DMPRL2, 1).resolved_gen_weight() == 0.1
+        assert spec.train_config(Strategy.LSRO, 1).resolved_gen_weight() == 1.0
+
     def test_every_training_setting_reaches_the_config(self):
         defaults = TrainSettings()
         assert set(NON_DEFAULT_SETTINGS) == {f.name for f in fields(TrainSettings)}

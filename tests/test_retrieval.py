@@ -304,6 +304,21 @@ class TestPairwiseSqEuclidean:
                 self._embed(np.zeros((2, 3))), self._embed(np.zeros((2, 4)))
             )
 
+    def test_float32_sets_rank_as_their_float64_values(self):
+        # float32 norms and pair differences would break the 2**-53 bound r
+        # of the GEMM distances: offset by 100, their reports differ
+        rng = np.random.default_rng(17)
+        g_labels = rng.integers(0, 5, size=200)
+        q_labels = g_labels[:20]
+        queries = (100 + rng.normal(size=(20, 8))).astype(np.float32)
+        gallery = (100 + rng.normal(size=(200, 8))).astype(np.float32)
+        single = PairwiseDistances(queries, gallery)
+        assert single.queries.dtype == single.gallery.dtype == np.float64
+        assert single.queries.flags.c_contiguous and single.gallery.flags.c_contiguous
+        double = PairwiseDistances(queries.astype(np.float64), gallery.astype(np.float64))
+        assert same_report(evaluate(single, q_labels, g_labels),
+                           evaluate(double, q_labels, g_labels))
+
 
 class TestEvaluate:
     def test_hand_case_ap_five_sixths(self):
@@ -683,7 +698,7 @@ class TestStreamedEvaluate:
         self.assert_eval_holds_no_distance_matrix(tmp_path, queries, gallery)
         vectors = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                            gallery.labels)
-        monkeypatch.setattr(retrieval, "_NORM_LIMIT", 0.0)  # plane blocks throughout
+        monkeypatch.setattr(retrieval, "_PAIR_COST", 10**18)  # plane blocks throughout
         blocks = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                           gallery.labels)
         assert (tmp_path / "report.json").read_text() == report_to_json(blocks)
@@ -718,7 +733,9 @@ def vector_case(seed, kind, n_q, n_g, dim, n_classes):
     integer coordinates and so many exactly tied distances; "copies" draws
     every row, queries included, from a few rows, one of them zero;
     "below_2_400" and "above_2_400" have one vector of norm just below or
-    just above 2**400; "normal" is standard normal.
+    just above 2**400; "offset_2_520" shares an offset of 2**520 along the
+    first axis, so every squared norm and GEMM bound overflows while every
+    squared distance is finite; "normal" is standard normal.
     """
     rng = np.random.default_rng(seed)
     g_labels = rng.integers(0, n_classes, size=n_g)
@@ -742,6 +759,9 @@ def vector_case(seed, kind, n_q, n_g, dim, n_classes):
         factor = 1 - 2.0**-20 if kind == "below_2_400" else 1 + 2.0**-20
         g_vectors *= 2.0**390
         g_vectors[0] *= 2.0**400 * factor / np.linalg.norm(g_vectors[0])
+    if kind == "offset_2_520":
+        q_vectors[:, 0] += 2.0**520
+        g_vectors[:, 0] += 2.0**520
     return (EmbeddingSet(np.arange(n_q), q_labels, q_vectors),
             EmbeddingSet(np.arange(n_g), g_labels, g_vectors))
 
@@ -753,7 +773,7 @@ class TestVectorRanking:
     blocks bit for bit."""
 
     KINDS = ["normal", "offset", "subnormal", "lattice", "copies", "below_2_400",
-             "above_2_400"]
+             "above_2_400", "offset_2_520"]
 
     @staticmethod
     def plane_blocks(monkeypatch):
@@ -777,6 +797,7 @@ class TestVectorRanking:
     @example(7, 150, 3, 5, "lattice", 3000, 4)
     @example(7, 150, 16, 5, "below_2_400", None, 5)
     @example(7, 150, 16, 5, "above_2_400", None, 6)
+    @example(7, 150, 16, 5, "offset_2_520", 0, 7)
     @settings(max_examples=200, deadline=None)
     def test_equals_the_plane_blocks_and_the_argsort_ranking(self, n_q, n_g, dim, n_classes,
                                                              kind, budget, seed):
@@ -797,7 +818,8 @@ class TestVectorRanking:
         ("normal", False),  # every doubt settles pair by pair
         ("copies", False),  # identical rows share one value
         ("below_2_400", False),
-        ("above_2_400", True),  # an overflow must still show as inf
+        ("above_2_400", False),  # every bound is finite
+        ("offset_2_520", True),  # every bound overflows, though no distance does
         ("offset", True),  # a band of about 8 around every relevant distance
     ])
     def test_which_inputs_take_plane_blocks(self, kind, planes, monkeypatch):
@@ -823,6 +845,29 @@ class TestVectorRanking:
         report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
                           gallery.labels)
         assert calls == [12, 12, 2, 12, 2]
+        rank1, mean_ap, cmc = argsort_eval(matrix, queries.labels, gallery.labels)
+        assert report.rank1 == rank1 and report.mean_ap == mean_ap
+        assert report.cmc_curve.tobytes() == cmc.tobytes()
+
+    def test_a_chunk_with_too_many_pairs_in_doubt_takes_its_plane_block(self, monkeypatch):
+        # a sample of one item lets the block on; then the doubts of all of
+        # its items outweigh the plane block, and the chunk is filled
+        queries, gallery = vector_case(2, "offset", 40, 300, 16, 10)
+        matrix = stacked(sq_euclidean_blocks(queries.vectors, gallery.vectors))
+        events = []
+        doubt, fill = retrieval._doubt, retrieval._fill_block
+
+        def counted(keys, dist, r, flat):
+            events.append(flat.size)
+            return doubt(keys, dist, r, flat)
+
+        monkeypatch.setattr(retrieval, "_SAMPLE", 1)
+        monkeypatch.setattr(retrieval, "_doubt", counted)
+        monkeypatch.setattr(retrieval, "_fill_block",
+                            lambda *args: (events.append("fill"), fill(*args)))
+        report = evaluate(pairwise_sq_euclidean(queries, gallery), queries.labels,
+                          gallery.labels)
+        assert events.index("fill") == 2 and events[0] == 1 < events[1]
         rank1, mean_ap, cmc = argsort_eval(matrix, queries.labels, gallery.labels)
         assert report.rank1 == rank1 and report.mean_ap == mean_ap
         assert report.cmc_curve.tobytes() == cmc.tobytes()

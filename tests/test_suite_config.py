@@ -1,6 +1,8 @@
 """The pytest configuration in pyproject.toml: warnings are errors, yet a
-failing hypothesis test is reported and the tests after it still run."""
+failing hypothesis test is reported and the tests after it still run; and
+the numpy that pyproject.toml declares."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -43,3 +45,9 @@ def test_any_other_deprecation_warning_still_fails(tmp_path):
             warnings.warn("this is deprecated", DeprecationWarning)
     """)
     assert "1 failed" in out and "DeprecationWarning: this is deprecated" in out
+
+
+def test_the_declared_numpy_has_matrix_transposes():
+    # net.backward uses ndarray.mT, which numpy added in 2.0
+    floor = re.search(r'"numpy>=([0-9.]+)"', PYPROJECT.read_text()).group(1)
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (2, 0)
