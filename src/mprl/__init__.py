@@ -35,7 +35,6 @@ from .labels import (
 )
 from .losses import (
     CombinedLoss,
-    GradientMode,
     LossOutput,
     combined_loss,
     lsro_loss,

@@ -16,33 +16,20 @@ the batch reduction scales the generated-sample loss, by the trade-off
 factor ``gen_weight`` against the real-sample loss; ``gen_weights=None``
 leaves the generated rows unscored, as behind a closed warm-up gate.
 
-Two gradient modes exist for the rank-weighted generated loss:
-
-* ANALYTIC: the true derivative of the forward value with the rank
-  weights held fixed (they are piecewise constant in the logits, so no
-  gradient flows through the ranking).
-* DIAGONAL: keeps only the diagonal of the log-softmax Jacobian, i.e.
-  treats each log-probability as a function of its own logit alone.  It
-  is *not* the derivative of the forward value; every entry is strictly
-  negative.  Provided for fidelity comparisons, selectable but never the
-  default; the losses take it as ``diagonal=True``.
+Every gradient is the derivative of its loss's value with the weights
+held fixed: the rank weights are piecewise constant in the logits, so no
+gradient flows through the ranking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidClass, InvalidDimension
 from .labels import check_logits, logit_rows, mprl_rows
-
-
-class GradientMode(str, Enum):
-    ANALYTIC = "analytic"
-    DIAGONAL = "diagonal"
 
 
 @dataclass(frozen=True)
@@ -51,8 +38,7 @@ class LossOutput:
     grad_logits: np.ndarray
 
 
-def weighted_ce(logits, classes, weights=None, diagonal: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
+def weighted_ce(logits, classes, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of every logit row against its label.
 
     ``logits`` is (B, width) and ``classes`` (B,) names each row's label:
@@ -62,9 +48,8 @@ def weighted_ce(logits, classes, weights=None, diagonal: bool = False
     value is -sum_k W_ik log softmax(X_i)_k = sum_k W_ik (log t_i - z_ik),
     with z_i = X_i - max(X_i) and t_i = sum_k exp(z_ik), and its gradient
     is sum(W_i) p_i - W_i, the derivative of that value with the weights
-    held fixed.  With ``diagonal`` every weighted row gets the diagonal
-    gradient -W_i (1 - p_i) instead.  A one-hot row at c is scored in
-    collapsed form, value log t_i - z_ic and gradient p_i - e_c: the
+    held fixed.  A one-hot row at c is scored in collapsed form, value
+    log t_i - z_ic and gradient p_i - e_c: the
     weighted form bit for bit, since the row sums to exactly 1 and every
     other product is +0.  Where c holds the top logit the value is
     log1p(sum of the other classes' exp(x_j - x_c)), which stays accurate,
@@ -74,7 +59,7 @@ def weighted_ce(logits, classes, weights=None, diagonal: bool = False
     x = logit_rows(logits)
     rows, cls, dense = _label_rows(classes, x.shape)
     w = _weight_rows(weights, dense.size, x.shape[1])
-    v_rows, v_dense, grads, dense_grads = _kernel(x, x.max(1), rows, cls, dense, w, diagonal)
+    v_rows, v_dense, grads, dense_grads = _kernel(x, x.max(1), rows, cls, dense, w)
     if dense_grads is not None:
         grads[dense] = dense_grads
     if not dense.size:
@@ -151,7 +136,7 @@ def _weight_rows(weights, n_dense: int, width: int) -> np.ndarray | None:
     return w if n_dense else None
 
 
-def _kernel(x, top, rows, cls, dense, weights, diagonal=False):
+def _kernel(x, top, rows, cls, dense, weights):
     """The one cross-entropy kernel behind every loss here.
 
     ``x`` is the C-contiguous (B, width) batch, so its buffers are too and
@@ -159,8 +144,7 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False):
     ``top`` its (B,) row maxima;
     ``rows`` and ``cls`` are the one-hot rows and their classes, ``dense``
     the weighted rows and ``weights`` their weights, or None to leave
-    them unscored; ``diagonal`` gives every weighted row the diagonal
-    gradient.  Returns the one-hot rows' values (None without one-hot
+    them unscored.  Returns the one-hot rows' values (None without one-hot
     rows), the weighted rows' values (None without weights), the
     (B, width) softmax buffer holding each one-hot row's gradient, and the
     weighted rows' gradients (None without weights).  Rows never mix, so
@@ -200,10 +184,7 @@ def _kernel(x, top, rows, cls, dense, weights, diagonal=False):
     dense_grads = None
     if weights is not None:
         p_dense = p if every else p.take(dense, 0)
-        if diagonal:
-            dense_grads = -weights * (1.0 - p_dense)
-        else:
-            dense_grads = weights.sum(1)[:, None] * p_dense - weights
+        dense_grads = weights.sum(1)[:, None] * p_dense - weights
     if at_class is not None:
         p.ravel()[at_class] -= 1.0
     return v_rows, v_dense, p, dense_grads
@@ -246,10 +227,8 @@ def _weighted_values(z, log_total, weights, out) -> np.ndarray:
     return out.sum(1)
 
 
-def _one_row(x: np.ndarray, cls: int = -1, w: np.ndarray | None = None,
-             diagonal: bool = False) -> LossOutput:
-    values, grads = weighted_ce(x[None, :], np.array([cls]),
-                                None if w is None else w[None, :], diagonal)
+def _one_row(x: np.ndarray, cls: int = -1, w: np.ndarray | None = None) -> LossOutput:
+    values, grads = weighted_ce(x[None, :], np.array([cls]), None if w is None else w[None, :])
     return LossOutput(float(values[0]), grads[0])
 
 
@@ -277,20 +256,20 @@ def lsro_loss(logits) -> LossOutput:
     return _one_row(x, w=np.full(x.size, 1.0 / x.size))
 
 
-def mprl_generated_loss(logits, ranks, diagonal: bool = False) -> LossOutput:
+def mprl_generated_loss(logits, ranks) -> LossOutput:
     """Rank-weighted cross-entropy for a generated sample.
 
     ``ranks`` is the 1..K rank vector of :func:`mprl.labels.mprl_alpha`.
-    Value: -2/(1+K) * sum_k (rank_k / K) * log p_k.  The gradient is the
-    analytic one, or the diagonal one with ``diagonal``; rank weights are
-    constants during differentiation.  The ``gen_weight`` trade-off is
+    Value: -2/(1+K) * sum_k (rank_k / K) * log p_k; gradient: sum(w) p - w
+    for that weight row w, whose rank weights are constants during
+    differentiation.  The ``gen_weight`` trade-off is
     :func:`combined_loss`'s alone.
     """
     x = check_logits(logits)
     r = np.asarray(ranks, dtype=np.float64)
     if r.shape != x.shape:
         raise InvalidDimension(f"logits {x.shape} and ranks {r.shape} disagree on the class count")
-    return _one_row(x, w=mprl_rows(r), diagonal=diagonal)
+    return _one_row(x, w=mprl_rows(r))
 
 
 @dataclass(frozen=True)
@@ -315,7 +294,7 @@ class CombinedLoss:
     grad_logits: np.ndarray
 
 
-def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = False,
+def combined_loss(logits, classes, gen_weights, gen_weight,
                   members: int | None = None) -> CombinedLoss:
     """Mini-batch loss of a (B, width) logit matrix against its rows' labels.
 
@@ -326,8 +305,7 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = Fal
     With ``gen_weights`` None the generated rows are not scored, as behind
     a closed warm-up gate: their loss is 0 and their gradient rows are
     exactly +0.  Real rows are scored in :func:`weighted_ce`'s collapsed
-    one-hot form; with ``diagonal`` every generated row gets the diagonal
-    gradient.  Reduction is per-origin mean, then value = mean(real) +
+    one-hot form.  Reduction is per-origin mean, then value = mean(real) +
     gen_weight * mean(generated), so the trade-off factor keeps its
     meaning regardless of batch composition.  A class outside
     0..width-1 (other than -1) raises ``InvalidClass`` naming its row.
@@ -335,13 +313,14 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = Fal
     ``members`` = S scores the batches of S models at once, as stacked
     by :mod:`mprl.net`: ``logits`` is (S·B, width), member s's batch in
     rows s·B to (s+1)·B, and ``classes`` (B,) is every member's.
-    ``gen_weights`` and ``gen_weight`` then hold one entry per member,
-    and ``diagonal`` holds for all of them.  Each member's means run over
-    its own rows only, and its losses and gradient rows equal a call on
-    its batch alone bit for bit.  Non-finite logits or weights anywhere in the stack raise.
+    ``gen_weights`` and ``gen_weight`` then hold one entry per member.
+    Each member's means run over its own rows only, and its losses and
+    gradient rows equal a call on its batch alone bit for bit.  Non-finite
+    logits anywhere in the stack raise, and so does a non-finite weight
+    row, naming its row of the stack.
     """
     if members is None:
-        out = combined_loss(logits, classes, [gen_weights], [gen_weight], diagonal, members=1)
+        out = combined_loss(logits, classes, [gen_weights], [gen_weight], members=1)
         return CombinedLoss(out.value[0], out.real_loss[0], out.gen_loss[0], out.n_real,
                             out.n_generated, out.grad_logits)
     x = logit_rows(logits)
@@ -370,11 +349,13 @@ def combined_loss(logits, classes, gen_weights, gen_weight, diagonal: bool = Fal
         w = np.concatenate([weights[s] for s in scored]) if scored else None
     top = x.max(1)
     # a NaN or +inf shows in the row maxima, a -inf only in the minimum
-    if not (math.isfinite(top.max()) and math.isfinite(x.min())
-            and (w is None or math.isfinite(w.min()) and math.isfinite(w.max()))):
-        raise InvalidDimension("logits and weights must be finite")
+    if not (math.isfinite(top.max()) and math.isfinite(x.min())):
+        raise InvalidDimension("logits must be finite")
+    if w is not None and not (math.isfinite(w.min()) and math.isfinite(w.max())):
+        bad = dense[np.isfinite(w).all(1).argmin()]
+        raise InvalidDimension(f"row {bad}: label weights must be finite")
 
-    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, dense, w, diagonal)
+    v_real, v_gen, grads, gen_grads = _kernel(x, top, rows, cls, dense, w)
     # per-row scaling in place on the (S·B, width) buffer; the generated
     # rows it scales are overwritten below
     if n_real:

@@ -15,8 +15,7 @@ model never produces an invalid label) under the schedule: a static
 row's frozen labels, a random start's permuted first batch, and a
 warm-up gate that opens at 1-based ``epoch >= warmup_epoch`` and leaves
 the rows unscored (``None``) before.  The call also takes the config's
-``gen_weight`` and gradient rule (:meth:`TrainConfig.diagonal`), which
-:func:`train` resolves once per run.
+``gen_weight``, which :func:`train` resolves once per run.
 
 An epoch's visit order depends on nothing but (seed, epoch, pool size),
 a dropout mask on nothing but (seed, epoch, batch, rows) and the initial
@@ -57,7 +56,7 @@ from .labels import (  # noqa: F401
     all_in_one_label, ground_truth_label, lsro_label, mprl_alpha, mprl_label,
     one_hot_pseudo_label, softmax,
 )
-from .losses import CombinedLoss, GradientMode, combined_loss
+from .losses import CombinedLoss, combined_loss
 from .net import ModelParams, backward, embed, forward, init_optimizer, init_params, sgd_step
 from .retrieval import EmbeddingSet, small_ufunc_buffer
 from .synthgen import Dataset
@@ -83,7 +82,6 @@ class TrainSettings:
     # trade-off between generated- and real-sample loss; None: Scheme.gen_weight
     gen_weight: float | None = None
     warmup_epoch: int = 20
-    gradient_mode: GradientMode = GradientMode.ANALYTIC
     dropout_rate: float = 0.5
     hidden_sizes: tuple[int, ...] = (32, 16)
     init_scale: float = 1.0
@@ -91,7 +89,7 @@ class TrainSettings:
 
 # the settings a cohort member holds for its own generated rows; a cohort's
 # members share every other setting (see lockstep_key)
-MEMBER_SETTINGS = frozenset({"gen_weight", "warmup_epoch", "gradient_mode"})
+MEMBER_SETTINGS = frozenset({"gen_weight", "warmup_epoch"})
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,6 @@ class TrainConfig(TrainSettings):
 
     def resolved_gen_weight(self) -> float:
         return self.scheme.gen_weight if self.gen_weight is None else self.gen_weight
-
-    def diagonal(self) -> bool:
-        """The gradient rule: diagonal mode reaches rank-weighted labels only."""
-        return self.gradient_mode is GradientMode.DIAGONAL and self.scheme.rule is Rule.RANK
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -253,10 +247,10 @@ def lockstep_key(cfg: TrainConfig) -> tuple:
     """What the members of one cohort share: the seed and every setting
     but the :data:`MEMBER_SETTINGS`, so a setting added later splits
     cohorts unless it is declared a member's own.  Members also share their
-    pool, their head width and their gradient rule (:meth:`TrainConfig.diagonal`)."""
+    pool and their head width."""
     return (cfg.seed, *(getattr(cfg, f.name) for f in fields(TrainSettings)
                         if f.name not in MEMBER_SETTINGS),
-            cfg.scheme.real_only, cfg.scheme.extra_classes, cfg.diagonal())
+            cfg.scheme.real_only, cfg.scheme.extra_classes)
 
 
 def stack_limit(cfg: TrainConfig, n_classes: int) -> int:
@@ -287,8 +281,7 @@ class Cohort:
         first = next(iter(self.members), cfg)
         if lockstep_key(cfg) != lockstep_key(first):
             raise InvalidConfig(f"{cfg.strategy.value} cannot train in lockstep with "
-                                f"{first.strategy.value}: they differ in a shared setting "
-                                "or in the gradient rule")
+                                f"{first.strategy.value}: they differ in a shared setting")
         self.members[cfg] = static_labels
 
 
@@ -334,7 +327,7 @@ class _Member:
 
 
 # floating-point warnings stay silent: a diverging run fails on its
-# first non-finite logits, which the error names by epoch and batch
+# first non-finite logits, naming the epoch and batch
 @np.errstate(all="ignore")
 @small_ufunc_buffer()
 def train(
@@ -376,10 +369,10 @@ def train(
 
     The loop runs under ``np.errstate(all="ignore")``, so a diverging run
     prints no floating-point warnings; its first non-finite logits fail
-    the batch instead, and an error raised inside a batch names the epoch
-    and batch in front of its message.  It also runs under
-    :func:`small_ufunc_buffer`; the caller's buffer size and error
-    state are restored on return, also on error.
+    the batch instead, as a diverged training, and an error raised inside
+    a batch names the epoch and batch in front of its message.  It also
+    runs under :func:`small_ufunc_buffer`; the caller's buffer size and
+    error state are restored on return, also on error.
     """
     if cohort is None:
         cohort = Cohort()
@@ -407,11 +400,11 @@ def _train_cohort(real, generated, members, observed, on_epoch, draws, seen=0) -
     """Train every member of a cohort in lockstep; return each member's
     params and history, or the error that failed it.
 
-    The members share one visit order, one dropout mask per batch, one
-    initial model and one gradient rule, so their parameters are one
-    (S, n_params) stack (see :mod:`mprl.net`) and each batch is one
-    forward, one :func:`combined_loss`, one backward and one momentum step
-    for all of them.  Only the generated rows' labels, their weight and
+    The members share one visit order, one dropout mask per batch and one
+    initial model, so their parameters are one (S, n_params) stack (see
+    :mod:`mprl.net`) and each batch is one forward, one
+    :func:`combined_loss`, one backward and one momentum step for all of
+    them.  Only the generated rows' labels, their weight and
     their warm-up gate are a member's own.  When a batch fails, a
     cohort of several trains each member again as a cohort of one, so each ends
     with the result or the error of its own training.  ``on_epoch``
@@ -519,19 +512,26 @@ def _lockstep(real, generated, stack: list[_Member], draws, seen: int) -> MprlEr
 
 def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch, batch_idx):
     """One training batch of every member of ``stack`` on their shared
-    features ``x`` under their shared dropout ``mask`` and gradient rule:
-    the stepped params and the batch's :class:`CombinedLoss`.  The batch's
-    temporaries end with the call.
+    features ``x`` under their shared dropout ``mask``: the stepped params
+    and the batch's :class:`CombinedLoss`.  The batch's temporaries end
+    with the call.
 
     ``positions`` are the generated rows' positions in the generated set
-    (None without generated rows).
+    (None without generated rows).  Logits that are not finite mean the
+    training diverged, and raise :class:`InvalidDimension` saying so.
     """
     logits, cache, _ = forward(params, x, mask)
     labels = [None] * len(stack) if positions is None else [
         m.labels(g, positions, epoch, batch_idx) for m, g in zip(stack, logits[:, gen])]
-    out: CombinedLoss = combined_loss(logits.reshape(-1, logits.shape[-1]), classes, labels,
-                                      [m.gen_weight for m in stack], stack[0].cfg.diagonal(),
-                                      members=len(stack))
+    try:
+        out: CombinedLoss = combined_loss(logits.reshape(-1, logits.shape[-1]), classes, labels,
+                                          [m.gen_weight for m in stack], members=len(stack))
+    except InvalidDimension:
+        # the logits are checked before the labels: if they are not finite,
+        # the model that made them diverged
+        if math.isfinite(logits.max()) and math.isfinite(logits.min()):
+            raise
+        raise InvalidDimension("training diverged: the model's logits are not finite") from None
     grads = backward(params, cache, out.grad_logits.reshape(cache.logits.shape))
     return sgd_step(params, grads, opt), out
 
@@ -578,9 +578,12 @@ def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndar
     return logits
 
 
+@np.errstate(all="ignore")
 def extract_embeddings(params: ModelParams, dataset: Dataset, split: str) -> EmbeddingSet:
     """Eval-mode penultimate activations for one split of a dataset (the
-    hidden stack only; the logits head is never computed)."""
+    hidden stack only; the logits head is never computed).  Floating-point
+    warnings stay silent, as in :func:`train`: :func:`mprl.retrieval.evaluate`
+    refuses the embeddings if any distance between them is not finite."""
     rows = dataset.split(split)
     if not len(rows):
         raise InvalidDimension(f"dataset has no samples in split {split!r}")

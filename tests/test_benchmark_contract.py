@@ -74,8 +74,8 @@ def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
     inside = Counter(name for name, parent, _, _ in tracer.spans if parent == run[0])
     assert {"losses.per_vector", "gradcheck.finite_difference_gradient",
             "labels.mprl_alpha"} <= set(inside)
-    # three losses and one diagonal-mode call per trial, one sweep per trial
-    assert inside["losses.per_vector"] == 2 * 4
+    # three losses per trial, one sweep per trial
+    assert inside["losses.per_vector"] == 2 * 3
     assert inside["gradcheck.finite_difference_gradient"] == 2
     assert all(end >= start for _, _, start, end in tracer.spans)
     # rows per cell and epoch: the training pool in mini-batches, then the

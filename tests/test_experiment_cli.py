@@ -27,7 +27,6 @@ from mprl.experiment import (
     run_cell,
     run_experiment,
 )
-from mprl.losses import GradientMode
 from mprl.trainer import Strategy, TrainConfig, TrainSettings
 
 TINY_SPEC = """\
@@ -138,7 +137,6 @@ NON_DEFAULT_SETTINGS = {
     "momentum": ("0.5", 0.5),
     "gen_weight": ("0.7", 0.7),
     "warmup_epoch": ("3", 3),
-    "gradient_mode": ("diagonal", GradientMode.DIAGONAL),
     "dropout_rate": ("0.1", 0.1),
     "hidden_sizes": ("5, 4, 3", (5, 4, 3)),
     "init_scale": ("2.5", 2.5),
@@ -455,22 +453,6 @@ class TestCohorts:
         run_experiment(spec, out_dir=tmp_path)
         assert cohorts == expected
 
-    def test_the_gradient_rule_splits_cohorts(self, tmp_path, monkeypatch):
-        # under the diagonal mode smprl's rule is diagonal and LSRO's analytic
-        cohorts = self.record_cohorts(monkeypatch)
-        grid = (TINY_SPEC.replace("0, 6", "6").replace("1, 2", "1")
-                + "gradient_mode  = diagonal\n")
-        spec = parse_spec_text(grid.replace("baseline, lsro", "baseline, lsro, smprl"))
-        run_experiment(spec, out_dir=tmp_path / "grid")
-        assert cohorts == [["baseline"], ["lsro"], ["smprl"]]
-        for strategy in ("lsro", "smprl"):
-            run_experiment(parse_spec_text(grid.replace("baseline, lsro", f"baseline, {strategy}")),
-                           out_dir=tmp_path / strategy)
-            for artifact in ("report.json", "history.csv"):
-                cell = f"{strategy}_n6_seed1/{artifact}"
-                assert (tmp_path / "grid" / cell).read_bytes() == \
-                    (tmp_path / strategy / cell).read_bytes()
-
     def test_count_and_head_width_split_cohorts(self, tmp_path, monkeypatch):
         cohorts = self.record_cohorts(monkeypatch)
         spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "lsro, smprl, baseline"))
@@ -522,10 +504,10 @@ class TestCohorts:
             run_experiment(spec, out_dir=tmp_path)
         # what the same grid wrote when every cell trained alone
         assert str(failure.value) == ("cell lsro_n6_seed1 failed: epoch 2, batch 0: "
-                                      "logits and weights must be finite")
+                                      "row 2: label weights must be finite")
         assert json.loads((tmp_path / "failure_manifest.json").read_text()) == {
             "failed_cell": "lsro_n6_seed1",
-            "error": "InvalidDimension: epoch 2, batch 0: logits and weights must be finite",
+            "error": "InvalidDimension: epoch 2, batch 0: row 2: label weights must be finite",
             "completed": ["baseline_n0_seed1", "one_hot_pseudo_n6_seed1"],
         }
         got = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -803,6 +785,8 @@ REJECTED_SPEC_LINES = [
     "strategies     = dmprl2\nwarmup_epoch   = -4",
     "gen_weight     = -1",
     "strategies     = baseline\ngen_weight     = -1",
+    # a key the spec format no longer has
+    "gradient_mode  = diagonal",
 ]
 
 
@@ -841,7 +825,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cell dmprl1_n3_seed0 failed: epoch 1, batch ")
-        assert "finite" in err
+        assert err.endswith(": training diverged: the model's logits are not finite\n")
         manifest = json.loads((out / "failure_manifest.json").read_text())
         assert manifest["failed_cell"] == "dmprl1_n3_seed0"
         assert manifest["completed"] == []
@@ -876,6 +860,27 @@ class TestCli:
         assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len((out / "summary.csv").read_text().splitlines()) == 1 + 4
+
+    def test_an_overflowing_embedding_pass_prints_no_warning(self, tmp_path, capsys):
+        # at this step the trained models' hidden products overflow when the
+        # test split is embedded; ReLU clips the -inf, so every distance is
+        # finite and the cells complete
+        spec = tmp_path / "overflow.txt"
+        spec.write_text(TINY_SPEC.replace("baseline, lsro", "lsro, dmprl1")
+                        .replace("0, 6", "6").replace("1, 2", "1")
+                        .replace("lr_initial     = 0.05", "lr_initial     = 1e30"))
+        assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    @pytest.mark.parametrize("value", ["diagonal", "analytic"])
+    def test_the_retired_gradient_mode_key_is_refused(self, tmp_path, capsys, command, value):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC + f"gradient_mode  = {value}\n")
+        line = len(TINY_SPEC.splitlines()) + 1
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: line {line}: unknown key 'gradient_mode'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_a_batch_size_no_array_can_hold_runs(self, tmp_path, capsys):
         # the spec accepts any batch_size up to 2**63 - 1; every strategy then
@@ -956,7 +961,7 @@ class TestCli:
     def test_gradcheck_exit_codes(self, capsys):
         assert main(["gradcheck", "--k", "2,5", "--trials", "3", "--tolerance", "1e-1"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "diagonal-mode" in out
+        assert "PASS" in out and "gradcheck passed" in out
         # an absurd tolerance cannot be met: check failure exit code
         assert main(["gradcheck", "--k", "2", "--trials", "2", "--tolerance", "1e-18"]) == 3
 
@@ -1124,7 +1129,7 @@ class TestCli:
     @pytest.mark.parametrize("k, named", [("2,abc", "'abc'"), ("5,5", " 5 ")],
                              ids=["2,abc", "5,5"])
     def test_gradcheck_bad_k_exits_one(self, capsys, k, named):
-        # a repeated class count would run its checks twice under one INFO line
+        # a repeated class count would report its cases twice
         assert main(["gradcheck", "--k", k, "--trials", "1"]) == 1
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()

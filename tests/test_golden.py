@@ -8,9 +8,7 @@ a trajectory but lands on the same report still shows.  A small wide
 grid (K = 151) pins every ``report.json`` and ``history.csv`` too: at
 K = 8 a row sum has at most 8 terms, which numpy adds one by one in any
 layout, so only a wide row shows a sum taken in another order (a
-generated row's value or weight sum, say).  Its three rank-weighted
-strategies, smprl first so that it pretrains its own baseline, are
-pinned again under the diagonal gradient mode.  The log1p value of a
+generated row's value or weight sum, say).  The log1p value of a
 real row at the top logit is too small against its batch's mean loss to
 show in any grid; ``tests/test_losses.py`` pins it bit for bit.  A small
 two-seed grid pins every ``report.json`` and ``history.csv`` at
@@ -31,8 +29,6 @@ import pytest
 
 from mprl.cli import main
 from mprl.experiment import parse_spec, parse_spec_text, run_experiment
-from mprl.losses import GradientMode
-from mprl.trainer import Strategy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -134,41 +130,6 @@ def test_wide_grid_artifacts_are_byte_identical(tmp_path):
            for path in sorted(tmp_path.glob("*/*"))
            if path.name in ("report.json", "history.csv")}
     assert got == GOLDEN_WIDE_SHA256
-
-
-# the rank-weighted strategies of the wide grid under the diagonal gradient
-# mode, the only route by which a generated row's gradient is not the
-# derivative of its value
-DIAGONAL_WIDE_GRID_SPEC = WIDE_GRID_SPEC.replace(
-    "baseline, all_in_one, one_hot_pseudo, lsro, smprl, dmprl1, dmprl2",
-    "smprl, dmprl1, dmprl2") + "gradient_mode  = diagonal\n"
-
-# cell/artifact -> sha256
-GOLDEN_DIAGONAL_WIDE_SHA256 = {
-    "dmprl1_n300_seed1/history.csv":
-        "f14b8912f41852e8ffd8d299eb237ec704759694e2d387c7c4bbcfa39cfeb362",
-    "dmprl1_n300_seed1/report.json":
-        "794a50b661703bd5c8e483a326f584be2ac646d611e4db4ec1ce40f489810e35",
-    "dmprl2_n300_seed1/history.csv":
-        "ea63c54da39c903023e0002b1abba190d204d51a6db7344bd634d5acfd5d699d",
-    "dmprl2_n300_seed1/report.json":
-        "39cf841b4fc6edbc97269d73f60accfd5917f4781c26ce217d4ed80e7b27bd9a",
-    "smprl_n300_seed1/history.csv":
-        "42f3202ff0355de6372ad4c7b84eae677460f5910fe8cea4fbc740490c13e1b2",
-    "smprl_n300_seed1/report.json":
-        "c1000be40d06d000d7698339311346131720175f185cfaf3d035919303b479d4",
-}
-
-
-def test_diagonal_wide_grid_artifacts_are_byte_identical(tmp_path):
-    spec = parse_spec_text(DIAGONAL_WIDE_GRID_SPEC)
-    assert spec.strategies == (Strategy.SMPRL, Strategy.DMPRL1, Strategy.DMPRL2)
-    assert spec.gradient_mode is GradientMode.DIAGONAL
-    run_experiment(spec, out_dir=tmp_path)
-    got = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in sorted(tmp_path.glob("*/*"))
-           if path.name in ("report.json", "history.csv")}
-    assert got == GOLDEN_DIAGONAL_WIDE_SHA256
 
 
 # two seeds, counts 0 and > 0, the baseline, LSRO and two MpRL strategies:
@@ -289,10 +250,10 @@ def test_small_grid_artifacts_are_byte_identical(tmp_path, jobs):
 # seed -> sha256 of the stdout of `mprl gradcheck --trials 5 --seed s` at the
 # default K values (2, 5, 10, 751)
 GOLDEN_GRADCHECK_SHA256 = {
-    0: "1b36a67171347e572bf15274f62e8298f3a2c27cf07aacfdafa00b55d24fb354",
-    1: "dadb29ac58f81fa4e1bbaaa7af0929d882bdea88656243817475064a1695129e",
-    2: "84cdaad149648278ecea541d6c8a25ef3ec56e2730d5016c42a2cf6dfc9aad5a",
-    3: "61cd2cdba2bfa2b0793457c3acafcb08a6c7608bca311b5afd10942406bccb97",
+    0: "c71672d6e0792ddf10d6004ac625c25b843979f0452f1e5ee504496e16827c90",
+    1: "a8ba36a8ffb3fc6428f9f10a0940f20f861ede54bf70af7cbd0c4a75e461b4df",
+    2: "4195aae172734e784ff3b5bb684b69a0c96255ad378388134a006012531a7bf3",
+    3: "95ebc48c91a333611cc56edd9b7cae64dd8f957610da256968ccd11c78d69544",
 }
 
 

@@ -24,7 +24,6 @@ from mprl.labels import (
     virtual_labels,
 )
 from mprl.losses import (
-    LossOutput,
     combined_loss,
     lsro_loss,
     mprl_generated_loss,
@@ -106,19 +105,11 @@ class TestMprlGeneratedLoss:
         out = mprl_generated_loss([0.0, LN2], alpha)
         np.testing.assert_allclose(out.grad_logits, [0.0, 0.0], atol=1e-12)
 
-    def test_diagonal_gradient_differs_from_derivative(self):
-        # same point as above: the diagonal formula gives [-2/9, -2/9]
-        alpha = mprl_alpha(softmax([0.0, LN2]))
-        out = mprl_generated_loss([0.0, LN2], alpha, diagonal=True)
-        np.testing.assert_allclose(out.grad_logits, [-2 / 9, -2 / 9], atol=1e-12)
-
-    def test_diagonal_strictly_negative_analytic_sums_to_zero(self):
+    def test_analytic_gradient_sums_to_zero(self):
         rng = np.random.default_rng(4)
         for k in [2, 5, 10, 751]:
             x = rng.normal(0, 3, size=k)
             alpha = mprl_alpha(softmax(x))
-            diag = mprl_generated_loss(x, alpha, diagonal=True)
-            assert np.all(diag.grad_logits < 0.0)
             analytic = mprl_generated_loss(x, alpha)
             assert abs(analytic.grad_logits.sum()) < 1e-12
 
@@ -343,22 +334,18 @@ def batch(items):
     return logits, classes, weights[generated] if generated.any() else None
 
 
-def kernel_case(k, seed, diagonal):
+def kernel_case(k, seed):
     """A mixed batch: real rows (one at a huge top margin), an LSRO row and
     a rank-weighted row, in the class form, with the per-vector loss each
-    row must equal (under ``diagonal`` both weighted rows get the diagonal
-    gradient)."""
+    row must equal."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 4, size=(4, k))
     c = int(rng.integers(k))
     x[3, c] = x[3].max() + 60.0
     alpha = mprl_alpha(softmax(x[2]))
     weights = np.array([np.full(k, 1.0 / k), mprl_rows(alpha)])
-    lsro = lsro_loss(x[1])
-    if diagonal:
-        lsro = LossOutput(lsro.value, -weights[0] * (1.0 - softmax(x[1])))
-    expected = [real_ce_loss(x[0], c), lsro,
-                mprl_generated_loss(x[2], alpha, diagonal), real_ce_loss(x[3], c)]
+    expected = [real_ce_loss(x[0], c), lsro_loss(x[1]),
+                mprl_generated_loss(x[2], alpha), real_ce_loss(x[3], c)]
     return x, np.array([c, -1, -1, c]), weights, expected
 
 
@@ -398,11 +385,11 @@ class TestLogitShapes:
 
 
 class TestWeightedCeKernel:
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_rows_equal_the_per_vector_losses(self, k, seed, diagonal):
-        x, classes, weights, expected = kernel_case(k, seed, diagonal)
-        values, grads = weighted_ce(x, classes, weights, diagonal=diagonal)
+    def test_rows_equal_the_per_vector_losses(self, k, seed):
+        x, classes, weights, expected = kernel_case(k, seed)
+        values, grads = weighted_ce(x, classes, weights)
         for value, grad, want in zip(values, grads, expected):
             assert_close(value, want.value)
             np.testing.assert_allclose(grad, want.grad_logits, rtol=0, atol=1e-12)
@@ -423,14 +410,13 @@ class TestWeightedCeKernel:
             assert_close(values[row], want.value)
             np.testing.assert_allclose(grads[row], want.grad_logits, rtol=0, atol=1e-12)
 
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(),
-           st.floats(0.05, 2.0))
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.05, 2.0))
     @settings(max_examples=60, deadline=None)
     def test_combined_rows_scale_the_kernel_rows_and_a_closed_gate_zeroes(
-            self, k, seed, diagonal, gen_weight):
-        x, classes, weights, expected = kernel_case(k, seed, diagonal)
+            self, k, seed, gen_weight):
+        x, classes, weights, expected = kernel_case(k, seed)
         generated = classes == -1
-        out = combined_loss(x, classes, weights, gen_weight, diagonal)
+        out = combined_loss(x, classes, weights, gen_weight)
         scale = gen_weight / 2
         np.testing.assert_allclose(out.grad_logits[0], expected[0].grad_logits / 2, atol=1e-12)
         np.testing.assert_allclose(out.grad_logits[1], scale * expected[1].grad_logits,
@@ -439,14 +425,14 @@ class TestWeightedCeKernel:
         assert_close(out.real_loss, (expected[0].value + expected[3].value) / 2)
         assert_close(out.gen_loss, (expected[1].value + expected[2].value) / 2)
 
-        gated = combined_loss(x, classes, None, gen_weight, diagonal)
+        gated = combined_loss(x, classes, None, gen_weight)
         np.testing.assert_array_equal(gated.grad_logits[generated], 0.0)
         np.testing.assert_array_equal(gated.grad_logits[~generated],
                                       out.grad_logits[~generated])
         assert gated.gen_loss == 0.0 and gated.value == gated.real_loss == out.real_loss
 
 
-def dense_weighted_ce(logits, weights, one_hot=None, diagonal=None):
+def dense_weighted_ce(logits, weights, one_hot=None):
     """Oracle: the kernel evaluated densely on every row (the implementation
     before one-hot rows were collapsed), log1p for top-logit one-hot rows."""
     z = logits - np.max(logits, axis=1, keepdims=True)
@@ -455,8 +441,6 @@ def dense_weighted_ce(logits, weights, one_hot=None, diagonal=None):
     p = e / total
     values = np.sum(weights * (np.log(total) - z), axis=1)
     grads = np.sum(weights, axis=1, keepdims=True) * p - weights
-    if diagonal is not None and diagonal.any():
-        grads[diagonal] = -weights[diagonal] * (1.0 - p[diagonal])
     if one_hot is not None and one_hot.any():
         rows = np.flatnonzero(one_hot)
         cls = np.argmax(weights[rows], axis=1)
@@ -468,7 +452,7 @@ def dense_weighted_ce(logits, weights, one_hot=None, diagonal=None):
     return values, grads
 
 
-def dense_combined_loss(logits, weights, generated, gen_weight, diagonal, gate_open=True):
+def dense_combined_loss(logits, weights, generated, gen_weight, gate_open=True):
     """Oracle: combined_loss as it took dense (B, width) weight rows (real
     rows one-hot at their class, generated rows all zero behind a closed
     gate) and a generated mask; returns (value, real_loss, gen_loss, grads)."""
@@ -476,8 +460,7 @@ def dense_combined_loss(logits, weights, generated, gen_weight, diagonal, gate_o
     real = ~gen
     n_real = int(real.sum())
     n_generated = gen.size - n_real
-    values, grads = dense_weighted_ce(logits, weights, one_hot=real,
-                                      diagonal=gen if diagonal else None)
+    values, grads = dense_weighted_ce(logits, weights, one_hot=real)
     if n_real:
         grads[real] /= n_real
     if gate_open and n_generated:
@@ -516,18 +499,14 @@ def mixed_batch(k, n, seed, margin):
 
 class TestCollapsedOneHotRows:
     @given(st.sampled_from([1, 2, 3, 8, 151, 751]), st.integers(1, 12),
-           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 2.0, 40.0, 1e3]),
-           st.booleans())
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 2.0, 40.0, 1e3]))
     @settings(max_examples=120, deadline=None)
-    def test_equals_the_dense_kernel_bit_for_bit(self, k, n, seed, margin, diagonal):
+    def test_equals_the_dense_kernel_bit_for_bit(self, k, n, seed, margin):
         x, weights, hot = mixed_batch(k, n, seed, margin)
-        classes, rows = class_form(weights, hot)
-        values, grads = weighted_ce(x, classes, rows, diagonal=diagonal)
-        flags = ~hot if diagonal else None
-        want_values, want_grads = dense_weighted_ce(x, weights, one_hot=hot, diagonal=flags)
+        values, grads = weighted_ce(x, *class_form(weights, hot))
+        want_values, want_grads = dense_weighted_ce(x, weights, one_hot=hot)
         assert np.array_equal(values, want_values)
         assert np.array_equal(grads, want_grads)
-        assert np.array_equal(weighted_ce(x, classes, rows)[0], want_values)
 
     def test_top_logit_rows_keep_the_log1p_value(self):
         x, weights, hot = mixed_batch(751, 12, 3, 40.0)
@@ -648,27 +627,27 @@ class TestClassForm:
     class, so a real row can no longer carry weights that are not one-hot."""
 
     @given(st.sampled_from([1, 2, 8, 10, 751]), st.integers(1, 12), st.integers(0, 2**32 - 1),
-           st.sampled_from([0.0, 0.4, 1.0]), st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.4, 1.0]), st.booleans(), st.booleans(),
            st.sampled_from([0.0, 2.0, 1e3]), st.sampled_from([1 / 3, 1.0]), st.booleans(),
            st.booleans())
     # an all-real batch, an all-generated one, and one whose real rows all
     # hold the top logit (every real value through log1p)
-    @example(k=8, n=12, seed=5, gen_share=0.0, gate=True, diagonal=False, broadcast=False,
+    @example(k=8, n=12, seed=5, gen_share=0.0, gate=True, broadcast=False,
              margin=2.0, top_share=1 / 3, fortran=False, fortran_weights=False)
-    @example(k=751, n=9, seed=6, gen_share=1.0, gate=True, diagonal=False, broadcast=False,
+    @example(k=751, n=9, seed=6, gen_share=1.0, gate=True, broadcast=False,
              margin=0.0, top_share=1 / 3, fortran=False, fortran_weights=False)
-    @example(k=8, n=12, seed=7, gen_share=0.4, gate=True, diagonal=True, broadcast=True,
+    @example(k=8, n=12, seed=7, gen_share=0.4, gate=True, broadcast=True,
              margin=1e3, top_share=1.0, fortran=True, fortran_weights=False)
-    @example(k=751, n=7, seed=8, gen_share=0.0, gate=True, diagonal=False, broadcast=False,
+    @example(k=751, n=7, seed=8, gen_share=0.0, gate=True, broadcast=False,
              margin=0.0, top_share=1.0, fortran=False, fortran_weights=False)
     # Fortran-ordered weight rows, whose sums take more than eight terms
-    @example(k=10, n=12, seed=9, gen_share=1.0, gate=True, diagonal=False, broadcast=True,
+    @example(k=10, n=12, seed=9, gen_share=1.0, gate=True, broadcast=True,
              margin=0.0, top_share=1 / 3, fortran=False, fortran_weights=True)
-    @example(k=751, n=12, seed=10, gen_share=0.4, gate=True, diagonal=False, broadcast=False,
+    @example(k=751, n=12, seed=10, gen_share=0.4, gate=True, broadcast=False,
              margin=0.0, top_share=1 / 3, fortran=False, fortran_weights=True)
     @settings(max_examples=150, deadline=None)
     def test_combined_loss_equals_the_dense_weight_version_bit_for_bit(
-            self, k, n, seed, gen_share, gate, diagonal, broadcast, margin, top_share, fortran,
+            self, k, n, seed, gen_share, gate, broadcast, margin, top_share, fortran,
             fortran_weights):
         rng = np.random.default_rng(seed)
         x = rng.normal(0.0, 3.0, size=(n, k))
@@ -689,16 +668,14 @@ class TestClassForm:
         logits = np.asfortranarray(x) if fortran else x
         if fortran_weights:
             gen_weights = np.asfortranarray(gen_weights)
-        out = combined_loss(logits, classes, gen_weights if gate else None, 0.35, diagonal)
-        value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, 0.35, diagonal,
-                                                                gate)
+        out = combined_loss(logits, classes, gen_weights if gate else None, 0.35)
+        value, real_loss, gen_loss, grads = dense_combined_loss(x, dense, gen, 0.35, gate)
         assert np.array_equal(out.grad_logits, grads)
         assert (out.value, out.real_loss, out.gen_loss) == (value, real_loss, gen_loss)
         assert (out.n_real, out.n_generated) == (int((~gen).sum()), int(gen.sum()))
         if gate:
-            values, row_grads = weighted_ce(logits, classes, gen_weights, diagonal)
-            want_values, want_grads = dense_weighted_ce(x, dense, one_hot=~gen,
-                                                        diagonal=gen if diagonal else None)
+            values, row_grads = weighted_ce(logits, classes, gen_weights)
+            want_values, want_grads = dense_weighted_ce(x, dense, one_hot=~gen)
             assert np.array_equal(values, want_values)
             assert np.array_equal(row_grads, want_grads)
 
@@ -750,11 +727,16 @@ class TestClassForm:
 
     def test_non_finite_logits_and_weights_raise(self):
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(InvalidDimension, match="finite"):
+            with pytest.raises(InvalidDimension, match="^logits must be finite$"):
                 combined_loss(np.array([[0.0, bad], [0.0, 0.0]]), np.array([0, -1]),
                               np.full((1, 2), 0.5), 1.0)
-            with pytest.raises(InvalidDimension, match="finite"):
+            # a label names its row, in the stack of every member's batches
+            with pytest.raises(InvalidDimension, match="^row 1: label weights must be finite$"):
                 combined_loss(np.zeros((2, 2)), np.array([0, -1]), np.array([[0.5, bad]]), 1.0)
+            with pytest.raises(InvalidDimension, match="^row 3: label weights must be finite$"):
+                combined_loss(np.zeros((4, 2)), np.array([0, -1]),
+                              [np.array([[0.5, 0.5]]), np.array([[0.5, bad]])], [1.0, 1.0],
+                              members=2)
 
 
 class TestCombinedLoss:
@@ -784,7 +766,7 @@ class TestCombinedLoss:
 
     def test_all_generated_batch_behind_a_closed_gate_is_exactly_zero(self):
         x = np.random.default_rng(8).normal(0.0, 3.0, size=(5, 7))
-        gated = combined_loss(x, np.full(5, -1), None, 0.1, diagonal=True)
+        gated = combined_loss(x, np.full(5, -1), None, 0.1)
         assert (gated.value, gated.real_loss, gated.gen_loss) == (0.0, 0.0, 0.0)
         assert (gated.n_real, gated.n_generated) == (0, 5)
         assert np.array_equal(gated.grad_logits, np.zeros((5, 7)))

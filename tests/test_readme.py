@@ -2,15 +2,16 @@
 every spec key, its CLI block and the ``mprl.cli`` docstring name every
 subcommand, its exit-code table, that docstring and the ``EXIT_*``
 constants name the same codes, its strategy table is
-``mprl.labels.SCHEMES``, and the byte budgets it states for retrieval are
-the ``mprl.retrieval`` ones."""
+``mprl.labels.SCHEMES``, the settings it names as a cohort member's own
+are ``mprl.trainer.MEMBER_SETTINGS``, and the byte budgets it states for
+retrieval are the ``mprl.retrieval`` ones."""
 
 import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from mprl import cli, retrieval
+from mprl import cli, retrieval, trainer
 from mprl.cli import build_parser
 from mprl.experiment import ExperimentSpec
 from mprl.labels import SCHEMES
@@ -82,6 +83,13 @@ def test_strategy_table_is_the_code_table():
         f"K + {scheme.extra_classes}" if scheme.extra_classes else "K", repr(scheme.gen_weight)]))
         for strategy, scheme in SCHEMES.items()]
     assert table == in_code
+
+
+def test_member_settings_are_the_code_member_settings():
+    # the sentence that names them, up to its period: each setting in code marks
+    named = re.search(r"\(`mprl\.trainer\.MEMBER_SETTINGS`\):(.*?)\.", README.read_text(),
+                      re.DOTALL).group(1)
+    assert set(re.findall(r"`(\w+)`", named)) == trainer.MEMBER_SETTINGS
 
 
 def test_retrieval_budgets_are_the_code_budgets():

@@ -12,7 +12,6 @@ import pytest
 import mprl.trainer as trainer_module
 from mprl.errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
 from mprl.labels import mprl_rows, virtual_labels
-from mprl.losses import GradientMode
 from mprl.net import forward, init_params
 from mprl.synthgen import Dataset, make_generated_dataset, make_real_dataset
 from mprl.trainer import (
@@ -25,7 +24,6 @@ from mprl.trainer import (
     assign_static_labels,
     epoch_shuffle_order,
     extract_embeddings,
-    lockstep_key,
     pretrain_baseline,
     stack_limit,
     train,
@@ -538,7 +536,8 @@ class TestDivergence:
         cfg = quick_config(Strategy.DMPRL1, epochs=2, lr_initial=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MprlError, match=r"^epoch 1, batch [1-9]\d*: .*finite"):
+            with pytest.raises(MprlError, match=r"^epoch 1, batch [1-9]\d*: training diverged: "
+                                                r"the model's logits are not finite$"):
                 train(real, generated, cfg)
 
 
@@ -632,10 +631,9 @@ LOCKSTEP = [Strategy.ONE_HOT_PSEUDO, Strategy.LSRO, Strategy.SMPRL, Strategy.DMP
             Strategy.DMPRL2]
 
 
-def alone_and_together(real, generated, cfgs, static=None, cohorts=1):
-    """Each config trained alone, and all of them in ``cohorts`` cohorts,
-    one per :func:`lockstep_key` (each in config order); each smprl config
-    gets ``static``."""
+def alone_and_together(real, generated, cfgs, static=None):
+    """Each config trained alone, and all of them in one cohort (in config
+    order); each smprl config gets ``static``."""
     labels = {cfg: static if cfg.strategy is Strategy.SMPRL else None for cfg in cfgs}
     alone = []
     for cfg in cfgs:
@@ -643,14 +641,13 @@ def alone_and_together(real, generated, cfgs, static=None, cohorts=1):
             alone.append(train(real, generated, cfg, static_labels=labels[cfg]))
         except MprlError as exc:
             alone.append(exc)
-    by_key = {}
+    cohort = Cohort()
     for cfg in cfgs:
-        by_key.setdefault(lockstep_key(cfg), Cohort()).add(cfg, labels[cfg])
-    assert len(by_key) == cohorts
+        cohort.add(cfg, labels[cfg])
     together = []
     for cfg in cfgs:
         try:
-            together.append(train(real, generated, cfg, cohort=by_key[lockstep_key(cfg)]))
+            together.append(train(real, generated, cfg, cohort=cohort))
         except MprlError as exc:
             together.append(exc)
     return alone, together
@@ -666,19 +663,14 @@ def assert_same_outcomes(alone, together):
 
 
 class TestCohort:
-    @pytest.mark.parametrize("mode", list(GradientMode))
     @pytest.mark.parametrize("dropout_rate", [0.25, 0.0])
     @pytest.mark.parametrize("with_generated", [True, False])
-    def test_lockstep_equals_one_training_per_member(self, real, generated, mode,
-                                                     dropout_rate, with_generated):
+    def test_lockstep_equals_one_training_per_member(self, real, generated, dropout_rate,
+                                                     with_generated):
         data = generated if with_generated else None
-        cfgs = [quick_config(s, gradient_mode=mode, dropout_rate=dropout_rate)
-                for s in LOCKSTEP]
+        cfgs = [quick_config(s, dropout_rate=dropout_rate) for s in LOCKSTEP]
         static = assign_static_labels(pretrain_baseline(real, cfgs[0]), generated)
-        # under the diagonal mode the rank-weighted strategies train beside
-        # each other, and one-hot pseudo and LSRO (analytic) beside each other
-        alone, together = alone_and_together(real, data, cfgs, static,
-                                             cohorts=2 if mode is GradientMode.DIAGONAL else 1)
+        alone, together = alone_and_together(real, data, cfgs, static)
         assert_same_outcomes(alone, together)
         # the cases this covers: a short last batch, and with generated rows
         # dmprl1's random first ranks (its first batch holds generated rows)
@@ -732,8 +724,9 @@ class TestCohort:
         alone, together = alone_and_together(real, generated, cfgs, static)
         assert [type(r) for r in alone] == [tuple, InvalidDimension, tuple, InvalidDimension,
                                             tuple, tuple]
-        assert str(alone[1]) == "epoch 2, batch 0: logits and weights must be finite"
-        assert str(alone[3]) == "epoch 1, batch 0: logits and weights must be finite"
+        assert str(alone[1]) == ("epoch 2, batch 0: training diverged: "
+                                 "the model's logits are not finite")
+        assert str(alone[3]) == "epoch 1, batch 0: row 7: label weights must be finite"
         assert_same_outcomes(alone, together)
 
     @pytest.mark.parametrize("case", ["none_fails", "another_fails", "it_fails"])
@@ -847,25 +840,16 @@ class TestCohort:
         # it is declared in trainer.MEMBER_SETTINGS and here
         other = {"epochs": 5, "batch_size": 9, "lr_initial": 0.06, "lr_after_decay": 0.004,
                  "decay_epoch": 2, "momentum": 0.8, "gen_weight": 0.3, "warmup_epoch": 2,
-                 "gradient_mode": GradientMode.DIAGONAL, "dropout_rate": 0.5,
-                 "hidden_sizes": (8, 5), "init_scale": 0.5}[name]
+                 "dropout_rate": 0.5, "hidden_sizes": (8, 5), "init_scale": 0.5}[name]
         first = quick_config(Strategy.LSRO)
         assert getattr(first, name) != other
         cohort = Cohort()
         cohort.add(first)
-        if name in {"gen_weight", "warmup_epoch", "gradient_mode"}:
+        if name in {"gen_weight", "warmup_epoch"}:
             cohort.add(quick_config(Strategy.LSRO, **{name: other}))
         else:
             with pytest.raises(InvalidConfig, match="lockstep"):
                 cohort.add(quick_config(Strategy.LSRO, **{name: other}))
-
-    def test_the_gradient_rule_splits_rank_weighted_members(self):
-        cohort = Cohort()
-        # the mode reaches rank-weighted labels only: LSRO's rule is analytic
-        cohort.add(quick_config(Strategy.LSRO, gradient_mode=GradientMode.DIAGONAL))
-        cohort.add(quick_config(Strategy.SMPRL))
-        with pytest.raises(InvalidConfig, match="gradient rule"):
-            cohort.add(quick_config(Strategy.DMPRL1, gradient_mode=GradientMode.DIAGONAL))
 
     def test_the_stack_limit_keeps_the_logit_block_in_budget(self):
         # desk members take 4 KiB of logits each, K = 751 members 376 KiB

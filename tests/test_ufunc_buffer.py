@@ -181,9 +181,8 @@ class TestResultsDoNotDependOnTheBuffer:
         return logits, classes, gen_weights
 
     @pytest.mark.parametrize("n_generated", [0, 20])
-    @pytest.mark.parametrize("diagonal", [False, True])
-    def test_combined_loss(self, n_generated, diagonal):
-        args = (*self.batch(n_generated), 0.5, diagonal)
+    def test_combined_loss(self, n_generated):
+        args = (*self.batch(n_generated), 0.5)
         want = at_default_buffer(combined_loss, *args)
         got = under_helper(combined_loss, *args)
         for name in ("value", "real_loss", "gen_loss"):
