@@ -19,6 +19,7 @@ from .errors import (
     MprlError,
     ProtocolViolation,
     SpecError,
+    TrainingDiverged,
 )
 from .labels import (
     all_in_one_label,

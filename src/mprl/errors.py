@@ -24,6 +24,10 @@ class InvalidState(MprlError, RuntimeError):
     """An operation was invoked with stale or mismatched runtime state."""
 
 
+class TrainingDiverged(MprlError, RuntimeError):
+    """A model's logits stopped being finite: the training that made it diverged."""
+
+
 class GenerationFailure(MprlError, RuntimeError):
     """Synthetic data construction could not satisfy its guarantees."""
 

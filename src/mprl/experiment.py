@@ -29,13 +29,11 @@ keys to the generators' own rules (``synthgen.check_real_params`` and
 The grid expands to one cell per (strategy, count, seed), except that a
 real-only strategy (the baseline) ignores the generated-data counts and
 runs once per seed: this module reads :data:`mprl.labels.SCHEMES`, never
-a strategy's name.  Cells run seed-major: every cell of the first seed
-(strategies in spec order, each over its counts), then the next seed.
-Through a :class:`RunMemo` (one per :func:`run_experiment` call, worker
-process or ``mprl gen-data`` call) the cells of a seed share what they
-would otherwise each build: the datasets, the baseline model, the
-dropout masks and their cohorts (see :func:`_cohort_of`).  Nothing is
-shared across seeds or across calls.
+a strategy's name.  :func:`plan_cohorts` orders the cells into cohorts,
+seed-major.  Through a :class:`RunMemo` (one per :func:`run_experiment`
+call, worker process or ``mprl gen-data`` call) the cells of a seed
+share what they would otherwise each build: the datasets, the baseline
+model and the dropout masks.  Nothing is shared across seeds or calls.
 Every cell writes ``history.csv`` and ``report.json`` into its own
 directory; ``summary.csv`` aggregates one row per cell plus a mean row
 per (strategy, count) group when several seeds ran.  All cell artifacts
@@ -204,13 +202,29 @@ def expand_cells(spec: ExperimentSpec) -> list[Cell]:
             for count in ((0,) if SCHEMES[strategy].real_only else spec.counts)]
 
 
+def plan_cohorts(spec: ExperimentSpec) -> list[tuple[Cell, ...]]:
+    """The grid's cells as the cohorts that train them, in run order: cells of
+    one seed and count that share :func:`mprl.trainer.lockstep_key` fill cohorts
+    in cell order, each up to its :func:`mprl.trainer.stack_limit`.  Each seed's
+    real-only cohort runs first, so its model labels the static members."""
+    cohorts, filling = [], {}
+    for cell in expand_cells(spec):
+        cfg = spec.train_config(cell.strategy, cell.seed)
+        key = (cell.n_generated, lockstep_key(cfg))
+        cohort = filling.get(key)
+        if cohort is None or len(cohort) == stack_limit(cfg, spec.n_classes):
+            cohort = filling[key] = []
+            cohorts.append(cohort)
+        cohort.append(cell)
+    return sorted((tuple(c) for c in cohorts), key=lambda c: (
+        spec.seeds.index(c[0].seed), not SCHEMES[c[0].strategy].real_only))
+
+
 class RunMemo:
     """What the cells of one seed share within one run (a
     :func:`run_experiment` call or a ``gen-data`` call): the real
     dataset, each count's generated dataset, the baseline model that
-    labels a static cell's generated rows, the seed's dropout masks, and
-    its cohorts (:attr:`cohorts`, each cell that has yet to take its
-    result mapped to its :class:`mprl.trainer.Cohort`).
+    labels a static cell's generated rows and the seed's dropout masks.
     Cells run seed-major, so it holds one seed at a time.  Every array it
     holds is read-only."""
 
@@ -229,7 +243,6 @@ class RunMemo:
         self.generated: dict[int, Dataset | None] = {}
         self.baseline: ModelParams | None = None
         self.draws = SeedDraws()
-        self.cohorts: dict[Cell, Cohort] = {}
 
 
 # a pool worker's memo, set by the pool's initializer; it ends with its
@@ -333,63 +346,38 @@ def _keep_baseline(memo: RunMemo, params: ModelParams) -> None:
     memo.baseline = params
 
 
-def _cohort_of(spec: ExperimentSpec, cell: Cell, memo: RunMemo, real: Dataset,
-               generated: Dataset | None) -> Cohort:
-    """The cohort that trains ``cell``: the memo's, else a new one.
-
-    A new cohort holds ``cell`` and the later cells of its seed that no
-    cohort holds yet and that train in lockstep with it: the same count
-    and :func:`mprl.trainer.lockstep_key`, up to the
-    :func:`mprl.trainer.stack_limit` of its kind.  Each member of a
-    static schedule labels its generated rows with the seed's baseline
-    model in ``memo``: the real-only cell's parameters when that cell has
-    run, else one pretraining per seed.  The two are the same bits:
-    without generated rows, neither ``gen_weight`` nor the
-    strategy-specific settings reach the trajectory.  A static cell behind
-    a real-only cell still to run joins no earlier cell's cohort, so it
-    waits for that cell's model instead of pretraining a copy.
-    """
-    cohort = memo.cohorts.pop(cell, None)
-    if cohort is not None:
-        return cohort
-    cfg = spec.train_config(cell.strategy, cell.seed)
-    cells = expand_cells(spec)
-    rest = cells[cells.index(cell) + 1:]
-    key = (cell.seed, cell.n_generated, lockstep_key(cfg))
-    later = [c for c in rest if c not in memo.cohorts and key == (
-        c.seed, c.n_generated, lockstep_key(spec.train_config(c.strategy, c.seed)))]
-    if memo.baseline is None:  # static members wait for the seed's real-only cell
-        wait = next((i for i, c in enumerate(rest)
-                     if c.seed == cell.seed and SCHEMES[c.strategy].real_only), len(rest))
-        later = [c for c in later if SCHEMES[c.strategy].schedule is not Schedule.STATIC
-                 or rest.index(c) < wait]
+def _cohort(spec: ExperimentSpec, cells, memo: RunMemo) -> Cohort:
+    """The :class:`mprl.trainer.Cohort` of ``cells``.  A static member labels with the
+    seed's baseline model in ``memo``: the real-only cell's, else one pretraining per
+    seed, the same bits (without generated rows no member setting reaches the trajectory)."""
     cohort = Cohort()
-    for member in [cell, *later][:stack_limit(cfg, spec.n_classes)]:
+    for cell in cells:
+        real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
+        cfg = spec.train_config(cell.strategy, cell.seed)
         static = None
-        if SCHEMES[member.strategy].schedule is Schedule.STATIC and generated is not None:
+        if cfg.scheme.schedule is Schedule.STATIC and generated is not None:
             if memo.baseline is None:
                 _keep_baseline(memo, pretrain_baseline(real, cfg, draws=memo.draws))
             static = assign_static_labels(memo.baseline, generated)
-        cohort.add(spec.train_config(member.strategy, member.seed), static)
-        if member != cell:
-            memo.cohorts[member] = cohort
+        cohort.add(cfg, static)
     return cohort
 
 
-def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> CellResult:
+def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo,
+             cohort: Cohort | None = None) -> CellResult:
     """Train one grid cell, write its artifacts, return its summary row.
     ``memo`` carries what the cells of one run share.
 
-    The cell trains in its cohort (see :func:`_cohort_of`): the first
-    cell of a cohort trains every member, and each later member takes the
-    result the memo holds for it, which equals a training of its own bit
+    The cell trains in ``cohort``, which holds its config, or alone by
+    default.  The first cell of a cohort trains every member, and each
+    later member takes its result, which equals a training of its own bit
     for bit.  Every training of the seed replays the memo's dropout masks.
     """
     start = time.perf_counter()
     real, generated = build_datasets(spec, cell.seed, cell.n_generated, memo)
     cfg = spec.train_config(cell.strategy, cell.seed)
-    cohort = _cohort_of(spec, cell, memo, real, generated)
-    params, history = train(real, generated, cfg, draws=memo.draws, cohort=cohort)
+    params, history = train(real, generated, cfg, draws=memo.draws,
+                            cohort=cohort or _cohort(spec, (cell,), memo))
     if cfg.scheme.real_only:
         _keep_baseline(memo, params)
 
@@ -407,27 +395,36 @@ def run_cell(spec: ExperimentSpec, cell: Cell, out_dir: Path, memo: RunMemo) -> 
                       last.gen_loss, time.perf_counter() - start)
 
 
-def _run_cell_job(args):
-    """A pool worker's cell: its result, or the error it raised, so the
-    cells before it in a chunk still report."""
+def _run_cohort(spec: ExperimentSpec, cells, out_dir: Path, memo: RunMemo):
+    """Run the cells of one cohort in order, yielding each one's result as
+    it finishes, or the error that failed it, which ends the cohort."""
     try:
-        return run_cell(*args, _worker_memo)
+        start = time.perf_counter()
+        cohort = _cohort(spec, cells, memo)
+        for i, cell in enumerate(cells):
+            result = run_cell(spec, cell, out_dir, memo, cohort)
+            if i == 0:  # the first cell's time includes building the cohort
+                result.wall_seconds = time.perf_counter() - start
+            yield result
     except Exception as exc:
-        return exc
+        yield exc
+
+
+def _run_cohort_job(args) -> list:
+    """A pool worker's cohort: what :func:`_run_cohort` yields for it."""
+    return list(_run_cohort(*args, _worker_memo))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
                    progress=None) -> list[CellResult]:
-    """Run every cell of the grid and write summary.csv.
+    """Run the :func:`plan_cohorts` of the grid, write summary.csv and return the
+    results in :func:`expand_cells` order; ``progress`` gets each as it arrives.
 
-    ``jobs > 1`` distributes cells over at most ``min(jobs, cells)``
-    worker processes; each cell is internally deterministic, and the
-    summary is assembled in sorted cell order, so parallelism never
-    changes any artifact except the wall_seconds timing column.  With at
-    least as many seeds as workers a worker takes a seed's cells as one
-    chunk, so each seed's datasets are built and its cohorts trained
-    once; with fewer seeds it takes one cell at a time, so a one-seed
-    grid still runs in parallel.
+    ``jobs > 1`` distributes cohorts over at most ``min(jobs, cohorts)``
+    worker processes, which changes no artifact but the wall_seconds
+    column.  With at least as many seeds as workers a worker takes a
+    seed's cohorts at a time, else one cohort, so a one-seed grid still
+    runs in parallel.
 
     Every process of the run computes under one BLAS thread, so the
     artifacts do not depend on ``jobs`` or on the host's core count, and
@@ -437,32 +434,34 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
     spec.validate()
     out_path = Path(out_dir if out_dir is not None else spec.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    cells = expand_cells(spec)
+    plan = plan_cohorts(spec)
+    order = [cell for cohort in plan for cell in cohort]
     # the pool forks all of its workers at the first submit
-    workers = min(jobs, len(cells))
-    # expand_cells is seed-major, with as many cells for every seed
-    chunk = len(cells) // len(spec.seeds) if len(spec.seeds) >= workers else 1
+    workers = min(jobs, len(plan))
+    # the plan is seed-major, with as many cohorts for every seed
+    chunk = len(plan) // len(spec.seeds) if len(spec.seeds) >= workers else 1
 
     results: list[CellResult] = []
+    failed = None
     try:
         # one worker's work stays in this process, so patched module globals
         # apply; each worker process starts a memo of its own
         with _one_blas_thread(), _worker_pool(workers) if workers > 1 else nullcontext() as pool:
             if pool is None:
                 memo = RunMemo()
-                outcomes = (run_cell(spec, c, out_path, memo) for c in cells)
+                batches = (_run_cohort(spec, c, out_path, memo) for c in plan)
             else:
-                outcomes = pool.map(_run_cell_job, [(spec, c, out_path) for c in cells],
-                                    chunksize=chunk)
-            for result in outcomes:
+                batches = pool.map(_run_cohort_job, [(spec, c, out_path) for c in plan],
+                                   chunksize=chunk)
+            for result in (r for batch in batches for r in batch):
                 if isinstance(result, Exception):
+                    failed = order[len(results)]
                     raise result
                 results.append(result)
                 if progress:
                     progress(result)
     except Exception as exc:
         # leave completed artifacts in place and record what broke
-        failed = cells[len(results)] if len(results) < len(cells) else None
         manifest = {
             "failed_cell": failed.name if failed else "unknown",
             "error": f"{type(exc).__name__}: {exc}",
@@ -472,10 +471,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, jobs: int = 1,
             json.dumps(manifest, indent=2) + "\n")
         if results:
             write_summary(results, out_path / "summary.csv")
-        raise RunFailure(failed or cells[0], exc) from exc
+        raise RunFailure(failed, exc) from exc
 
     write_summary(results, out_path / "summary.csv")
-    return results
+    rank = {cell: i for i, cell in enumerate(expand_cells(spec))}
+    return sorted(results, key=lambda r: rank[r.cell])
 
 
 def write_summary(results: list[CellResult], path) -> None:
@@ -506,9 +506,9 @@ def write_summary(results: list[CellResult], path) -> None:
 
 
 class RunFailure(MprlError):
-    """A cell failed mid-run; partial artifacts stay on disk."""
+    """A run failed, in ``cell`` or (None) in none; partial artifacts stay on disk."""
 
-    def __init__(self, cell: Cell, cause: Exception):
-        super().__init__(f"cell {cell.name} failed: {cause}")
+    def __init__(self, cell: Cell | None, cause: Exception):
+        super().__init__(f"cell {cell.name} failed: {cause}" if cell else f"run failed: {cause}")
         self.cell = cell
         self.cause = cause

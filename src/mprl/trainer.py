@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
+from .errors import InvalidConfig, InvalidDimension, InvalidState, MprlError, TrainingDiverged
 from .labels import SCHEMES, Rule, Schedule, Scheme, Strategy, virtual_labels
 # not called here; the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .labels import (  # noqa: F401
@@ -518,7 +518,7 @@ def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch,
 
     ``positions`` are the generated rows' positions in the generated set
     (None without generated rows).  Logits that are not finite mean the
-    training diverged, and raise :class:`InvalidDimension` saying so.
+    training diverged, and raise :class:`TrainingDiverged`.
     """
     logits, cache, _ = forward(params, x, mask)
     labels = [None] * len(stack) if positions is None else [
@@ -531,7 +531,7 @@ def _lockstep_batch(params, opt, stack, x, mask, classes, gen, positions, epoch,
         # the model that made them diverged
         if math.isfinite(logits.max()) and math.isfinite(logits.min()):
             raise
-        raise InvalidDimension("training diverged: the model's logits are not finite") from None
+        raise TrainingDiverged("training diverged: the model's logits are not finite") from None
     grads = backward(params, cache, out.grad_logits.reshape(cache.logits.shape))
     return sgd_step(params, grads, opt), out
 
@@ -567,12 +567,12 @@ def assign_static_labels(pretrained: ModelParams, generated: Dataset) -> np.ndar
     array and the rank sort's (n_generated, K) temporaries are never
     whole.  Ranks are per row, so the rows equal those of one call on
     every row.  Non-finite logits (a diverged model) raise
-    :class:`InvalidDimension`, as they would rank to arbitrary labels.
+    :class:`TrainingDiverged`, as they would rank to arbitrary labels.
     """
     logits = forward(pretrained, generated.features)[0]
     # a NaN or +inf shows in the maximum, a -inf only in the minimum
     if logits.size and not (math.isfinite(logits.max()) and math.isfinite(logits.min())):
-        raise InvalidDimension("the pretrained model's logits must be finite")
+        raise TrainingDiverged("the pretrained model's logits must be finite")
     for rows in _row_blocks(*logits.shape):
         logits[rows] = virtual_labels(Strategy.SMPRL, logits[rows])
     return logits

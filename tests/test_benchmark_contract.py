@@ -52,6 +52,16 @@ def test_every_probe_target_resolves_to_a_callable(name, tmp_path):
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, workload in workloads.WORKLOADS.items()
+    if issubclass(workload, workloads.GridWorkload)))
+def test_a_grid_workload_runs_its_cells_in_expansion_order(name):
+    # GridWorkload.check zips the cells with the train and progress calls
+    spec = experiment.parse_spec_text(workloads.WORKLOADS[name].spec_template.format(seed=1))
+    plan = experiment.plan_cohorts(spec)
+    assert [cell for cohort in plan for cell in cohort] == experiment.expand_cells(spec)
+
+
 def test_a_traced_grid_and_gradcheck_run_every_wrapper(tmp_path):
     spec = experiment.parse_spec_text(TRACED_GRID_SPEC)
     tracer = tracing.Tracer()

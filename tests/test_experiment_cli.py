@@ -24,6 +24,7 @@ from mprl.experiment import (
     RunFailure,
     expand_cells,
     parse_spec_text,
+    plan_cohorts,
     run_cell,
     run_experiment,
 )
@@ -240,6 +241,18 @@ class TestGridExpansion:
             "lsro_n0_seed1", "lsro_n5_seed1", "baseline_n0_seed1",
         ]
 
+    def test_cohorts_are_planned_seed_major_baseline_first(self):
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "smprl, lsro, baseline, dmprl1")
+                               .replace("0, 6", "0, 6, 9").replace("1, 2", "2, 1"))
+        # seeds in spec order, each seed's baseline first, then one cohort
+        # per count in the order of its first cell
+        expected = []
+        for seed in (2, 1):
+            expected.append([f"baseline_n0_seed{seed}"])
+            for count in (0, 6, 9):
+                expected.append([f"{s}_n{count}_seed{seed}" for s in ("smprl", "lsro", "dmprl1")])
+        assert [[c.name for c in cohort] for cohort in plan_cohorts(spec)] == expected
+
 
 class TestRunMemo:
     """One run builds each dataset once and trains each seed's baseline once."""
@@ -324,7 +337,8 @@ class TestRunMemo:
                     handle[0] = 0.0
 
     def test_smprl_before_baseline_pretrains_once_per_seed(self, tmp_path, monkeypatch):
-        # the pretrained model and the baseline cell's are the same bits
+        # each seed's baseline cohort runs first, so smprl labels with its
+        # model and nothing is pretrained; the bits are as listed baseline first
         run_experiment(parse_spec_text(self.SPEC.replace("counts         = 0, 6",
                                                          "counts         = 6, 9")),
                        out_dir=tmp_path / "baseline_first")
@@ -332,7 +346,7 @@ class TestRunMemo:
         spec = parse_spec_text(self.SPEC.replace("baseline, lsro, smprl", "smprl, baseline")
                                .replace("counts         = 0, 6", "counts         = 6, 9"))
         run_experiment(spec, out_dir=tmp_path / "smprl_first")
-        assert len(pretrained) == len(spec.seeds)
+        assert pretrained == []
         for cell in expand_cells(spec):
             for artifact in ("report.json", "history.csv"):
                 assert (tmp_path / "smprl_first" / cell.name / artifact).read_bytes() == \
@@ -452,21 +466,23 @@ class TestCohorts:
             "counts = 6\nseeds = 1\nepochs = 2\nwarmup_epoch = 1\nhidden_sizes = 6\n")
         run_experiment(spec, out_dir=tmp_path)
         assert cohorts == expected
+        assert [[c.strategy.value for c in cohort] for cohort in plan_cohorts(spec)] == expected
 
     def test_count_and_head_width_split_cohorts(self, tmp_path, monkeypatch):
         cohorts = self.record_cohorts(monkeypatch)
+        pretrained = TestRunMemo.count_calls(monkeypatch, "pretrain_baseline")
         spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "lsro, smprl, baseline"))
         run_experiment(spec, out_dir=tmp_path)
-        # per seed: each count's cohort; smprl's generated rows are labelled
-        # before the baseline cell runs, so one baseline is pretrained
-        assert cohorts == [["lsro", "smprl"], ["baseline"], ["lsro", "smprl"],
-                           ["baseline"]] * 2
+        # per seed: the baseline cohort first, then each count's cohort;
+        # smprl labels its generated rows with the baseline cell's model
+        assert cohorts == [["baseline"], ["lsro", "smprl"], ["lsro", "smprl"]] * 2
+        assert pretrained == []
 
     @pytest.mark.parametrize("strategies, expected, pretrainings", [
-        # as alone: smprl comes before the baseline cell, so it pretrains
-        ("lsro, smprl, baseline", [["baseline"], ["lsro", "smprl"], ["baseline"]], 1),
-        # smprl waits for the baseline cell's model rather than pretraining
-        ("lsro, baseline, smprl, dmprl1", [["lsro", "dmprl1"], ["baseline"], ["smprl"]], 0),
+        # the baseline cohort runs first wherever the spec lists it, so
+        # smprl never pretrains
+        ("lsro, smprl, baseline", [["baseline"], ["lsro", "smprl"]], 0),
+        ("lsro, baseline, smprl, dmprl1", [["baseline"], ["lsro", "smprl", "dmprl1"]], 0),
     ])
     def test_smprl_pretrains_only_where_it_would_alone(self, tmp_path, monkeypatch, strategies,
                                                        expected, pretrainings):
@@ -540,12 +556,13 @@ class TestCohorts:
 
         monkeypatch.setattr(owner, name, logging)
 
-    @pytest.mark.parametrize("seeds", ["1, 2", "1, 2, 3"])
+    @pytest.mark.parametrize("seeds", ["1", "1, 2", "1, 2, 3"])
     def test_jobs_train_each_seed_once(self, tmp_path, monkeypatch, seeds):
         # forked workers inherit the patches and append to one file
         log = tmp_path / "calls.log"
         for owner, name in [(experiment, "make_real_dataset"),
                             (experiment, "make_generated_dataset"),
+                            (experiment, "pretrain_baseline"),
                             (trainer, "_train_cohort")]:
             self.log_calls(monkeypatch, owner, name, log)
         spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "baseline, lsro, smprl, dmprl1")
@@ -553,12 +570,61 @@ class TestCohorts:
         run_experiment(spec, out_dir=tmp_path / "out", jobs=2)
         calls = Counter(log.read_text().split())
         # per seed: one real and one generated dataset, the baseline cell
-        # and the lsro, smprl, dmprl1 cohort
+        # and the lsro, smprl, dmprl1 cohort; with one seed the cohorts go
+        # out one at a time, and a worker that takes the static cohort
+        # without the baseline's builds the real dataset and pretrains once
         n = len(spec.seeds)
-        assert calls == {"make_real_dataset": n, "make_generated_dataset": n,
-                         "_train_cohort": 2 * n}
+        away = calls.pop("pretrain_baseline", 0)
+        assert away <= (n == 1)
+        assert calls == {"make_real_dataset": n + away, "make_generated_dataset": n,
+                         "_train_cohort": 2 * n + away}
 
-    @pytest.mark.parametrize("seeds, jobs, chunk", [("1, 2", 2, 4), ("1, 2, 3", 2, 4),
+    def test_a_pool_trains_each_cell_in_one_cohort(self, tmp_path, monkeypatch):
+        trained = []
+        original = trainer._train_cohort
+
+        def recording(real, generated, members, *args):
+            trained.extend(members)
+            return original(real, generated, members, *args)
+
+        class RoundRobinPool:
+            """Runs the jobs here, in order, each in the other worker's memo."""
+
+            def __init__(self, workers):
+                self.memos = [experiment.RunMemo() for _ in range(workers)]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                outcomes = []
+                for i, item in enumerate(args):
+                    monkeypatch.setattr(experiment, "_worker_memo",
+                                        self.memos[i % len(self.memos)])
+                    outcomes.append(fn(item))
+                return outcomes
+
+        monkeypatch.setattr(trainer, "_train_cohort", recording)
+        monkeypatch.setattr(experiment, "_worker_pool", RoundRobinPool)
+        pretrained = TestRunMemo.count_calls(monkeypatch, "pretrain_baseline")
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "baseline, lsro, smprl, dmprl1")
+                               .replace("0, 6", "6").replace("1, 2", "1"))
+        run_experiment(spec, out_dir=tmp_path / "pool", jobs=2)
+        # the static cohort runs in the worker without the baseline cell's
+        # model, and pretrains it there once: the baseline cell's config
+        configs = [spec.train_config(c.strategy, c.seed) for c in expand_cells(spec)]
+        assert configs[0].strategy is Strategy.BASELINE and len(pretrained) == 1
+        assert Counter(trained) == Counter(configs + configs[:1])
+        run_experiment(spec, out_dir=tmp_path / "alone")
+        for cell in expand_cells(spec):
+            for artifact in ("report.json", "history.csv"):
+                assert (tmp_path / "pool" / cell.name / artifact).read_bytes() == \
+                    (tmp_path / "alone" / cell.name / artifact).read_bytes()
+
+    @pytest.mark.parametrize("seeds, jobs, chunk", [("1, 2", 2, 2), ("1, 2, 3", 2, 2),
                                                     ("1", 2, 1), ("1, 2", 3, 1)])
     def test_chunks_are_whole_seeds_when_seeds_cover_the_workers(self, tmp_path, monkeypatch,
                                                                  seeds, jobs, chunk):
@@ -630,6 +696,7 @@ class TestRunExperiment:
         (5, "baseline, lsro", [2]),  # two cells: two workers, not five
         (3, "baseline", []),  # one cell runs in this process
         (2, "baseline, lsro, dmprl1", [2]),
+        (3, "baseline, lsro, dmprl1", [2]),  # three cells, two cohorts
     ])
     def test_jobs_never_start_more_workers_than_cells(self, tmp_path, monkeypatch, jobs,
                                                       strategies, workers):
@@ -660,6 +727,50 @@ class TestRunExperiment:
         results = run_experiment(spec, out_dir=tmp_path, jobs=jobs)
         assert [r.cell for r in results] == expand_cells(spec)
         assert started == workers
+
+    def test_progress_comes_as_each_cell_finishes(self, tmp_path, monkeypatch):
+        events = []
+        original = experiment.run_cell
+
+        def logging(spec, cell, *args):
+            events.append(("run", cell.name))
+            return original(spec, cell, *args)
+
+        monkeypatch.setattr(experiment, "run_cell", logging)
+        spec = parse_spec_text(TINY_SPEC.replace("baseline, lsro", "lsro, baseline, dmprl1"))
+        results = run_experiment(
+            spec, out_dir=tmp_path,
+            progress=lambda result: events.append(("progress", result.cell.name)))
+        # a cohort's later members report one by one, not with its first;
+        # the baseline runs first, but the results come in cell order
+        assert max(len(cohort) for cohort in plan_cohorts(spec)) > 1
+        assert events == [(event, cell.name) for cohort in plan_cohorts(spec)
+                          for cell in cohort for event in ("run", "progress")]
+        assert events[0] == ("run", "baseline_n0_seed1")
+        assert [r.cell for r in results] == expand_cells(spec)
+
+    def test_a_failure_no_cell_raised_blames_no_cell(self, tmp_path, monkeypatch):
+        class BrokenPool:
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                raise RuntimeError("the pool broke")
+
+        monkeypatch.setattr(experiment, "_worker_pool", BrokenPool)
+        with pytest.raises(RunFailure) as failure:
+            run_experiment(parse_spec_text(FAILING_SPEC), out_dir=tmp_path, jobs=2)
+        assert failure.value.cell is None
+        assert str(failure.value) == "run failed: the pool broke"
+        assert json.loads((tmp_path / "failure_manifest.json").read_text()) == {
+            "failed_cell": "unknown", "error": "RuntimeError: the pool broke", "completed": []}
+        assert not (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mid_run_failure_leaves_manifest(self, tmp_path, monkeypatch, jobs):
@@ -828,6 +939,7 @@ class TestCli:
         assert err.endswith(": training diverged: the model's logits are not finite\n")
         manifest = json.loads((out / "failure_manifest.json").read_text())
         assert manifest["failed_cell"] == "dmprl1_n3_seed0"
+        assert manifest["error"].startswith("TrainingDiverged: epoch 1, batch ")
         assert manifest["completed"] == []
 
     def test_overflowed_distances_fail_the_cell(self, tmp_path, capsys):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import mprl.trainer as trainer_module
-from mprl.errors import InvalidConfig, InvalidDimension, InvalidState, MprlError
+from mprl.errors import (
+    InvalidConfig, InvalidDimension, InvalidState, MprlError, TrainingDiverged,
+)
 from mprl.labels import mprl_rows, virtual_labels
 from mprl.net import forward, init_params
 from mprl.synthgen import Dataset, make_generated_dataset, make_real_dataset
@@ -252,10 +254,10 @@ class TestStaticLabels:
         # an all-NaN model ranked to one finite row for every generated sample
         params = init_params((real.feature_dim, 5, real.n_classes), seed=0)
         params.biases[-1][0] = bad
-        with pytest.raises(InvalidDimension, match="logits must be finite"):
+        with pytest.raises(TrainingDiverged, match="logits must be finite"):
             assign_static_labels(params, generated)
         params.flat[:] = math.nan
-        with pytest.raises(InvalidDimension, match="logits must be finite"):
+        with pytest.raises(TrainingDiverged, match="logits must be finite"):
             assign_static_labels(params, generated)
 
     def test_nontrivial_model_gives_rank_scaled_weights(self, real, generated):
@@ -536,8 +538,9 @@ class TestDivergence:
         cfg = quick_config(Strategy.DMPRL1, epochs=2, lr_initial=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MprlError, match=r"^epoch 1, batch [1-9]\d*: training diverged: "
-                                                r"the model's logits are not finite$"):
+            with pytest.raises(TrainingDiverged, match=r"^epoch 1, batch [1-9]\d*: training "
+                                                      r"diverged: the model's logits are "
+                                                      r"not finite$"):
                 train(real, generated, cfg)
 
 
@@ -722,7 +725,7 @@ class TestCohort:
                 quick_config(Strategy.ONE_HOT_PSEUDO), quick_config(Strategy.SMPRL),
                 quick_config(Strategy.DMPRL1, gen_weight=0.5), quick_config(Strategy.DMPRL2)]
         alone, together = alone_and_together(real, generated, cfgs, static)
-        assert [type(r) for r in alone] == [tuple, InvalidDimension, tuple, InvalidDimension,
+        assert [type(r) for r in alone] == [tuple, TrainingDiverged, tuple, InvalidDimension,
                                             tuple, tuple]
         assert str(alone[1]) == ("epoch 2, batch 0: training diverged: "
                                  "the model's logits are not finite")
@@ -749,7 +752,7 @@ class TestCohort:
                 seen.append((record, params.flat.tobytes()))
 
             if observed is failing:
-                with pytest.raises(InvalidDimension, match="^epoch 2, batch 0: "):
+                with pytest.raises(TrainingDiverged, match="^epoch 2, batch 0: "):
                     train(real, generated, observed, on_epoch=observe, **kwargs)
             else:
                 train(real, generated, observed, on_epoch=observe, **kwargs)
@@ -764,7 +767,7 @@ class TestCohort:
             [1] if case == "it_fails" else list(range(1, observed.epochs + 1)))
         assert together == alone
         if case == "another_fails":
-            with pytest.raises(InvalidDimension, match="^epoch 2, batch 0: "):
+            with pytest.raises(TrainingDiverged, match="^epoch 2, batch 0: "):
                 train(real, generated, failing, cohort=cohort)
 
     def test_arguments_the_cohort_would_ignore_are_refused(self, real, generated):
